@@ -10,8 +10,6 @@ from .gralg import (
     GradedPoly,
     ParityError,
     berezin_integral,
-    multiply,
-    parity_of,
     partial,
     residue_pair,
     substitute,
@@ -23,7 +21,6 @@ from .diffop import (
     conjugate_by_exp,
     formal_adjoint,
     op_from_action,
-    pencil_adjoint,
     specialize,
 )
 from .geom import (

@@ -14,8 +14,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .gralg import Chart, ChartMismatch, DensityElement, GradedPoly, ParityError
-from .diffop import DiffOp, formal_adjoint, pencil_adjoint, specialize
+from .gralg import ChartMismatch, DensityElement, GradedPoly, ParityError
+from .diffop import DiffOp, formal_adjoint, specialize
 from .geom import (
     BracketDataError,
     CoordMapError,
@@ -29,7 +29,6 @@ from .geom import (
     transform_data,
     transform_logvol,
     transform_op,
-    LogVolume,
 )
 from .brackets import higher_bracket, jacobiator, linfty_check
 from .conventions import CONVENTIONS
@@ -265,9 +264,7 @@ def _cmd_pencil(args) -> int:
 
 def _cmd_adjoint(args) -> int:
     m = _load(args.input)
-    D = _get_op(m, args.op)
-    res = pencil_adjoint(D) if D.uses_weight() else formal_adjoint(D)
-    return _emit(args, res)
+    return _emit(args, formal_adjoint(_get_op(m, args.op)))
 
 
 def _cmd_derived(args) -> int:

@@ -25,7 +25,6 @@ from .gralg import (
     GradedPoly,
     Key,
     ParityError,
-    Rat,
     partial,
 )
 
@@ -42,6 +41,14 @@ def _wp_add(a: Mapping[int, GradedPoly], b: Mapping[int, GradedPoly]) -> WPoly:
     for k, p in b.items():
         out[k] = out[k] + p if k in out else p
     return _wp_clean(out)
+
+
+def _at_weight(chart: Chart, wp: Mapping[int, GradedPoly], w: Fraction) -> GradedPoly:
+    """The coefficient sum_k c_k w^k of one derivative key at W = w."""
+    acc = GradedPoly.zero(chart)
+    for k, c in wp.items():
+        acc = acc + c * (w**k if k else 1)
+    return acc
 
 
 def _wp_mul(a: Mapping[int, GradedPoly], b: Mapping[int, GradedPoly]) -> WPoly:
@@ -262,10 +269,7 @@ class DiffOp:
                 d = self._apply_derivs(key, comp)
                 if d.is_zero():
                     continue
-                coeff = GradedPoly.zero(self.chart)
-                for k, c in wp.items():
-                    coeff = coeff + c * (w**k if k else 1)
-                acc = acc + coeff * d
+                acc = acc + _at_weight(self.chart, wp, w) * d
             out = out + DensityElement(self.chart, {w: acc})
         return out
 
@@ -356,7 +360,13 @@ def conjugate_by_exp(D: DiffOp, u: GradedPoly, sign: int = 1) -> DiffOp:
         raise ParityError("conjugation exponent must be even")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    M = DiffOp.mult(u * sign)
+    return _exp_ad(D, DiffOp.mult(u * sign))
+
+
+def _exp_ad(D: DiffOp, M: DiffOp) -> DiffOp:
+    """The series  sum_k (1/k!) [...[D, M], ..., M]  (k commutators) for an
+    even M that lowers the order, such as multiplication by an even
+    polynomial times a power of W: it terminates after ord D + 1 terms."""
     out = D
     term = D
     k = 0
@@ -377,9 +387,7 @@ def specialize(P: DiffOp, w0) -> DiffOp:
     w0 = Fraction(w0)
     terms: dict[Key, WPoly] = {}
     for key, wp in P.terms.items():
-        acc = GradedPoly.zero(P.chart)
-        for k, c in wp.items():
-            acc = acc + c * (w0**k if k else 1)
+        acc = _at_weight(P.chart, wp, w0)
         if not acc.is_zero():
             terms[key] = {0: acc}
     return DiffOp(P.chart, terms)
@@ -418,11 +426,6 @@ def formal_adjoint(D: DiffOp) -> DiffOp:
                     T = compose(one_minus_w**wpow, T)
                 out = out + T
     return out
-
-
-# A pencil is a DiffOp whose coefficients involve W; the adjoint recursion
-# already treats W by W* = 1 - W, so the pencil adjoint is the same map.
-pencil_adjoint = formal_adjoint
 
 
 def op_from_action(chart: Chart, action: Callable[[GradedPoly], GradedPoly],

@@ -500,13 +500,6 @@ class Module:
     operators: dict = field(default_factory=dict)  # name -> DiffOp
     maps: dict = field(default_factory=dict)       # name -> CoordMap
 
-    def value(self, name: str):
-        for table in (self.densities, self.elements, self.operators,
-                      self.tensors, self.maps):
-            if name in table:
-                return table[name]
-        raise KeyError(name)
-
 
 def _eval_element(e: Expr, m: Module) -> DensityElement:
     chart = m.chart

@@ -12,7 +12,7 @@ Frozen conventions (certified by the theorem suites in tests/):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -24,18 +24,16 @@ from .gralg import (
     DensityElement,
     GradedPoly,
     ParityError,
-    Rat,
     partial,
     substitute,
 )
 from .diffop import (
     DiffOp,
-    WPoly,
-    commutator,
+    _exp_ad,
     compose,
     conjugate_by_exp,
+    formal_adjoint,
     op_from_action,
-    pencil_adjoint,
     specialize,
 )
 
@@ -480,7 +478,7 @@ def extract_vbracket(P: DiffOp) -> VBracketData:
         raise ParityError("pencil must be homogeneous")
     if not specialize(P, 0).apply_poly(GradedPoly.one(chart)).is_zero():
         raise ValueError("pencil is not normalized (P1 != 0 at w = 0)")
-    if pencil_adjoint(P) != P:
+    if formal_adjoint(P) != P:
         raise ValueError("pencil is not self-adjoint")
     t = _unit_density(chart)
     S: SMatrix = {}
@@ -550,10 +548,6 @@ def symbol_gamma(data: VBracketData, ct: Chart | None = None) -> GradedPoly:
 def symbol_theta(data: VBracketData, ct: Chart | None = None) -> GradedPoly:
     ct = ct or cotangent_chart(data.chart)
     return lift_to_cotangent(data.theta, ct)
-
-
-def _base_and_momentum(ct: Chart, name: str) -> bool:
-    return name.startswith(MOMENTUM_PREFIX)
 
 
 def tstar_bracket(F: GradedPoly, G: GradedPoly) -> GradedPoly:
@@ -882,20 +876,7 @@ def transform_op(D: DiffOp, cmap: CoordMap) -> DiffOp:
     v = cmap.push(log_berezinian(cmap))
     if v.is_zero():
         return out
-    U = DiffOp.weight(chart) * DiffOp.mult(v)
-    conj = out
-    term = out
-    k = 0
-    bound = order + 1
-    while True:
-        k += 1
-        term = commutator(term, U) * Fraction(1, k)
-        if term.is_zero():
-            break
-        if k > bound:
-            raise RuntimeError("density conjugation failed to terminate")
-        conj = conj + term
-    return conj
+    return _exp_ad(out, DiffOp.weight(chart) * DiffOp.mult(v))
 
 
 def transform_logvol(sigma, cmap: CoordMap) -> GradedPoly:

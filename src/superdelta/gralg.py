@@ -9,10 +9,9 @@ declaration order with the reordering sign folded into the coefficient.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Rat = Fraction
 
@@ -245,14 +244,6 @@ class GradedPoly:
         except ImportError:
             return f"GradedPoly({self.terms!r})"
         return f"GradedPoly({render(self)})"
-
-
-def multiply(p: GradedPoly, q: GradedPoly) -> GradedPoly:
-    return p * q
-
-
-def parity_of(p: GradedPoly) -> int | None:
-    return p.parity()
 
 
 def partial(name: str, p: GradedPoly) -> GradedPoly:

@@ -8,7 +8,7 @@ import pytest
 
 from superdelta import DensityElement, DiffOp, GradedPoly, partial
 from superdelta.diffop import (
-    commutator, compose, conjugate_by_exp, pencil_adjoint, specialize,
+    commutator, compose, conjugate_by_exp, formal_adjoint, specialize,
 )
 from superdelta.geom import (
     BracketDataError,
@@ -262,7 +262,7 @@ def test_pencil_suite(rng):
                 P = canonical_pencil(data)
                 assert specialize(P, 0).apply_poly(
                     GradedPoly.one(chart)).is_zero()
-                assert pencil_adjoint(P) == P
+                assert formal_adjoint(P) == P
                 assert extract_vbracket(P) == data
 
 
