@@ -6,6 +6,7 @@ Usage: python3 scripts/classify_demo.py [--n-max N]
 """
 
 import argparse
+import textwrap
 
 from superdelta import Chart, DiffOp, GradedPoly, compose
 from superdelta.brackets import higher_bracket, jacobiator, linfty_check
@@ -38,7 +39,7 @@ def main() -> None:
         print(f"   Delta   = {render(D)}")
         print(f"   Delta^2 = {render(compose(D, D))}")
         rep = linfty_check(D, n_max=args.n_max)
-        print(f"   {rep}")
+        print(textwrap.indent(str(rep), "   "))
         if rep.witness is not None:
             n, witness = rep.witness
             print(f"   witness: J^{n}({', '.join(render(a) for a in witness)})"

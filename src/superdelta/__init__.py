@@ -16,6 +16,7 @@ from .gralg import (
 )
 from .diffop import (
     DiffOp,
+    ad_mult,
     commutator,
     compose,
     conjugate_by_exp,

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
 from .gralg import Chart, GradedPoly, ParityError
-from .diffop import DiffOp, commutator, compose, specialize
+from .diffop import DiffOp, ad_mult, commutator, compose, specialize
 
 __all__ = [
     "koszul_sign",
@@ -101,19 +101,19 @@ def _homogeneous_args(args: Sequence[GradedPoly]):
 
 def higher_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     """{a_1,...,a_n} = [...[[Delta,a_1],a_2],...,a_n] 1.  Multilinear;
-    inhomogeneous arguments are split by linearity.  The 0-ary bracket is
+    each commutator is taken by ad_mult, which is linear in its argument,
+    so inhomogeneous arguments need no splitting.  The 0-ary bracket is
     the background Delta 1."""
     chart = Delta.chart
-    one = GradedPoly.one(chart)
     if Delta.parity() is None:
         raise ParityError("bracket generator must be homogeneous")
-    total = GradedPoly.zero(chart)
-    for tup in _homogeneous_args(args):
-        D = Delta
-        for a in tup:
-            D = commutator(D, DiffOp.mult(a))
-        total = total + D.apply_poly(one)
-    return total
+    D = Delta
+    for a in args:
+        D = ad_mult(D, a)
+    # D 1 at weight 0: every derivative kills 1 and W acts as 0, so only
+    # the W^0 coefficient at the zero key remains
+    zero_key = ((0,) * len(chart.even), ())
+    return D.terms.get(zero_key, {}).get(0, GradedPoly.zero(chart))
 
 
 def square_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
@@ -340,14 +340,16 @@ class GrassmannMatrix:
 
 
 def _mat_mul(A: GrassmannMatrix, B: GrassmannMatrix) -> GrassmannMatrix:
-    n = len(A.rows)
-    rows = tuple(
-        tuple(
-            sum((A.rows[i][k] * B.rows[k][j] for k in range(n)), Fraction(0))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    rows = []
+    for row_a in A.rows:
+        acc = [Fraction(0)] * len(row_a)
+        for a, row_b in zip(row_a, B.rows):
+            if a:
+                for j, b in enumerate(row_b):
+                    if b:
+                        acc[j] += a * b
+        rows.append(tuple(acc))
+    rows = tuple(rows)
     if A.parity is None or B.parity is None:
         par = None
     else:

@@ -9,11 +9,21 @@ coefficients genuinely involve W is a weight pencil.
 The derivative monomial d^I denotes the composition
     d_even^e  o  d_odd(i1) o ... o d_odd(ik)      (i1 < ... < ik),
 applied innermost-first, all derivatives being LEFT derivatives.
+
+Products are normal-ordered in one pass by the graded multi-index Leibniz
+rule
+    d^I o c = sum_{K <= I} +-binom(I, K) (d^K c) d^{I-K},
+where an odd derivative that passes a homogeneous coefficient g, instead
+of differentiating it, contributes the Koszul sign (-1)^{|g|}, and even
+derivatives contribute no sign.  The commutator [D, a.] with a
+multiplication operator is the same sum without its K = 0 term
+(ad_mult).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Callable, Mapping
 
 from .gralg import (
@@ -25,6 +35,8 @@ from .gralg import (
     GradedPoly,
     Key,
     ParityError,
+    _merge_odd,
+    _power,
     partial,
 )
 
@@ -49,16 +61,6 @@ def _at_weight(chart: Chart, wp: Mapping[int, GradedPoly], w: Fraction) -> Grade
     for k, c in wp.items():
         acc = acc + c * (w**k if k else 1)
     return acc
-
-
-def _wp_mul(a: Mapping[int, GradedPoly], b: Mapping[int, GradedPoly]) -> WPoly:
-    out: dict[int, GradedPoly] = {}
-    for i, p in a.items():
-        for j, q in b.items():
-            k = i + j
-            pq = p * q
-            out[k] = out[k] + pq if k in out else pq
-    return _wp_clean(out)
 
 
 class DiffOp:
@@ -216,10 +218,7 @@ class DiffOp:
         return NotImplemented
 
     def __pow__(self, n: int):
-        out = DiffOp.identity(self.chart)
-        for _ in range(n):
-            out = compose(out, self)
-        return out
+        return _power(self, n, DiffOp.identity(self.chart))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GradedPoly)):
@@ -278,67 +277,94 @@ class DiffOp:
         return self.apply(DensityElement.from_poly(p)).component(0)
 
 
-def _deriv_then(chart: Chart, name: str, F: DiffOp) -> DiffOp:
-    """The normal-ordered form of  d_name o F."""
-    pa = chart.parity(name)
-    terms: dict[Key, WPoly] = {}
+def _leibniz(chart: Chart, key: Key, f: GradedPoly) -> list[tuple[Key, GradedPoly]]:
+    """The normal-ordered expansion  d^key o (f.) = sum g . d^rest,  as
+    (rest, g) pairs, by the graded multi-index Leibniz rule.
 
-    def add(key: Key, wpow: int, poly: GradedPoly):
-        if poly.is_zero():
-            return
-        wp = terms.setdefault(key, {})
-        wp[wpow] = wp[wpow] + poly if wpow in wp else poly
+    Innermost first, each odd derivative d_i either hits the current
+    coefficient g (a left partial derivative) or passes it at the Koszul
+    sign (-1)^{|g|}; g is split into homogeneous parts for this.  Every
+    index already passed is larger than i, so prepending i keeps the odd
+    index tuple ascending.  The even derivatives then expand without signs,
+    d_x^n o g = sum_k binom(n, k) (d_x^k g) d_x^{n-k}.  The pair with
+    rest = key is the term where no derivative hits f."""
+    e, o = key
+    # (odd indices passed, coefficient, its parity, integer factor)
+    odd_terms = [((), g, par, 1) for par, g in f.homogeneous_parts()]
+    for i in reversed(o):
+        name = chart.odd[i]
+        nxt = []
+        for rest, g, par, c in odd_terms:
+            dg = partial(name, g)
+            if not dg.is_zero():
+                nxt.append((rest, dg, 1 - par, c))
+            nxt.append(((i,) + rest, g, par, -c if par else c))
+        odd_terms = nxt
+    # (even exponents left, odd indices passed, coefficient, integer factor)
+    terms = [(e, rest, g, c) for rest, g, _, c in odd_terms]
+    for j, n in enumerate(e):
+        if not n:
+            continue
+        name = chart.even[j]
+        nxt = []
+        for er, rest, g, c in terms:
+            for k in range(n + 1):
+                if k:
+                    g = partial(name, g)
+                    if g.is_zero():
+                        break
+                er2 = er[:j] + (n - k,) + er[j + 1 :]
+                nxt.append((er2, rest, g, c * comb(n, k)))
+        terms = nxt
+    return [((er, rest), g if c == 1 else g * c) for er, rest, g, c in terms]
 
-    for (e, o), wp in F.terms.items():
-        for wpow, c in wp.items():
-            # derivative hits the coefficient ...
-            add((e, o), wpow, partial(name, c))
-            # ... or passes it with the Koszul sign and extends the index
-            for cp, cpart in c.homogeneous_parts():
-                sign = (-1) ** (pa * cp)
-                if pa == EVEN:
-                    i = chart.even_index(name)
-                    e2 = list(e)
-                    e2[i] += 1
-                    add((tuple(e2), o), wpow, cpart * sign)
-                else:
-                    i = chart.odd_index(name)
-                    if i in o:
-                        continue
-                    before = sum(1 for j in o if j < i)
-                    o2 = tuple(sorted(o + (i,)))
-                    add((e, o2), wpow, cpart * sign * (-1) ** before)
-    return DiffOp(chart, terms)
+
+# accumulated coefficient sums: key -> W-power -> monomial -> rational
+_Sums = dict[Key, dict[int, dict[Key, Fraction]]]
+
+
+def _add_into(sums: _Sums, key: Key, wpow: int, p: GradedPoly, factor: int = 1):
+    acc = sums.setdefault(key, {}).setdefault(wpow, {})
+    for m, c in p.terms.items():
+        if factor != 1:
+            c = c * factor
+        acc[m] = acc[m] + c if m in acc else c
+
+
+def _from_sums(chart: Chart, sums: _Sums) -> DiffOp:
+    return DiffOp(chart, {
+        key: {w: GradedPoly(chart, t) for w, t in wp.items()}
+        for key, wp in sums.items()
+    })
 
 
 def compose(D: DiffOp, E: DiffOp) -> DiffOp:
     """Normal-ordered composition: apply(compose(D, E), psi) =
-    apply(D, apply(E, psi))."""
+    apply(D, apply(E, psi)).
+
+    Each pair of terms multiplies as  c d^I o f d^J = sum c g d^rest d^J
+    with d^I o f = sum g d^rest by the graded Leibniz rule: an odd
+    derivative passing a homogeneous coefficient g costs (-1)^{|g|}, an
+    even one costs nothing and expands with binomials.  Then d^rest d^J
+    adds the even exponents and concatenates the odd indices, sorted at
+    the sign of the inversions, and is 0 if they overlap.  W is central:
+    its powers add."""
     if D.chart != E.chart:
         raise ChartMismatch("operators on different charts")
     chart = D.chart
-    out = DiffOp.zero(chart)
-    for (e, o), wp in D.terms.items():
-        # build  d^(e,o) o E  innermost derivative first
-        seq: list[str] = []
-        for i, n in enumerate(e):
-            seq.extend([chart.even[i]] * n)
-        seq.extend(chart.odd[i] for i in o)
-        T = E
-        for name in reversed(seq):
-            T = _deriv_then(chart, name, T)
-            if T.is_zero():
-                break
-        if T.is_zero():
-            continue
-        # left-multiply by the coefficient
-        terms: dict[Key, WPoly] = {}
-        for key2, wp2 in T.terms.items():
-            prod = _wp_mul(wp, wp2)
-            if prod:
-                terms[key2] = _wp_add(terms.get(key2, {}), prod)
-        out = out + DiffOp(chart, terms)
-    return out
+    sums: _Sums = {}
+    for I, wpD in D.terms.items():
+        for (eJ, oJ), wpE in E.terms.items():
+            for wf, f in wpE.items():
+                for (er, orest), g in _leibniz(chart, I, f):
+                    merged = _merge_odd(orest, oJ)
+                    if merged is None:
+                        continue
+                    o, sign = merged
+                    key = (tuple(a + b for a, b in zip(er, eJ)), o)
+                    for wc, c in wpD.items():
+                        _add_into(sums, key, wc + wf, c * g, sign)
+    return _from_sums(chart, sums)
 
 
 def commutator(D: DiffOp, E: DiffOp) -> DiffOp:
@@ -353,6 +379,29 @@ def commutator(D: DiffOp, E: DiffOp) -> DiffOp:
     return out
 
 
+def ad_mult(D: DiffOp, a: GradedPoly) -> DiffOp:
+    """The graded commutator [D, a.] with a multiplication operator, without
+    composing: commutator(D, DiffOp.mult(a)).
+
+    By the Leibniz rule, c d^I o a = sum c g d^rest, and its term where no
+    derivative hits a is (-1)^{|a| |I_odd|} c a d^I.  For homogeneous c and
+    a this equals (-1)^{|D| |a|} a c d^I, the matching term of a o D, since
+    |D| = |c| + |I_odd| for that term.  So that term cancels exactly and
+    [D, a.] is the sum of the others.  Linear in a, so an inhomogeneous a
+    is split by linearity, as in commutator."""
+    if D.chart != a.chart:
+        raise ChartMismatch("operator and polynomial on different charts")
+    chart = D.chart
+    sums: _Sums = {}
+    for I, wp in D.terms.items():
+        for rest, g in _leibniz(chart, I, a):
+            if rest == I:
+                continue
+            for w, c in wp.items():
+                _add_into(sums, rest, w, c * g)
+    return _from_sums(chart, sums)
+
+
 def conjugate_by_exp(D: DiffOp, u: GradedPoly, sign: int = 1) -> DiffOp:
     """Exact conjugation  e^{-s u} o D o e^{s u}  (s = sign), computed as the
     terminating commutator series  sum_k (1/k!) ad_{su}^k D."""
@@ -360,20 +409,25 @@ def conjugate_by_exp(D: DiffOp, u: GradedPoly, sign: int = 1) -> DiffOp:
         raise ParityError("conjugation exponent must be even")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return _exp_ad(D, DiffOp.mult(u * sign))
+    return _exp_ad(D, u * sign)
 
 
-def _exp_ad(D: DiffOp, M: DiffOp) -> DiffOp:
-    """The series  sum_k (1/k!) [...[D, M], ..., M]  (k commutators) for an
-    even M that lowers the order, such as multiplication by an even
-    polynomial times a power of W: it terminates after ord D + 1 terms."""
+def _exp_ad(D: DiffOp, u: GradedPoly, wpow: int = 0) -> DiffOp:
+    """The series  sum_k (1/k!) [...[D, M], ..., M]  (k commutators) with
+    M = W^wpow u for an even polynomial u.  W is central, so
+    [X, W^wpow u] = W^wpow [X, u.]; M lowers the order, so the series
+    terminates after ord D + 1 terms."""
     out = D
     term = D
     k = 0
     bound = (D.order() or 0) + 1
     while True:
         k += 1
-        term = commutator(term, M) * Fraction(1, k)
+        inv = Fraction(1, k)
+        term = DiffOp(D.chart, {
+            key: {w + wpow: p * inv for w, p in wp.items()}
+            for key, wp in ad_mult(term, u).terms.items()
+        })
         if term.is_zero():
             break
         if k > bound:
@@ -403,29 +457,22 @@ def formal_adjoint(D: DiffOp) -> DiffOp:
     certified by the Berezin-integral pairing oracle on purely odd charts
     and by the canonical-pencil self-adjointness suite."""
     chart = D.chart
-    one_minus_w = DiffOp.identity(chart) - DiffOp.weight(chart)
-    out = DiffOp.zero(chart)
+    sums: _Sums = {}
     for (e, o), wp in D.terms.items():
-        nder = sum(e) + len(o)
+        ko = len(o)
+        nder = sum(e) + ko
         for wpow, c in wp.items():
             for cp, cpart in c.homogeneous_parts():
-                # reverse the factor list [c, d, d, ..., d]; only odd-odd
-                # swaps contribute: pairs among odd derivatives plus pairs
-                # (c, odd derivative)
-                ko = len(o)
-                rev = (-1) ** (cp * ko + ko * (ko - 1) // 2)
-                sgn = rev * (-1) ** nder
-                # compose  d(o_k) o ... o d(o_1) o d_even^e o (cpart .)
-                T = DiffOp.mult(cpart * sgn)
-                for i, n in enumerate(e):
-                    for _ in range(n):
-                        T = _deriv_then(chart, chart.even[i], T)
-                for i in o:
-                    T = _deriv_then(chart, chart.odd[i], T)
-                if wpow:
-                    T = compose(one_minus_w**wpow, T)
-                out = out + T
-    return out
+                # (c W^wpow d^I)* = (1-W)^wpow d(o_k) o ... o d(o_1) o
+                # d_even^e o c, signed by (-1)^nder and by the reversal of the
+                # factor list [c, d, ..., d], whose odd-odd swaps give
+                # (-1)^{cp ko + ko(ko-1)/2}; reversing the odd derivatives
+                # back to d^I gives (-1)^{ko(ko-1)/2} again, which cancels.
+                sgn = (-1) ** (cp * ko + nder)
+                for rest, g in _leibniz(chart, (e, o), cpart):
+                    for j in range(wpow + 1):
+                        _add_into(sums, rest, j, g, sgn * (-1) ** j * comb(wpow, j))
+    return _from_sums(chart, sums)
 
 
 def op_from_action(chart: Chart, action: Callable[[GradedPoly], GradedPoly],

@@ -41,6 +41,7 @@ from .gralg import (
     DensityElement,
     GradedPoly,
     ParityError,
+    _power,
 )
 from .diffop import DiffOp
 from .geom import CoordMap, CoordMapError, LogVolume, VBracketData, BracketDataError
@@ -527,10 +528,7 @@ def _eval_element(e: Expr, m: Module) -> DensityElement:
         return _eval_element(e.args[0], m) * _eval_element(e.args[1], m)
     if e.kind == "pow":
         base = _eval_element(e.args[0], m)
-        out = DensityElement.from_poly(GradedPoly.one(chart))
-        for _ in range(e.value):
-            out = out * base
-        return out
+        return _power(base, e.value, DensityElement.from_poly(GradedPoly.one(chart)))
     raise DslError(f"unexpected {e.kind} in an element expression", e.line, e.col)
 
 

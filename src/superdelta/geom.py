@@ -876,7 +876,7 @@ def transform_op(D: DiffOp, cmap: CoordMap) -> DiffOp:
     v = cmap.push(log_berezinian(cmap))
     if v.is_zero():
         return out
-    return _exp_ad(out, DiffOp.weight(chart) * DiffOp.mult(v))
+    return _exp_ad(out, v, 1)
 
 
 def transform_logvol(sigma, cmap: CoordMap) -> GradedPoly:

@@ -80,6 +80,21 @@ def _merge_odd(o1: tuple[int, ...], o2: tuple[int, ...]):
     return merged, (-1) ** inversions
 
 
+def _power(x, n: int, one):
+    """x^n by repeated squaring, for any associative product ``*`` with
+    unit ``one``; about 2 log2(n) products instead of n."""
+    if n < 0:
+        raise ValueError("negative power")
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
+
+
 class GradedPoly:
     """A supercommutative polynomial with rational coefficients.
 
@@ -218,12 +233,7 @@ class GradedPoly:
         return NotImplemented
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = GradedPoly.one(self.chart)
-        for _ in range(n):
-            out = out * self
-        return out
+        return _power(self, n, GradedPoly.one(self.chart))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -10,6 +10,7 @@ from superdelta import (
     DensityElement,
     DiffOp,
     GradedPoly,
+    ad_mult,
     berezin_integral,
     commutator,
     compose,
@@ -159,3 +160,49 @@ def test_op_from_action_round_trip(rng):
             D = rand_op(rng, chart, 2)
             E = op_from_action(chart, D.apply_poly, 2)
             assert E == D
+
+
+def test_ad_mult_matches_commutator(rng):
+    """[D, a.] taken directly equals the compose-based commutator, for even,
+    odd, inhomogeneous and W-carrying D and for a of either parity."""
+    for chart in (R11, R12, R22, R03):
+        W = DiffOp.weight(chart)
+        for _ in range(6):
+            for par in (0, 1, None):
+                D = rand_op(rng, chart, 3, parity=par)
+                for E in (D, compose(W, D) + D):
+                    for pa in (0, 1, None):
+                        a = rand_poly(rng, chart, 3, parity=pa)
+                        assert ad_mult(E, a) == commutator(E, DiffOp.mult(a))
+
+
+def test_compose_weight_pencils_action(rng):
+    """Composition of W-carrying operators agrees with the action on
+    densities of several weights: (DE)psi = D(E psi)."""
+    for chart in (R11, R12, R22, R03):
+        W = DiffOp.weight(chart)
+        for _ in range(4):
+            D = compose(W, rand_op(rng, chart, 2)) + rand_op(rng, chart, 2)
+            E = rand_op(rng, chart, 2) - compose(compose(W, W), rand_op(rng, chart, 1))
+            psi = DensityElement(chart, {
+                w: rand_poly(rng, chart, 3)
+                for w in (Fraction(0), Fraction(1, 2), Fraction(2))
+            })
+            assert compose(D, E).apply(psi) == D.apply(E.apply(psi))
+
+
+def test_powers_equal_repeated_products(rng):
+    """Powers by repeated squaring equal the repeated product."""
+    for chart in (R11, R22):
+        p = rand_poly(rng, chart, 2)
+        P = compose(DiffOp.weight(chart), rand_op(rng, chart, 1)) + \
+            DiffOp.mult(rand_poly(rng, chart, 1))
+        prod_p = GradedPoly.one(chart)
+        prod_P = DiffOp.identity(chart)
+        for n in range(10):
+            assert p ** n == prod_p
+            assert P ** n == prod_P
+            prod_p = prod_p * p
+            prod_P = compose(prod_P, P)
+    with pytest.raises(ValueError):
+        DiffOp.identity(R11) ** -1
