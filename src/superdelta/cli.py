@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -127,10 +128,16 @@ def _build_parser() -> _Parser:
 
 def _load(path: str) -> Module:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             text = fh.read()
     except OSError as ex:
         raise UsageError(str(ex)) from None
+    # each byte that is not UTF-8 was read as a lone surrogate U+DC80..U+DCFF
+    bad = re.search("[\udc80-\udcff]", text)
+    if bad:
+        i = bad.start()
+        raise DslError(f"invalid UTF-8 byte 0x{ord(bad.group()) - 0xdc00:02x}",
+                       text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i))
     return load_module(text)
 
 

@@ -11,8 +11,8 @@ superdelta frozen sign conventions
 
 Coordinate bracket
   {f,g} = S^{ab} d_b f d_a g (-1)^{p(a) p(f)}, with the forced graded
-  symmetry S^{ba} = (-1)^{p(a) p(b)} S^{ab} (symmetric for an odd bracket,
-  antisymmetric for an even one).
+  symmetry S^{ba} = (-1)^{p(a) p(b)} S^{ab} for a bracket of either parity
+  (so S[y,x] = S[x,y] unless x and y are both odd).
   The antibracket normalization is {f,g}_P = (-1)^{p(f)+1} {f,g}; in this
   normalization the odd Laplacian satisfies
   Delta(fg) = (Delta f) g + (-1)^{p(f)} f (Delta g) + (-1)^{p(f)+1} {f,g}_P

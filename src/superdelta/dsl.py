@@ -241,7 +241,11 @@ class _Parser:
         if t.text in ("tensor", "density", "element", "operator", "map"):
             if self.chart is None:
                 self.fail("a chart must be declared first", t)
-            return getattr(self, t.text + "_decl")()
+            if t.text == "tensor":
+                return self.tensor_decl()
+            if t.text == "map":
+                return self.map_decl()
+            return self._value_decl(t.text)
         self.fail(f"unknown declaration {t.text!r}", t, expected=(
             "'chart'", "'tensor'", "'density'", "'element'", "'operator'", "'map'"))
 
@@ -339,15 +343,6 @@ class _Parser:
         self.expect(";")
         self.known[name.text] = kind
         return Declaration(kind, name.text, kw.line, kw.col, e)
-
-    def density_decl(self):
-        return self._value_decl("density")
-
-    def element_decl(self):
-        return self._value_decl("element")
-
-    def operator_decl(self):
-        return self._value_decl("operator")
 
     def map_decl(self) -> Declaration:
         kw = self.expect("map")
@@ -502,73 +497,50 @@ class Module:
     maps: dict = field(default_factory=dict)       # name -> CoordMap
 
 
-def _eval_element(e: Expr, m: Module) -> DensityElement:
+def _eval(e: Expr, m: Module, operator: bool):
+    """Evaluate an element expression to a DensityElement, or an operator
+    expression to a DiffOp; a polynomial is lifted to the matching kind."""
     chart = m.chart
+    lift = DiffOp.mult if operator else DensityElement.from_poly
     if e.kind == "rat":
-        return DensityElement.from_poly(GradedPoly.const(chart, e.value))
+        return lift(GradedPoly.const(chart, e.value))
     if e.kind == "var":
-        return DensityElement.from_poly(GradedPoly.var(chart, e.value))
+        return lift(GradedPoly.var(chart, e.value))
     if e.kind == "ref":
-        v = m.densities.get(e.value)
-        if v is not None:
-            return DensityElement.from_poly(v.sigma)
-        v = m.elements[e.value]
-        if isinstance(v, GradedPoly):
-            return DensityElement.from_poly(v)
-        return v
-    if e.kind == "t":
-        return DensityElement(chart, {e.value: GradedPoly.one(chart)})
-    if e.kind == "add":
-        return _eval_element(e.args[0], m) + _eval_element(e.args[1], m)
-    if e.kind == "sub":
-        return _eval_element(e.args[0], m) - _eval_element(e.args[1], m)
-    if e.kind == "neg":
-        return -_eval_element(e.args[0], m)
-    if e.kind == "mul":
-        return _eval_element(e.args[0], m) * _eval_element(e.args[1], m)
-    if e.kind == "pow":
-        base = _eval_element(e.args[0], m)
-        return _power(base, e.value, DensityElement.from_poly(GradedPoly.one(chart)))
-    raise DslError(f"unexpected {e.kind} in an element expression", e.line, e.col)
-
-
-def _eval_operator(e: Expr, m: Module) -> DiffOp:
-    chart = m.chart
-    if e.kind == "rat":
-        return DiffOp.const(chart, e.value)
-    if e.kind == "var":
-        return DiffOp.mult(GradedPoly.var(chart, e.value))
-    if e.kind == "ref":
-        if e.value in m.operators:
+        if operator and e.value in m.operators:
             return m.operators[e.value]
         v = m.densities.get(e.value)
-        if v is not None:
-            return DiffOp.mult(v.sigma)
-        v = m.elements[e.value]
-        if isinstance(v, DensityElement):
+        v = m.elements[e.value] if v is None else v.sigma
+        if isinstance(v, GradedPoly):
+            return lift(v)
+        if operator:
             raise DslError(
                 f"element {e.value!r} has t-components and cannot be an "
                 "operator coefficient", e.line, e.col)
-        return DiffOp.mult(v)
-    if e.kind == "W":
+        return v
+    if e.kind == "t" and not operator:
+        return DensityElement(chart, {e.value: GradedPoly.one(chart)})
+    if e.kind == "W" and operator:
         return DiffOp.weight(chart)
-    if e.kind == "d":
+    if e.kind == "d" and operator:
         return DiffOp.deriv(chart, e.value)
+    args = [_eval(a, m, operator) for a in e.args]
     if e.kind == "add":
-        return _eval_operator(e.args[0], m) + _eval_operator(e.args[1], m)
+        return args[0] + args[1]
     if e.kind == "sub":
-        return _eval_operator(e.args[0], m) - _eval_operator(e.args[1], m)
+        return args[0] - args[1]
     if e.kind == "neg":
-        return -_eval_operator(e.args[0], m)
+        return -args[0]
     if e.kind == "mul":
-        return _eval_operator(e.args[0], m) * _eval_operator(e.args[1], m)
+        return args[0] * args[1]
     if e.kind == "pow":
-        return _eval_operator(e.args[0], m) ** e.value
-    raise DslError(f"unexpected {e.kind} in an operator expression", e.line, e.col)
+        return _power(args[0], e.value, lift(GradedPoly.one(chart)))
+    what = "an operator" if operator else "an element"
+    raise DslError(f"unexpected {e.kind} in {what} expression", e.line, e.col)
 
 
 def _as_poly(e: Expr, m: Module, what: str) -> GradedPoly:
-    v = _eval_element(e, m)
+    v = _eval(e, m, operator=False)
     ws = v.weights()
     if ws and ws != [0]:
         raise DslError(f"{what} must be t-free", e.line, e.col)
@@ -605,10 +577,10 @@ def _elaborate_decl(d: Declaration, m: Module):
         m.densities[d.name] = LogVolume(p)
         return
     if d.kind == "element":
-        m.elements[d.name] = _simplify_element(_eval_element(d.payload, m))
+        m.elements[d.name] = _simplify_element(_eval(d.payload, m, operator=False))
         return
     if d.kind == "operator":
-        m.operators[d.name] = _eval_operator(d.payload, m)
+        m.operators[d.name] = _eval(d.payload, m, operator=True)
         return
     if d.kind == "tensor":
         eps, entries = d.payload
@@ -672,15 +644,11 @@ def parse_element(text: str, m: Module):
     if p.peek().kind != "eof":
         t = p.peek()
         raise DslError(f"trailing input {t.text!r}", t.line, t.col)
-    return _simplify_element(_eval_element(d.payload, m))
+    return _simplify_element(_eval(d.payload, m, operator=False))
 
 
 # ---------------------------------------------------------------------------
 # canonical printer
-
-
-def _ratstr(c: Fraction) -> str:
-    return str(c)
 
 
 def _coefstr(c: Fraction) -> str:
@@ -693,7 +661,7 @@ def _term(c: Fraction, factors: list[str]) -> tuple[bool, str]:
     neg = c < 0
     a = -c if neg else c
     if not factors:
-        return neg, _ratstr(a)
+        return neg, str(a)
     if a == 1:
         return neg, "*".join(factors)
     return neg, _coefstr(a) + "*" + "*".join(factors)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .gralg import (
     EVEN,
@@ -33,9 +33,9 @@ from .diffop import (
     compose,
     conjugate_by_exp,
     formal_adjoint,
-    op_from_action,
     specialize,
 )
+from .brackets import higher_bracket
 
 SMatrix = dict[tuple[str, str], GradedPoly]
 GVector = dict[str, GradedPoly]
@@ -47,6 +47,31 @@ class BracketDataError(ValueError):
 
 def _sym_sign(chart: Chart, a: str, b: str) -> int:
     return (-1) ** (chart.parity(a) * chart.parity(b))
+
+
+def _smatrix(chart: Chart, bracket: Callable[[str, str], GradedPoly]) -> SMatrix:
+    """S^{ab} = (-1)^{pa(a) pa(b)} {x^b, x^a}, read off a bracket given as
+    bracket(b, a) on the coordinate names."""
+    S: SMatrix = {}
+    for a in chart.names:
+        for b in chart.names:
+            v = bracket(b, a) * _sym_sign(chart, a, b)
+            if not v.is_zero():
+                S[(a, b)] = v
+    return S
+
+
+def _contract(chart: Chart, S: SMatrix, v: Mapping[str, GradedPoly]) -> GVector:
+    """(S v)^a = S^{ab} v_b for a covector v given on every coordinate."""
+    out: GVector = {}
+    for a in chart.names:
+        acc = GradedPoly.zero(chart)
+        for b in chart.names:
+            s = S.get((a, b))
+            if s is not None:
+                acc = acc + s * v[b]
+        out[a] = acc
+    return out
 
 
 @dataclass(frozen=True)
@@ -144,20 +169,9 @@ def _as_sigma(sigma) -> GradedPoly:
 
 
 def matrix_bracket(S: SMatrix, chart: Chart, f: GradedPoly, g: GradedPoly) -> GradedPoly:
-    """The coordinate bracket {f,g} = S^{ab} d_b f d_a g (-1)^{pa(a) pf}."""
-    out = GradedPoly.zero(chart)
-    for pf, fh in f.homogeneous_parts():
-        for (a, b), s in S.items():
-            if s.is_zero():
-                continue
-            dbf = partial(b, fh)
-            if dbf.is_zero():
-                continue
-            dag = partial(a, g)
-            if dag.is_zero():
-                continue
-            out = out + s * dbf * dag * (-1) ** (chart.parity(a) * pf)
-    return out
+    """The coordinate bracket {f,g} = S^{ab} d_b f d_a g (-1)^{pa(a) pf},
+    which is X_f(g)."""
+    return hamiltonian_vf(S, chart, f).apply_poly(g)
 
 
 def poisson_bracket(S: SMatrix, chart: Chart, f: GradedPoly, g: GradedPoly) -> GradedPoly:
@@ -173,24 +187,10 @@ def poisson_bracket(S: SMatrix, chart: Chart, f: GradedPoly, g: GradedPoly) -> G
 
 
 def bracket_from_operator(D: DiffOp, f: GradedPoly, g: GradedPoly) -> GradedPoly:
-    """{f,g} := D(fg) - (Df)g - (-1)^{eps pf} f (Dg) + (D1) fg for a
-    homogeneous operator D of parity eps (any order; the formula is applied
-    verbatim)."""
-    eps = D.parity()
-    if eps is None:
-        raise ParityError("generating operator must be homogeneous")
-    one = GradedPoly.one(D.chart)
-    d1 = D.apply_poly(one)
-    out = GradedPoly.zero(D.chart)
-    for pf, fh in f.homogeneous_parts():
-        out = (
-            out
-            + D.apply_poly(fh * g)
-            - D.apply_poly(fh) * g
-            - (-1) ** (eps * pf) * fh * D.apply_poly(g)
-            + d1 * fh * g
-        )
-    return out
+    """The binary derived bracket {f,g} = [[D,f],g]1 of a homogeneous
+    operator D of parity eps (any order).  Expanding the commutators gives
+    D(fg) - (Df)g - (-1)^{eps pf} f (Dg) + (D1) fg."""
+    return higher_bracket(D, [f, g])
 
 
 def principal_matrix(D: DiffOp) -> SMatrix:
@@ -199,15 +199,8 @@ def principal_matrix(D: DiffOp) -> SMatrix:
     if not D.order_leq(2):
         raise ValueError("principal symbol defined for order <= 2 only")
     chart = D.chart
-    S: SMatrix = {}
-    for a in chart.names:
-        xa = GradedPoly.var(chart, a)
-        for b in chart.names:
-            xb = GradedPoly.var(chart, b)
-            v = bracket_from_operator(D, xb, xa) * _sym_sign(chart, a, b)
-            if not v.is_zero():
-                S[(a, b)] = v
-    return S
+    return _smatrix(chart, lambda b, a: bracket_from_operator(
+        D, GradedPoly.var(chart, b), GradedPoly.var(chart, a)))
 
 
 def second_order_part(chart: Chart, S: SMatrix) -> DiffOp:
@@ -237,6 +230,17 @@ def first_order_coeffs(D: DiffOp) -> GVector:
     return out
 
 
+def _s_divergence(chart: Chart, S: SMatrix, eps: int, a: str) -> GradedPoly:
+    """d_b S^{ba} (-1)^{pa(b)(eps+1)}, the first-order coefficient of the
+    self-adjoint operator with principal part S."""
+    acc = GradedPoly.zero(chart)
+    for b in chart.names:
+        s = S.get((b, a))
+        if s is not None:
+            acc = acc + partial(b, s) * (-1) ** (chart.parity(b) * (eps + 1))
+    return acc
+
+
 def subprincipal(D: DiffOp) -> GVector:
     """The components gamma^a = d_b S^{ba} (-1)^{pa(b)(eps+1)} - 2 T^a of
     Hormander's subprincipal symbol, for a normalized (D1 = 0) operator of
@@ -256,12 +260,7 @@ def subprincipal(D: DiffOp) -> GVector:
     T = first_order_coeffs(rest)
     out: GVector = {}
     for a in chart.names:
-        acc = GradedPoly.zero(chart)
-        for b in chart.names:
-            s = S.get((b, a))
-            if s is not None:
-                acc = acc + partial(b, s) * (-1) ** (chart.parity(b) * (eps + 1))
-        acc = acc - 2 * T.get(a, GradedPoly.zero(chart))
+        acc = _s_divergence(chart, S, eps, a) - 2 * T.get(a, GradedPoly.zero(chart))
         if not acc.is_zero():
             out[a] = acc
     return out
@@ -389,14 +388,8 @@ def canonical_pencil(data: VBracketData) -> DiffOp:
     W = DiffOp.weight(chart)
     one = DiffOp.identity(chart)
     out = DiffOp.zero(chart)
-    for (a, b), s in data.S.items():
-        out = out + DiffOp.mult(s) * DiffOp.deriv(chart, b) * DiffOp.deriv(chart, a)
     for a in chart.names:
-        c = GradedPoly.zero(chart)
-        for b in chart.names:
-            s = data.S.get((b, a))
-            if s is not None:
-                c = c + partial(b, s) * (-1) ** (chart.parity(b) * (eps + 1))
+        c = _s_divergence(chart, data.S, eps, a)
         term = DiffOp.zero(chart)
         if not c.is_zero():
             term = term + DiffOp.mult(c)
@@ -411,7 +404,7 @@ def canonical_pencil(data: VBracketData) -> DiffOp:
     out = out + W * DiffOp.mult(zc)
     if not data.theta.is_zero():
         out = out + (W * W - W) * DiffOp.mult(data.theta)
-    return out * Fraction(1, 2)
+    return second_order_part(chart, data.S) + out * Fraction(1, 2)
 
 
 def lb_data(S: SMatrix, chart: Chart, sigma, eps: int = ODD) -> VBracketData:
@@ -423,19 +416,10 @@ def lb_data(S: SMatrix, chart: Chart, sigma, eps: int = ODD) -> VBracketData:
     weight (in particular it equals Delta_rho itself at w = 0)."""
     sigma = _as_sigma(sigma)
     lower = {a: partial(a, sigma) for a in chart.names}
-    gamma: GVector = {}
-    for a in chart.names:
-        acc = GradedPoly.zero(chart)
-        for b in chart.names:
-            s = S.get((a, b))
-            if s is not None:
-                acc = acc - s * lower[b]
-        if not acc.is_zero():
-            gamma[a] = acc
+    gamma = {a: -p for a, p in _contract(chart, S, lower).items() if not p.is_zero()}
     theta = GradedPoly.zero(chart)
-    for a in chart.names:
-        if a in gamma:
-            theta = theta - gamma[a] * lower[a]
+    for a, g in gamma.items():
+        theta = theta - g * lower[a]
     return VBracketData(chart, eps, dict(S), gamma, theta)
 
 
@@ -481,18 +465,14 @@ def extract_vbracket(P: DiffOp) -> VBracketData:
     if formal_adjoint(P) != P:
         raise ValueError("pencil is not self-adjoint")
     t = _unit_density(chart)
-    S: SMatrix = {}
-    for a in chart.names:
-        xa = DensityElement.from_poly(GradedPoly.var(chart, a))
-        for b in chart.names:
-            xb = DensityElement.from_poly(GradedPoly.var(chart, b))
-            v = pencil_bracket(P, xb, xa).component(0) * _sym_sign(chart, a, b)
-            if not v.is_zero():
-                S[(a, b)] = v
+
+    def coord(name: str) -> DensityElement:
+        return DensityElement.from_poly(GradedPoly.var(chart, name))
+
+    S = _smatrix(chart, lambda b, a: pencil_bracket(P, coord(b), coord(a)).component(0))
     gamma: GVector = {}
     for a in chart.names:
-        xa = DensityElement.from_poly(GradedPoly.var(chart, a))
-        v = pencil_bracket(P, xa, t).component(1)
+        v = pencil_bracket(P, coord(a), t).component(1)
         if not v.is_zero():
             gamma[a] = v
     theta = pencil_bracket(P, t, t).component(2)
@@ -506,19 +486,34 @@ def extract_vbracket(P: DiffOp) -> VBracketData:
 # symbols and the canonical Poisson bracket on T*M
 # ---------------------------------------------------------------------------
 
-MOMENTUM_PREFIX = "p_"
-
-
 def cotangent_chart(chart: Chart) -> Chart:
-    """Extend a chart by momenta p_a of matching parity."""
+    """Extend a chart by momenta of matching parity: each parity block is
+    followed by the momenta of its variables, in the same order.  The
+    momentum of x is named p_x unless that is a chart variable; then
+    underscores are appended until the name is free."""
+    names = {v: "p_" + v for v in chart.names}
+    taken = set(chart.names) | set(names.values())
+    for v, p in names.items():
+        if p in chart.names:
+            while p in taken:
+                p += "_"
+            taken.add(p)
+            names[v] = p
     return Chart(
-        even=chart.even + tuple(MOMENTUM_PREFIX + v for v in chart.even),
-        odd=chart.odd + tuple(MOMENTUM_PREFIX + v for v in chart.odd),
+        even=chart.even + tuple(names[v] for v in chart.even),
+        odd=chart.odd + tuple(names[v] for v in chart.odd),
     )
 
 
+def _momentum_name(ct: Chart, name: str) -> str:
+    """The momentum of a chart variable, found by its position in the
+    cotangent chart."""
+    block = ct.even if ct.parity(name) == EVEN else ct.odd
+    return block[block.index(name) + len(block) // 2]
+
+
 def momentum(ct: Chart, name: str) -> GradedPoly:
-    return GradedPoly.var(ct, MOMENTUM_PREFIX + name)
+    return GradedPoly.var(ct, _momentum_name(ct, name))
 
 
 def lift_to_cotangent(p: GradedPoly, ct: Chart) -> GradedPoly:
@@ -559,12 +554,12 @@ def tstar_bracket(F: GradedPoly, G: GradedPoly) -> GradedPoly:
     ct = F.chart
     if G.chart != ct:
         raise ChartMismatch("symbols on different cotangent charts")
-    base = [v for v in ct.names if not v.startswith(MOMENTUM_PREFIX)]
+    base = ct.even[: len(ct.even) // 2] + ct.odd[: len(ct.odd) // 2]
     out = GradedPoly.zero(ct)
     for pF, Fh in F.homogeneous_parts():
         for a in base:
             pa = ct.parity(a)
-            pm = MOMENTUM_PREFIX + a
+            pm = _momentum_name(ct, a)
             dFp = partial(pm, Fh)
             if not dFp.is_zero():
                 out = out + dFp * partial(a, G) * (-1) ** (pa * (pF + 1))
@@ -690,14 +685,9 @@ def recover_action(S: SMatrix, chart: Chart, gamma: GVector,
     else:
         raise ValueError("iteration for S^{-1} failed to terminate")
     # sanity: S * lower == gamma
-    for i, a in enumerate(names):
-        acc = GradedPoly.zero(chart)
-        for j, b in enumerate(names):
-            s = S.get((a, b))
-            if s is not None:
-                acc = acc + s * lower[j]
-        if acc != gvec[i]:
-            raise ValueError("S is not invertible on this gamma")
+    Sl = _contract(chart, S, dict(zip(names, lower)))
+    if [Sl[a] for a in names] != gvec:
+        raise ValueError("S is not invertible on this gamma")
     form = {a: -lower[i] for i, a in enumerate(names)}
     A = _euler_antiderivative(chart, form)
     for i, a in enumerate(names):
@@ -851,27 +841,30 @@ def log_berezinian(cmap: CoordMap) -> GradedPoly:
 
 
 def transform_op(D: DiffOp, cmap: CoordMap) -> DiffOp:
-    """Express an operator (or pencil) in the new coordinates.  Coefficients
-    involving W pick up the density conjugation by the Berezinian factor."""
+    """Express an operator (or pencil) in the new coordinates.  By the left
+    chain rule d_a = (d_a x'^b) d'_b, each old derivative is a vector field
+    in the new coordinates, so c d^I becomes the pushed-forward coefficient
+    times the composition of those fields in the order of d^I; W is central
+    and stays with its coefficient.  Coefficients involving W then pick up
+    the density conjugation by the Berezinian factor."""
     chart = D.chart
-    order = D.order()
-    if order is None:
-        return D
-    # slice by W powers and transform each slice at function level
-    maxw = max((k for wp in D.terms.values() for k in wp), default=0)
+    J = cmap.jacobian()
+    fields = {
+        a: sum((DiffOp.mult(cmap.push(J[(b, a)])) * DiffOp.deriv(chart, b)
+                for b in chart.names), DiffOp.zero(chart))
+        for a in chart.names
+    }
+    zero_key = ((0,) * len(chart.even), ())
     out = DiffOp.zero(chart)
-    for k in range(maxw + 1):
-        terms: dict = {}
-        for key, wp in D.terms.items():
-            if k in wp:
-                terms[key] = {0: wp[k]}
-        slice_op = DiffOp(chart, terms)
-        if slice_op.is_zero():
-            continue
-        moved = op_from_action(
-            chart, lambda f: cmap.push(slice_op.apply_poly(cmap.pull(f))), order
-        )
-        out = out + DiffOp.weight(chart) ** k * moved
+    for (e, o), wp in D.terms.items():
+        # d^I = d_even^e o d_odd(o_1) o ... o d_odd(o_k)
+        term = DiffOp(chart, {zero_key: {k: cmap.push(c) for k, c in wp.items()}})
+        for name, n in zip(chart.even, e):
+            for _ in range(n):
+                term = compose(term, fields[name])
+        for i in o:
+            term = compose(term, fields[chart.odd[i]])
+        out = out + term
     # density correction: conjugate by exp(W log Ber'), exact and terminating
     v = cmap.push(log_berezinian(cmap))
     if v.is_zero():
@@ -889,28 +882,16 @@ def transform_logvol(sigma, cmap: CoordMap) -> GradedPoly:
 def transform_smatrix(S: SMatrix, chart: Chart, cmap: CoordMap) -> SMatrix:
     """Tensorial transform of S through the bracket on the new coordinate
     functions."""
-    out: SMatrix = {}
-    for a in chart.names:
-        for b in chart.names:
-            v = matrix_bracket(S, chart, cmap.fwd[b], cmap.fwd[a])
-            v = cmap.push(v) * _sym_sign(chart, a, b)
-            if not v.is_zero():
-                out[(a, b)] = v
-    return out
+    return _smatrix(chart, lambda b, a: cmap.push(
+        matrix_bracket(S, chart, cmap.fwd[b], cmap.fwd[a])))
 
 
 def transform_gamma(S: SMatrix, gamma: GVector, chart: Chart, cmap: CoordMap) -> GVector:
     """gamma^{a'} = (gamma^a + S^{ab} d_b log J) dx^{a'}/dx^a, expressed in
     new coordinates."""
     lnJ = log_berezinian(cmap)
-    corrected: GVector = {}
-    for a in chart.names:
-        acc = gamma.get(a, GradedPoly.zero(chart))
-        for b in chart.names:
-            s = S.get((a, b))
-            if s is not None:
-                acc = acc + s * partial(b, lnJ)
-        corrected[a] = acc
+    shift = _contract(chart, S, {b: partial(b, lnJ) for b in chart.names})
+    corrected = {a: gamma.get(a, GradedPoly.zero(chart)) + shift[a] for a in chart.names}
     J = cmap.jacobian()
     out: GVector = {}
     for ap in chart.names:

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-Rat = Fraction
-
 EVEN = 0
 ODD = 1
 
@@ -104,7 +102,7 @@ class GradedPoly:
 
     __slots__ = ("chart", "terms", "_hash")
 
-    def __init__(self, chart: Chart, terms: Mapping[Key, Rat] | None = None):
+    def __init__(self, chart: Chart, terms: Mapping[Key, Fraction] | None = None):
         object.__setattr__(self, "chart", chart)
         clean = {}
         for key, c in (terms or {}).items():
@@ -166,20 +164,9 @@ class GradedPoly:
                 out.append((p, part))
         return out
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) + len(o) for (e, o) in self.terms)
-
-    def constant_term(self) -> Rat:
+    def constant_term(self) -> Fraction:
         e = (0,) * len(self.chart.even)
         return self.terms.get((e, ()), Fraction(0))
-
-    def body(self) -> "GradedPoly":
-        """The odd-free part."""
-        return GradedPoly(
-            self.chart, {k: c for k, c in self.terms.items() if not k[1]}
-        )
 
     # -- arithmetic --------------------------------------------------------
 
@@ -215,7 +202,7 @@ class GradedPoly:
                 self.chart, {k: c * Fraction(other) for k, c in self.terms.items()}
             )
         self._check(other)
-        terms: dict[Key, Rat] = {}
+        terms: dict[Key, Fraction] = {}
         for (e1, o1), c1 in self.terms.items():
             for (e2, o2), c2 in other.terms.items():
                 merged = _merge_odd(o1, o2)
@@ -261,7 +248,7 @@ def partial(name: str, p: GradedPoly) -> GradedPoly:
     with partial(a, x^b) = delta_a^b."""
     chart = p.chart
     pa = chart.parity(name)
-    terms: dict[Key, Rat] = {}
+    terms: dict[Key, Fraction] = {}
     if pa == EVEN:
         i = chart.even_index(name)
         for (e, o), c in p.terms.items():
@@ -325,9 +312,9 @@ class DensityElement:
 
     __slots__ = ("chart", "parts")
 
-    def __init__(self, chart: Chart, parts: Mapping[Rat, GradedPoly] | None = None):
+    def __init__(self, chart: Chart, parts: Mapping[Fraction, GradedPoly] | None = None):
         self.chart = chart
-        clean: dict[Rat, GradedPoly] = {}
+        clean: dict[Fraction, GradedPoly] = {}
         for w, p in (parts or {}).items():
             if p.chart != chart:
                 raise ChartMismatch("component on wrong chart")
@@ -346,7 +333,7 @@ class DensityElement:
     def component(self, w) -> GradedPoly:
         return self.parts.get(Fraction(w), GradedPoly.zero(self.chart))
 
-    def weights(self) -> list[Rat]:
+    def weights(self) -> list[Fraction]:
         return sorted(self.parts)
 
     def is_zero(self) -> bool:
@@ -393,7 +380,7 @@ class DensityElement:
                 self.chart, {w: p * other for w, p in self.parts.items()}
             )
         other = self._coerce(other)
-        parts: dict[Rat, GradedPoly] = {}
+        parts: dict[Fraction, GradedPoly] = {}
         for u, p in self.parts.items():
             for v, q in other.parts.items():
                 w = u + v
@@ -431,7 +418,7 @@ def residue_pair(psi: DensityElement, chi: DensityElement) -> GradedPoly:
     return (psi * chi).component(1)
 
 
-def berezin_integral(p: GradedPoly) -> Rat:
+def berezin_integral(p: GradedPoly) -> Fraction:
     """Integral over a purely odd chart: the coefficient of the top odd
     monomial in canonical order."""
     chart = p.chart

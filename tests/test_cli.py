@@ -3,12 +3,15 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from superdelta.cli import main
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 BV = str(FIXTURES / "bv.sd")
 LB = str(FIXTURES / "lb.sd")
 PENCIL = str(FIXTURES / "pencil.sd")
@@ -152,6 +155,16 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert "line 1:" in err
 
 
+def test_exit_code_parse_error_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.sd"
+    bad.write_bytes(b"chart C { even x; odd xi; }\n# caf\xe9\n"
+                    b"operator D on C = d(x);\n")
+    code, _, err = run(capsys, "apply", "--input", str(bad), "--op", "D",
+                       "--args", "x")
+    assert code == 2
+    assert "line 2:6: invalid UTF-8 byte 0xe9" in err
+
+
 def test_exit_code_domain_error(tmp_path, capsys):
     src = tmp_path / "dom.sd"
     src.write_text(
@@ -170,3 +183,21 @@ def test_color_env(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "derived", "--input", BV, "--op", "Nope",
                        "--args", "x")
     assert code == 1 and "\x1b[31m" in err
+
+
+# ---------------------------------------------------------------------------
+# demo scripts
+
+
+@pytest.mark.parametrize("script, line", [
+    ("classify_demo.py", "certified: True"),
+    ("pencil_demo.py", "bracket satisfies Jacobi: True"),
+])
+def test_demo_script_runs(script, line):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert line in [ln.strip() for ln in proc.stdout.splitlines()]

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from superdelta import DensityElement, DiffOp, GradedPoly, partial
+from superdelta import Chart, DensityElement, DiffOp, GradedPoly, partial, substitute
 from superdelta.diffop import (
-    commutator, compose, conjugate_by_exp, formal_adjoint, specialize,
+    commutator, compose, conjugate_by_exp, formal_adjoint, op_from_action,
+    specialize,
 )
 from superdelta.geom import (
     BracketDataError,
@@ -50,7 +51,7 @@ from superdelta.geom import (
 )
 
 from conftest import (
-    R11, R12, R22,
+    R02, R03, R11, R12, R22,
     rand_op, rand_poly, rand_smatrix, rand_vdata, std_odd_smatrix,
 )
 
@@ -103,6 +104,25 @@ def test_bracket_from_operator_matches_matrix_bracket(rng):
             g = rand_poly(rng, chart, 3)
             assert bracket_from_operator(D, f, g) == \
                 matrix_bracket(S, chart, f, g)
+    # random even, odd and W-carrying operators of order 0-3 against the
+    # four-term formula, which reads the operator at weight 0
+    for chart in (R11, R12, R22, R02, R03):
+        one = GradedPoly.one(chart)
+        for order in range(4):
+            for eps in (0, 1):
+                D = rand_op(rng, chart, order, parity=eps)
+                DW = D + compose(DiffOp.weight(chart),
+                                 rand_op(rng, chart, order, parity=eps))
+                for op in (D, DW):
+                    f = rand_poly(rng, chart, 3)
+                    g = rand_poly(rng, chart, 3)
+                    expected = GradedPoly.zero(chart)
+                    for pf, fh in f.homogeneous_parts():
+                        expected = (expected + op.apply_poly(fh * g)
+                                    - op.apply_poly(fh) * g
+                                    - (-1) ** (eps * pf) * fh * op.apply_poly(g)
+                                    + op.apply_poly(one) * fh * g)
+                    assert bracket_from_operator(op, f, g) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +313,18 @@ def test_constant_pencil_example():
     assert P == compose(DiffOp.deriv(R11, "x"), DiffOp.deriv(R11, "xi"))
 
 
+def test_symbols_of_pencil_at_weight_zero(rng):
+    """At w = 0 the canonical pencil is (1/2)(S^{ab} d_b d_a + (d_b S^{ba}
+    (-1)^{p(b)(eps+1)} - gamma^a) d_a): its principal matrix is S and its
+    subprincipal symbol is gamma."""
+    for chart in (R11, R12, R22):
+        for eps in (0, 1):
+            data = rand_vdata(rng, chart, eps)
+            P0 = specialize(canonical_pencil(data), 0)
+            assert principal_matrix(P0) == data.S
+            assert subprincipal(P0) == data.gamma
+
+
 def test_extract_rejects_non_normalized():
     # (2W-1) d_x is pencil-self-adjoint but kills no constants at w = 0... it
     # is normalized; instead use a first-order field with nonzero action on 1
@@ -341,6 +373,45 @@ def test_jacobi_report_flat_and_curved():
                          GradedPoly.zero(R12))
     slots = jacobi_report(data3)
     assert not slots[1].is_zero()
+
+
+def _positional(ct, ct2):
+    """Rename the variables of chart ct to those of ct2 by position."""
+    images = {v: GradedPoly.var(ct2, w) for v, w in zip(ct.names, ct2.names)}
+    return lambda p: substitute(p, images, target=ct2)
+
+
+def test_report_with_momentum_like_chart_names():
+    """Chart variables named like momenta (p_y, or x next to p_x) get
+    momenta of other names, and the report is the one of the plainly named
+    chart, renamed."""
+    plain = Chart(("y",), ("eta",))
+    renamed = Chart(("p_y",), ("eta",))
+    assert cotangent_chart(renamed) == Chart(("p_y", "p_p_y"), ("eta", "p_eta"))
+    slots = {}
+    for chart in (plain, renamed):
+        y, eta = (GradedPoly.var(chart, v) for v in chart.names)
+        data = VBracketData(chart, 1, {(chart.even[0], "eta"): 1 + y * y},
+                            {chart.even[0]: eta}, GradedPoly.zero(chart))
+        slots[chart] = jacobi_report(data)
+    move = _positional(cotangent_chart(plain), cotangent_chart(renamed))
+    assert not slots[plain][1].is_zero()
+    assert [move(s) for s in slots[plain]] == list(slots[renamed])
+
+    plain = Chart(("x", "z"), ("xi", "eta"))
+    clash = Chart(("x", "p_x"), ("xi", "eta"))
+    assert cotangent_chart(clash).even == ("x", "p_x", "p_x_", "p_p_x")
+    rng = random.Random(7)
+    data = rand_vdata(rng, plain, 1, deg=2)
+    name = dict(zip(plain.names, clash.names))
+    to_clash = _positional(plain, clash)
+    data2 = VBracketData(
+        clash, 1,
+        {(name[a], name[b]): to_clash(s) for (a, b), s in data.S.items()},
+        {name[a]: to_clash(g) for a, g in data.gamma.items()},
+        to_clash(data.theta))
+    move = _positional(cotangent_chart(plain), cotangent_chart(clash))
+    assert [move(s) for s in jacobi_report(data)] == list(jacobi_report(data2))
 
 
 def test_report_characterizes_square_order(rng):
@@ -435,6 +506,50 @@ def _nilpotent_map(rng, chart):
         return CoordMap(chart, fwd, inv)
     except CoordMapError:
         return None
+
+
+def _triangular_map(rng, chart):
+    """x'^a = c_a x^a + (a multiple of a later variable of the same parity)
+    + (terms whose odd factors come after x^a, or, for even x^a, number at
+    least two), inverted by fixed-point iteration."""
+    names = chart.names
+    scale = {a: Fraction(rng.choice([1, 2, -1, 3]), rng.choice([1, 2])) for a in names}
+    corr = {}
+    for i, a in enumerate(names):
+        p = rand_poly(rng, chart, 3, parity=chart.parity(a), nterms=4)
+        if chart.parity(a) == 0:
+            keep = [k for k in p.terms if len(k[1]) >= 2]
+        else:
+            keep = [k for k in p.terms if k[1] and k[1][0] > chart.odd_index(a)]
+        p = GradedPoly(chart, {k: p.terms[k] for k in keep})
+        later = [b for b in names[i + 1:] if chart.parity(b) == chart.parity(a)]
+        if later:
+            p = p + GradedPoly.var(chart, rng.choice(later)) * rng.randint(-2, 2)
+        corr[a] = p
+    fwd = {a: GradedPoly.var(chart, a) * scale[a] + corr[a] for a in names}
+    inv = {a: GradedPoly.var(chart, a) for a in names}
+    for _ in range(12):
+        inv = {a: (GradedPoly.var(chart, a) - substitute(corr[a], inv))
+               * (1 / scale[a]) for a in names}
+    return CoordMap(chart, fwd, inv)
+
+
+def test_transform_op_matches_action_oracle(rng):
+    """The chain-rule transform against the operator reconstructed from its
+    action f -> push(D(pull f)).  The Berezinian conjugation only adds
+    W-carrying terms, so the two agree at weight 0, and everywhere when the
+    Berezinian is constant."""
+    for chart in (R11, R12, R22, R02, R03):
+        for order in (0, 1, 2, 3, 2, 3):
+            cmap = _triangular_map(rng, chart)
+            for par in (0, 1, None):
+                D = rand_op(rng, chart, order, parity=par)
+                want = op_from_action(
+                    chart, lambda f: cmap.push(D.apply_poly(cmap.pull(f))), order)
+                got = transform_op(D, cmap)
+                assert specialize(got, 0) == want
+                if log_berezinian(cmap).is_zero():
+                    assert got == want
 
 
 def test_berezinian_example():
