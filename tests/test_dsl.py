@@ -105,6 +105,121 @@ def test_diagnostic_positions(src, line, col, frag):
     assert frag in ei.value.message
 
 
+# One malformed module for each diagnostic the .sd front end can give,
+# with the full text of the error: position, message and expected tokens.
+_DIAGNOSTICS = [
+    # lexer
+    (HDR + "element e on C = x $ 1;", "line 2:20: unexpected character '$'"),
+    # syntax, with expected-token sets
+    ("chart C { even x }", "line 1:18: found '}' (expected ';')"),
+    (HDR + "element e on C = x",
+     "line 2:19: unexpected end of input (expected ';')"),
+    ("chart 1 { even x; }",
+     "line 1:7: found '1' where the chart name was required (expected identifier)"),
+    (HDR + "element e on C = x^y;", "line 2:20: found 'y' (expected integer)"),
+    (HDR + ";", "line 2:1: found ';' (expected 'chart', 'density', 'element', "
+     "'map', 'operator', 'tensor')"),
+    (HDR + "function f on C = x;", "line 2:1: unknown declaration 'function' "
+     "(expected 'chart', 'density', 'element', 'map', 'operator', 'tensor')"),
+    ("chart C { even x; big y; }",
+     "line 1:19: found 'big' (expected 'even', 'odd', '}')"),
+    (HDR + "tensor T on C parity big { }",
+     "line 2:22: found 'big' (expected 'even', 'odd')"),
+    (HDR + "element e on C = *x;",
+     "line 2:18: found '*' (expected '(', '-', identifier, number)"),
+    (HDR + "element e on C = 1 +",
+     "line 2:21: unexpected end of input (expected '(', '-', identifier, number)"),
+    (HDR + "map phi on C { x -> x; xi1 -> xi1; xi2 -> xi2; }",
+     "line 2:48: found '}' (expected 'inverse')"),
+    (HDR + "operator D on C = d x;", "line 2:21: found 'x' (expected '(')"),
+    (HDR + "element e on C = t^(-x);", "line 2:22: found 'x' (expected integer)"),
+    # scope and redeclaration
+    ("", "line 1:1: module declares no chart"),
+    ("# nothing but a comment\n", "line 2:1: module declares no chart"),
+    ("element e on C = 1;", "line 1:1: a chart must be declared first"),
+    (HDR + "chart B { even y; }", "line 2:1: only one chart per module"),
+    ("chart C { even x, x; }", "line 1:1: chart variable names must be distinct"),
+    ("chart C { }", "line 1:1: chart needs at least one variable"),
+    (HDR + "element e on B = 1;", "line 2:14: unknown chart 'B'"),
+    (HDR + "tensor T on C parity odd { [x,y] = 1; }",
+     "line 2:31: undeclared variable 'y'"),
+    (HDR + "operator D on C = d(y);", "line 2:21: undeclared variable 'y'"),
+    (HDR + "map phi on C { y -> x; inverse { } }",
+     "line 2:16: undeclared variable 'y'"),
+    (HDR + "element e on C = y;", "line 2:18: undeclared name 'y'"),
+    (HDR + "tensor T on C parity odd { [x,xi1] = 1; }\nelement e on C = T;",
+     "line 3:18: undeclared name 'T'"),
+    (HDR + "element e on C = e;", "line 2:18: undeclared name 'e'"),
+    (HDR + "operator D on C = d(x);\nelement e on C = D;",
+     "line 3:18: operator 'D' used in an element expression"),
+    (HDR + "element e on C = W;", "line 2:18: the weight symbol W is only "
+     "allowed in operator expressions"),
+    (HDR + "element e on C = d(x);", "line 2:18: derivative tokens are only "
+     "allowed in operator expressions"),
+    (HDR + "operator D on C = t^1;",
+     "line 2:19: t^w factors are only allowed in element expressions"),
+    (HDR + "element e on C = 1/0;", "line 2:18: zero denominator"),
+    (HDR + "element e on C = t^(1/0);", "line 2:20: zero denominator"),
+    (HDR + "element e on C = 1;\nelement e on C = 2;",
+     "line 3:9: name 'e' is already declared"),
+    (HDR + "element e on C = 1;\noperator e on C = 2;",
+     "line 3:10: name 'e' is already declared"),
+    (HDR + "density x on C = 0;", "line 2:9: name 'x' is already declared"),
+    (HDR + "map C on C { x -> x; xi1 -> xi1; xi2 -> xi2; "
+     "inverse { x -> x; xi1 -> xi1; xi2 -> xi2; } }",
+     "line 2:5: name 'C' is already declared"),
+    # values that must be t-free: the position is the root of the expression
+    (HDR + "density s on C = x + t^1;", "line 2:20: a log-volume must be t-free"),
+    (HDR + "density s on C = (x*t^1);", "line 2:20: a log-volume must be t-free"),
+    (HDR + "density s on C = -t^1;", "line 2:18: a log-volume must be t-free"),
+    (HDR + "density s on C = t^1^2;", "line 2:21: a log-volume must be t-free"),
+    (HDR + "density s on C = t^(1/2);", "line 2:18: a log-volume must be t-free"),
+    (HDR + "tensor T on C parity odd { [x,xi1] = t^1*xi2; }",
+     "line 2:41: a tensor entry must be t-free"),
+    (HDR + "map phi on C { x -> -x*t^2; xi1 -> xi1; xi2 -> xi2; "
+     "inverse { x -> x; xi1 -> xi1; xi2 -> xi2; } }",
+     "line 2:23: a map image must be t-free"),
+    # tensor entries
+    (HDR + "tensor g on C parity odd { [x] = x; }",
+     "line 2:28: entry [x] must have parity 1"),
+    (HDR + "tensor T on C parity odd { [x,xi1] = xi2; }",
+     "line 2:1: S[x,xi1] has wrong parity"),
+    (HDR + "tensor T on C parity odd { [xi1,xi1] = xi2; }",
+     "line 2:1: S[xi1,xi1] must vanish"),
+    (HDR + "tensor g on C parity odd { [x] = xi1; [x] = xi2; }",
+     "line 2:39: duplicate entry [x]"),
+    (HDR + "tensor T on C parity odd { [x,xi1] = 1; [x,xi1] = 2; }",
+     "line 2:41: duplicate entry [x,xi1]"),
+    (HDR + "tensor T on C parity odd { [x,xi1] = 1; [xi2] = x; }",
+     "line 2:28: tensor mixes one- and two-index entries"),
+    (HDR + "tensor T on C parity odd { [x,xi1] = 1; [xi1,x] = 2; }",
+     "line 2:1: S[x,xi1] breaks graded symmetry"),
+    # an element with t-components as an operator coefficient
+    (HDR + "element e on C = x*t^(1/2);\noperator D on C = (e + 1)*d(x);",
+     "line 3:20: element 'e' has t-components and cannot be an operator "
+     "coefficient"),
+    # maps
+    (HDR + "map phi on C { x -> x + xi1*xi2; xi1 -> xi1; xi2 -> xi2; "
+     "inverse { x -> x; xi1 -> xi1; xi2 -> xi2; } }",
+     "line 2:1: supplied inverse fails the round trip"),
+    (HDR + "map phi on C { x -> x; xi1 -> xi1; "
+     "inverse { x -> x; xi1 -> xi1; xi2 -> xi2; } }",
+     "line 2:1: map must list every variable (xi2)"),
+    (HDR + "map phi on C { x -> xi1; xi1 -> xi1; xi2 -> xi2; "
+     "inverse { x -> x; xi1 -> xi1; xi2 -> xi2; } }",
+     "line 2:1: image of x has wrong parity"),
+    # an odd log-volume
+    (HDR + "density s on C = xi1;", "line 2:1: log-volume must be even"),
+]
+
+
+@pytest.mark.parametrize("src,message", _DIAGNOSTICS)
+def test_diagnostic_table(src, message):
+    with pytest.raises(DslError) as ei:
+        load_module(src)
+    assert str(ei.value) == message
+
+
 def test_expected_token_sets():
     with pytest.raises(DslError) as ei:
         load_module("chart C { even x; }\nelement e on C = (1;")
