@@ -8,6 +8,7 @@ precondition)."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -51,6 +52,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="superdelta", description=__doc__)
     p.add_argument("--version", action="store_true", help="print the version")
@@ -230,8 +232,7 @@ def _emit(args, result, extra=None) -> int:
 # subcommands
 
 
-def _cmd_apply(args) -> int:
-    m = _load(args.input)
+def _cmd_apply(args, m: Module) -> int:
     D = _get_op(m, args.op)
     if args.weight is not None:
         D = specialize(D, _rat(args.weight, "--weight"))
@@ -246,8 +247,7 @@ def _cmd_apply(args) -> int:
     return _emit(args, D.apply(v))
 
 
-def _cmd_bracket(args) -> int:
-    m = _load(args.input)
+def _cmd_bracket(args, m: Module) -> int:
     D = _get_op(m, args.op)
     vals = _split_args(m, args.args)
     if len(vals) != 2:
@@ -260,8 +260,7 @@ def _cmd_bracket(args) -> int:
     return _emit(args, bracket_from_operator(D, f, g))
 
 
-def _cmd_pencil(args) -> int:
-    m = _load(args.input)
+def _cmd_pencil(args, m: Module) -> int:
     data = _data_from_flags(m, args)
     P = canonical_pencil(data)
     if args.weight is not None:
@@ -269,20 +268,17 @@ def _cmd_pencil(args) -> int:
     return _emit(args, P)
 
 
-def _cmd_adjoint(args) -> int:
-    m = _load(args.input)
+def _cmd_adjoint(args, m: Module) -> int:
     return _emit(args, formal_adjoint(_get_op(m, args.op)))
 
 
-def _cmd_derived(args) -> int:
-    m = _load(args.input)
+def _cmd_derived(args, m: Module) -> int:
     D = _get_op(m, args.op)
     vals = _as_polys(_split_args(m, args.args), "derived-bracket arguments")
     return _emit(args, higher_bracket(D, vals))
 
 
-def _cmd_jacobiator(args) -> int:
-    m = _load(args.input)
+def _cmd_jacobiator(args, m: Module) -> int:
     D = _get_op(m, args.op)
     vals = _as_polys(_split_args(m, args.args), "Jacobiator arguments")
     if len(vals) != args.n:
@@ -294,8 +290,7 @@ _LEVEL_NAMES = {"<=3": "none", "<=2": "Jacobi_3", "<=1": "Jacobi_2",
                 "<=0": "Jacobi_1"}
 
 
-def _cmd_classify(args) -> int:
-    m = _load(args.input)
+def _cmd_classify(args, m: Module) -> int:
     D = _get_op(m, args.op)
     level = classify_square(D)
     rep = linfty_check(D, n_max=4)
@@ -309,8 +304,7 @@ def _cmd_classify(args) -> int:
     return _emit(args, level, extra)
 
 
-def _cmd_master(args) -> int:
-    m = _load(args.input)
+def _cmd_master(args, m: Module) -> int:
     _, S = _get_matrix(m, args.bracket)
     s0 = _get_sigma(m, args.sigma0, "--sigma0")
     s1 = _get_sigma(m, args.sigma, "--sigma")
@@ -318,8 +312,7 @@ def _cmd_master(args) -> int:
     return _emit(args, H, {"master_equation_holds": H.is_zero()})
 
 
-def _cmd_transform(args) -> int:
-    m = _load(args.input)
+def _cmd_transform(args, m: Module) -> int:
     cmap = m.maps.get(args.cmap)
     if cmap is None:
         raise UsageError(f"--map: no map named {args.cmap!r}")
@@ -335,8 +328,7 @@ def _cmd_transform(args) -> int:
     return _emit(args, transform_data(data, cmap))
 
 
-def _cmd_report(args) -> int:
-    m = _load(args.input)
+def _cmd_report(args, m: Module) -> int:
     data = _data_from_flags(m, args)
     slots = jacobi_report(data)
     names = ("(S,S)", "(S,gamma)", "(S,theta)+(gamma,gamma)", "(gamma,theta)")
@@ -382,7 +374,7 @@ def main(argv=None) -> int:
         _diag("usage error: a subcommand is required (see --help)")
         return 1
     try:
-        return _DISPATCH[args.cmd](args)
+        return _DISPATCH[args.cmd](args, _load(args.input))
     except UsageError as ex:
         _diag(f"usage error: {ex}")
         return 1

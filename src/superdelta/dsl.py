@@ -28,31 +28,33 @@ reserved.  Derivative tokens d(x) and the weight symbol W are allowed only
 in operator expressions; t^w only in element expressions.  Two-index
 tensor entries are completed by the forced graded symmetry
 S^{ba} = (-1)^{p(a)p(b)} S^{ab}; contradictory entries are rejected.
+
+A module is read in one pass: the parser evaluates each expression as it
+reads it and stores each declaration's value in the ``Module`` at once, so
+a name is in scope from the end of its declaration on, and the first error
+in source order is the one reported.  An expression's value has the
+narrowest type that holds it: a ``GradedPoly`` for numbers, variables,
+log-volumes and t-free elements; a ``DensityElement`` once a t^w factor or
+an element with t-components enters; a ``DiffOp`` once W, d(x) or an
+operator enters.  The arithmetic of those types promotes a polynomial
+where it meets a richer operand.  Each declaration converts its value
+once: an operator through ``DiffOp.mult``, an element to a polynomial
+when it has no t-component, and a log-volume, tensor entry or map image
+must be t-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Optional
 
-from .gralg import (
-    Chart,
-    DensityElement,
-    GradedPoly,
-    ParityError,
-    _power,
-)
+from .gralg import Chart, DensityElement, GradedPoly
 from .diffop import DiffOp
-from .geom import CoordMap, CoordMapError, LogVolume, VBracketData, BracketDataError
+from .geom import CoordMap, LogVolume, VBracketData
 
 __all__ = [
     "DslError",
-    "Declaration",
-    "SourceModule",
     "Module",
-    "parse_module",
-    "elaborate",
     "load_module",
     "parse_element",
     "render",
@@ -62,6 +64,8 @@ _RESERVED = {
     "chart", "even", "odd", "tensor", "on", "parity", "density", "element",
     "operator", "map", "inverse", "t", "W", "d",
 }
+_DECLARATIONS = ("'chart'", "'tensor'", "'density'", "'element'", "'operator'",
+                 "'map'")
 
 
 class DslError(ValueError):
@@ -91,7 +95,6 @@ class _Tok:
     col: int
 
 
-_PUNCT2 = ("->",)
 _PUNCT1 = "{}[]();,=+-*^/"
 
 
@@ -146,48 +149,43 @@ def _lex(text: str) -> list[_Tok]:
 
 
 # ---------------------------------------------------------------------------
-# AST
+# module
 
 
-@dataclass(frozen=True)
-class Expr:
-    kind: str  # "rat","var","ref","t","W","d","add","sub","neg","mul","pow"
-    line: int
-    col: int
-    value: Any = None
-    args: tuple = ()
+@dataclass
+class Module:
+    """The elaborated contents of an .sd module."""
 
-
-@dataclass(frozen=True)
-class Declaration:
-    kind: str  # "chart","tensor","density","element","operator","map"
-    name: str
-    line: int
-    col: int
-    payload: Any = None
-
-
-@dataclass(frozen=True)
-class SourceModule:
-    """The parsed (syntactic) form of an .sd module: an ordered list of
-    declarations over a single chart."""
-
-    decls: tuple[Declaration, ...]
     chart: Chart
     chart_name: str
+    tensors: dict = field(default_factory=dict)   # name -> ("matrix"|"vector", eps, dict)
+    densities: dict = field(default_factory=dict)  # name -> LogVolume
+    elements: dict = field(default_factory=dict)   # name -> GradedPoly | DensityElement
+    operators: dict = field(default_factory=dict)  # name -> DiffOp
+    maps: dict = field(default_factory=dict)       # name -> CoordMap
+
+
+def _simplify_element(v):
+    """A density element with no t-component of nonzero weight becomes its
+    weight-0 polynomial."""
+    if isinstance(v, DensityElement) and set(v.parts) <= {0}:
+        return v.component(0)
+    return v
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser and evaluator
 
 
 class _Parser:
-    def __init__(self, text: str):
+    """Reads .sd text and evaluates it against the module ``m``, which the
+    chart declaration creates.  Expression methods return the value and the
+    token at the root of the expression, where a t-free check reports."""
+
+    def __init__(self, text: str, m: Module | None = None):
         self.toks = _lex(text)
         self.i = 0
-        self.chart: Optional[Chart] = None
-        self.chart_name: Optional[str] = None
-        self.known: dict[str, str] = {}  # declared name -> kind
+        self.m = m
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -207,7 +205,7 @@ class _Parser:
         self.fail(f"found {t.text!r}" if t.kind != "eof" else "unexpected end of input",
                   t, expected=(f"'{text}'",))
 
-    def expect_name(self, what="a name") -> _Tok:
+    def expect_name(self, what: str) -> _Tok:
         t = self.peek()
         if t.kind == "name" and t.text not in _RESERVED:
             return self.next()
@@ -222,36 +220,33 @@ class _Parser:
 
     # -- declarations
 
-    def module(self) -> SourceModule:
-        decls = []
+    def module(self) -> Module:
         while self.peek().kind != "eof":
-            decls.append(self.declaration())
-        if self.chart is None:
+            self.declaration()
+        if self.m is None:
             t = self.peek()
             raise DslError("module declares no chart", t.line, t.col)
-        return SourceModule(tuple(decls), self.chart, self.chart_name)
+        return self.m
 
-    def declaration(self) -> Declaration:
+    def declaration(self):
         t = self.peek()
         if t.kind != "name":
-            self.fail(f"found {t.text!r}", t, expected=(
-                "'chart'", "'tensor'", "'density'", "'element'", "'operator'", "'map'"))
+            self.fail(f"found {t.text!r}", t, expected=_DECLARATIONS)
         if t.text == "chart":
             return self.chart_decl()
         if t.text in ("tensor", "density", "element", "operator", "map"):
-            if self.chart is None:
+            if self.m is None:
                 self.fail("a chart must be declared first", t)
             if t.text == "tensor":
                 return self.tensor_decl()
             if t.text == "map":
                 return self.map_decl()
             return self._value_decl(t.text)
-        self.fail(f"unknown declaration {t.text!r}", t, expected=(
-            "'chart'", "'tensor'", "'density'", "'element'", "'operator'", "'map'"))
+        self.fail(f"unknown declaration {t.text!r}", t, expected=_DECLARATIONS)
 
-    def chart_decl(self) -> Declaration:
+    def chart_decl(self):
         kw = self.expect("chart")
-        if self.chart is not None:
+        if self.m is not None:
             self.fail("only one chart per module", kw)
         name = self.expect_name("the chart name")
         self.expect("{")
@@ -268,88 +263,113 @@ class _Parser:
                 self.fail(f"found {t.text!r}", t, expected=("'even'", "'odd'", "'}'"))
             self.expect(";")
         self.expect("}")
-        try:
-            self.chart = Chart(tuple(even), tuple(odd))
-        except ValueError as ex:
-            raise DslError(str(ex), kw.line, kw.col) from None
-        self.chart_name = name.text
-        self.known[name.text] = "chart"
-        for v in even + odd:
-            self.known[v] = "variable"
-        return Declaration("chart", name.text, kw.line, kw.col, (tuple(even), tuple(odd)))
+        chart = self._build(kw, Chart, tuple(even), tuple(odd))
+        self.m = Module(chart, name.text)
 
     def namelist(self) -> list[str]:
-        names = [self._fresh_name()]
+        names = [self.expect_name("a variable name").text]
         while self.peek().text == ",":
             self.next()
-            names.append(self._fresh_name())
+            names.append(self.expect_name("a variable name").text)
         return names
 
-    def _fresh_name(self) -> str:
-        t = self.expect_name("a variable name")
-        if t.text in self.known:
+    def _build(self, kw: _Tok, make, *args):
+        """make(*args); a ValueError it raises is reported at the keyword of
+        the declaration."""
+        try:
+            return make(*args)
+        except ValueError as ex:
+            raise DslError(str(ex), kw.line, kw.col) from None
+
+    def _new_name(self, kind: str) -> str:
+        """The declared name, which no earlier declaration may have taken,
+        followed by "on" and the chart name."""
+        t = self.expect_name(f"the {kind} name")
+        m = self.m
+        if t.text == m.chart_name or t.text in m.chart.names or any(
+                t.text in names for names in
+                (m.tensors, m.densities, m.elements, m.operators, m.maps)):
             self.fail(f"name {t.text!r} is already declared", t)
+        self.expect("on")
+        c = self.expect_name("the chart name")
+        if c.text != m.chart_name:
+            self.fail(f"unknown chart {c.text!r}", c)
         return t.text
 
-    def _on_chart(self):
-        self.expect("on")
-        t = self.expect_name("the chart name")
-        if t.text != self.chart_name:
-            self.fail(f"unknown chart {t.text!r}", t)
+    def _chart_var(self) -> str:
+        t = self.expect_name("a chart variable")
+        if t.text not in self.m.chart.names:
+            self.fail(f"undeclared variable {t.text!r}", t)
+        return t.text
 
-    def tensor_decl(self) -> Declaration:
+    def _t_free(self, what: str) -> GradedPoly:
+        """An element expression and its ";", as a polynomial."""
+        v, at = self.expr(operator=False)
+        self.expect(";")
+        v = _simplify_element(v)
+        if isinstance(v, DensityElement):
+            self.fail(f"{what} must be t-free", at)
+        return v
+
+    def tensor_decl(self):
         kw = self.expect("tensor")
-        name = self.expect_name("the tensor name")
-        if name.text in self.known:
-            self.fail(f"name {name.text!r} is already declared", name)
-        self._on_chart()
+        name = self._new_name("tensor")
         self.expect("parity")
         t = self.peek()
         if t.text not in ("even", "odd"):
             self.fail(f"found {t.text!r}", t, expected=("'even'", "'odd'"))
         eps = 0 if self.next().text == "even" else 1
+        chart = self.m.chart
         self.expect("{")
-        entries = []
+        entries, first = {}, None
         while self.peek().text != "}":
             lb = self.expect("[")
-            a = self._chart_var()
-            b = None
+            idx = (self._chart_var(),)
             if self.peek().text == ",":
                 self.next()
-                b = self._chart_var()
+                idx += (self._chart_var(),)
             self.expect("]")
+            first = first or (lb, len(idx))
+            if len(idx) != first[1]:
+                self.fail("tensor mixes one- and two-index entries", first[0])
             self.expect("=")
-            e = self.expr()
-            self.expect(";")
-            entries.append(((a, b), e, (lb.line, lb.col)))
+            p = self._t_free("a tensor entry")
+            if len(idx) == 1:
+                want = (eps + chart.parity(idx[0])) % 2
+                if not p.is_zero() and p.parity() != want:
+                    self.fail(f"entry [{idx[0]}] must have parity {want}", lb)
+            key = idx if len(idx) == 2 else idx[0]
+            if key in entries:
+                self.fail(f"duplicate entry [{','.join(idx)}]", lb)
+            if len(idx) == 2 or not p.is_zero():  # a vector keeps nonzero entries
+                entries[key] = p
         self.expect("}")
-        self.known[name.text] = "tensor"
-        return Declaration("tensor", name.text, kw.line, kw.col, (eps, tuple(entries)))
+        if first and first[1] == 1:
+            self.m.tensors[name] = ("vector", eps, entries)
+        else:
+            # validation + graded symmetrization via the bracket-data rules
+            data = self._build(kw, VBracketData, chart, eps, entries, {},
+                               GradedPoly.zero(chart))
+            self.m.tensors[name] = ("matrix", eps, dict(data.S))
 
-    def _chart_var(self) -> str:
-        t = self.expect_name("a chart variable")
-        if self.chart is None or t.text not in self.chart.names:
-            self.fail(f"undeclared variable {t.text!r}", t)
-        return t.text
-
-    def _value_decl(self, kind: str) -> Declaration:
+    def _value_decl(self, kind: str):
         kw = self.expect(kind)
-        name = self.expect_name(f"the {kind} name")
-        if name.text in self.known:
-            self.fail(f"name {name.text!r} is already declared", name)
-        self._on_chart()
+        name = self._new_name(kind)
         self.expect("=")
-        e = self.expr(operator=(kind == "operator"))
+        m = self.m
+        if kind == "density":
+            m.densities[name] = self._build(kw, LogVolume, self._t_free("a log-volume"))
+            return
+        v, _ = self.expr(operator=(kind == "operator"))
         self.expect(";")
-        self.known[name.text] = kind
-        return Declaration(kind, name.text, kw.line, kw.col, e)
+        if kind == "element":
+            m.elements[name] = _simplify_element(v)
+        else:
+            m.operators[name] = DiffOp.mult(v) if isinstance(v, GradedPoly) else v
 
-    def map_decl(self) -> Declaration:
+    def map_decl(self):
         kw = self.expect("map")
-        name = self.expect_name("the map name")
-        if name.text in self.known:
-            self.fail(f"name {name.text!r} is already declared", name)
-        self._on_chart()
+        name = self._new_name("map")
         self.expect("{")
         fwd = self._map_rules(stop=("inverse",))
         self.expect("inverse")
@@ -357,64 +377,61 @@ class _Parser:
         inv = self._map_rules(stop=())
         self.expect("}")
         self.expect("}")
-        self.known[name.text] = "map"
-        return Declaration("map", name.text, kw.line, kw.col, (tuple(fwd), tuple(inv)))
+        self.m.maps[name] = self._build(kw, CoordMap, self.m.chart, fwd, inv)
 
-    def _map_rules(self, stop):
-        rules = []
+    def _map_rules(self, stop) -> dict[str, GradedPoly]:
+        rules = {}
         while self.peek().text not in ("}",) + tuple(stop):
             v = self._chart_var()
             self.expect("->")
-            e = self.expr()
-            self.expect(";")
-            rules.append((v, e))
+            rules[v] = self._t_free("a map image")
         return rules
 
-    # -- expressions
+    # -- expressions: (value, root token)
 
-    def expr(self, operator: bool = False) -> Expr:
-        e = self.term(operator)
+    def expr(self, operator: bool):
+        v, at = self.term(operator)
         while self.peek().text in ("+", "-"):
-            op = self.next()
-            r = self.term(operator)
-            e = Expr("add" if op.text == "+" else "sub", op.line, op.col, args=(e, r))
-        return e
+            at = self.next()
+            r, _ = self.term(operator)
+            v = v + r if at.text == "+" else v - r
+        return v, at
 
-    def term(self, operator: bool) -> Expr:
-        e = self.unary(operator)
+    def term(self, operator: bool):
+        v, at = self.unary(operator)
         while self.peek().text == "*":
-            op = self.next()
-            r = self.unary(operator)
-            e = Expr("mul", op.line, op.col, args=(e, r))
-        return e
+            at = self.next()
+            r, _ = self.unary(operator)
+            v = v * r
+        return v, at
 
-    def unary(self, operator: bool) -> Expr:
+    def unary(self, operator: bool):
         t = self.peek()
         if t.text == "-":
             self.next()
-            return Expr("neg", t.line, t.col, args=(self.unary(operator),))
+            v, _ = self.unary(operator)
+            return -v, t
         return self.power(operator)
 
-    def power(self, operator: bool) -> Expr:
-        e = self.atom(operator)
+    def power(self, operator: bool):
+        v, at = self.atom(operator)
         while self.peek().text == "^":
-            op = self.next()
-            n = self.expect_int()
-            e = Expr("pow", op.line, op.col, value=n, args=(e,))
-        return e
+            at = self.next()
+            v = v ** self.expect_int()
+        return v, at
 
-    def atom(self, operator: bool) -> Expr:
+    def atom(self, operator: bool):
         t = self.peek()
+        m = self.m
         if t.kind == "int":
             self.next()
-            num = int(t.text)
+            num, den = int(t.text), 1
             if self.peek().text == "/":
                 self.next()
                 den = self.expect_int()
                 if den == 0:
                     self.fail("zero denominator", t)
-                return Expr("rat", t.line, t.col, value=Fraction(num, den))
-            return Expr("rat", t.line, t.col, value=Fraction(num))
+            return GradedPoly.const(m.chart, Fraction(num, den)), t
         if t.text == "(":
             self.next()
             e = self.expr(operator)
@@ -424,7 +441,7 @@ class _Parser:
             self.next()
             if not operator:
                 self.fail("the weight symbol W is only allowed in operator expressions", t)
-            return Expr("W", t.line, t.col)
+            return DiffOp.weight(m.chart), t
         if t.text == "d":
             self.next()
             if not operator:
@@ -432,24 +449,32 @@ class _Parser:
             self.expect("(")
             v = self._chart_var()
             self.expect(")")
-            return Expr("d", t.line, t.col, value=v)
+            return DiffOp.deriv(m.chart, v), t
         if t.text == "t":
             self.next()
             if operator:
                 self.fail("t^w factors are only allowed in element expressions", t)
             self.expect("^")
             w = self._weight_exponent()
-            return Expr("t", t.line, t.col, value=w)
+            return DensityElement(m.chart, {w: GradedPoly.one(m.chart)}), t
         if t.kind == "name" and t.text not in _RESERVED:
             self.next()
-            if self.chart is not None and t.text in self.chart.names:
-                return Expr("var", t.line, t.col, value=t.text)
-            kind = self.known.get(t.text)
-            if kind in ("density", "element", "operator"):
-                if kind == "operator" and not operator:
-                    self.fail(f"operator {t.text!r} used in an element expression", t)
-                return Expr("ref", t.line, t.col, value=t.text)
-            self.fail(f"undeclared name {t.text!r}", t)
+            name = t.text
+            if name in m.chart.names:
+                return GradedPoly.var(m.chart, name), t
+            if name in m.densities:
+                return m.densities[name].sigma, t
+            if name in m.elements:
+                v = m.elements[name]
+                if operator and isinstance(v, DensityElement):
+                    self.fail(f"element {name!r} has t-components and cannot be an "
+                              "operator coefficient", t)
+                return v, t
+            if name in m.operators:
+                if not operator:
+                    self.fail(f"operator {name!r} used in an element expression", t)
+                return m.operators[name], t
+            self.fail(f"undeclared name {name!r}", t)
         self.fail(f"found {t.text!r}" if t.kind != "eof" else "unexpected end of input",
                   t, expected=("number", "identifier", "'('", "'-'"))
 
@@ -473,178 +498,23 @@ class _Parser:
         return Fraction(sign * num, den)
 
 
-def parse_module(text: str) -> SourceModule:
-    """Parse an .sd module, performing scope checks; raises DslError with a
-    1-based line:column position on any lexical, syntactic, or scope
-    error."""
+def load_module(text: str) -> Module:
+    """Read and elaborate an .sd module in one pass; raises DslError with a
+    1-based line:column position on the first lexical, syntactic, scope or
+    elaboration error."""
     return _Parser(text).module()
 
 
-# ---------------------------------------------------------------------------
-# elaboration
-
-
-@dataclass
-class Module:
-    """The elaborated contents of an .sd module."""
-
-    chart: Chart
-    chart_name: str
-    tensors: dict = field(default_factory=dict)   # name -> ("matrix"|"vector", eps, dict)
-    densities: dict = field(default_factory=dict)  # name -> LogVolume
-    elements: dict = field(default_factory=dict)   # name -> GradedPoly | DensityElement
-    operators: dict = field(default_factory=dict)  # name -> DiffOp
-    maps: dict = field(default_factory=dict)       # name -> CoordMap
-
-
-def _eval(e: Expr, m: Module, operator: bool):
-    """Evaluate an element expression to a DensityElement, or an operator
-    expression to a DiffOp; a polynomial is lifted to the matching kind."""
-    chart = m.chart
-    lift = DiffOp.mult if operator else DensityElement.from_poly
-    if e.kind == "rat":
-        return lift(GradedPoly.const(chart, e.value))
-    if e.kind == "var":
-        return lift(GradedPoly.var(chart, e.value))
-    if e.kind == "ref":
-        if operator and e.value in m.operators:
-            return m.operators[e.value]
-        v = m.densities.get(e.value)
-        v = m.elements[e.value] if v is None else v.sigma
-        if isinstance(v, GradedPoly):
-            return lift(v)
-        if operator:
-            raise DslError(
-                f"element {e.value!r} has t-components and cannot be an "
-                "operator coefficient", e.line, e.col)
-        return v
-    if e.kind == "t" and not operator:
-        return DensityElement(chart, {e.value: GradedPoly.one(chart)})
-    if e.kind == "W" and operator:
-        return DiffOp.weight(chart)
-    if e.kind == "d" and operator:
-        return DiffOp.deriv(chart, e.value)
-    args = [_eval(a, m, operator) for a in e.args]
-    if e.kind == "add":
-        return args[0] + args[1]
-    if e.kind == "sub":
-        return args[0] - args[1]
-    if e.kind == "neg":
-        return -args[0]
-    if e.kind == "mul":
-        return args[0] * args[1]
-    if e.kind == "pow":
-        return _power(args[0], e.value, lift(GradedPoly.one(chart)))
-    what = "an operator" if operator else "an element"
-    raise DslError(f"unexpected {e.kind} in {what} expression", e.line, e.col)
-
-
-def _as_poly(e: Expr, m: Module, what: str) -> GradedPoly:
-    v = _eval(e, m, operator=False)
-    ws = v.weights()
-    if ws and ws != [0]:
-        raise DslError(f"{what} must be t-free", e.line, e.col)
-    return v.component(0)
-
-
-def _simplify_element(v: DensityElement):
-    ws = v.weights()
-    if not ws:
-        return GradedPoly.zero(v.chart)
-    if ws == [0]:
-        return v.component(0)
-    return v
-
-
-def elaborate(src: SourceModule) -> Module:
-    """Turn a parsed module into core values, in declaration order."""
-    m = Module(chart=src.chart, chart_name=src.chart_name)
-    for d in src.decls:
-        try:
-            _elaborate_decl(d, m)
-        except (ParityError, BracketDataError, CoordMapError, ValueError) as ex:
-            if isinstance(ex, DslError):
-                raise
-            raise DslError(str(ex), d.line, d.col) from None
-    return m
-
-
-def _elaborate_decl(d: Declaration, m: Module):
-    if d.kind == "chart":
-        return
-    if d.kind == "density":
-        p = _as_poly(d.payload, m, "a log-volume")
-        m.densities[d.name] = LogVolume(p)
-        return
-    if d.kind == "element":
-        m.elements[d.name] = _simplify_element(_eval(d.payload, m, operator=False))
-        return
-    if d.kind == "operator":
-        m.operators[d.name] = _eval(d.payload, m, operator=True)
-        return
-    if d.kind == "tensor":
-        eps, entries = d.payload
-        ranks = {2 if b is not None else 1 for (a, b), _, _ in entries}
-        if len(ranks) > 1:
-            (_, _), _, (ln, col) = entries[0]
-            raise DslError("tensor mixes one- and two-index entries", ln, col)
-        if ranks == {1}:
-            vec = {}
-            for (a, _), e, (ln, col) in entries:
-                p = _as_poly(e, m, "a tensor entry")
-                want = (eps + m.chart.parity(a)) % 2
-                if not p.is_zero() and p.parity() != want:
-                    raise DslError(
-                        f"entry [{a}] must have parity {want}", ln, col)
-                if a in vec:
-                    raise DslError(f"duplicate entry [{a}]", ln, col)
-                if not p.is_zero():
-                    vec[a] = p
-            m.tensors[d.name] = ("vector", eps, vec)
-        else:
-            S = {}
-            for (a, b), e, (ln, col) in entries:
-                p = _as_poly(e, m, "a tensor entry")
-                if (a, b) in S:
-                    raise DslError(f"duplicate entry [{a},{b}]", ln, col)
-                S[(a, b)] = p
-            # validation + graded symmetrization via the bracket-data rules
-            data = VBracketData(m.chart, eps, S, {}, GradedPoly.zero(m.chart))
-            m.tensors[d.name] = ("matrix", eps, dict(data.S))
-        return
-    if d.kind == "map":
-        fwd_rules, inv_rules = d.payload
-        fwd = {v: _as_poly(e, m, "a map image") for v, e in fwd_rules}
-        inv = {v: _as_poly(e, m, "a map image") for v, e in inv_rules}
-        m.maps[d.name] = CoordMap(m.chart, fwd, inv)
-        return
-    raise AssertionError(d.kind)
-
-
-def load_module(text: str) -> Module:
-    """parse + elaborate."""
-    return elaborate(parse_module(text))
-
-
 def parse_element(text: str, m: Module):
-    """Parse a single element expression (the CLI's --args grammar) against
-    an elaborated module."""
-    p = _Parser("element __arg on " + m.chart_name + " = " + text + ";")
-    p.chart = m.chart
-    p.chart_name = m.chart_name
-    for v in m.chart.names:
-        p.known[v] = "variable"
-    for name in m.densities:
-        p.known[name] = "density"
-    for name in m.elements:
-        p.known[name] = "element"
-    for name in m.operators:
-        p.known[name] = "operator"
-    d = p._value_decl("element")
-    if p.peek().kind != "eof":
-        t = p.peek()
-        raise DslError(f"trailing input {t.text!r}", t.line, t.col)
-    return _simplify_element(_eval(d.payload, m, operator=False))
+    """Parse and evaluate one element expression (the CLI's --args grammar)
+    against a loaded module.  Diagnostic positions count from the start of
+    ``text``."""
+    p = _Parser(text, m)
+    v, _ = p.expr(operator=False)
+    t = p.peek()
+    if t.kind != "eof":
+        p.fail(f"trailing input {t.text!r}", t)
+    return _simplify_element(v)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,8 @@ class GradedPoly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = GradedPoly.const(self.chart, other)
+        if not isinstance(other, GradedPoly):
+            return NotImplemented  # a DensityElement or DiffOp adds itself
         self._check(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
@@ -189,8 +191,6 @@ class GradedPoly:
         return GradedPoly(self.chart, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GradedPoly.const(self.chart, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -201,6 +201,8 @@ class GradedPoly:
             return GradedPoly(
                 self.chart, {k: c * Fraction(other) for k, c in self.terms.items()}
             )
+        if not isinstance(other, GradedPoly):
+            return NotImplemented  # a DensityElement or DiffOp multiplies itself
         self._check(other)
         terms: dict[Key, Fraction] = {}
         for (e1, o1), c1 in self.terms.items():
@@ -391,6 +393,9 @@ class DensityElement:
         if isinstance(other, (int, Fraction, GradedPoly)):
             return self._coerce(other) * self
         return NotImplemented
+
+    def __pow__(self, n: int):
+        return _power(self, n, DensityElement.from_poly(GradedPoly.one(self.chart)))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GradedPoly)):

@@ -165,6 +165,27 @@ def test_exit_code_parse_error_not_utf8(tmp_path, capsys):
     assert "line 2:6: invalid UTF-8 byte 0xe9" in err
 
 
+def test_args_diagnostics_point_into_the_expression(capsys):
+    """--args and --theta errors are placed in the text the user gave,
+    whose end reads as the end of input."""
+    code, out, err = run(capsys, "derived", "--input", BV, "--op", "Delta",
+                         "--args", "x +")
+    assert (code, out) == (2, "")
+    assert err == ("error: line 1:4: unexpected end of input "
+                   "(expected '(', '-', identifier, number)\n")
+    code, out, err = run(capsys, "pencil", "--input", LB, "--bracket", "S",
+                         "--theta", "x )")
+    assert (code, out, err) == (2, "", "error: line 1:3: trailing input ')'\n")
+
+
+def test_module_may_declare_any_element_name(tmp_path, capsys):
+    src = tmp_path / "arg.sd"
+    src.write_text((FIXTURES / "bv.sd").read_text() + "element __arg on C = x;\n")
+    code, out, _ = run(capsys, "derived", "--input", str(src), "--op", "Delta",
+                       "--args", "__arg,xi")
+    assert code == 0 and out == "1\n"
+
+
 def test_exit_code_domain_error(tmp_path, capsys):
     src = tmp_path / "dom.sd"
     src.write_text(

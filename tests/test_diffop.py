@@ -206,3 +206,21 @@ def test_powers_equal_repeated_products(rng):
             prod_P = compose(prod_P, P)
     with pytest.raises(ValueError):
         DiffOp.identity(R11) ** -1
+
+
+def test_polynomial_defers_to_richer_operands(rng):
+    """A polynomial on the left of +, - or * with a density element or an
+    operator acts as the density at weight 0 or the multiplication operator;
+    density elements have powers."""
+    for chart in (R11, R12, R22):
+        p = rand_poly(rng, chart, 2)
+        D = rand_op(rng, chart, 2) + compose(DiffOp.weight(chart), rand_op(rng, chart, 1))
+        psi = DensityElement(chart, {Fraction(1, 2): rand_poly(rng, chart, 2),
+                                     Fraction(0): rand_poly(rng, chart, 1)})
+        P, Psi = DiffOp.mult(p), DensityElement.from_poly(p)
+        assert p + D == P + D and p - D == P - D and p * D == P * D
+        assert p + psi == Psi + psi and p - psi == Psi - psi and p * psi == Psi * psi
+        prod = DensityElement.from_poly(GradedPoly.one(chart))
+        for n in range(5):
+            assert psi ** n == prod
+            prod = prod * psi

@@ -11,10 +11,8 @@ from superdelta import DensityElement, DiffOp, GradedPoly
 from superdelta.diffop import compose
 from superdelta.dsl import (
     DslError,
-    elaborate,
     load_module,
     parse_element,
-    parse_module,
     render,
 )
 
