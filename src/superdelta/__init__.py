@@ -7,6 +7,7 @@ from .gralg import (
     Chart,
     ChartMismatch,
     DensityElement,
+    DomainError,
     GradedPoly,
     ParityError,
     berezin_integral,

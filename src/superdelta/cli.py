@@ -16,11 +16,9 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .gralg import ChartMismatch, DensityElement, GradedPoly, ParityError
+from .gralg import DensityElement, DomainError, GradedPoly
 from .diffop import DiffOp, formal_adjoint, specialize
 from .geom import (
-    BracketDataError,
-    CoordMapError,
     VBracketData,
     bracket_from_operator,
     canonical_pencil,
@@ -40,10 +38,6 @@ __all__ = ["main"]
 
 
 class UsageError(Exception):
-    pass
-
-
-class DomainError(Exception):
     pass
 
 
@@ -358,22 +352,16 @@ def _diag(message: str):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as ex:
-        _diag(f"usage error: {ex}")
-        return 1
-    if args.version:
-        print(__version__)
-        return 0
-    if args.conventions:
-        print(CONVENTIONS, end="")
-        return 0
-    if not args.cmd:
-        _diag("usage error: a subcommand is required (see --help)")
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
+        if args.version:
+            print(__version__)
+            return 0
+        if args.conventions:
+            print(CONVENTIONS, end="")
+            return 0
+        if not args.cmd:
+            raise UsageError("a subcommand is required (see --help)")
         return _DISPATCH[args.cmd](args, _load(args.input))
     except UsageError as ex:
         _diag(f"usage error: {ex}")
@@ -381,11 +369,7 @@ def main(argv=None) -> int:
     except DslError as ex:
         _diag(f"error: {ex}")
         return 2
-    except (DomainError, ParityError, ChartMismatch, BracketDataError,
-            CoordMapError) as ex:
-        _diag(f"domain error: {ex}")
-        return 3
-    except ValueError as ex:
+    except DomainError as ex:
         _diag(f"domain error: {ex}")
         return 3
 

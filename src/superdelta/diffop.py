@@ -234,10 +234,7 @@ class DiffOp:
         return hash((self.chart, items))
 
     def __repr__(self):
-        try:
-            from .dsl import render
-        except ImportError:
-            return f"DiffOp({self.terms!r})"
+        from .dsl import render
         return f"DiffOp({render(self)})"
 
     # -- action ------------------------------------------------------------
@@ -415,14 +412,14 @@ def conjugate_by_exp(D: DiffOp, u: GradedPoly, sign: int = 1) -> DiffOp:
 def _exp_ad(D: DiffOp, u: GradedPoly, wpow: int = 0) -> DiffOp:
     """The series  sum_k (1/k!) [...[D, M], ..., M]  (k commutators) with
     M = W^wpow u for an even polynomial u.  W is central, so
-    [X, W^wpow u] = W^wpow [X, u.]; M lowers the order, so the series
-    terminates after ord D + 1 terms."""
-    out = D
-    term = D
-    k = 0
-    bound = (D.order() or 0) + 1
-    while True:
-        k += 1
+    [X, W^wpow u] = W^wpow [X, u.].
+
+    Bound: ad_mult drops every term whose derivatives all pass u, so each
+    commutator lowers the order by at least one, and the k-th term has
+    order <= ord D - k.  The term k = ord D + 1 is therefore 0, and at
+    most ord D commutators are taken."""
+    out = term = D
+    for k in range(1, (D.order() or 0) + 1):
         inv = Fraction(1, k)
         term = DiffOp(D.chart, {
             key: {w + wpow: p * inv for w, p in wp.items()}
@@ -430,8 +427,6 @@ def _exp_ad(D: DiffOp, u: GradedPoly, wpow: int = 0) -> DiffOp:
         })
         if term.is_zero():
             break
-        if k > bound:
-            raise RuntimeError("conjugation series failed to terminate")
         out = out + term
     return out
 

@@ -27,7 +27,10 @@ Grammar (EBNF):
 reserved.  Derivative tokens d(x) and the weight symbol W are allowed only
 in operator expressions; t^w only in element expressions.  Two-index
 tensor entries are completed by the forced graded symmetry
-S^{ba} = (-1)^{p(a)p(b)} S^{ab}; contradictory entries are rejected.
+S^{ba} = (-1)^{p(a)p(b)} S^{ab}; contradictory entries are rejected, and
+so is a repeated tensor entry or map rule.  An integer literal may not be
+longer than sys.get_int_max_str_digits(), nor an expression nested (in
+parentheses and unary minus signs) deeper than MAX_NESTING.
 
 A module is read in one pass: the parser evaluates each expression as it
 reads it and stores each declaration's value in the ``Module`` at once, so
@@ -45,10 +48,11 @@ must be t-free.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .gralg import Chart, DensityElement, GradedPoly
+from .gralg import Chart, DensityElement, DomainError, GradedPoly
 from .diffop import DiffOp
 from .geom import CoordMap, LogVolume, VBracketData
 
@@ -66,6 +70,9 @@ _RESERVED = {
 }
 _DECLARATIONS = ("'chart'", "'tensor'", "'density'", "'element'", "'operator'",
                  "'map'")
+# parentheses and unary minus signs open on one path of an expression; the
+# parser recurses on both
+MAX_NESTING = 100
 
 
 class DslError(ValueError):
@@ -186,6 +193,7 @@ class _Parser:
         self.toks = _lex(text)
         self.i = 0
         self.m = m
+        self.depth = 0
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -214,9 +222,20 @@ class _Parser:
 
     def expect_int(self) -> int:
         t = self.peek()
-        if t.kind == "int":
-            return int(self.next().text)
-        self.fail(f"found {t.text!r}", t, expected=("integer",))
+        if t.kind != "int":
+            self.fail(f"found {t.text!r}", t, expected=("integer",))
+        self.next()
+        try:
+            return int(t.text)
+        except ValueError:  # a digit string fails only on the length limit
+            self.fail("integer literal longer than the limit of "
+                      f"{sys.get_int_max_str_digits()} digits", t)
+
+    def nest(self, tok: _Tok):
+        """Open one nesting level at ``tok``; the caller closes it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels", tok)
 
     # -- declarations
 
@@ -274,11 +293,11 @@ class _Parser:
         return names
 
     def _build(self, kw: _Tok, make, *args):
-        """make(*args); a ValueError it raises is reported at the keyword of
+        """make(*args); a DomainError it raises is reported at the keyword of
         the declaration."""
         try:
             return make(*args)
-        except ValueError as ex:
+        except DomainError as ex:
             raise DslError(str(ex), kw.line, kw.col) from None
 
     def _new_name(self, kind: str) -> str:
@@ -341,11 +360,11 @@ class _Parser:
             key = idx if len(idx) == 2 else idx[0]
             if key in entries:
                 self.fail(f"duplicate entry [{','.join(idx)}]", lb)
-            if len(idx) == 2 or not p.is_zero():  # a vector keeps nonzero entries
-                entries[key] = p
+            entries[key] = p
         self.expect("}")
-        if first and first[1] == 1:
-            self.m.tensors[name] = ("vector", eps, entries)
+        if first and first[1] == 1:  # a vector keeps its nonzero entries
+            self.m.tensors[name] = ("vector", eps,
+                                    {a: p for a, p in entries.items() if not p.is_zero()})
         else:
             # validation + graded symmetrization via the bracket-data rules
             data = self._build(kw, VBracketData, chart, eps, entries, {},
@@ -382,7 +401,10 @@ class _Parser:
     def _map_rules(self, stop) -> dict[str, GradedPoly]:
         rules = {}
         while self.peek().text not in ("}",) + tuple(stop):
+            t = self.peek()
             v = self._chart_var()
+            if v in rules:
+                self.fail(f"duplicate rule for {v!r}", t)
             self.expect("->")
             rules[v] = self._t_free("a map image")
         return rules
@@ -408,8 +430,9 @@ class _Parser:
     def unary(self, operator: bool):
         t = self.peek()
         if t.text == "-":
-            self.next()
+            self.nest(self.next())
             v, _ = self.unary(operator)
+            self.depth -= 1
             return -v, t
         return self.power(operator)
 
@@ -424,8 +447,7 @@ class _Parser:
         t = self.peek()
         m = self.m
         if t.kind == "int":
-            self.next()
-            num, den = int(t.text), 1
+            num, den = self.expect_int(), 1
             if self.peek().text == "/":
                 self.next()
                 den = self.expect_int()
@@ -433,9 +455,10 @@ class _Parser:
                     self.fail("zero denominator", t)
             return GradedPoly.const(m.chart, Fraction(num, den)), t
         if t.text == "(":
-            self.next()
+            self.nest(self.next())
             e = self.expr(operator)
             self.expect(")")
+            self.depth -= 1
             return e
         if t.text == "W":
             self.next()
@@ -637,7 +660,16 @@ def render(obj) -> str:
     """Deterministic canonical text for core values: sorted monomials,
     declaration-order odd factors, explicit rational coefficients.
     render(a) = render(b) iff a = b for values on the same chart, and
-    elaborating the rendered text reproduces the value."""
+    elaborating the rendered text reproduces the value.  A coefficient
+    longer than Python's int-to-str digit limit is a DomainError."""
+    try:
+        return _render(obj)
+    except ValueError:  # only str(int) raises one here, past the limit
+        raise DomainError("output coefficient longer than the limit of "
+                          f"{sys.get_int_max_str_digits()} digits") from None
+
+
+def _render(obj) -> str:
     if isinstance(obj, GradedPoly):
         return _render_poly(obj)
     if isinstance(obj, DensityElement):

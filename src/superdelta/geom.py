@@ -22,6 +22,7 @@ from .gralg import (
     Chart,
     ChartMismatch,
     DensityElement,
+    DomainError,
     GradedPoly,
     ParityError,
     partial,
@@ -41,7 +42,7 @@ SMatrix = dict[tuple[str, str], GradedPoly]
 GVector = dict[str, GradedPoly]
 
 
-class BracketDataError(ValueError):
+class BracketDataError(DomainError):
     pass
 
 
@@ -197,7 +198,7 @@ def principal_matrix(D: DiffOp) -> SMatrix:
     """The symmetric coefficient matrix S^{ab} of an operator of order <= 2,
     extracted through the bracket on coordinate functions."""
     if not D.order_leq(2):
-        raise ValueError("principal symbol defined for order <= 2 only")
+        raise DomainError("principal symbol defined for order <= 2 only")
     chart = D.chart
     return _smatrix(chart, lambda b, a: bracket_from_operator(
         D, GradedPoly.var(chart, b), GradedPoly.var(chart, a)))
@@ -225,7 +226,7 @@ def first_order_coeffs(D: DiffOp) -> GVector:
             name = chart.odd[o[0]]
         c = wp.get(0, GradedPoly.zero(chart))
         if any(k != 0 for k in wp):
-            raise ValueError("weight-dependent coefficient in plain operator")
+            raise DomainError("weight-dependent coefficient in plain operator")
         out[name] = c
     return out
 
@@ -247,9 +248,9 @@ def subprincipal(D: DiffOp) -> GVector:
     order <= 2."""
     chart = D.chart
     if not D.order_leq(2):
-        raise ValueError("subprincipal symbol requires order <= 2")
+        raise DomainError("subprincipal symbol requires order <= 2")
     if not D.apply_poly(GradedPoly.one(chart)).is_zero():
-        raise ValueError("operator must be normalized: D1 = 0")
+        raise DomainError("operator must be normalized: D1 = 0")
     eps = D.parity()
     if eps is None:
         raise ParityError("operator must be homogeneous")
@@ -282,7 +283,7 @@ def divergence(X: DiffOp) -> GradedPoly:
     constant term."""
     chart = X.chart
     if not X.order_leq(1) or not X.apply_poly(GradedPoly.one(chart)).is_zero():
-        raise ValueError("divergence requires a vector field")
+        raise DomainError("divergence requires a vector field")
     coeffs = first_order_coeffs(X)
     out = GradedPoly.zero(chart)
     for a, c in coeffs.items():
@@ -427,7 +428,7 @@ def pencil_bracket(P: DiffOp, psi: DensityElement, chi: DensityElement) -> Densi
     """{psi,chi} = P(psi chi) - (P psi) chi - (-1)^{eps p(psi)} psi (P chi)
     for a normalized weight-zero pencil of order <= 2."""
     if not P.order_leq(2):
-        raise ValueError("pencil bracket requires order <= 2")
+        raise DomainError("pencil bracket requires order <= 2")
     eps = P.parity()
     if eps is None:
         raise ParityError("pencil must be homogeneous")
@@ -456,14 +457,14 @@ def extract_vbracket(P: DiffOp) -> VBracketData:
     reproduced by the round trip)."""
     chart = P.chart
     if not P.order_leq(2):
-        raise ValueError("pencil must have order <= 2")
+        raise DomainError("pencil must have order <= 2")
     eps = P.parity()
     if eps is None:
         raise ParityError("pencil must be homogeneous")
     if not specialize(P, 0).apply_poly(GradedPoly.one(chart)).is_zero():
-        raise ValueError("pencil is not normalized (P1 != 0 at w = 0)")
+        raise DomainError("pencil is not normalized (P1 != 0 at w = 0)")
     if formal_adjoint(P) != P:
-        raise ValueError("pencil is not self-adjoint")
+        raise DomainError("pencil is not self-adjoint")
     t = _unit_density(chart)
 
     def coord(name: str) -> DensityElement:
@@ -478,7 +479,7 @@ def extract_vbracket(P: DiffOp) -> VBracketData:
     theta = pencil_bracket(P, t, t).component(2)
     data = VBracketData(chart, eps, S, gamma, theta)
     if canonical_pencil(data) != P:
-        raise ValueError("pencil is outside the canonical bijection's domain")
+        raise DomainError("pencil is outside the canonical bijection's domain")
     return data
 
 
@@ -601,9 +602,9 @@ def classify_square(D: DiffOp) -> str:
     if D.parity() != ODD:
         raise ParityError("classification requires an odd operator")
     if not D.order_leq(2):
-        raise ValueError("classification requires order <= 2")
+        raise DomainError("classification requires order <= 2")
     if not D.apply_poly(GradedPoly.one(chart)).is_zero():
-        raise ValueError("operator must be normalized: D1 = 0")
+        raise DomainError("operator must be normalized: D1 = 0")
     sq = compose(D, D)
     r = sq.order()
     if r is None or r <= 0:
@@ -628,71 +629,66 @@ def _euler_antiderivative(chart: Chart, form: GVector) -> GradedPoly:
     for (e, o), c in B.terms.items():
         m = sum(e) + len(o)
         if m == 0:
-            raise ValueError("form has a non-exact constant part")
+            raise DomainError("form has a non-exact constant part")
         terms[(e, o)] = c / m
     return GradedPoly(chart, terms)
 
 
-def recover_action(S: SMatrix, chart: Chart, gamma: GVector,
-                   max_iter: int = 60) -> GradedPoly:
+def recover_action(S: SMatrix, chart: Chart, gamma: GVector) -> GradedPoly:
     """Solve gamma^a = S^{ab} gamma_b for the lowered form, then find the
-    "action" A with gamma_b = -d_b A, normalized by A(0) = 0."""
+    "action" A with gamma_b = -d_b A, normalized by A(0) = 0.
+
+    The lowered form is the fixed point of  l -> S0^{-1} (gamma - N l),
+    S0 = S(0) and N = S - S0, iterated from l = 0: round k adds
+    (-M)^{k-1} S0^{-1} gamma with M = S0^{-1} N, and the rounds stop once
+    that is 0.
+
+    Bound: M preserves each power I^j of the ideal I of the odd
+    coordinates, and acts on I^j/I^{j+1} as its body, a matrix over the
+    polynomials in the even coordinates.  Over their fraction field,
+    M^k v = 0 for some k implies M^n v = 0, n the number of coordinates;
+    so if M^k L = 0 for some k, then n more powers of M move L into the
+    next layer, and with q odd coordinates I^{q+1} = 0 gives
+    M^{n(q+1)} L = 0.  A series that has not stopped after n(q+1) + 1
+    rounds never stops: S - S(0) is not nilpotent on gamma."""
     names = chart.names
     n = len(names)
-    # constant scalar part of S, inverted over Q
-    S0 = [[S.get((a, b), GradedPoly.zero(chart)).constant_term() for b in names] for a in names]
-
-    def solve_const(vec):
-        # Gaussian elimination over Fractions
-        m = [row[:] + [v] for row, v in zip([r[:] for r in S0], vec)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if piv is None:
-                raise ValueError("constant part of S is singular")
-            m[col], m[piv] = m[piv], m[col]
-            inv = Fraction(1) / m[col][col]
-            m[col] = [x * inv for x in m[col]]
-            for r in range(n):
-                if r != col and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        return [m[r][n] for r in range(n)]
-
-    gvec = [gamma.get(a, GradedPoly.zero(chart)) for a in names]
-    lower = [GradedPoly.zero(chart) for _ in names]
-    for _ in range(max_iter):
-        # residual r^a = gamma^a - (S - S0)^{ab} lower_b
-        rhs = []
-        for i, a in enumerate(names):
-            acc = gvec[i]
-            for j, b in enumerate(names):
-                s = S.get((a, b), GradedPoly.zero(chart)) - GradedPoly.const(chart, S0[i][j])
-                if not s.is_zero():
-                    acc = acc - s * lower[j]
-            rhs.append(acc)
-        # new lowered components, one scalar solve per monomial key
-        keys = sorted({k for p in rhs for k in p.terms})
-        new = [GradedPoly.zero(chart) for _ in names]
-        for k in keys:
-            vec = [p.terms.get(k, Fraction(0)) for p in rhs]
-            sol = solve_const(vec)
-            for i in range(n):
-                if sol[i] != 0:
-                    new[i] = new[i] + GradedPoly(chart, {k: sol[i]})
+    zero = GradedPoly.zero(chart)
+    gvec = [gamma.get(a, zero) for a in names]
+    if all(g.is_zero() for g in gvec):
+        return zero  # l = 0 solves S l = 0 for any S
+    S0 = [[S.get((a, b), zero).constant_term() for b in names] for a in names]
+    N = [[S.get((a, b), zero) - c for b, c in zip(names, row)]
+         for a, row in zip(names, S0)]
+    # S0^{-1} by Gauss-Jordan elimination over Q, on [S0 | 1]
+    m = [row + [Fraction(int(i == r)) for i in range(n)] for r, row in enumerate(S0)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            raise DomainError("constant part of S is singular")
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    S0inv = [row[n:] for row in m]
+    lower = [zero] * n
+    for _ in range(n * (len(chart.odd) + 1) + 1):
+        rhs = [g - sum((s * l for s, l in zip(row, lower) if not s.is_zero()), zero)
+               for g, row in zip(gvec, N)]
+        new = [sum((r * c for r, c in zip(rhs, row) if c), zero) for row in S0inv]
         if new == lower:
             break
         lower = new
     else:
-        raise ValueError("iteration for S^{-1} failed to terminate")
-    # sanity: S * lower == gamma
-    Sl = _contract(chart, S, dict(zip(names, lower)))
-    if [Sl[a] for a in names] != gvec:
-        raise ValueError("S is not invertible on this gamma")
+        raise DomainError("S - S(0) is not nilpotent on gamma")
     form = {a: -lower[i] for i, a in enumerate(names)}
     A = _euler_antiderivative(chart, form)
     for i, a in enumerate(names):
         if partial(a, A) != -lower[i]:
-            raise ValueError("lowered form is not closed; no action exists")
+            raise DomainError("lowered form is not closed; no action exists")
     return A
 
 
@@ -701,7 +697,7 @@ def recover_action(S: SMatrix, chart: Chart, gamma: GVector,
 # ---------------------------------------------------------------------------
 
 
-class CoordMapError(ValueError):
+class CoordMapError(DomainError):
     pass
 
 
@@ -761,38 +757,35 @@ def _det_even(entries: list[list[GradedPoly]], chart: Chart) -> GradedPoly:
     return out
 
 
-def _poly_inverse(u: GradedPoly, bound: int = 40) -> GradedPoly:
-    """Inverse of c(1 + n) with c a nonzero constant and n nilpotent."""
+def _unit_series(u: GradedPoly, what: str, coeff) -> tuple[Fraction, GradedPoly]:
+    """For u = c (1 + n) with c = u(0) != 0, return c and the series
+    sum_k coeff(k) n^k.
+
+    Bound: n must lie in the ideal of the odd coordinates (each of its
+    terms has one), which is checked first.  Then each term of n^k has at
+    least k odd coordinates, so with q of them n^{q+1} = 0 and the sum
+    has at most q + 1 terms, k = 0..q."""
     c = u.constant_term()
     if c == 0:
-        raise CoordMapError("element has no invertible body")
-    n = u * (Fraction(1) / c) - 1
-    out = GradedPoly.one(u.chart)
+        raise CoordMapError(f"{what} has no invertible body")
+    n = u * (1 / c) - 1
+    if any(not o for (_, o) in n.terms):
+        raise CoordMapError(f"{what} minus its constant term is not nilpotent")
+    out = GradedPoly.const(u.chart, coeff(0))
     power = GradedPoly.one(u.chart)
-    for _ in range(bound):
-        power = power * (-n)
-        if power.is_zero():
-            break
-        out = out + power
-    else:
-        raise CoordMapError("inverse series failed to terminate")
-    return out * (Fraction(1) / c)
-
-
-def _log1p(n: GradedPoly, bound: int = 40) -> GradedPoly:
-    """log(1 + n) for nilpotent n, exact terminating series."""
-    out = GradedPoly.zero(n.chart)
-    power = GradedPoly.one(n.chart)
-    for k in range(1, bound + 1):
+    for k in range(1, len(u.chart.odd) + 1):
         power = power * n
         if power.is_zero():
-            return out
-        out = out + power * Fraction((-1) ** (k + 1), k)
-    raise CoordMapError("log series failed to terminate: non-nilpotent part")
+            break
+        out = out + power * coeff(k)
+    return c, out
 
 
 def berezinian(cmap: CoordMap) -> GradedPoly:
-    """The superdeterminant of the Jacobi matrix, in old coordinates."""
+    """The superdeterminant of the Jacobi matrix, in old coordinates:
+    Ber = det(A - B D^{-1} C) / det D for the blocks of J by parity, with
+    D^{-1} from the adjugate.  An empty block has determinant 1, so a
+    purely even or purely odd chart needs no case of its own."""
     chart = cmap.chart
     J = cmap.jacobian()
     ev, od = chart.even, chart.odd
@@ -800,44 +793,25 @@ def berezinian(cmap: CoordMap) -> GradedPoly:
     B = [[J[(ap, a)] for a in od] for ap in ev]
     C = [[J[(ap, a)] for a in ev] for ap in od]
     Dm = [[J[(ap, a)] for a in od] for ap in od]
-    if not od:
-        return _det_even(A, chart)
-    detD = _det_even(Dm, chart)
-    if not ev:
-        return _poly_inverse(detD)
-    # D^{-1} via adjugate over the even subalgebra
+    d0, series = _unit_series(_det_even(Dm, chart), "element", lambda k: (-1) ** k)
+    invdet = series * (1 / d0)
     q = len(od)
-    invdet = _poly_inverse(detD)
-    Dinv = [[GradedPoly.zero(chart) for _ in range(q)] for _ in range(q)]
-    for i in range(q):
-        for j in range(q):
-            minor = [
-                [Dm[r][c] for c in range(q) if c != i]
-                for r in range(q)
-                if r != j
-            ]
-            Dinv[i][j] = _det_even(minor, chart) * (-1) ** (i + j) * invdet
+    # D^{-1} by the adjugate: entry (i, j) is the signed (j, i) minor over det D
+    Dinv = [[_det_even([[row[c] for c in range(q) if c != i]
+                        for r, row in enumerate(Dm) if r != j], chart)
+             * (-1) ** (i + j) * invdet for j in range(q)] for i in range(q)]
     # A - B D^{-1} C (entries even, B/C odd: B D^{-1} C entries even)
-    m = len(ev)
-    top = [[A[i][j] for j in range(m)] for i in range(m)]
-    for i in range(m):
-        for j in range(m):
-            acc = GradedPoly.zero(chart)
-            for k in range(q):
-                for l in range(q):
-                    acc = acc + B[i][k] * Dinv[k][l] * C[l][j]
-            top[i][j] = top[i][j] - acc
-    return _det_even(top, chart) * _poly_inverse(detD)
+    top = [[A[i][j] - sum((B[i][k] * Dinv[k][l] * C[l][j]
+                           for k in range(q) for l in range(q)), GradedPoly.zero(chart))
+            for j in range(len(ev))] for i in range(len(ev))]
+    return _det_even(top, chart) * invdet
 
 
 def log_berezinian(cmap: CoordMap) -> GradedPoly:
     """log of the Berezinian, normalized by dropping the constant log of the
     body (which never survives differentiation); in old coordinates."""
-    ber = berezinian(cmap)
-    c = ber.constant_term()
-    if c == 0:
-        raise CoordMapError("Berezinian has no invertible body")
-    return _log1p(ber * (Fraction(1) / c) - 1)
+    return _unit_series(berezinian(cmap), "Berezinian",
+                        lambda k: Fraction((-1) ** (k + 1), k) if k else 0)[1]
 
 
 def transform_op(D: DiffOp, cmap: CoordMap) -> DiffOp:

@@ -17,11 +17,16 @@ EVEN = 0
 ODD = 1
 
 
-class ChartMismatch(ValueError):
+class DomainError(ValueError):
+    """A violated mathematical precondition of the engine; the message
+    names it.  The command line reports exactly these as domain errors."""
+
+
+class ChartMismatch(DomainError):
     pass
 
 
-class ParityError(ValueError):
+class ParityError(DomainError):
     pass
 
 
@@ -37,9 +42,9 @@ class Chart:
     def __post_init__(self):
         names = self.even + self.odd
         if len(set(names)) != len(names):
-            raise ValueError("chart variable names must be distinct")
+            raise DomainError("chart variable names must be distinct")
         if not names:
-            raise ValueError("chart needs at least one variable")
+            raise DomainError("chart needs at least one variable")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -238,10 +243,7 @@ class GradedPoly:
         return self._hash
 
     def __repr__(self):
-        try:
-            from .dsl import render  # local import: dsl depends on gralg
-        except ImportError:
-            return f"GradedPoly({self.terms!r})"
+        from .dsl import render  # local import: dsl depends on gralg
         return f"GradedPoly({render(self)})"
 
 
@@ -408,10 +410,7 @@ class DensityElement:
         return hash((self.chart, tuple(sorted(self.parts.items()))))
 
     def __repr__(self):
-        try:
-            from .dsl import render
-        except ImportError:
-            return f"DensityElement({self.parts!r})"
+        from .dsl import render
         return f"DensityElement({render(self)})"
 
 
@@ -428,6 +427,6 @@ def berezin_integral(p: GradedPoly) -> Fraction:
     monomial in canonical order."""
     chart = p.chart
     if chart.even:
-        raise ValueError("Berezin integral requires a purely odd chart")
+        raise DomainError("Berezin integral requires a purely odd chart")
     top = tuple(range(len(chart.odd)))
     return p.terms.get(((), top), Fraction(0))

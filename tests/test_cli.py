@@ -1,5 +1,7 @@
 """CLI: golden outputs on the shipped fixtures, exit codes, JSON schema."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -7,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superdelta.cli import main
 
@@ -197,6 +201,132 @@ def test_exit_code_domain_error(tmp_path, capsys):
     code, _, err = run(capsys, "pencil", "--input", str(src), "--bracket",
                        "S", "--gamma", "gamma", "--theta", "x")
     assert code == 3 and "domain error" in err
+
+
+# One row per refusal a subcommand can reach: (module, argv after --input,
+# exit code, the whole stderr line).  "MOD" stands for the module below.
+MOD = """chart C { even x; odd xi; }
+tensor S on C parity odd { [x,xi] = 1; }
+tensor E on C parity even { [x,x] = 1; }
+tensor gamma on C parity odd { [xi] = -2*x; }
+tensor ge on C parity even { [x] = 1; }
+operator Delta on C = d(x)*d(xi);
+operator P3 on C = W*d(x)^3;
+operator K3 on C = d(x)^2*d(xi);
+operator Xi on C = xi;
+operator E1 on C = d(x);
+operator Mixed on C = d(x) + d(xi);
+element psi on C = x*t^(1/2);
+"""
+LIMIT = 4300
+BIG = "1" * (LIMIT + 1)
+HDR = "chart C { even x; odd xi; }\n"
+_REFUSALS = [
+    # preconditions of the engine: exit 3
+    ("MOD", ["bracket", "--op", "P3", "--args", "x,xi"], 3,
+     "domain error: pencil bracket requires order <= 2"),
+    ("MOD", ["classify", "--op", "K3"], 3,
+     "domain error: classification requires order <= 2"),
+    ("MOD", ["classify", "--op", "Xi"], 3,
+     "domain error: operator must be normalized: D1 = 0"),
+    ("MOD", ["classify", "--op", "E1"], 3,
+     "domain error: classification requires an odd operator"),
+    ("MOD", ["derived", "--op", "Mixed", "--args", "x"], 3,
+     "domain error: bracket generator must be homogeneous"),
+    ("MOD", ["jacobiator", "--op", "Delta", "--n", "2", "--args", "x + xi,x"], 3,
+     "domain error: Jacobiator arguments must be homogeneous"),
+    ("MOD", ["derived", "--op", "Delta", "--args", "psi"], 3,
+     "domain error: derived-bracket arguments must be t-free polynomials"),
+    ("MOD", ["pencil", "--bracket", "S", "--theta", "psi"], 3,
+     "domain error: --theta must be a t-free polynomial"),
+    ("MOD", ["pencil", "--bracket", "S", "--gamma", "gamma", "--theta", "x"], 3,
+     "domain error: theta has wrong parity"),
+    ("MOD", ["pencil", "--bracket", "S", "--gamma", "ge"], 3,
+     "domain error: gamma[x] has wrong parity"),
+    ("MOD", ["report", "--bracket", "E"], 3,
+     "domain error: Jacobi report requires an odd bracket"),
+    # an output coefficient past the digit limit: exit 3
+    ("MOD", ["apply", "--op", "Delta", "--args", "3^10000*x*xi"], 3,
+     f"domain error: output coefficient longer than the limit of {LIMIT} digits"),
+    # preconditions met while elaborating the module: exit 2
+    ("chart C { even x, x; }", ["classify", "--op", "D"], 2,
+     "error: line 1:1: chart variable names must be distinct"),
+    ("chart C { }", ["classify", "--op", "D"], 2,
+     "error: line 1:1: chart needs at least one variable"),
+    # integer literals past the digit limit: exit 2, at the literal
+    (HDR + f"element e on C = {BIG}*x;", ["classify", "--op", "D"], 2,
+     f"error: line 2:18: integer literal longer than the limit of {LIMIT} digits"),
+    ("MOD", ["apply", "--op", "Delta", "--args", f"{BIG}*x"], 2,
+     f"error: line 1:1: integer literal longer than the limit of {LIMIT} digits"),
+    ("MOD", ["apply", "--op", "Delta", "--args", f"x^{BIG}"], 2,
+     f"error: line 1:3: integer literal longer than the limit of {LIMIT} digits"),
+    ("MOD", ["apply", "--op", "Delta", "--args", f"t^(1/{BIG})"], 2,
+     f"error: line 1:6: integer literal longer than the limit of {LIMIT} digits"),
+    # nesting deeper than the fixed limit: exit 2, at the token crossing it
+    (HDR + "element e on C = " + "(" * 101 + "x" + ")" * 101 + ";",
+     ["classify", "--op", "D"], 2,
+     "error: line 2:118: expression nested deeper than 100 levels"),
+    ("MOD", ["apply", "--op", "Delta", "--args=" + "-" * 101 + "x"], 2,
+     "error: line 1:101: expression nested deeper than 100 levels"),
+    ("MOD", ["derived", "--op", "Delta", "--args", "(" * 200 + "x" + ")" * 200], 2,
+     "error: line 1:101: expression nested deeper than 100 levels"),
+    # repeated entries: exit 2, at the second one
+    (HDR + "map phi on C { x -> x; xi -> xi; x -> 2*x; "
+     "inverse { x -> 1/2*x; xi -> xi; } }", ["classify", "--op", "D"], 2,
+     "error: line 2:34: duplicate rule for 'x'"),
+    (HDR + "map phi on C { x -> x; xi -> xi; "
+     "inverse { x -> x; xi -> xi; xi -> -xi; } }", ["classify", "--op", "D"], 2,
+     "error: line 2:62: duplicate rule for 'xi'"),
+    (HDR + "tensor g on C parity odd { [xi] = 0; [xi] = x; }",
+     ["classify", "--op", "D"], 2, "error: line 2:38: duplicate entry [xi]"),
+]
+
+
+@pytest.fixture
+def digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(LIMIT)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("module, argv, code, line", _REFUSALS)
+def test_exit_code_table(tmp_path, capsys, digit_limit, module, argv, code, line):
+    src = tmp_path / "m.sd"
+    src.write_text(MOD if module == "MOD" else module)
+    got, out, err = run(capsys, argv[0], "--input", str(src), *argv[1:])
+    assert (got, out, err) == (code, "", line + "\n")
+
+
+def test_nesting_limit_is_inclusive(capsys):
+    for args in ("(" * 100 + "x*xi" + ")" * 100, "-" * 100 + "x*xi"):
+        code, out, _ = run(capsys, "apply", "--input", BV, "--op", "Delta",
+                           "--args=" + args)
+        assert (code, out) == (0, "1\n")
+
+
+_ARG_TOKENS = ["x", "xi", "f", "g", "y", "0", "1", "2", "3", "+", "-", "*", "^",
+               "/", "(", ")", ",", "t", "W", "d", "(-1/2)", " ", "#", "$", "é"]
+
+
+@given(st.one_of(st.binary(max_size=80),
+                 st.binary(max_size=60).map(lambda b: HDR.encode() + b)),
+       st.lists(st.sampled_from(_ARG_TOKENS), max_size=12).map("".join))
+@settings(derandomize=True, max_examples=250, deadline=None)
+def test_fuzz_exit_codes(tmp_path_factory, module, args):
+    """Random bytes as the module and random token strings as --args end
+    in a documented exit code, never in an exception."""
+    src = tmp_path_factory.getbasetemp() / "fuzz.sd"
+    src.write_bytes(module)
+    requests = [["apply", "--input", str(src), "--op", "D", "--args", "x"],
+                ["apply", "--input", BV, "--op", "Delta", "--args=" + args],
+                ["derived", "--input", BV, "--op", "Delta", "--args=" + args],
+                ["jacobiator", "--input", BV, "--op", "Delta", "--n", "1",
+                 "--args=" + args]]
+    for argv in requests:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2, 3)
 
 
 def test_color_env(tmp_path, capsys, monkeypatch):

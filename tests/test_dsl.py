@@ -188,6 +188,8 @@ _DIAGNOSTICS = [
      "line 2:39: duplicate entry [x]"),
     (HDR + "tensor T on C parity odd { [x,xi1] = 1; [x,xi1] = 2; }",
      "line 2:41: duplicate entry [x,xi1]"),
+    (HDR + "tensor g on C parity odd { [x] = 0; [x] = xi1; }",
+     "line 2:37: duplicate entry [x]"),
     (HDR + "tensor T on C parity odd { [x,xi1] = 1; [xi2] = x; }",
      "line 2:28: tensor mixes one- and two-index entries"),
     (HDR + "tensor T on C parity odd { [x,xi1] = 1; [xi1,x] = 2; }",
@@ -206,6 +208,17 @@ _DIAGNOSTICS = [
     (HDR + "map phi on C { x -> xi1; xi1 -> xi1; xi2 -> xi2; "
      "inverse { x -> x; xi1 -> xi1; xi2 -> xi2; } }",
      "line 2:1: image of x has wrong parity"),
+    (HDR + "map phi on C { x -> x; xi1 -> xi1; x -> 2*x; xi2 -> xi2; "
+     "inverse { x -> x; xi1 -> xi1; xi2 -> xi2; } }",
+     "line 2:36: duplicate rule for 'x'"),
+    (HDR + "map phi on C { x -> x; xi1 -> xi1; xi2 -> xi2; "
+     "inverse { x -> x; xi1 -> xi1; xi2 -> xi2; xi1 -> -xi1; } }",
+     "line 2:90: duplicate rule for 'xi1'"),
+    # nesting: the 101st open parenthesis or unary minus
+    (HDR + "element e on C = " + "(" * 101 + "x" + ")" * 101 + ";",
+     "line 2:118: expression nested deeper than 100 levels"),
+    (HDR + "element e on C = " + "-(" * 50 + "-x" + ")" * 50 + ";",
+     "line 2:118: expression nested deeper than 100 levels"),
     # an odd log-volume
     (HDR + "density s on C = xi1;", "line 2:1: log-volume must be even"),
 ]

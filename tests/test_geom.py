@@ -11,12 +11,14 @@ from superdelta.diffop import (
     commutator, compose, conjugate_by_exp, formal_adjoint, op_from_action,
     specialize,
 )
+from superdelta.gralg import DomainError
 from superdelta.geom import (
     BracketDataError,
     CoordMap,
     CoordMapError,
     LogVolume,
     VBracketData,
+    _unit_series,
     act_on_w_densities,
     berezinian,
     bracket_from_operator,
@@ -483,6 +485,35 @@ def test_recover_action_obstruction():
         recover_action(S, chart, gamma)
 
 
+def test_recover_action_series_past_the_constant_part():
+    """S - S(0) in the odd ideal: the lowered form needs the series beyond
+    its first round (the constant part alone gives a form that is not
+    closed), and stops within its bound; checked through lb_data."""
+    chart = R22
+    x, y, xi1, xi2 = (GradedPoly.var(chart, n) for n in chart.names)
+    S = std_odd_smatrix(chart)
+    S[("x", "xi1")] = S[("xi1", "x")] = 1 + xi1 * xi2
+    S[("x", "x")] = y * xi1
+    S[("y", "y")] = x * xi2
+    for sigma in (x * x, x * y + y * xi1 * xi2, y ** 3 + x * xi1 * xi2):
+        gamma = lb_data(S, chart, sigma).gamma
+        assert recover_action(S, chart, gamma) == sigma
+        with pytest.raises(DomainError, match="lowered form is not closed"):
+            recover_action(std_odd_smatrix(chart), chart, gamma)
+
+
+def test_recover_action_refuses_non_nilpotent_series():
+    """S - S(0) = x on the pairing: M^k l = x^k l never vanishes, which
+    the bound proves after n(q + 1) + 1 = 3 rounds."""
+    chart = R11
+    x = GradedPoly.var(chart, "x")
+    S = {("x", "xi"): 1 + x, ("xi", "x"): 1 + x}
+    gamma = lb_data(S, chart, x * x).gamma
+    with pytest.raises(DomainError) as ei:
+        recover_action(S, chart, gamma)
+    assert str(ei.value) == "S - S(0) is not nilpotent on gamma"
+
+
 # ---------------------------------------------------------------------------
 # coordinate changes
 
@@ -563,6 +594,44 @@ def test_berezinian_example():
     ber = berezinian(cmap)
     assert ber == GradedPoly.one(chart)  # dx'/dx = 1, odd block unchanged
     assert log_berezinian(cmap).is_zero()
+
+
+def test_berezinian_purely_even_chart():
+    """x' = x + y^2, y' = 3y: the Jacobian is triangular with diagonal
+    (1, 3), so Ber = det = 3 and its normalized log is 0."""
+    chart = Chart(("x", "y"), ())
+    x, y = GradedPoly.var(chart, "x"), GradedPoly.var(chart, "y")
+    cmap = CoordMap(chart, {"x": x + y * y, "y": y * 3},
+                    {"x": x - y * y * Fraction(1, 9), "y": y * Fraction(1, 3)})
+    assert berezinian(cmap) == GradedPoly.const(chart, 3)
+    assert log_berezinian(cmap).is_zero()
+
+
+def test_berezinian_purely_odd_chart():
+    """xi1' = 2 xi1, xi2' = xi2 + xi1 xi2 xi3 = xi2 (1 - xi1 xi3),
+    xi3' = xi3: the odd block is triangular up to nilpotents, with
+    det = 2 (1 - xi1 xi3), so Ber = 1/det = (1/2)(1 + xi1 xi3) and
+    log Ber = xi1 xi3 after dropping log(1/2)."""
+    chart = R03
+    a, b, c = (GradedPoly.var(chart, n) for n in chart.names)
+    cmap = CoordMap(chart, {"xi1": a * 2, "xi2": b + a * b * c, "xi3": c},
+                    {"xi1": a * Fraction(1, 2), "xi2": b - a * b * c * Fraction(1, 2),
+                     "xi3": c})
+    assert berezinian(cmap) == (1 + a * c) * Fraction(1, 2)
+    assert log_berezinian(cmap) == a * c
+
+
+def test_unit_series_bound_and_refusal():
+    """The series stops within q + 1 terms on c + (odd ideal), and refuses
+    an argument with a bodily nonconstant part by name."""
+    chart = R22
+    xi1, xi2 = GradedPoly.var(chart, "xi1"), GradedPoly.var(chart, "xi2")
+    c, inv = _unit_series(2 + xi1 * xi2, "element", lambda k: (-1) ** k)
+    assert (2 + xi1 * xi2) * inv * (1 / c) == GradedPoly.one(chart)
+    with pytest.raises(DomainError) as ei:
+        _unit_series(1 + GradedPoly.var(chart, "x"), "element", lambda k: (-1) ** k)
+    assert isinstance(ei.value, CoordMapError)
+    assert str(ei.value) == "element minus its constant term is not nilpotent"
 
 
 def test_transform_covariance(rng):
