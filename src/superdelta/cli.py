@@ -88,7 +88,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("jacobiator", help="the n-th Jacobiator")
     common(sp)
     sp.add_argument("--op", required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", required=True, help="the arity, an integer")
     sp.add_argument("--args", default="", help="n element expressions")
 
     sp = sub.add_parser("classify", help="order of the square and Jacobi level")
@@ -179,11 +179,19 @@ def _as_polys(vals, what: str):
     return out
 
 
-def _rat(s: str, flag: str) -> Fraction:
+def _number(s: str, flag: str, kind=Fraction):
+    """The value of a numeric flag.  A digit run past Python's int-to-str
+    limit is the one way a valid number fails to parse; that refusal names
+    the limit and does not echo the digits."""
     try:
-        return Fraction(s)
+        return kind(s)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"{flag}: not a rational number: {s!r}") from None
+        limit = sys.get_int_max_str_digits()
+        runs = re.findall(r"\d+", s.replace("_", ""))
+        if limit and any(len(run) > limit for run in runs):
+            raise UsageError(f"{flag}: number longer than the limit of {limit} digits") from None
+        what = "an integer" if kind is int else "a rational number"
+        raise UsageError(f"{flag}: not {what}: {s!r}") from None
 
 
 def _data_from_flags(m: Module, args) -> VBracketData:
@@ -229,7 +237,7 @@ def _emit(args, result, extra=None) -> int:
 def _cmd_apply(args, m: Module) -> int:
     D = _get_op(m, args.op)
     if args.weight is not None:
-        D = specialize(D, _rat(args.weight, "--weight"))
+        D = specialize(D, _number(args.weight, "--weight"))
     vals = _split_args(m, args.args)
     if len(vals) != 1:
         raise UsageError("apply takes exactly one --args expression")
@@ -258,7 +266,7 @@ def _cmd_pencil(args, m: Module) -> int:
     data = _data_from_flags(m, args)
     P = canonical_pencil(data)
     if args.weight is not None:
-        P = specialize(P, _rat(args.weight, "--weight"))
+        P = specialize(P, _number(args.weight, "--weight"))
     return _emit(args, P)
 
 
@@ -273,10 +281,11 @@ def _cmd_derived(args, m: Module) -> int:
 
 
 def _cmd_jacobiator(args, m: Module) -> int:
+    n = _number(args.n, "--n", int)
     D = _get_op(m, args.op)
     vals = _as_polys(_split_args(m, args.args), "Jacobiator arguments")
-    if len(vals) != args.n:
-        raise UsageError(f"--n is {args.n} but {len(vals)} arguments were given")
+    if len(vals) != n:
+        raise UsageError(f"--n is {n} but {len(vals)} arguments were given")
     return _emit(args, jacobiator(D, vals))
 
 

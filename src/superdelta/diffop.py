@@ -22,6 +22,7 @@ multiplication operator is the same sum without its K = 0 term
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import comb
 from typing import Callable, Mapping
@@ -44,23 +45,9 @@ from .gralg import (
 WPoly = dict[int, GradedPoly]
 
 
-def _wp_clean(wp: Mapping[int, GradedPoly]) -> WPoly:
-    return {k: p for k, p in wp.items() if not p.is_zero()}
-
-
-def _wp_add(a: Mapping[int, GradedPoly], b: Mapping[int, GradedPoly]) -> WPoly:
-    out = dict(a)
-    for k, p in b.items():
-        out[k] = out[k] + p if k in out else p
-    return _wp_clean(out)
-
-
 def _at_weight(chart: Chart, wp: Mapping[int, GradedPoly], w: Fraction) -> GradedPoly:
     """The coefficient sum_k c_k w^k of one derivative key at W = w."""
-    acc = GradedPoly.zero(chart)
-    for k, c in wp.items():
-        acc = acc + c * (w**k if k else 1)
-    return acc
+    return GradedPoly._sum(chart, (c * (w**k if k else 1) for k, c in wp.items()))
 
 
 class DiffOp:
@@ -73,7 +60,7 @@ class DiffOp:
         self.chart = chart
         clean: dict[Key, WPoly] = {}
         for key, wp in (terms or {}).items():
-            wp = _wp_clean(wp)
+            wp = {k: p for k, p in wp.items() if not p.is_zero()}
             if wp:
                 clean[key] = wp
         self.terms = clean
@@ -147,14 +134,9 @@ class DiffOp:
         return None
 
     def parity_part(self, par: int) -> "DiffOp":
-        terms: dict[Key, WPoly] = {}
-        for (e, o), wp in self.terms.items():
-            cp = (par + len(o)) % 2
-            sub = {k: p.parity_part(cp) for k, p in wp.items()}
-            sub = _wp_clean(sub)
-            if sub:
-                terms[(e, o)] = sub
-        return DiffOp(self.chart, terms)
+        return DiffOp(self.chart, {
+            (e, o): {k: p.parity_part((par + len(o)) % 2) for k, p in wp.items()}
+            for (e, o), wp in self.terms.items()})
 
     def homogeneous_parts(self) -> list[tuple[int, "DiffOp"]]:
         out = []
@@ -182,7 +164,9 @@ class DiffOp:
         self._check(other)
         terms = {k: dict(wp) for k, wp in self.terms.items()}
         for k, wp in other.terms.items():
-            terms[k] = _wp_add(terms.get(k, {}), wp)
+            acc = terms.setdefault(k, {})
+            for j, p in wp.items():
+                acc[j] = acc[j] + p if j in acc else p
         return DiffOp(self.chart, terms)
 
     __radd__ = __add__
@@ -258,16 +242,15 @@ class DiffOp:
             return self.apply_poly(psi)
         if psi.chart != self.chart:
             raise ChartMismatch("operand on wrong chart")
-        out = DensityElement.zero(self.chart)
+        out = {}
         for w, comp in psi.parts.items():
-            acc = GradedPoly.zero(self.chart)
+            products = []
             for key, wp in self.terms.items():
                 d = self._apply_derivs(key, comp)
-                if d.is_zero():
-                    continue
-                acc = acc + _at_weight(self.chart, wp, w) * d
-            out = out + DensityElement(self.chart, {w: acc})
-        return out
+                if not d.is_zero():
+                    products.append(_at_weight(self.chart, wp, w) * d)
+            out[w] = GradedPoly._sum(self.chart, products)
+        return DensityElement(self.chart, out)
 
     def apply_poly(self, p: GradedPoly) -> GradedPoly:
         """Apply to a weight-0 polynomial, returning a polynomial."""
@@ -330,7 +313,8 @@ def _add_into(sums: _Sums, key: Key, wpow: int, p: GradedPoly, factor: int = 1):
 
 def _from_sums(chart: Chart, sums: _Sums) -> DiffOp:
     return DiffOp(chart, {
-        key: {w: GradedPoly(chart, t) for w, t in wp.items()}
+        key: {w: GradedPoly._of(chart, {m: c for m, c in t.items() if c})
+              for w, t in wp.items()}
         for key, wp in sums.items()
     })
 
@@ -476,25 +460,12 @@ def op_from_action(chart: Chart, action: Callable[[GradedPoly], GradedPoly],
     action on polynomials is the given (linear) map.  Works degree by degree:
     the coefficient at multi-index I is fixed by the action on the monomial
     x^I once all lower coefficients are known."""
-    keys: list[Key] = []
-
-    def even_exps(total: int, nvars: int):
-        if nvars == 0:
-            if total == 0:
-                yield ()
-            return
-        for head in range(total + 1):
-            for rest in even_exps(total - head, nvars - 1):
-                yield (head,) + rest
-
-    import itertools
-
-    for deg in range(order + 1):
-        for no in range(min(deg, len(chart.odd)) + 1):
-            for e in even_exps(deg - no, len(chart.even)):
-                for o in itertools.combinations(range(len(chart.odd)), no):
-                    keys.append((e, o))
-    keys.sort(key=lambda k: sum(k[0]) + len(k[1]))
+    n_odd = len(chart.odd)
+    keys = sorted(
+        ((e, o) for e in itertools.product(range(order + 1), repeat=len(chart.even))
+         for k in range(n_odd + 1) for o in itertools.combinations(range(n_odd), k)
+         if sum(e) + k <= order),
+        key=lambda key: sum(key[0]) + len(key[1]))
 
     def monomial(key: Key) -> GradedPoly:
         e, o = key
@@ -511,12 +482,8 @@ def op_from_action(chart: Chart, action: Callable[[GradedPoly], GradedPoly],
         val = action(m) - result.apply_poly(m)
         if val.is_zero():
             continue
-        # d^key applied to its own monomial gives a nonzero constant (even
-        # factorials times the odd reordering sign)
+        # d^key applied to its own monomial is +-prod e_i!, never 0
         probe = DiffOp(chart, {key: {0: GradedPoly.one(chart)}})
-        unit = probe.apply_poly(m).constant_term()
-        if unit == 0:
-            raise RuntimeError("degenerate reconstruction probe")
-        c = val * (Fraction(1) / unit)
+        c = val * (1 / probe.apply_poly(m).constant_term())
         result = result + DiffOp(chart, {key: {0: c}})
     return result

@@ -244,21 +244,20 @@ def _s_divergence(chart: Chart, S: SMatrix, eps: int, a: str) -> GradedPoly:
 
 def subprincipal(D: DiffOp) -> GVector:
     """The components gamma^a = d_b S^{ba} (-1)^{pa(b)(eps+1)} - 2 T^a of
-    Hormander's subprincipal symbol, for a normalized (D1 = 0) operator of
-    order <= 2."""
+    Hormander's subprincipal symbol, for a normalized (D1 = 0) plain (W-free)
+    operator of order <= 2."""
     chart = D.chart
-    if not D.order_leq(2):
-        raise DomainError("subprincipal symbol requires order <= 2")
+    if not D.order_leq(2) or D.uses_weight():
+        raise DomainError("subprincipal symbol requires a W-free operator of order <= 2")
     if not D.apply_poly(GradedPoly.one(chart)).is_zero():
         raise DomainError("operator must be normalized: D1 = 0")
     eps = D.parity()
     if eps is None:
         raise ParityError("operator must be homogeneous")
     S = principal_matrix(D)
-    rest = D - second_order_part(chart, S)
-    if not rest.order_leq(1):
-        raise RuntimeError("second-order extraction failed")
-    T = first_order_coeffs(rest)
+    # [[D, x^b], x^a]1 is the whole second-order coefficient of a W-free D,
+    # so D - (1/2) S^{ab} d_b d_a has order <= 1
+    T = first_order_coeffs(D - second_order_part(chart, S))
     out: GVector = {}
     for a in chart.names:
         acc = _s_divergence(chart, S, eps, a) - 2 * T.get(a, GradedPoly.zero(chart))
@@ -340,8 +339,9 @@ def odd_laplacian(S: SMatrix, chart: Chart, sigma) -> DiffOp:
 
 def modular_vf(P: SMatrix, chart: Chart, sigma) -> DiffOp:
     """The modular vector field of an even antisymmetric Poisson tensor:
-    the same divergence construction without the 1/2; second-order terms
-    cancel."""
+    the same divergence construction without the 1/2.  Its second-order
+    terms cancel in pairs exactly when every entry of P between an even and
+    an odd coordinate is even."""
     sigma = _as_sigma(sigma)
     for (a, b), p in P.items():
         mirror = P.get((b, a), GradedPoly.zero(chart))
@@ -349,7 +349,7 @@ def modular_vf(P: SMatrix, chart: Chart, sigma) -> DiffOp:
             raise BracketDataError("P must be graded antisymmetric")
     op = _div_form(chart, P, sigma)
     if not op.order_leq(1):
-        raise RuntimeError("second-order terms failed to cancel")
+        raise BracketDataError("P must have even entries between even and odd coordinates")
     return op
 
 
@@ -605,13 +605,10 @@ def classify_square(D: DiffOp) -> str:
         raise DomainError("classification requires order <= 2")
     if not D.apply_poly(GradedPoly.one(chart)).is_zero():
         raise DomainError("operator must be normalized: D1 = 0")
-    sq = compose(D, D)
-    r = sq.order()
-    if r is None or r <= 0:
-        return "<=0"
-    if r > 3:
-        raise RuntimeError("ord Delta^2 > 3 cannot happen for order <= 2")
-    return f"<={r}"
+    # ord Delta^2 <= 3: its order-4 symbol is sigma_2(Delta)^2, the square of
+    # an odd element of the supercommutative symbol algebra, which is 0
+    r = compose(D, D).order()
+    return f"<={r or 0}"
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,21 @@ Everything is exact: coefficients are ``fractions.Fraction``, weights are
 rational, and all equalities used by the theorem suites are literal equality
 of canonical forms.  Odd monomials are stored as ascending index tuples in
 declaration order with the reordering sign folded into the coefficient.
+
+The kernel contract: every coefficient in ``GradedPoly.terms`` is a nonzero
+``Fraction``.  The public constructor validates its input (wraps each value
+in ``Fraction``, drops zeros); ``GradedPoly._of`` is private and trusted,
+for term maps the engine built itself, and adopts them unchecked.  The
+``.terms`` layouts (here and in ``DiffOp``) are read by the benchmark under
+``bench/``, and every polynomial-by-polynomial product goes through
+``GradedPoly.__mul__``, the boundary its tracer wraps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add as _add
 from typing import Mapping
 
 EVEN = 0
@@ -72,15 +81,17 @@ Key = tuple[tuple[int, ...], tuple[int, ...]]
 def _merge_odd(o1: tuple[int, ...], o2: tuple[int, ...]):
     """Concatenate two canonical odd index tuples; return (sorted tuple, sign)
     or None if a square of an odd generator appears."""
-    if set(o1) & set(o2):
-        return None
+    if not o1 or not o2:
+        return o1 or o2, 1
     inversions = 0
     for i in o1:
-        for j in o2:
-            if j < i:
-                inversions += 1
-    merged = tuple(sorted(o1 + o2))
-    return merged, (-1) ** inversions
+        for j in o2:  # ascending: count the j < i, stop at the first j >= i
+            if j >= i:
+                if j == i:
+                    return None
+                break
+            inversions += 1
+    return tuple(sorted(o1 + o2)), -1 if inversions & 1 else 1
 
 
 def _power(x, n: int, one):
@@ -108,25 +119,40 @@ class GradedPoly:
     __slots__ = ("chart", "terms", "_hash")
 
     def __init__(self, chart: Chart, terms: Mapping[Key, Fraction] | None = None):
-        object.__setattr__(self, "chart", chart)
         clean = {}
         for key, c in (terms or {}).items():
             c = Fraction(c)
-            if c != 0:
+            if c:
                 clean[key] = c
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        self.chart, self.terms, self._hash = chart, clean, None
+
+    @staticmethod
+    def _of(chart: Chart, terms: dict[Key, Fraction]) -> "GradedPoly":
+        """Trusted constructor: adopts a term map the engine built itself,
+        whose coefficients are already nonzero Fractions, unchecked."""
+        p = object.__new__(GradedPoly)
+        p.chart, p.terms, p._hash = chart, terms, None
+        return p
+
+    @staticmethod
+    def _sum(chart: Chart, parts) -> "GradedPoly":
+        """The sum of an iterable of polynomials on ``chart``, in one term map."""
+        acc: dict[Key, Fraction] = {}
+        for p in parts:
+            for k, c in p.terms.items():
+                acc[k] = acc[k] + c if k in acc else c
+        return GradedPoly._of(chart, {k: c for k, c in acc.items() if c})
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(chart: Chart) -> "GradedPoly":
-        return GradedPoly(chart, {})
+        return GradedPoly._of(chart, {})
 
     @staticmethod
     def const(chart: Chart, c) -> "GradedPoly":
         e = (0,) * len(chart.even)
-        return GradedPoly(chart, {(e, ()): Fraction(c)})
+        return GradedPoly(chart, {(e, ()): c})
 
     @staticmethod
     def one(chart: Chart) -> "GradedPoly":
@@ -137,8 +163,8 @@ class GradedPoly:
         e = [0] * len(chart.even)
         if chart.parity(name) == EVEN:
             e[chart.even_index(name)] = 1
-            return GradedPoly(chart, {(tuple(e), ()): Fraction(1)})
-        return GradedPoly(chart, {(tuple(e), (chart.odd_index(name),)): Fraction(1)})
+            return GradedPoly._of(chart, {(tuple(e), ()): Fraction(1)})
+        return GradedPoly._of(chart, {(tuple(e), (chart.odd_index(name),)): Fraction(1)})
 
     # -- structure ---------------------------------------------------------
 
@@ -156,44 +182,41 @@ class GradedPoly:
         return None
 
     def parity_part(self, p: int) -> "GradedPoly":
-        return GradedPoly(
+        return GradedPoly._of(
             self.chart, {k: c for k, c in self.terms.items() if len(k[1]) % 2 == p}
         )
 
     def homogeneous_parts(self) -> list[tuple[int, "GradedPoly"]]:
-        """Split into (parity, nonzero part) pairs."""
-        out = []
-        for p in (EVEN, ODD):
-            part = self.parity_part(p)
-            if not part.is_zero():
-                out.append((p, part))
-        return out
+        """Split into (parity, nonzero part) pairs, in one pass."""
+        parts: tuple[dict, dict] = ({}, {})
+        for k, c in self.terms.items():
+            parts[len(k[1]) % 2][k] = c
+        return [(p, GradedPoly._of(self.chart, t)) for p, t in enumerate(parts) if t]
 
     def constant_term(self) -> Fraction:
         e = (0,) * len(self.chart.even)
         return self.terms.get((e, ()), Fraction(0))
 
     # -- arithmetic --------------------------------------------------------
+    # Each dunder tests for GradedPoly before (int, Fraction): the isinstance
+    # test against Fraction dispatches through ABCMeta when it fails.
 
     def _check(self, other: "GradedPoly"):
         if self.chart != other.chart:
             raise ChartMismatch("operands live on different charts")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GradedPoly.const(self.chart, other)
         if not isinstance(other, GradedPoly):
-            return NotImplemented  # a DensityElement or DiffOp adds itself
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented  # a DensityElement or DiffOp adds itself
+            other = GradedPoly.const(self.chart, other)
         self._check(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + c
-        return GradedPoly(self.chart, terms)
+        return GradedPoly._sum(self.chart, (self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPoly(self.chart, {k: -c for k, c in self.terms.items()})
+        return GradedPoly._of(self.chart, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -202,12 +225,14 @@ class GradedPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GradedPoly(
-                self.chart, {k: c * Fraction(other) for k, c in self.terms.items()}
-            )
         if not isinstance(other, GradedPoly):
-            return NotImplemented  # a DensityElement or DiffOp multiplies itself
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented  # a DensityElement or DiffOp multiplies itself
+            if other == 1:
+                return self
+            if not other:
+                return GradedPoly.zero(self.chart)
+            return GradedPoly._of(self.chart, {k: c * other for k, c in self.terms.items()})
         self._check(other)
         terms: dict[Key, Fraction] = {}
         for (e1, o1), c1 in self.terms.items():
@@ -216,10 +241,12 @@ class GradedPoly:
                 if merged is None:
                     continue
                 o, sign = merged
-                e = tuple(a + b for a, b in zip(e1, e2))
-                k = (e, o)
-                terms[k] = terms.get(k, Fraction(0)) + sign * c1 * c2
-        return GradedPoly(self.chart, terms)
+                c = c1 * c2
+                if sign < 0:
+                    c = -c
+                k = (tuple(map(_add, e1, e2)), o)
+                terms[k] = terms[k] + c if k in terms else c
+        return GradedPoly._of(self.chart, {k: c for k, c in terms.items() if c})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -230,16 +257,15 @@ class GradedPoly:
         return _power(self, n, GradedPoly.one(self.chart))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GradedPoly.const(self.chart, other)
         if not isinstance(other, GradedPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GradedPoly.const(self.chart, other)
         return self.chart == other.chart and self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
-            h = hash((self.chart, tuple(sorted(self.terms.items()))))
-            object.__setattr__(self, "_hash", h)
+            self._hash = hash((self.chart, tuple(sorted(self.terms.items()))))
         return self._hash
 
     def __repr__(self):
@@ -249,29 +275,23 @@ class GradedPoly:
 
 def partial(name: str, p: GradedPoly) -> GradedPoly:
     """Left partial derivative by the named variable: a graded derivation
-    with partial(a, x^b) = delta_a^b."""
+    with partial(a, x^b) = delta_a^b.  The key map is injective on the terms
+    it keeps, so no two terms merge and no coefficient becomes 0."""
     chart = p.chart
-    pa = chart.parity(name)
     terms: dict[Key, Fraction] = {}
-    if pa == EVEN:
+    if chart.parity(name) == EVEN:
         i = chart.even_index(name)
         for (e, o), c in p.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            k = (tuple(e2), o)
-            terms[k] = terms.get(k, Fraction(0)) + c * e[i]
+            n = e[i]
+            if n:
+                terms[(e[:i] + (n - 1,) + e[i + 1:], o)] = c * n if n > 1 else c
     else:
         i = chart.odd_index(name)
         for (e, o), c in p.terms.items():
-            if i not in o:
-                continue
-            pos = o.index(i)
-            o2 = o[:pos] + o[pos + 1 :]
-            k = (e, o2)
-            terms[k] = terms.get(k, Fraction(0)) + c * (-1) ** pos
-    return GradedPoly(chart, terms)
+            if i in o:
+                pos = o.index(i)
+                terms[(e, o[:pos] + o[pos + 1:])] = -c if pos % 2 else c
+    return GradedPoly._of(chart, terms)
 
 
 def substitute(p: GradedPoly, images: Mapping[str, GradedPoly],
@@ -298,7 +318,7 @@ def substitute(p: GradedPoly, images: Mapping[str, GradedPoly],
             full[name] = im
         else:
             full[name] = GradedPoly.var(target, name)
-    out = GradedPoly.zero(target)
+    monomials = []
     for (e, o), c in p.terms.items():
         m = GradedPoly.const(target, c)
         for i, exp in enumerate(e):
@@ -306,8 +326,8 @@ def substitute(p: GradedPoly, images: Mapping[str, GradedPoly],
                 m = m * full[p.chart.even[i]] ** exp
         for i in o:
             m = m * full[p.chart.odd[i]]
-        out = out + m
-    return out
+        monomials.append(m)
+    return GradedPoly._sum(target, monomials)
 
 
 class DensityElement:

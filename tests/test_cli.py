@@ -248,6 +248,13 @@ _REFUSALS = [
     # an output coefficient past the digit limit: exit 3
     ("MOD", ["apply", "--op", "Delta", "--args", "3^10000*x*xi"], 3,
      f"domain error: output coefficient longer than the limit of {LIMIT} digits"),
+    # number flags past the digit limit: exit 1, naming the limit, not the digits
+    ("MOD", ["apply", "--op", "Delta", "--args", "x", "--weight", BIG], 1,
+     f"usage error: --weight: number longer than the limit of {LIMIT} digits"),
+    ("MOD", ["jacobiator", "--op", "Delta", "--n", BIG, "--args", "x"], 1,
+     f"usage error: --n: number longer than the limit of {LIMIT} digits"),
+    ("MOD", ["jacobiator", "--op", "Delta", "--n", "two", "--args", "x"], 1,
+     "usage error: --n: not an integer: 'two'"),
     # preconditions met while elaborating the module: exit 2
     ("chart C { even x, x; }", ["classify", "--op", "D"], 2,
      "error: line 1:1: chart variable names must be distinct"),

@@ -1,5 +1,7 @@
 """Normal-ordered operators: composition, commutators, adjoints, weights."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -152,6 +154,27 @@ def test_pencil_adjoint_weight_rule():
     assert formal_adjoint(W) == one - W
     P = compose(W + W - one, DiffOp.deriv(R11, "x"))  # (2W-1) d_x
     assert formal_adjoint(P) == P  # self-adjoint pencil
+
+
+def test_reconstruction_probe_is_a_nonzero_unit():
+    """op_from_action divides by d^I x^I, which is +-prod e_i! for every
+    derivative key I = (e, o): the even factorials times the sign of
+    passing the odd derivatives through the odd monomial."""
+    for chart in (R11, R12, R22, R02, R03):
+        ne, no = len(chart.even), len(chart.odd)
+        for e in itertools.product(range(4), repeat=ne):
+            for k in range(no + 1):
+                for o in itertools.combinations(range(no), k):
+                    m = GradedPoly.one(chart)
+                    for i, n in enumerate(e):
+                        m = m * GradedPoly.var(chart, chart.even[i]) ** n
+                    for i in o:
+                        m = m * GradedPoly.var(chart, chart.odd[i])
+                    probe = DiffOp(chart, {(e, o): {0: GradedPoly.one(chart)}})
+                    unit = probe.apply_poly(m)
+                    assert unit.terms.keys() <= {((0,) * ne, ())}
+                    assert abs(unit.constant_term()) == math.prod(
+                        math.factorial(n) for n in e)
 
 
 def test_op_from_action_round_trip(rng):

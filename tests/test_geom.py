@@ -13,6 +13,7 @@ from superdelta.diffop import (
 )
 from superdelta.gralg import DomainError
 from superdelta.geom import (
+    LEVELS,
     BracketDataError,
     CoordMap,
     CoordMapError,
@@ -42,6 +43,7 @@ from superdelta.geom import (
     poisson_bracket,
     principal_matrix,
     recover_action,
+    second_order_part,
     subprincipal,
     transform_data,
     transform_gamma,
@@ -673,3 +675,64 @@ def test_transform_example_gamma_correction():
     data2 = transform_data(data, cmap)
     # gamma law holds entrywise
     assert data2.gamma == transform_gamma(S, data.gamma, chart, cmap)
+
+
+# ---------------------------------------------------------------------------
+# properties that let the engine drop its "cannot happen" checks
+
+
+def test_square_of_odd_order_two_has_order_at_most_three():
+    """ord Delta^2 <= 3 for odd Delta of order <= 2: the order-4 symbol is
+    sigma_2(Delta)^2, the square of an odd symbol, which is 0.  So
+    classify_square always returns one of LEVELS."""
+    rng = random.Random("ord-square")
+    for i in range(200):
+        chart = (R11, R12, R22, R02, R03)[i % 5]
+        D = rand_op(rng, chart, 2, parity=1, nterms=8)
+        assert compose(D, D).order_leq(3)
+        D = D - DiffOp.mult(D.apply_poly(GradedPoly.one(chart)))
+        if D.parity() == 1:
+            assert classify_square(D) in LEVELS
+
+
+def test_principal_matrix_takes_the_whole_second_order_part():
+    """For a W-free operator of order <= 2, D - (1/2) S^{ab} d_b d_a with
+    S = principal_matrix(D) has order <= 1; a W-carrying second-order part
+    is refused by subprincipal."""
+    rng = random.Random("second-order")
+    for i in range(200):
+        chart = (R11, R12, R22, R02, R03)[i % 5]
+        D = rand_op(rng, chart, 2, parity=i % 2)
+        assert (D - second_order_part(chart, principal_matrix(D))).order_leq(1)
+    P = compose(DiffOp.weight(R11), compose(DiffOp.deriv(R11, "x"),
+                                            DiffOp.deriv(R11, "xi")))
+    with pytest.raises(DomainError, match="W-free operator of order <= 2"):
+        subprincipal(P)
+
+
+def test_modular_vf_is_first_order_iff_mixed_entries_are_even():
+    """The divergence form of a graded-antisymmetric P is first order
+    exactly when no entry between an even and an odd coordinate has an odd
+    part; otherwise modular_vf refuses P by name."""
+    rng = random.Random("modular")
+    refused = 0
+    for i in range(60):
+        chart = (R11, R12, R22)[i % 3]
+        P = {}
+        for j, a in enumerate(chart.names):
+            for b in chart.names[j + 1:]:
+                p = rand_poly(rng, chart, 2, nterms=2)
+                if rng.random() < 0.5:
+                    p = p.parity_part(rng.randint(0, 1))
+                sign = (-1) ** (chart.parity(a) * chart.parity(b))
+                P[(a, b)], P[(b, a)] = p, -(p * sign)
+        mixed_odd = any(not p.parity_part(1).is_zero() for (a, b), p in P.items()
+                        if chart.parity(a) != chart.parity(b))
+        sigma = rand_poly(rng, chart, 2, parity=0)
+        if mixed_odd:
+            refused += 1
+            with pytest.raises(BracketDataError, match="even entries between"):
+                modular_vf(P, chart, sigma)
+        else:
+            assert modular_vf(P, chart, sigma).order_leq(1)
+    assert 0 < refused < 60

@@ -1,5 +1,6 @@
 """The supercommutative polynomial ring, derivatives, densities."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,15 +11,21 @@ from superdelta import (
     Chart,
     ChartMismatch,
     DensityElement,
+    DiffOp,
     GradedPoly,
     ParityError,
+    ad_mult,
     berezin_integral,
+    compose,
+    conjugate_by_exp,
+    formal_adjoint,
     partial,
     residue_pair,
+    specialize,
     substitute,
 )
 
-from conftest import R11, R12, R22, R02, R03, poly_strategy, rand_poly
+from conftest import R11, R12, R22, R02, R03, poly_strategy, rand_op, rand_poly
 
 
 def test_chart_basics():
@@ -152,3 +159,54 @@ def test_residue_pairing_picks_weight_one(rng):
     b = DensityElement(R12, {Fraction(2, 3): g, Fraction(1): f})
     expect = f * g + g * f  # the weight-1 component of the product
     assert residue_pair(a, b) == expect
+
+
+# ---------------------------------------------------------------------------
+# the kernel contract: engine-built results are built unchecked (through
+# GradedPoly._of), so their coefficients must already be canonical
+
+
+def _assert_canonical(p):
+    """Every coefficient is a nonzero Fraction, and p equals its validated
+    copy through the public constructor."""
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values()), p.terms
+    assert p == GradedPoly(p.chart, dict(p.terms))
+
+
+def _assert_canonical_op(D):
+    for wp in D.terms.values():
+        assert wp
+        for c in wp.values():
+            assert not c.is_zero()
+            _assert_canonical(c)
+
+
+@pytest.mark.parametrize("chart", [R11, R12, R22, R03],
+                         ids=["1|1", "1|2", "2|2", "0|3"])
+def test_engine_results_keep_the_kernel_contract(chart):
+    rng = random.Random(f"kernel:{chart}")
+    W = DiffOp.weight(chart)
+    for _ in range(12):
+        p, q = rand_poly(rng, chart), rand_poly(rng, chart)
+        odd = rand_poly(rng, chart, parity=1)
+        images = {n: GradedPoly.var(chart, n)
+                  + rand_poly(rng, chart, 2, parity=chart.parity(n), nterms=2)
+                  for n in chart.names}
+        polys = [p + q, p + (-p), p - q, p - p, -p, p * 3, p * Fraction(-2, 3),
+                 p * 0, 2 * p, p * 1, p * q, odd * odd, p ** 3,
+                 substitute(p, images), p.parity_part(0), p.parity_part(1)]
+        polys += [part for _, part in p.homogeneous_parts()]
+        polys += [partial(n, p) for n in chart.names]
+        for r in polys:
+            _assert_canonical(r)
+
+        D = rand_op(rng, chart, 2)
+        E = rand_op(rng, chart, 2) + compose(W, rand_op(rng, chart, 1))
+        psi = DensityElement(chart, {Fraction(1, 2): p, 0: q})
+        ops = [compose(D, E), compose(E, E), ad_mult(D, p), ad_mult(E, odd),
+               formal_adjoint(E), conjugate_by_exp(D, p.parity_part(0)),
+               specialize(E, Fraction(1, 3)), specialize(E, 0), D - D]
+        for op in ops:
+            _assert_canonical_op(op)
+        for r in [E.apply_poly(p), *E.apply(psi).parts.values()]:
+            _assert_canonical(r)
