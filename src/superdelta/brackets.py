@@ -14,14 +14,24 @@ the background Delta 1.  The n-th Jacobiator is the shuffle sum
 
 with the pure Koszul permutation sign, and equals the n-th higher bracket
 generated by Delta^2.
+
+Order bound: a commutator with a multiplication operator lowers the order
+by at least one, so an operator of order r generates brackets of arity
+<= r only.  ``higher_bracket`` evaluates only the terms this leaves
+nonzero: it returns 0 for n > r, drops before each commutator the terms
+too low in order to reach order 0 in the steps left, and takes the last
+commutator as an evaluation, [D, a] 1 = D(a).  ``jacobiator`` sums only
+the blocks whose inner (k) and outer (l + 1) brackets both have arity
+<= r, max(0, n - r + 1) <= k <= min(n, r), so J^n = 0 for n >= 2r.  The
+abstract engine and the matrix oracle assume no such bound: they are the
+independent paths that check it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .gralg import Chart, GradedPoly, ParityError
 from .diffop import DiffOp, ad_mult, commutator, compose, specialize
@@ -99,21 +109,42 @@ def _homogeneous_args(args: Sequence[GradedPoly]):
     return itertools.product(*parts)
 
 
+def _top(D: DiffOp, r: int) -> DiffOp:
+    """The terms of D of order >= r."""
+    kept = {k: wp for k, wp in D.terms.items() if sum(k[0]) + len(k[1]) >= r}
+    return D if len(kept) == len(D.terms) else DiffOp(D.chart, kept)
+
+
 def higher_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     """{a_1,...,a_n} = [...[[Delta,a_1],a_2],...,a_n] 1.  Multilinear;
     each commutator is taken by ad_mult, which is linear in its argument,
     so inhomogeneous arguments need no splitting.  The 0-ary bracket is
-    the background Delta 1."""
+    the background Delta 1.
+
+    Only terms that can be nonzero are evaluated.  A commutator with a
+    multiplication operator lowers the order by at least one, so the
+    bracket is 0 when n > r = ord Delta (or Delta = 0, or some a_i = 0),
+    and a term of order < n - j before step j cannot reach order 0 in the
+    n - j steps left: ad_mult is termwise linear in D, so such terms are
+    dropped first.  Before the last step D has no term of order 0, so
+    D 1 = 0 at weight 0 and [D, a] 1 = D(a): the last commutator is an
+    evaluation."""
     chart = Delta.chart
     if Delta.parity() is None:
         raise ParityError("bracket generator must be homogeneous")
+    n = len(args)
+    r = Delta.order()
+    if r is None or n > r or any(a.is_zero() for a in args):
+        return GradedPoly.zero(chart)
+    if not n:
+        # Delta 1 at weight 0: every derivative kills 1 and W acts as 0,
+        # so only the W^0 coefficient at the zero key remains
+        zero_key = ((0,) * len(chart.even), ())
+        return Delta.terms.get(zero_key, {}).get(0, GradedPoly.zero(chart))
     D = Delta
-    for a in args:
-        D = ad_mult(D, a)
-    # D 1 at weight 0: every derivative kills 1 and W acts as 0, so only
-    # the W^0 coefficient at the zero key remains
-    zero_key = ((0,) * len(chart.even), ())
-    return D.terms.get(zero_key, {}).get(0, GradedPoly.zero(chart))
+    for j in range(n - 1):
+        D = ad_mult(_top(D, n - j), args[j])
+    return _top(D, 1).apply_poly(args[-1])
 
 
 def square_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
@@ -154,9 +185,15 @@ def leibniz_obstruction(
 
 def jacobiator(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     """The n-th Jacobiator of the higher brackets generated by Delta,
-    n = len(args): the full (k,l)-shuffle sum with the Koszul permutation
-    sign, including the k = 0 (background inside) and l = 0 (unary of the
-    n-bracket) terms.  Arguments must be homogeneous."""
+    n = len(args): the (k,l)-shuffle sum with the Koszul permutation sign
+    of the module docstring, including the k = 0 (background inside) and
+    l = 0 (unary of the n-bracket) terms.  Arguments must be homogeneous.
+
+    A bracket of Delta with more than r = ord Delta arguments is 0, so a
+    block contributes only if the inner bracket (k arguments) and the
+    outer one (n - k + 1) both have at most r: k runs over
+    max(0, n - r + 1) .. min(n, r), at most 2^(2r - 1) shuffles in all,
+    and J^n = 0 for n >= 2r with no shuffle enumerated."""
     chart = Delta.chart
     pars = []
     for a in args:
@@ -164,25 +201,36 @@ def jacobiator(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
         if p is None:
             raise ParityError("Jacobiator arguments must be homogeneous")
         pars.append(p)
+    if Delta.parity() is None:
+        raise ParityError("bracket generator must be homogeneous")
     n = len(args)
-    total = GradedPoly.zero(chart)
-    for k in range(n + 1):
+    r = Delta.order() or 0  # Delta = 0 leaves the k-range empty
+    terms = []
+    for k in range(max(0, n - r + 1), min(n, r) + 1):
         for s in shuffles(k, n - k):
-            sgn = koszul_sign(s, pars)
             inner = higher_bracket(Delta, [args[s[i]] for i in range(k)])
             outer = higher_bracket(
                 Delta, [inner] + [args[s[i]] for i in range(k, n)]
             )
-            total = total + outer * Fraction(sgn)
-    return total
+            terms.append(outer if koszul_sign(s, pars) == 1 else -outer)
+    return GradedPoly._sum(chart, terms)
 
 
 # ---------------------------------------------------------------------------
 # abstract engine
 
 
-@dataclass(frozen=True)
-class LieSuperAlgebraInstance:
+class _InstanceFields(NamedTuple):
+    bracket: Callable[[Any, Any], Any]
+    parity: Callable[[Any], Optional[int]]
+    project: Callable[[Any], Any]
+    sub: Callable[[Any, Any], Any]
+    is_zero: Callable[[Any], bool]
+    span: tuple
+    name: str
+
+
+class LieSuperAlgebraInstance(_InstanceFields):
     """A Lie superalgebra with a projector P whose image is an abelian
     subalgebra and whose kernel is a subalgebra.
 
@@ -191,32 +239,43 @@ class LieSuperAlgebraInstance:
     (P^2 = P, [im P, im P] = 0, [ker P, ker P] in ker P) are verified at
     construction time."""
 
-    bracket: Callable[[Any, Any], Any]
-    parity: Callable[[Any], Optional[int]]
-    project: Callable[[Any], Any]
-    sub: Callable[[Any, Any], Any]
-    is_zero: Callable[[Any], bool]
-    span: tuple = ()
-    name: str = "instance"
+    __slots__ = ()
 
-    def __post_init__(self):
-        for x in self.span:
-            px = self.project(x)
-            if not self.is_zero(self.sub(self.project(px), px)):
-                raise ValueError(f"{self.name}: projector is not idempotent")
-        for x in self.span:
-            for y in self.span:
-                px, py = self.project(x), self.project(y)
-                if not self.is_zero(self.bracket(px, py)):
-                    raise ValueError(f"{self.name}: image of P is not abelian")
-                kx = self.sub(x, self.project(x))
-                ky = self.sub(y, self.project(y))
-                b = self.bracket(kx, ky)
-                if not self.is_zero(self.project(b)):
-                    raise ValueError(f"{self.name}: kernel of P is not a subalgebra")
+    def __new__(cls, bracket, parity, project, sub, is_zero, span=(),
+                name="instance"):
+        self = super().__new__(cls, bracket, parity, project, sub, is_zero,
+                               span, name)
+        for x in span:
+            px = project(x)
+            if not is_zero(sub(project(px), px)):
+                raise ValueError(f"{name}: projector is not idempotent")
+        for x in span:
+            for y in span:
+                px, py = project(x), project(y)
+                if not is_zero(bracket(px, py)):
+                    raise ValueError(f"{name}: image of P is not abelian")
+                kx = sub(x, project(x))
+                ky = sub(y, project(y))
+                if not is_zero(project(bracket(kx, ky))):
+                    raise ValueError(f"{name}: kernel of P is not a subalgebra")
+        return self
 
     def in_image(self, x) -> bool:
         return self.is_zero(self.sub(self.project(x), x))
+
+
+def _check_image(inst: LieSuperAlgebraInstance, args: Sequence):
+    for a in args:
+        if not inst.in_image(a):
+            raise ValueError("derived bracket argument outside the image of P")
+
+
+def _nested(inst: LieSuperAlgebraInstance, Delta, args: Sequence):
+    """P [...[[Delta,a_1],a_2],...,a_n], with the arguments unchecked."""
+    x = Delta
+    for a in args:
+        x = inst.bracket(x, a)
+    return inst.project(x)
 
 
 def derived_bracket_abstract(
@@ -224,46 +283,34 @@ def derived_bracket_abstract(
 ):
     """{a_1,...,a_n}_Delta = P [...[[Delta,a_1],a_2],...,a_n] for arguments
     in the image of P."""
-    for a in args:
-        if not inst.in_image(a):
-            raise ValueError("derived bracket argument outside the image of P")
-    x = Delta
-    for a in args:
-        x = inst.bracket(x, a)
-    return inst.project(x)
+    _check_image(inst, args)
+    return _nested(inst, Delta, args)
 
 
 def jacobiator_abstract(
     inst: LieSuperAlgebraInstance, Delta, args: Sequence, parities: Sequence[int]
 ):
     """The n-th Jacobiator of the derived brackets of Delta in an abstract
-    instance; ``parities`` lists the parities of the arguments."""
+    instance; ``parities`` lists the parities of the arguments.  Every
+    shuffle block is evaluated: the instance is an oracle and assumes no
+    order bound.  The arguments are checked against the image of P once;
+    each inner bracket lies in it by construction.  The signed sum needs
+    ``sub`` alone: x + y = x - (0 - y), with 0 = t - t for the first term
+    t, which belongs to the identity shuffle and so has sign +1."""
+    _check_image(inst, args)
     n = len(args)
-    total = None
+    total = zero = None
     for k in range(n + 1):
         for s in shuffles(k, n - k):
-            sgn = koszul_sign(s, parities)
-            inner = derived_bracket_abstract(inst, Delta, [args[s[i]] for i in range(k)])
-            # outer derived bracket takes `inner` as its first argument:
-            x = Delta
-            x = inst.bracket(x, inner)
-            for i in range(k, n):
-                x = inst.bracket(x, args[s[i]])
-            term = inst.project(x)
-            term = _scale(inst, term, sgn)
-            total = term if total is None else _add(inst, total, term)
+            inner = _nested(inst, Delta, [args[s[i]] for i in range(k)])
+            term = _nested(inst, Delta, [inner] + [args[s[i]] for i in range(k, n)])
+            if total is None:
+                total, zero = term, inst.sub(term, term)
+            elif koszul_sign(s, parities) == 1:
+                total = inst.sub(total, inst.sub(zero, term))
+            else:
+                total = inst.sub(total, term)
     return total
-
-
-def _scale(inst: LieSuperAlgebraInstance, x, sgn: int):
-    if sgn == 1:
-        return x
-    zero = inst.sub(x, x)
-    return inst.sub(zero, x)
-
-
-def _add(inst: LieSuperAlgebraInstance, x, y):
-    return inst.sub(x, _scale(inst, y, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +362,18 @@ def _grassmann_basis(chart: Chart) -> list[tuple[int, ...]]:
     return basis
 
 
-@dataclass(frozen=True)
 class GrassmannMatrix:
     """An exact matrix acting on the 2^q-dimensional Grassmann algebra of a
     purely odd chart, tagged with the parity of the operator it represents
-    (None for inhomogeneous or zero)."""
+    (None for inhomogeneous or zero).  Equality and hashing ignore the tag.
+    Immutable by convention."""
 
-    chart: Chart
-    rows: tuple  # tuple of tuples of Fraction, row-major
-    parity: Optional[int]
+    __slots__ = ("chart", "rows", "parity")
+
+    def __init__(self, chart: Chart, rows: tuple, parity: Optional[int]):
+        self.chart = chart
+        self.rows = rows  # tuple of tuples of Fraction, row-major
+        self.parity = parity
 
     def __eq__(self, other):
         return (
@@ -335,8 +385,12 @@ class GrassmannMatrix:
     def __hash__(self):
         return hash((self.chart, self.rows))
 
+    def __repr__(self):
+        return (f"GrassmannMatrix(chart={self.chart!r}, rows={self.rows!r}, "
+                f"parity={self.parity!r})")
+
     def is_zero(self) -> bool:
-        return all(all(v == 0 for v in row) for row in self.rows)
+        return not any(any(row) for row in self.rows)
 
 
 def _mat_mul(A: GrassmannMatrix, B: GrassmannMatrix) -> GrassmannMatrix:
@@ -359,18 +413,21 @@ def _mat_mul(A: GrassmannMatrix, B: GrassmannMatrix) -> GrassmannMatrix:
 
 
 def _mat_sub(A: GrassmannMatrix, B: GrassmannMatrix) -> GrassmannMatrix:
-    rows = tuple(
-        tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A.rows, B.rows)
-    )
-    par = A.parity if A.parity == B.parity else None
-    z = GrassmannMatrix(A.chart, rows, par)
-    if z.is_zero():
-        return GrassmannMatrix(A.chart, rows, None)
-    if A.is_zero():
-        return GrassmannMatrix(A.chart, rows, B.parity)
+    """A - B, tagged with the common parity, with the parity of the nonzero
+    operand when the other is zero, and None when the difference is zero or
+    the parities differ."""
     if B.is_zero():
-        return GrassmannMatrix(A.chart, rows, A.parity)
-    return z
+        return GrassmannMatrix(A.chart, A.rows, None) if A.is_zero() else A
+    if A.is_zero():
+        rows = tuple(tuple(-b for b in rb) for rb in B.rows)
+        return GrassmannMatrix(A.chart, rows, B.parity)
+    rows = tuple(
+        tuple(a - b if b else a for a, b in zip(ra, rb))
+        for ra, rb in zip(A.rows, B.rows)
+    )
+    if not any(any(row) for row in rows):
+        return GrassmannMatrix(A.chart, rows, None)
+    return GrassmannMatrix(A.chart, rows, A.parity if A.parity == B.parity else None)
 
 
 def _mat_bracket(A: GrassmannMatrix, B: GrassmannMatrix) -> GrassmannMatrix:
@@ -399,6 +456,18 @@ def _poly_to_vec(p: GradedPoly, basis, index) -> list[Fraction]:
     return vec
 
 
+def _matrix(chart: Chart, basis, index, image, parity) -> GrassmannMatrix:
+    """The matrix whose j-th column is image(j-th basis monomial), tagged
+    with ``parity`` unless it is zero."""
+    one = Fraction(1)
+    cols = [_poly_to_vec(image(GradedPoly._of(chart, {((), o): one})), basis, index)
+            for o in basis]
+    rows = tuple(zip(*cols))
+    if not any(any(row) for row in rows):
+        parity = None
+    return GrassmannMatrix(chart, rows, parity)
+
+
 def matrix_of(D: DiffOp) -> GrassmannMatrix:
     """The exact matrix of a weight-free operator on the Grassmann algebra
     of a purely odd chart (q = number of odd variables <= 3 is the intended
@@ -408,14 +477,7 @@ def matrix_of(D: DiffOp) -> GrassmannMatrix:
         raise ValueError("matrix oracle requires a purely odd chart")
     basis = _grassmann_basis(chart)
     index = {o: i for i, o in enumerate(basis)}
-    cols = []
-    for o in basis:
-        mono = GradedPoly(chart, {((), o): Fraction(1)})
-        cols.append(_poly_to_vec(D.apply_poly(mono), basis, index))
-    n = len(basis)
-    rows = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    z = GrassmannMatrix(chart, rows, D.parity())
-    return GrassmannMatrix(chart, rows, None) if z.is_zero() else z
+    return _matrix(chart, basis, index, D.apply_poly, D.parity())
 
 
 def matrix_oracle_instance(chart: Chart) -> LieSuperAlgebraInstance:
@@ -426,16 +488,13 @@ def matrix_oracle_instance(chart: Chart) -> LieSuperAlgebraInstance:
         raise ValueError("matrix oracle requires a purely odd chart")
     basis = _grassmann_basis(chart)
     index = {o: i for i, o in enumerate(basis)}
-    n = len(basis)
+    keys = [((), o) for o in basis]
 
     def project(A: GrassmannMatrix) -> GrassmannMatrix:
         # evaluation on the unit element: the first column of A is A(1);
         # return the matrix of multiplication by that Grassmann polynomial.
-        col = [A.rows[i][0] for i in range(n)]
-        p = GradedPoly(
-            chart, {((), basis[i]): col[i] for i in range(n) if col[i] != 0}
-        )
-        return matrix_of(DiffOp.mult(p))
+        p = GradedPoly(chart, {k: row[0] for k, row in zip(keys, A.rows)})
+        return _matrix(chart, basis, index, lambda m: p * m, p.parity())
 
     span = tuple(matrix_of(D) for D in _op_span(chart))
     return LieSuperAlgebraInstance(
@@ -469,15 +528,14 @@ def monomials_upto(chart: Chart, deg: int) -> list[GradedPoly]:
     return out
 
 
-@dataclass(frozen=True)
-class LInftyReport:
+class LInftyReport(NamedTuple):
     """Outcome of the homotopy-Jacobi certification of an odd operator.
     Every entry is proved from Delta^2; nothing is sampled."""
 
     square_order: Optional[int]  # None: Delta^2 = 0
-    checked: dict = field(default_factory=dict)  # arity -> J^n vanishes
-    witness: Optional[tuple] = None  # (arity, args) with J^n != 0
-    certified: bool = False
+    checked: dict  # arity -> J^n vanishes
+    witness: Optional[tuple]  # (arity, args) with J^n != 0
+    certified: bool
 
     def __str__(self):
         r = "-inf" if self.square_order is None else str(self.square_order)

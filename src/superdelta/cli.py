@@ -179,10 +179,15 @@ def _as_polys(vals, what: str):
     return out
 
 
+_ECHO = 40  # the longest flag value a refusal quotes whole
+
+
 def _number(s: str, flag: str, kind=Fraction):
     """The value of a numeric flag.  A digit run past Python's int-to-str
     limit is the one way a valid number fails to parse; that refusal names
-    the limit and does not echo the digits."""
+    the limit and does not echo the digits.  Any other refusal quotes the
+    value, or a value longer than _ECHO characters by its first _ECHO
+    characters and its length."""
     try:
         return kind(s)
     except (ValueError, ZeroDivisionError):
@@ -191,7 +196,8 @@ def _number(s: str, flag: str, kind=Fraction):
         if limit and any(len(run) > limit for run in runs):
             raise UsageError(f"{flag}: number longer than the limit of {limit} digits") from None
         what = "an integer" if kind is int else "a rational number"
-        raise UsageError(f"{flag}: not {what}: {s!r}") from None
+        shown = repr(s) if len(s) <= _ECHO else f"{s[:_ECHO]!r}... ({len(s)} characters)"
+        raise UsageError(f"{flag}: not {what}: {shown}") from None
 
 
 def _data_from_flags(m: Module, args) -> VBracketData:

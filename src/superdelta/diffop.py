@@ -152,11 +152,17 @@ class DiffOp:
         if self.chart != other.chart:
             raise ChartMismatch("operators on different charts")
 
+    # The dunders test for their own types before (int, Fraction): the
+    # isinstance test against Fraction dispatches through ABCMeta when it
+    # fails.
+
     def _coerce(self, other) -> "DiffOp":
-        if isinstance(other, (int, Fraction)):
-            return DiffOp.const(self.chart, other)
+        if isinstance(other, DiffOp):
+            return other
         if isinstance(other, GradedPoly):
             return DiffOp.mult(other)
+        if isinstance(other, (int, Fraction)):
+            return DiffOp.const(self.chart, other)
         return other
 
     def __add__(self, other):
@@ -185,14 +191,14 @@ class DiffOp:
 
     def __mul__(self, other):
         """Operator composition (scalars act as constants)."""
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, (DiffOp, GradedPoly)) and \
+                isinstance(other, (int, Fraction)):
             c = Fraction(other)
             return DiffOp(
                 self.chart,
                 {k: {j: p * c for j, p in wp.items()} for k, wp in self.terms.items()},
             )
-        other = self._coerce(other)
-        return compose(self, other)
+        return compose(self, self._coerce(other))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -205,10 +211,10 @@ class DiffOp:
         return _power(self, n, DiffOp.identity(self.chart))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GradedPoly)):
-            other = self._coerce(other)
         if not isinstance(other, DiffOp):
-            return NotImplemented
+            if not isinstance(other, (GradedPoly, int, Fraction)):
+                return NotImplemented
+            other = self._coerce(other)
         return self.chart == other.chart and self.terms == other.terms
 
     def __hash__(self):
@@ -417,7 +423,7 @@ def _exp_ad(D: DiffOp, u: GradedPoly, wpow: int = 0) -> DiffOp:
 
 def specialize(P: DiffOp, w0) -> DiffOp:
     """Substitute W := w0 in all coefficients."""
-    w0 = Fraction(w0)
+    w0 = w0 if type(w0) is Fraction else Fraction(w0)
     terms: dict[Key, WPoly] = {}
     for key, wp in P.terms.items():
         acc = _at_weight(P.chart, wp, w0)

@@ -49,8 +49,8 @@ must be t-free.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .gralg import Chart, DensityElement, DomainError, GradedPoly
 from .diffop import DiffOp
@@ -94,8 +94,7 @@ class DslError(ValueError):
 # lexer
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # "name", "int", "punct", "eof"
     text: str
     line: int
@@ -159,17 +158,20 @@ def _lex(text: str) -> list[_Tok]:
 # module
 
 
-@dataclass
 class Module:
     """The elaborated contents of an .sd module."""
 
-    chart: Chart
-    chart_name: str
-    tensors: dict = field(default_factory=dict)   # name -> ("matrix"|"vector", eps, dict)
-    densities: dict = field(default_factory=dict)  # name -> LogVolume
-    elements: dict = field(default_factory=dict)   # name -> GradedPoly | DensityElement
-    operators: dict = field(default_factory=dict)  # name -> DiffOp
-    maps: dict = field(default_factory=dict)       # name -> CoordMap
+    __slots__ = ("chart", "chart_name", "tensors", "densities", "elements",
+                 "operators", "maps")
+
+    def __init__(self, chart: Chart, chart_name: str):
+        self.chart = chart
+        self.chart_name = chart_name
+        self.tensors: dict = {}    # name -> ("matrix"|"vector", eps, dict)
+        self.densities: dict = {}  # name -> LogVolume
+        self.elements: dict = {}   # name -> GradedPoly | DensityElement
+        self.operators: dict = {}  # name -> DiffOp
+        self.maps: dict = {}       # name -> CoordMap
 
 
 def _simplify_element(v):

@@ -12,9 +12,8 @@ Frozen conventions (certified by the theorem suites in tests/):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .gralg import (
     EVEN,
@@ -75,30 +74,34 @@ def _contract(chart: Chart, S: SMatrix, v: Mapping[str, GradedPoly]) -> GVector:
     return out
 
 
-@dataclass(frozen=True)
-class VBracketData:
-    """The coordinate data (S^{ab}, gamma^a, theta) of a weight-zero bracket
-    on the algebra of densities, together with the bracket parity eps.
-
-    The constructor completes a partially given S by the forced graded
-    symmetry and rejects entries that contradict it or carry wrong parity.
-    """
-
+class _VBracketFields(NamedTuple):
     chart: Chart
     eps: int
     S: SMatrix
     gamma: GVector
     theta: GradedPoly
 
-    def __post_init__(self):
-        chart = self.chart
+
+class VBracketData(_VBracketFields):
+    """The coordinate data (S^{ab}, gamma^a, theta) of a weight-zero bracket
+    on the algebra of densities, together with the bracket parity eps.
+
+    The constructor completes a partially given S by the forced graded
+    symmetry and rejects entries that contradict it or carry wrong parity.
+    An immutable record.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, chart: Chart, eps: int, S: SMatrix, gamma: GVector,
+                theta: GradedPoly):
         full: SMatrix = {}
-        for (a, b), p in self.S.items():
+        for (a, b), p in S.items():
             if p.chart != chart:
                 raise ChartMismatch("S entry on wrong chart")
             if p.is_zero():
                 continue
-            want = (self.eps + chart.parity(a) + chart.parity(b)) % 2
+            want = (eps + chart.parity(a) + chart.parity(b)) % 2
             if p.parity() != want:
                 raise BracketDataError(f"S[{a},{b}] has wrong parity")
             full[(a, b)] = p
@@ -113,15 +116,15 @@ class VBracketData:
                 full[(b, a)] = expected
             elif mirror != expected:
                 raise BracketDataError(f"S[{a},{b}] breaks graded symmetry")
-        object.__setattr__(self, "S", full)
-        for a, p in self.gamma.items():
+        for a, p in gamma.items():
             if p.is_zero():
                 continue
-            want = (self.eps + chart.parity(a)) % 2
+            want = (eps + chart.parity(a)) % 2
             if p.parity() != want:
                 raise BracketDataError(f"gamma[{a}] has wrong parity")
-        if not self.theta.is_zero() and self.theta.parity() != self.eps:
+        if not theta.is_zero() and theta.parity() != eps:
             raise BracketDataError("theta has wrong parity")
+        return super().__new__(cls, chart, eps, full, gamma, theta)
 
     def entry(self, a: str, b: str) -> GradedPoly:
         return self.S.get((a, b), GradedPoly.zero(self.chart))
@@ -141,15 +144,20 @@ class VBracketData:
         )
 
 
-@dataclass(frozen=True)
-class LogVolume:
-    """A volume form rho = e^sigma Dx represented by its even log-density."""
-
+class _LogVolumeFields(NamedTuple):
     sigma: GradedPoly
 
-    def __post_init__(self):
-        if self.sigma.parity() != EVEN:
+
+class LogVolume(_LogVolumeFields):
+    """A volume form rho = e^sigma Dx represented by its even log-density.
+    An immutable record."""
+
+    __slots__ = ()
+
+    def __new__(cls, sigma: GradedPoly):
+        if sigma.parity() != EVEN:
             raise ParityError("log-volume must be even")
+        return super().__new__(cls, sigma)
 
     @property
     def chart(self) -> Chart:
@@ -698,20 +706,23 @@ class CoordMapError(DomainError):
     pass
 
 
-@dataclass(frozen=True)
-class CoordMap:
-    """A coordinate change x' = phi(x) on a fixed chart, of the form
-    "constant invertible body plus nilpotent (odd-containing) corrections",
-    with the inverse supplied and checked."""
-
+class _CoordMapFields(NamedTuple):
     chart: Chart
     fwd: Mapping[str, GradedPoly]
     inv: Mapping[str, GradedPoly]
 
-    def __post_init__(self):
-        chart = self.chart
+
+class CoordMap(_CoordMapFields):
+    """A coordinate change x' = phi(x) on a fixed chart, of the form
+    "constant invertible body plus nilpotent (odd-containing) corrections",
+    with the inverse supplied and checked.  An immutable record."""
+
+    __slots__ = ()
+
+    def __new__(cls, chart: Chart, fwd: Mapping[str, GradedPoly],
+                inv: Mapping[str, GradedPoly]):
         for name in chart.names:
-            for m in (self.fwd, self.inv):
+            for m in (fwd, inv):
                 if name not in m:
                     raise CoordMapError(f"map must list every variable ({name})")
                 im = m[name]
@@ -720,9 +731,10 @@ class CoordMap:
                     raise CoordMapError(f"image of {name} has wrong parity")
         # round trip check on the generators
         for name in chart.names:
-            v = substitute(self.fwd[name], dict(self.inv))
+            v = substitute(fwd[name], dict(inv))
             if v != GradedPoly.var(chart, name):
                 raise CoordMapError("supplied inverse fails the round trip")
+        return super().__new__(cls, chart, fwd, inv)
 
     def push(self, p: GradedPoly) -> GradedPoly:
         """Express an old-coordinate polynomial in new coordinates."""

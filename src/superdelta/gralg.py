@@ -17,10 +17,9 @@ for term maps the engine built itself, and adopts them unchecked.  The
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add as _add
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 EVEN = 0
 ODD = 1
@@ -39,21 +38,25 @@ class ParityError(DomainError):
     pass
 
 
-@dataclass(frozen=True)
-class Chart:
-    """A coordinate chart with named even (commuting) and odd (anticommuting)
-    variables.  Variable order is the declaration order and fixes the
-    canonical form of odd monomials."""
-
+class _ChartFields(NamedTuple):
     even: tuple[str, ...]
     odd: tuple[str, ...]
 
-    def __post_init__(self):
-        names = self.even + self.odd
+
+class Chart(_ChartFields):
+    """A coordinate chart with named even (commuting) and odd (anticommuting)
+    variables.  Variable order is the declaration order and fixes the
+    canonical form of odd monomials.  An immutable, hashable record."""
+
+    __slots__ = ()
+
+    def __new__(cls, even: tuple[str, ...], odd: tuple[str, ...]):
+        names = even + odd
         if len(set(names)) != len(names):
             raise DomainError("chart variable names must be distinct")
         if not names:
             raise DomainError("chart needs at least one variable")
+        return super().__new__(cls, even, odd)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -343,7 +346,7 @@ class DensityElement:
             if p.chart != chart:
                 raise ChartMismatch("component on wrong chart")
             if not p.is_zero():
-                clean[Fraction(w)] = p
+                clean[w if type(w) is Fraction else Fraction(w)] = p
         self.parts = clean
 
     @staticmethod
@@ -376,12 +379,17 @@ class DensityElement:
             self.chart, {w: c.parity_part(p) for w, c in self.parts.items()}
         )
 
+    # The dunders test for their own types before (int, Fraction), as in
+    # GradedPoly.
+
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, DensityElement):
+            return other
+        if not isinstance(other, GradedPoly):
+            if not isinstance(other, (int, Fraction)):
+                return other
             other = GradedPoly.const(self.chart, other)
-        if isinstance(other, GradedPoly):
-            other = DensityElement.from_poly(other)
-        return other
+        return DensityElement.from_poly(other)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -399,7 +407,8 @@ class DensityElement:
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, (DensityElement, GradedPoly)) and \
+                isinstance(other, (int, Fraction)):
             return DensityElement(
                 self.chart, {w: p * other for w, p in self.parts.items()}
             )
@@ -420,8 +429,7 @@ class DensityElement:
         return _power(self, n, DensityElement.from_poly(GradedPoly.one(self.chart)))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GradedPoly)):
-            other = self._coerce(other)
+        other = self._coerce(other)
         if not isinstance(other, DensityElement):
             return NotImplemented
         return self.chart == other.chart and self.parts == other.parts

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from superdelta import DiffOp, GradedPoly, ParityError
-from superdelta.diffop import compose
+from superdelta.diffop import commutator, compose
 from superdelta.brackets import (
     GrassmannMatrix,
     LieSuperAlgebraInstance,
@@ -26,7 +26,7 @@ from superdelta.brackets import (
     square_bracket,
 )
 
-from conftest import R11, R12, R02, R03, rand_op, rand_poly
+from conftest import R11, R12, R22, R02, R03, rand_op, rand_poly
 
 
 def _x(chart, name):
@@ -111,6 +111,9 @@ def test_graded_symmetry(rng):
 def test_vanishing_threshold_and_top_derivation(rng):
     chart = R11
     monos = monomials_upto(chart, 2)
+    # higher_bracket returns 0 past the order without computing, so the
+    # vanishing is also computed by commutators alone, on every 8th tuple
+    inst = operator_algebra_instance(chart)
     for _ in range(8):
         N = rng.randint(1, 3)
         D = rand_op(rng, chart, N, parity=rng.randint(0, 1))
@@ -118,9 +121,12 @@ def test_vanishing_threshold_and_top_derivation(rng):
             continue
         N = D.order()
         # (N+1)-ary bracket vanishes
-        for args in itertools.islice(
-                itertools.combinations_with_replacement(monos, N + 1), 40):
+        for i, args in enumerate(itertools.islice(
+                itertools.combinations_with_replacement(monos, N + 1), 40)):
             assert higher_bracket(D, list(args)).is_zero()
+            if i % 8 == 0:
+                assert derived_bracket_abstract(
+                    inst, D, [DiffOp.mult(a) for a in args]).is_zero()
         # N-ary bracket is a derivation in the last slot
         for _ in range(5):
             head = [rng.choice(monos) for _ in range(N - 1)]
@@ -175,6 +181,67 @@ def test_jacobiator_equals_square_bracket(rng):
                 for _ in range(2):
                     args = [rng.choice(monos) for _ in range(n)]
                     assert jacobiator(D, args) == square_bracket(D, args)
+
+
+def _chain_bracket(D, args):
+    """{a_1,...,a_n} by its definition, with graded commutators of whole
+    operators: [...[D, a_1], ..., a_n] applied to 1 at weight 0."""
+    for a in args:
+        D = commutator(D, DiffOp.mult(a))
+    return D.apply_poly(GradedPoly.one(D.chart))
+
+
+def _chain_jacobiator(D, args):
+    """The full shuffle sum over every block size, each bracket by
+    _chain_bracket."""
+    pars = [a.parity() for a in args]
+    n = len(args)
+    total = GradedPoly.zero(D.chart)
+    for k in range(n + 1):
+        for s in shuffles(k, n - k):
+            inner = _chain_bracket(D, [args[i] for i in s[:k]])
+            outer = _chain_bracket(D, [inner] + [args[i] for i in s[k:]])
+            total = total + outer * koszul_sign(s, pars)
+    return total
+
+
+@pytest.mark.parametrize("chart", [R11, R12, R22, R03],
+                         ids=["1|1", "1|2", "2|2", "0|3"])
+def test_brackets_match_commutator_chain(chart):
+    """higher_bracket (order pruning, evaluation at the last step) and
+    jacobiator (the k-range of the order bound) against commutator chains
+    that assume no bound: odd and even generators of order <= 3, some
+    carrying W, and Delta = 0; arities 0-5, so n > ord Delta and
+    n >= 2 ord Delta occur; zero and, for brackets, inhomogeneous
+    arguments."""
+    rng = random.Random(808)
+    monos = monomials_upto(chart, 1) * 3 + monomials_upto(chart, 2)
+    W = DiffOp.weight(chart)
+    zero = GradedPoly.zero(chart)
+    gens = [DiffOp.zero(chart)]
+    while len(gens) < 11:
+        par = len(gens) % 2
+        D = rand_op(rng, chart, 3, parity=par)
+        if len(gens) % 3 == 0:
+            D = D + compose(W, rand_op(rng, chart, 2, parity=par))
+        if not D.is_zero():
+            gens.append(D)
+    nonzero = [0, 0]
+    for D in gens:
+        for n in list(range(6)) * 3:
+            args = [rng.choice(monos) for _ in range(n)]
+            if n and rng.random() < 0.2:
+                args[rng.randrange(n)] = zero
+            J = jacobiator(D, args)
+            assert J == _chain_jacobiator(D, args)
+            nonzero[0] += not J.is_zero()
+            mixed = [a + rng.choice(monos) for a in args]
+            for bargs in (args, mixed):
+                B = higher_bracket(D, bargs)
+                assert B == _chain_bracket(D, bargs)
+                nonzero[1] += not B.is_zero()
+    # the draw is not all zeros
+    assert nonzero[0] >= 5 and nonzero[1] >= 40
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,38 @@ def test_jacobiator_golden(capsys):
     assert code == 0 and out == "0\n"
 
 
+def test_jacobiator_past_twice_the_order_enumerates_no_shuffle(capsys, monkeypatch):
+    """ord Delta = 2 on bv.sd, so J^17 = 0 by the order bound: no shuffle
+    block is evaluated and no commutator is taken."""
+    from superdelta import brackets
+    calls = []
+    real = brackets.ad_mult
+    monkeypatch.setattr(brackets, "ad_mult",
+                        lambda D, a: calls.append(1) or real(D, a))
+    code, out, _ = run(capsys, "jacobiator", "--input", BV, "--op", "Delta",
+                       "--n", "17", "--args", ",".join(["x", "xi"] * 8 + ["x"]))
+    assert (code, out) == (0, "0\n")
+    assert calls == []
+    # the counter sees the commutators of an arity below the bound
+    run(capsys, "jacobiator", "--input", BV, "--op", "Delta", "--n", "2",
+        "--args", "x,xi")
+    assert calls
+
+
+def test_import_loads_no_dataclasses():
+    """The package defines its records without dataclasses, which would pull
+    inspect, ast, dis and tokenize into every process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys, superdelta; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_classify_golden_json(capsys):
     code, out, _ = run(capsys, "classify", "--input", BV, "--op", "Delta",
                        "--json")
@@ -286,6 +318,11 @@ _REFUSALS = [
      "error: line 2:62: duplicate rule for 'xi'"),
     (HDR + "tensor g on C parity odd { [xi] = 0; [xi] = x; }",
      ["classify", "--op", "D"], 2, "error: line 2:38: duplicate entry [xi]"),
+    # a long flag value that is no number at all: exit 1, quoting its first
+    # 40 characters and its length
+    ("MOD", ["apply", "--op", "Delta", "--args", "x", "--weight", "x" * 5000], 1,
+     "usage error: --weight: not a rational number: '" + "x" * 40
+     + "'... (5000 characters)"),
 ]
 
 
