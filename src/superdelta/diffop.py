@@ -45,9 +45,26 @@ from .gralg import (
 WPoly = dict[int, GradedPoly]
 
 
+def _dkey(chart: Chart, *names: str) -> tuple[Key, int] | None:
+    """The key K and sign s with d_{n1} o d_{n2} o ... = s d^K, or None when
+    an odd derivative repeats; only the odd derivatives reorder."""
+    e, o, sign = [0] * len(chart.even), (), 1
+    for name in names:
+        if chart.parity(name) == EVEN:
+            e[chart.even_index(name)] += 1
+            continue
+        merged = _merge_odd(o, (chart.odd_index(name),))
+        if merged is None:
+            return None
+        o, sign = merged[0], sign * merged[1]
+    return (tuple(e), o), sign
+
+
 def _at_weight(chart: Chart, wp: Mapping[int, GradedPoly], w: Fraction) -> GradedPoly:
-    """The coefficient sum_k c_k w^k of one derivative key at W = w."""
-    return GradedPoly._sum(chart, (c * (w**k if k else 1) for k, c in wp.items()))
+    """The coefficient sum_k c_k w^k of one derivative key at W = w; w^k is a
+    plain product, as Fraction.__pow__ dispatches through ABCMeta."""
+    return GradedPoly._sum(chart, (c * _power(w, k, Fraction(1)) if k else c
+                                   for k, c in wp.items()))
 
 
 class DiffOp:
@@ -87,13 +104,7 @@ class DiffOp:
 
     @staticmethod
     def deriv(chart: Chart, name: str) -> "DiffOp":
-        e = [0] * len(chart.even)
-        if chart.parity(name) == EVEN:
-            e[chart.even_index(name)] = 1
-            key = (tuple(e), ())
-        else:
-            key = (tuple(e), (chart.odd_index(name),))
-        return DiffOp(chart, {key: {0: GradedPoly.one(chart)}})
+        return DiffOp(chart, {_dkey(chart, name)[0]: {0: GradedPoly.one(chart)}})
 
     @staticmethod
     def weight(chart: Chart) -> "DiffOp":
@@ -193,7 +204,7 @@ class DiffOp:
         """Operator composition (scalars act as constants)."""
         if not isinstance(other, (DiffOp, GradedPoly)) and \
                 isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = other if type(other) is Fraction else Fraction(other)
             return DiffOp(
                 self.chart,
                 {k: {j: p * c for j, p in wp.items()} for k, wp in self.terms.items()},

@@ -1,6 +1,8 @@
 """Geometric constructions on top of the operator calculus: brackets from
 operators, symbols, odd Laplacians, the canonical density pencil, Jacobi
-conditions on the cotangent space, and coordinate covariance.
+conditions on the cotangent space, and coordinate covariance.  Operators
+are written as term maps, each coefficient at its normal-ordered key, and
+bracket data is read off a pencil's coefficients, not probed by brackets.
 
 Frozen conventions (certified by the theorem suites in tests/):
 
@@ -13,7 +15,8 @@ Frozen conventions (certified by the theorem suites in tests/):
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple
+from operator import add as _add
+from typing import Mapping, NamedTuple
 
 from .gralg import (
     EVEN,
@@ -23,13 +26,20 @@ from .gralg import (
     DensityElement,
     DomainError,
     GradedPoly,
+    Key,
     ParityError,
+    _merge_odd,
     partial,
     substitute,
 )
 from .diffop import (
     DiffOp,
+    _Sums,
+    _add_into,
+    _dkey,
     _exp_ad,
+    _from_sums,
+    _leibniz,
     compose,
     conjugate_by_exp,
     formal_adjoint,
@@ -40,6 +50,8 @@ from .brackets import higher_bracket
 SMatrix = dict[tuple[str, str], GradedPoly]
 GVector = dict[str, GradedPoly]
 
+HALF = Fraction(1, 2)
+
 
 class BracketDataError(DomainError):
     pass
@@ -49,29 +61,10 @@ def _sym_sign(chart: Chart, a: str, b: str) -> int:
     return (-1) ** (chart.parity(a) * chart.parity(b))
 
 
-def _smatrix(chart: Chart, bracket: Callable[[str, str], GradedPoly]) -> SMatrix:
-    """S^{ab} = (-1)^{pa(a) pa(b)} {x^b, x^a}, read off a bracket given as
-    bracket(b, a) on the coordinate names."""
-    S: SMatrix = {}
-    for a in chart.names:
-        for b in chart.names:
-            v = bracket(b, a) * _sym_sign(chart, a, b)
-            if not v.is_zero():
-                S[(a, b)] = v
-    return S
-
-
 def _contract(chart: Chart, S: SMatrix, v: Mapping[str, GradedPoly]) -> GVector:
     """(S v)^a = S^{ab} v_b for a covector v given on every coordinate."""
-    out: GVector = {}
-    for a in chart.names:
-        acc = GradedPoly.zero(chart)
-        for b in chart.names:
-            s = S.get((a, b))
-            if s is not None:
-                acc = acc + s * v[b]
-        out[a] = acc
-    return out
+    return {a: GradedPoly._sum(chart, (S[(a, b)] * v[b] for b in chart.names
+                                       if (a, b) in S)) for a in chart.names}
 
 
 class _VBracketFields(NamedTuple):
@@ -126,22 +119,9 @@ class VBracketData(_VBracketFields):
             raise BracketDataError("theta has wrong parity")
         return super().__new__(cls, chart, eps, full, gamma, theta)
 
-    def entry(self, a: str, b: str) -> GradedPoly:
-        return self.S.get((a, b), GradedPoly.zero(self.chart))
-
-    def gamma_entry(self, a: str) -> GradedPoly:
-        return self.gamma.get(a, GradedPoly.zero(self.chart))
-
     def __hash__(self):
-        return hash(
-            (
-                self.chart,
-                self.eps,
-                tuple(sorted(self.S.items())),
-                tuple(sorted(self.gamma.items())),
-                self.theta,
-            )
-        )
+        return hash((self.chart, self.eps, tuple(sorted(self.S.items())),
+                     tuple(sorted(self.gamma.items())), self.theta))
 
 
 class _LogVolumeFields(NamedTuple):
@@ -165,11 +145,7 @@ class LogVolume(_LogVolumeFields):
 
 
 def _as_sigma(sigma) -> GradedPoly:
-    if isinstance(sigma, LogVolume):
-        return sigma.sigma
-    if sigma.parity() != EVEN:
-        raise ParityError("log-volume must be even")
-    return sigma
+    return (sigma if isinstance(sigma, LogVolume) else LogVolume(sigma)).sigma
 
 
 # ---------------------------------------------------------------------------
@@ -203,39 +179,48 @@ def bracket_from_operator(D: DiffOp, f: GradedPoly, g: GradedPoly) -> GradedPoly
 
 
 def principal_matrix(D: DiffOp) -> SMatrix:
-    """The symmetric coefficient matrix S^{ab} of an operator of order <= 2,
-    extracted through the bracket on coordinate functions."""
+    """The symmetric coefficient matrix S^{ab} = (-1)^{pa(a) pa(b)}
+    {x^b, x^a} of a homogeneous operator of order <= 2, read off its
+    coefficients: the bracket drops the lower orders and W, leaving
+    c d_b d_a (x^b x^a) for the W^0 coefficient c at d_b d_a = s d^K; so
+    S^{ab} = s c, doubled when a = b is even."""
     if not D.order_leq(2):
         raise DomainError("principal symbol defined for order <= 2 only")
+    if D.parity() is None:
+        raise ParityError("bracket generator must be homogeneous")
     chart = D.chart
-    return _smatrix(chart, lambda b, a: bracket_from_operator(
-        D, GradedPoly.var(chart, b), GradedPoly.var(chart, a)))
+    S: SMatrix = {}
+    for a in chart.names:
+        for b in chart.names:
+            k = _dkey(chart, b, a)
+            c = None if k is None else D.terms.get(k[0], {}).get(0)
+            if c is not None:
+                factor = 2 if a == b else k[1]
+                S[(a, b)] = c if factor == 1 else c * factor
+    return S
 
 
 def second_order_part(chart: Chart, S: SMatrix) -> DiffOp:
-    """The operator (1/2) S^{ab} d_b d_a in normal order."""
-    out = DiffOp.zero(chart)
+    """The operator (1/2) S^{ab} d_b d_a in normal order, each term written
+    at the key of d_b d_a."""
+    sums: _Sums = {}
     for (a, b), s in S.items():
-        out = out + DiffOp.mult(s) * DiffOp.deriv(chart, b) * DiffOp.deriv(chart, a)
-    return out * Fraction(1, 2)
+        k = _dkey(chart, b, a)
+        if k is not None:
+            _add_into(sums, k[0], 0, s, HALF * k[1])
+    return _from_sums(chart, sums)
 
 
 def first_order_coeffs(D: DiffOp) -> GVector:
     """Coefficients T^a of the pure first-order part of a normal-ordered
     operator."""
-    chart = D.chart
     out: GVector = {}
-    for (e, o), wp in D.terms.items():
-        if sum(e) + len(o) != 1:
-            continue
-        if e and sum(e) == 1:
-            name = chart.even[e.index(1)]
-        else:
-            name = chart.odd[o[0]]
-        c = wp.get(0, GradedPoly.zero(chart))
-        if any(k != 0 for k in wp):
-            raise DomainError("weight-dependent coefficient in plain operator")
-        out[name] = c
+    for a in D.chart.names:
+        wp = D.terms.get(_dkey(D.chart, a)[0])
+        if wp is not None:
+            if any(k != 0 for k in wp):
+                raise DomainError("weight-dependent coefficient in plain operator")
+            out[a] = wp[0]
     return out
 
 
@@ -263,9 +248,8 @@ def subprincipal(D: DiffOp) -> GVector:
     if eps is None:
         raise ParityError("operator must be homogeneous")
     S = principal_matrix(D)
-    # [[D, x^b], x^a]1 is the whole second-order coefficient of a W-free D,
-    # so D - (1/2) S^{ab} d_b d_a has order <= 1
-    T = first_order_coeffs(D - second_order_part(chart, S))
+    # D - (1/2) S^{ab} d_b d_a has the first-order part of D
+    T = first_order_coeffs(D)
     out: GVector = {}
     for a in chart.names:
         acc = _s_divergence(chart, S, eps, a) - 2 * T.get(a, GradedPoly.zero(chart))
@@ -275,14 +259,16 @@ def subprincipal(D: DiffOp) -> GVector:
 
 
 def hamiltonian_vf(S: SMatrix, chart: Chart, f: GradedPoly) -> DiffOp:
-    """The Hamiltonian vector field X_f with X_f(g) = {f,g}."""
-    out = DiffOp.zero(chart)
+    """The Hamiltonian vector field X_f = S^{ab} d_b f (-1)^{pa(a) pf} d_a,
+    with X_f(g) = {f,g}, written term by term."""
+    sums: _Sums = {}
     for pf, fh in f.homogeneous_parts():
         for (a, b), s in S.items():
-            c = s * partial(b, fh) * (-1) ** (chart.parity(a) * pf)
-            if not c.is_zero():
-                out = out + DiffOp.mult(c) * DiffOp.deriv(chart, a)
-    return out
+            dbf = partial(b, fh)
+            if not dbf.is_zero():
+                _add_into(sums, _dkey(chart, a)[0], 0, s * dbf,
+                          -1 if chart.parity(a) * pf else 1)
+    return _from_sums(chart, sums)
 
 
 def divergence(X: DiffOp) -> GradedPoly:
@@ -302,8 +288,8 @@ def divergence(X: DiffOp) -> GradedPoly:
 
 def lie_derivative_pencil(X: DiffOp) -> DiffOp:
     """Lie derivative along a vector field acting on w-densities, as a pencil:
-    L_X = X + W (div X)."""
-    return X + DiffOp.weight(X.chart) * DiffOp.mult(divergence(X))
+    L_X = X + W (div X), W (div X) being the term W^1 at the zero key."""
+    return X + DiffOp(X.chart, {((0,) * len(X.chart.even), ()): {1: divergence(X)}})
 
 
 def lie_derivative(X: DiffOp, w) -> DiffOp:
@@ -315,31 +301,42 @@ def lie_derivative(X: DiffOp, w) -> DiffOp:
 # ---------------------------------------------------------------------------
 
 
-def _div_form(chart: Chart, S: SMatrix, sigma: GradedPoly) -> DiffOp:
-    """sum_a (d_a sigma + d_a) o (sum_b S^{ab} d_b): the divergence-form
-    operator  e^{-sigma} d_a (e^{sigma} S^{ab} d_b . )."""
-    out = DiffOp.zero(chart)
+def _add_leibniz(sums: _Sums, chart: Chart, I: Key, f: GradedPoly, J: Key,
+                 left: GradedPoly | None = None, factor=1):
+    """Add  left d^I o (f d^J)  to sums (left None stands for 1), by the
+    Leibniz rule and the sign of merging the odd indices of d^rest d^J."""
+    eJ, oJ = J
+    for (er, orest), g in _leibniz(chart, I, f):
+        merged = _merge_odd(orest, oJ)
+        if merged is not None:
+            o, sign = merged
+            _add_into(sums, (tuple(map(_add, er, eJ)), o), 0,
+                      g if left is None else left * g, factor * sign)
+
+
+def _div_form(chart: Chart, S: SMatrix, sigma: GradedPoly, factor=1) -> DiffOp:
+    """factor * sum_a (d_a sigma + d_a) o (sum_b S^{ab} d_b): the divergence
+    form  e^{-sigma} d_a (e^{sigma} S^{ab} d_b . ), written term by term."""
+    sums: _Sums = {}
     for a in chart.names:
-        Ba = DiffOp.zero(chart)
+        ka = _dkey(chart, a)[0]
+        da_sigma = partial(a, sigma)
         for b in chart.names:
             s = S.get((a, b))
-            if s is not None and not s.is_zero():
-                Ba = Ba + DiffOp.mult(s) * DiffOp.deriv(chart, b)
-        if Ba.is_zero():
-            continue
-        da_sigma = partial(a, sigma)
-        term = compose(DiffOp.deriv(chart, a), Ba)
-        if not da_sigma.is_zero():
-            term = term + compose(DiffOp.mult(da_sigma), Ba)
-        out = out + term
-    return out
+            if s is None or s.is_zero():
+                continue
+            kb = _dkey(chart, b)[0]
+            if not da_sigma.is_zero():
+                _add_into(sums, kb, 0, da_sigma * s, factor)
+            _add_leibniz(sums, chart, ka, s, kb, factor=factor)
+    return _from_sums(chart, sums)
 
 
 def odd_laplacian(S: SMatrix, chart: Chart, sigma) -> DiffOp:
     """The odd Laplacian  (1/2) e^{-sigma} d_a (e^{sigma} S^{ab} d_b . )
     attached to odd bracket data S and volume form rho = e^sigma Dx."""
     sigma = _as_sigma(sigma)
-    op = _div_form(chart, S, sigma) * Fraction(1, 2)
+    op = _div_form(chart, S, sigma, HALF)
     if op.parity() not in (ODD, EVEN):
         raise ParityError("odd Laplacian came out inhomogeneous")
     return op
@@ -366,7 +363,7 @@ def act_on_w_densities(S: SMatrix, chart: Chart, sigma, w) -> DiffOp:
     computed as a terminating conjugation."""
     sigma = _as_sigma(sigma)
     D = odd_laplacian(S, chart, sigma)
-    u = sigma * Fraction(w)
+    u = sigma * (w if type(w) is Fraction else Fraction(w))
     return conjugate_by_exp(D, u, sign=-1)
 
 
@@ -376,7 +373,7 @@ def master_discrepancy(S: SMatrix, chart: Chart, sigma0, sigma) -> GradedPoly:
     sigma0 = _as_sigma(sigma0)
     sigma = _as_sigma(sigma)
     D = odd_laplacian(S, chart, sigma0)
-    conj = conjugate_by_exp(D, sigma * Fraction(1, 2))
+    conj = conjugate_by_exp(D, sigma * HALF)
     return conj.apply_poly(GradedPoly.one(chart))
 
 
@@ -391,29 +388,27 @@ def canonical_pencil(data: VBracketData) -> DiffOp:
     Delta_w = 1/2 ( S^{ab} d_b d_a
                     + (d_b S^{ba} (-1)^{pa(b)(eps+1)} + (2w-1) gamma^a) d_a
                     + w d_a gamma^a (-1)^{pa(a)(eps+1)}
-                    + w(w-1) theta )."""
-    chart = data.chart
-    eps = data.eps
-    W = DiffOp.weight(chart)
-    one = DiffOp.identity(chart)
-    out = DiffOp.zero(chart)
+                    + w(w-1) theta ),
+
+    each coefficient written at its key and W-power: all terms but d_b d_a
+    are in normal order, and d_b d_a costs only the sign of its odd part
+    (second_order_part)."""
+    chart, eps = data.chart, data.eps
+    sums: _Sums = {}
+    zero = ((0,) * len(chart.even), ())
     for a in chart.names:
-        c = _s_divergence(chart, data.S, eps, a)
-        term = DiffOp.zero(chart)
-        if not c.is_zero():
-            term = term + DiffOp.mult(c)
-        ga = data.gamma_entry(a)
-        if not ga.is_zero():
-            term = term + (2 * W - one) * DiffOp.mult(ga)
-        if not term.is_zero():
-            out = out + term * DiffOp.deriv(chart, a)
-    zc = GradedPoly.zero(chart)
-    for a in chart.names:
-        zc = zc + partial(a, data.gamma_entry(a)) * (-1) ** (chart.parity(a) * (eps + 1))
-    out = out + W * DiffOp.mult(zc)
-    if not data.theta.is_zero():
-        out = out + (W * W - W) * DiffOp.mult(data.theta)
-    return second_order_part(chart, data.S) + out * Fraction(1, 2)
+        key = _dkey(chart, a)[0]
+        _add_into(sums, key, 0, _s_divergence(chart, data.S, eps, a), HALF)
+        ga = data.gamma.get(a)
+        if ga is None:
+            continue
+        _add_into(sums, key, 1, ga)
+        _add_into(sums, key, 0, ga, -HALF)
+        _add_into(sums, zero, 1, partial(a, ga),
+                  -HALF if chart.parity(a) * (eps + 1) % 2 else HALF)
+    _add_into(sums, zero, 2, data.theta, HALF)
+    _add_into(sums, zero, 1, data.theta, -HALF)
+    return second_order_part(chart, data.S) + _from_sums(chart, sums)
 
 
 def lb_data(S: SMatrix, chart: Chart, sigma, eps: int = ODD) -> VBracketData:
@@ -446,23 +441,28 @@ def pencil_bracket(P: DiffOp, psi: DensityElement, chi: DensityElement) -> Densi
         ph = psi.parity_part(ppsi)
         if ph.is_zero():
             continue
-        out = (
-            out
-            + P.apply(ph * chi)
-            - P.apply(ph) * chi
-            - ph * P.apply(chi) * (-1) ** (eps * ppsi)
-        )
+        out = (out + P.apply(ph * chi) - P.apply(ph) * chi
+               - ph * P.apply(chi) * (-1) ** (eps * ppsi))
     return out
 
 
-def _unit_density(chart: Chart) -> DensityElement:
-    return DensityElement.from_poly(GradedPoly.one(chart), 1)
+def _theta(P: DiffOp) -> GradedPoly:
+    """theta of a canonical pencil: twice its W^2 coefficient at the zero key."""
+    c = P.terms.get(((0,) * len(P.chart.even), ()), {}).get(2)
+    return GradedPoly.zero(P.chart) if c is None else c * 2
 
 
 def extract_vbracket(P: DiffOp) -> VBracketData:
-    """Invert canonical_pencil on its image.  Raises if P is outside the
-    bijection's slice (not normalized, not pencil-self-adjoint, or not
-    reproduced by the round trip)."""
+    """Invert canonical_pencil on its image, reading the data where the
+    pencil's formula writes it: S^{ab} at the W^0 coefficient of d_b d_a
+    (principal_matrix), gamma^a at the W^1 coefficient of d_a, and theta as
+    twice the W^2 coefficient at the zero key.  On the image these are the
+    brackets {x^b, x^a}, {x^a, t} and {t, t} (t of weight 1).
+
+    Raises if P is outside the bijection's slice (order > 2, inhomogeneous,
+    not normalized, not self-adjoint) or, by the round trip
+    canonical_pencil(data) == P, outside the image: (W^2 - W) d_x^2 passes
+    every other check, but no datum reads its W^2 d_x^2 term."""
     chart = P.chart
     if not P.order_leq(2):
         raise DomainError("pencil must have order <= 2")
@@ -473,19 +473,9 @@ def extract_vbracket(P: DiffOp) -> VBracketData:
         raise DomainError("pencil is not normalized (P1 != 0 at w = 0)")
     if formal_adjoint(P) != P:
         raise DomainError("pencil is not self-adjoint")
-    t = _unit_density(chart)
-
-    def coord(name: str) -> DensityElement:
-        return DensityElement.from_poly(GradedPoly.var(chart, name))
-
-    S = _smatrix(chart, lambda b, a: pencil_bracket(P, coord(b), coord(a)).component(0))
-    gamma: GVector = {}
-    for a in chart.names:
-        v = pencil_bracket(P, coord(a), t).component(1)
-        if not v.is_zero():
-            gamma[a] = v
-    theta = pencil_bracket(P, t, t).component(2)
-    data = VBracketData(chart, eps, S, gamma, theta)
+    keys = {a: _dkey(chart, a)[0] for a in chart.names}
+    gamma = {a: P.terms[k][1] for a, k in keys.items() if 1 in P.terms.get(k, {})}
+    data = VBracketData(chart, eps, principal_matrix(P), gamma, _theta(P))
     if canonical_pencil(data) != P:
         raise DomainError("pencil is outside the canonical bijection's domain")
     return data
@@ -537,7 +527,7 @@ def symbol_S(data: VBracketData, ct: Chart | None = None) -> GradedPoly:
     out = GradedPoly.zero(ct)
     for (a, b), s in data.S.items():
         out = out + lift_to_cotangent(s, ct) * momentum(ct, b) * momentum(ct, a)
-    return out * Fraction(1, 2)
+    return out * HALF
 
 
 def symbol_gamma(data: VBracketData, ct: Chart | None = None) -> GradedPoly:
@@ -827,29 +817,36 @@ def transform_op(D: DiffOp, cmap: CoordMap) -> DiffOp:
     """Express an operator (or pencil) in the new coordinates.  By the left
     chain rule d_a = (d_a x'^b) d'_b, each old derivative is a vector field
     in the new coordinates, so c d^I becomes the pushed-forward coefficient
-    times the composition of those fields in the order of d^I; W is central
-    and stays with its coefficient.  Coefficients involving W then pick up
-    the density conjugation by the Berezinian factor."""
+    times the composite F^I of those fields in the order of d^I, built one
+    field at a time by the Leibniz rule; W is central and stays with its
+    coefficient.  Coefficients involving W then pick up the density
+    conjugation by the Berezinian factor."""
+    return _transform_op(D, cmap, cmap.jacobian(), log_berezinian(cmap))
+
+
+def _transform_op(D: DiffOp, cmap: CoordMap, J, lnber: GradedPoly) -> DiffOp:
     chart = D.chart
-    J = cmap.jacobian()
-    fields = {
-        a: sum((DiffOp.mult(cmap.push(J[(b, a)])) * DiffOp.deriv(chart, b)
-                for b in chart.names), DiffOp.zero(chart))
-        for a in chart.names
-    }
-    zero_key = ((0,) * len(chart.even), ())
-    out = DiffOp.zero(chart)
+    push = cmap.push
+    fields = {a: [(_dkey(chart, b)[0], c) for b in chart.names
+                  if not (c := push(J[(b, a)])).is_zero()] for a in chart.names}
+    sums: _Sums = {}
     for (e, o), wp in D.terms.items():
+        F: dict[Key, GradedPoly | None] = {((0,) * len(e), ()): None}  # None: 1
         # d^I = d_even^e o d_odd(o_1) o ... o d_odd(o_k)
-        term = DiffOp(chart, {zero_key: {k: cmap.push(c) for k, c in wp.items()}})
-        for name, n in zip(chart.even, e):
-            for _ in range(n):
-                term = compose(term, fields[name])
-        for i in o:
-            term = compose(term, fields[chart.odd[i]])
-        out = out + term
+        for name in [n for n, k in zip(chart.even, e) for _ in range(k)] + \
+                [chart.odd[i] for i in o]:
+            step: _Sums = {}
+            for K, g in F.items():
+                for kb, c in fields[name]:
+                    _add_leibniz(step, chart, K, c, kb, left=g)
+            F = {k: w[0] for k, w in _from_sums(chart, step).terms.items()}
+        for k, c in wp.items():
+            c = push(c)
+            for K, g in F.items():
+                _add_into(sums, K, k, c if g is None else c * g)
+    out = _from_sums(chart, sums)
     # density correction: conjugate by exp(W log Ber'), exact and terminating
-    v = cmap.push(log_berezinian(cmap))
+    v = push(lnber)
     if v.is_zero():
         return out
     return _exp_ad(out, v, 1)
@@ -864,36 +861,38 @@ def transform_logvol(sigma, cmap: CoordMap) -> GradedPoly:
 
 def transform_smatrix(S: SMatrix, chart: Chart, cmap: CoordMap) -> SMatrix:
     """Tensorial transform of S through the bracket on the new coordinate
-    functions."""
-    return _smatrix(chart, lambda b, a: cmap.push(
-        matrix_bracket(S, chart, cmap.fwd[b], cmap.fwd[a])))
+    functions: S'^{ab} = (-1)^{pa(a) pa(b)} {x'^b, x'^a}, each row of
+    brackets X_{x'^b}(x'^a) from one Hamiltonian field."""
+    fields = {b: hamiltonian_vf(S, chart, cmap.fwd[b]) for b in chart.names}
+    out = {(a, b): cmap.push(fields[b].apply_poly(cmap.fwd[a])) * _sym_sign(chart, a, b)
+           for a in chart.names for b in chart.names}
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def transform_gamma(S: SMatrix, gamma: GVector, chart: Chart, cmap: CoordMap) -> GVector:
     """gamma^{a'} = (gamma^a + S^{ab} d_b log J) dx^{a'}/dx^a, expressed in
     new coordinates."""
-    lnJ = log_berezinian(cmap)
+    return _transform_gamma(S, gamma, chart, cmap, cmap.jacobian(), log_berezinian(cmap))
+
+
+def _transform_gamma(S: SMatrix, gamma: GVector, chart: Chart, cmap: CoordMap,
+                     J, lnJ: GradedPoly) -> GVector:
     shift = _contract(chart, S, {b: partial(b, lnJ) for b in chart.names})
     corrected = {a: gamma.get(a, GradedPoly.zero(chart)) + shift[a] for a in chart.names}
-    J = cmap.jacobian()
-    out: GVector = {}
-    for ap in chart.names:
-        acc = GradedPoly.zero(chart)
-        for a in chart.names:
-            acc = acc + corrected[a] * J[(ap, a)]
-        acc = cmap.push(acc)
-        if not acc.is_zero():
-            out[ap] = acc
-    return out
+    out = {ap: cmap.push(GradedPoly._sum(chart, (corrected[a] * J[(ap, a)]
+                                                 for a in chart.names)))
+           for ap in chart.names}
+    return {a: g for a, g in out.items() if not g.is_zero()}
 
 
 def transform_data(data: VBracketData, cmap: CoordMap) -> VBracketData:
     """Transform bracket data: S tensorially, gamma by its explicit law, and
-    theta (whose law involves third derivatives) through the canonical pencil
-    round trip."""
-    S2 = transform_smatrix(data.S, data.chart, cmap)
-    g2 = transform_gamma(data.S, data.gamma, data.chart, cmap)
-    P2 = transform_op(canonical_pencil(data), cmap)
-    t = _unit_density(data.chart)
-    theta2 = pencil_bracket(P2, t, t).component(2)
-    return VBracketData(data.chart, data.eps, S2, g2, theta2)
+    theta (whose law involves third derivatives) read off the transformed
+    canonical pencil, which is canonical again: twice its W^2 coefficient
+    at the zero key."""
+    chart = data.chart
+    J, lnJ = cmap.jacobian(), log_berezinian(cmap)
+    S2 = transform_smatrix(data.S, chart, cmap)
+    g2 = _transform_gamma(data.S, data.gamma, chart, cmap, J, lnJ)
+    P2 = _transform_op(canonical_pencil(data), cmap, J, lnJ)
+    return VBracketData(chart, data.eps, S2, g2, _theta(P2))

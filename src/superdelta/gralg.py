@@ -124,7 +124,7 @@ class GradedPoly:
     def __init__(self, chart: Chart, terms: Mapping[Key, Fraction] | None = None):
         clean = {}
         for key, c in (terms or {}).items():
-            c = Fraction(c)
+            c = c if type(c) is Fraction else Fraction(c)
             if c:
                 clean[key] = c
         self.chart, self.terms, self._hash = chart, clean, None
@@ -358,7 +358,9 @@ class DensityElement:
         return DensityElement(p.chart, {Fraction(w): p})
 
     def component(self, w) -> GradedPoly:
-        return self.parts.get(Fraction(w), GradedPoly.zero(self.chart))
+        # Fraction(Fraction) and Fraction == Fraction dispatch through ABCMeta
+        key = w if type(w) is int or type(w) is Fraction else Fraction(w)
+        return self.parts.get(key, GradedPoly.zero(self.chart))
 
     def weights(self) -> list[Fraction]:
         return sorted(self.parts)

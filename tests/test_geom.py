@@ -11,7 +11,7 @@ from superdelta.diffop import (
     commutator, compose, conjugate_by_exp, formal_adjoint, op_from_action,
     specialize,
 )
-from superdelta.gralg import DomainError
+from superdelta.gralg import DomainError, ParityError
 from superdelta.geom import (
     LEVELS,
     BracketDataError,
@@ -54,8 +54,11 @@ from superdelta.geom import (
     lift_to_cotangent,
 )
 
+from superdelta import diffop, geom
+from superdelta.dsl import load_module, render
+
 from conftest import (
-    R02, R03, R11, R12, R22,
+    CHARTS, R02, R03, R11, R12, R22,
     rand_op, rand_poly, rand_smatrix, rand_vdata, std_odd_smatrix,
 )
 
@@ -736,3 +739,253 @@ def test_modular_vf_is_first_order_iff_mixed_entries_are_even():
         else:
             assert modular_vf(P, chart, sigma).order_leq(1)
     assert 0 < refused < 60
+
+
+# ---------------------------------------------------------------------------
+# the term-map builders and coefficient readers against independent
+# references: the same formulas by compose, and the brackets that define
+# the data
+
+
+def _ref_second_order_part(chart, S):
+    out = DiffOp.zero(chart)
+    for (a, b), s in S.items():
+        out = out + DiffOp.mult(s) * DiffOp.deriv(chart, b) * DiffOp.deriv(chart, a)
+    return out * Fraction(1, 2)
+
+
+def _ref_canonical_pencil(data):
+    chart, eps = data.chart, data.eps
+    W, one = DiffOp.weight(chart), DiffOp.identity(chart)
+    zero = GradedPoly.zero(chart)
+    out = DiffOp.zero(chart)
+    for a in chart.names:
+        div = zero
+        for b in chart.names:
+            if (b, a) in data.S:
+                div = div + partial(b, data.S[(b, a)]) * (-1) ** (chart.parity(b) * (eps + 1))
+        ga = data.gamma.get(a, zero)
+        out = out + (DiffOp.mult(div) + (2 * W - one) * DiffOp.mult(ga)) \
+            * DiffOp.deriv(chart, a)
+        out = out + W * DiffOp.mult(partial(a, ga) * (-1) ** (chart.parity(a) * (eps + 1)))
+    out = out + (W * W - W) * DiffOp.mult(data.theta)
+    return _ref_second_order_part(chart, data.S) + out * Fraction(1, 2)
+
+
+def _ref_hamiltonian_vf(S, chart, f):
+    out = DiffOp.zero(chart)
+    for pf, fh in f.homogeneous_parts():
+        for (a, b), s in S.items():
+            c = s * partial(b, fh) * (-1) ** (chart.parity(a) * pf)
+            out = out + DiffOp.mult(c) * DiffOp.deriv(chart, a)
+    return out
+
+
+def _ref_div_form(chart, S, sigma):
+    """sum_a (d_a sigma + d_a) o (sum_b S^{ab} d_b), by compose."""
+    out = DiffOp.zero(chart)
+    for a in chart.names:
+        Ba = DiffOp.zero(chart)
+        for b in chart.names:
+            if (a, b) in S:
+                Ba = Ba + DiffOp.mult(S[(a, b)]) * DiffOp.deriv(chart, b)
+        out = out + compose(DiffOp.deriv(chart, a) + DiffOp.mult(partial(a, sigma)), Ba)
+    return out
+
+
+def _ref_transform_op(D, cmap):
+    chart = D.chart
+    J = cmap.jacobian()
+    fields = {a: sum((DiffOp.mult(cmap.push(J[(b, a)])) * DiffOp.deriv(chart, b)
+                      for b in chart.names), DiffOp.zero(chart)) for a in chart.names}
+    zero_key = ((0,) * len(chart.even), ())
+    out = DiffOp.zero(chart)
+    for (e, o), wp in D.terms.items():
+        term = DiffOp(chart, {zero_key: {k: cmap.push(c) for k, c in wp.items()}})
+        for name, n in zip(chart.even, e):
+            for _ in range(n):
+                term = compose(term, fields[name])
+        for i in o:
+            term = compose(term, fields[chart.odd[i]])
+        out = out + term
+    # the density correction: sum_k (1/k!) [...[out, W v], ..., W v]
+    M = DiffOp.weight(chart) * DiffOp.mult(cmap.push(log_berezinian(cmap)))
+    term, k = out, 0
+    while not term.is_zero():
+        k += 1
+        term = commutator(term, M) * Fraction(1, k)
+        out = out + term
+    return out
+
+
+def _antisymmetric(rng, chart):
+    P = {}
+    for j, a in enumerate(chart.names):
+        for b in chart.names[j + 1:]:
+            p = rand_poly(rng, chart, 2, nterms=2)
+            if rng.random() < 0.6:
+                p = p.parity_part(rng.randint(0, 1))
+            sign = (-1) ** (chart.parity(a) * chart.parity(b))
+            P[(a, b)], P[(b, a)] = p, -(p * sign)
+    return P
+
+
+@pytest.mark.parametrize("chart", CHARTS, ids=lambda c: f"{len(c.even)}|{len(c.odd)}")
+def test_term_map_builders_match_compose_references(chart):
+    rng = random.Random(f"builders {chart}")
+    W = DiffOp.weight(chart)
+    for i in range(8):
+        eps = i % 2
+        data = rand_vdata(rng, chart, eps)
+        assert canonical_pencil(data) == _ref_canonical_pencil(data)
+        assert second_order_part(chart, data.S) == _ref_second_order_part(chart, data.S)
+        f = rand_poly(rng, chart, 3)
+        X = hamiltonian_vf(data.S, chart, f)
+        assert X == _ref_hamiltonian_vf(data.S, chart, f)
+        assert lie_derivative_pencil(X) == X + W * DiffOp.mult(divergence(X))
+        sigma = rand_poly(rng, chart, 2, parity=0)
+        D = odd_laplacian(data.S, chart, sigma)
+        assert D == _ref_div_form(chart, data.S, sigma) * Fraction(1, 2)
+        P = _antisymmetric(rng, chart)
+        ref = _ref_div_form(chart, P, sigma)
+        if ref.order_leq(1):
+            assert modular_vf(P, chart, sigma) == ref
+        else:
+            with pytest.raises(BracketDataError, match="even entries between"):
+                modular_vf(P, chart, sigma)
+        cmap = _triangular_map(rng, chart)
+        for order in (0, 1, 2, 3):
+            E = rand_op(rng, chart, order, parity=rng.choice((0, 1, None)))
+            EW = E + compose(W, rand_op(rng, chart, order)) + W * W * DiffOp.mult(f)
+            for op in (E, EW, canonical_pencil(data)):
+                assert transform_op(op, cmap) == _ref_transform_op(op, cmap)
+
+
+def _probe_smatrix(chart, bracket):
+    """S^{ab} = (-1)^{pa(a) pa(b)} {x^b, x^a}, from bracket(b, a) on the
+    coordinate names."""
+    S = {}
+    for a in chart.names:
+        for b in chart.names:
+            v = bracket(b, a) * Fraction((-1) ** (chart.parity(a) * chart.parity(b)))
+            if not v.is_zero():
+                S[(a, b)] = v
+    return S
+
+
+@pytest.mark.parametrize("chart", CHARTS, ids=lambda c: f"{len(c.even)}|{len(c.odd)}")
+def test_coefficient_readers_match_bracket_probes(chart):
+    """extract_vbracket against pencil_bracket on the coordinates and the
+    unit density t of weight 1, principal_matrix against the derived
+    bracket on coordinates, and transform_smatrix against n^2 brackets."""
+    rng = random.Random(f"readers {chart}")
+    W = DiffOp.weight(chart)
+    t = DensityElement.from_poly(GradedPoly.one(chart), 1)
+
+    def coord(name):
+        return GradedPoly.var(chart, name)
+
+    seen_nonzero = 0
+    for i in range(8):
+        data = rand_vdata(rng, chart, i % 2)
+        P = canonical_pencil(data)
+        got = extract_vbracket(P)
+        S = _probe_smatrix(chart, lambda b, a: pencil_bracket(
+            P, DensityElement.from_poly(coord(b)),
+            DensityElement.from_poly(coord(a))).component(0))
+        gamma = {a: pencil_bracket(P, DensityElement.from_poly(coord(a)), t).component(1)
+                 for a in chart.names}
+        gamma = {a: v for a, v in gamma.items() if not v.is_zero()}
+        theta = pencil_bracket(P, t, t).component(2)
+        assert (got.S, got.gamma, got.theta) == (S, gamma, theta)
+        for order in (0, 1, 2):
+            D = rand_op(rng, chart, order, parity=i % 2)
+            for op in (D, D + W * rand_op(rng, chart, order, parity=i % 2)):
+                S = principal_matrix(op)
+                assert S == _probe_smatrix(
+                    chart, lambda b, a: bracket_from_operator(op, coord(b), coord(a)))
+                seen_nonzero += bool(S)
+        cmap = _triangular_map(rng, chart)
+        assert transform_smatrix(data.S, chart, cmap) == _probe_smatrix(
+            chart, lambda b, a: cmap.push(
+                matrix_bracket(data.S, chart, cmap.fwd[b], cmap.fwd[a])))
+    assert seen_nonzero
+
+
+_REFUSALS = [  # on chart C { even x; odd xi; }; None: in the image
+    ("x + d(xi)", ParityError, "pencil must be homogeneous"),
+    ("d(x) + d(xi)", ParityError, "pencil must be homogeneous"),
+    ("d(x)^3", DomainError, "pencil must have order <= 2"),
+    ("d(x)^2*d(xi)", DomainError, "pencil must have order <= 2"),
+    ("xi + d(xi)", DomainError, "pencil is not normalized (P1 != 0 at w = 0)"),
+    ("x", DomainError, "pencil is not normalized (P1 != 0 at w = 0)"),
+    ("d(x)", DomainError, "pencil is not self-adjoint"),
+    ("W*x", DomainError, "pencil is not self-adjoint"),
+    ("W*d(x)*d(xi)", DomainError, "pencil is not self-adjoint"),
+    ("W^2*d(x)^2", DomainError, "pencil is not self-adjoint"),
+    ("(W^2-W)*d(x)", DomainError, "pencil is not self-adjoint"),
+    ("(W^2-W)*(x*d(x)*d(xi) + d(xi))", DomainError, "pencil is not self-adjoint"),
+    ("(W^2-W)*d(x)^2", DomainError, "pencil is outside the canonical bijection's domain"),
+    ("(W^2-W)*d(x)*d(xi)", DomainError, "pencil is outside the canonical bijection's domain"),
+    ("(W^2-W)^2*x", DomainError, "pencil is outside the canonical bijection's domain"),
+    ("(W^2-W)^2*d(x)^2", DomainError, "pencil is outside the canonical bijection's domain"),
+    ("(W^2-W)*(x*d(x)^2 + d(x))", DomainError,
+     "pencil is outside the canonical bijection's domain"),
+    ("(W^2-W)*(d(x)*d(xi) + xi)", DomainError,
+     "pencil is outside the canonical bijection's domain"),
+    ("(W^2-W)*x", None, "theta = 2*x"),
+    ("(W^2-W)*xi", None, "theta = 2*xi"),
+    ("(2*W-1)*d(x)", None, "gamma[x] = 2\ntheta = 0"),
+]
+
+
+@pytest.mark.parametrize("text,exc,message", _REFUSALS, ids=[r[0] for r in _REFUSALS])
+def test_extract_refusal_table(text, exc, message):
+    """The exact exception type and message for pencils outside the
+    canonical bijection's domain, and the data of those in it."""
+    P = load_module(f"chart C {{ even x; odd xi; }} operator P on C = {text};").operators["P"]
+    if exc is None:
+        assert render(extract_vbracket(P)) == message
+        return
+    with pytest.raises(DomainError) as ei:
+        extract_vbracket(P)
+    assert type(ei.value) is exc
+    assert str(ei.value) == message
+
+
+def test_pencil_io_makes_no_probe_and_no_composition(monkeypatch):
+    """canonical_pencil, extract_vbracket and transform_data write and read
+    coefficients: no pencil_bracket probe and no compose; transform_smatrix
+    builds one Hamiltonian field per coordinate.  Counted by monkeypatched
+    wrappers on every engine module that names the function; no wall-clock
+    assertion."""
+    import sys
+    calls = {"compose": 0, "pencil_bracket": 0, "hamiltonian_vf": 0}
+    mods = [m for k, m in sys.modules.items() if k.split(".")[0] == "superdelta"]
+    for name in calls:
+        real = getattr(geom, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        for mod in mods:
+            for attr, val in list(vars(mod).items()):
+                if val is real:
+                    monkeypatch.setattr(mod, attr, counting)
+    rng = random.Random("pencil io")
+    for chart in CHARTS:
+        for eps in (0, 1):
+            data = rand_vdata(rng, chart, eps)
+            assert geom.extract_vbracket(geom.canonical_pencil(data)) == data
+            geom.transform_data(data, _triangular_map(rng, chart))
+    assert calls["compose"] == calls["pencil_bracket"] == 0
+    for chart in CHARTS:
+        before = calls["hamiltonian_vf"]
+        geom.transform_smatrix(rand_smatrix(rng, chart, 1), chart, _triangular_map(rng, chart))
+        assert calls["hamiltonian_vf"] - before == len(chart.names)
+    # the counters see the calls they count
+    diffop.compose(DiffOp.deriv(R11, "x"), DiffOp.deriv(R11, "xi"))
+    one = DensityElement.from_poly(GradedPoly.one(R11))
+    geom.pencil_bracket(DiffOp.deriv(R11, "x"), one, one)
+    assert calls["compose"] == calls["pencil_bracket"] == 1
