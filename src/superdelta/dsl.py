@@ -572,22 +572,32 @@ def _join(pairs: list[tuple[bool, str]]) -> str:
     return out
 
 
-def _mono_factors(chart: Chart, key) -> list[str]:
+def _factors(chart: Chart, key, fmt=str) -> list[str]:
+    """The factors of the monomial x^e xi^o at key (e, o), each variable
+    name written as fmt(name): the name itself, or its derivative."""
     e, o = key
     factors = []
     for name, k in zip(chart.even, e):
         if k == 1:
-            factors.append(name)
+            factors.append(fmt(name))
         elif k > 1:
-            factors.append(f"{name}^{k}")
+            factors.append(f"{fmt(name)}^{k}")
     for i in o:
-        factors.append(chart.odd[i])
+        factors.append(fmt(chart.odd[i]))
     return factors
 
 
-def _poly_pairs(p: GradedPoly) -> list[tuple[bool, str]]:
-    keys = sorted(p.terms, key=lambda k: (sum(k[0]) + len(k[1]), k[0], k[1]))
-    return [_term(p.terms[k], _mono_factors(p.chart, k)) for k in keys]
+def _order_key(key):
+    """Monomials print by total degree, then even exponents, then odd
+    indices."""
+    e, o = key
+    return sum(e) + len(o), e, o
+
+
+def _poly_pairs(p: GradedPoly, extra: tuple[str, ...] = ()) -> list[tuple[bool, str]]:
+    """The terms of p in print order, each followed by the factors extra."""
+    return [_term(p.terms[k], [*_factors(p.chart, k), *extra])
+            for k in sorted(p.terms, key=_order_key)]
 
 
 def _render_poly(p: GradedPoly) -> str:
@@ -603,46 +613,25 @@ def _render_density(v: DensityElement) -> str:
             continue
         tfac = f"t^({w})"
         if len(comp.terms) == 1:
-            ((key, c),) = comp.terms.items()
-            neg, s = _term(c, _mono_factors(v.chart, key) + [tfac])
-            pairs.append((neg, s))
+            pairs.extend(_poly_pairs(comp, (tfac,)))
         else:
             pairs.append((False, "(" + _render_poly(comp) + ")*" + tfac))
     return _join(pairs)
 
 
-def _dfactors(chart: Chart, key) -> list[str]:
-    e, o = key
-    factors = []
-    for name, k in zip(chart.even, e):
-        if k == 1:
-            factors.append(f"d({name})")
-        elif k > 1:
-            factors.append(f"d({name})^{k}")
-    for i in o:
-        factors.append(f"d({chart.odd[i]})")
-    return factors
-
-
-def _wpoly_pairs(chart: Chart, wp: dict) -> list[tuple[bool, str]]:
+def _wpoly_pairs(wp: dict) -> list[tuple[bool, str]]:
+    """The terms of a W-polynomial coefficient, highest W-power first."""
     pairs = []
     for k in sorted(wp, reverse=True):
-        p = wp[k]
-        keys = sorted(p.terms, key=lambda kk: (sum(kk[0]) + len(kk[1]), kk[0], kk[1]))
-        wfac = [] if k == 0 else (["W"] if k == 1 else [f"W^{k}"])
-        for key in keys:
-            pairs.append(_term(p.terms[key], _mono_factors(chart, key) + wfac))
+        pairs.extend(_poly_pairs(wp[k], () if k == 0 else ("W" if k == 1 else f"W^{k}",)))
     return pairs
 
 
 def _render_op(D: DiffOp) -> str:
-    chart = D.chart
     pairs = []
-    keys = sorted(D.terms, key=lambda k: (sum(k[0]) + len(k[1]), k[0], k[1]))
-    for key in keys:
-        wp = D.terms[key]
-        dfac = _dfactors(chart, key)
-        cpairs = _wpoly_pairs(chart, wp)
+    for key in sorted(D.terms, key=_order_key):
+        dfac = _factors(D.chart, key, "d({})".format)
+        cpairs = _wpoly_pairs(D.terms[key])
         if not dfac:
             pairs.extend(cpairs)
             continue

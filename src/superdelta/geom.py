@@ -446,39 +446,45 @@ def pencil_bracket(P: DiffOp, psi: DensityElement, chi: DensityElement) -> Densi
     return out
 
 
-def _theta(P: DiffOp) -> GradedPoly:
-    """theta of a canonical pencil: twice its W^2 coefficient at the zero key."""
-    c = P.terms.get(((0,) * len(P.chart.even), ()), {}).get(2)
-    return GradedPoly.zero(P.chart) if c is None else c * 2
+def _pencil_data(P: DiffOp, eps: int) -> VBracketData:
+    """The data of parity eps read where canonical_pencil writes it: S^{ab}
+    at the W^0 coefficient of d_b d_a (principal_matrix), gamma^a at the
+    W^1 coefficient of d_a, and theta as twice the W^2 coefficient at the
+    zero key.  On the image of canonical_pencil this inverts it exactly:
+    no other term of the formula carries those keys and W-powers."""
+    chart = P.chart
+    gamma = {a: wp[1] for a in chart.names
+             if 1 in (wp := P.terms.get(_dkey(chart, a)[0], {}))}
+    c = P.terms.get(((0,) * len(chart.even), ()), {}).get(2)
+    theta = GradedPoly.zero(chart) if c is None else c * 2
+    return VBracketData(chart, eps, principal_matrix(P), gamma, theta)
 
 
 def extract_vbracket(P: DiffOp) -> VBracketData:
-    """Invert canonical_pencil on its image, reading the data where the
-    pencil's formula writes it: S^{ab} at the W^0 coefficient of d_b d_a
-    (principal_matrix), gamma^a at the W^1 coefficient of d_a, and theta as
-    twice the W^2 coefficient at the zero key.  On the image these are the
-    brackets {x^b, x^a}, {x^a, t} and {t, t} (t of weight 1).
+    """Invert canonical_pencil on its image: read the data (_pencil_data)
+    and check the round trip canonical_pencil(data) == P.  On the image
+    these are the brackets {x^b, x^a}, {x^a, t} and {t, t} (t of weight 1).
 
-    Raises if P is outside the bijection's slice (order > 2, inhomogeneous,
-    not normalized, not self-adjoint) or, by the round trip
-    canonical_pencil(data) == P, outside the image: (W^2 - W) d_x^2 passes
-    every other check, but no datum reads its W^2 d_x^2 term."""
+    A pencil that passes the round trip is canonical, hence normalized and
+    self-adjoint (criterion 3 certifies both of every canonical pencil), so
+    neither is tested on it.  Raises if P has order > 2 or is
+    inhomogeneous; when the round trip fails, names the first of: not
+    normalized, not self-adjoint, or outside the image ((W^2 - W) d_x^2
+    passes every other check, but no datum reads its W^2 d_x^2 term)."""
     chart = P.chart
     if not P.order_leq(2):
         raise DomainError("pencil must have order <= 2")
     eps = P.parity()
     if eps is None:
         raise ParityError("pencil must be homogeneous")
+    data = _pencil_data(P, eps)
+    if canonical_pencil(data) == P:
+        return data
     if not specialize(P, 0).apply_poly(GradedPoly.one(chart)).is_zero():
         raise DomainError("pencil is not normalized (P1 != 0 at w = 0)")
     if formal_adjoint(P) != P:
         raise DomainError("pencil is not self-adjoint")
-    keys = {a: _dkey(chart, a)[0] for a in chart.names}
-    gamma = {a: P.terms[k][1] for a, k in keys.items() if 1 in P.terms.get(k, {})}
-    data = VBracketData(chart, eps, principal_matrix(P), gamma, _theta(P))
-    if canonical_pencil(data) != P:
-        raise DomainError("pencil is outside the canonical bijection's domain")
-    return data
+    raise DomainError("pencil is outside the canonical bijection's domain")
 
 
 # ---------------------------------------------------------------------------
@@ -821,12 +827,9 @@ def transform_op(D: DiffOp, cmap: CoordMap) -> DiffOp:
     field at a time by the Leibniz rule; W is central and stays with its
     coefficient.  Coefficients involving W then pick up the density
     conjugation by the Berezinian factor."""
-    return _transform_op(D, cmap, cmap.jacobian(), log_berezinian(cmap))
-
-
-def _transform_op(D: DiffOp, cmap: CoordMap, J, lnber: GradedPoly) -> DiffOp:
     chart = D.chart
     push = cmap.push
+    J = cmap.jacobian()
     fields = {a: [(_dkey(chart, b)[0], c) for b in chart.names
                   if not (c := push(J[(b, a)])).is_zero()] for a in chart.names}
     sums: _Sums = {}
@@ -846,7 +849,7 @@ def _transform_op(D: DiffOp, cmap: CoordMap, J, lnber: GradedPoly) -> DiffOp:
                 _add_into(sums, K, k, c if g is None else c * g)
     out = _from_sums(chart, sums)
     # density correction: conjugate by exp(W log Ber'), exact and terminating
-    v = push(lnber)
+    v = push(log_berezinian(cmap))
     if v.is_zero():
         return out
     return _exp_ad(out, v, 1)
@@ -862,7 +865,8 @@ def transform_logvol(sigma, cmap: CoordMap) -> GradedPoly:
 def transform_smatrix(S: SMatrix, chart: Chart, cmap: CoordMap) -> SMatrix:
     """Tensorial transform of S through the bracket on the new coordinate
     functions: S'^{ab} = (-1)^{pa(a) pa(b)} {x'^b, x'^a}, each row of
-    brackets X_{x'^b}(x'^a) from one Hamiltonian field."""
+    brackets X_{x'^b}(x'^a) from one Hamiltonian field.  A reference law:
+    transform_data reads S' off the transformed pencil instead."""
     fields = {b: hamiltonian_vf(S, chart, cmap.fwd[b]) for b in chart.names}
     out = {(a, b): cmap.push(fields[b].apply_poly(cmap.fwd[a])) * _sym_sign(chart, a, b)
            for a in chart.names for b in chart.names}
@@ -871,12 +875,9 @@ def transform_smatrix(S: SMatrix, chart: Chart, cmap: CoordMap) -> SMatrix:
 
 def transform_gamma(S: SMatrix, gamma: GVector, chart: Chart, cmap: CoordMap) -> GVector:
     """gamma^{a'} = (gamma^a + S^{ab} d_b log J) dx^{a'}/dx^a, expressed in
-    new coordinates."""
-    return _transform_gamma(S, gamma, chart, cmap, cmap.jacobian(), log_berezinian(cmap))
-
-
-def _transform_gamma(S: SMatrix, gamma: GVector, chart: Chart, cmap: CoordMap,
-                     J, lnJ: GradedPoly) -> GVector:
+    new coordinates.  A reference law: transform_data reads gamma' off the
+    transformed pencil instead."""
+    J, lnJ = cmap.jacobian(), log_berezinian(cmap)
     shift = _contract(chart, S, {b: partial(b, lnJ) for b in chart.names})
     corrected = {a: gamma.get(a, GradedPoly.zero(chart)) + shift[a] for a in chart.names}
     out = {ap: cmap.push(GradedPoly._sum(chart, (corrected[a] * J[(ap, a)]
@@ -886,13 +887,11 @@ def _transform_gamma(S: SMatrix, gamma: GVector, chart: Chart, cmap: CoordMap,
 
 
 def transform_data(data: VBracketData, cmap: CoordMap) -> VBracketData:
-    """Transform bracket data: S tensorially, gamma by its explicit law, and
-    theta (whose law involves third derivatives) read off the transformed
-    canonical pencil, which is canonical again: twice its W^2 coefficient
-    at the zero key."""
-    chart = data.chart
-    J, lnJ = cmap.jacobian(), log_berezinian(cmap)
-    S2 = transform_smatrix(data.S, chart, cmap)
-    g2 = _transform_gamma(data.S, data.gamma, chart, cmap, J, lnJ)
-    P2 = _transform_op(canonical_pencil(data), cmap, J, lnJ)
-    return VBracketData(chart, data.eps, S2, g2, _theta(P2))
+    """Transform bracket data through its canonical pencil: the pencil is
+    natural, so the transformed canonical pencil of the data is the
+    canonical pencil of the transformed data (criterion 6), and reading it
+    back (_pencil_data) gives S', gamma' and theta' exactly, theta' whose
+    law involves third derivatives included.  The parity is the data's own:
+    the pencil of all-zero data is the zero operator, whose parity is
+    even."""
+    return _pencil_data(transform_op(canonical_pencil(data), cmap), data.eps)

@@ -157,6 +157,49 @@ def test_transform_golden(tmp_path, capsys):
     assert code == 0 and out == "d(x)*d(xi1) + xi2*d(x)^2\n"
 
 
+# a (1|2) map with a non-identity body, x -> 2x + xi1 xi2
+_SCALING_MAP = (
+    "map phi on C { x -> 2*x + xi1*xi2; xi1 -> xi1 + x*xi2; xi2 -> xi2;\n"
+    "  inverse { x -> (1/2)*x - (1/2)*xi1*xi2; xi1 -> xi1 - (1/2)*x*xi2;\n"
+    "  xi2 -> xi2; } }\n")
+
+
+def test_transform_bracket_golden(tmp_path, capsys):
+    src = tmp_path / "tr.sd"
+    src.write_text(
+        "chart C { even x; odd xi1, xi2; }\n"
+        "tensor S on C parity odd { [x,xi1] = 1 + x*xi1*xi2; [x,x] = xi2;\n"
+        "  [xi1,xi2] = x*xi1; }\n"
+        "tensor gamma on C parity odd { [x] = x*xi1; [xi2] = x^2 + xi1*xi2; }\n"
+        + _SCALING_MAP)
+    code, out, _ = run(capsys, "transform", "--input", str(src), "--map",
+                       "phi", "--bracket", "S", "--gamma", "gamma",
+                       "--theta", "xi2 + x^2*xi1")
+    assert code == 0 and out == (
+        "S[x,x] = 8*xi2\n"
+        "S[x,xi1] = 2 + x*xi1*xi2 - (1/4)*x^2*xi1*xi2\n"
+        "S[x,xi2] = -(1/2)*x*xi1*xi2\n"
+        "S[xi1,x] = 2 + x*xi1*xi2 - (1/4)*x^2*xi1*xi2\n"
+        "S[xi1,xi2] = (1/2)*x*xi1 - (1/4)*x^2*xi2\n"
+        "S[xi2,x] = -(1/2)*x*xi1*xi2\n"
+        "S[xi2,xi1] = -(1/2)*x*xi1 + (1/4)*x^2*xi2\n"
+        "gamma[x] = x*xi1 - (1/4)*x^2*xi1 - (1/2)*x^2*xi2 + (1/8)*x^3*xi2\n"
+        "gamma[xi1] = x*xi1*xi2 + (1/8)*x^3 - (3/8)*x^2*xi1*xi2\n"
+        "gamma[xi2] = xi1*xi2 + (1/4)*x^2 - (1/2)*x*xi1*xi2\n"
+        "theta = xi2 + (1/4)*x^2*xi1 - (1/8)*x^3*xi2\n")
+
+
+def test_transform_sigma_golden(tmp_path, capsys):
+    src = tmp_path / "tr.sd"
+    src.write_text(
+        "chart C { even x; odd xi1, xi2; }\n"
+        "density sigma on C = x^3 + xi1*xi2 + x*xi1*xi2;\n" + _SCALING_MAP)
+    code, out, _ = run(capsys, "transform", "--input", str(src), "--map",
+                       "phi", "--sigma", "sigma")
+    assert code == 0
+    assert out == "xi1*xi2 + (1/2)*x*xi1*xi2 + (1/8)*x^3 - (3/8)*x^2*xi1*xi2\n"
+
+
 def test_version_and_conventions(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0 and out.strip().count(".") == 2

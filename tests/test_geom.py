@@ -664,6 +664,31 @@ def test_transform_covariance(rng):
                 canonical_pencil(data2)
 
 
+def test_transform_data_covariance_on_arbitrary_data():
+    """transform_data reads the transformed canonical pencil.  The S and
+    gamma it reads agree with the independent tensor laws, and its
+    canonical pencil is the transformed pencil, on arbitrary data of both
+    parities under nilpotent and triangular maps.  The all-zero datum keeps
+    its parity, though its pencil is the zero operator."""
+    rng = random.Random("data covariance")
+    for chart in CHARTS:
+        for eps in (0, 1):
+            zero = VBracketData(chart, eps, {}, {}, GradedPoly.zero(chart))
+            for data in (zero, rand_vdata(rng, chart, eps),
+                         rand_vdata(rng, chart, eps)):
+                for cmap in (_nilpotent_map(rng, chart),
+                             _triangular_map(rng, chart)):
+                    if cmap is None:
+                        continue
+                    data2 = transform_data(data, cmap)
+                    assert data2.eps == eps
+                    assert data2.S == transform_smatrix(data.S, chart, cmap)
+                    assert data2.gamma == transform_gamma(
+                        data.S, data.gamma, chart, cmap)
+                    assert canonical_pencil(data2) == \
+                        transform_op(canonical_pencil(data), cmap)
+
+
 def test_transform_example_gamma_correction():
     chart = R12
     x = GradedPoly.var(chart, "x")
@@ -955,12 +980,16 @@ def test_extract_refusal_table(text, exc, message):
 
 def test_pencil_io_makes_no_probe_and_no_composition(monkeypatch):
     """canonical_pencil, extract_vbracket and transform_data write and read
-    coefficients: no pencil_bracket probe and no compose; transform_smatrix
-    builds one Hamiltonian field per coordinate.  Counted by monkeypatched
-    wrappers on every engine module that names the function; no wall-clock
+    coefficients: no pencil_bracket probe and no compose.  transform_data
+    reads the transformed pencil, so it builds no Hamiltonian field;
+    extract_vbracket proves a canonical pencil self-adjoint by its round
+    trip, so it takes no formal_adjoint; transform_smatrix builds one
+    Hamiltonian field per coordinate.  Counted by monkeypatched wrappers on
+    every engine module that names the function; no wall-clock
     assertion."""
     import sys
-    calls = {"compose": 0, "pencil_bracket": 0, "hamiltonian_vf": 0}
+    calls = {"compose": 0, "pencil_bracket": 0, "hamiltonian_vf": 0,
+             "formal_adjoint": 0}
     mods = [m for k, m in sys.modules.items() if k.split(".")[0] == "superdelta"]
     for name in calls:
         real = getattr(geom, name)
@@ -980,6 +1009,8 @@ def test_pencil_io_makes_no_probe_and_no_composition(monkeypatch):
             assert geom.extract_vbracket(geom.canonical_pencil(data)) == data
             geom.transform_data(data, _triangular_map(rng, chart))
     assert calls["compose"] == calls["pencil_bracket"] == 0
+    assert calls["hamiltonian_vf"] == 0
+    assert calls["formal_adjoint"] == 0
     for chart in CHARTS:
         before = calls["hamiltonian_vf"]
         geom.transform_smatrix(rand_smatrix(rng, chart, 1), chart, _triangular_map(rng, chart))
@@ -988,4 +1019,7 @@ def test_pencil_io_makes_no_probe_and_no_composition(monkeypatch):
     diffop.compose(DiffOp.deriv(R11, "x"), DiffOp.deriv(R11, "xi"))
     one = DensityElement.from_poly(GradedPoly.one(R11))
     geom.pencil_bracket(DiffOp.deriv(R11, "x"), one, one)
+    with pytest.raises(DomainError, match="not self-adjoint"):
+        geom.extract_vbracket(DiffOp.deriv(R11, "x"))
     assert calls["compose"] == calls["pencil_bracket"] == 1
+    assert calls["formal_adjoint"] == 1
