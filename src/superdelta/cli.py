@@ -183,21 +183,23 @@ _ECHO = 40  # the longest flag value a refusal quotes whole
 
 
 def _number(s: str, flag: str, kind=Fraction):
-    """The value of a numeric flag.  A digit run past Python's int-to-str
-    limit is the one way a valid number fails to parse; that refusal names
-    the limit and does not echo the digits.  Any other refusal quotes the
-    value, or a value longer than _ECHO characters by its first _ECHO
-    characters and its length."""
+    """The value of a numeric flag, which is ASCII text: int() and Fraction()
+    would also read other Unicode digits.  A digit run past Python's
+    int-to-str limit is the one way a valid number fails to parse; that
+    refusal names the limit and does not echo the digits.  Any other
+    refusal quotes the value, or a value longer than _ECHO characters by its
+    first _ECHO characters and its length."""
     try:
-        return kind(s)
+        if s.isascii():
+            return kind(s)
     except (ValueError, ZeroDivisionError):
         limit = sys.get_int_max_str_digits()
         runs = re.findall(r"\d+", s.replace("_", ""))
         if limit and any(len(run) > limit for run in runs):
             raise UsageError(f"{flag}: number longer than the limit of {limit} digits") from None
-        what = "an integer" if kind is int else "a rational number"
-        shown = repr(s) if len(s) <= _ECHO else f"{s[:_ECHO]!r}... ({len(s)} characters)"
-        raise UsageError(f"{flag}: not {what}: {shown}") from None
+    what = "an integer" if kind is int else "a rational number"
+    shown = repr(s) if len(s) <= _ECHO else f"{s[:_ECHO]!r}... ({len(s)} characters)"
+    raise UsageError(f"{flag}: not {what}: {shown}")
 
 
 def _data_from_flags(m: Module, args) -> VBracketData:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Callable, Mapping
 
 from .gralg import (
@@ -336,32 +337,39 @@ def _from_sums(chart: Chart, sums: _Sums) -> DiffOp:
     })
 
 
+def _add_leibniz(sums: _Sums, chart: Chart, I: Key, f: GradedPoly, J: Key,
+                 left: WPoly | None = None, wshift: int = 0, factor=1):
+    """Add  left d^I o (W^wshift f d^J)  to sums (left None stands for 1).
+    By the graded Leibniz rule d^I o f = sum g d^rest; then d^rest d^J adds
+    the even exponents and concatenates the odd indices, sorted at the sign
+    of the inversions, and is 0 if they overlap.  W is central: its powers
+    add."""
+    eJ, oJ = J
+    for (er, orest), g in _leibniz(chart, I, f):
+        merged = _merge_odd(orest, oJ)
+        if merged is None:
+            continue
+        o, sign = merged
+        key = (tuple(map(add, er, eJ)), o)
+        if left is None:
+            _add_into(sums, key, wshift, g, factor * sign)
+            continue
+        for wc, c in left.items():
+            _add_into(sums, key, wc + wshift, c * g, factor * sign)
+
+
 def compose(D: DiffOp, E: DiffOp) -> DiffOp:
     """Normal-ordered composition: apply(compose(D, E), psi) =
-    apply(D, apply(E, psi)).
-
-    Each pair of terms multiplies as  c d^I o f d^J = sum c g d^rest d^J
-    with d^I o f = sum g d^rest by the graded Leibniz rule: an odd
-    derivative passing a homogeneous coefficient g costs (-1)^{|g|}, an
-    even one costs nothing and expands with binomials.  Then d^rest d^J
-    adds the even exponents and concatenates the odd indices, sorted at
-    the sign of the inversions, and is 0 if they overlap.  W is central:
-    its powers add."""
+    apply(D, apply(E, psi)), summing  c d^I o (f d^J)  over every pair of
+    terms by _add_leibniz."""
     if D.chart != E.chart:
         raise ChartMismatch("operators on different charts")
     chart = D.chart
     sums: _Sums = {}
     for I, wpD in D.terms.items():
-        for (eJ, oJ), wpE in E.terms.items():
+        for J, wpE in E.terms.items():
             for wf, f in wpE.items():
-                for (er, orest), g in _leibniz(chart, I, f):
-                    merged = _merge_odd(orest, oJ)
-                    if merged is None:
-                        continue
-                    o, sign = merged
-                    key = (tuple(a + b for a, b in zip(er, eJ)), o)
-                    for wc, c in wpD.items():
-                        _add_into(sums, key, wc + wf, c * g, sign)
+                _add_leibniz(sums, chart, I, f, J, wpD, wf)
     return _from_sums(chart, sums)
 
 

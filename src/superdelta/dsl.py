@@ -23,7 +23,10 @@ Grammar (EBNF):
                 | "d" "(" NAME ")" | NAME | "(" expr ")" ;
     wexp        = INT | "(" [ "-" ] INT [ "/" INT ] ")" ;
 
-"#" starts a comment running to the end of the line.  "t", "W" and "d" are
+Tokens are ASCII: INT = [0-9]+, NAME = [A-Za-z_][A-Za-z0-9_]*, the
+punctuation above, and blanks (space, tab, carriage return).  "#" starts a
+comment running to the end of the line, and a comment may hold any
+character; any other character is unexpected.  "t", "W" and "d" are
 reserved.  Derivative tokens d(x) and the weight symbol W are allowed only
 in operator expressions; t^w only in element expressions.  Two-index
 tensor entries are completed by the forced graded symmetry
@@ -48,6 +51,7 @@ must be t-free.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -101,56 +105,23 @@ class _Tok(NamedTuple):
     col: int
 
 
-_PUNCT1 = "{}[]();,=+-*^/"
+# tried in order at each position: blanks match no group, and a character
+# that starts no token is unexpected
+_TOKEN = re.compile(r"[ \t\r]+|(?P<punct>->|[-{}\[\]();,=+*^/])|(?P<int>[0-9]+)"
+                    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>.)")
 
 
 def _lex(text: str) -> list[_Tok]:
     toks = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            toks.append(_Tok("punct", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in _PUNCT1:
-            toks.append(_Tok("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise DslError(f"unexpected character {c!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
+    for line, s in enumerate(text.split("\n"), 1):
+        s = s.partition("#")[0]  # a comment runs to the end of its line
+        for m in _TOKEN.finditer(s):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise DslError(f"unexpected character {m[0]!r}", line, m.start() + 1)
+            if kind:
+                toks.append(_Tok(kind, m[0], line, m.start() + 1))
+    toks.append(_Tok("eof", "", line, len(s) + 1))
     return toks
 
 
@@ -449,13 +420,7 @@ class _Parser:
         t = self.peek()
         m = self.m
         if t.kind == "int":
-            num, den = self.expect_int(), 1
-            if self.peek().text == "/":
-                self.next()
-                den = self.expect_int()
-                if den == 0:
-                    self.fail("zero denominator", t)
-            return GradedPoly.const(m.chart, Fraction(num, den)), t
+            return GradedPoly.const(m.chart, self._rational(t, 1)), t
         if t.text == "(":
             self.nest(self.next())
             e = self.expr(operator)
@@ -512,15 +477,19 @@ class _Parser:
         if self.peek().text == "-":
             self.next()
             sign = -1
-        num = self.expect_int()
-        den = 1
+        w = self._rational(t, sign)
+        self.expect(")")
+        return w
+
+    def _rational(self, at: _Tok, sign: int) -> Fraction:
+        """sign * INT [ "/" INT ]; a zero denominator is reported at ``at``."""
+        num, den = sign * self.expect_int(), 1
         if self.peek().text == "/":
             self.next()
             den = self.expect_int()
             if den == 0:
-                self.fail("zero denominator", t)
-        self.expect(")")
-        return Fraction(sign * num, den)
+                self.fail("zero denominator", at)
+        return Fraction(num, den)
 
 
 def load_module(text: str) -> Module:

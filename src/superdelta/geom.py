@@ -15,7 +15,6 @@ Frozen conventions (certified by the theorem suites in tests/):
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add as _add
 from typing import Mapping, NamedTuple
 
 from .gralg import (
@@ -28,18 +27,18 @@ from .gralg import (
     GradedPoly,
     Key,
     ParityError,
-    _merge_odd,
     partial,
     substitute,
 )
 from .diffop import (
     DiffOp,
+    WPoly,
     _Sums,
     _add_into,
+    _add_leibniz,
     _dkey,
     _exp_ad,
     _from_sums,
-    _leibniz,
     compose,
     conjugate_by_exp,
     formal_adjoint,
@@ -299,19 +298,6 @@ def lie_derivative(X: DiffOp, w) -> DiffOp:
 # ---------------------------------------------------------------------------
 # odd Laplacians and the density calculus
 # ---------------------------------------------------------------------------
-
-
-def _add_leibniz(sums: _Sums, chart: Chart, I: Key, f: GradedPoly, J: Key,
-                 left: GradedPoly | None = None, factor=1):
-    """Add  left d^I o (f d^J)  to sums (left None stands for 1), by the
-    Leibniz rule and the sign of merging the odd indices of d^rest d^J."""
-    eJ, oJ = J
-    for (er, orest), g in _leibniz(chart, I, f):
-        merged = _merge_odd(orest, oJ)
-        if merged is not None:
-            o, sign = merged
-            _add_into(sums, (tuple(map(_add, er, eJ)), o), 0,
-                      g if left is None else left * g, factor * sign)
 
 
 def _div_form(chart: Chart, S: SMatrix, sigma: GradedPoly, factor=1) -> DiffOp:
@@ -834,19 +820,19 @@ def transform_op(D: DiffOp, cmap: CoordMap) -> DiffOp:
                   if not (c := push(J[(b, a)])).is_zero()] for a in chart.names}
     sums: _Sums = {}
     for (e, o), wp in D.terms.items():
-        F: dict[Key, GradedPoly | None] = {((0,) * len(e), ()): None}  # None: 1
+        F: dict[Key, WPoly | None] = {((0,) * len(e), ()): None}  # None: 1
         # d^I = d_even^e o d_odd(o_1) o ... o d_odd(o_k)
         for name in [n for n, k in zip(chart.even, e) for _ in range(k)] + \
                 [chart.odd[i] for i in o]:
             step: _Sums = {}
             for K, g in F.items():
                 for kb, c in fields[name]:
-                    _add_leibniz(step, chart, K, c, kb, left=g)
-            F = {k: w[0] for k, w in _from_sums(chart, step).terms.items()}
+                    _add_leibniz(step, chart, K, c, kb, g)
+            F = _from_sums(chart, step).terms
         for k, c in wp.items():
             c = push(c)
             for K, g in F.items():
-                _add_into(sums, K, k, c if g is None else c * g)
+                _add_into(sums, K, k, c if g is None else c * g[0])
     out = _from_sums(chart, sums)
     # density correction: conjugate by exp(W log Ber'), exact and terminating
     v = push(log_berezinian(cmap))

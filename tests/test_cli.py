@@ -366,6 +366,16 @@ _REFUSALS = [
     ("MOD", ["apply", "--op", "Delta", "--args", "x", "--weight", "x" * 5000], 1,
      "usage error: --weight: not a rational number: '" + "x" * 40
      + "'... (5000 characters)"),
+    # characters outside ASCII: exit 2 in an expression, at the character;
+    # exit 1 in a number flag, which int() and Fraction() would read
+    ("MOD", ["apply", "--op", "Delta", "--args", "3\u00b2"], 2,
+     "error: line 1:2: unexpected character '\u00b2'"),
+    ("MOD", ["apply", "--op", "Delta", "--args", "\u0663*x"], 2,
+     "error: line 1:1: unexpected character '\u0663'"),
+    ("MOD", ["apply", "--op", "Delta", "--args", "x*xi", "--weight", "\u0663"], 1,
+     "usage error: --weight: not a rational number: '\u0663'"),
+    ("MOD", ["jacobiator", "--op", "Delta", "--n", "\u0662", "--args", "x"], 1,
+     "usage error: --n: not an integer: '\u0662'"),
 ]
 
 

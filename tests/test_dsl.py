@@ -108,6 +108,18 @@ def test_diagnostic_positions(src, line, col, frag):
 _DIAGNOSTICS = [
     # lexer
     (HDR + "element e on C = x $ 1;", "line 2:20: unexpected character '$'"),
+    # tokens are ASCII: any other character outside a comment is unexpected
+    (HDR + "element f on C = x^\u00b2;", "line 2:20: unexpected character '\u00b2'"),
+    (HDR + "element f on C = 3\u00b2*x;", "line 2:19: unexpected character '\u00b2'"),
+    (HDR + "element f on C = \u0663*x;", "line 2:18: unexpected character '\u0663'"),
+    ("chart C { even x; odd xi\u00b2; }", "line 1:25: unexpected character '\u00b2'"),
+    ("chart C { even \u00e9; }", "line 1:16: unexpected character '\u00e9'"),
+    # positions: a comment ends the line's tokens, "\r" and "\t" are one
+    # column each, and only "\n" starts a line
+    (HDR + "element e on C = x # trailing",
+     "line 2:20: unexpected end of input (expected ';')"),
+    (HDR.replace("\n", "\r\n") + "element e on C = x;\r\n\telement g on C =\t$;",
+     "line 3:19: unexpected character '$'"),
     # syntax, with expected-token sets
     ("chart C { even x }", "line 1:18: found '}' (expected ';')"),
     (HDR + "element e on C = x",
@@ -229,6 +241,11 @@ def test_diagnostic_table(src, message):
     with pytest.raises(DslError) as ei:
         load_module(src)
     assert str(ei.value) == message
+
+
+def test_comment_may_hold_any_character():
+    m = load_module(HDR + "# caf\u00e9, \u0663, x^\u00b2\nelement e on C = x; # na\u00efve\n")
+    assert render(m.elements["e"]) == "x"
 
 
 def test_expected_token_sets():
