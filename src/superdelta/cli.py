@@ -184,19 +184,22 @@ _ECHO = 40  # the longest flag value a refusal quotes whole
 
 def _number(s: str, flag: str, kind=Fraction):
     """The value of a numeric flag, which is ASCII text: int() and Fraction()
-    would also read other Unicode digits.  A digit run past Python's
-    int-to-str limit is the one way a valid number fails to parse; that
-    refusal names the limit and does not echo the digits.  Any other
-    refusal quotes the value, or a value longer than _ECHO characters by its
-    first _ECHO characters and its length."""
-    try:
-        if s.isascii():
+    would also read other Unicode digits.  A number past Python's int-to-str
+    limit is refused before it is read, naming the limit and not echoing the
+    digits: a digit run past it, or an exponent past it, as Fraction("1e<k>")
+    builds 10^k exactly.  Any other refusal quotes the value, or a value
+    longer than _ECHO characters by its first _ECHO characters and its
+    length."""
+    if s.isascii():
+        limit, plain = sys.get_int_max_str_digits(), s.replace("_", "")
+        exp = kind is Fraction and re.search(r"[0-9.][eE][-+]?([0-9]+)\s*$", plain)
+        if limit and (any(len(run) > limit for run in re.findall(r"[0-9]+", plain))
+                      or exp and int(exp[1]) > limit):
+            raise UsageError(f"{flag}: number longer than the limit of {limit} digits")
+        try:
             return kind(s)
-    except (ValueError, ZeroDivisionError):
-        limit = sys.get_int_max_str_digits()
-        runs = re.findall(r"\d+", s.replace("_", ""))
-        if limit and any(len(run) > limit for run in runs):
-            raise UsageError(f"{flag}: number longer than the limit of {limit} digits") from None
+        except (ValueError, ZeroDivisionError):
+            pass
     what = "an integer" if kind is int else "a rational number"
     shown = repr(s) if len(s) <= _ECHO else f"{s[:_ECHO]!r}... ({len(s)} characters)"
     raise UsageError(f"{flag}: not {what}: {shown}")

@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
-from operator import add
 from typing import Callable, Mapping
 
 from .gralg import (
@@ -38,6 +37,7 @@ from .gralg import (
     Key,
     ParityError,
     _merge_odd,
+    _mul_keys,
     _power,
     partial,
 )
@@ -340,17 +340,13 @@ def _from_sums(chart: Chart, sums: _Sums) -> DiffOp:
 def _add_leibniz(sums: _Sums, chart: Chart, I: Key, f: GradedPoly, J: Key,
                  left: WPoly | None = None, wshift: int = 0, factor=1):
     """Add  left d^I o (W^wshift f d^J)  to sums (left None stands for 1).
-    By the graded Leibniz rule d^I o f = sum g d^rest; then d^rest d^J adds
-    the even exponents and concatenates the odd indices, sorted at the sign
-    of the inversions, and is 0 if they overlap.  W is central: its powers
-    add."""
-    eJ, oJ = J
-    for (er, orest), g in _leibniz(chart, I, f):
-        merged = _merge_odd(orest, oJ)
-        if merged is None:
+    By the graded Leibniz rule d^I o f = sum g d^rest; then d^rest d^J is
+    one key by _mul_keys, or 0 if their odd indices overlap.  W is central:
+    its powers add."""
+    for rest, g in _leibniz(chart, I, f):
+        if not (k := _mul_keys(rest, J)):
             continue
-        o, sign = merged
-        key = (tuple(map(add, er, eJ)), o)
+        key, sign = k
         if left is None:
             _add_into(sums, key, wshift, g, factor * sign)
             continue

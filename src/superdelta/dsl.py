@@ -38,12 +38,16 @@ parentheses and unary minus signs) deeper than MAX_NESTING.
 A module is read in one pass: the parser evaluates each expression as it
 reads it and stores each declaration's value in the ``Module`` at once, so
 a name is in scope from the end of its declaration on, and the first error
-in source order is the one reported.  An expression's value has the
-narrowest type that holds it: a ``GradedPoly`` for numbers, variables,
-log-volumes and t-free elements; a ``DensityElement`` once a t^w factor or
-an element with t-components enters; a ``DiffOp`` once W, d(x) or an
-operator enters.  The arithmetic of those types promotes a polynomial
-where it meets a richer operand.  Each declaration converts its value
+in source order is the one reported.  A product of numbers, chart
+variables, W and d(x), with ^INT powers and unary minus, is built as one
+normal-ordered term c x^m W^w d^J, its sign from ``gralg._merge_odd`` for
+the odd variables and for the odd derivatives; any value times a term
+c W^w d^J without variables is taken one derivative key at a time.  A
+variable after a derivative (d(x)*x), a power of a term with both
+variables and derivatives, a named element, operator or density, and t^w
+go through the arithmetic of the value types, which promotes a
+``GradedPoly`` to a ``DensityElement`` where t^w enters and to a ``DiffOp``
+where W, d(x) or an operator does.  Each declaration converts its value
 once: an operator through ``DiffOp.mult``, an element to a polynomial
 when it has no t-component, and a log-volume, tensor entry or map image
 must be t-free.
@@ -54,10 +58,10 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import accumulate
 
-from .gralg import Chart, DensityElement, DomainError, GradedPoly
-from .diffop import DiffOp
+from .gralg import Chart, DensityElement, DomainError, GradedPoly, _mul_keys, _power
+from .diffop import DiffOp, _dkey
 from .geom import CoordMap, LogVolume, VBracketData
 
 __all__ = [
@@ -97,32 +101,33 @@ class DslError(ValueError):
 # ---------------------------------------------------------------------------
 # lexer
 
-
-class _Tok(NamedTuple):
-    kind: str  # "name", "int", "punct", "eof"
-    text: str
-    line: int
-    col: int
-
-
-# tried in order at each position: blanks match no group, and a character
-# that starts no token is unexpected
-_TOKEN = re.compile(r"[ \t\r]+|(?P<punct>->|[-{}\[\]();,=+*^/])|(?P<int>[0-9]+)"
-                    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>.)")
+# One alternative per token class, tried in order at each position.  Every
+# character starts a piece, so the pieces cover the text.
+_PIECE = re.compile(r"[ \t\r\n]+|#[^\n]*|->|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|.", re.S)
+# a piece's kind by its first character: None for blanks and comments, and
+# "bad" (the default) for a character that starts no token
+_KIND = {**dict.fromkeys(" \t\r\n#"), **dict.fromkeys("0123456789", "int"),
+         **dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_", "name"),
+         **dict.fromkeys("-{}[]();,=+*^/", "punct")}
 
 
-def _lex(text: str) -> list[_Tok]:
-    toks = []
-    for line, s in enumerate(text.split("\n"), 1):
-        s = s.partition("#")[0]  # a comment runs to the end of its line
-        for m in _TOKEN.finditer(s):
-            kind = m.lastgroup
-            if kind == "bad":
-                raise DslError(f"unexpected character {m[0]!r}", line, m.start() + 1)
-            if kind:
-                toks.append(_Tok(kind, m[0], line, m.start() + 1))
-    toks.append(_Tok("eof", "", line, len(s) + 1))
-    return toks
+def _position(text: str, off: int) -> tuple[int, int]:
+    """The 1-based line and column of the offset ``off`` in ``text``."""
+    return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
+
+
+def _lex(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) tokens of ``text``, kind "name", "int" or
+    "punct", then an "eof" token at the end of the last line's code."""
+    pieces = _PIECE.findall(text)
+    offs = list(accumulate(map(len, pieces), initial=0))
+    toks = [(kind, s, off) for s, off in zip(pieces, offs)
+            if (kind := _KIND.get(s[0], "bad"))]
+    for kind, s, off in toks:
+        if kind == "bad":
+            raise DslError(f"unexpected character {s!r}", *_position(text, off))
+    # the last line's code ends where its comment starts
+    return toks + [("eof", "", offs[-2] if pieces and pieces[-1][0] == "#" else offs[-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -156,56 +161,67 @@ def _simplify_element(v):
 # ---------------------------------------------------------------------------
 # parser and evaluator
 
+# A term is one normal-ordered product  c x^m W^w d^J, held as the tuple
+# (c, m, w, J): a Fraction c, the monomial key m, the W-power w and the
+# derivative key J, in the key layout of GradedPoly and DiffOp.  c = 0 is
+# the zero term: the number 0, or a product in which an odd factor repeats.
+_ONE = Fraction(1)
+
 
 class _Parser:
     """Reads .sd text and evaluates it against the module ``m``, which the
-    chart declaration creates.  Expression methods return the value and the
-    token at the root of the expression, where a t-free check reports."""
+    chart declaration creates.  Expression methods return the value, a term
+    or an algebra value, and the token at the root of the expression, where
+    a t-free check reports."""
 
     def __init__(self, text: str, m: Module | None = None):
+        self.text = text
         self.toks = _lex(text)
         self.i = 0
-        self.m = m
         self.depth = 0
+        self.m = None
+        if m is not None:
+            self._enter(m)
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
+    def _enter(self, m: Module):
+        """Read against m, with the key of 1 and of each chart variable."""
+        self.m, self.one = m, ((0,) * len(m.chart.even), ())
+        self.keys = {v: _dkey(m.chart, v)[0] for v in m.chart.names}
 
-    def next(self) -> _Tok:
+    def fail(self, message: str, tok, expected=()):
+        raise DslError(message, *_position(self.text, tok[2]), expected)
+
+    def expect(self, text: str):
         t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def fail(self, message: str, tok: _Tok, expected=()):
-        raise DslError(message, tok.line, tok.col, expected)
-
-    def expect(self, text: str) -> _Tok:
-        t = self.peek()
-        if (t.kind in ("punct", "name") and t.text == text):
-            return self.next()
-        self.fail(f"found {t.text!r}" if t.kind != "eof" else "unexpected end of input",
+        if t[1] == text:
+            self.i += 1
+            return t
+        self.fail(f"found {t[1]!r}" if t[0] != "eof" else "unexpected end of input",
                   t, expected=(f"'{text}'",))
 
-    def expect_name(self, what: str) -> _Tok:
-        t = self.peek()
-        if t.kind == "name" and t.text not in _RESERVED:
-            return self.next()
-        self.fail(f"found {t.text!r} where {what} was required", t,
+    def expect_name(self, what: str):
+        t = self.toks[self.i]
+        if t[0] == "name" and t[1] not in _RESERVED:
+            self.i += 1
+            return t
+        self.fail(f"found {t[1]!r} where {what} was required", t,
                   expected=("identifier",))
 
     def expect_int(self) -> int:
-        t = self.peek()
-        if t.kind != "int":
-            self.fail(f"found {t.text!r}", t, expected=("integer",))
-        self.next()
+        t = self.toks[self.i]
+        if t[0] != "int":
+            self.fail(f"found {t[1]!r}", t, expected=("integer",))
+        self.i += 1
         try:
-            return int(t.text)
+            return int(t[1])
         except ValueError:  # a digit string fails only on the length limit
             self.fail("integer literal longer than the limit of "
                       f"{sys.get_int_max_str_digits()} digits", t)
 
-    def nest(self, tok: _Tok):
-        """Open one nesting level at ``tok``; the caller closes it."""
+    def nest(self, tok):
+        """Step past ``tok``, opening one nesting level there; the caller
+        closes it."""
+        self.i += 1
         self.depth += 1
         if self.depth > MAX_NESTING:
             self.fail(f"expression nested deeper than {MAX_NESTING} levels", tok)
@@ -213,28 +229,27 @@ class _Parser:
     # -- declarations
 
     def module(self) -> Module:
-        while self.peek().kind != "eof":
+        while self.toks[self.i][0] != "eof":
             self.declaration()
         if self.m is None:
-            t = self.peek()
-            raise DslError("module declares no chart", t.line, t.col)
+            self.fail("module declares no chart", self.toks[self.i])
         return self.m
 
     def declaration(self):
-        t = self.peek()
-        if t.kind != "name":
-            self.fail(f"found {t.text!r}", t, expected=_DECLARATIONS)
-        if t.text == "chart":
+        t = self.toks[self.i]
+        if t[0] != "name":
+            self.fail(f"found {t[1]!r}", t, expected=_DECLARATIONS)
+        if t[1] == "chart":
             return self.chart_decl()
-        if t.text in ("tensor", "density", "element", "operator", "map"):
+        if t[1] in ("tensor", "density", "element", "operator", "map"):
             if self.m is None:
                 self.fail("a chart must be declared first", t)
-            if t.text == "tensor":
+            if t[1] == "tensor":
                 return self.tensor_decl()
-            if t.text == "map":
+            if t[1] == "map":
                 return self.map_decl()
-            return self._value_decl(t.text)
-        self.fail(f"unknown declaration {t.text!r}", t, expected=_DECLARATIONS)
+            return self._value_decl(t[1])
+        self.fail(f"unknown declaration {t[1]!r}", t, expected=_DECLARATIONS)
 
     def chart_decl(self):
         kw = self.expect("chart")
@@ -242,63 +257,58 @@ class _Parser:
             self.fail("only one chart per module", kw)
         name = self.expect_name("the chart name")
         self.expect("{")
-        even, odd = [], []
-        while self.peek().text != "}":
-            t = self.peek()
-            if t.text == "even":
-                self.next()
-                even.extend(self.namelist())
-            elif t.text == "odd":
-                self.next()
-                odd.extend(self.namelist())
-            else:
-                self.fail(f"found {t.text!r}", t, expected=("'even'", "'odd'", "'}'"))
+        names = {"even": [], "odd": []}
+        while (t := self.toks[self.i])[1] != "}":
+            if t[1] not in names:
+                self.fail(f"found {t[1]!r}", t, expected=("'even'", "'odd'", "'}'"))
+            self.i += 1
+            names[t[1]].extend(self.namelist())
             self.expect(";")
         self.expect("}")
-        chart = self._build(kw, Chart, tuple(even), tuple(odd))
-        self.m = Module(chart, name.text)
+        chart = self._build(kw, Chart, tuple(names["even"]), tuple(names["odd"]))
+        self._enter(Module(chart, name[1]))
 
     def namelist(self) -> list[str]:
-        names = [self.expect_name("a variable name").text]
-        while self.peek().text == ",":
-            self.next()
-            names.append(self.expect_name("a variable name").text)
+        names = [self.expect_name("a variable name")[1]]
+        while self.toks[self.i][1] == ",":
+            self.i += 1
+            names.append(self.expect_name("a variable name")[1])
         return names
 
-    def _build(self, kw: _Tok, make, *args):
+    def _build(self, kw, make, *args):
         """make(*args); a DomainError it raises is reported at the keyword of
         the declaration."""
         try:
             return make(*args)
         except DomainError as ex:
-            raise DslError(str(ex), kw.line, kw.col) from None
+            raise DslError(str(ex), *_position(self.text, kw[2])) from None
 
     def _new_name(self, kind: str) -> str:
         """The declared name, which no earlier declaration may have taken,
         followed by "on" and the chart name."""
         t = self.expect_name(f"the {kind} name")
         m = self.m
-        if t.text == m.chart_name or t.text in m.chart.names or any(
-                t.text in names for names in
+        if t[1] == m.chart_name or t[1] in m.chart.names or any(
+                t[1] in names for names in
                 (m.tensors, m.densities, m.elements, m.operators, m.maps)):
-            self.fail(f"name {t.text!r} is already declared", t)
+            self.fail(f"name {t[1]!r} is already declared", t)
         self.expect("on")
         c = self.expect_name("the chart name")
-        if c.text != m.chart_name:
-            self.fail(f"unknown chart {c.text!r}", c)
-        return t.text
+        if c[1] != m.chart_name:
+            self.fail(f"unknown chart {c[1]!r}", c)
+        return t[1]
 
     def _chart_var(self) -> str:
         t = self.expect_name("a chart variable")
-        if t.text not in self.m.chart.names:
-            self.fail(f"undeclared variable {t.text!r}", t)
-        return t.text
+        if t[1] not in self.keys:
+            self.fail(f"undeclared variable {t[1]!r}", t)
+        return t[1]
 
     def _t_free(self, what: str) -> GradedPoly:
         """An element expression and its ";", as a polynomial."""
         v, at = self.expr(operator=False)
         self.expect(";")
-        v = _simplify_element(v)
+        v = _simplify_element(self._value(v))
         if isinstance(v, DensityElement):
             self.fail(f"{what} must be t-free", at)
         return v
@@ -307,18 +317,19 @@ class _Parser:
         kw = self.expect("tensor")
         name = self._new_name("tensor")
         self.expect("parity")
-        t = self.peek()
-        if t.text not in ("even", "odd"):
-            self.fail(f"found {t.text!r}", t, expected=("'even'", "'odd'"))
-        eps = 0 if self.next().text == "even" else 1
+        t = self.toks[self.i]
+        if t[1] not in ("even", "odd"):
+            self.fail(f"found {t[1]!r}", t, expected=("'even'", "'odd'"))
+        self.i += 1
+        eps = 0 if t[1] == "even" else 1
         chart = self.m.chart
         self.expect("{")
         entries, first = {}, None
-        while self.peek().text != "}":
+        while self.toks[self.i][1] != "}":
             lb = self.expect("[")
             idx = (self._chart_var(),)
-            if self.peek().text == ",":
-                self.next()
+            if self.toks[self.i][1] == ",":
+                self.i += 1
                 idx += (self._chart_var(),)
             self.expect("]")
             first = first or (lb, len(idx))
@@ -354,6 +365,7 @@ class _Parser:
             return
         v, _ = self.expr(operator=(kind == "operator"))
         self.expect(";")
+        v = self._value(v)
         if kind == "element":
             m.elements[name] = _simplify_element(v)
         else:
@@ -373,8 +385,7 @@ class _Parser:
 
     def _map_rules(self, stop) -> dict[str, GradedPoly]:
         rules = {}
-        while self.peek().text not in ("}",) + tuple(stop):
-            t = self.peek()
+        while (t := self.toks[self.i])[1] not in ("}",) + tuple(stop):
             v = self._chart_var()
             if v in rules:
                 self.fail(f"duplicate rule for {v!r}", t)
@@ -382,110 +393,148 @@ class _Parser:
             rules[v] = self._t_free("a map image")
         return rules
 
-    # -- expressions: (value, root token)
+    # -- expressions: (term or value, root token)
+
+    def _value(self, v):
+        """The algebra value of a term, a polynomial when it has neither W
+        nor derivatives; any other value is its own."""
+        if type(v) is not tuple:
+            return v
+        c, mono, w, J = v
+        p = GradedPoly._of(self.m.chart, {mono: c} if c else {})
+        return DiffOp(self.m.chart, {J: {w: p}}) if w or J != self.one else p
 
     def expr(self, operator: bool):
         v, at = self.term(operator)
-        while self.peek().text in ("+", "-"):
-            at = self.next()
+        while (t := self.toks[self.i])[1] in ("+", "-"):
+            self.i += 1
+            at = t
             r, _ = self.term(operator)
-            v = v + r if at.text == "+" else v - r
+            v, r = self._value(v), self._value(r)
+            v = v + r if t[1] == "+" else v - r
         return v, at
 
     def term(self, operator: bool):
         v, at = self.unary(operator)
-        while self.peek().text == "*":
-            at = self.next()
+        while (t := self.toks[self.i])[1] == "*":
+            self.i += 1
+            at = t
             r, _ = self.unary(operator)
-            v = v * r
+            v = self._mul(v, r)
         return v, at
 
+    def _mul(self, a, b):
+        """a * b.  Two terms multiply as one term unless a variable follows a
+        derivative.  A value times a term c W^w d^J without variables is
+        taken one derivative key I at a time, d^I d^J being one key.  Any
+        other product goes through the operator algebra."""
+        one = self.one
+        if type(b) is tuple:
+            c, mono, w, J = b
+            if type(a) is tuple and (a[3] == one or mono == one):
+                km, kd = _mul_keys(a[1], mono), _mul_keys(a[3], J)
+                if not (km and kd):
+                    return (Fraction(0), one, 0, one)
+                return (a[0] * c if km[1] == kd[1] else -a[0] * c, km[0], a[2] + w, kd[0])
+            if type(a) is not tuple and mono == one and (w or J != one):
+                terms = {}  # a is a polynomial or an operator
+                for I, wp in (a.terms if isinstance(a, DiffOp) else {one: {0: a}}).items():
+                    if k := _mul_keys(I, J):
+                        terms[k[0]] = {u + w: p * (c if k[1] > 0 else -c) for u, p in wp.items()}
+                return DiffOp(self.m.chart, terms)
+        return self._value(a) * self._value(b)
+
     def unary(self, operator: bool):
-        t = self.peek()
-        if t.text == "-":
-            self.nest(self.next())
+        t = self.toks[self.i]
+        if t[1] == "-":
+            self.nest(t)
             v, _ = self.unary(operator)
             self.depth -= 1
-            return -v, t
+            return ((-v[0], *v[1:]) if type(v) is tuple else -v), t
         return self.power(operator)
 
     def power(self, operator: bool):
         v, at = self.atom(operator)
-        while self.peek().text == "^":
-            at = self.next()
-            v = v ** self.expect_int()
+        while (t := self.toks[self.i])[1] == "^":
+            self.i += 1
+            at = t
+            n = self.expect_int()
+            # a term squares through _mul, so its power is one term unless a
+            # variable follows a derivative
+            one = (_ONE, self.one, 0, self.one)
+            v = _power(v, n, one, self._mul) if type(v) is tuple else v ** n
         return v, at
 
     def atom(self, operator: bool):
-        t = self.peek()
+        t = self.toks[self.i]
+        kind, s = t[0], t[1]
         m = self.m
-        if t.kind == "int":
-            return GradedPoly.const(m.chart, self._rational(t, 1)), t
-        if t.text == "(":
-            self.nest(self.next())
+        if kind == "int":
+            return (self._rational(t, 1), self.one, 0, self.one), t
+        if s == "(":
+            self.nest(t)
             e = self.expr(operator)
             self.expect(")")
             self.depth -= 1
             return e
-        if t.text == "W":
-            self.next()
+        if s == "W":
+            self.i += 1
             if not operator:
                 self.fail("the weight symbol W is only allowed in operator expressions", t)
-            return DiffOp.weight(m.chart), t
-        if t.text == "d":
-            self.next()
+            return (_ONE, self.one, 1, self.one), t
+        if s == "d":
+            self.i += 1
             if not operator:
                 self.fail("derivative tokens are only allowed in operator expressions", t)
             self.expect("(")
             v = self._chart_var()
             self.expect(")")
-            return DiffOp.deriv(m.chart, v), t
-        if t.text == "t":
-            self.next()
+            return (_ONE, self.one, 0, self.keys[v]), t
+        if s == "t":
+            self.i += 1
             if operator:
                 self.fail("t^w factors are only allowed in element expressions", t)
             self.expect("^")
             w = self._weight_exponent()
             return DensityElement(m.chart, {w: GradedPoly.one(m.chart)}), t
-        if t.kind == "name" and t.text not in _RESERVED:
-            self.next()
-            name = t.text
-            if name in m.chart.names:
-                return GradedPoly.var(m.chart, name), t
-            if name in m.densities:
-                return m.densities[name].sigma, t
-            if name in m.elements:
-                v = m.elements[name]
+        if kind == "name" and s not in _RESERVED:
+            self.i += 1
+            if s in self.keys:
+                return (_ONE, self.keys[s], 0, self.one), t
+            if s in m.densities:
+                return m.densities[s].sigma, t
+            if s in m.elements:
+                v = m.elements[s]
                 if operator and isinstance(v, DensityElement):
-                    self.fail(f"element {name!r} has t-components and cannot be an "
+                    self.fail(f"element {s!r} has t-components and cannot be an "
                               "operator coefficient", t)
                 return v, t
-            if name in m.operators:
+            if s in m.operators:
                 if not operator:
-                    self.fail(f"operator {name!r} used in an element expression", t)
-                return m.operators[name], t
-            self.fail(f"undeclared name {name!r}", t)
-        self.fail(f"found {t.text!r}" if t.kind != "eof" else "unexpected end of input",
+                    self.fail(f"operator {s!r} used in an element expression", t)
+                return m.operators[s], t
+            self.fail(f"undeclared name {s!r}", t)
+        self.fail(f"found {s!r}" if kind != "eof" else "unexpected end of input",
                   t, expected=("number", "identifier", "'('", "'-'"))
 
     def _weight_exponent(self) -> Fraction:
-        t = self.peek()
-        if t.kind == "int":
+        t = self.toks[self.i]
+        if t[0] == "int":
             return Fraction(self.expect_int())
         self.expect("(")
         sign = 1
-        if self.peek().text == "-":
-            self.next()
+        if self.toks[self.i][1] == "-":
+            self.i += 1
             sign = -1
         w = self._rational(t, sign)
         self.expect(")")
         return w
 
-    def _rational(self, at: _Tok, sign: int) -> Fraction:
+    def _rational(self, at, sign: int) -> Fraction:
         """sign * INT [ "/" INT ]; a zero denominator is reported at ``at``."""
         num, den = sign * self.expect_int(), 1
-        if self.peek().text == "/":
-            self.next()
+        if self.toks[self.i][1] == "/":
+            self.i += 1
             den = self.expect_int()
             if den == 0:
                 self.fail("zero denominator", at)
@@ -505,10 +554,10 @@ def parse_element(text: str, m: Module):
     ``text``."""
     p = _Parser(text, m)
     v, _ = p.expr(operator=False)
-    t = p.peek()
-    if t.kind != "eof":
-        p.fail(f"trailing input {t.text!r}", t)
-    return _simplify_element(v)
+    t = p.toks[p.i]
+    if t[0] != "eof":
+        p.fail(f"trailing input {t[1]!r}", t)
+    return _simplify_element(p._value(v))
 
 
 # ---------------------------------------------------------------------------

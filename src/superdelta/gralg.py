@@ -12,13 +12,15 @@ in ``Fraction``, drops zeros); ``GradedPoly._of`` is private and trusted,
 for term maps the engine built itself, and adopts them unchecked.  The
 ``.terms`` layouts (here and in ``DiffOp``) are read by the benchmark under
 ``bench/``, and every polynomial-by-polynomial product goes through
-``GradedPoly.__mul__``, the boundary its tracer wraps.
+``GradedPoly.__mul__``, the boundary its tracer wraps, except that ``dsl``
+builds each product of numbers, variables, W and derivatives in ``.sd``
+text as one term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add as _add
+from operator import add as _add, mul as _mul
 from typing import Mapping, NamedTuple
 
 EVEN = 0
@@ -97,18 +99,25 @@ def _merge_odd(o1: tuple[int, ...], o2: tuple[int, ...]):
     return tuple(sorted(o1 + o2)), -1 if inversions & 1 else 1
 
 
-def _power(x, n: int, one):
-    """x^n by repeated squaring, for any associative product ``*`` with
+def _mul_keys(k1: Key, k2: Key):
+    """(key, sign) with x^k1 x^k2 = sign x^key, or with d^k1 d^k2 = sign
+    d^key for derivative keys; None when an odd factor repeats."""
+    merged = _merge_odd(k1[1], k2[1])
+    return merged and ((tuple(map(_add, k1[0], k2[0])), merged[0]), merged[1])
+
+
+def _power(x, n: int, one, mul=_mul):
+    """x^n by repeated squaring, for any associative product ``mul`` with
     unit ``one``; about 2 log2(n) products instead of n."""
     if n < 0:
         raise ValueError("negative power")
     out = one
     while n:
         if n & 1:
-            out = out * x
+            out = mul(out, x)
         n >>= 1
         if n:
-            x = x * x
+            x = mul(x, x)
     return out
 
 

@@ -376,6 +376,12 @@ _REFUSALS = [
      "usage error: --weight: not a rational number: '\u0663'"),
     ("MOD", ["jacobiator", "--op", "Delta", "--n", "\u0662", "--args", "x"], 1,
      "usage error: --n: not an integer: '\u0662'"),
+    # an exponent past the digit limit, refused before Fraction() builds
+    # 10^99999999
+    ("MOD", ["apply", "--op", "Delta", "--args", "x*xi", "--weight", "1e99999999"], 1,
+     f"usage error: --weight: number longer than the limit of {LIMIT} digits"),
+    ("MOD", ["apply", "--op", "Delta", "--args", "x*xi", "--weight", "1e-99999999"], 1,
+     f"usage error: --weight: number longer than the limit of {LIMIT} digits"),
 ]
 
 

@@ -1,13 +1,16 @@
 """Parser, elaborator, and canonical printer."""
 
+import ast
+import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superdelta import DensityElement, DiffOp, GradedPoly
+from superdelta import DensityElement, DiffOp, GradedPoly, diffop
 from superdelta.diffop import compose
 from superdelta.dsl import (
     DslError,
@@ -16,9 +19,10 @@ from superdelta.dsl import (
     render,
 )
 
-from conftest import R12, poly_strategy, rand_op, rand_poly
+from conftest import CHARTS, R12, R22, poly_strategy, rand_op, rand_poly, rand_smatrix
 
 HDR = "chart C { even x; odd xi1, xi2; }\n"
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _elem(text: str):
@@ -325,3 +329,174 @@ def test_parse_element_helper():
         GradedPoly.var(m.chart, "x") ** 2 + GradedPoly.one(m.chart)
     with pytest.raises(DslError):
         parse_element("zz", m)
+
+
+# ---------------------------------------------------------------------------
+# elaboration against the operator algebra
+
+
+def _chart_text(chart) -> str:
+    kinds = (("even", chart.even), ("odd", chart.odd))
+    return "chart C { " + " ".join(f"{k} {', '.join(names)};" for k, names in kinds
+                                   if names) + " }\n"
+
+
+def _rand_factor(rng, chart, operator, named, depth):
+    """(text, value) of a random factor; the value is folded from
+    GradedPoly.const/var and DiffOp.weight/deriv by *, +, - and **."""
+    r, a = rng.random(), rng.choice(chart.names)
+    if r < 0.15:
+        n = rng.randint(0, 4)
+        text, v = str(n), GradedPoly.const(chart, n)
+    elif r < 0.25:
+        p, q = rng.randint(-3, 3), rng.randint(1, 4)
+        text, v = f"({p}/{q})", GradedPoly.const(chart, Fraction(p, q))
+    elif r < 0.6 or (r < 0.85 and not operator):
+        text, v = a, GradedPoly.var(chart, a)
+    elif r < 0.7:
+        text, v = "W", DiffOp.weight(chart)
+    elif r < 0.85:
+        text, v = f"d({a})", DiffOp.deriv(chart, a)
+    elif r < 0.93 and depth < 2:
+        text, v = _rand_sum(rng, chart, operator, named, depth + 1)
+        text = f"({text})"
+    elif named:
+        text, v = rng.choice(named)
+    else:
+        text, v = a, GradedPoly.var(chart, a)
+    if rng.random() < 0.3:
+        k = rng.randint(0, 3)
+        text, v = f"{text}^{k}", v ** k
+    if rng.random() < 0.15:
+        text, v = "-" + text, -v
+    return text, v
+
+
+def _rand_sum(rng, chart, operator, named, depth=0):
+    text, v = None, None
+    for _ in range(rng.randint(1, 3)):
+        ptext, pv = _rand_factor(rng, chart, operator, named, depth)
+        for _ in range(rng.randint(0, 3)):
+            ftext, fv = _rand_factor(rng, chart, operator, named, depth)
+            ptext, pv = f"{ptext}*{ftext}", pv * fv
+        if text is None:
+            text, v = ptext, pv
+        elif rng.random() < 0.5:
+            text, v = f"{text} + {ptext}", v + pv
+        else:
+            text, v = f"{text} - {ptext}", v - pv
+    return text, v
+
+
+def _as_op(v):
+    return DiffOp.mult(v) if isinstance(v, GradedPoly) else v
+
+
+def test_elaboration_matches_operator_algebra():
+    """Seeded random sums of products of numbers, (p/q), variables, W, d(x),
+    powers (^0 and squares of odd factors among them), unary minus,
+    parentheses and named elements and operators elaborate to the value the
+    operator algebra folds from the same factors."""
+    rng = random.Random(412)
+    for chart in CHARTS:
+        a = chart.names[-1]
+        for _ in range(25):
+            ftext, f = _rand_sum(rng, chart, False, [])
+            etext, E = _rand_sum(rng, chart, True, [("f", f)])
+            named = [("f", f), ("E", _as_op(E))]
+            decls = [f"element f on C = {ftext};", f"operator E on C = {etext};",
+                     f"operator L on C = {a}*d({a});", f"operator R on C = d({a})*{a};"]
+            want = {"f": f, "E": _as_op(E),
+                    "L": GradedPoly.var(chart, a) * DiffOp.deriv(chart, a),
+                    "R": DiffOp.deriv(chart, a) * GradedPoly.var(chart, a)}
+            for k in range(4):
+                operator = k % 2 == 1
+                text, v = _rand_sum(rng, chart, operator, named if operator else named[:1])
+                kind = "operator" if operator else "element"
+                decls.append(f"{kind} v{k} on C = {text};")
+                want[f"v{k}"] = _as_op(v) if operator else v
+            m = load_module(_chart_text(chart) + "\n".join(decls))
+            for name, v in want.items():
+                got = m.operators.get(name, m.elements.get(name))
+                assert got == v, (name, decls)
+
+
+def _normal_ordered_module(rng) -> str:
+    """A module in the printer's normal-ordered text, on (2|2)."""
+    chart = R22
+    ops = [rand_op(rng, chart, 3) for _ in range(4)]
+    ops += [D * DiffOp.weight(chart) + D for D in ops[:2]]
+    S = rand_smatrix(rng, chart, 1)
+    names = chart.names
+    return "\n".join([
+        _chart_text(chart),
+        "tensor S on C parity odd {" + "".join(
+            f" [{a},{b}] = {render(p)};" for (a, b), p in sorted(S.items())
+            if names.index(a) <= names.index(b)) + " }",
+        *(f"element e{i} on C = {render(rand_poly(rng, chart, 3))};" for i in range(4)),
+        "element psi on C = "
+        + render(DensityElement(chart, {Fraction(1, 2): rand_poly(rng, chart, 2)})) + ";",
+        f"density s on C = {render(rand_poly(rng, chart, 2, parity=0))};",
+        *(f"operator D{i} on C = {render(D)};" for i, D in enumerate(ops)),
+    ])
+
+
+def test_normal_ordered_text_makes_no_composition(monkeypatch, rng):
+    """Every product in printed text is normal-ordered, so reading it
+    composes no operators; a variable after a derivative still does."""
+    texts = [p.read_text() for p in sorted(FIXTURES.glob("*.sd"))]
+    texts.append(_normal_ordered_module(rng))
+    calls = []
+    real = diffop.compose
+    monkeypatch.setattr(diffop, "compose", lambda D, E: calls.append(1) or real(D, E))
+    for text in texts:
+        load_module(text)
+    assert calls == []
+    m = load_module("chart C { even x; }\noperator D on C = d(x)*x;")
+    assert len(calls) == 1
+    x = GradedPoly.var(m.chart, "x")
+    assert m.operators["D"] == \
+        DiffOp.mult(x) * DiffOp.deriv(m.chart, "x") + DiffOp.identity(m.chart)
+
+
+# a diagnostic that quotes the token it is reported at
+_QUOTED = re.compile(r"(?:found|unexpected character|undeclared name|undeclared "
+                     r"variable|unknown chart|unknown declaration|name|duplicate "
+                     r"rule for|operator|element|trailing input) ('[^']*'|\"[^\"]*\")")
+_PIECES = ["x", "xi1", "y", "7", "(", ")", "*", "+", "-", ";", "=", "^", "/", "d(",
+           "W", "t^", "{", "}", "[", "]", ",", "->", "$", "\u00e9", "\n", "\r\n",
+           "\t", " # note\n", " # note", "chart", "element e on C = ", "on", "inverse"]
+
+
+def test_error_positions_point_at_the_quoted_token(rng):
+    """For seeded malformed inputs the line:col of each DslError, read off
+    the text itself, is where the token its message quotes starts, and an
+    error at the end of input points past the last line's code."""
+    bases = [p.read_text() for p in sorted(FIXTURES.glob("*.sd"))]
+    m = load_module(bases[0])
+    checked = 0
+    for n in range(1500):
+        text = rng.choice(bases) if n % 3 else rng.choice(["x*xi + 1", "f - (x^2*xi)"])
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randint(0, len(text))
+            if rng.random() < 0.3:
+                text = text[:i] + text[i + rng.randint(1, 4):]
+            else:
+                text = text[:i] + rng.choice(_PIECES) + text[i:]
+        try:
+            load_module(text) if n % 3 else parse_element(text, m)
+            continue
+        except DslError as ex:
+            err = ex
+        lines = text.split("\n")
+        off = sum(len(line) + 1 for line in lines[:err.line - 1]) + err.col - 1
+        quoted = _QUOTED.match(err.message)
+        if quoted and ast.literal_eval(quoted[1]):
+            assert text[off:].startswith(ast.literal_eval(quoted[1])), (text, str(err))
+            checked += 1
+        elif quoted or err.message == "unexpected end of input":
+            # the end of the last line's code, where its comment starts
+            code = lines[-1].partition("#")[0]
+            assert (err.line, err.col) == (len(lines), len(code) + 1), (text, str(err))
+            checked += 1
+    assert checked > 700
