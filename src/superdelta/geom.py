@@ -496,80 +496,50 @@ def cotangent_chart(chart: Chart) -> Chart:
     )
 
 
-def _momentum_name(ct: Chart, name: str) -> str:
-    """The momentum of a chart variable, found by its position in the
-    cotangent chart."""
-    block = ct.even if ct.parity(name) == EVEN else ct.odd
-    return block[block.index(name) + len(block) // 2]
-
-
-def momentum(ct: Chart, name: str) -> GradedPoly:
-    return GradedPoly.var(ct, _momentum_name(ct, name))
-
-
-def lift_to_cotangent(p: GradedPoly, ct: Chart) -> GradedPoly:
-    """Reinterpret a chart polynomial on the cotangent chart."""
-    images = {v: GradedPoly.var(ct, v) for v in p.chart.names}
-    return substitute(p, images, target=ct)
-
-
-def symbol_S(data: VBracketData, ct: Chart | None = None) -> GradedPoly:
-    """S = 1/2 S^{ab} p_b p_a as a function on T*M."""
-    ct = ct or cotangent_chart(data.chart)
-    out = GradedPoly.zero(ct)
-    for (a, b), s in data.S.items():
-        out = out + lift_to_cotangent(s, ct) * momentum(ct, b) * momentum(ct, a)
-    return out * HALF
-
-
-def symbol_gamma(data: VBracketData, ct: Chart | None = None) -> GradedPoly:
-    """gamma = gamma^a p_a as a function on T*M."""
-    ct = ct or cotangent_chart(data.chart)
-    out = GradedPoly.zero(ct)
-    for a, g in data.gamma.items():
-        out = out + lift_to_cotangent(g, ct) * momentum(ct, a)
-    return out
-
-
-def symbol_theta(data: VBracketData, ct: Chart | None = None) -> GradedPoly:
-    ct = ct or cotangent_chart(data.chart)
-    return lift_to_cotangent(data.theta, ct)
+def _momenta(ct: Chart) -> dict[str, str]:
+    """The momentum of each base coordinate of a cotangent chart, found by
+    position: each parity block is the base's block, then its momenta."""
+    ev, od = len(ct.even) // 2, len(ct.odd) // 2
+    return dict(zip(ct.even[:ev] + ct.odd[:od], ct.even[ev:] + ct.odd[od:]))
 
 
 def tstar_bracket(F: GradedPoly, G: GradedPoly) -> GradedPoly:
     """The canonical (even) Poisson bracket on T*M, normalized by
-    (p_a, x^b) = delta_a^b:
+    (p_a, x^b) = delta_a^b: the coordinate bracket (matrix_bracket) of the
+    constant matrix S^{x^a p_a} = (-1)^{pa(a)}, S^{p_a x^a} = -1, that is
 
     (F,G) = sum_a [ (-1)^{pa(a)(pF+1)} dF/dp_a dG/dx^a
                     - (-1)^{pa(a) pF}  dF/dx^a dG/dp_a ]."""
     ct = F.chart
     if G.chart != ct:
         raise ChartMismatch("symbols on different cotangent charts")
-    base = ct.even[: len(ct.even) // 2] + ct.odd[: len(ct.odd) // 2]
-    out = GradedPoly.zero(ct)
-    for pF, Fh in F.homogeneous_parts():
-        for a in base:
-            pa = ct.parity(a)
-            pm = _momentum_name(ct, a)
-            dFp = partial(pm, Fh)
-            if not dFp.is_zero():
-                out = out + dFp * partial(a, G) * (-1) ** (pa * (pF + 1))
-            dFx = partial(a, Fh)
-            if not dFx.is_zero():
-                out = out - dFx * partial(pm, G) * (-1) ** (pa * pF)
-    return out
+    one = GradedPoly.one(ct)
+    S: SMatrix = {}
+    for x, p in _momenta(ct).items():
+        S[(x, p)] = -one if ct.parity(x) else one
+        S[(p, x)] = -one
+    return matrix_bracket(S, ct, F, G)
 
 
 def jacobi_report(data: VBracketData) -> tuple[GradedPoly, GradedPoly, GradedPoly, GradedPoly]:
     """The four obstruction symbols ((S,S), (S,gamma), (S,theta)+(gamma,gamma),
-    (gamma,theta)); all four vanish iff ord(Delta^2) <= 1 for the canonical
-    pencil."""
+    (gamma,theta)) of the symbols S = 1/2 S^{ab} p_b p_a, gamma = gamma^a p_a
+    and theta on T*M, under tstar_bracket; all four vanish iff
+    ord(Delta^2) <= 1 for the canonical pencil.  A coefficient moves to
+    T*M with its keys padded by zero momentum exponents: the base's odd
+    coordinates keep their indices there."""
     if data.eps != ODD:
         raise ParityError("Jacobi report requires an odd bracket")
     ct = cotangent_chart(data.chart)
-    S = symbol_S(data, ct)
-    g = symbol_gamma(data, ct)
-    th = symbol_theta(data, ct)
+    pad = (0,) * len(data.chart.even)
+
+    def lift(q: GradedPoly) -> GradedPoly:
+        return GradedPoly._of(ct, {(e + pad, o): c for (e, o), c in q.terms.items()})
+
+    p = {x: GradedPoly.var(ct, m) for x, m in _momenta(ct).items()}
+    S = GradedPoly._sum(ct, (lift(s) * p[b] * p[a] for (a, b), s in data.S.items())) * HALF
+    g = GradedPoly._sum(ct, (lift(v) * p[a] for a, v in data.gamma.items()))
+    th = lift(data.theta)
     return (
         tstar_bracket(S, S),
         tstar_bracket(S, g),
@@ -608,73 +578,76 @@ def classify_square(D: DiffOp) -> str:
 
 def _euler_antiderivative(chart: Chart, form: GVector) -> GradedPoly:
     """Given a closed polynomial 1-form omega_b = d_b A with A(0) = 0,
-    recover A by the Euler homotopy A = sum_m B_m / m, B = x^b omega_b."""
+    recover A by the Euler homotopy A = sum_m B_m / m, B = x^b omega_b
+    (each term of B has degree m >= 1)."""
     B = GradedPoly.zero(chart)
     for b, w in form.items():
         B = B + GradedPoly.var(chart, b) * w
-    terms: dict = {}
-    for (e, o), c in B.terms.items():
-        m = sum(e) + len(o)
-        if m == 0:
-            raise DomainError("form has a non-exact constant part")
-        terms[(e, o)] = c / m
-    return GradedPoly(chart, terms)
+    return GradedPoly._of(chart, {(e, o): c / (sum(e) + len(o))
+                                  for (e, o), c in B.terms.items()})
+
+
+def _odd_degree_part(p: GradedPoly, j: int) -> GradedPoly:
+    """The terms of p with exactly j odd coordinates."""
+    return GradedPoly._of(p.chart, {k: c for k, c in p.terms.items() if len(k[1]) == j})
+
+
+def _exact_quotient(u: GradedPoly, d: GradedPoly) -> GradedPoly | None:
+    """u / d for d in the even coordinates alone with d(0) != 0, or None
+    when d does not divide u.  The power series quotient, lowest degree
+    first: each step divides the lowest-degree part of the remainder by
+    d(0).  Multiplying by d acts on the coefficient of each odd monomial
+    alone, so a polynomial quotient has degree deg u - deg d, and a
+    remainder left past that degree is not a multiple of d."""
+    def deg(k: Key) -> int:
+        return sum(k[0]) + len(k[1])
+
+    c0 = d.constant_term()
+    top = max(map(deg, u.terms), default=0) - max(map(deg, d.terms))
+    q, r = GradedPoly.zero(u.chart), u
+    while not r.is_zero():
+        m = min(map(deg, r.terms))
+        if m > top:
+            return None
+        t = GradedPoly._of(u.chart, {k: c / c0 for k, c in r.terms.items() if deg(k) == m})
+        q, r = q + t, r - t * d
+    return q
 
 
 def recover_action(S: SMatrix, chart: Chart, gamma: GVector) -> GradedPoly:
     """Solve gamma^a = S^{ab} gamma_b for the lowered form, then find the
     "action" A with gamma_b = -d_b A, normalized by A(0) = 0.
 
-    The lowered form is the fixed point of  l -> S0^{-1} (gamma - N l),
-    S0 = S(0) and N = S - S0, iterated from l = 0: round k adds
-    (-M)^{k-1} S0^{-1} gamma with M = S0^{-1} N, and the rounds stop once
-    that is 0.
-
-    Bound: M preserves each power I^j of the ideal I of the odd
-    coordinates, and acts on I^j/I^{j+1} as its body, a matrix over the
-    polynomials in the even coordinates.  Over their fraction field,
-    M^k v = 0 for some k implies M^n v = 0, n the number of coordinates;
-    so if M^k L = 0 for some k, then n more powers of M move L into the
-    next layer, and with q odd coordinates I^{q+1} = 0 gives
-    M^{n(q+1)} L = 0.  A series that has not stopped after n(q+1) + 1
-    rounds never stops: S - S(0) is not nilpotent on gamma."""
+    S l = gamma is solved layer by layer in the odd degree.  The body B of
+    S (its terms without odd coordinates) keeps the odd degree, S - B
+    raises it, and det B(0) = det S(0).  So the part of l of odd degree j
+    is l_j = adj(B) (gamma - S l_{<j})_j / det B, j = 0..q, the division
+    exact (_exact_quotient).  Raises when S(0) is singular, when a
+    division leaves a remainder (S l = gamma has no polynomial solution),
+    and when the lowered form is not closed."""
     names = chart.names
-    n = len(names)
     zero = GradedPoly.zero(chart)
-    gvec = [gamma.get(a, zero) for a in names]
-    if all(g.is_zero() for g in gvec):
+    if all(g.is_zero() for g in gamma.values()):
         return zero  # l = 0 solves S l = 0 for any S
-    S0 = [[S.get((a, b), zero).constant_term() for b in names] for a in names]
-    N = [[S.get((a, b), zero) - c for b, c in zip(names, row)]
-         for a, row in zip(names, S0)]
-    # S0^{-1} by Gauss-Jordan elimination over Q, on [S0 | 1]
-    m = [row + [Fraction(int(i == r)) for i in range(n)] for r, row in enumerate(S0)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise DomainError("constant part of S is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    S0inv = [row[n:] for row in m]
-    lower = [zero] * n
-    for _ in range(n * (len(chart.odd) + 1) + 1):
-        rhs = [g - sum((s * l for s, l in zip(row, lower) if not s.is_zero()), zero)
-               for g, row in zip(gvec, N)]
-        new = [sum((r * c for r, c in zip(rhs, row) if c), zero) for row in S0inv]
-        if new == lower:
-            break
-        lower = new
-    else:
-        raise DomainError("S - S(0) is not nilpotent on gamma")
-    form = {a: -lower[i] for i, a in enumerate(names)}
+    body = [[_odd_degree_part(S.get((a, b), zero), 0) for b in names] for a in names]
+    det = _det_even(body, chart)
+    if det.constant_term() == 0:
+        raise DomainError("constant part of S is singular")
+    adj = _adjugate(body, chart)
+    lower = {a: zero for a in names}
+    for j in range(len(chart.odd) + 1):
+        Sl = _contract(chart, S, lower)
+        layer = [_odd_degree_part(gamma.get(b, zero) - Sl[b], j) for b in names]
+        for a, row in zip(names, adj):
+            u = GradedPoly._sum(chart, (c * r for c, r in zip(row, layer)))
+            q = _exact_quotient(u, det)
+            if q is None:
+                raise DomainError("S l = gamma has no polynomial solution")
+            lower[a] = lower[a] + q
+    form = {a: -l for a, l in lower.items()}
     A = _euler_antiderivative(chart, form)
-    for i, a in enumerate(names):
-        if partial(a, A) != -lower[i]:
+    for a in names:
+        if partial(a, A) != form[a]:
             raise DomainError("lowered form is not closed; no action exists")
     return A
 
@@ -748,6 +721,15 @@ def _det_even(entries: list[list[GradedPoly]], chart: Chart) -> GradedPoly:
     return out
 
 
+def _adjugate(M: list[list[GradedPoly]], chart: Chart) -> list[list[GradedPoly]]:
+    """adj(M), entry (i, j) the signed (j, i) minor, so that
+    M adj(M) = adj(M) M = det(M) 1 for a matrix of even entries."""
+    n = len(M)
+    return [[_det_even([[row[c] for c in range(n) if c != i]
+                        for r, row in enumerate(M) if r != j], chart) * (-1) ** (i + j)
+             for j in range(n)] for i in range(n)]
+
+
 def _unit_series(u: GradedPoly, what: str, coeff) -> tuple[Fraction, GradedPoly]:
     """For u = c (1 + n) with c = u(0) != 0, return c and the series
     sum_k coeff(k) n^k.
@@ -787,10 +769,7 @@ def berezinian(cmap: CoordMap) -> GradedPoly:
     d0, series = _unit_series(_det_even(Dm, chart), "element", lambda k: (-1) ** k)
     invdet = series * (1 / d0)
     q = len(od)
-    # D^{-1} by the adjugate: entry (i, j) is the signed (j, i) minor over det D
-    Dinv = [[_det_even([[row[c] for c in range(q) if c != i]
-                        for r, row in enumerate(Dm) if r != j], chart)
-             * (-1) ** (i + j) * invdet for j in range(q)] for i in range(q)]
+    Dinv = [[e * invdet for e in row] for row in _adjugate(Dm, chart)]
     # A - B D^{-1} C (entries even, B/C odd: B D^{-1} C entries even)
     top = [[A[i][j] - sum((B[i][k] * Dinv[k][l] * C[l][j]
                            for k in range(q) for l in range(q)), GradedPoly.zero(chart))

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from superdelta import Chart, DensityElement, DiffOp, GradedPoly, partial, substitute
 from superdelta.diffop import (
@@ -19,6 +20,7 @@ from superdelta.geom import (
     CoordMapError,
     LogVolume,
     VBracketData,
+    _exact_quotient,
     _unit_series,
     act_on_w_densities,
     berezinian,
@@ -51,7 +53,6 @@ from superdelta.geom import (
     transform_op,
     transform_smatrix,
     tstar_bracket,
-    lift_to_cotangent,
 )
 
 from superdelta import diffop, geom
@@ -59,7 +60,7 @@ from superdelta.dsl import load_module, render
 
 from conftest import (
     CHARTS, R02, R03, R11, R12, R22,
-    rand_op, rand_poly, rand_smatrix, rand_vdata, std_odd_smatrix,
+    poly_strategy, rand_op, rand_poly, rand_smatrix, rand_vdata, std_odd_smatrix,
 )
 
 WEIGHTS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2))
@@ -421,6 +422,52 @@ def test_report_with_momentum_like_chart_names():
     assert [move(s) for s in jacobi_report(data)] == list(jacobi_report(data2))
 
 
+def _tstar_reference(F, G):
+    """The canonical bracket on T*M as an explicit sum over the base
+    coordinates a, with p_a found by position in the cotangent chart:
+    (F,G) = sum_a [ (-1)^{pa(a)(pF+1)} dF/dp_a dG/dx^a
+                    - (-1)^{pa(a) pF}  dF/dx^a dG/dp_a ]."""
+    ct = F.chart
+    ev, od = len(ct.even) // 2, len(ct.odd) // 2
+    pairs = list(zip(ct.even[:ev], ct.even[ev:])) + list(zip(ct.odd[:od], ct.odd[od:]))
+    out = GradedPoly.zero(ct)
+    for pF, Fh in F.homogeneous_parts():
+        for a, pm in pairs:
+            pa = ct.parity(a)
+            out = out + partial(pm, Fh) * partial(a, G) * (-1) ** (pa * (pF + 1))
+            out = out - partial(a, Fh) * partial(pm, G) * (-1) ** (pa * pF)
+    return out
+
+
+def _rand_symbol(rng, ct):
+    """A sum of four seeded monomials of degree <= 3 on ct, often of mixed
+    parity."""
+    F = GradedPoly.zero(ct)
+    for _ in range(4):
+        m = GradedPoly.const(ct, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        for v in rng.choices(ct.names, k=rng.randint(0, 3)):
+            m = m * GradedPoly.var(ct, v)
+        F = F + m
+    return F
+
+
+def test_tstar_bracket_against_explicit_sum(rng):
+    """tstar_bracket, the coordinate bracket of the canonical matrix, is the
+    explicit sum on seeded symbols, inhomogeneous ones included, on the
+    cotangent chart of every chart; and (p_a, x^b) = delta_a^b."""
+    for chart in CHARTS:
+        ct = cotangent_chart(chart)
+        ev, od = len(chart.even), len(chart.odd)
+        momenta = ct.even[ev:] + ct.odd[od:]
+        for pm, a in zip(momenta, chart.names):
+            for b in chart.names:
+                pab = tstar_bracket(GradedPoly.var(ct, pm), GradedPoly.var(ct, b))
+                assert pab == (1 if a == b else 0)
+        for _ in range(20):
+            F, G = (_rand_symbol(rng, ct) for _ in range(2))
+            assert tstar_bracket(F, G) == _tstar_reference(F, G)
+
+
 def test_report_characterizes_square_order(rng):
     chart = R12
     for _ in range(10):
@@ -481,13 +528,21 @@ def test_recover_action_round_trip(rng):
 
 
 def test_recover_action_obstruction():
-    chart = R12
+    chart = R22
     S = std_odd_smatrix(chart)
-    # lowered form not closed: gamma^xi1 = x*xi1 lowers to a form with
-    # d_x A depending on xi1 but no matching d_xi1 component
-    gamma = {"xi1": GradedPoly.var(chart, "x") * GradedPoly.var(chart, "xi1")}
-    with pytest.raises(ValueError):
+    x, _, xi1, xi2 = (GradedPoly.var(chart, n) for n in chart.names)
+    # S(0) invertible, lowered form not closed: gamma^xi1 = x*xi1*xi2
+    # lowers to a form with d_x A depending on xi1 but no matching d_xi1
+    # component
+    gamma = {"xi1": x * xi1 * xi2}
+    with pytest.raises(DomainError) as ei:
         recover_action(S, chart, gamma)
+    assert str(ei.value) == "lowered form is not closed; no action exists"
+    # on (1|2) the pairing leaves xi2 unpaired: S(0) is singular
+    gamma = {"xi1": GradedPoly.var(R12, "x") * GradedPoly.var(R12, "xi1")}
+    with pytest.raises(DomainError) as ei:
+        recover_action(std_odd_smatrix(R12), R12, gamma)
+    assert str(ei.value) == "constant part of S is singular"
 
 
 def test_recover_action_series_past_the_constant_part():
@@ -507,16 +562,72 @@ def test_recover_action_series_past_the_constant_part():
             recover_action(std_odd_smatrix(chart), chart, gamma)
 
 
-def test_recover_action_refuses_non_nilpotent_series():
-    """S - S(0) = x on the pairing: M^k l = x^k l never vanishes, which
-    the bound proves after n(q + 1) + 1 = 3 rounds."""
+def test_recover_action_non_nilpotent_body():
+    """S - S(0) = x on the pairing: no power of it vanishes, and the
+    layered solve divides by det B = -(1 + x)^2 exactly.  gamma^xi = 1
+    asks for l_x = 1/(1 + x), which is not a polynomial."""
     chart = R11
     x = GradedPoly.var(chart, "x")
     S = {("x", "xi"): 1 + x, ("xi", "x"): 1 + x}
     gamma = lb_data(S, chart, x * x).gamma
+    assert recover_action(S, chart, gamma) == x * x
     with pytest.raises(DomainError) as ei:
-        recover_action(S, chart, gamma)
-    assert str(ei.value) == "S - S(0) is not nilpotent on gamma"
+        recover_action(S, chart, {"xi": GradedPoly.one(chart)})
+    assert str(ei.value) == "S l = gamma has no polynomial solution"
+
+
+def _invertible_body(rng, chart, eps):
+    """A random constant S(0) that is invertible: for odd eps the pairing
+    of even coordinate i with odd coordinate i, for even eps a diagonal on
+    the even coordinates and the pairing of odd coordinates 2i and 2i+1."""
+    def c():
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+
+    S = {}
+    if eps:
+        for e, o in zip(chart.even, chart.odd):
+            S[(e, o)] = GradedPoly.const(chart, c())
+    else:
+        for e in chart.even:
+            S[(e, e)] = GradedPoly.const(chart, c())
+        for o1, o2 in zip(chart.odd[::2], chart.odd[1::2]):
+            S[(o1, o2)] = GradedPoly.const(chart, c())
+    return dict(VBracketData(chart, eps, S, {}, GradedPoly.zero(chart)).S)
+
+
+def test_recover_action_seeded_round_trip(rng):
+    """S(0) invertible, perturbed by terms in the even coordinates (so
+    S - S(0) need not be nilpotent) and by terms in the odd ideal, on every
+    chart and parity where S(0) can be invertible: the action is the one
+    gamma came from, up to its constant, and lb_data gives gamma back."""
+    non_nilpotent = 0
+    for chart, eps in ((R11, 1), (R22, 1), (R12, 0), (R22, 0), (R02, 0)):
+        for _ in range(12):
+            S = _invertible_body(rng, chart, eps)
+            for k, p in rand_smatrix(rng, chart, eps, deg=2).items():
+                p = p - p.constant_term()
+                S[k] = S.get(k, GradedPoly.zero(chart)) + p
+            S = {k: p for k, p in S.items() if not p.is_zero()}
+            if any(not o and any(e) for s in S.values() for e, o in s.terms):
+                non_nilpotent += 1
+            A = rand_poly(rng, chart, 3, parity=0)
+            gamma = lb_data(S, chart, A, eps).gamma
+            got = recover_action(S, chart, gamma)
+            assert got == A - A.constant_term()
+            assert lb_data(S, chart, got, eps).gamma == gamma
+    assert non_nilpotent >= 10
+
+
+@given(poly_strategy(R22), poly_strategy(R22))
+@settings(derandomize=True, max_examples=80, deadline=None)
+def test_exact_quotient(p, q):
+    """(p d)/d = p for d in the even coordinates with d(0) != 0; when d is
+    not constant it does not divide p d + 1, and the remainder is refused."""
+    body = GradedPoly(R22, {k: c for k, c in q.terms.items() if not k[1] and any(k[0])})
+    d = body + (q.constant_term() or 1)
+    assert _exact_quotient(p * d, d) == p
+    if not body.is_zero():
+        assert _exact_quotient(p * d + 1, d) is None
 
 
 # ---------------------------------------------------------------------------
