@@ -25,6 +25,9 @@ the blocks whose inner (k) and outer (l + 1) brackets both have arity
 <= r, max(0, n - r + 1) <= k <= min(n, r), so J^n = 0 for n >= 2r.  The
 abstract engine and the matrix oracle assume no such bound: they are the
 independent paths that check it.
+
+One ``jacobiator`` call evaluates each commutator chain once and keeps
+none; ``square_bracket`` forms Delta^2 only from order n up.
 """
 
 from __future__ import annotations
@@ -115,6 +118,12 @@ def _top(D: DiffOp, r: int) -> DiffOp:
     return D if len(kept) == len(D.terms) else DiffOp(D.chart, kept)
 
 
+def _step(D: DiffOp, a: GradedPoly, r: int) -> DiffOp:
+    """[D, a] with the terms of D of order < r dropped first; 0 stays 0."""
+    D = _top(D, r)
+    return D if D.is_zero() else ad_mult(D, a)
+
+
 def higher_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     """{a_1,...,a_n} = [...[[Delta,a_1],a_2],...,a_n] 1.  Multilinear;
     each commutator is taken by ad_mult, which is linear in its argument,
@@ -125,10 +134,9 @@ def higher_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     multiplication operator lowers the order by at least one, so the
     bracket is 0 when n > r = ord Delta (or Delta = 0, or some a_i = 0),
     and a term of order < n - j before step j cannot reach order 0 in the
-    n - j steps left: ad_mult is termwise linear in D, so such terms are
-    dropped first.  Before the last step D has no term of order 0, so
-    D 1 = 0 at weight 0 and [D, a] 1 = D(a): the last commutator is an
-    evaluation."""
+    n - j steps left (_step).  Before the last step D has no term of
+    order 0, so D 1 = 0 at weight 0 and [D, a] 1 = D(a): the last
+    commutator is an evaluation."""
     chart = Delta.chart
     if Delta.parity() is None:
         raise ParityError("bracket generator must be homogeneous")
@@ -143,14 +151,16 @@ def higher_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
         return Delta.terms.get(zero_key, {}).get(0, GradedPoly.zero(chart))
     D = Delta
     for j in range(n - 1):
-        D = ad_mult(_top(D, n - j), args[j])
+        D = _step(D, args[j], n - j)
     return _top(D, 1).apply_poly(args[-1])
 
 
 def square_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     """The n-th higher bracket generated by Delta^2 (the right-hand side of
-    the Jacobiator identity)."""
-    return higher_bracket(compose(Delta, Delta), args)
+    the Jacobiator identity).  It reads the terms of order >= n only;
+    Delta^2 is formed whole when its parity is in doubt."""
+    floor = len(args) if Delta.parity() is not None else 0
+    return higher_bracket(compose(Delta, Delta, floor=floor), args)
 
 
 def leibniz_obstruction(
@@ -193,26 +203,39 @@ def jacobiator(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     block contributes only if the inner bracket (k arguments) and the
     outer one (n - k + 1) both have at most r: k runs over
     max(0, n - r + 1) .. min(n, r), at most 2^(2r - 1) shuffles in all,
-    and J^n = 0 for n >= 2r with no shuffle enumerated."""
+    and J^n = 0 for n >= 2r with no shuffle enumerated.  Each chain
+    C(T) = [...[Delta, a_t1], ..., a_tm] is computed once, as
+    _step(C(T[:-1]), a_tm, 2): it is extended or evaluated without its
+    order-0 terms.  {a_S} is C(S[:-1])(a_{S[-1]}), and multiplication
+    operators supercommute: {b, a_R} = (-1)^{|b| |a_R|} C(R)(b)."""
     chart = Delta.chart
-    pars = []
-    for a in args:
-        p = a.parity()
-        if p is None:
-            raise ParityError("Jacobiator arguments must be homogeneous")
-        pars.append(p)
-    if Delta.parity() is None:
+    pars = [a.parity() for a in args]
+    if None in pars:
+        raise ParityError("Jacobiator arguments must be homogeneous")
+    pD = Delta.parity()
+    if pD is None:
         raise ParityError("bracket generator must be homogeneous")
     n = len(args)
     r = Delta.order() or 0  # Delta = 0 leaves the k-range empty
+    chains = {(): Delta}  # freed on return; a recursive chain() would be a cycle
+
+    def chain(T: tuple) -> DiffOp:
+        for m in range(len(T)):
+            if T[:m + 1] not in chains:
+                chains[T[:m + 1]] = _step(chains[T[:m]], args[T[m]], 2)
+        return chains[T]
+
     terms = []
     for k in range(max(0, n - r + 1), min(n, r) + 1):
         for s in shuffles(k, n - k):
-            inner = higher_bracket(Delta, [args[s[i]] for i in range(k)])
-            outer = higher_bracket(
-                Delta, [inner] + [args[s[i]] for i in range(k, n)]
-            )
-            terms.append(outer if koszul_sign(s, pars) == 1 else -outer)
+            S, R = s[:k], s[k:]
+            inner = _top(chain(S[:-1]), 1).apply_poly(args[S[-1]]) if k \
+                else higher_bracket(Delta, [])
+            if inner.is_zero():
+                continue
+            outer = _top(chain(R), 1).apply_poly(inner)
+            p = (pD + sum(pars[i] for i in S)) * sum(pars[i] for i in R)
+            terms.append(outer if koszul_sign(s, pars) * (-1) ** p == 1 else -outer)
     return GradedPoly._sum(chart, terms)
 
 
@@ -353,27 +376,28 @@ def operator_algebra_instance(chart: Chart) -> LieSuperAlgebraInstance:
 # matrix oracle on purely odd charts
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _grassmann_basis(chart: Chart) -> list[tuple[int, ...]]:
     q = len(chart.odd)
-    basis = []
-    for r in range(q + 1):
-        for o in itertools.combinations(range(q), r):
-            basis.append(o)
-    return basis
+    return [o for r in range(q + 1) for o in itertools.combinations(range(q), r)]
 
 
 class GrassmannMatrix:
     """An exact matrix acting on the 2^q-dimensional Grassmann algebra of a
     purely odd chart, tagged with the parity of the operator it represents
     (None for inhomogeneous or zero).  Equality and hashing ignore the tag.
-    Immutable by convention."""
+    Immutable by convention; the nonzero entries are found once."""
 
-    __slots__ = ("chart", "rows", "parity")
+    __slots__ = ("chart", "rows", "parity", "_nonzero")
 
     def __init__(self, chart: Chart, rows: tuple, parity: Optional[int]):
         self.chart = chart
         self.rows = rows  # tuple of tuples of Fraction, row-major
-        self.parity = parity
+        self._nonzero = tuple(tuple((j, c) for j, c in enumerate(row) if c)
+                              for row in rows)
+        self.parity = parity if any(self._nonzero) else None
 
     def __eq__(self, other):
         return (
@@ -390,94 +414,81 @@ class GrassmannMatrix:
                 f"parity={self.parity!r})")
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.rows)
+        return not any(self._nonzero)
+
+
+def _from_entries(chart: Chart, entries: list, parity: Optional[int]) -> GrassmannMatrix:
+    """The matrix whose row i is the map column -> entry entries[i], tagged
+    with ``parity`` unless it is 0; only the given entries are tested."""
+    M = object.__new__(GrassmannMatrix)
+    M._nonzero = tuple(tuple((j, c) for j, c in acc.items() if c) for acc in entries)
+    rows = [[_ZERO] * len(entries) for _ in entries]
+    for row, nz in zip(rows, M._nonzero):
+        for j, c in nz:
+            row[j] = c
+    M.chart, M.rows = chart, tuple(map(tuple, rows))
+    M.parity = parity if any(M._nonzero) else None
+    return M
 
 
 def _mat_mul(A: GrassmannMatrix, B: GrassmannMatrix) -> GrassmannMatrix:
-    rows = []
-    for row_a in A.rows:
-        acc = [Fraction(0)] * len(row_a)
-        for a, row_b in zip(row_a, B.rows):
-            if a:
-                for j, b in enumerate(row_b):
-                    if b:
-                        acc[j] += a * b
-        rows.append(tuple(acc))
-    rows = tuple(rows)
-    if A.parity is None or B.parity is None:
-        par = None
-    else:
-        par = (A.parity + B.parity) % 2
-    z = GrassmannMatrix(A.chart, rows, par)
-    return GrassmannMatrix(A.chart, rows, None) if z.is_zero() else z
+    entries = []
+    for nz_a in A._nonzero:
+        acc: dict[int, Fraction] = {}
+        for k, a in nz_a:
+            for j, b in B._nonzero[k]:
+                acc[j] = acc[j] + a * b if j in acc else a * b
+        entries.append(acc)
+    par = None if A.parity is None or B.parity is None else (A.parity + B.parity) % 2
+    return _from_entries(A.chart, entries, par)
 
 
-def _mat_sub(A: GrassmannMatrix, B: GrassmannMatrix) -> GrassmannMatrix:
-    """A - B, tagged with the common parity, with the parity of the nonzero
-    operand when the other is zero, and None when the difference is zero or
-    the parities differ."""
+def _mat_sub(A: GrassmannMatrix, B: GrassmannMatrix, sign: int = -1) -> GrassmannMatrix:
+    """A + sign B (A - B by default), tagged with the common parity, with
+    the parity of the nonzero operand when the other is zero, and None when
+    the result is zero or the parities differ."""
     if B.is_zero():
-        return GrassmannMatrix(A.chart, A.rows, None) if A.is_zero() else A
-    if A.is_zero():
-        rows = tuple(tuple(-b for b in rb) for rb in B.rows)
-        return GrassmannMatrix(A.chart, rows, B.parity)
-    rows = tuple(
-        tuple(a - b if b else a for a, b in zip(ra, rb))
-        for ra, rb in zip(A.rows, B.rows)
-    )
-    if not any(any(row) for row in rows):
-        return GrassmannMatrix(A.chart, rows, None)
-    return GrassmannMatrix(A.chart, rows, A.parity if A.parity == B.parity else None)
+        return A
+    entries = [dict(nz) for nz in A._nonzero]
+    for acc, nz_b in zip(entries, B._nonzero):
+        for j, b in nz_b:
+            b = b if sign > 0 else -b
+            acc[j] = acc[j] + b if j in acc else b
+    par = B.parity if A.is_zero() or A.parity == B.parity else None
+    return _from_entries(A.chart, entries, par)
 
 
 def _mat_bracket(A: GrassmannMatrix, B: GrassmannMatrix) -> GrassmannMatrix:
     pa, pb = A.parity, B.parity
-    AB = _mat_mul(A, B)
-    BA = _mat_mul(B, A)
-    if pa is None or pb is None:
-        if A.is_zero() or B.is_zero():
-            return _mat_sub(AB, BA)
+    if (pa is None or pb is None) and not (A.is_zero() or B.is_zero()):
         raise ParityError("graded matrix commutator needs homogeneous factors")
-    if pa * pb % 2:
-        rows = tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(AB.rows, BA.rows)
-        )
-        z = GrassmannMatrix(A.chart, rows, (pa + pb) % 2)
-        return GrassmannMatrix(A.chart, rows, None) if z.is_zero() else z
-    return _mat_sub(AB, BA)
+    return _mat_sub(_mat_mul(A, B), _mat_mul(B, A), 1 if pa and pb else -1)
 
 
-def _poly_to_vec(p: GradedPoly, basis, index) -> list[Fraction]:
-    vec = [Fraction(0)] * len(basis)
-    for (e, o), c in p.terms.items():
-        if any(e):
-            raise ValueError("matrix oracle requires a purely odd chart")
-        vec[index[o]] += c
-    return vec
-
-
-def _matrix(chart: Chart, basis, index, image, parity) -> GrassmannMatrix:
-    """The matrix whose j-th column is image(j-th basis monomial), tagged
-    with ``parity`` unless it is zero."""
-    one = Fraction(1)
-    cols = [_poly_to_vec(image(GradedPoly._of(chart, {((), o): one})), basis, index)
-            for o in basis]
-    rows = tuple(zip(*cols))
-    if not any(any(row) for row in rows):
-        parity = None
-    return GrassmannMatrix(chart, rows, parity)
+def _sign_table(basis) -> list[list[Optional[tuple[int, int]]]]:
+    """table[m][j] = (i, s) with xi^basis[m] xi^basis[j] = s xi^basis[i], or
+    None when an odd factor repeats: s = (-1)^inv, inv the number of pairs
+    a in basis[m], b in basis[j] with a > b, which sorting swaps."""
+    index = {o: i for i, o in enumerate(basis)}
+    return [[None if set(m) & set(o) else (index[tuple(sorted(m + o))],
+                                           (-1) ** sum(a > b for a in m for b in o))
+             for o in basis] for m in basis]
 
 
 def matrix_of(D: DiffOp) -> GrassmannMatrix:
     """The exact matrix of a weight-free operator on the Grassmann algebra
     of a purely odd chart (q = number of odd variables <= 3 is the intended
-    range; any q works, at 2^q cost)."""
+    range; any q works, at 2^q cost): column j is D(j-th basis monomial)."""
     chart = D.chart
     if chart.even:
         raise ValueError("matrix oracle requires a purely odd chart")
     basis = _grassmann_basis(chart)
     index = {o: i for i, o in enumerate(basis)}
-    return _matrix(chart, basis, index, D.apply_poly, D.parity())
+    entries = [{} for _ in basis]
+    for j, o in enumerate(basis):
+        for (_, oi), c in D.apply_poly(GradedPoly._of(chart, {((), o): _ONE})).terms.items():
+            entries[index[oi]][j] = c
+    return _from_entries(chart, entries, D.parity())
 
 
 def matrix_oracle_instance(chart: Chart) -> LieSuperAlgebraInstance:
@@ -487,14 +498,20 @@ def matrix_oracle_instance(chart: Chart) -> LieSuperAlgebraInstance:
     if chart.even:
         raise ValueError("matrix oracle requires a purely odd chart")
     basis = _grassmann_basis(chart)
-    index = {o: i for i, o in enumerate(basis)}
-    keys = [((), o) for o in basis]
+    table = _sign_table(basis)
 
     def project(A: GrassmannMatrix) -> GrassmannMatrix:
-        # evaluation on the unit element: the first column of A is A(1);
-        # return the matrix of multiplication by that Grassmann polynomial.
-        p = GradedPoly(chart, {k: row[0] for k, row in zip(keys, A.rows)})
-        return _matrix(chart, basis, index, lambda m: p * m, p.parity())
+        # the first column of A is A(1) = sum_m c_m xi^m; return the matrix
+        # of left multiplication by it, column j = sum_m c_m xi^m xi^basis[j]
+        entries: list[dict[int, Fraction]] = [{} for _ in basis]
+        pars = set()
+        for m, row in enumerate(A.rows):
+            if c := row[0]:
+                pars.add(len(basis[m]) % 2)
+                for j, hit in enumerate(table[m]):
+                    if hit:  # xi^m is the only factor giving (i, j)
+                        entries[hit[0]][j] = c if hit[1] > 0 else -c
+        return _from_entries(chart, entries, pars.pop() if len(pars) == 1 else None)
 
     span = tuple(matrix_of(D) for D in _op_span(chart))
     return LieSuperAlgebraInstance(

@@ -64,6 +64,8 @@ def _dkey(chart: Chart, *names: str) -> tuple[Key, int] | None:
 def _at_weight(chart: Chart, wp: Mapping[int, GradedPoly], w: Fraction) -> GradedPoly:
     """The coefficient sum_k c_k w^k of one derivative key at W = w; w^k is a
     plain product, as Fraction.__pow__ dispatches through ABCMeta."""
+    if not w:
+        return wp[0] if 0 in wp else GradedPoly.zero(chart)
     return GradedPoly._sum(chart, (c * _power(w, k, Fraction(1)) if k else c
                                    for k, c in wp.items()))
 
@@ -255,27 +257,26 @@ class DiffOp:
         return p
 
     def apply(self, psi):
-        """Apply to a DensityElement (GradedPolys are taken at weight 0)."""
-        if isinstance(psi, GradedPoly):
-            return self.apply_poly(psi)
+        """Apply to a DensityElement, or to a GradedPoly at weight 0."""
         if psi.chart != self.chart:
             raise ChartMismatch("operand on wrong chart")
+        poly = isinstance(psi, GradedPoly)
         out = {}
-        for w, comp in psi.parts.items():
+        for w, comp in ({0: psi} if poly else psi.parts).items():
             products = []
             for key, wp in self.terms.items():
                 d = self._apply_derivs(key, comp)
-                if not d.is_zero():
-                    products.append(_at_weight(self.chart, wp, w) * d)
+                if not d.is_zero() and not (c := _at_weight(self.chart, wp, w)).is_zero():
+                    products.append(c * d)
             out[w] = GradedPoly._sum(self.chart, products)
-        return DensityElement(self.chart, out)
+        return out[0] if poly else DensityElement(self.chart, out)
 
     def apply_poly(self, p: GradedPoly) -> GradedPoly:
         """Apply to a weight-0 polynomial, returning a polynomial."""
-        return self.apply(DensityElement.from_poly(p)).component(0)
+        return self.apply(p)
 
 
-def _leibniz(chart: Chart, key: Key, f: GradedPoly) -> list[tuple[Key, GradedPoly]]:
+def _leibniz(chart: Chart, key: Key, f: GradedPoly, hits=None) -> list[tuple[Key, GradedPoly]]:
     """The normal-ordered expansion  d^key o (f.) = sum g . d^rest,  as
     (rest, g) pairs, by the graded multi-index Leibniz rule.
 
@@ -285,36 +286,39 @@ def _leibniz(chart: Chart, key: Key, f: GradedPoly) -> list[tuple[Key, GradedPol
     index already passed is larger than i, so prepending i keeps the odd
     index tuple ascending.  The even derivatives then expand without signs,
     d_x^n o g = sum_k binom(n, k) (d_x^k g) d_x^{n-k}.  The pair with
-    rest = key is the term where no derivative hits f."""
+    rest = key is the term where no derivative hits f.  With ``hits``
+    given, a branch whose derivatives hit f that often only passes on."""
     e, o = key
-    # (odd indices passed, coefficient, its parity, integer factor)
-    odd_terms = [((), g, par, 1) for par, g in f.homogeneous_parts()]
+    h = sum(e) + len(o) if hits is None else hits
+    # (odd indices passed, coefficient, its parity, integer factor, hits left)
+    odd_terms = [((), g, par, 1, h) for par, g in f.homogeneous_parts()]
     for i in reversed(o):
         name = chart.odd[i]
         nxt = []
-        for rest, g, par, c in odd_terms:
-            dg = partial(name, g)
-            if not dg.is_zero():
-                nxt.append((rest, dg, 1 - par, c))
-            nxt.append(((i,) + rest, g, par, -c if par else c))
+        for rest, g, par, c, h in odd_terms:
+            if h:
+                dg = partial(name, g)
+                if not dg.is_zero():
+                    nxt.append((rest, dg, 1 - par, c, h - 1))
+            nxt.append(((i,) + rest, g, par, -c if par else c, h))
         odd_terms = nxt
-    # (even exponents left, odd indices passed, coefficient, integer factor)
-    terms = [(e, rest, g, c) for rest, g, _, c in odd_terms]
+    # (even exponents left, odd indices passed, coefficient, factor, hits left)
+    terms = [(e, rest, g, c, h) for rest, g, _, c, h in odd_terms]
     for j, n in enumerate(e):
         if not n:
             continue
         name = chart.even[j]
         nxt = []
-        for er, rest, g, c in terms:
-            for k in range(n + 1):
+        for er, rest, g, c, h in terms:
+            for k in range(min(n, h) + 1):
                 if k:
                     g = partial(name, g)
                     if g.is_zero():
                         break
                 er2 = er[:j] + (n - k,) + er[j + 1 :]
-                nxt.append((er2, rest, g, c * comb(n, k)))
+                nxt.append((er2, rest, g, c * comb(n, k), h - k))
         terms = nxt
-    return [((er, rest), g if c == 1 else g * c) for er, rest, g, c in terms]
+    return [((er, rest), g if c == 1 else g * c) for er, rest, g, c, _ in terms]
 
 
 # accumulated coefficient sums: key -> W-power -> monomial -> rational
@@ -338,12 +342,12 @@ def _from_sums(chart: Chart, sums: _Sums) -> DiffOp:
 
 
 def _add_leibniz(sums: _Sums, chart: Chart, I: Key, f: GradedPoly, J: Key,
-                 left: WPoly | None = None, wshift: int = 0, factor=1):
+                 left: WPoly | None = None, wshift: int = 0, factor=1, hits=None):
     """Add  left d^I o (W^wshift f d^J)  to sums (left None stands for 1).
-    By the graded Leibniz rule d^I o f = sum g d^rest; then d^rest d^J is
-    one key by _mul_keys, or 0 if their odd indices overlap.  W is central:
-    its powers add."""
-    for rest, g in _leibniz(chart, I, f):
+    By the graded Leibniz rule d^I o f = sum g d^rest (at most ``hits``
+    derivatives hitting f); then d^rest d^J is one key by _mul_keys, or 0
+    if their odd indices overlap.  W is central: its powers add."""
+    for rest, g in _leibniz(chart, I, f, hits):
         if not (k := _mul_keys(rest, J)):
             continue
         key, sign = k
@@ -354,18 +358,23 @@ def _add_leibniz(sums: _Sums, chart: Chart, I: Key, f: GradedPoly, J: Key,
             _add_into(sums, key, wc + wshift, c * g, factor * sign)
 
 
-def compose(D: DiffOp, E: DiffOp) -> DiffOp:
+def compose(D: DiffOp, E: DiffOp, *, floor: int = 0) -> DiffOp:
     """Normal-ordered composition: apply(compose(D, E), psi) =
     apply(D, apply(E, psi)), summing  c d^I o (f d^J)  over every pair of
-    terms by _add_leibniz."""
+    terms by _add_leibniz.  Only the terms of order >= floor are formed: a
+    term where h derivatives hit f has order |I| + |J| - h, so each pair
+    is expanded with at most |I| + |J| - floor hits."""
     if D.chart != E.chart:
         raise ChartMismatch("operators on different charts")
     chart = D.chart
     sums: _Sums = {}
     for I, wpD in D.terms.items():
         for J, wpE in E.terms.items():
+            hits = sum(I[0]) + len(I[1]) + sum(J[0]) + len(J[1]) - floor
+            if hits < 0:
+                continue
             for wf, f in wpE.items():
-                _add_leibniz(sums, chart, I, f, J, wpD, wf)
+                _add_leibniz(sums, chart, I, f, J, wpD, wf, hits=hits)
     return _from_sums(chart, sums)
 
 

@@ -435,7 +435,8 @@ class _Parser:
                 km, kd = _mul_keys(a[1], mono), _mul_keys(a[3], J)
                 if not (km and kd):
                     return (Fraction(0), one, 0, one)
-                return (a[0] * c if km[1] == kd[1] else -a[0] * c, km[0], a[2] + w, kd[0])
+                c = c if a[0] is _ONE else a[0] if c is _ONE else a[0] * c
+                return (c if km[1] == kd[1] else -c, km[0], a[2] + w, kd[0])
             if type(a) is not tuple and mono == one and (w or J != one):
                 terms = {}  # a is a polynomial or an operator
                 for I, wp in (a.terms if isinstance(a, DiffOp) else {one: {0: a}}).items():

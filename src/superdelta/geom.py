@@ -510,15 +510,18 @@ def tstar_bracket(F: GradedPoly, G: GradedPoly) -> GradedPoly:
 
     (F,G) = sum_a [ (-1)^{pa(a)(pF+1)} dF/dp_a dG/dx^a
                     - (-1)^{pa(a) pF}  dF/dx^a dG/dp_a ]."""
-    ct = F.chart
-    if G.chart != ct:
+    if G.chart != F.chart:
         raise ChartMismatch("symbols on different cotangent charts")
+    return matrix_bracket(_tstar_matrix(F.chart), F.chart, F, G)
+
+
+def _tstar_matrix(ct: Chart) -> SMatrix:
+    """The canonical matrix of tstar_bracket on a cotangent chart."""
     one = GradedPoly.one(ct)
     S: SMatrix = {}
     for x, p in _momenta(ct).items():
-        S[(x, p)] = -one if ct.parity(x) else one
-        S[(p, x)] = -one
-    return matrix_bracket(S, ct, F, G)
+        S[(x, p)], S[(p, x)] = -one if ct.parity(x) else one, -one
+    return S
 
 
 def jacobi_report(data: VBracketData) -> tuple[GradedPoly, GradedPoly, GradedPoly, GradedPoly]:
@@ -527,7 +530,8 @@ def jacobi_report(data: VBracketData) -> tuple[GradedPoly, GradedPoly, GradedPol
     and theta on T*M, under tstar_bracket; all four vanish iff
     ord(Delta^2) <= 1 for the canonical pencil.  A coefficient moves to
     T*M with its keys padded by zero momentum exponents: the base's odd
-    coordinates keep their indices there."""
+    coordinates keep their indices there.  (F, G) = X_F(G): X_S and
+    X_gamma are built once each."""
     if data.eps != ODD:
         raise ParityError("Jacobi report requires an odd bracket")
     ct = cotangent_chart(data.chart)
@@ -540,12 +544,10 @@ def jacobi_report(data: VBracketData) -> tuple[GradedPoly, GradedPoly, GradedPol
     S = GradedPoly._sum(ct, (lift(s) * p[b] * p[a] for (a, b), s in data.S.items())) * HALF
     g = GradedPoly._sum(ct, (lift(v) * p[a] for a, v in data.gamma.items()))
     th = lift(data.theta)
-    return (
-        tstar_bracket(S, S),
-        tstar_bracket(S, g),
-        tstar_bracket(S, th) + tstar_bracket(g, g),
-        tstar_bracket(g, th),
-    )
+    canonical = _tstar_matrix(ct)
+    XS, Xg = (hamiltonian_vf(canonical, ct, F) for F in (S, g))
+    return (XS.apply_poly(S), XS.apply_poly(g), XS.apply_poly(th) + Xg.apply_poly(g),
+            Xg.apply_poly(th))
 
 
 # ---------------------------------------------------------------------------

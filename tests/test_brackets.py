@@ -1,6 +1,7 @@
 """Higher derived brackets, Jacobiators, abstract instances, matrix oracle."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -242,6 +243,145 @@ def test_brackets_match_commutator_chain(chart):
                 nonzero[1] += not B.is_zero()
     # the draw is not all zeros
     assert nonzero[0] >= 5 and nonzero[1] >= 40
+
+
+def _shuffle_jacobiator(D, args):
+    """The bounded shuffle sum with every inner and outer bracket taken by
+    higher_bracket from scratch, as jacobiator did before it shared its
+    commutator chains."""
+    pars = [a.parity() for a in args]
+    n = len(args)
+    r = D.order() or 0
+    terms = []
+    for k in range(max(0, n - r + 1), min(n, r) + 1):
+        for s in shuffles(k, n - k):
+            inner = higher_bracket(D, [args[s[i]] for i in range(k)])
+            outer = higher_bracket(D, [inner] + [args[s[i]] for i in range(k, n)])
+            terms.append(outer if koszul_sign(s, pars) == 1 else -outer)
+    return GradedPoly._sum(D.chart, terms)
+
+
+def _seeded_generators(rng, chart, count):
+    """Odd and even operators of order <= 3, every third with a W part."""
+    W = DiffOp.weight(chart)
+    gens = []
+    while len(gens) < count:
+        par = len(gens) % 2
+        D = rand_op(rng, chart, 3, parity=par)
+        if len(gens) % 3 == 2:
+            D = D + compose(W, rand_op(rng, chart, 2, parity=par))
+        if not D.is_zero():
+            gens.append(D)
+    return gens
+
+
+def _homogeneous_args(rng, chart, monos, n):
+    out = []
+    while len(out) < n:
+        if rng.random() < 0.7:
+            out.append(rng.choice(monos))
+        elif not (p := rand_poly(rng, chart, 2, rng.randint(0, 1), nterms=3)).is_zero():
+            out.append(p)
+    return out
+
+
+def test_shared_chains_match_the_shuffle_loop():
+    """jacobiator, which evaluates each commutator chain once, against the
+    shuffle loop that takes every bracket from scratch, and square_bracket,
+    which forms Delta^2 from order n up, against the bracket of the whole
+    square: 1,080 seeded cases, odd and even Delta, some with W, n = 0-5,
+    compared by value and by rendered text."""
+    from superdelta.dsl import render
+
+    rng = random.Random(1414)
+    cases = nonzero = 0
+    for chart in (R11, R12, R22, R02, R03):
+        monos = monomials_upto(chart, 2)
+        for D in _seeded_generators(rng, chart, 36):
+            sq = compose(D, D)
+            for n in range(6):
+                args = _homogeneous_args(rng, chart, monos, n)
+                J = jacobiator(D, args)
+                ref = _shuffle_jacobiator(D, args)
+                assert J == ref and render(J) == render(ref)
+                F = square_bracket(D, args)
+                assert F == higher_bracket(sq, args)
+                assert render(F) == render(higher_bracket(sq, args))
+                cases += 1
+                nonzero += not J.is_zero()
+    assert cases >= 1000 and nonzero >= 100
+
+
+def test_square_bracket_of_an_inhomogeneous_generator():
+    """Delta^2 is formed whole when Delta is inhomogeneous: an
+    inhomogeneous square raises at every arity, even where its terms of
+    order >= n alone are homogeneous, and a square that is 0 gives 0."""
+    x, xi = _x(R11, "x"), _x(R11, "xi")
+    D = DiffOp.deriv(R11, "x") + DiffOp.mult(xi)  # D^2 = d_x^2 + 2 xi d_x
+    for n in range(3):
+        with pytest.raises(ParityError):
+            square_bracket(D, [x] * n)
+    xi1, xi2 = _x(R02, "xi1"), _x(R02, "xi2")
+    D = DiffOp.mult(xi1 * xi2 + xi1)
+    assert D.parity() is None and compose(D, D).is_zero()
+    for n in range(3):
+        assert square_bracket(D, [xi1, xi2][:n]).is_zero()
+
+
+def test_jacobiator_computes_no_chain_twice(monkeypatch):
+    """Within one call each commutator chain is one ad_mult call; the shuffle
+    loop that takes every bracket from scratch repeats them."""
+    from superdelta import brackets
+
+    seen = []
+    ad_mult = brackets.ad_mult
+
+    def counted(D, a):
+        seen.append((D, a))
+        return ad_mult(D, a)
+
+    monkeypatch.setattr(brackets, "ad_mult", counted)
+    rng = random.Random(99)
+    chart = R11
+    args = [_x(chart, "x"), _x(chart, "xi"), _x(chart, "x") * _x(chart, "x"),
+            _x(chart, "x") * _x(chart, "xi"), GradedPoly.one(chart)]
+    ops = [D for D in _seeded_generators(rng, chart, 12) if D.order() == 3]
+    assert ops
+    for D in ops:
+        for n in range(6):
+            seen.clear()
+            J = jacobiator(D, args[:n])
+            shared = len(seen)
+            assert len(set(seen)) == shared
+            # at most one chain per increasing index tuple of length 1..r-1
+            assert shared <= sum(math.comb(n, m) for m in range(1, 3))
+            seen.clear()
+            assert _shuffle_jacobiator(D, args[:n]) == J
+            if n >= 3:
+                assert shared < len(seen)
+
+
+def test_oracle_sign_table_matches_the_product():
+    """The matrix oracle's multiplication table of the Grassmann basis,
+    from its own inversion count, against GradedPoly products."""
+    from superdelta.brackets import _grassmann_basis, _sign_table
+    from superdelta import Chart
+
+    for q in range(1, 5):
+        chart = Chart((), tuple(f"xi{i}" for i in range(1, q + 1)))
+        basis = _grassmann_basis(chart)
+        table = _sign_table(basis)
+
+        def mono(o):
+            return GradedPoly(chart, {((), o): 1})
+
+        for m, om in enumerate(basis):
+            for j, oj in enumerate(basis):
+                hit = table[m][j]
+                want = mono(om) * mono(oj)
+                got = (GradedPoly.zero(chart) if hit is None
+                       else mono(basis[hit[0]]) * hit[1])
+                assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,42 @@ def test_compose_weight_pencils_action(rng):
             assert compose(D, E).apply(psi) == D.apply(E.apply(psi))
 
 
+def test_compose_floor_keeps_the_top_orders():
+    """compose(D, E, floor=k) is the part of order >= k of compose(D, E),
+    for operators with and without W, on every chart; floors past the
+    order give 0."""
+    rng = random.Random(4242)
+    for chart in (R11, R12, R22, R02, R03):
+        W = DiffOp.weight(chart)
+        for i in range(8):
+            D = rand_op(rng, chart, 3)
+            E = rand_op(rng, chart, 2)
+            if i % 2:
+                D = D + compose(W, rand_op(rng, chart, 2))
+            full = compose(D, E)
+            for k in range(7):
+                top = DiffOp(chart, {key: wp for key, wp in full.terms.items()
+                                     if sum(key[0]) + len(key[1]) >= k})
+                assert compose(D, E, floor=k) == top
+    with pytest.raises(TypeError):
+        compose(D, E, 1)  # the floor is keyword-only
+
+
+def test_apply_to_a_polynomial_is_the_weight_zero_action(rng):
+    """A GradedPoly operand is taken as the density of weight 0 and gives a
+    GradedPoly: W acts as 0."""
+    for chart in (R11, R12, R22, R03):
+        W = DiffOp.weight(chart)
+        for _ in range(6):
+            A = rand_op(rng, chart, 2)
+            D = A + compose(W, rand_op(rng, chart, 2))
+            f = rand_poly(rng, chart, 3)
+            got = D.apply(f)
+            assert type(got) is GradedPoly
+            assert got == A.apply(f) == D.apply_poly(f)
+            assert got == D.apply(DensityElement(chart, {0: f})).component(0)
+
+
 def test_powers_equal_repeated_products(rng):
     """Powers by repeated squaring equal the repeated product."""
     for chart in (R11, R22):
