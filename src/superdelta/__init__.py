@@ -29,7 +29,6 @@ from .geom import (
     BracketDataError,
     CoordMap,
     CoordMapError,
-    LogVolume,
     VBracketData,
     act_on_w_densities,
     canonical_pencil,

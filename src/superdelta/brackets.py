@@ -32,6 +32,7 @@ none; ``square_bracket`` forms Delta^2 only from order n up.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional, Sequence
@@ -245,7 +246,6 @@ def jacobiator(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
 
 class _InstanceFields(NamedTuple):
     bracket: Callable[[Any, Any], Any]
-    parity: Callable[[Any], Optional[int]]
     project: Callable[[Any], Any]
     sub: Callable[[Any, Any], Any]
     is_zero: Callable[[Any], bool]
@@ -264,10 +264,8 @@ class LieSuperAlgebraInstance(_InstanceFields):
 
     __slots__ = ()
 
-    def __new__(cls, bracket, parity, project, sub, is_zero, span=(),
-                name="instance"):
-        self = super().__new__(cls, bracket, parity, project, sub, is_zero,
-                               span, name)
+    def __new__(cls, bracket, project, sub, is_zero, span=(), name="instance"):
+        self = super().__new__(cls, bracket, project, sub, is_zero, span, name)
         for x in span:
             px = project(x)
             if not is_zero(sub(project(px), px)):
@@ -363,7 +361,6 @@ def operator_algebra_instance(chart: Chart) -> LieSuperAlgebraInstance:
 
     return LieSuperAlgebraInstance(
         bracket=commutator,
-        parity=lambda D: D.parity(),
         project=project,
         sub=lambda D, E: D - E,
         is_zero=lambda D: D.is_zero(),
@@ -376,28 +373,31 @@ def operator_algebra_instance(chart: Chart) -> LieSuperAlgebraInstance:
 # matrix oracle on purely odd charts
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ONE = Fraction(1)
 
 
-def _grassmann_basis(chart: Chart) -> list[tuple[int, ...]]:
+@functools.cache
+def _grassmann_basis(chart: Chart) -> tuple[tuple[int, ...], ...]:
     q = len(chart.odd)
-    return [o for r in range(q + 1) for o in itertools.combinations(range(q), r)]
+    return tuple(o for r in range(q + 1) for o in itertools.combinations(range(q), r))
 
 
 class GrassmannMatrix:
     """An exact matrix acting on the 2^q-dimensional Grassmann algebra of a
-    purely odd chart, tagged with the parity of the operator it represents
-    (None for inhomogeneous or zero).  Equality and hashing ignore the tag.
-    Immutable by convention; the nonzero entries are found once."""
+    purely odd chart, held as its nonzero entries: rows[i] maps a column j
+    to the entry (i, j), built from maps that may also hold zeros.  The
+    entry (i, j) has parity |i| + |j| mod 2 for the basis monomials i and
+    j, and ``parity`` is the common parity of the entries (None for a zero
+    or inhomogeneous matrix).  Immutable by convention."""
 
-    __slots__ = ("chart", "rows", "parity", "_nonzero")
+    __slots__ = ("chart", "rows", "parity")
 
-    def __init__(self, chart: Chart, rows: tuple, parity: Optional[int]):
+    def __init__(self, chart: Chart, entries):
+        basis = _grassmann_basis(chart)
         self.chart = chart
-        self.rows = rows  # tuple of tuples of Fraction, row-major
-        self._nonzero = tuple(tuple((j, c) for j, c in enumerate(row) if c)
-                              for row in rows)
-        self.parity = parity if any(self._nonzero) else None
+        self.rows = rows = tuple({j: c for j, c in acc.items() if c} for acc in entries)
+        pars = {(len(basis[i]) + len(basis[j])) % 2 for i, row in enumerate(rows) for j in row}
+        self.parity = pars.pop() if len(pars) == 1 else None
 
     def __eq__(self, other):
         return (
@@ -406,56 +406,31 @@ class GrassmannMatrix:
             and self.rows == other.rows
         )
 
-    def __hash__(self):
-        return hash((self.chart, self.rows))
-
-    def __repr__(self):
-        return (f"GrassmannMatrix(chart={self.chart!r}, rows={self.rows!r}, "
-                f"parity={self.parity!r})")
-
     def is_zero(self) -> bool:
-        return not any(self._nonzero)
-
-
-def _from_entries(chart: Chart, entries: list, parity: Optional[int]) -> GrassmannMatrix:
-    """The matrix whose row i is the map column -> entry entries[i], tagged
-    with ``parity`` unless it is 0; only the given entries are tested."""
-    M = object.__new__(GrassmannMatrix)
-    M._nonzero = tuple(tuple((j, c) for j, c in acc.items() if c) for acc in entries)
-    rows = [[_ZERO] * len(entries) for _ in entries]
-    for row, nz in zip(rows, M._nonzero):
-        for j, c in nz:
-            row[j] = c
-    M.chart, M.rows = chart, tuple(map(tuple, rows))
-    M.parity = parity if any(M._nonzero) else None
-    return M
+        return not any(self.rows)
 
 
 def _mat_mul(A: GrassmannMatrix, B: GrassmannMatrix) -> GrassmannMatrix:
     entries = []
-    for nz_a in A._nonzero:
+    for row_a in A.rows:
         acc: dict[int, Fraction] = {}
-        for k, a in nz_a:
-            for j, b in B._nonzero[k]:
+        for k, a in row_a.items():
+            for j, b in B.rows[k].items():
                 acc[j] = acc[j] + a * b if j in acc else a * b
         entries.append(acc)
-    par = None if A.parity is None or B.parity is None else (A.parity + B.parity) % 2
-    return _from_entries(A.chart, entries, par)
+    return GrassmannMatrix(A.chart, entries)
 
 
 def _mat_sub(A: GrassmannMatrix, B: GrassmannMatrix, sign: int = -1) -> GrassmannMatrix:
-    """A + sign B (A - B by default), tagged with the common parity, with
-    the parity of the nonzero operand when the other is zero, and None when
-    the result is zero or the parities differ."""
+    """A + sign B (A - B by default)."""
     if B.is_zero():
         return A
-    entries = [dict(nz) for nz in A._nonzero]
-    for acc, nz_b in zip(entries, B._nonzero):
-        for j, b in nz_b:
+    entries = [dict(row) for row in A.rows]
+    for acc, row_b in zip(entries, B.rows):
+        for j, b in row_b.items():
             b = b if sign > 0 else -b
             acc[j] = acc[j] + b if j in acc else b
-    par = B.parity if A.is_zero() or A.parity == B.parity else None
-    return _from_entries(A.chart, entries, par)
+    return GrassmannMatrix(A.chart, entries)
 
 
 def _mat_bracket(A: GrassmannMatrix, B: GrassmannMatrix) -> GrassmannMatrix:
@@ -488,7 +463,7 @@ def matrix_of(D: DiffOp) -> GrassmannMatrix:
     for j, o in enumerate(basis):
         for (_, oi), c in D.apply_poly(GradedPoly._of(chart, {((), o): _ONE})).terms.items():
             entries[index[oi]][j] = c
-    return _from_entries(chart, entries, D.parity())
+    return GrassmannMatrix(chart, entries)
 
 
 def matrix_oracle_instance(chart: Chart) -> LieSuperAlgebraInstance:
@@ -504,19 +479,16 @@ def matrix_oracle_instance(chart: Chart) -> LieSuperAlgebraInstance:
         # the first column of A is A(1) = sum_m c_m xi^m; return the matrix
         # of left multiplication by it, column j = sum_m c_m xi^m xi^basis[j]
         entries: list[dict[int, Fraction]] = [{} for _ in basis]
-        pars = set()
         for m, row in enumerate(A.rows):
-            if c := row[0]:
-                pars.add(len(basis[m]) % 2)
+            if c := row.get(0):
                 for j, hit in enumerate(table[m]):
                     if hit:  # xi^m is the only factor giving (i, j)
                         entries[hit[0]][j] = c if hit[1] > 0 else -c
-        return _from_entries(chart, entries, pars.pop() if len(pars) == 1 else None)
+        return GrassmannMatrix(chart, entries)
 
     span = tuple(matrix_of(D) for D in _op_span(chart))
     return LieSuperAlgebraInstance(
         bracket=_mat_bracket,
-        parity=lambda A: A.parity,
         project=project,
         sub=_mat_sub,
         is_zero=lambda A: A.is_zero(),

@@ -32,7 +32,7 @@ from .geom import (
 )
 from .brackets import higher_bracket, jacobiator, linfty_check
 from .conventions import CONVENTIONS
-from .dsl import DslError, Module, load_module, parse_element, render
+from .dsl import DslError, Module, _position, load_module, parse_element, render
 
 __all__ = ["main"]
 
@@ -131,9 +131,8 @@ def _load(path: str) -> Module:
     # each byte that is not UTF-8 was read as a lone surrogate U+DC80..U+DCFF
     bad = re.search("[\udc80-\udcff]", text)
     if bad:
-        i = bad.start()
         raise DslError(f"invalid UTF-8 byte 0x{ord(bad.group()) - 0xdc00:02x}",
-                       text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i))
+                       *_position(text, bad.start()))
     return load_module(text)
 
 
@@ -252,12 +251,7 @@ def _cmd_apply(args, m: Module) -> int:
     vals = _split_args(m, args.args)
     if len(vals) != 1:
         raise UsageError("apply takes exactly one --args expression")
-    v = vals[0]
-    if isinstance(v, GradedPoly) and not D.uses_weight():
-        return _emit(args, D.apply_poly(v))
-    if isinstance(v, GradedPoly):
-        v = DensityElement.from_poly(v)
-    return _emit(args, D.apply(v))
+    return _emit(args, D.apply(vals[0]))
 
 
 def _cmd_bracket(args, m: Module) -> int:

@@ -62,7 +62,7 @@ from itertools import accumulate
 
 from .gralg import Chart, DensityElement, DomainError, GradedPoly, _mul_keys, _power
 from .diffop import DiffOp, _dkey
-from .geom import CoordMap, LogVolume, VBracketData
+from .geom import CoordMap, VBracketData, _as_sigma
 
 __all__ = [
     "DslError",
@@ -144,7 +144,7 @@ class Module:
         self.chart = chart
         self.chart_name = chart_name
         self.tensors: dict = {}    # name -> ("matrix"|"vector", eps, dict)
-        self.densities: dict = {}  # name -> LogVolume
+        self.densities: dict = {}  # name -> even GradedPoly
         self.elements: dict = {}   # name -> GradedPoly | DensityElement
         self.operators: dict = {}  # name -> DiffOp
         self.maps: dict = {}       # name -> CoordMap
@@ -361,7 +361,7 @@ class _Parser:
         self.expect("=")
         m = self.m
         if kind == "density":
-            m.densities[name] = self._build(kw, LogVolume, self._t_free("a log-volume"))
+            m.densities[name] = self._build(kw, _as_sigma, self._t_free("a log-volume"))
             return
         v, _ = self.expr(operator=(kind == "operator"))
         self.expect(";")
@@ -503,7 +503,7 @@ class _Parser:
             if s in self.keys:
                 return (_ONE, self.keys[s], 0, self.one), t
             if s in m.densities:
-                return m.densities[s].sigma, t
+                return m.densities[s], t
             if s in m.elements:
                 v = m.elements[s]
                 if operator and isinstance(v, DensityElement):
@@ -686,10 +686,6 @@ def _render(obj) -> str:
         return _render_density(obj)
     if isinstance(obj, DiffOp):
         return _render_op(obj)
-    if isinstance(obj, LogVolume):
-        return _render_poly(obj.sigma)
-    if isinstance(obj, (Fraction, int)):
-        return str(Fraction(obj))
     if isinstance(obj, VBracketData):
         lines = []
         for (a, b) in sorted(obj.S):
@@ -697,12 +693,5 @@ def _render(obj) -> str:
         for a in sorted(obj.gamma):
             lines.append(f"gamma[{a}] = " + _render_poly(obj.gamma[a]))
         lines.append("theta = " + _render_poly(obj.theta))
-        return "\n".join(lines)
-    if isinstance(obj, dict):
-        # tensor component dictionaries
-        lines = []
-        for k in sorted(obj, key=lambda x: (x,) if isinstance(x, str) else x):
-            idx = k if isinstance(k, str) else ",".join(k)
-            lines.append(f"[{idx}] = " + _render_poly(obj[k]))
         return "\n".join(lines)
     raise TypeError(f"no canonical rendering for {type(obj).__name__}")

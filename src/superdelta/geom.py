@@ -123,28 +123,12 @@ class VBracketData(_VBracketFields):
                      tuple(sorted(self.gamma.items())), self.theta))
 
 
-class _LogVolumeFields(NamedTuple):
-    sigma: GradedPoly
-
-
-class LogVolume(_LogVolumeFields):
-    """A volume form rho = e^sigma Dx represented by its even log-density.
-    An immutable record."""
-
-    __slots__ = ()
-
-    def __new__(cls, sigma: GradedPoly):
-        if sigma.parity() != EVEN:
-            raise ParityError("log-volume must be even")
-        return super().__new__(cls, sigma)
-
-    @property
-    def chart(self) -> Chart:
-        return self.sigma.chart
-
-
-def _as_sigma(sigma) -> GradedPoly:
-    return (sigma if isinstance(sigma, LogVolume) else LogVolume(sigma)).sigma
+def _as_sigma(sigma: GradedPoly) -> GradedPoly:
+    """sigma, the log-density of a volume form rho = e^sigma Dx, which must
+    be even."""
+    if sigma.parity() != EVEN:
+        raise ParityError("log-volume must be even")
+    return sigma
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from superdelta import DiffOp, GradedPoly, ParityError
+from superdelta import Chart, DiffOp, GradedPoly, ParityError
 from superdelta.diffop import commutator, compose
 from superdelta.brackets import (
-    GrassmannMatrix,
     LieSuperAlgebraInstance,
     derived_bracket_abstract,
     higher_bracket,
@@ -396,7 +395,6 @@ def test_instance_laws_checked_on_construction():
     with pytest.raises(ValueError):
         LieSuperAlgebraInstance(
             bracket=inst.bracket,
-            parity=inst.parity,
             project=lambda D: D,  # identity: im P = everything, not abelian
             sub=inst.sub,
             is_zero=inst.is_zero,
@@ -440,6 +438,39 @@ def test_matrix_oracle_agrees_with_symbolic(rng):
                 assert jop == DiffOp.mult(sym)
                 assert jmx == matrix_of(DiffOp.mult(sym))
                 assert rhs == jmx
+
+
+def test_matrix_parity_is_read_off_entries(monkeypatch, rng):
+    """The oracle reads a matrix's parity off its nonzero entries and makes
+    no DiffOp.parity call: it is the parity of the operator represented,
+    None for an inhomogeneous or zero one, also through products,
+    differences and the projector."""
+    from superdelta.brackets import _mat_mul, _mat_sub
+
+    def want(D):
+        return None if D.is_zero() else D.parity()
+
+    calls = []
+    real = DiffOp.parity
+    monkeypatch.setattr(DiffOp, "parity", lambda D: calls.append(1) or real(D))
+    seen = set()
+    for q in (1, 2, 3):
+        chart = Chart((), tuple(f"xi{i}" for i in range(1, q + 1)))
+        imx = matrix_oracle_instance(chart)
+        one = GradedPoly.one(chart)
+        for _ in range(12):
+            D, E = (rand_op(rng, chart, q, parity=rng.choice((0, 1, None)), nterms=3)
+                    for _ in range(2))
+            calls.clear()
+            A, B = matrix_of(D), matrix_of(E)
+            assert calls == []
+            seen.add(want(D))
+            assert A.parity == want(D) and B.parity == want(E)
+            assert _mat_mul(A, B).parity == want(compose(D, E))
+            assert _mat_sub(A, B).parity == want(D - E)
+            assert _mat_sub(A, B, 1).parity == want(D + E)
+            assert imx.project(A).parity == want(DiffOp.mult(D.apply_poly(one)))
+    assert seen == {0, 1, None}
 
 
 def test_matrix_of_compose_is_product(rng):

@@ -67,6 +67,18 @@ def test_weight_literals():
     assert v.weights() == [Fraction(-1, 3), Fraction(1, 2)]
 
 
+def test_density_name_inside_an_expression():
+    """A log-volume's name reads as its polynomial, and an element whose
+    only t-component has weight 0 is that polynomial."""
+    m = load_module("chart C { even x; odd xi; }\n"
+                    "density s on C = x^2;\n"
+                    "element e on C = s*x + xi*t^0;\n"
+                    "operator P on C = W*d(x) + s*d(xi);")
+    e = m.elements["e"]
+    assert isinstance(e, GradedPoly) and render(e) == "xi + x^3"
+    assert render(m.operators["P"]) == "x^2*d(xi) + W*d(x)"
+
+
 def test_operator_expressions():
     m = load_module(HDR + "operator P on C = (2*W - 1)*d(x);")
     W = DiffOp.weight(m.chart)

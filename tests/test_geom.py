@@ -18,7 +18,6 @@ from superdelta.geom import (
     BracketDataError,
     CoordMap,
     CoordMapError,
-    LogVolume,
     VBracketData,
     _exact_quotient,
     _unit_series,
