@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .gralg import Chart, GradedPoly, ParityError
-from .diffop import DiffOp, ad_mult, commutator, compose, specialize
+from .diffop import DiffOp, _on_one, ad_mult, commutator, compose, specialize
 
 __all__ = [
     "koszul_sign",
@@ -138,18 +138,14 @@ def higher_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     n - j steps left (_step).  Before the last step D has no term of
     order 0, so D 1 = 0 at weight 0 and [D, a] 1 = D(a): the last
     commutator is an evaluation."""
-    chart = Delta.chart
     if Delta.parity() is None:
         raise ParityError("bracket generator must be homogeneous")
     n = len(args)
     r = Delta.order()
     if r is None or n > r or any(a.is_zero() for a in args):
-        return GradedPoly.zero(chart)
+        return GradedPoly.zero(Delta.chart)
     if not n:
-        # Delta 1 at weight 0: every derivative kills 1 and W acts as 0,
-        # so only the W^0 coefficient at the zero key remains
-        zero_key = ((0,) * len(chart.even), ())
-        return Delta.terms.get(zero_key, {}).get(0, GradedPoly.zero(chart))
+        return _on_one(Delta)
     D = Delta
     for j in range(n - 1):
         D = _step(D, args[j], n - j)
@@ -231,7 +227,7 @@ def jacobiator(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
         for s in shuffles(k, n - k):
             S, R = s[:k], s[k:]
             inner = _top(chain(S[:-1]), 1).apply_poly(args[S[-1]]) if k \
-                else higher_bracket(Delta, [])
+                else _on_one(Delta)
             if inner.is_zero():
                 continue
             outer = _top(chain(R), 1).apply_poly(inner)
@@ -560,8 +556,12 @@ def linfty_check(Delta: DiffOp, n_max: int = 4) -> LInftyReport:
     the report is not certified."""
     if Delta.parity() != 1:
         raise ParityError("homotopy certification expects an odd operator")
-    chart = Delta.chart
-    sq = compose(Delta, Delta)
+    return _linfty_report(compose(Delta, Delta), n_max)
+
+
+def _linfty_report(sq: DiffOp, n_max: int) -> LInftyReport:
+    """linfty_check's report from the square sq = Delta^2 it certifies."""
+    chart = sq.chart
     r = sq.order()
     lo = 0 if r is None else r + 1
     checked = {n: True for n in range(lo, n_max + 1)}

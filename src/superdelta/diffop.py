@@ -276,6 +276,11 @@ class DiffOp:
         return self.apply(p)
 
 
+def _on_one(D: DiffOp) -> GradedPoly:
+    """D 1 at weight 0, read off the terms: the W^0 coefficient at the zero key."""
+    return D.terms.get(((0,) * len(D.chart.even), ()), {}).get(0, GradedPoly.zero(D.chart))
+
+
 def _leibniz(chart: Chart, key: Key, f: GradedPoly, hits=None) -> list[tuple[Key, GradedPoly]]:
     """The normal-ordered expansion  d^key o (f.) = sum g . d^rest,  as
     (rest, g) pairs, by the graded multi-index Leibniz rule.

@@ -27,8 +27,8 @@ from .gralg import (
     GradedPoly,
     Key,
     ParityError,
+    _substitute,
     partial,
-    substitute,
 )
 from .diffop import (
     DiffOp,
@@ -39,8 +39,8 @@ from .diffop import (
     _dkey,
     _exp_ad,
     _from_sums,
+    _on_one,
     compose,
-    conjugate_by_exp,
     formal_adjoint,
     specialize,
 )
@@ -225,7 +225,7 @@ def subprincipal(D: DiffOp) -> GVector:
     chart = D.chart
     if not D.order_leq(2) or D.uses_weight():
         raise DomainError("subprincipal symbol requires a W-free operator of order <= 2")
-    if not D.apply_poly(GradedPoly.one(chart)).is_zero():
+    if not _on_one(D).is_zero():
         raise DomainError("operator must be normalized: D1 = 0")
     eps = D.parity()
     if eps is None:
@@ -258,7 +258,7 @@ def divergence(X: DiffOp) -> GradedPoly:
     """div X = (-1)^{pa(a)(pX+1)} d_a X^a for a first-order operator with no
     constant term."""
     chart = X.chart
-    if not X.order_leq(1) or not X.apply_poly(GradedPoly.one(chart)).is_zero():
+    if not X.order_leq(1) or not _on_one(X).is_zero():
         raise DomainError("divergence requires a vector field")
     coeffs = first_order_coeffs(X)
     out = GradedPoly.zero(chart)
@@ -284,32 +284,40 @@ def lie_derivative(X: DiffOp, w) -> DiffOp:
 # ---------------------------------------------------------------------------
 
 
-def _div_form(chart: Chart, S: SMatrix, sigma: GradedPoly, factor=1) -> DiffOp:
-    """factor * sum_a (d_a sigma + d_a) o (sum_b S^{ab} d_b): the divergence
-    form  e^{-sigma} d_a (e^{sigma} S^{ab} d_b . ), written term by term."""
+def _div_form(chart: Chart, S: SMatrix, g: GradedPoly, h: GradedPoly,
+              factor=1) -> DiffOp:
+    """factor * sum_{a,b} (d_a + d_a g) o S^{ab} (d_b + d_b h), that is
+    factor e^{-g} d_a (e^{g-h} S^{ab} d_b (e^h . )) for even g and h, written
+    term by term as (d_a + d_a g) o T^a, T^a = S^{ab} d_b + S^{ab} d_b h."""
+    S = {k: s * factor for k, s in S.items() if s.terms}
+    keys, zero = {a: _dkey(chart, a)[0] for a in chart.names}, ((0,) * len(chart.even), ())
+    Sh = _contract(chart, S, {b: partial(b, h) for b in chart.names}) if h.terms else {}
     sums: _Sums = {}
     for a in chart.names:
-        ka = _dkey(chart, a)[0]
-        da_sigma = partial(a, sigma)
-        for b in chart.names:
-            s = S.get((a, b))
-            if s is None or s.is_zero():
-                continue
-            kb = _dkey(chart, b)[0]
-            if not da_sigma.is_zero():
-                _add_into(sums, kb, 0, da_sigma * s, factor)
-            _add_leibniz(sums, chart, ka, s, kb, factor=factor)
+        da_g = partial(a, g)
+        T = [(s, keys[b]) for b in chart.names if (s := S.get((a, b))) is not None]
+        if Sh and Sh[a].terms:
+            T.append((Sh[a], zero))
+        for s, k in T:
+            if da_g.terms:
+                _add_into(sums, k, 0, da_g * s)
+            _add_leibniz(sums, chart, keys[a], s, k)
     return _from_sums(chart, sums)
+
+
+def _laplacian(S: SMatrix, chart: Chart, g: GradedPoly, h: GradedPoly) -> DiffOp:
+    """(1/2) _div_form, refused when inhomogeneous: a conjugate of Delta_rho
+    by an even exponential, which keeps each parity part."""
+    op = _div_form(chart, S, g, h, HALF)
+    if op.parity() not in (ODD, EVEN):
+        raise ParityError("odd Laplacian came out inhomogeneous")
+    return op
 
 
 def odd_laplacian(S: SMatrix, chart: Chart, sigma) -> DiffOp:
     """The odd Laplacian  (1/2) e^{-sigma} d_a (e^{sigma} S^{ab} d_b . )
     attached to odd bracket data S and volume form rho = e^sigma Dx."""
-    sigma = _as_sigma(sigma)
-    op = _div_form(chart, S, sigma, HALF)
-    if op.parity() not in (ODD, EVEN):
-        raise ParityError("odd Laplacian came out inhomogeneous")
-    return op
+    return _laplacian(S, chart, _as_sigma(sigma), GradedPoly.zero(chart))
 
 
 def modular_vf(P: SMatrix, chart: Chart, sigma) -> DiffOp:
@@ -322,29 +330,28 @@ def modular_vf(P: SMatrix, chart: Chart, sigma) -> DiffOp:
         mirror = P.get((b, a), GradedPoly.zero(chart))
         if mirror != -(_sym_sign(chart, a, b) * p):
             raise BracketDataError("P must be graded antisymmetric")
-    op = _div_form(chart, P, sigma)
+    op = _div_form(chart, P, sigma, GradedPoly.zero(chart))
     if not op.order_leq(1):
         raise BracketDataError("P must have even entries between even and odd coordinates")
     return op
 
 
 def act_on_w_densities(S: SMatrix, chart: Chart, sigma, w) -> DiffOp:
-    """The odd Laplacian on w-densities:  rho^w Delta_rho (rho^{-w} . ),
-    computed as a terminating conjugation."""
+    """The odd Laplacian on w-densities,  rho^w Delta_rho (rho^{-w} . ) =
+    conjugate_by_exp(Delta_rho, w sigma, sign=-1), in closed form as e^{w sigma}
+    is even: (1/2) sum (d_a + (1-w) d_a sigma) o S^{ab} (d_b - w d_b sigma)."""
     sigma = _as_sigma(sigma)
-    D = odd_laplacian(S, chart, sigma)
-    u = sigma * (w if type(w) is Fraction else Fraction(w))
-    return conjugate_by_exp(D, u, sign=-1)
+    w = w if type(w) is Fraction else Fraction(w)
+    return _laplacian(S, chart, sigma * (1 - w), sigma * -w)
 
 
 def master_discrepancy(S: SMatrix, chart: Chart, sigma0, sigma) -> GradedPoly:
     """H(rho', rho) = e^{-sigma/2} Delta_rho(e^{sigma/2}) for rho' = e^sigma
-    rho; vanishes exactly on master-equation solutions."""
+    rho, zero exactly on master-equation solutions: conjugate_by_exp(Delta_rho,
+    sigma/2) 1 = (1/2) sum (d_a + d_a (sigma0 + sigma/2)) o S^{ab} (d_b + d_b sigma/2) 1."""
     sigma0 = _as_sigma(sigma0)
-    sigma = _as_sigma(sigma)
-    D = odd_laplacian(S, chart, sigma0)
-    conj = conjugate_by_exp(D, sigma * HALF)
-    return conj.apply_poly(GradedPoly.one(chart))
+    u = _as_sigma(sigma) * HALF
+    return _on_one(_laplacian(S, chart, sigma0 + u, u))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +448,6 @@ def extract_vbracket(P: DiffOp) -> VBracketData:
     inhomogeneous; when the round trip fails, names the first of: not
     normalized, not self-adjoint, or outside the image ((W^2 - W) d_x^2
     passes every other check, but no datum reads its W^2 d_x^2 term)."""
-    chart = P.chart
     if not P.order_leq(2):
         raise DomainError("pencil must have order <= 2")
     eps = P.parity()
@@ -450,7 +456,7 @@ def extract_vbracket(P: DiffOp) -> VBracketData:
     data = _pencil_data(P, eps)
     if canonical_pencil(data) == P:
         return data
-    if not specialize(P, 0).apply_poly(GradedPoly.one(chart)).is_zero():
+    if not _on_one(P).is_zero():
         raise DomainError("pencil is not normalized (P1 != 0 at w = 0)")
     if formal_adjoint(P) != P:
         raise DomainError("pencil is not self-adjoint")
@@ -538,23 +544,24 @@ def jacobi_report(data: VBracketData) -> tuple[GradedPoly, GradedPoly, GradedPol
 # classification of Delta^2
 # ---------------------------------------------------------------------------
 
-LEVELS = ("<=0", "<=1", "<=2", "<=3")
-
-
 def classify_square(D: DiffOp) -> str:
     """The finest level "<=r" with ord(Delta^2) <= r, for a normalized odd
     operator of order <= 2."""
-    chart = D.chart
+    return _classify(D)[0]
+
+
+def _classify(D: DiffOp) -> tuple[str, DiffOp]:
+    """classify_square's level and the square Delta^2 it reads."""
     if D.parity() != ODD:
         raise ParityError("classification requires an odd operator")
     if not D.order_leq(2):
         raise DomainError("classification requires order <= 2")
-    if not D.apply_poly(GradedPoly.one(chart)).is_zero():
+    if not _on_one(D).is_zero():
         raise DomainError("operator must be normalized: D1 = 0")
     # ord Delta^2 <= 3: its order-4 symbol is sigma_2(Delta)^2, the square of
     # an odd element of the supercommutative symbol algebra, which is 0
-    r = compose(D, D).order()
-    return f"<={r or 0}"
+    sq = compose(D, D)
+    return f"<={sq.order() or 0}", sq
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +663,8 @@ class _CoordMapFields(NamedTuple):
 class CoordMap(_CoordMapFields):
     """A coordinate change x' = phi(x) on a fixed chart, of the form
     "constant invertible body plus nilpotent (odd-containing) corrections",
-    with the inverse supplied and checked.  An immutable record."""
+    with the inverse supplied and checked, once: push and pull substitute
+    through the trusted kernel gralg._substitute.  An immutable record."""
 
     __slots__ = ()
 
@@ -667,31 +675,26 @@ class CoordMap(_CoordMapFields):
                 if name not in m:
                     raise CoordMapError(f"map must list every variable ({name})")
                 im = m[name]
-                p = im.parity()
-                if not im.is_zero() and p != chart.parity(name):
+                if not im.is_zero() and im.parity() != chart.parity(name):
                     raise CoordMapError(f"image of {name} has wrong parity")
         # round trip check on the generators
         for name in chart.names:
-            v = substitute(fwd[name], dict(inv))
-            if v != GradedPoly.var(chart, name):
+            if _substitute(fwd[name], inv, chart) != GradedPoly.var(chart, name):
                 raise CoordMapError("supplied inverse fails the round trip")
         return super().__new__(cls, chart, fwd, inv)
 
     def push(self, p: GradedPoly) -> GradedPoly:
         """Express an old-coordinate polynomial in new coordinates."""
-        return substitute(p, dict(self.inv))
+        return _substitute(p, self.inv, self.chart)
 
     def pull(self, p: GradedPoly) -> GradedPoly:
         """Express a new-coordinate polynomial in old coordinates."""
-        return substitute(p, dict(self.fwd))
+        return _substitute(p, self.fwd, self.chart)
 
     def jacobian(self) -> dict[tuple[str, str], GradedPoly]:
         """Entries J[a', a] = d x'^{a'} / d x^a in old coordinates."""
-        return {
-            (ap, a): partial(a, self.fwd[ap])
-            for ap in self.chart.names
-            for a in self.chart.names
-        }
+        names = self.chart.names
+        return {(ap, a): partial(a, self.fwd[ap]) for ap in names for a in names}
 
 
 def _det_even(entries: list[list[GradedPoly]], chart: Chart) -> GradedPoly:
@@ -745,8 +748,12 @@ def berezinian(cmap: CoordMap) -> GradedPoly:
     Ber = det(A - B D^{-1} C) / det D for the blocks of J by parity, with
     D^{-1} from the adjugate.  An empty block has determinant 1, so a
     purely even or purely odd chart needs no case of its own."""
-    chart = cmap.chart
-    J = cmap.jacobian()
+    return _berezinian(cmap.chart, cmap.jacobian())
+
+
+def _berezinian(chart: Chart, J: Mapping[tuple[str, str], GradedPoly],
+                log: bool = False) -> GradedPoly:
+    """berezinian, or log_berezinian if log is set, from the Jacobi matrix."""
     ev, od = chart.even, chart.odd
     A = [[J[(ap, a)] for a in ev] for ap in ev]
     B = [[J[(ap, a)] for a in od] for ap in ev]
@@ -754,20 +761,21 @@ def berezinian(cmap: CoordMap) -> GradedPoly:
     Dm = [[J[(ap, a)] for a in od] for ap in od]
     d0, series = _unit_series(_det_even(Dm, chart), "element", lambda k: (-1) ** k)
     invdet = series * (1 / d0)
-    q = len(od)
-    Dinv = [[e * invdet for e in row] for row in _adjugate(Dm, chart)]
-    # A - B D^{-1} C (entries even, B/C odd: B D^{-1} C entries even)
-    top = [[A[i][j] - sum((B[i][k] * Dinv[k][l] * C[l][j]
-                           for k in range(q) for l in range(q)), GradedPoly.zero(chart))
-            for j in range(len(ev))] for i in range(len(ev))]
-    return _det_even(top, chart) * invdet
+    adj = _adjugate(Dm, chart)
+    # A - B D^{-1} C = A - (B adj(D)) C invdet: B, C odd, all else even
+    BD = [[GradedPoly._sum(chart, (b * r[l] for b, r in zip(row, adj))) for l in range(len(od))]
+          for row in B]
+    top = [[a - GradedPoly._sum(chart, (x * c[j] for x, c in zip(bd, C))) * invdet
+            for j, a in enumerate(row)] for row, bd in zip(A, BD)]
+    ber = _det_even(top, chart) * invdet
+    return _unit_series(ber, "Berezinian",
+                        lambda k: Fraction((-1) ** (k + 1), k) if k else 0)[1] if log else ber
 
 
 def log_berezinian(cmap: CoordMap) -> GradedPoly:
     """log of the Berezinian, normalized by dropping the constant log of the
     body (which never survives differentiation); in old coordinates."""
-    return _unit_series(berezinian(cmap), "Berezinian",
-                        lambda k: Fraction((-1) ** (k + 1), k) if k else 0)[1]
+    return _berezinian(cmap.chart, cmap.jacobian(), log=True)
 
 
 def transform_op(D: DiffOp, cmap: CoordMap) -> DiffOp:
@@ -800,7 +808,7 @@ def transform_op(D: DiffOp, cmap: CoordMap) -> DiffOp:
                 _add_into(sums, K, k, c if g is None else c * g[0])
     out = _from_sums(chart, sums)
     # density correction: conjugate by exp(W log Ber'), exact and terminating
-    v = push(log_berezinian(cmap))
+    v = push(_berezinian(chart, J, log=True))
     if v.is_zero():
         return out
     return _exp_ad(out, v, 1)

@@ -14,7 +14,8 @@ for term maps the engine built itself, and adopts them unchecked.  The
 ``bench/``, and every polynomial-by-polynomial product goes through
 ``GradedPoly.__mul__``, the boundary its tracer wraps, except that ``dsl``
 builds each product of numbers, variables, W and derivatives in ``.sd``
-text as one term.
+text as one term.  ``substitute`` validates its images for the kernel
+``_substitute``, which coordinate maps, validated when built, call directly.
 """
 
 from __future__ import annotations
@@ -320,24 +321,30 @@ def substitute(p: GradedPoly, images: Mapping[str, GradedPoly],
             im = images[name]
             if im.chart != target:
                 raise ChartMismatch("substitution images on mixed charts")
-            imp = im.parity()
-            if imp is not None and im.is_zero():
-                imp = p.chart.parity(name)
-            if imp != p.chart.parity(name):
+            if not im.is_zero() and im.parity() != p.chart.parity(name):
                 raise ParityError(
                     f"image of {name!r} must have parity {p.chart.parity(name)}"
                 )
             full[name] = im
         else:
             full[name] = GradedPoly.var(target, name)
-    monomials = []
+    return _substitute(p, full, target)
+
+
+def _substitute(p: GradedPoly, images: Mapping[str, GradedPoly],
+                target: Chart) -> GradedPoly:
+    """substitute for trusted images, one on ``target`` for every variable of
+    p's chart, each of its parity; each power of an image is formed once."""
+    chart, powers, monomials = p.chart, {}, []
     for (e, o), c in p.terms.items():
         m = GradedPoly.const(target, c)
-        for i, exp in enumerate(e):
-            if exp:
-                m = m * full[p.chart.even[i]] ** exp
+        for name, n in zip(chart.even, e):
+            if n:
+                if (name, n) not in powers:
+                    powers[(name, n)] = images[name] ** n
+                m = m * powers[(name, n)]
         for i in o:
-            m = m * full[p.chart.odd[i]]
+            m = m * images[chart.odd[i]]
         monomials.append(m)
     return GradedPoly._sum(target, monomials)
 

@@ -119,3 +119,32 @@ def poly_strategy(chart: Chart, deg: int = 3, parity: int | None = None):
 @pytest.fixture
 def rng():
     return random.Random(20260823)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(owner, name) wraps the function ``owner.name`` (owner a
+    module or a class) with a recorder and returns the list of the argument
+    tuples of its calls.  Engine modules bind each other's functions by
+    name, so the wrapper replaces the function on every attribute of a
+    loaded ``superdelta`` module bound to it as well, as the benchmark's
+    tracer does; on a class it replaces the method."""
+    import sys
+
+    def install(owner, name):
+        real = owner.__dict__[name]
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        places = [owner] if isinstance(owner, type) else \
+            [m for k, m in sys.modules.items() if k.split(".")[0] == "superdelta"]
+        for place in places:
+            for attr, val in list(vars(place).items()):
+                if val is real:
+                    monkeypatch.setattr(place, attr, recording)
+        return calls
+
+    return install

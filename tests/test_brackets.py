@@ -327,6 +327,29 @@ def test_square_bracket_of_an_inhomogeneous_generator():
         assert square_bracket(D, [xi1, xi2][:n]).is_zero()
 
 
+def test_parity_is_taken_once_per_jacobiator(count_calls):
+    """jacobiator takes the parity of a homogeneous Delta once: its k = 0
+    block reads Delta 1 off the terms, where higher_bracket(Delta, []) took
+    the parity again.  square_bracket takes it once of Delta, and
+    higher_bracket once more of the square.  Counted, not timed."""
+    calls = count_calls(DiffOp, "parity")
+    rng = random.Random("parity once")
+    background = 0
+    for chart in (R11, R12, R22, R02, R03):
+        monos = monomials_upto(chart, 2)
+        for D in _seeded_generators(rng, chart, 12):
+            for n in range(4):
+                args = _homogeneous_args(rng, chart, monos, n)
+                calls.clear()
+                jacobiator(D, args)
+                assert [c[0] for c in calls] == [D]
+                background += n < (D.order() or 0)
+                calls.clear()
+                square_bracket(D, args)
+                assert len(calls) == 2 and calls[0][0] is D
+    assert background >= 100
+
+
 def test_jacobiator_computes_no_chain_twice(monkeypatch):
     """Within one call each commutator chain is one ad_mult call; the shuffle
     loop that takes every bracket from scratch repeats them."""

@@ -106,6 +106,18 @@ def test_jacobiator_past_twice_the_order_enumerates_no_shuffle(capsys, monkeypat
     assert calls
 
 
+def test_classify_forms_the_square_once(capsys, count_calls):
+    """One classify request composes Delta with itself once: the level and
+    the L-infinity report read the same square.  Counted, not timed."""
+    from superdelta import diffop
+    calls = count_calls(diffop, "compose")
+    for flags in ([], ["--json"]):
+        calls.clear()
+        code, _, _ = run(capsys, "classify", "--input", BV, "--op", "Delta", *flags)
+        assert code == 0
+        assert len(calls) == 1 and calls[0][0] is calls[0][1]
+
+
 def test_import_loads_no_dataclasses():
     """The package defines its records without dataclasses, which would pull
     inspect, ast, dis and tokenize into every process."""

@@ -13,8 +13,8 @@ from superdelta.diffop import (
     specialize,
 )
 from superdelta.gralg import DomainError, ParityError
+from superdelta.cli import _LEVEL_NAMES
 from superdelta.geom import (
-    LEVELS,
     BracketDataError,
     CoordMap,
     CoordMapError,
@@ -275,6 +275,99 @@ def test_master_groupoid(rng):
             assert act_on_w_densities(S, chart, s0, Fraction(1, 2)) == \
                 act_on_w_densities(S, chart, s0 + s, Fraction(1, 2))
     assert found > 0
+
+
+def _arbitrary_smatrix(rng, chart):
+    """S with entries drawn independently, so not symmetric.  In half the
+    draws each entry has the parity of odd bracket data; in the others each
+    is even, odd or of mixed parity, so that some odd Laplacians are
+    inhomogeneous."""
+    S, odd_data = {}, rng.random() < 0.5
+    for a in chart.names:
+        for b in chart.names:
+            par = (1 + chart.parity(a) + chart.parity(b)) % 2 if odd_data \
+                else rng.choice((0, 1, None))
+            p = rand_poly(rng, chart, 2, par, nterms=3)
+            if rng.random() < 0.6 and not p.is_zero():
+                S[(a, b)] = p
+    return S
+
+
+def _outcome(compute):
+    """The value of compute(), or the type and message of its ParityError."""
+    try:
+        return compute()
+    except ParityError as ex:
+        return type(ex), str(ex)
+
+
+def test_w_density_closed_form_is_the_conjugation():
+    """act_on_w_densities, a closed form, against the conjugation it
+    replaces, rho^w Delta_rho rho^{-w} = conjugate_by_exp(Delta_rho,
+    w sigma, sign=-1): 1,200 seeded cases on five charts and six weights,
+    with arbitrary S.  Where Delta_rho is inhomogeneous both sides raise the
+    same ParityError."""
+    rng = random.Random("w-density closed form")
+    weights = (0, Fraction(1, 3), Fraction(1, 2), 1, 2, Fraction(-3, 2))
+    cases = refused = 0
+    for chart in CHARTS:
+        for _ in range(40):
+            S = _arbitrary_smatrix(rng, chart)
+            sigma = rand_poly(rng, chart, 3, parity=0)
+            for w in weights:
+                got = _outcome(lambda: act_on_w_densities(S, chart, sigma, w))
+                want = _outcome(lambda: conjugate_by_exp(
+                    odd_laplacian(S, chart, sigma), sigma * w, sign=-1))
+                assert got == want
+                cases += 1
+                refused += isinstance(want, tuple)
+    assert cases == 1200 and 200 < refused < 1000
+
+
+def test_master_discrepancy_closed_form_is_the_conjugation():
+    """master_discrepancy, read off a closed form, against its definition
+    e^{-sigma/2} Delta_rho(e^{sigma/2}) = conjugate_by_exp(Delta_rho,
+    sigma/2) applied to 1: 200 seeded cases on five charts with arbitrary
+    S, refusals included."""
+    rng = random.Random("master closed form")
+    cases = refused = 0
+    for chart in CHARTS:
+        one = GradedPoly.one(chart)
+        for _ in range(40):
+            S = _arbitrary_smatrix(rng, chart)
+            s0, s = (rand_poly(rng, chart, 3, parity=0) for _ in range(2))
+            got = _outcome(lambda: master_discrepancy(S, chart, s0, s))
+            want = _outcome(lambda: conjugate_by_exp(
+                odd_laplacian(S, chart, s0), s * Fraction(1, 2)).apply(one))
+            assert got == want
+            cases += 1
+            refused += isinstance(want, tuple)
+    assert cases == 200 and 20 < refused < 180
+
+
+def test_density_calculus_takes_no_commutator(count_calls):
+    """act_on_w_densities and master_discrepancy take no ad_mult, so no
+    conjugation series; transform_op takes the Jacobi matrix once, for its
+    fields and for the Berezinian.  Counted, not timed."""
+    ad = count_calls(diffop, "ad_mult")
+    jac = count_calls(CoordMap, "jacobian")
+    rng = random.Random("closed-form counts")
+    for chart in CHARTS:
+        S = rand_smatrix(rng, chart, 1)
+        s0, s = (rand_poly(rng, chart, 3, parity=0) for _ in range(2))
+        for w in WEIGHTS:
+            act_on_w_densities(S, chart, s0 + s, w)
+        master_discrepancy(S, chart, s0, s)
+    assert ad == []
+    for chart in CHARTS:
+        cmap = _triangular_map(rng, chart)
+        jac.clear()
+        assert not transform_op(canonical_pencil(rand_vdata(rng, chart)), cmap).is_zero()
+        assert len(jac) == 1
+    # the counters see the calls they count
+    conjugate_by_exp(odd_laplacian(S, chart, s0), s)
+    log_berezinian(cmap)
+    assert ad and len(jac) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +747,25 @@ def _nilpotent_map(rng, chart):
         return None
 
 
+def test_coordinate_maps_substitute_as_public_substitute():
+    """push and pull, which call the trusted substitution kernel, against
+    the validating public substitute on seeded nilpotent and triangular
+    maps."""
+    rng = random.Random("coordinate map kernel")
+    maps = 0
+    for chart in CHARTS:
+        for i in range(12):
+            cmap = _nilpotent_map(rng, chart) if i % 3 else _triangular_map(rng, chart)
+            if cmap is None:
+                continue
+            maps += 1
+            for _ in range(4):
+                p = rand_poly(rng, chart, 4, nterms=6)
+                assert cmap.push(p) == substitute(p, dict(cmap.inv))
+                assert cmap.pull(p) == substitute(p, dict(cmap.fwd))
+    assert maps >= 40
+
+
 def _triangular_map(rng, chart):
     """x'^a = c_a x^a + (a multiple of a later variable of the same parity)
     + (terms whose odd factors come after x^a, or, for even x^a, number at
@@ -822,7 +934,8 @@ def test_transform_example_gamma_correction():
 def test_square_of_odd_order_two_has_order_at_most_three():
     """ord Delta^2 <= 3 for odd Delta of order <= 2: the order-4 symbol is
     sigma_2(Delta)^2, the square of an odd symbol, which is 0.  So
-    classify_square always returns one of LEVELS."""
+    classify_square always returns one of the four levels the command line
+    names."""
     rng = random.Random("ord-square")
     for i in range(200):
         chart = (R11, R12, R22, R02, R03)[i % 5]
@@ -830,7 +943,7 @@ def test_square_of_odd_order_two_has_order_at_most_three():
         assert compose(D, D).order_leq(3)
         D = D - DiffOp.mult(D.apply_poly(GradedPoly.one(chart)))
         if D.parity() == 1:
-            assert classify_square(D) in LEVELS
+            assert classify_square(D) in _LEVEL_NAMES
 
 
 def test_principal_matrix_takes_the_whole_second_order_part():
@@ -1088,48 +1201,35 @@ def test_extract_refusal_table(text, exc, message):
     assert str(ei.value) == message
 
 
-def test_pencil_io_makes_no_probe_and_no_composition(monkeypatch):
+def test_pencil_io_makes_no_probe_and_no_composition(count_calls):
     """canonical_pencil, extract_vbracket and transform_data write and read
     coefficients: no pencil_bracket probe and no compose.  transform_data
     reads the transformed pencil, so it builds no Hamiltonian field;
     extract_vbracket proves a canonical pencil self-adjoint by its round
     trip, so it takes no formal_adjoint; transform_smatrix builds one
-    Hamiltonian field per coordinate.  Counted by monkeypatched wrappers on
-    every engine module that names the function; no wall-clock
+    Hamiltonian field per coordinate.  Counted by wrappers on every engine
+    module that names the function (count_calls); no wall-clock
     assertion."""
-    import sys
-    calls = {"compose": 0, "pencil_bracket": 0, "hamiltonian_vf": 0,
-             "formal_adjoint": 0}
-    mods = [m for k, m in sys.modules.items() if k.split(".")[0] == "superdelta"]
-    for name in calls:
-        real = getattr(geom, name)
-
-        def counting(*args, _name=name, _real=real):
-            calls[_name] += 1
-            return _real(*args)
-
-        for mod in mods:
-            for attr, val in list(vars(mod).items()):
-                if val is real:
-                    monkeypatch.setattr(mod, attr, counting)
+    calls = {name: count_calls(geom, name) for name in
+             ("compose", "pencil_bracket", "hamiltonian_vf", "formal_adjoint")}
     rng = random.Random("pencil io")
     for chart in CHARTS:
         for eps in (0, 1):
             data = rand_vdata(rng, chart, eps)
             assert geom.extract_vbracket(geom.canonical_pencil(data)) == data
             geom.transform_data(data, _triangular_map(rng, chart))
-    assert calls["compose"] == calls["pencil_bracket"] == 0
-    assert calls["hamiltonian_vf"] == 0
-    assert calls["formal_adjoint"] == 0
+    assert calls["compose"] == calls["pencil_bracket"] == []
+    assert calls["hamiltonian_vf"] == []
+    assert calls["formal_adjoint"] == []
     for chart in CHARTS:
-        before = calls["hamiltonian_vf"]
+        before = len(calls["hamiltonian_vf"])
         geom.transform_smatrix(rand_smatrix(rng, chart, 1), chart, _triangular_map(rng, chart))
-        assert calls["hamiltonian_vf"] - before == len(chart.names)
+        assert len(calls["hamiltonian_vf"]) - before == len(chart.names)
     # the counters see the calls they count
     diffop.compose(DiffOp.deriv(R11, "x"), DiffOp.deriv(R11, "xi"))
     one = DensityElement.from_poly(GradedPoly.one(R11))
     geom.pencil_bracket(DiffOp.deriv(R11, "x"), one, one)
     with pytest.raises(DomainError, match="not self-adjoint"):
         geom.extract_vbracket(DiffOp.deriv(R11, "x"))
-    assert calls["compose"] == calls["pencil_bracket"] == 1
-    assert calls["formal_adjoint"] == 1
+    assert len(calls["compose"]) == len(calls["pencil_bracket"]) == 1
+    assert len(calls["formal_adjoint"]) == 1
