@@ -136,6 +136,27 @@ _DIAGNOSTICS = [
      "line 2:20: unexpected end of input (expected ';')"),
     (HDR.replace("\n", "\r\n") + "element e on C = x;\r\n\telement g on C =\t$;",
      "line 3:19: unexpected character '$'"),
+    # the end of input: at the end of the text, or where a comment on the
+    # last line starts; a line of only a comment holds no code
+    ("# only", "line 1:1: module declares no chart"),
+    (HDR.replace("\n", "\r\n") + "element e on C = x\r\n",
+     "line 3:1: unexpected end of input (expected ';')"),
+    (HDR + "element e on C = x   ", "line 2:22: unexpected end of input (expected ';')"),
+    (HDR + "element e on C = x#c", "line 2:19: unexpected end of input (expected ';')"),
+    ("chart C { even x; }\nelement e on C = x\t# c\n# d",
+     "line 3:1: unexpected end of input (expected ';')"),
+    (HDR + "element e on C = x\n#c\n   # d",
+     "line 4:4: unexpected end of input (expected ';')"),
+    # "->" is one token; a ">" outside it starts none
+    ("chart C { even x; }\nelement e on C = x ->", "line 2:20: found '->' (expected ';')"),
+    (HDR + "element e on C = x > 1;", "line 2:20: unexpected character '>'"),
+    (HDR + "element e on C = x - > 1;", "line 2:22: unexpected character '>'"),
+    (HDR + "map phi on C { x -> x; xi1 -> xi1; xi2 ->> xi2; }",
+     "line 2:42: unexpected character '>'"),
+    # an expression read by parse_element against the module HDR declares
+    ((HDR, "x +  # c"),
+     "line 1:6: unexpected end of input (expected '(', '-', identifier, number)"),
+    ((HDR, "x )  # c"), "line 1:3: trailing input ')'"),
     # syntax, with expected-token sets
     ("chart C { even x }", "line 1:18: found '}' (expected ';')"),
     (HDR + "element e on C = x",
@@ -255,7 +276,10 @@ _DIAGNOSTICS = [
 @pytest.mark.parametrize("src,message", _DIAGNOSTICS)
 def test_diagnostic_table(src, message):
     with pytest.raises(DslError) as ei:
-        load_module(src)
+        if isinstance(src, tuple):  # (module, expression)
+            parse_element(src[1], load_module(src[0]))
+        else:
+            load_module(src)
     assert str(ei.value) == message
 
 
