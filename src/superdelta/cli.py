@@ -163,10 +163,20 @@ def _get_sigma(m: Module, name: str, flag: str):
 
 
 def _split_args(m: Module, s: str):
-    s = s.strip()
-    if not s:
+    """The comma-separated expressions of --args, each read stripped; a
+    diagnostic's line:col counts in s, the value as the user gave it."""
+    if not s.strip():
         return []
-    return [parse_element(part.strip(), m) for part in s.split(",")]
+    vals, start = [], 0
+    for part in s.split(","):
+        try:
+            vals.append(parse_element(part.strip(), m))
+        except DslError as ex:
+            line, col = _position(s, start + len(part) - len(part.lstrip()))
+            raise DslError(ex.message, line + ex.line - 1,
+                           col + ex.col - 1 if ex.line == 1 else ex.col, ex.expected) from None
+        start += len(part) + 1
+    return vals
 
 
 def _as_polys(vals, what: str):

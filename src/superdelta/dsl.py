@@ -16,9 +16,8 @@ Grammar (EBNF):
     map         = "map" NAME "on" NAME "{" { NAME "->" expr ";" }
                   "inverse" "{" { NAME "->" expr ";" } "}" "}" ;
     expr        = term { ("+"|"-") term } ;
-    term        = unary { "*" unary } ;
-    unary       = "-" unary | power ;
-    power       = atom { "^" INT } ;
+    term        = factor { "*" factor } ;
+    factor      = { "-" } atom { "^" INT } ;
     atom        = INT [ "/" INT ] | "t" "^" wexp | "W"
                 | "d" "(" NAME ")" | NAME | "(" expr ")" ;
     wexp        = INT | "(" [ "-" ] INT [ "/" INT ] ")" ;
@@ -35,22 +34,20 @@ so is a repeated tensor entry or map rule.  An integer literal may not be
 longer than sys.get_int_max_str_digits(), nor an expression nested (in
 parentheses and unary minus signs) deeper than MAX_NESTING.
 
-A module is read in one pass: the parser evaluates each expression as it
-reads it and stores each declaration's value in the ``Module`` at once, so
-a name is in scope from the end of its declaration on, and the first error
-in source order is the one reported.  A product of numbers, chart
-variables, W and d(x), with ^INT powers and unary minus, is built as one
-normal-ordered term c x^m W^w d^J, its sign from ``gralg._merge_odd`` for
-the odd variables and for the odd derivatives; any value times a term
-c W^w d^J without variables is taken one derivative key at a time.  A
-variable after a derivative (d(x)*x), a power of a term with both
-variables and derivatives, a named element, operator or density, and t^w
-go through the arithmetic of the value types, which promotes a
-``GradedPoly`` to a ``DensityElement`` where t^w enters and to a ``DiffOp``
-where W, d(x) or an operator does.  Each declaration converts its value
-once: an operator through ``DiffOp.mult``, an element to a polynomial
-when it has no t-component, and a log-volume, tensor entry or map image
-must be t-free.
+A module is read in one pass.  The lexer makes the token strings with one
+``findall``, and the parser reads them by index; a token's position is
+found again only for a diagnostic.  The parser evaluates each expression
+as it reads it and stores each declaration's value in the ``Module`` at
+once, so a name is in scope from the end of its declaration on, and the
+first error in source order is the one reported.  A product of numbers,
+chart variables, W and d(x), with ^INT powers and unary minus, is built as
+one normal-ordered term c x^m W^w d^J, its signs from ``gralg._merge_odd``;
+a value times a term c W^w d^J is taken one derivative key at a time, and
+a sum is added up in one term map and built once.  The rest (a variable
+after a derivative, a named value, t^w) goes through the arithmetic of the
+value types.  Each declaration converts its value once: an operator
+through ``DiffOp.mult``, an element to a polynomial when it has no
+t-component, and a log-volume, tensor entry or map image must be t-free.
 """
 
 from __future__ import annotations
@@ -58,28 +55,19 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from itertools import accumulate
+from itertools import islice
 
 from .gralg import Chart, DensityElement, DomainError, GradedPoly, _mul_keys, _power
-from .diffop import DiffOp, _dkey
+from .diffop import DiffOp, _add_into, _dkey, _from_sums, _on_one
 from .geom import CoordMap, VBracketData, _as_sigma
 
-__all__ = [
-    "DslError",
-    "Module",
-    "load_module",
-    "parse_element",
-    "render",
-]
+__all__ = ["DslError", "Module", "load_module", "parse_element", "render"]
 
-_RESERVED = {
-    "chart", "even", "odd", "tensor", "on", "parity", "density", "element",
-    "operator", "map", "inverse", "t", "W", "d",
-}
+_RESERVED = {"chart", "even", "odd", "tensor", "on", "parity", "density", "element",
+             "operator", "map", "inverse", "t", "W", "d"}
 _DECLARATIONS = ("'chart'", "'tensor'", "'density'", "'element'", "'operator'",
                  "'map'")
-# parentheses and unary minus signs open on one path of an expression; the
-# parser recurses on both
+# parentheses and unary minus signs open on one path of an expression
 MAX_NESTING = 100
 
 
@@ -101,14 +89,15 @@ class DslError(ValueError):
 # ---------------------------------------------------------------------------
 # lexer
 
-# One alternative per token class, tried in order at each position.  Every
-# character starts a piece, so the pieces cover the text.
-_PIECE = re.compile(r"[ \t\r\n]+|#[^\n]*|->|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|.", re.S)
-# a piece's kind by its first character: None for blanks and comments, and
-# "bad" (the default) for a character that starts no token
-_KIND = {**dict.fromkeys(" \t\r\n#"), **dict.fromkeys("0123456789", "int"),
-         **dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_", "name"),
-         **dict.fromkeys("-{}[]();,=+*^/", "punct")}
+# A comment runs to the end of its line.  The lexer reads the code of a
+# text, the text with each comment blanked out: offsets and lines stay.
+_COMMENT = re.compile(r"#[^\n]*")
+# Runs of blanks and token characters other than "-", and "-" or "->": a
+# greedy match that cannot fail, so it never backtracks, and stops at the
+# first character that starts no token.
+_SCAN = re.compile(r"(?:[ \t\r\n0-9A-Za-z_{}\[\]();,=+*^/]+|->?)*")
+# Blanks, then one token or the end of the code, which always matches.
+_TOKEN = re.compile(r"[ \t\r\n]*([{}\[\]();,=+*^/]|->?|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\Z)")
 
 
 def _position(text: str, off: int) -> tuple[int, int]:
@@ -116,18 +105,17 @@ def _position(text: str, off: int) -> tuple[int, int]:
     return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
 
 
-def _lex(text: str) -> list[tuple[str, str, int]]:
-    """The (kind, text, offset) tokens of ``text``, kind "name", "int" or
-    "punct", then an "eof" token at the end of the last line's code."""
-    pieces = _PIECE.findall(text)
-    offs = list(accumulate(map(len, pieces), initial=0))
-    toks = [(kind, s, off) for s, off in zip(pieces, offs)
-            if (kind := _KIND.get(s[0], "bad"))]
-    for kind, s, off in toks:
-        if kind == "bad":
-            raise DslError(f"unexpected character {s!r}", *_position(text, off))
-    # the last line's code ends where its comment starts
-    return toks + [("eof", "", offs[-2] if pieces and pieces[-1][0] == "#" else offs[-1])]
+def _lex(code: str) -> list[str]:
+    """The token strings of ``code`` from one ``findall``, the last one ""
+    for the end of input.  Offsets are not kept: ``_Parser.fail`` finds the
+    one a diagnostic needs."""
+    end = _SCAN.match(code).end()
+    if end < len(code):
+        raise DslError(f"unexpected character {code[end]!r}", *_position(code, end))
+    toks = _TOKEN.findall(code)
+    if len(toks) > 1 and not toks[-2]:  # the end matched after blanks, then again
+        del toks[-1]
+    return toks
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +158,16 @@ _ONE = Fraction(1)
 
 class _Parser:
     """Reads .sd text and evaluates it against the module ``m``, which the
-    chart declaration creates.  Expression methods return the value, a term
-    or an algebra value, and the token at the root of the expression, where
-    a t-free check reports."""
+    chart declaration creates.  The tokens are the strings of ``_lex``, read
+    by index; a diagnostic names its token by index, and ``fail`` finds the
+    token's position only then.  Expression methods return the value, a
+    term or an algebra value, and the index of the token at the root of the
+    expression, where a t-free check reports.  A sum is added up in one
+    term map and built once."""
 
     def __init__(self, text: str, m: Module | None = None):
-        self.text = text
-        self.toks = _lex(text)
-        self.i = 0
-        self.depth = 0
-        self.m = None
+        self.text, self.code = text, _COMMENT.sub(lambda c: " " * len(c[0]), text)
+        self.toks, self.i, self.depth, self.m = _lex(self.code), 0, 0, None
         if m is not None:
             self._enter(m)
 
@@ -188,68 +176,67 @@ class _Parser:
         self.m, self.one = m, ((0,) * len(m.chart.even), ())
         self.keys = {v: _dkey(m.chart, v)[0] for v in m.chart.names}
 
-    def fail(self, message: str, tok, expected=()):
-        raise DslError(message, *_position(self.text, tok[2]), expected)
+    def fail(self, message: str, i: int, expected=()):
+        """Raise a DslError at token i, found again by the token pattern; the
+        end of input is the end of the last line's code."""
+        text = self.text
+        if self.toks[i]:
+            off = next(islice(_TOKEN.finditer(self.code), i, None)).start(1)
+        elif (off := text.find("#", text.rfind("\n") + 1)) < 0:
+            off = len(text)
+        raise DslError(message, *_position(text, off), expected)
 
-    def expect(self, text: str):
+    def expect(self, s: str) -> int:
+        if (t := self.toks[i := self.i]) == s:
+            self.i = i + 1
+            return i
+        self.fail(f"found {t!r}" if t else "unexpected end of input", i,
+                  expected=(f"'{s}'",))
+
+    def expect_name(self, what: str) -> str:
         t = self.toks[self.i]
-        if t[1] == text:
+        if t.isidentifier() and t not in _RESERVED:
             self.i += 1
             return t
-        self.fail(f"found {t[1]!r}" if t[0] != "eof" else "unexpected end of input",
-                  t, expected=(f"'{text}'",))
-
-    def expect_name(self, what: str):
-        t = self.toks[self.i]
-        if t[0] == "name" and t[1] not in _RESERVED:
-            self.i += 1
-            return t
-        self.fail(f"found {t[1]!r} where {what} was required", t,
+        self.fail(f"found {t!r} where {what} was required", self.i,
                   expected=("identifier",))
 
     def expect_int(self) -> int:
-        t = self.toks[self.i]
-        if t[0] != "int":
-            self.fail(f"found {t[1]!r}", t, expected=("integer",))
-        self.i += 1
+        if not (t := self.toks[i := self.i]).isdigit():
+            self.fail(f"found {t!r}", i, expected=("integer",))
+        self.i = i + 1
         try:
-            return int(t[1])
+            return int(t)
         except ValueError:  # a digit string fails only on the length limit
             self.fail("integer literal longer than the limit of "
-                      f"{sys.get_int_max_str_digits()} digits", t)
+                      f"{sys.get_int_max_str_digits()} digits", i)
 
-    def nest(self, tok):
-        """Step past ``tok``, opening one nesting level there; the caller
-        closes it."""
-        self.i += 1
+    def nest(self, i: int):
+        """Open one nesting level at token i; the caller closes it."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            self.fail(f"expression nested deeper than {MAX_NESTING} levels", tok)
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels", i)
 
     # -- declarations
 
     def module(self) -> Module:
-        while self.toks[self.i][0] != "eof":
+        while self.toks[self.i]:
             self.declaration()
         if self.m is None:
-            self.fail("module declares no chart", self.toks[self.i])
+            self.fail("module declares no chart", self.i)
         return self.m
 
     def declaration(self):
-        t = self.toks[self.i]
-        if t[0] != "name":
-            self.fail(f"found {t[1]!r}", t, expected=_DECLARATIONS)
-        if t[1] == "chart":
+        if not (t := self.toks[i := self.i]).isidentifier():
+            self.fail(f"found {t!r}", i, expected=_DECLARATIONS)
+        if t == "chart":
             return self.chart_decl()
-        if t[1] in ("tensor", "density", "element", "operator", "map"):
+        if t in ("tensor", "density", "element", "operator", "map"):
             if self.m is None:
-                self.fail("a chart must be declared first", t)
-            if t[1] == "tensor":
-                return self.tensor_decl()
-            if t[1] == "map":
-                return self.map_decl()
-            return self._value_decl(t[1])
-        self.fail(f"unknown declaration {t[1]!r}", t, expected=_DECLARATIONS)
+                self.fail("a chart must be declared first", i)
+            return (self.tensor_decl() if t == "tensor" else self.map_decl() if t == "map"
+                    else self._value_decl(t))
+        self.fail(f"unknown declaration {t!r}", i, expected=_DECLARATIONS)
 
     def chart_decl(self):
         kw = self.expect("chart")
@@ -258,51 +245,48 @@ class _Parser:
         name = self.expect_name("the chart name")
         self.expect("{")
         names = {"even": [], "odd": []}
-        while (t := self.toks[self.i])[1] != "}":
-            if t[1] not in names:
-                self.fail(f"found {t[1]!r}", t, expected=("'even'", "'odd'", "'}'"))
+        while (t := self.toks[self.i]) != "}":
+            if t not in names:
+                self.fail(f"found {t!r}", self.i, expected=("'even'", "'odd'", "'}'"))
             self.i += 1
-            names[t[1]].extend(self.namelist())
+            names[t].append(self.expect_name("a variable name"))
+            while self.toks[self.i] == ",":
+                self.i += 1
+                names[t].append(self.expect_name("a variable name"))
             self.expect(";")
         self.expect("}")
         chart = self._build(kw, Chart, tuple(names["even"]), tuple(names["odd"]))
-        self._enter(Module(chart, name[1]))
+        self._enter(Module(chart, name))
 
-    def namelist(self) -> list[str]:
-        names = [self.expect_name("a variable name")[1]]
-        while self.toks[self.i][1] == ",":
-            self.i += 1
-            names.append(self.expect_name("a variable name")[1])
-        return names
-
-    def _build(self, kw, make, *args):
-        """make(*args); a DomainError it raises is reported at the keyword of
-        the declaration."""
+    def _build(self, kw: int, make, *args):
+        """make(*args), a DomainError it raises reported at the keyword kw."""
         try:
             return make(*args)
         except DomainError as ex:
-            raise DslError(str(ex), *_position(self.text, kw[2])) from None
+            message = str(ex)
+        self.fail(message, kw)
 
     def _new_name(self, kind: str) -> str:
         """The declared name, which no earlier declaration may have taken,
         followed by "on" and the chart name."""
-        t = self.expect_name(f"the {kind} name")
-        m = self.m
-        if t[1] == m.chart_name or t[1] in m.chart.names or any(
-                t[1] in names for names in
+        i, m = self.i, self.m
+        name = self.expect_name(f"the {kind} name")
+        if name == m.chart_name or name in m.chart.names or any(
+                name in names for names in
                 (m.tensors, m.densities, m.elements, m.operators, m.maps)):
-            self.fail(f"name {t[1]!r} is already declared", t)
+            self.fail(f"name {name!r} is already declared", i)
         self.expect("on")
-        c = self.expect_name("the chart name")
-        if c[1] != m.chart_name:
-            self.fail(f"unknown chart {c[1]!r}", c)
-        return t[1]
+        i = self.i
+        if (chart := self.expect_name("the chart name")) != m.chart_name:
+            self.fail(f"unknown chart {chart!r}", i)
+        return name
 
     def _chart_var(self) -> str:
-        t = self.expect_name("a chart variable")
-        if t[1] not in self.keys:
-            self.fail(f"undeclared variable {t[1]!r}", t)
-        return t[1]
+        i = self.i
+        name = self.expect_name("a chart variable")
+        if name not in self.keys:
+            self.fail(f"undeclared variable {name!r}", i)
+        return name
 
     def _t_free(self, what: str) -> GradedPoly:
         """An element expression and its ";", as a polynomial."""
@@ -318,17 +302,17 @@ class _Parser:
         name = self._new_name("tensor")
         self.expect("parity")
         t = self.toks[self.i]
-        if t[1] not in ("even", "odd"):
-            self.fail(f"found {t[1]!r}", t, expected=("'even'", "'odd'"))
+        if t not in ("even", "odd"):
+            self.fail(f"found {t!r}", self.i, expected=("'even'", "'odd'"))
         self.i += 1
-        eps = 0 if t[1] == "even" else 1
+        eps = 0 if t == "even" else 1
         chart = self.m.chart
         self.expect("{")
         entries, first = {}, None
-        while self.toks[self.i][1] != "}":
+        while self.toks[self.i] != "}":
             lb = self.expect("[")
             idx = (self._chart_var(),)
-            if self.toks[self.i][1] == ",":
+            if self.toks[self.i] == ",":
                 self.i += 1
                 idx += (self._chart_var(),)
             self.expect("]")
@@ -363,9 +347,8 @@ class _Parser:
         if kind == "density":
             m.densities[name] = self._build(kw, _as_sigma, self._t_free("a log-volume"))
             return
-        v, _ = self.expr(operator=(kind == "operator"))
+        v = self._value(self.expr(operator=(kind == "operator"))[0])
         self.expect(";")
-        v = self._value(v)
         if kind == "element":
             m.elements[name] = _simplify_element(v)
         else:
@@ -385,15 +368,15 @@ class _Parser:
 
     def _map_rules(self, stop) -> dict[str, GradedPoly]:
         rules = {}
-        while (t := self.toks[self.i])[1] not in ("}",) + tuple(stop):
+        while self.toks[i := self.i] not in ("}",) + tuple(stop):
             v = self._chart_var()
             if v in rules:
-                self.fail(f"duplicate rule for {v!r}", t)
+                self.fail(f"duplicate rule for {v!r}", i)
             self.expect("->")
             rules[v] = self._t_free("a map image")
         return rules
 
-    # -- expressions: (term or value, root token)
+    # -- expressions: (term or value, index of the root token)
 
     def _value(self, v):
         """The algebra value of a term, a polynomial when it has neither W
@@ -405,22 +388,47 @@ class _Parser:
         return DiffOp(self.m.chart, {J: {w: p}}) if w or J != self.one else p
 
     def expr(self, operator: bool):
+        """term { ("+"|"-") term }.  A sum is added up in one term map, key
+        -> W-power -> monomial -> coefficient as in ``diffop``, and its value
+        built once: a DiffOp when a summand is one or has W or a derivative,
+        else a polynomial.  Only its t^w summands are added by the algebra."""
         v, at = self.term(operator)
-        while (t := self.toks[self.i])[1] in ("+", "-"):
+        toks, one = self.toks, self.one
+        if toks[self.i] != "+" and toks[self.i] != "-":
+            return v, at
+        sums, densities, is_op, sign = {}, [], False, 1
+        while True:
+            if type(v) is tuple:
+                acc = sums.setdefault(v[3], {}).setdefault(v[2], {})
+                c = v[0] if sign > 0 else -v[0]
+                acc[v[1]] = acc[v[1]] + c if v[1] in acc else c
+            elif isinstance(v, DensityElement):
+                densities.append(v if sign > 0 else -v)
+            elif isinstance(v, DiffOp):
+                is_op = True
+                for J, wp in v.terms.items():
+                    for w, p in wp.items():
+                        _add_into(sums, J, w, p, sign)
+            else:
+                _add_into(sums, one, 0, v, sign)
+            if (t := toks[self.i]) != "+" and t != "-":
+                break
+            at, sign = self.i, 1 if t == "+" else -1
             self.i += 1
-            at = t
-            r, _ = self.term(operator)
-            v, r = self._value(v), self._value(r)
-            v = v + r if t[1] == "+" else v - r
+            v = self.term(operator)[0]
+        v = _from_sums(self.m.chart, sums)
+        if not (is_op or sums.keys() - {one} or sums.get(one, {}).keys() - {0}):
+            v = _on_one(v)
+        for d in densities:
+            v = d + v
         return v, at
 
     def term(self, operator: bool):
-        v, at = self.unary(operator)
-        while (t := self.toks[self.i])[1] == "*":
+        v, at = self.factor(operator)
+        while self.toks[self.i] == "*":
+            at = self.i
             self.i += 1
-            at = t
-            r, _ = self.unary(operator)
-            v = self._mul(v, r)
+            v = self._mul(v, self.factor(operator)[0])
         return v, at
 
     def _mul(self, a, b):
@@ -432,7 +440,9 @@ class _Parser:
         if type(b) is tuple:
             c, mono, w, J = b
             if type(a) is tuple and (a[3] == one or mono == one):
-                km, kd = _mul_keys(a[1], mono), _mul_keys(a[3], J)
+                am, aJ = a[1], a[3]
+                km = (mono, 1) if am == one else (am, 1) if mono == one else _mul_keys(am, mono)
+                kd = (J, 1) if aJ == one else (aJ, 1) if J == one else _mul_keys(aJ, J)
                 if not (km and kd):
                     return (Fraction(0), one, 0, one)
                 c = c if a[0] is _ONE else a[0] if c is _ONE else a[0] * c
@@ -445,100 +455,91 @@ class _Parser:
                 return DiffOp(self.m.chart, terms)
         return self._value(a) * self._value(b)
 
-    def unary(self, operator: bool):
-        t = self.toks[self.i]
-        if t[1] == "-":
-            self.nest(t)
-            v, _ = self.unary(operator)
+    def factor(self, operator: bool):
+        """{ "-" } atom { "^" INT }, read in one method: the minus signs, each
+        opening a nesting level, the atom, and its powers."""
+        toks, m, one = self.toks, self.m, self.one
+        i = start = self.i
+        while toks[i] == "-":
+            self.nest(i)
+            i += 1
+        t, at = toks[i], i
+        self.i = i + 1
+        if t in self.keys:
+            v = (_ONE, self.keys[t], 0, one)
+        elif t.isdigit():
+            self.i = i
+            v = (self._rational(i, 1), one, 0, one)
+        elif t == "(":
+            self.nest(i)
+            v, at = self.expr(operator)
+            self.expect(")")
             self.depth -= 1
-            return ((-v[0], *v[1:]) if type(v) is tuple else -v), t
-        return self.power(operator)
-
-    def power(self, operator: bool):
-        v, at = self.atom(operator)
-        while (t := self.toks[self.i])[1] == "^":
+        elif t == "W":
+            if not operator:
+                self.fail("the weight symbol W is only allowed in operator expressions", i)
+            v = (_ONE, one, 1, one)
+        elif t == "d":
+            if not operator:
+                self.fail("derivative tokens are only allowed in operator expressions", i)
+            self.expect("(")
+            v = (_ONE, one, 0, self.keys[self._chart_var()])
+            self.expect(")")
+        elif t == "t":
+            if operator:
+                self.fail("t^w factors are only allowed in element expressions", i)
+            self.expect("^")
+            v = DensityElement(m.chart, {self._weight_exponent(): GradedPoly.one(m.chart)})
+        elif t in m.densities:
+            v = m.densities[t]
+        elif t in m.elements:
+            v = m.elements[t]
+            if operator and isinstance(v, DensityElement):
+                self.fail(f"element {t!r} has t-components and cannot be an "
+                          "operator coefficient", i)
+        elif t in m.operators:
+            if not operator:
+                self.fail(f"operator {t!r} used in an element expression", i)
+            v = m.operators[t]
+        elif t.isidentifier() and t not in _RESERVED:
+            self.fail(f"undeclared name {t!r}", i)
+        else:
+            self.fail(f"found {t!r}" if t else "unexpected end of input",
+                      i, expected=("number", "identifier", "'('", "'-'"))
+        while toks[self.i] == "^":
+            at = self.i
             self.i += 1
-            at = t
             n = self.expect_int()
             # a term squares through _mul, so its power is one term unless a
             # variable follows a derivative
-            one = (_ONE, self.one, 0, self.one)
-            v = _power(v, n, one, self._mul) if type(v) is tuple else v ** n
+            v = _power(v, n, (_ONE, one, 0, one), self._mul) if type(v) is tuple else v ** n
+        if i > start:
+            self.depth -= i - start
+            if (i - start) % 2:
+                v = (-v[0], *v[1:]) if type(v) is tuple else -v
+            at = start
         return v, at
 
-    def atom(self, operator: bool):
-        t = self.toks[self.i]
-        kind, s = t[0], t[1]
-        m = self.m
-        if kind == "int":
-            return (self._rational(t, 1), self.one, 0, self.one), t
-        if s == "(":
-            self.nest(t)
-            e = self.expr(operator)
-            self.expect(")")
-            self.depth -= 1
-            return e
-        if s == "W":
-            self.i += 1
-            if not operator:
-                self.fail("the weight symbol W is only allowed in operator expressions", t)
-            return (_ONE, self.one, 1, self.one), t
-        if s == "d":
-            self.i += 1
-            if not operator:
-                self.fail("derivative tokens are only allowed in operator expressions", t)
-            self.expect("(")
-            v = self._chart_var()
-            self.expect(")")
-            return (_ONE, self.one, 0, self.keys[v]), t
-        if s == "t":
-            self.i += 1
-            if operator:
-                self.fail("t^w factors are only allowed in element expressions", t)
-            self.expect("^")
-            w = self._weight_exponent()
-            return DensityElement(m.chart, {w: GradedPoly.one(m.chart)}), t
-        if kind == "name" and s not in _RESERVED:
-            self.i += 1
-            if s in self.keys:
-                return (_ONE, self.keys[s], 0, self.one), t
-            if s in m.densities:
-                return m.densities[s], t
-            if s in m.elements:
-                v = m.elements[s]
-                if operator and isinstance(v, DensityElement):
-                    self.fail(f"element {s!r} has t-components and cannot be an "
-                              "operator coefficient", t)
-                return v, t
-            if s in m.operators:
-                if not operator:
-                    self.fail(f"operator {s!r} used in an element expression", t)
-                return m.operators[s], t
-            self.fail(f"undeclared name {s!r}", t)
-        self.fail(f"found {s!r}" if kind != "eof" else "unexpected end of input",
-                  t, expected=("number", "identifier", "'('", "'-'"))
-
     def _weight_exponent(self) -> Fraction:
-        t = self.toks[self.i]
-        if t[0] == "int":
+        i = self.i
+        if self.toks[i].isdigit():
             return Fraction(self.expect_int())
         self.expect("(")
-        sign = 1
-        if self.toks[self.i][1] == "-":
-            self.i += 1
-            sign = -1
-        w = self._rational(t, sign)
+        sign = -1 if self.toks[self.i] == "-" else 1
+        self.i += sign < 0
+        w = self._rational(i, sign)
         self.expect(")")
         return w
 
-    def _rational(self, at, sign: int) -> Fraction:
-        """sign * INT [ "/" INT ]; a zero denominator is reported at ``at``."""
-        num, den = sign * self.expect_int(), 1
-        if self.toks[self.i][1] == "/":
-            self.i += 1
-            den = self.expect_int()
-            if den == 0:
-                self.fail("zero denominator", at)
+    def _rational(self, at: int, sign: int) -> Fraction:
+        """sign * INT [ "/" INT ], a zero denominator reported at token at."""
+        num = sign * self.expect_int()
+        if self.toks[self.i] != "/":
+            return Fraction(num)
+        self.i += 1
+        den = self.expect_int()
+        if den == 0:
+            self.fail("zero denominator", at)
         return Fraction(num, den)
 
 
@@ -555,9 +556,8 @@ def parse_element(text: str, m: Module):
     ``text``."""
     p = _Parser(text, m)
     v, _ = p.expr(operator=False)
-    t = p.toks[p.i]
-    if t[0] != "eof":
-        p.fail(f"trailing input {t[1]!r}", t)
+    if p.toks[p.i]:
+        p.fail(f"trailing input {p.toks[p.i]!r}", p.i)
     return _simplify_element(p._value(v))
 
 

@@ -421,6 +421,14 @@ _REFUSALS = [
      "usage error: transform needs exactly one of --op, --sigma, --bracket"),
     (IDMAP, ["transform", "--map", "phi", "--op", "D", "--sigma", "s"], 1,
      "usage error: transform needs exactly one of --op, --sigma, --bracket"),
+    # --args diagnostics: line:col counts in the --args value as given, past
+    # the blanks and the other expressions before the one in error
+    ("MOD", ["bracket", "--op", "Delta", "--args", "x,  xi $"], 2,
+     "error: line 1:8: unexpected character '$'"),
+    ("MOD", ["derived", "--op", "Delta", "--args", "x,"], 2,
+     "error: line 1:3: unexpected end of input (expected '(', '-', identifier, number)"),
+    ("MOD", ["apply", "--op", "Delta", "--args", " x\n* $"], 2,
+     "error: line 2:3: unexpected character '$'"),
 ]
 
 

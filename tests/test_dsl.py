@@ -4,6 +4,7 @@ import ast
 import pathlib
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -493,6 +494,25 @@ def test_normal_ordered_text_makes_no_composition(monkeypatch, rng):
     x = GradedPoly.var(m.chart, "x")
     assert m.operators["D"] == \
         DiffOp.mult(x) * DiffOp.deriv(m.chart, "x") + DiffOp.identity(m.chart)
+
+
+def test_sums_are_added_in_one_term_map(monkeypatch, rng):
+    """Reading a sum adds its summands into one term map: it adds no two
+    operators, and two polynomials only where the t^w density arithmetic
+    adds the components of one weight."""
+    texts = [p.read_text() for p in sorted(FIXTURES.glob("*.sd"))]
+    texts.append(_normal_ordered_module(rng))
+    callers = {DiffOp: [], GradedPoly: []}
+    for cls, log in callers.items():
+        def counted(a, b, real=cls.__add__, log=log):
+            log.append(sys._getframe(1).f_code)
+            return real(a, b)
+        monkeypatch.setattr(cls, "__add__", counted)
+    for text in texts:
+        load_module(text)
+    assert callers[DiffOp] == []
+    density = {DensityElement.__add__.__code__, DensityElement.__mul__.__code__}
+    assert callers[GradedPoly] and set(callers[GradedPoly]) <= density
 
 
 # a diagnostic that quotes the token it is reported at
