@@ -27,7 +27,9 @@ abstract engine and the matrix oracle assume no such bound: they are the
 independent paths that check it.
 
 One ``jacobiator`` call evaluates each commutator chain once and keeps
-none; ``square_bracket`` forms Delta^2 only from order n up.
+none; ``square_bracket`` forms Delta^2 only from order n up, and for odd
+Delta without the terms where no derivative hits a coefficient: they sum to
+sigma(Delta)^2, the square of an odd symbol, which is 0 (diffop).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import itertools
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-from .gralg import Chart, GradedPoly, ParityError
+from .gralg import _ONE, Chart, GradedPoly, ParityError
 from .diffop import DiffOp, _on_one, ad_mult, commutator, compose, specialize
 
 __all__ = [
@@ -156,8 +158,9 @@ def square_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     """The n-th higher bracket generated by Delta^2 (the right-hand side of
     the Jacobiator identity).  It reads the terms of order >= n only;
     Delta^2 is formed whole when its parity is in doubt."""
-    floor = len(args) if Delta.parity() is not None else 0
-    return higher_bracket(compose(Delta, Delta, floor=floor), args)
+    p = Delta.parity()
+    floor = len(args) if p is not None else 0
+    return higher_bracket(compose(Delta, Delta, floor=floor, odd_square=p == 1), args)
 
 
 def leibniz_obstruction(
@@ -369,9 +372,6 @@ def operator_algebra_instance(chart: Chart) -> LieSuperAlgebraInstance:
 # matrix oracle on purely odd charts
 
 
-_ONE = Fraction(1)
-
-
 @functools.cache
 def _grassmann_basis(chart: Chart) -> tuple[tuple[int, ...], ...]:
     q = len(chart.odd)
@@ -384,16 +384,18 @@ class GrassmannMatrix:
     to the entry (i, j), built from maps that may also hold zeros.  The
     entry (i, j) has parity |i| + |j| mod 2 for the basis monomials i and
     j, and ``parity`` is the common parity of the entries (None for a zero
-    or inhomogeneous matrix).  Immutable by convention."""
-
-    __slots__ = ("chart", "rows", "parity")
+    or inhomogeneous matrix), read off them on first access and kept.
+    Immutable by convention."""
 
     def __init__(self, chart: Chart, entries):
-        basis = _grassmann_basis(chart)
         self.chart = chart
-        self.rows = rows = tuple({j: c for j, c in acc.items() if c} for acc in entries)
+        self.rows = tuple({j: c for j, c in acc.items() if c} for acc in entries)
+
+    @functools.cached_property
+    def parity(self) -> Optional[int]:
+        rows, basis = self.rows, _grassmann_basis(self.chart)
         pars = {(len(basis[i]) + len(basis[j])) % 2 for i, row in enumerate(rows) for j in row}
-        self.parity = pars.pop() if len(pars) == 1 else None
+        return pars.pop() if len(pars) == 1 else None
 
     def __eq__(self, other):
         return (
@@ -406,13 +408,16 @@ class GrassmannMatrix:
         return not any(self.rows)
 
 
-def _mat_mul(A: GrassmannMatrix, B: GrassmannMatrix) -> GrassmannMatrix:
+def _mat_mul(A: GrassmannMatrix, B: GrassmannMatrix, sign: int = 0) -> GrassmannMatrix:
+    """AB, or with sign = +-1 the sum AB + sign BA, in one pass over the rows."""
     entries = []
-    for row_a in A.rows:
+    for i in range(len(A.rows)):
         acc: dict[int, Fraction] = {}
-        for k, a in row_a.items():
-            for j, b in B.rows[k].items():
-                acc[j] = acc[j] + a * b if j in acc else a * b
+        for X, Y, s in ((A, B, 1), (B, A, sign))[:2 if sign else 1]:
+            for k, x in X.rows[i].items():
+                for j, y in Y.rows[k].items():
+                    xy = x * y if s > 0 else -(x * y)
+                    acc[j] = acc[j] + xy if j in acc else xy
         entries.append(acc)
     return GrassmannMatrix(A.chart, entries)
 
@@ -433,7 +438,7 @@ def _mat_bracket(A: GrassmannMatrix, B: GrassmannMatrix) -> GrassmannMatrix:
     pa, pb = A.parity, B.parity
     if (pa is None or pb is None) and not (A.is_zero() or B.is_zero()):
         raise ParityError("graded matrix commutator needs homogeneous factors")
-    return _mat_sub(_mat_mul(A, B), _mat_mul(B, A), 1 if pa and pb else -1)
+    return _mat_mul(A, B, 1 if pa and pb else -1)
 
 
 def _sign_table(basis) -> list[list[Optional[tuple[int, int]]]]:
@@ -556,7 +561,7 @@ def linfty_check(Delta: DiffOp, n_max: int = 4) -> LInftyReport:
     the report is not certified."""
     if Delta.parity() != 1:
         raise ParityError("homotopy certification expects an odd operator")
-    return _linfty_report(compose(Delta, Delta), n_max)
+    return _linfty_report(compose(Delta, Delta, odd_square=True), n_max)
 
 
 def _linfty_report(sq: DiffOp, n_max: int) -> LInftyReport:

@@ -162,17 +162,20 @@ def _get_sigma(m: Module, name: str, flag: str):
     raise UsageError(f"{flag}: no log-volume named {name!r}")
 
 
+_BLANKS = " \t\r\n"  # the blanks the .sd lexer skips
+
+
 def _split_args(m: Module, s: str):
-    """The comma-separated expressions of --args, each read stripped; a
-    diagnostic's line:col counts in s, the value as the user gave it."""
-    if not s.strip():
+    """The comma-separated expressions of --args, each read stripped of the
+    .sd blanks only; a diagnostic's line:col counts in s, as given."""
+    if not s.strip(_BLANKS):
         return []
     vals, start = [], 0
     for part in s.split(","):
         try:
-            vals.append(parse_element(part.strip(), m))
+            vals.append(parse_element(part.strip(_BLANKS), m))
         except DslError as ex:
-            line, col = _position(s, start + len(part) - len(part.lstrip()))
+            line, col = _position(s, start + len(part) - len(part.lstrip(_BLANKS)))
             raise DslError(ex.message, line + ex.line - 1,
                            col + ex.col - 1 if ex.line == 1 else ex.col, ex.expected) from None
         start += len(part) + 1

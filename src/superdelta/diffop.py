@@ -18,6 +18,9 @@ of differentiating it, contributes the Koszul sign (-1)^{|g|}, and even
 derivatives contribute no sign.  The commutator [D, a.] with a
 multiplication operator is the same sum without its K = 0 term
 (ad_mult).
+The K = 0 terms of D o D sum to sigma(D)^2 for the total symbol
+sigma(c d^I) = c p^I in the supercommutative symbol algebra; for odd D it
+is the square of an odd element, 0, and compose may leave them out.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .gralg import (
     GradedPoly,
     Key,
     ParityError,
+    _ONE,
     _merge_odd,
     _mul_keys,
     _power,
@@ -281,7 +285,8 @@ def _on_one(D: DiffOp) -> GradedPoly:
     return D.terms.get(((0,) * len(D.chart.even), ()), {}).get(0, GradedPoly.zero(D.chart))
 
 
-def _leibniz(chart: Chart, key: Key, f: GradedPoly, hits=None) -> list[tuple[Key, GradedPoly]]:
+def _leibniz(chart: Chart, key: Key, f: GradedPoly, hits=None,
+             free=True) -> list[tuple[Key, GradedPoly]]:
     """The normal-ordered expansion  d^key o (f.) = sum g . d^rest,  as
     (rest, g) pairs, by the graded multi-index Leibniz rule.
 
@@ -291,10 +296,11 @@ def _leibniz(chart: Chart, key: Key, f: GradedPoly, hits=None) -> list[tuple[Key
     index already passed is larger than i, so prepending i keeps the odd
     index tuple ascending.  The even derivatives then expand without signs,
     d_x^n o g = sum_k binom(n, k) (d_x^k g) d_x^{n-k}.  The pair with
-    rest = key is the term where no derivative hits f.  With ``hits``
-    given, a branch whose derivatives hit f that often only passes on."""
+    rest = key is the term where no derivative hits f; free=False leaves it
+    out.  With ``hits`` given, a branch whose derivatives hit f that often
+    only passes on."""
     e, o = key
-    h = sum(e) + len(o) if hits is None else hits
+    h0 = h = sum(e) + len(o) if hits is None else hits
     # (odd indices passed, coefficient, its parity, integer factor, hits left)
     odd_terms = [((), g, par, 1, h) for par, g in f.homogeneous_parts()]
     for i in reversed(o):
@@ -323,7 +329,8 @@ def _leibniz(chart: Chart, key: Key, f: GradedPoly, hits=None) -> list[tuple[Key
                 er2 = er[:j] + (n - k,) + er[j + 1 :]
                 nxt.append((er2, rest, g, c * comb(n, k), h - k))
         terms = nxt
-    return [((er, rest), g if c == 1 else g * c) for er, rest, g, c, _ in terms]
+    return [((er, rest), g if c == 1 else g * c) for er, rest, g, c, h in terms
+            if free or h != h0]
 
 
 # accumulated coefficient sums: key -> W-power -> monomial -> rational
@@ -347,12 +354,13 @@ def _from_sums(chart: Chart, sums: _Sums) -> DiffOp:
 
 
 def _add_leibniz(sums: _Sums, chart: Chart, I: Key, f: GradedPoly, J: Key,
-                 left: WPoly | None = None, wshift: int = 0, factor=1, hits=None):
+                 left: WPoly | None = None, wshift: int = 0, factor=1, hits=None, free=True):
     """Add  left d^I o (W^wshift f d^J)  to sums (left None stands for 1).
     By the graded Leibniz rule d^I o f = sum g d^rest (at most ``hits``
-    derivatives hitting f); then d^rest d^J is one key by _mul_keys, or 0
-    if their odd indices overlap.  W is central: its powers add."""
-    for rest, g in _leibniz(chart, I, f, hits):
+    derivatives hitting f, and one at least unless ``free``); then d^rest d^J
+    is one key by _mul_keys, or 0 if their odd indices overlap.  W is
+    central: its powers add."""
+    for rest, g in _leibniz(chart, I, f, hits, free):
         if not (k := _mul_keys(rest, J)):
             continue
         key, sign = k
@@ -363,23 +371,27 @@ def _add_leibniz(sums: _Sums, chart: Chart, I: Key, f: GradedPoly, J: Key,
             _add_into(sums, key, wc + wshift, c * g, factor * sign)
 
 
-def compose(D: DiffOp, E: DiffOp, *, floor: int = 0) -> DiffOp:
+def compose(D: DiffOp, E: DiffOp, *, floor: int = 0, odd_square: bool = False) -> DiffOp:
     """Normal-ordered composition: apply(compose(D, E), psi) =
     apply(D, apply(E, psi)), summing  c d^I o (f d^J)  over every pair of
     terms by _add_leibniz.  Only the terms of order >= floor are formed: a
     term where h derivatives hit f has order |I| + |J| - h, so each pair
-    is expanded with at most |I| + |J| - floor hits."""
+    is expanded with at most |I| + |J| - floor hits.  odd_square=True
+    says D is odd (unchecked) and E is D: the terms no derivative hits sum
+    to sigma(D)^2 = 0 (module docstring) and are left out."""
     if D.chart != E.chart:
         raise ChartMismatch("operators on different charts")
+    if odd_square and E is not D:
+        raise ValueError("odd_square composes an operator with itself")
     chart = D.chart
     sums: _Sums = {}
     for I, wpD in D.terms.items():
         for J, wpE in E.terms.items():
             hits = sum(I[0]) + len(I[1]) + sum(J[0]) + len(J[1]) - floor
-            if hits < 0:
+            if hits < odd_square:
                 continue
             for wf, f in wpE.items():
-                _add_leibniz(sums, chart, I, f, J, wpD, wf, hits=hits)
+                _add_leibniz(sums, chart, I, f, J, wpD, wf, hits=hits, free=not odd_square)
     return _from_sums(chart, sums)
 
 
@@ -410,9 +422,7 @@ def ad_mult(D: DiffOp, a: GradedPoly) -> DiffOp:
     chart = D.chart
     sums: _Sums = {}
     for I, wp in D.terms.items():
-        for rest, g in _leibniz(chart, I, a):
-            if rest == I:
-                continue
+        for rest, g in _leibniz(chart, I, a, free=False):
             for w, c in wp.items():
                 _add_into(sums, rest, w, c * g)
     return _from_sums(chart, sums)
@@ -519,6 +529,6 @@ def op_from_action(chart: Chart, action: Callable[[GradedPoly], GradedPoly],
             continue
         # d^key applied to its own monomial is +-prod e_i!, never 0
         probe = DiffOp(chart, {key: {0: GradedPoly.one(chart)}})
-        c = val * (1 / probe.apply_poly(m).constant_term())
+        c = val * (_ONE / probe.apply_poly(m).constant_term())
         result = result + DiffOp(chart, {key: {0: c}})
     return result

@@ -57,7 +57,7 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-from .gralg import Chart, DensityElement, DomainError, GradedPoly, _mul_keys, _power
+from .gralg import _ONE, Chart, DensityElement, DomainError, GradedPoly, _mul_keys, _power
 from .diffop import DiffOp, _add_into, _dkey, _from_sums, _on_one
 from .geom import CoordMap, VBracketData, _as_sigma
 
@@ -153,7 +153,6 @@ def _simplify_element(v):
 # (c, m, w, J): a Fraction c, the monomial key m, the W-power w and the
 # derivative key J, in the key layout of GradedPoly and DiffOp.  c = 0 is
 # the zero term: the number 0, or a product in which an odd factor repeats.
-_ONE = Fraction(1)
 
 
 class _Parser:

@@ -27,6 +27,7 @@ from .gralg import (
     GradedPoly,
     Key,
     ParityError,
+    _ONE,
     _substitute,
     partial,
 )
@@ -558,9 +559,9 @@ def _classify(D: DiffOp) -> tuple[str, DiffOp]:
         raise DomainError("classification requires order <= 2")
     if not _on_one(D).is_zero():
         raise DomainError("operator must be normalized: D1 = 0")
-    # ord Delta^2 <= 3: its order-4 symbol is sigma_2(Delta)^2, the square of
-    # an odd element of the supercommutative symbol algebra, which is 0
-    sq = compose(D, D)
+    # ord Delta^2 <= 3: the order-4 part sigma_2(Delta)^2 of sigma(Delta)^2,
+    # the square of an odd symbol, is 0, and compose leaves all of it out
+    sq = compose(D, D, odd_square=True)
     return f"<={sq.order() or 0}", sq
 
 
@@ -730,7 +731,7 @@ def _unit_series(u: GradedPoly, what: str, coeff) -> tuple[Fraction, GradedPoly]
     c = u.constant_term()
     if c == 0:
         raise CoordMapError(f"{what} has no invertible body")
-    n = u * (1 / c) - 1
+    n = u * (_ONE / c) - 1
     if any(not o for (_, o) in n.terms):
         raise CoordMapError(f"{what} minus its constant term is not nilpotent")
     out = GradedPoly.const(u.chart, coeff(0))
@@ -760,7 +761,7 @@ def _berezinian(chart: Chart, J: Mapping[tuple[str, str], GradedPoly],
     C = [[J[(ap, a)] for a in ev] for ap in od]
     Dm = [[J[(ap, a)] for a in od] for ap in od]
     d0, series = _unit_series(_det_even(Dm, chart), "element", lambda k: (-1) ** k)
-    invdet = series * (1 / d0)
+    invdet = series * (_ONE / d0)
     adj = _adjugate(Dm, chart)
     # A - B D^{-1} C = A - (B adj(D)) C invdet: B, C odd, all else even
     BD = [[GradedPoly._sum(chart, (b * r[l] for b, r in zip(row, adj))) for l in range(len(od))]

@@ -26,6 +26,7 @@ from typing import Mapping, NamedTuple
 
 EVEN = 0
 ODD = 1
+_ONE = Fraction(1)
 
 
 class DomainError(ValueError):
@@ -413,7 +414,7 @@ class DensityElement:
         other = self._coerce(other)
         parts = dict(self.parts)
         for w, p in other.parts.items():
-            parts[w] = parts.get(w, GradedPoly.zero(self.chart)) + p
+            parts[w] = parts[w] + p if w in parts else p
         return DensityElement(self.chart, parts)
 
     __radd__ = __add__
@@ -434,8 +435,8 @@ class DensityElement:
         parts: dict[Fraction, GradedPoly] = {}
         for u, p in self.parts.items():
             for v, q in other.parts.items():
-                w = u + v
-                parts[w] = parts.get(w, GradedPoly.zero(self.chart)) + p * q
+                w, pq = u + v, p * q
+                parts[w] = parts[w] + pq if w in parts else pq
         return DensityElement(self.chart, parts)
 
     def __rmul__(self, other):

@@ -504,6 +504,46 @@ def test_matrix_of_compose_is_product(rng):
         assert matrix_of(compose(A, B)) == _mat_mul(matrix_of(A), matrix_of(B))
 
 
+def test_odd_square_matrix_is_the_matrix_square():
+    """On (0|2) and (0|3) the odd square formed without sigma(Delta)^2 has
+    the square of Delta's matrix as its matrix: the oracle's product is a
+    path independent of the Leibniz rule."""
+    from superdelta.brackets import _mat_mul
+    rng = random.Random("odd square matrix")
+    nonzero = 0
+    for chart in (R02, R03):
+        for _ in range(60):
+            D = rand_op(rng, chart, 3, parity=1)
+            sq = compose(D, D, odd_square=True)
+            assert matrix_of(sq) == _mat_mul(matrix_of(D), matrix_of(D))
+            nonzero += not sq.is_zero()
+    assert nonzero >= 60
+
+
+def test_matrix_bracket_is_one_product_pass(count_calls):
+    """_mat_bracket(A, B) = AB - (-1)^{|A| |B|} BA, built as one matrix from
+    one pass over the rows, on seeded homogeneous matrices of both
+    parities; the two products and their difference are the reference."""
+    from superdelta.brackets import GrassmannMatrix, _mat_bracket, _mat_mul, _mat_sub
+    rng = random.Random("matrix bracket")
+    built = count_calls(GrassmannMatrix, "__init__")
+    pars = set()
+    for q in (1, 2, 3):
+        chart = Chart((), tuple(f"xi{i}" for i in range(1, q + 1)))
+        for _ in range(20):
+            D, E = (rand_op(rng, chart, q, parity=rng.randint(0, 1), nterms=3)
+                    for _ in range(2))
+            A, B = matrix_of(D), matrix_of(E)
+            pars.add((A.parity, B.parity))
+            sign = 1 if A.parity == B.parity == 1 else -1
+            built.clear()
+            C = _mat_bracket(A, B)
+            assert len(built) == 1
+            assert C == _mat_sub(_mat_mul(A, B), _mat_mul(B, A), sign) \
+                == matrix_of(commutator(D, E))
+    assert {(0, 0), (0, 1), (1, 0), (1, 1)} <= pars
+
+
 # ---------------------------------------------------------------------------
 # L-infinity certification
 

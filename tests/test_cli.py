@@ -429,6 +429,14 @@ _REFUSALS = [
      "error: line 1:3: unexpected end of input (expected '(', '-', identifier, number)"),
     ("MOD", ["apply", "--op", "Delta", "--args", " x\n* $"], 2,
      "error: line 2:3: unexpected character '$'"),
+    # --args is stripped of the lexer's blanks only: a no-break space is
+    # refused where it stands, as everywhere else in .sd text
+    ("MOD", ["apply", "--op", "Delta", "--args", "\u00a0x*xi"], 2,
+     "error: line 1:1: unexpected character '\\xa0'"),
+    ("MOD", ["apply", "--op", "Delta", "--args", "x*xi\u00a0"], 2,
+     "error: line 1:5: unexpected character '\\xa0'"),
+    ("MOD", ["derived", "--op", "Delta", "--args", "\u00a0"], 2,
+     "error: line 1:1: unexpected character '\\xa0'"),
 ]
 
 

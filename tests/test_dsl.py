@@ -498,8 +498,9 @@ def test_normal_ordered_text_makes_no_composition(monkeypatch, rng):
 
 def test_sums_are_added_in_one_term_map(monkeypatch, rng):
     """Reading a sum adds its summands into one term map: it adds no two
-    operators, and two polynomials only where the t^w density arithmetic
-    adds the components of one weight."""
+    operators and no two polynomials.  The t^w density arithmetic adds the
+    components of one weight, and only where the weight holds two: the
+    control sum of two t^(1/2) summands makes exactly one addition."""
     texts = [p.read_text() for p in sorted(FIXTURES.glob("*.sd"))]
     texts.append(_normal_ordered_module(rng))
     callers = {DiffOp: [], GradedPoly: []}
@@ -510,9 +511,10 @@ def test_sums_are_added_in_one_term_map(monkeypatch, rng):
         monkeypatch.setattr(cls, "__add__", counted)
     for text in texts:
         load_module(text)
-    assert callers[DiffOp] == []
-    density = {DensityElement.__add__.__code__, DensityElement.__mul__.__code__}
-    assert callers[GradedPoly] and set(callers[GradedPoly]) <= density
+    assert callers == {DiffOp: [], GradedPoly: []}
+    load_module("chart C { even x; odd xi; }\n"
+                "element psi on C = x*t^(1/2) + xi*t^(1/2);")
+    assert callers == {DiffOp: [], GradedPoly: [DensityElement.__add__.__code__]}
 
 
 # a diagnostic that quotes the token it is reported at
