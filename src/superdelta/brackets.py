@@ -39,7 +39,7 @@ import itertools
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-from .gralg import _ONE, Chart, GradedPoly, ParityError
+from .gralg import _ONE, Chart, GradedPoly, ParityError, _key_names
 from .diffop import DiffOp, _on_one, ad_mult, commutator, compose, specialize
 
 __all__ = [
@@ -575,10 +575,8 @@ def _linfty_report(sq: DiffOp, n_max: int) -> LInftyReport:
     q0 = specialize(sq, 0)
     r0 = q0.order()
     if r0 is not None:
-        e, o = min(k for k in q0.terms if sum(k[0]) + len(k[1]) == r0)
-        names = [v for v, n in zip(chart.even, e) for _ in range(n)]
-        names += [chart.odd[i] for i in o]
-        witness = (r0, tuple(GradedPoly.var(chart, v) for v in names))
+        key = min(k for k in q0.terms if sum(k[0]) + len(k[1]) == r0)
+        witness = (r0, tuple(GradedPoly.var(chart, v) for v in _key_names(chart, key)))
 
     return LInftyReport(
         square_order=r,

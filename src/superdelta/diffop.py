@@ -40,29 +40,15 @@ from .gralg import (
     Key,
     ParityError,
     _ONE,
-    _merge_odd,
+    _key,
     _mul_keys,
+    _parity,
     _power,
     partial,
 )
 
 # coefficient of one derivative key: map  W-power -> GradedPoly
 WPoly = dict[int, GradedPoly]
-
-
-def _dkey(chart: Chart, *names: str) -> tuple[Key, int] | None:
-    """The key K and sign s with d_{n1} o d_{n2} o ... = s d^K, or None when
-    an odd derivative repeats; only the odd derivatives reorder."""
-    e, o, sign = [0] * len(chart.even), (), 1
-    for name in names:
-        if chart.parity(name) == EVEN:
-            e[chart.even_index(name)] += 1
-            continue
-        merged = _merge_odd(o, (chart.odd_index(name),))
-        if merged is None:
-            return None
-        o, sign = merged[0], sign * merged[1]
-    return (tuple(e), o), sign
 
 
 def _at_weight(chart: Chart, wp: Mapping[int, GradedPoly], w: Fraction) -> GradedPoly:
@@ -111,7 +97,7 @@ class DiffOp:
 
     @staticmethod
     def deriv(chart: Chart, name: str) -> "DiffOp":
-        return DiffOp(chart, {_dkey(chart, name)[0]: {0: GradedPoly.one(chart)}})
+        return DiffOp(chart, {_key(chart, name)[0]: {0: GradedPoly.one(chart)}})
 
     @staticmethod
     def weight(chart: Chart) -> "DiffOp":
@@ -138,18 +124,10 @@ class DiffOp:
         return all(sum(e) + len(o) <= r for (e, o) in self.terms)
 
     def parity(self) -> int | None:
-        ps = set()
-        for (e, o), wp in self.terms.items():
-            for p in wp.values():
-                cp = p.parity()
-                if cp is None:
-                    return None
-                ps.add((cp + len(o)) % 2)
-        if not ps:
-            return EVEN
-        if len(ps) == 1:
-            return ps.pop()
-        return None
+        """The parity c d^I shares for every monomial c of every coefficient
+        (_parity); the zero operator is even."""
+        return _parity({(len(m) + len(o)) % 2 for (_, o), wp in self.terms.items()
+                        for p in wp.values() for (_, m) in p.terms})
 
     def parity_part(self, par: int) -> "DiffOp":
         return DiffOp(self.chart, {
@@ -157,12 +135,8 @@ class DiffOp:
             for (e, o), wp in self.terms.items()})
 
     def homogeneous_parts(self) -> list[tuple[int, "DiffOp"]]:
-        out = []
-        for par in (EVEN, ODD):
-            part = self.parity_part(par)
-            if not part.is_zero():
-                out.append((par, part))
-        return out
+        return [(par, part) for par in (EVEN, ODD)
+                if not (part := self.parity_part(par)).is_zero()]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -354,7 +328,7 @@ def _from_sums(chart: Chart, sums: _Sums) -> DiffOp:
 
 
 def _add_leibniz(sums: _Sums, chart: Chart, I: Key, f: GradedPoly, J: Key,
-                 left: WPoly | None = None, wshift: int = 0, factor=1, hits=None, free=True):
+                 left: WPoly | None = None, wshift: int = 0, hits=None, free=True):
     """Add  left d^I o (W^wshift f d^J)  to sums (left None stands for 1).
     By the graded Leibniz rule d^I o f = sum g d^rest (at most ``hits``
     derivatives hitting f, and one at least unless ``free``); then d^rest d^J
@@ -365,10 +339,10 @@ def _add_leibniz(sums: _Sums, chart: Chart, I: Key, f: GradedPoly, J: Key,
             continue
         key, sign = k
         if left is None:
-            _add_into(sums, key, wshift, g, factor * sign)
+            _add_into(sums, key, wshift, g, sign)
             continue
         for wc, c in left.items():
-            _add_into(sums, key, wc + wshift, c * g, factor * sign)
+            _add_into(sums, key, wc + wshift, c * g, sign)
 
 
 def compose(D: DiffOp, E: DiffOp, *, floor: int = 0, odd_square: bool = False) -> DiffOp:
@@ -512,18 +486,9 @@ def op_from_action(chart: Chart, action: Callable[[GradedPoly], GradedPoly],
          if sum(e) + k <= order),
         key=lambda key: sum(key[0]) + len(key[1]))
 
-    def monomial(key: Key) -> GradedPoly:
-        e, o = key
-        m = GradedPoly.one(chart)
-        for i, n in enumerate(e):
-            m = m * GradedPoly.var(chart, chart.even[i]) ** n
-        for i in o:
-            m = m * GradedPoly.var(chart, chart.odd[i])
-        return m
-
     result = DiffOp.zero(chart)
     for key in keys:
-        m = monomial(key)
+        m = GradedPoly._of(chart, {key: _ONE})
         val = action(m) - result.apply_poly(m)
         if val.is_zero():
             continue

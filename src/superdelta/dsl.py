@@ -57,8 +57,8 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-from .gralg import _ONE, Chart, DensityElement, DomainError, GradedPoly, _mul_keys, _power
-from .diffop import DiffOp, _add_into, _dkey, _from_sums, _on_one
+from .gralg import _ONE, Chart, DensityElement, DomainError, GradedPoly, _key, _mul_keys, _power
+from .diffop import DiffOp, _add_into, _from_sums, _on_one
 from .geom import CoordMap, VBracketData, _as_sigma
 
 __all__ = ["DslError", "Module", "load_module", "parse_element", "render"]
@@ -173,7 +173,7 @@ class _Parser:
     def _enter(self, m: Module):
         """Read against m, with the key of 1 and of each chart variable."""
         self.m, self.one = m, ((0,) * len(m.chart.even), ())
-        self.keys = {v: _dkey(m.chart, v)[0] for v in m.chart.names}
+        self.keys = {v: _key(m.chart, v)[0] for v in m.chart.names}
 
     def fail(self, message: str, i: int, expected=()):
         """Raise a DslError at token i, found again by the token pattern; the
@@ -571,7 +571,7 @@ def _coefstr(c: Fraction) -> str:
 
 
 def _term(c: Fraction, factors: list[str]) -> tuple[bool, str]:
-    neg = c < 0
+    neg = c.numerator < 0  # c < 0 dispatches through ABCMeta
     a = -c if neg else c
     if not factors:
         return neg, str(a)

@@ -9,7 +9,7 @@ Frozen conventions (certified by the theorem suites in tests/):
   * coordinate bracket      {f,g} = S^{ab} d_b f d_a g (-1)^{pa(a) pf}
   * forced symmetry         S^{ba} = (-1)^{pa(a) pa(b)} S^{ab}
   * momentum normalization  (p_a, x^b) = delta_a^b on T*M
-  * divergence              div X = (-1)^{pa(a)(pX+1)} d_a X^a
+  * divergence              div X = (-1)^{pa(a)(pX+1)} d_a X^a  (_divergence)
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from .gralg import (
     Key,
     ParityError,
     _ONE,
+    _key,
+    _key_names,
     _substitute,
     partial,
 )
@@ -37,7 +39,6 @@ from .diffop import (
     _Sums,
     _add_into,
     _add_leibniz,
-    _dkey,
     _exp_ad,
     _from_sums,
     _on_one,
@@ -176,7 +177,7 @@ def principal_matrix(D: DiffOp) -> SMatrix:
     S: SMatrix = {}
     for a in chart.names:
         for b in chart.names:
-            k = _dkey(chart, b, a)
+            k = _key(chart, b, a)
             c = None if k is None else D.terms.get(k[0], {}).get(0)
             if c is not None:
                 factor = 2 if a == b else k[1]
@@ -189,7 +190,7 @@ def second_order_part(chart: Chart, S: SMatrix) -> DiffOp:
     at the key of d_b d_a."""
     sums: _Sums = {}
     for (a, b), s in S.items():
-        k = _dkey(chart, b, a)
+        k = _key(chart, b, a)
         if k is not None:
             _add_into(sums, k[0], 0, s, HALF * k[1])
     return _from_sums(chart, sums)
@@ -200,7 +201,7 @@ def first_order_coeffs(D: DiffOp) -> GVector:
     operator."""
     out: GVector = {}
     for a in D.chart.names:
-        wp = D.terms.get(_dkey(D.chart, a)[0])
+        wp = D.terms.get(_key(D.chart, a)[0])
         if wp is not None:
             if any(k != 0 for k in wp):
                 raise DomainError("weight-dependent coefficient in plain operator")
@@ -208,19 +209,21 @@ def first_order_coeffs(D: DiffOp) -> GVector:
     return out
 
 
-def _s_divergence(chart: Chart, S: SMatrix, eps: int, a: str) -> GradedPoly:
-    """d_b S^{ba} (-1)^{pa(b)(eps+1)}, the first-order coefficient of the
-    self-adjoint operator with principal part S."""
-    acc = GradedPoly.zero(chart)
-    for b in chart.names:
-        s = S.get((b, a))
-        if s is not None:
-            acc = acc + partial(b, s) * (-1) ** (chart.parity(b) * (eps + 1))
-    return acc
+def _divergence(chart: Chart, V: Mapping[str, GradedPoly], p: int) -> GradedPoly:
+    """The divergence (-1)^{pa(a)(p+1)} d_a V^a of the field V^a d_a of
+    parity p, by the frozen convention (module docstring): a term is
+    negated when a is odd and p even."""
+    return GradedPoly._sum(chart, (partial(a, v) if p or not chart.parity(a)
+                                   else -partial(a, v) for a, v in V.items()))
+
+
+def _column(chart: Chart, S: SMatrix, a: str) -> GVector:
+    """The column S^{.a} = {b: S^{ba}} of S."""
+    return {b: s for b in chart.names if (s := S.get((b, a))) is not None}
 
 
 def subprincipal(D: DiffOp) -> GVector:
-    """The components gamma^a = d_b S^{ba} (-1)^{pa(b)(eps+1)} - 2 T^a of
+    """The components gamma^a = div S^{.a} - 2 T^a (canonical_pencil) of
     Hormander's subprincipal symbol, for a normalized (D1 = 0) plain (W-free)
     operator of order <= 2."""
     chart = D.chart
@@ -236,7 +239,7 @@ def subprincipal(D: DiffOp) -> GVector:
     T = first_order_coeffs(D)
     out: GVector = {}
     for a in chart.names:
-        acc = _s_divergence(chart, S, eps, a) - 2 * T.get(a, GradedPoly.zero(chart))
+        acc = _divergence(chart, _column(chart, S, a), eps) - 2 * T.get(a, GradedPoly.zero(chart))
         if not acc.is_zero():
             out[a] = acc
     return out
@@ -250,7 +253,7 @@ def hamiltonian_vf(S: SMatrix, chart: Chart, f: GradedPoly) -> DiffOp:
         for (a, b), s in S.items():
             dbf = partial(b, fh)
             if not dbf.is_zero():
-                _add_into(sums, _dkey(chart, a)[0], 0, s * dbf,
+                _add_into(sums, _key(chart, a)[0], 0, s * dbf,
                           -1 if chart.parity(a) * pf else 1)
     return _from_sums(chart, sums)
 
@@ -258,16 +261,10 @@ def hamiltonian_vf(S: SMatrix, chart: Chart, f: GradedPoly) -> DiffOp:
 def divergence(X: DiffOp) -> GradedPoly:
     """div X = (-1)^{pa(a)(pX+1)} d_a X^a for a first-order operator with no
     constant term."""
-    chart = X.chart
     if not X.order_leq(1) or not _on_one(X).is_zero():
         raise DomainError("divergence requires a vector field")
-    coeffs = first_order_coeffs(X)
-    out = GradedPoly.zero(chart)
-    for a, c in coeffs.items():
-        for px, cpart in c.homogeneous_parts():
-            pX = (px + chart.parity(a)) % 2
-            out = out + partial(a, cpart) * (-1) ** (chart.parity(a) * (pX + 1))
-    return out
+    return GradedPoly._sum(X.chart, (_divergence(X.chart, first_order_coeffs(part), p)
+                                     for p, part in X.homogeneous_parts()))
 
 
 def lie_derivative_pencil(X: DiffOp) -> DiffOp:
@@ -291,7 +288,7 @@ def _div_form(chart: Chart, S: SMatrix, g: GradedPoly, h: GradedPoly,
     factor e^{-g} d_a (e^{g-h} S^{ab} d_b (e^h . )) for even g and h, written
     term by term as (d_a + d_a g) o T^a, T^a = S^{ab} d_b + S^{ab} d_b h."""
     S = {k: s * factor for k, s in S.items() if s.terms}
-    keys, zero = {a: _dkey(chart, a)[0] for a in chart.names}, ((0,) * len(chart.even), ())
+    keys, zero = {a: _key(chart, a)[0] for a in chart.names}, ((0,) * len(chart.even), ())
     Sh = _contract(chart, S, {b: partial(b, h) for b in chart.names}) if h.terms else {}
     sums: _Sums = {}
     for a in chart.names:
@@ -343,7 +340,7 @@ def act_on_w_densities(S: SMatrix, chart: Chart, sigma, w) -> DiffOp:
     is even: (1/2) sum (d_a + (1-w) d_a sigma) o S^{ab} (d_b - w d_b sigma)."""
     sigma = _as_sigma(sigma)
     w = w if type(w) is Fraction else Fraction(w)
-    return _laplacian(S, chart, sigma * (1 - w), sigma * -w)
+    return _laplacian(S, chart, sigma * (_ONE - w), sigma * -w)
 
 
 def master_discrepancy(S: SMatrix, chart: Chart, sigma0, sigma) -> GradedPoly:
@@ -363,11 +360,10 @@ def master_discrepancy(S: SMatrix, chart: Chart, sigma0, sigma) -> GradedPoly:
 def canonical_pencil(data: VBracketData) -> DiffOp:
     """The unique normalized self-adjoint pencil generating the bracket:
 
-    Delta_w = 1/2 ( S^{ab} d_b d_a
-                    + (d_b S^{ba} (-1)^{pa(b)(eps+1)} + (2w-1) gamma^a) d_a
-                    + w d_a gamma^a (-1)^{pa(a)(eps+1)}
-                    + w(w-1) theta ),
+    Delta_w = 1/2 ( S^{ab} d_b d_a + (div S^{.a} + (2w-1) gamma^a) d_a
+                    + w div gamma + w(w-1) theta ),
 
+    div at the parity eps (_divergence) and S^{.a} the column {b: S^{ba}},
     each coefficient written at its key and W-power: all terms but d_b d_a
     are in normal order, and d_b d_a costs only the sign of its odd part
     (second_order_part)."""
@@ -375,15 +371,13 @@ def canonical_pencil(data: VBracketData) -> DiffOp:
     sums: _Sums = {}
     zero = ((0,) * len(chart.even), ())
     for a in chart.names:
-        key = _dkey(chart, a)[0]
-        _add_into(sums, key, 0, _s_divergence(chart, data.S, eps, a), HALF)
+        key = _key(chart, a)[0]
+        _add_into(sums, key, 0, _divergence(chart, _column(chart, data.S, a), eps), HALF)
         ga = data.gamma.get(a)
-        if ga is None:
-            continue
-        _add_into(sums, key, 1, ga)
-        _add_into(sums, key, 0, ga, -HALF)
-        _add_into(sums, zero, 1, partial(a, ga),
-                  -HALF if chart.parity(a) * (eps + 1) % 2 else HALF)
+        if ga is not None:
+            _add_into(sums, key, 1, ga)
+            _add_into(sums, key, 0, ga, -HALF)
+    _add_into(sums, zero, 1, _divergence(chart, data.gamma, eps), HALF)
     _add_into(sums, zero, 2, data.theta, HALF)
     _add_into(sums, zero, 1, data.theta, -HALF)
     return second_order_part(chart, data.S) + _from_sums(chart, sums)
@@ -432,7 +426,7 @@ def _pencil_data(P: DiffOp, eps: int) -> VBracketData:
     no other term of the formula carries those keys and W-powers."""
     chart = P.chart
     gamma = {a: wp[1] for a in chart.names
-             if 1 in (wp := P.terms.get(_dkey(chart, a)[0], {}))}
+             if 1 in (wp := P.terms.get(_key(chart, a)[0], {}))}
     c = P.terms.get(((0,) * len(chart.even), ()), {}).get(2)
     theta = GradedPoly.zero(chart) if c is None else c * 2
     return VBracketData(chart, eps, principal_matrix(P), gamma, theta)
@@ -752,9 +746,8 @@ def berezinian(cmap: CoordMap) -> GradedPoly:
     return _berezinian(cmap.chart, cmap.jacobian())
 
 
-def _berezinian(chart: Chart, J: Mapping[tuple[str, str], GradedPoly],
-                log: bool = False) -> GradedPoly:
-    """berezinian, or log_berezinian if log is set, from the Jacobi matrix."""
+def _berezinian(chart: Chart, J: Mapping[tuple[str, str], GradedPoly]) -> GradedPoly:
+    """berezinian from the Jacobi matrix."""
     ev, od = chart.even, chart.odd
     A = [[J[(ap, a)] for a in ev] for ap in ev]
     B = [[J[(ap, a)] for a in od] for ap in ev]
@@ -768,15 +761,19 @@ def _berezinian(chart: Chart, J: Mapping[tuple[str, str], GradedPoly],
           for row in B]
     top = [[a - GradedPoly._sum(chart, (x * c[j] for x, c in zip(bd, C))) * invdet
             for j, a in enumerate(row)] for row, bd in zip(A, BD)]
-    ber = _det_even(top, chart) * invdet
-    return _unit_series(ber, "Berezinian",
-                        lambda k: Fraction((-1) ** (k + 1), k) if k else 0)[1] if log else ber
+    return _det_even(top, chart) * invdet
+
+
+def _log_berezinian(chart: Chart, J: Mapping[tuple[str, str], GradedPoly]) -> GradedPoly:
+    """log_berezinian from the Jacobi matrix: the series of log(1 + n)."""
+    return _unit_series(_berezinian(chart, J), "Berezinian",
+                        lambda k: Fraction((-1) ** (k + 1), k) if k else 0)[1]
 
 
 def log_berezinian(cmap: CoordMap) -> GradedPoly:
     """log of the Berezinian, normalized by dropping the constant log of the
     body (which never survives differentiation); in old coordinates."""
-    return _berezinian(cmap.chart, cmap.jacobian(), log=True)
+    return _log_berezinian(cmap.chart, cmap.jacobian())
 
 
 def transform_op(D: DiffOp, cmap: CoordMap) -> DiffOp:
@@ -790,14 +787,13 @@ def transform_op(D: DiffOp, cmap: CoordMap) -> DiffOp:
     chart = D.chart
     push = cmap.push
     J = cmap.jacobian()
-    fields = {a: [(_dkey(chart, b)[0], c) for b in chart.names
+    fields = {a: [(_key(chart, b)[0], c) for b in chart.names
                   if not (c := push(J[(b, a)])).is_zero()] for a in chart.names}
     sums: _Sums = {}
     for (e, o), wp in D.terms.items():
         F: dict[Key, WPoly | None] = {((0,) * len(e), ()): None}  # None: 1
         # d^I = d_even^e o d_odd(o_1) o ... o d_odd(o_k)
-        for name in [n for n, k in zip(chart.even, e) for _ in range(k)] + \
-                [chart.odd[i] for i in o]:
+        for name in _key_names(chart, (e, o)):
             step: _Sums = {}
             for K, g in F.items():
                 for kb, c in fields[name]:
@@ -809,7 +805,7 @@ def transform_op(D: DiffOp, cmap: CoordMap) -> DiffOp:
                 _add_into(sums, K, k, c if g is None else c * g[0])
     out = _from_sums(chart, sums)
     # density correction: conjugate by exp(W log Ber'), exact and terminating
-    v = push(_berezinian(chart, J, log=True))
+    v = push(_log_berezinian(chart, J))
     if v.is_zero():
         return out
     return _exp_ad(out, v, 1)

@@ -16,6 +16,9 @@ for term maps the engine built itself, and adopts them unchecked.  The
 builds each product of numbers, variables, W and derivatives in ``.sd``
 text as one term.  ``substitute`` validates its images for the kernel
 ``_substitute``, which coordinate maps, validated when built, call directly.
+``_key`` builds the key of a product of variables, and of a product of
+derivatives, which share the layout; ``_key_names`` lists the factors of a
+key.
 """
 
 from __future__ import annotations
@@ -73,12 +76,6 @@ class Chart(_ChartFields):
             return ODD
         raise KeyError(f"unknown variable {name!r}")
 
-    def even_index(self, name: str) -> int:
-        return self.even.index(name)
-
-    def odd_index(self, name: str) -> int:
-        return self.odd.index(name)
-
 
 # A monomial key: exponents of the even variables, ascending tuple of odd
 # variable indices.
@@ -108,6 +105,35 @@ def _mul_keys(k1: Key, k2: Key):
     return merged and ((tuple(map(_add, k1[0], k2[0])), merged[0]), merged[1])
 
 
+def _key(chart: Chart, *names: str) -> tuple[Key, int] | None:
+    """The key K and sign s with x_{n1} x_{n2} ... = s x^K, and with
+    d_{n1} o d_{n2} o ... = s d^K, or None when an odd factor repeats; only
+    the odd factors reorder."""
+    e, o, sign = [0] * len(chart.even), (), 1
+    for name in names:
+        if chart.parity(name) == EVEN:
+            e[chart.even.index(name)] += 1
+            continue
+        merged = _merge_odd(o, (chart.odd.index(name),))
+        if merged is None:
+            return None
+        o, sign = merged[0], sign * merged[1]
+    return (tuple(e), o), sign
+
+
+def _key_names(chart: Chart, key: Key) -> list[str]:
+    """The variables of the product at key, each as often as its exponent,
+    even ones first: _key of them gives back (key, 1)."""
+    return [n for n, k in zip(chart.even, key[0]) for _ in range(k)] + \
+        [chart.odd[i] for i in key[1]]
+
+
+def _parity(parities: set) -> int | None:
+    """The parity every part shares, from the set of their parities: EVEN
+    when there are no parts, None when two differ."""
+    return parities.pop() if len(parities) == 1 else None if parities else EVEN
+
+
 def _power(x, n: int, one, mul=_mul):
     """x^n by repeated squaring, for any associative product ``mul`` with
     unit ``one``; about 2 log2(n) products instead of n."""
@@ -130,7 +156,7 @@ class GradedPoly:
     are immutable by convention; all operations return new objects.
     """
 
-    __slots__ = ("chart", "terms", "_hash")
+    __slots__ = ("chart", "terms")
 
     def __init__(self, chart: Chart, terms: Mapping[Key, Fraction] | None = None):
         clean = {}
@@ -138,14 +164,14 @@ class GradedPoly:
             c = c if type(c) is Fraction else Fraction(c)
             if c:
                 clean[key] = c
-        self.chart, self.terms, self._hash = chart, clean, None
+        self.chart, self.terms = chart, clean
 
     @staticmethod
     def _of(chart: Chart, terms: dict[Key, Fraction]) -> "GradedPoly":
         """Trusted constructor: adopts a term map the engine built itself,
         whose coefficients are already nonzero Fractions, unchecked."""
         p = object.__new__(GradedPoly)
-        p.chart, p.terms, p._hash = chart, terms, None
+        p.chart, p.terms = chart, terms
         return p
 
     @staticmethod
@@ -174,11 +200,7 @@ class GradedPoly:
 
     @staticmethod
     def var(chart: Chart, name: str) -> "GradedPoly":
-        e = [0] * len(chart.even)
-        if chart.parity(name) == EVEN:
-            e[chart.even_index(name)] = 1
-            return GradedPoly._of(chart, {(tuple(e), ()): Fraction(1)})
-        return GradedPoly._of(chart, {(tuple(e), (chart.odd_index(name),)): Fraction(1)})
+        return GradedPoly._of(chart, {_key(chart, name)[0]: _ONE})
 
     # -- structure ---------------------------------------------------------
 
@@ -188,12 +210,7 @@ class GradedPoly:
     def parity(self) -> int | None:
         """0 (even), 1 (odd) or None for inhomogeneous.  The zero polynomial
         is reported even by convention."""
-        ps = {len(o) % 2 for (_, o) in self.terms}
-        if not ps:
-            return EVEN
-        if len(ps) == 1:
-            return ps.pop()
-        return None
+        return _parity({len(o) % 2 for (_, o) in self.terms})
 
     def parity_part(self, p: int) -> "GradedPoly":
         return GradedPoly._of(
@@ -278,9 +295,7 @@ class GradedPoly:
         return self.chart == other.chart and self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.chart, tuple(sorted(self.terms.items()))))
-        return self._hash
+        return hash((self.chart, tuple(sorted(self.terms.items()))))
 
     def __repr__(self):
         from .dsl import render  # local import: dsl depends on gralg
@@ -294,13 +309,13 @@ def partial(name: str, p: GradedPoly) -> GradedPoly:
     chart = p.chart
     terms: dict[Key, Fraction] = {}
     if chart.parity(name) == EVEN:
-        i = chart.even_index(name)
+        i = chart.even.index(name)
         for (e, o), c in p.terms.items():
             n = e[i]
             if n:
                 terms[(e[:i] + (n - 1,) + e[i + 1:], o)] = c * n if n > 1 else c
     else:
-        i = chart.odd_index(name)
+        i = chart.odd.index(name)
         for (e, o), c in p.terms.items():
             if i in o:
                 pos = o.index(i)
@@ -386,12 +401,7 @@ class DensityElement:
         return not self.parts
 
     def parity(self) -> int | None:
-        ps = {p.parity() for p in self.parts.values()}
-        if not ps:
-            return EVEN
-        if len(ps) == 1:
-            return ps.pop()
-        return None
+        return _parity({len(o) % 2 for p in self.parts.values() for (_, o) in p.terms})
 
     def parity_part(self, p: int) -> "DensityElement":
         return DensityElement(

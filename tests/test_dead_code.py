@@ -24,3 +24,56 @@ def test_private_helpers_are_referenced():
             and not d.name.startswith("__")
             and uses[d.name] == _names(d).count(d.name)]
     assert dead == []
+
+
+
+def _defaulted(d: ast.FunctionDef) -> list[tuple[str, int | None]]:
+    """(name, position) of each parameter of d with a default; a
+    keyword-only parameter has no position."""
+    pos = d.args.posonlyargs + d.args.args
+    out = [(a.arg, i) for i, a in enumerate(pos) if i >= len(pos) - len(d.args.defaults)]
+    return out + [(a.arg, None) for a, v in zip(d.args.kwonlyargs, d.args.kw_defaults)
+                  if v is not None]
+
+
+def _passes(call: ast.Call, arg: str, i: int | None) -> bool:
+    """Whether call passes the parameter arg, at position i (self
+    excluded) when it has one; *args and **kwargs pass everything."""
+    if any(k.arg in (arg, None) for k in call.keywords):
+        return True
+    return i is not None and (i < len(call.args)
+                              or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_private_options_are_passed():
+    """Every parameter with a default, on a private function or method, is
+    passed by position or by keyword in at least one direct call in src/.
+    A function that src/ also passes as a value is exempt: its callers are
+    not all direct calls."""
+    trees = [ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))]
+    calls, callees = {}, set()
+    for n in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(n, ast.Call):
+            f = n.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            calls.setdefault(name, []).append((n, isinstance(f, ast.Attribute)))
+            callees.add(id(f))
+    as_value = {n.id if isinstance(n, ast.Name) else n.attr for tree in trees
+                for n in ast.walk(tree)
+                if isinstance(n, (ast.Name, ast.Attribute)) and id(n) not in callees}
+    unused = []
+    for tree in trees:
+        methods = {id(d) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for d in c.body}
+        for d in ast.walk(tree):
+            if not isinstance(d, ast.FunctionDef) or not d.name.startswith("_") \
+                    or d.name.startswith("__") or d.name in as_value:
+                continue
+            # a method called as obj.m(...) gets self without a position
+            bound = id(d) in methods and not any(
+                getattr(x, "id", None) == "staticmethod" for x in d.decorator_list)
+            for arg, i in _defaulted(d):
+                if not any(_passes(call, arg, None if i is None else i - (bound and attr))
+                           for call, attr in calls.get(d.name, [])):
+                    unused.append(f"{d.name}({arg}=)")
+    assert unused == []

@@ -778,7 +778,7 @@ def _triangular_map(rng, chart):
         if chart.parity(a) == 0:
             keep = [k for k in p.terms if len(k[1]) >= 2]
         else:
-            keep = [k for k in p.terms if k[1] and k[1][0] > chart.odd_index(a)]
+            keep = [k for k in p.terms if k[1] and k[1][0] > chart.odd.index(a)]
         p = GradedPoly(chart, {k: p.terms[k] for k in keep})
         later = [b for b in names[i + 1:] if chart.parity(b) == chart.parity(a)]
         if later:
@@ -1233,3 +1233,51 @@ def test_pencil_io_makes_no_probe_and_no_composition(count_calls):
         geom.extract_vbracket(DiffOp.deriv(R11, "x"))
     assert len(calls["compose"]) == len(calls["pencil_bracket"]) == 1
     assert len(calls["formal_adjoint"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# the graded divergence, its refusals, and the hash of bracket data
+
+
+@pytest.mark.parametrize("chart", CHARTS, ids=lambda c: f"{len(c.even)}|{len(c.odd)}")
+def test_divergence_is_additive_over_parity_parts(chart):
+    """div of a mixed-parity field is the sum of the divergences of its
+    parity parts, each by (-1)^{pa(a)(pX+1)} d_a X^a."""
+    rng = random.Random(f"divergence {chart}")
+    mixed = 0
+    for _ in range(6):
+        X = DiffOp.zero(chart)
+        for a in chart.names:
+            X = X + DiffOp.mult(rand_poly(rng, chart, 2, nterms=3)) * DiffOp.deriv(chart, a)
+        parts = X.homogeneous_parts()
+        mixed += len(parts) == 2
+        ref = GradedPoly.zero(chart)
+        for pX, part in parts:
+            for a, c in first_order_coeffs(part).items():
+                ref = ref + partial(a, c) * (-1) ** (chart.parity(a) * (pX + 1))
+        assert divergence(X) == ref
+        assert divergence(X) == sum((divergence(part) for _, part in parts),
+                                    GradedPoly.zero(chart))
+    assert mixed
+
+
+def test_divergence_and_first_order_coeffs_refusals():
+    x = GradedPoly.var(R12, "x")
+    dx = DiffOp.deriv(R12, "x")
+    for not_a_field in (dx * dx, DiffOp.mult(x) + dx, DiffOp.identity(R12)):
+        with pytest.raises(DomainError, match="divergence requires a vector field"):
+            divergence(not_a_field)
+    with pytest.raises(DomainError, match="weight-dependent coefficient in plain operator"):
+        first_order_coeffs(DiffOp.weight(R12) * dx)
+    with pytest.raises(DomainError, match="weight-dependent coefficient in plain operator"):
+        divergence(DiffOp.weight(R12) * dx)
+
+
+def test_equal_bracket_data_hash_equal():
+    rng = random.Random("vdata hash")
+    for chart in (R11, R12, R22):
+        data = rand_vdata(rng, chart, 1)
+        again = VBracketData(chart, 1, dict(reversed(list(data.S.items()))),
+                             dict(reversed(list(data.gamma.items()))), data.theta + 0)
+        assert again == data
+        assert hash(again) == hash(data)

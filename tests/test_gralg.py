@@ -1,5 +1,6 @@
 """The supercommutative polynomial ring, derivatives, densities."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from superdelta import (
     specialize,
     substitute,
 )
+from superdelta.gralg import _key, _key_names
 
 from conftest import R11, R12, R22, R02, R03, poly_strategy, rand_op, rand_poly
 
@@ -210,3 +212,87 @@ def test_engine_results_keep_the_kernel_contract(chart):
             _assert_canonical_op(op)
         for r in [E.apply_poly(p), *E.apply(psi).parts.values()]:
             _assert_canonical(r)
+
+
+# ---------------------------------------------------------------------------
+# one parity rule: the parity every part shares, EVEN when there are no
+# parts, None when two parts differ
+
+
+def test_zero_of_each_type_is_even():
+    for chart in (R11, R12, R22, R02, R03):
+        assert GradedPoly.zero(chart).parity() == 0
+        assert DensityElement.zero(chart).parity() == 0
+        assert DiffOp.zero(chart).parity() == 0
+
+
+def test_density_parity_is_shared_by_its_components():
+    x, xi1 = GradedPoly.var(R12, "x"), GradedPoly.var(R12, "xi1")
+    assert DensityElement(R12, {0: x, Fraction(1, 2): x * x}).parity() == 0
+    assert DensityElement(R12, {0: xi1, 1: x * xi1}).parity() == 1
+    assert DensityElement(R12, {0: x, Fraction(1, 2): xi1}).parity() is None
+    assert DensityElement(R12, {0: x + xi1}).parity() is None
+
+
+def test_operator_parity_counts_coefficient_and_derivatives():
+    x, xi1 = GradedPoly.var(R12, "x"), GradedPoly.var(R12, "xi1")
+    dx, dxi1 = DiffOp.deriv(R12, "x"), DiffOp.deriv(R12, "xi1")
+    assert (xi1 * dx).parity() == 1
+    assert (xi1 * dxi1).parity() == 0
+    assert (x * dxi1 + DiffOp.mult(xi1)).parity() == 1
+    # one inhomogeneous coefficient
+    assert DiffOp.mult(x + xi1).parity() is None
+    assert (dx + (x + xi1) * dxi1).parity() is None
+    # two homogeneous terms of different parity
+    assert (dx + dxi1).parity() is None
+    assert (x * dx + xi1 * dx).parity() is None
+
+
+def test_variable_key_is_the_derivative_key():
+    """x^a and d_a sit at one key: GradedPoly.var and DiffOp.deriv build it
+    alike, for every variable of every test chart."""
+    for chart in (R11, R12, R22, R02, R03):
+        for v in chart.names:
+            [key] = GradedPoly.var(chart, v).terms
+            assert [key] == list(DiffOp.deriv(chart, v).terms)
+            assert GradedPoly.var(chart, v).terms[key] == 1
+
+
+def test_key_names_list_the_factors_of_a_key():
+    """_key of the variables _key_names lists gives the key back, sign +1,
+    for every key of degree <= 3 of every test chart."""
+    for chart in (R11, R12, R22, R02, R03):
+        for names in itertools.chain.from_iterable(
+                itertools.combinations_with_replacement(chart.names, n) for n in range(4)):
+            k = _key(chart, *names)
+            if k is not None:
+                assert _key(chart, *_key_names(chart, k[0])) == (k[0], 1)
+                assert sorted(_key_names(chart, k[0])) == sorted(names)
+
+
+# ---------------------------------------------------------------------------
+# the hash contract: equal values hash equal
+
+
+def test_equal_polynomials_hash_equal(rng):
+    for chart in (R11, R12, R22, R03):
+        p, q = rand_poly(rng, chart), rand_poly(rng, chart)
+        built = [p + q, q + p, GradedPoly(chart, dict(reversed(list((p + q).terms.items())))),
+                 GradedPoly._of(chart, dict((p + q).terms)), (p + q) * 1, p - (-q)]
+        for r in built:
+            assert r == p + q
+            assert hash(r) == hash(p + q)
+        assert hash(p * q) == hash(GradedPoly(chart, dict(sorted((p * q).terms.items()))))
+
+
+def test_equal_operators_and_densities_hash_equal(rng):
+    for chart in (R11, R12, R22):
+        D, E = rand_op(rng, chart, 2), rand_op(rng, chart, 2)
+        assert D + E == E + D
+        assert hash(D + E) == hash(E + D)
+        assert hash(compose(D, E) - compose(D, E)) == hash(DiffOp.zero(chart))
+        f, g = rand_poly(rng, chart), rand_poly(rng, chart)
+        a = DensityElement(chart, {Fraction(1, 2): f, 0: g})
+        b = DensityElement(chart, {0: g, Fraction(1, 2): f})
+        assert a == b and hash(a) == hash(b)
+        assert hash(a + b) == hash(b * 2)
