@@ -39,7 +39,7 @@ import itertools
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-from .gralg import _ONE, Chart, GradedPoly, ParityError, _key_names
+from .gralg import _ONE, Chart, GradedPoly, ParityError, _deg, _key_names, _keys_upto
 from .diffop import DiffOp, _on_one, ad_mult, commutator, compose, specialize
 
 __all__ = [
@@ -103,21 +103,9 @@ def shuffles(k: int, l: int) -> list[tuple[int, ...]]:
 # higher brackets of operators
 
 
-def _homogeneous_args(args: Sequence[GradedPoly]):
-    """Split each argument into homogeneous parts; yield (sign-carrying)
-    tuples of homogeneous polynomials covering the multilinear expansion."""
-    parts = []
-    for a in args:
-        hp = [p for _, p in a.homogeneous_parts() if not p.is_zero()]
-        if not hp:
-            hp = [a]  # zero argument: keep a single zero slot
-        parts.append(hp)
-    return itertools.product(*parts)
-
-
 def _top(D: DiffOp, r: int) -> DiffOp:
     """The terms of D of order >= r."""
-    kept = {k: wp for k, wp in D.terms.items() if sum(k[0]) + len(k[1]) >= r}
+    kept = {k: wp for k, wp in D.terms.items() if _deg(k) >= r}
     return D if len(kept) == len(D.terms) else DiffOp(D.chart, kept)
 
 
@@ -178,18 +166,15 @@ def leibniz_obstruction(
     chart = Delta.chart
     pD = Delta.parity()
     out = GradedPoly.zero(chart)
-    for tup in _homogeneous_args(list(args)):
-        inner = sum((p.parity() or 0) for p in tup)
-        for pb, bh in b.homogeneous_parts():
-            if bh.is_zero():
-                continue
-            sgn = (-1) ** (pb * ((pD + inner) % 2))
-            out = (
-                out
-                + higher_bracket(Delta, list(tup) + [bh * c])
-                - higher_bracket(Delta, list(tup) + [bh]) * c
-                - bh * higher_bracket(Delta, list(tup) + [c]) * Fraction(sgn)
-            )
+    for *split, (pb, bh) in itertools.product(*(a.homogeneous_parts() for a in (*args, b))):
+        tup = [p for _, p in split]
+        sgn = (-1) ** (pb * ((pD + sum(par for par, _ in split)) % 2))
+        out = (
+            out
+            + higher_bracket(Delta, tup + [bh * c])
+            - higher_bracket(Delta, tup + [bh]) * c
+            - bh * higher_bracket(Delta, tup + [c]) * Fraction(sgn)
+        )
     return out
 
 
@@ -503,19 +488,9 @@ def matrix_oracle_instance(chart: Chart) -> LieSuperAlgebraInstance:
 
 
 def monomials_upto(chart: Chart, deg: int) -> list[GradedPoly]:
-    """All coordinate monomials of total degree 1..deg, in a deterministic
-    order."""
-    out = []
-    ne = len(chart.even)
-    for total in range(1, deg + 1):
-        for e in itertools.product(range(total + 1), repeat=ne):
-            if sum(e) > total:
-                continue
-            for r in range(len(chart.odd) + 1):
-                for o in itertools.combinations(range(len(chart.odd)), r):
-                    if sum(e) + r == total:
-                        out.append(GradedPoly(chart, {(e, o): Fraction(1)}))
-    return out
+    """All coordinate monomials of total degree 1..deg, in the order of
+    _keys_upto, whose first key is the unit's."""
+    return [GradedPoly._of(chart, {k: _ONE}) for k in _keys_upto(chart, deg)[1:]]
 
 
 class LInftyReport(NamedTuple):
@@ -575,7 +550,7 @@ def _linfty_report(sq: DiffOp, n_max: int) -> LInftyReport:
     q0 = specialize(sq, 0)
     r0 = q0.order()
     if r0 is not None:
-        key = min(k for k in q0.terms if sum(k[0]) + len(k[1]) == r0)
+        key = min(k for k in q0.terms if _deg(k) == r0)
         witness = (r0, tuple(GradedPoly.var(chart, v) for v in _key_names(chart, key)))
 
     return LInftyReport(

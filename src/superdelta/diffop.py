@@ -25,7 +25,6 @@ is the square of an odd element, 0, and compose may leave them out.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import comb
 from typing import Callable, Mapping
@@ -40,10 +39,13 @@ from .gralg import (
     Key,
     ParityError,
     _ONE,
+    _deg,
     _key,
+    _keys_upto,
     _mul_keys,
     _parity,
     _power,
+    _unit,
     partial,
 )
 
@@ -84,8 +86,7 @@ class DiffOp:
     @staticmethod
     def mult(p: GradedPoly) -> "DiffOp":
         """Left multiplication operator by p."""
-        key = ((0,) * len(p.chart.even), ())
-        return DiffOp(p.chart, {key: {0: p}})
+        return DiffOp(p.chart, {_unit(p.chart): {0: p}})
 
     @staticmethod
     def const(chart: Chart, c) -> "DiffOp":
@@ -102,8 +103,7 @@ class DiffOp:
     @staticmethod
     def weight(chart: Chart) -> "DiffOp":
         """The central weight symbol W (the Euler operator t d/dt)."""
-        key = ((0,) * len(chart.even), ())
-        return DiffOp(chart, {key: {1: GradedPoly.one(chart)}})
+        return DiffOp(chart, {_unit(chart): {1: GradedPoly.one(chart)}})
 
     # -- structure ---------------------------------------------------------
 
@@ -118,10 +118,10 @@ class DiffOp:
         minus infinity), so "order <= r" is order_leq."""
         if not self.terms:
             return None
-        return max(sum(e) + len(o) for (e, o) in self.terms)
+        return max(map(_deg, self.terms))
 
     def order_leq(self, r: int) -> bool:
-        return all(sum(e) + len(o) <= r for (e, o) in self.terms)
+        return all(_deg(k) <= r for k in self.terms)
 
     def parity(self) -> int | None:
         """The parity c d^I shares for every monomial c of every coefficient
@@ -256,7 +256,7 @@ class DiffOp:
 
 def _on_one(D: DiffOp) -> GradedPoly:
     """D 1 at weight 0, read off the terms: the W^0 coefficient at the zero key."""
-    return D.terms.get(((0,) * len(D.chart.even), ()), {}).get(0, GradedPoly.zero(D.chart))
+    return D.terms.get(_unit(D.chart), {}).get(0, GradedPoly.zero(D.chart))
 
 
 def _leibniz(chart: Chart, key: Key, f: GradedPoly, hits=None,
@@ -274,7 +274,7 @@ def _leibniz(chart: Chart, key: Key, f: GradedPoly, hits=None,
     out.  With ``hits`` given, a branch whose derivatives hit f that often
     only passes on."""
     e, o = key
-    h0 = h = sum(e) + len(o) if hits is None else hits
+    h0 = h = _deg(key) if hits is None else hits
     # (odd indices passed, coefficient, its parity, integer factor, hits left)
     odd_terms = [((), g, par, 1, h) for par, g in f.homogeneous_parts()]
     for i in reversed(o):
@@ -360,8 +360,9 @@ def compose(D: DiffOp, E: DiffOp, *, floor: int = 0, odd_square: bool = False) -
     chart = D.chart
     sums: _Sums = {}
     for I, wpD in D.terms.items():
+        hits_I = _deg(I) - floor
         for J, wpE in E.terms.items():
-            hits = sum(I[0]) + len(I[1]) + sum(J[0]) + len(J[1]) - floor
+            hits = hits_I + _deg(J)
             if hits < odd_square:
                 continue
             for wf, f in wpE.items():
@@ -456,9 +457,8 @@ def formal_adjoint(D: DiffOp) -> DiffOp:
     and by the canonical-pencil self-adjointness suite."""
     chart = D.chart
     sums: _Sums = {}
-    for (e, o), wp in D.terms.items():
-        ko = len(o)
-        nder = sum(e) + ko
+    for key, wp in D.terms.items():
+        ko, nder = len(key[1]), _deg(key)
         for wpow, c in wp.items():
             for cp, cpart in c.homogeneous_parts():
                 # (c W^wpow d^I)* = (1-W)^wpow d(o_k) o ... o d(o_1) o
@@ -467,7 +467,7 @@ def formal_adjoint(D: DiffOp) -> DiffOp:
                 # (-1)^{cp ko + ko(ko-1)/2}; reversing the odd derivatives
                 # back to d^I gives (-1)^{ko(ko-1)/2} again, which cancels.
                 sgn = (-1) ** (cp * ko + nder)
-                for rest, g in _leibniz(chart, (e, o), cpart):
+                for rest, g in _leibniz(chart, key, cpart):
                     for j in range(wpow + 1):
                         _add_into(sums, rest, j, g, sgn * (-1) ** j * comb(wpow, j))
     return _from_sums(chart, sums)
@@ -479,15 +479,8 @@ def op_from_action(chart: Chart, action: Callable[[GradedPoly], GradedPoly],
     action on polynomials is the given (linear) map.  Works degree by degree:
     the coefficient at multi-index I is fixed by the action on the monomial
     x^I once all lower coefficients are known."""
-    n_odd = len(chart.odd)
-    keys = sorted(
-        ((e, o) for e in itertools.product(range(order + 1), repeat=len(chart.even))
-         for k in range(n_odd + 1) for o in itertools.combinations(range(n_odd), k)
-         if sum(e) + k <= order),
-        key=lambda key: sum(key[0]) + len(key[1]))
-
     result = DiffOp.zero(chart)
-    for key in keys:
+    for key in _keys_upto(chart, order):
         m = GradedPoly._of(chart, {key: _ONE})
         val = action(m) - result.apply_poly(m)
         if val.is_zero():

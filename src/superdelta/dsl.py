@@ -57,7 +57,8 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-from .gralg import _ONE, Chart, DensityElement, DomainError, GradedPoly, _key, _mul_keys, _power
+from .gralg import (_ONE, Chart, DensityElement, DomainError, GradedPoly, _deg, _key,
+                    _key_powers, _mul_keys, _power, _unit)
 from .diffop import DiffOp, _add_into, _from_sums, _on_one
 from .geom import CoordMap, VBracketData, _as_sigma
 
@@ -172,7 +173,7 @@ class _Parser:
 
     def _enter(self, m: Module):
         """Read against m, with the key of 1 and of each chart variable."""
-        self.m, self.one = m, ((0,) * len(m.chart.even), ())
+        self.m, self.one = m, _unit(m.chart)
         self.keys = {v: _key(m.chart, v)[0] for v in m.chart.names}
 
     def fail(self, message: str, i: int, expected=()):
@@ -591,25 +592,15 @@ def _join(pairs: list[tuple[bool, str]]) -> str:
 
 
 def _factors(chart: Chart, key, fmt=str) -> list[str]:
-    """The factors of the monomial x^e xi^o at key (e, o), each variable
-    name written as fmt(name): the name itself, or its derivative."""
-    e, o = key
-    factors = []
-    for name, k in zip(chart.even, e):
-        if k == 1:
-            factors.append(fmt(name))
-        elif k > 1:
-            factors.append(f"{fmt(name)}^{k}")
-    for i in o:
-        factors.append(fmt(chart.odd[i]))
-    return factors
+    """The factors of the monomial at key, each variable name written as
+    fmt(name): the name itself, or its derivative."""
+    return [fmt(n) if k == 1 else f"{fmt(n)}^{k}" for n, k in _key_powers(chart, key)]
 
 
 def _order_key(key):
     """Monomials print by total degree, then even exponents, then odd
     indices."""
-    e, o = key
-    return sum(e) + len(o), e, o
+    return _deg(key), key
 
 
 def _poly_pairs(p: GradedPoly, extra: tuple[str, ...] = ()) -> list[tuple[bool, str]]:

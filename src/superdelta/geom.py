@@ -28,9 +28,13 @@ from .gralg import (
     Key,
     ParityError,
     _ONE,
+    _deg,
+    _embed,
     _key,
     _key_names,
+    _odd_degree_part,
     _substitute,
+    _unit,
     partial,
 )
 from .diffop import (
@@ -270,7 +274,7 @@ def divergence(X: DiffOp) -> GradedPoly:
 def lie_derivative_pencil(X: DiffOp) -> DiffOp:
     """Lie derivative along a vector field acting on w-densities, as a pencil:
     L_X = X + W (div X), W (div X) being the term W^1 at the zero key."""
-    return X + DiffOp(X.chart, {((0,) * len(X.chart.even), ()): {1: divergence(X)}})
+    return X + DiffOp(X.chart, {_unit(X.chart): {1: divergence(X)}})
 
 
 def lie_derivative(X: DiffOp, w) -> DiffOp:
@@ -288,7 +292,7 @@ def _div_form(chart: Chart, S: SMatrix, g: GradedPoly, h: GradedPoly,
     factor e^{-g} d_a (e^{g-h} S^{ab} d_b (e^h . )) for even g and h, written
     term by term as (d_a + d_a g) o T^a, T^a = S^{ab} d_b + S^{ab} d_b h."""
     S = {k: s * factor for k, s in S.items() if s.terms}
-    keys, zero = {a: _key(chart, a)[0] for a in chart.names}, ((0,) * len(chart.even), ())
+    keys, zero = {a: _key(chart, a)[0] for a in chart.names}, _unit(chart)
     Sh = _contract(chart, S, {b: partial(b, h) for b in chart.names}) if h.terms else {}
     sums: _Sums = {}
     for a in chart.names:
@@ -369,7 +373,7 @@ def canonical_pencil(data: VBracketData) -> DiffOp:
     (second_order_part)."""
     chart, eps = data.chart, data.eps
     sums: _Sums = {}
-    zero = ((0,) * len(chart.even), ())
+    zero = _unit(chart)
     for a in chart.names:
         key = _key(chart, a)[0]
         _add_into(sums, key, 0, _divergence(chart, _column(chart, data.S, a), eps), HALF)
@@ -427,7 +431,7 @@ def _pencil_data(P: DiffOp, eps: int) -> VBracketData:
     chart = P.chart
     gamma = {a: wp[1] for a in chart.names
              if 1 in (wp := P.terms.get(_key(chart, a)[0], {}))}
-    c = P.terms.get(((0,) * len(chart.even), ()), {}).get(2)
+    c = P.terms.get(_unit(chart), {}).get(2)
     theta = GradedPoly.zero(chart) if c is None else c * 2
     return VBracketData(chart, eps, principal_matrix(P), gamma, theta)
 
@@ -514,21 +518,15 @@ def jacobi_report(data: VBracketData) -> tuple[GradedPoly, GradedPoly, GradedPol
     (gamma,theta)) of the symbols S = 1/2 S^{ab} p_b p_a, gamma = gamma^a p_a
     and theta on T*M, under tstar_bracket; all four vanish iff
     ord(Delta^2) <= 1 for the canonical pencil.  A coefficient moves to
-    T*M with its keys padded by zero momentum exponents: the base's odd
-    coordinates keep their indices there.  (F, G) = X_F(G): X_S and
-    X_gamma are built once each."""
+    T*M unchanged (_embed): each parity block of T*M begins with the base's.
+    (F, G) = X_F(G): X_S and X_gamma are built once each."""
     if data.eps != ODD:
         raise ParityError("Jacobi report requires an odd bracket")
     ct = cotangent_chart(data.chart)
-    pad = (0,) * len(data.chart.even)
-
-    def lift(q: GradedPoly) -> GradedPoly:
-        return GradedPoly._of(ct, {(e + pad, o): c for (e, o), c in q.terms.items()})
-
     p = {x: GradedPoly.var(ct, m) for x, m in _momenta(ct).items()}
-    S = GradedPoly._sum(ct, (lift(s) * p[b] * p[a] for (a, b), s in data.S.items())) * HALF
-    g = GradedPoly._sum(ct, (lift(v) * p[a] for a, v in data.gamma.items()))
-    th = lift(data.theta)
+    S = GradedPoly._sum(ct, (_embed(s, ct) * p[b] * p[a] for (a, b), s in data.S.items())) * HALF
+    g = GradedPoly._sum(ct, (_embed(v, ct) * p[a] for a, v in data.gamma.items()))
+    th = _embed(data.theta, ct)
     canonical = _tstar_matrix(ct)
     XS, Xg = (hamiltonian_vf(canonical, ct, F) for F in (S, g))
     return (XS.apply_poly(S), XS.apply_poly(g), XS.apply_poly(th) + Xg.apply_poly(g),
@@ -571,13 +569,7 @@ def _euler_antiderivative(chart: Chart, form: GVector) -> GradedPoly:
     B = GradedPoly.zero(chart)
     for b, w in form.items():
         B = B + GradedPoly.var(chart, b) * w
-    return GradedPoly._of(chart, {(e, o): c / (sum(e) + len(o))
-                                  for (e, o), c in B.terms.items()})
-
-
-def _odd_degree_part(p: GradedPoly, j: int) -> GradedPoly:
-    """The terms of p with exactly j odd coordinates."""
-    return GradedPoly._of(p.chart, {k: c for k, c in p.terms.items() if len(k[1]) == j})
+    return GradedPoly._of(chart, {k: c / _deg(k) for k, c in B.terms.items()})
 
 
 def _exact_quotient(u: GradedPoly, d: GradedPoly) -> GradedPoly | None:
@@ -587,17 +579,14 @@ def _exact_quotient(u: GradedPoly, d: GradedPoly) -> GradedPoly | None:
     d(0).  Multiplying by d acts on the coefficient of each odd monomial
     alone, so a polynomial quotient has degree deg u - deg d, and a
     remainder left past that degree is not a multiple of d."""
-    def deg(k: Key) -> int:
-        return sum(k[0]) + len(k[1])
-
     c0 = d.constant_term()
-    top = max(map(deg, u.terms), default=0) - max(map(deg, d.terms))
+    top = max(map(_deg, u.terms), default=0) - max(map(_deg, d.terms))
     q, r = GradedPoly.zero(u.chart), u
     while not r.is_zero():
-        m = min(map(deg, r.terms))
+        m = min(map(_deg, r.terms))
         if m > top:
             return None
-        t = GradedPoly._of(u.chart, {k: c / c0 for k, c in r.terms.items() if deg(k) == m})
+        t = GradedPoly._of(u.chart, {k: c / c0 for k, c in r.terms.items() if _deg(k) == m})
         q, r = q + t, r - t * d
     return q
 
@@ -726,7 +715,7 @@ def _unit_series(u: GradedPoly, what: str, coeff) -> tuple[Fraction, GradedPoly]
     if c == 0:
         raise CoordMapError(f"{what} has no invertible body")
     n = u * (_ONE / c) - 1
-    if any(not o for (_, o) in n.terms):
+    if not _odd_degree_part(n, 0).is_zero():
         raise CoordMapError(f"{what} minus its constant term is not nilpotent")
     out = GradedPoly.const(u.chart, coeff(0))
     power = GradedPoly.one(u.chart)
@@ -790,10 +779,10 @@ def transform_op(D: DiffOp, cmap: CoordMap) -> DiffOp:
     fields = {a: [(_key(chart, b)[0], c) for b in chart.names
                   if not (c := push(J[(b, a)])).is_zero()] for a in chart.names}
     sums: _Sums = {}
-    for (e, o), wp in D.terms.items():
-        F: dict[Key, WPoly | None] = {((0,) * len(e), ()): None}  # None: 1
+    for I, wp in D.terms.items():
+        F: dict[Key, WPoly | None] = {_unit(chart): None}  # None: 1
         # d^I = d_even^e o d_odd(o_1) o ... o d_odd(o_k)
-        for name in _key_names(chart, (e, o)):
+        for name in _key_names(chart, I):
             step: _Sums = {}
             for K, g in F.items():
                 for kb, c in fields[name]:

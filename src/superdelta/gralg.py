@@ -16,13 +16,18 @@ for term maps the engine built itself, and adopts them unchecked.  The
 builds each product of numbers, variables, W and derivatives in ``.sd``
 text as one term.  ``substitute`` validates its images for the kernel
 ``_substitute``, which coordinate maps, validated when built, call directly.
-``_key`` builds the key of a product of variables, and of a product of
-derivatives, which share the layout; ``_key_names`` lists the factors of a
-key.
+Products of variables and products of derivatives share the key layout,
+and only this module, ``diffop`` and the matrix oracle's ``matrix_of`` read
+it inside the package; other modules go through the key helpers: ``_key``
+(the key of a product), ``_unit`` (the key of 1), ``_deg`` (its degree),
+``_keys_upto`` (every key up to a degree), ``_key_powers`` and
+``_key_names`` (its factors), ``_odd_degree_part`` and ``_embed`` (a
+polynomial on a chart whose blocks begin with its own).
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from operator import add as _add, mul as _mul
 from typing import Mapping, NamedTuple
@@ -121,11 +126,36 @@ def _key(chart: Chart, *names: str) -> tuple[Key, int] | None:
     return (tuple(e), o), sign
 
 
+def _unit(chart: Chart) -> Key:
+    """The key of 1, and of the empty product of derivatives."""
+    return (0,) * len(chart.even), ()
+
+
+def _deg(key: Key) -> int:
+    """The total degree of the product at key."""
+    return sum(key[0]) + len(key[1])
+
+
+def _keys_upto(chart: Chart, n: int) -> list[Key]:
+    """Every key of degree <= n, ordered by degree, then even exponents,
+    then odd indices."""
+    q = len(chart.odd)
+    keys = [(e, o) for e in itertools.product(range(n + 1), repeat=len(chart.even))
+            for k in range(q + 1) for o in itertools.combinations(range(q), k)]
+    return sorted((k for k in keys if _deg(k) <= n), key=lambda k: (_deg(k), k))
+
+
+def _key_powers(chart: Chart, key: Key) -> list[tuple[str, int]]:
+    """The factors of the product at key as (variable, exponent) pairs, even
+    variables first, each odd one to the power 1."""
+    return [(n, k) for n, k in zip(chart.even, key[0]) if k] + \
+        [(chart.odd[i], 1) for i in key[1]]
+
+
 def _key_names(chart: Chart, key: Key) -> list[str]:
     """The variables of the product at key, each as often as its exponent,
     even ones first: _key of them gives back (key, 1)."""
-    return [n for n, k in zip(chart.even, key[0]) for _ in range(k)] + \
-        [chart.odd[i] for i in key[1]]
+    return [n for n, k in _key_powers(chart, key) for _ in range(k)]
 
 
 def _parity(parities: set) -> int | None:
@@ -191,8 +221,7 @@ class GradedPoly:
 
     @staticmethod
     def const(chart: Chart, c) -> "GradedPoly":
-        e = (0,) * len(chart.even)
-        return GradedPoly(chart, {(e, ()): c})
+        return GradedPoly(chart, {_unit(chart): c})
 
     @staticmethod
     def one(chart: Chart) -> "GradedPoly":
@@ -225,8 +254,7 @@ class GradedPoly:
         return [(p, GradedPoly._of(self.chart, t)) for p, t in enumerate(parts) if t]
 
     def constant_term(self) -> Fraction:
-        e = (0,) * len(self.chart.even)
-        return self.terms.get((e, ()), Fraction(0))
+        return self.terms.get(_unit(self.chart), Fraction(0))
 
     # -- arithmetic --------------------------------------------------------
     # Each dunder tests for GradedPoly before (int, Fraction): the isinstance
@@ -300,6 +328,18 @@ class GradedPoly:
     def __repr__(self):
         from .dsl import render  # local import: dsl depends on gralg
         return f"GradedPoly({render(self)})"
+
+
+def _odd_degree_part(p: GradedPoly, j: int) -> GradedPoly:
+    """The terms of p with exactly j odd coordinates."""
+    return GradedPoly._of(p.chart, {k: c for k, c in p.terms.items() if len(k[1]) == j})
+
+
+def _embed(p: GradedPoly, chart: Chart) -> GradedPoly:
+    """p on a chart whose even and odd blocks begin with those of p's chart:
+    the even exponents are padded with zeros, the odd indices stay."""
+    pad = (0,) * (len(chart.even) - len(p.chart.even))
+    return GradedPoly._of(chart, {(e + pad, o): c for (e, o), c in p.terms.items()})
 
 
 def partial(name: str, p: GradedPoly) -> GradedPoly:

@@ -26,7 +26,7 @@ from superdelta.brackets import (
     square_bracket,
 )
 
-from conftest import R11, R12, R22, R02, R03, rand_op, rand_poly
+from conftest import CHARTS, R11, R12, R22, R02, R03, rand_op, rand_poly
 
 
 def _x(chart, name):
@@ -154,6 +154,46 @@ def test_leibniz_obstruction_examples():
     X = compose(DiffOp.mult(xi), DiffOp.deriv(R11, "x"))  # a vector field
     assert leibniz_obstruction(X, [], x, x).is_zero()
     assert leibniz_obstruction(D, [], x, xi) == higher_bracket(D, [x, xi])
+
+
+def test_leibniz_obstruction_splits_by_linearity(rng):
+    """A zero argument or a zero b gives 0; inhomogeneous arguments give
+    the sum over their homogeneous parts."""
+    for chart in (R11, R12):
+        zero = GradedPoly.zero(chart)
+        for _ in range(6):
+            D = rand_op(rng, chart, 3, parity=rng.randint(0, 1))
+            head = [rand_poly(rng, chart, 2, nterms=3)]
+            b, c = rand_poly(rng, chart, 2, nterms=3), rand_poly(rng, chart, 2, nterms=3)
+            assert leibniz_obstruction(D, [zero], b, c).is_zero()
+            assert leibniz_obstruction(D, head, zero, c).is_zero()
+            split = GradedPoly._sum(chart, (
+                leibniz_obstruction(D, [h], bh, c)
+                for _, h in head[0].homogeneous_parts() for _, bh in b.homogeneous_parts()))
+            assert leibniz_obstruction(D, head, b, c) == split
+
+
+def _reference_monomials(chart, deg):
+    """The enumeration monomials_upto has always had, as a literal loop:
+    by total degree, then even exponents, then odd indices."""
+    out = []
+    n_odd = len(chart.odd)
+    for total in range(1, deg + 1):
+        for e in itertools.product(range(total + 1), repeat=len(chart.even)):
+            for r in range(n_odd + 1):
+                for o in itertools.combinations(range(n_odd), r):
+                    if sum(e) + r == total:
+                        out.append(GradedPoly(chart, {(e, o): 1}))
+    return out
+
+
+@pytest.mark.parametrize("chart", CHARTS, ids=str)
+def test_monomials_upto_order_is_pinned(chart):
+    """The benchmark digests depend on this order; they reach degree 2 on
+    the bench charts only."""
+    for d in range(5):
+        got = monomials_upto(chart, d)
+        assert [m.terms for m in got] == [m.terms for m in _reference_monomials(chart, d)]
 
 
 # ---------------------------------------------------------------------------

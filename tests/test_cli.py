@@ -437,6 +437,11 @@ _REFUSALS = [
      "error: line 1:5: unexpected character '\\xa0'"),
     ("MOD", ["derived", "--op", "Delta", "--args", "\u00a0"], 2,
      "error: line 1:1: unexpected character '\\xa0'"),
+    # inhomogeneous generators met after their arguments pass: exit 3
+    ("MOD", ["jacobiator", "--op", "Mixed", "--n", "1", "--args", "x"], 3,
+     "domain error: bracket generator must be homogeneous"),
+    (HDR + "operator P on C = W*d(x) + d(xi);", ["bracket", "--op", "P", "--args", "x, xi"], 3,
+     "domain error: pencil must be homogeneous"),
 ]
 
 

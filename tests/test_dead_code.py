@@ -2,6 +2,7 @@
 the engine is referenced in src/ outside its own definition."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -77,3 +78,55 @@ def test_private_options_are_passed():
                            for call, attr in calls.get(d.name, [])):
                     unused.append(f"{d.name}({arg}=)")
     assert unused == []
+
+
+# Modules that own the key layout (even exponents, odd indices) and the one
+# reader outside them, the matrix oracle's bridge from keys to its basis.
+LAYOUT_OWNERS = ("gralg.py", "diffop.py")
+LAYOUT_EXEMPT = ("matrix_of",)
+
+
+def _is_call(node: ast.AST, name: str) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+
+def _key_pattern(node: ast.AST) -> str | None:
+    """What node does with the key layout, or None: builds the unit key
+    (0,) * len(...), takes a key degree sum(...) + len(...), or unpacks a
+    key into its even exponents e and odd indices o as a target."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) \
+            and isinstance(node.left, ast.Tuple) and _is_call(node.right, "len") \
+            and [getattr(x, "value", None) for x in node.left.elts] == [0]:
+        return "unit key"
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) \
+            and _is_call(node.left, "sum") and _is_call(node.right, "len"):
+        return "key degree"
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, (ast.For, ast.comprehension)) else [])
+    for t in (s for t in targets for s in ast.walk(t)):
+        if isinstance(t, ast.Tuple) and len(t.elts) == 2 \
+                and all(isinstance(x, ast.Name) for x in t.elts) \
+                and re.fullmatch(r"_|e\d*", t.elts[0].id) and t.elts[1].id.startswith("o"):
+            return "key unpacked"
+    return None
+
+
+def test_only_the_kernel_reads_the_key_layout():
+    """Outside gralg and diffop no engine code builds or takes apart a key
+    inline; it reads keys through gralg's helpers (_unit, _deg, _keys_upto,
+    _key_powers), so a change of layout touches the kernel alone."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in LAYOUT_OWNERS:
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        exempt = {id(n) for d in ast.walk(tree)
+                  if isinstance(d, ast.FunctionDef) and d.name in LAYOUT_EXEMPT
+                  for n in ast.walk(d)}
+        scopes = {id(n): d.name for d in ast.walk(tree) if isinstance(d, ast.FunctionDef)
+                  for n in ast.walk(d)}
+        found += [f"{path.name}:{(n.target if isinstance(n, ast.comprehension) else n).lineno}"
+                  f" {scopes.get(id(n), '<module>')}: {what}"
+                  for n in ast.walk(tree)
+                  if id(n) not in exempt and (what := _key_pattern(n))]
+    assert found == [], "\n".join(sorted(found))

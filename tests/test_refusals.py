@@ -1,0 +1,112 @@
+"""Library refusals: one row per precondition of a public call that no
+command-line path reaches.  Each row is (call, exception type, message)."""
+
+import pytest
+
+from superdelta import (
+    ChartMismatch,
+    DensityElement,
+    DiffOp,
+    DomainError,
+    GradedPoly,
+    ParityError,
+)
+from superdelta.brackets import (
+    LieSuperAlgebraInstance,
+    matrix_of,
+    matrix_oracle_instance,
+)
+from superdelta.diffop import ad_mult, commutator, compose, conjugate_by_exp
+from superdelta.dsl import render
+from superdelta.geom import (
+    BracketDataError,
+    VBracketData,
+    cotangent_chart,
+    modular_vf,
+    principal_matrix,
+    subprincipal,
+    tstar_bracket,
+)
+from superdelta.gralg import berezin_integral, residue_pair, substitute
+
+from conftest import R02, R11, R12, R22
+
+
+def _v(chart, name):
+    return GradedPoly.var(chart, name)
+
+
+def _d(chart, name):
+    return DiffOp.deriv(chart, name)
+
+
+ONE11, ONE12 = GradedPoly.one(R11), GradedPoly.one(R12)
+ID11, ID12 = DiffOp.identity(R11), DiffOp.identity(R12)
+
+
+_REFUSALS = [
+    # brackets: the abstract instances and the matrix oracle
+    (lambda: LieSuperAlgebraInstance(
+        bracket=lambda x, y: 0, project=lambda x: 2 * x, sub=lambda x, y: x - y,
+        is_zero=lambda x: x == 0, span=(1,)),
+     ValueError, "instance: projector is not idempotent"),
+    # P(a, b) = (a, 0) and [(a, b), (c, d)] = (bd, 0): im P is abelian, and
+    # [ker P, ker P] is not in ker P
+    (lambda: LieSuperAlgebraInstance(
+        bracket=lambda x, y: (x[1] * y[1], 0), project=lambda x: (x[0], 0),
+        sub=lambda x, y: (x[0] - y[0], x[1] - y[1]), is_zero=lambda x: x == (0, 0),
+        span=((0, 1),)),
+     ValueError, "instance: kernel of P is not a subalgebra"),
+    (lambda: matrix_oracle_instance(R02).bracket(
+        matrix_of(DiffOp.identity(R02) + _d(R02, "xi1")), matrix_of(DiffOp.identity(R02))),
+     ParityError, "graded matrix commutator needs homogeneous factors"),
+    (lambda: matrix_of(ID11), ValueError, "matrix oracle requires a purely odd chart"),
+    (lambda: matrix_oracle_instance(R11), ValueError,
+     "matrix oracle requires a purely odd chart"),
+    # diffop: operands on different charts, conjugation preconditions
+    (lambda: ID11 + ID12, ChartMismatch, "operators on different charts"),
+    (lambda: ID11.apply(ONE12), ChartMismatch, "operand on wrong chart"),
+    (lambda: compose(ID11, ID12), ChartMismatch, "operators on different charts"),
+    (lambda: commutator(ID11, ID12), ChartMismatch, "operators on different charts"),
+    (lambda: ad_mult(ID11, ONE12), ChartMismatch,
+     "operator and polynomial on different charts"),
+    (lambda: conjugate_by_exp(_d(R11, "x"), _v(R11, "xi")), ParityError,
+     "conjugation exponent must be even"),
+    (lambda: conjugate_by_exp(_d(R11, "x"), _v(R11, "x"), sign=2), ValueError,
+     "sign must be +1 or -1"),
+    # geom: bracket data, symbols, divergence constructions
+    (lambda: VBracketData(R11, 1, {("x", "xi"): ONE12}, {}, GradedPoly.zero(R11)),
+     ChartMismatch, "S entry on wrong chart"),
+    (lambda: principal_matrix(_d(R11, "x") ** 3), DomainError,
+     "principal symbol defined for order <= 2 only"),
+    (lambda: principal_matrix(_d(R11, "x") + _d(R11, "xi")), ParityError,
+     "bracket generator must be homogeneous"),
+    (lambda: subprincipal(DiffOp.mult(_v(R11, "x"))), DomainError,
+     "operator must be normalized: D1 = 0"),
+    (lambda: subprincipal(_d(R11, "x") + _d(R11, "xi")), ParityError,
+     "operator must be homogeneous"),
+    (lambda: modular_vf({("x", "y"): GradedPoly.one(R22)}, R22, GradedPoly.zero(R22)),
+     BracketDataError, "P must be graded antisymmetric"),
+    (lambda: tstar_bracket(GradedPoly.one(cotangent_chart(R11)),
+                           GradedPoly.one(cotangent_chart(R12))),
+     ChartMismatch, "symbols on different cotangent charts"),
+    # gralg: charts, substitution, densities, the Berezin integral
+    (lambda: R11.parity("nope"), KeyError, "unknown variable 'nope'"),
+    (lambda: substitute(_v(R11, "x"), {"x": _v(R11, "x"), "xi": _v(R12, "xi1")}),
+     ChartMismatch, "substitution images on mixed charts"),
+    (lambda: DensityElement(R11, {0: ONE12}), ChartMismatch, "component on wrong chart"),
+    (lambda: residue_pair(DensityElement.from_poly(ONE11), DensityElement.from_poly(ONE12)),
+     ChartMismatch, "pairing across charts"),
+    (lambda: berezin_integral(ONE11), DomainError,
+     "Berezin integral requires a purely odd chart"),
+    # dsl: a value with no canonical text
+    (lambda: render(object()), TypeError, "no canonical rendering for object"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", _REFUSALS,
+                         ids=[message for *_, message in _REFUSALS])
+def test_library_refusal_table(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert (type(info.value), info.value.args) == (exc, (message,))
