@@ -164,7 +164,8 @@ def leibniz_obstruction(
     top nonvanishing arity obstruction; cross-checked against
     higher_bracket in the test suite."""
     chart = Delta.chart
-    pD = Delta.parity()
+    if (pD := Delta.parity()) is None:
+        raise ParityError("bracket generator must be homogeneous")
     out = GradedPoly.zero(chart)
     for *split, (pb, bh) in itertools.product(*(a.homogeneous_parts() for a in (*args, b))):
         tup = [p for _, p in split]

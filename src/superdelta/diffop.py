@@ -13,11 +13,13 @@ applied innermost-first, all derivatives being LEFT derivatives.
 Products are normal-ordered in one pass by the graded multi-index Leibniz
 rule
     d^I o c = sum_{K <= I} +-binom(I, K) (d^K c) d^{I-K},
-where an odd derivative that passes a homogeneous coefficient g, instead
-of differentiating it, contributes the Koszul sign (-1)^{|g|}, and even
-derivatives contribute no sign.  The commutator [D, a.] with a
-multiplication operator is the same sum without its K = 0 term
-(ad_mult).
+taken one monomial x^m of c at a time (_leibniz): d^K x^m is an integer,
+falling factorials of the even exponents times a sign, times x^{m-K}.  An
+odd derivative that passes x^m instead of hitting it contributes the
+Koszul sign (-1)^{|m|}; even derivatives contribute no sign.  The terms
+are summed per output key before a left coefficient multiplies them.  The
+commutator [D, a.] with a multiplication operator is the same sum without
+its K = 0 term (ad_mult).
 The K = 0 terms of D o D sum to sigma(D)^2 for the total symbol
 sigma(c d^I) = c p^I in the supercommutative symbol algebra; for odd D it
 is the square of an odd element, 0, and compose may leave them out.
@@ -26,7 +28,7 @@ is the square of an odd element, 0, and compose may leave them out.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 from typing import Callable, Mapping
 
 from .gralg import (
@@ -40,13 +42,13 @@ from .gralg import (
     ParityError,
     _ONE,
     _deg,
+    _derive,
     _key,
     _keys_upto,
     _mul_keys,
     _parity,
     _power,
     _unit,
-    partial,
 )
 
 # coefficient of one derivative key: map  W-power -> GradedPoly
@@ -56,8 +58,6 @@ WPoly = dict[int, GradedPoly]
 def _at_weight(chart: Chart, wp: Mapping[int, GradedPoly], w: Fraction) -> GradedPoly:
     """The coefficient sum_k c_k w^k of one derivative key at W = w; w^k is a
     plain product, as Fraction.__pow__ dispatches through ABCMeta."""
-    if not w:
-        return wp[0] if 0 in wp else GradedPoly.zero(chart)
     return GradedPoly._sum(chart, (c * _power(w, k, Fraction(1)) if k else c
                                    for k, c in wp.items()))
 
@@ -76,6 +76,13 @@ class DiffOp:
             if wp:
                 clean[key] = wp
         self.terms = clean
+
+    @staticmethod
+    def _of(chart: Chart, terms: dict[Key, WPoly]) -> "DiffOp":
+        """Trusted constructor, as GradedPoly._of: no zero or empty entries."""
+        D = object.__new__(DiffOp)
+        D.chart, D.terms = chart, terms
+        return D
 
     # -- constructors ------------------------------------------------------
 
@@ -221,19 +228,6 @@ class DiffOp:
 
     # -- action ------------------------------------------------------------
 
-    def _apply_derivs(self, key: Key, p: GradedPoly) -> GradedPoly:
-        e, o = key
-        for i in reversed(o):
-            p = partial(self.chart.odd[i], p)
-            if p.is_zero():
-                return p
-        for i, n in enumerate(e):
-            for _ in range(n):
-                p = partial(self.chart.even[i], p)
-                if p.is_zero():
-                    return p
-        return p
-
     def apply(self, psi):
         """Apply to a DensityElement, or to a GradedPoly at weight 0."""
         if psi.chart != self.chart:
@@ -241,12 +235,10 @@ class DiffOp:
         poly = isinstance(psi, GradedPoly)
         out = {}
         for w, comp in ({0: psi} if poly else psi.parts).items():
-            products = []
-            for key, wp in self.terms.items():
-                d = self._apply_derivs(key, comp)
-                if not d.is_zero() and not (c := _at_weight(self.chart, wp, w)).is_zero():
-                    products.append(c * d)
-            out[w] = GradedPoly._sum(self.chart, products)
+            # sum c d^key(comp); at w = 0 c is wp[0], nonzero if present
+            out[w] = GradedPoly._sum(self.chart, [
+                c * d for key, wp in self.terms.items() if (d := _derive(key, comp)).terms
+                and (c := _at_weight(self.chart, wp, w) if w else wp.get(0)) and c.terms])
         return out[0] if poly else DensityElement(self.chart, out)
 
     def apply_poly(self, p: GradedPoly) -> GradedPoly:
@@ -259,52 +251,41 @@ def _on_one(D: DiffOp) -> GradedPoly:
     return D.terms.get(_unit(D.chart), {}).get(0, GradedPoly.zero(D.chart))
 
 
-def _leibniz(chart: Chart, key: Key, f: GradedPoly, hits=None,
-             free=True) -> list[tuple[Key, GradedPoly]]:
-    """The normal-ordered expansion  d^key o (f.) = sum g . d^rest,  as
-    (rest, g) pairs, by the graded multi-index Leibniz rule.
-
-    Innermost first, each odd derivative d_i either hits the current
-    coefficient g (a left partial derivative) or passes it at the Koszul
-    sign (-1)^{|g|}; g is split into homogeneous parts for this.  Every
-    index already passed is larger than i, so prepending i keeps the odd
-    index tuple ascending.  The even derivatives then expand without signs,
-    d_x^n o g = sum_k binom(n, k) (d_x^k g) d_x^{n-k}.  The pair with
-    rest = key is the term where no derivative hits f; free=False leaves it
-    out.  With ``hits`` given, a branch whose derivatives hit f that often
-    only passes on."""
+def _leibniz(key: Key, mono: Key, hits=None, free=True) -> list[tuple[Key, Key, int]]:
+    """d^key o (x^mono .) = sum n x^m d^rest, normal-ordered by the graded
+    Leibniz rule, as (rest, m, n) triples with integer n.  Innermost first,
+    each odd derivative d_i either hits the monomial, at (-1)^pos for the
+    position pos of i among its odd indices, or passes it at the Koszul
+    sign (-1)^{|m|}, |m| the number of odd indices it has left.  Every index
+    already passed is larger than i, so prepending i keeps the odd index
+    tuple ascending.  The even derivatives then expand without signs: k of
+    the n derivatives d_x hit x^a at binom(n, k) a!/(a-k)!.  The triple
+    with rest = key is the term where no derivative hits; free=False leaves
+    it out.  With ``hits`` given, a branch that has hit that often only
+    passes on."""
     e, o = key
-    h0 = h = _deg(key) if hits is None else hits
-    # (odd indices passed, coefficient, its parity, integer factor, hits left)
-    odd_terms = [((), g, par, 1, h) for par, g in f.homogeneous_parts()]
+    me, mo = mono
+    h0 = _deg(key) if hits is None else hits
+    # (odd indices passed, the monomial's odd indices left, factor, hits left)
+    terms = [((), mo, 1, h0)]
     for i in reversed(o):
-        name = chart.odd[i]
         nxt = []
-        for rest, g, par, c, h in odd_terms:
-            if h:
-                dg = partial(name, g)
-                if not dg.is_zero():
-                    nxt.append((rest, dg, 1 - par, c, h - 1))
-            nxt.append(((i,) + rest, g, par, -c if par else c, h))
-        odd_terms = nxt
-    # (even exponents left, odd indices passed, coefficient, factor, hits left)
-    terms = [(e, rest, g, c, h) for rest, g, _, c, h in odd_terms]
-    for j, n in enumerate(e):
-        if not n:
-            continue
-        name = chart.even[j]
-        nxt = []
-        for er, rest, g, c, h in terms:
-            for k in range(min(n, h) + 1):
-                if k:
-                    g = partial(name, g)
-                    if g.is_zero():
-                        break
-                er2 = er[:j] + (n - k,) + er[j + 1 :]
-                nxt.append((er2, rest, g, c * comb(n, k), h - k))
+        for rest, m, n, h in terms:
+            if h and i in m:
+                pos = m.index(i)
+                nxt.append((rest, m[:pos] + m[pos + 1:], -n if pos & 1 else n, h - 1))
+            nxt.append(((i,) + rest, m, -n if len(m) & 1 else n, h))
         terms = nxt
-    return [((er, rest), g if c == 1 else g * c) for er, rest, g, c, h in terms
-            if free or h != h0]
+    if not any(e) or not any(me):  # no even derivative hits
+        return [((e, rest), (me, m), n) for rest, m, n, h in terms if free or h != h0]
+    # and the even exponents left, the monomial's
+    terms = [(e, me, rest, m, n, h) for rest, m, n, h in terms]
+    for j, n in enumerate(e):
+        if n and (a := me[j]):
+            terms = [(er[:j] + (n - k,) + er[j + 1:], em[:j] + (a - k,) + em[j + 1:], rest, m,
+                      c * comb(n, k) * perm(a, k), h - k)
+                     for er, em, rest, m, c, h in terms for k in range(min(n, a, h) + 1)]
+    return [((er, rest), (em, m), c) for er, em, rest, m, c, h in terms if free or h != h0]
 
 
 # accumulated coefficient sums: key -> W-power -> monomial -> rational
@@ -320,53 +301,67 @@ def _add_into(sums: _Sums, key: Key, wpow: int, p: GradedPoly, factor: int = 1):
 
 
 def _from_sums(chart: Chart, sums: _Sums) -> DiffOp:
-    return DiffOp(chart, {
-        key: {w: GradedPoly._of(chart, {m: c for m, c in t.items() if c})
-              for w, t in wp.items()}
-        for key, wp in sums.items()
-    })
+    terms = {}
+    for key, wp in sums.items():
+        if wp := {w: GradedPoly._of(chart, nz) for w, t in wp.items()
+                  if (nz := t if all(t.values()) else {m: c for m, c in t.items() if c})}:
+            terms[key] = wp
+    return DiffOp._of(chart, terms)
 
 
-def _add_leibniz(sums: _Sums, chart: Chart, I: Key, f: GradedPoly, J: Key,
-                 left: WPoly | None = None, wshift: int = 0, hits=None, free=True):
-    """Add  left d^I o (W^wshift f d^J)  to sums (left None stands for 1).
-    By the graded Leibniz rule d^I o f = sum g d^rest (at most ``hits``
-    derivatives hitting f, and one at least unless ``free``); then d^rest d^J
-    is one key by _mul_keys, or 0 if their odd indices overlap.  W is
-    central: its powers add."""
-    for rest, g in _leibniz(chart, I, f, hits, free):
-        if not (k := _mul_keys(rest, J)):
-            continue
-        key, sign = k
-        if left is None:
-            _add_into(sums, key, wshift, g, sign)
-            continue
-        for wc, c in left.items():
-            _add_into(sums, key, wc + wshift, c * g, sign)
+def _add_leibniz(sums: _Sums, chart: Chart, I: Key, right, left: WPoly | None = None,
+                 free=True):
+    """Add  left d^I o R  to sums (left None stands for 1), R the sum of
+    W^w f d^J over the (J, {w: f}, hits) of ``right``.  Each monomial of f
+    gives (rest, m, n) triples (_leibniz, with at most ``hits`` hits, and
+    one at least unless ``free``); d^rest d^J is one key by _mul_keys, or 0
+    if their odd indices overlap.  The terms are summed per key and W-power
+    before one product with each coefficient of left.  W is central."""
+    acc_sums = sums if left is None else {}
+    for J, wp, hits in right:
+        for w, f in wp.items():
+            accs: dict = {}  # rest -> (term map of d^rest d^J at W^w, sign), or None
+            for m0, c0 in f.terms.items():
+                for rest, m, n in _leibniz(I, m0, hits, free):
+                    if (a := accs.get(rest, False)) is False:
+                        k = _mul_keys(rest, J)
+                        a = accs[rest] = k and (acc_sums.setdefault(k[0], {}).setdefault(w, {}),
+                                                k[1])
+                    if not a:
+                        continue
+                    acc, n = a[0], n * a[1]
+                    c = c0 if n == 1 else -c0 if n == -1 else c0 * n
+                    acc[m] = acc[m] + c if m in acc else c
+    if left is None:
+        return
+    for key, wt in acc_sums.items():
+        for w, t in wt.items():
+            if t := t if all(t.values()) else {m: c for m, c in t.items() if c}:
+                g = GradedPoly._of(chart, t)
+                for wc, c in left.items():
+                    _add_into(sums, key, wc + w, c * g)
 
 
 def compose(D: DiffOp, E: DiffOp, *, floor: int = 0, odd_square: bool = False) -> DiffOp:
     """Normal-ordered composition: apply(compose(D, E), psi) =
-    apply(D, apply(E, psi)), summing  c d^I o (f d^J)  over every pair of
-    terms by _add_leibniz.  Only the terms of order >= floor are formed: a
-    term where h derivatives hit f has order |I| + |J| - h, so each pair
-    is expanded with at most |I| + |J| - floor hits.  odd_square=True
-    says D is odd (unchecked) and E is D: the terms no derivative hits sum
-    to sigma(D)^2 = 0 (module docstring) and are left out."""
+    apply(D, apply(E, psi)), summing  c d^I o (f d^J)  by _add_leibniz, all
+    of E at once for each term of D.  Only the terms of order >= floor are
+    formed: a term where h derivatives hit f has order |I| + |J| - h, so
+    each pair is expanded with at most |I| + |J| - floor hits.
+    odd_square=True says D is odd (unchecked) and E is D: the terms no
+    derivative hits sum to sigma(D)^2 = 0 (module docstring) and are left
+    out."""
     if D.chart != E.chart:
         raise ChartMismatch("operators on different charts")
     if odd_square and E is not D:
         raise ValueError("odd_square composes an operator with itself")
     chart = D.chart
     sums: _Sums = {}
+    right = [(J, wpE, _deg(J) - floor) for J, wpE in E.terms.items()]
     for I, wpD in D.terms.items():
-        hits_I = _deg(I) - floor
-        for J, wpE in E.terms.items():
-            hits = hits_I + _deg(J)
-            if hits < odd_square:
-                continue
-            for wf, f in wpE.items():
-                _add_leibniz(sums, chart, I, f, J, wpD, wf, hits=hits, free=not odd_square)
+        d = _deg(I)
+        _add_leibniz(sums, chart, I, [(J, wpE, h + d) for J, wpE, h in right
+                                      if h + d >= odd_square], wpD, free=not odd_square)
     return _from_sums(chart, sums)
 
 
@@ -394,12 +389,9 @@ def ad_mult(D: DiffOp, a: GradedPoly) -> DiffOp:
     is split by linearity, as in commutator."""
     if D.chart != a.chart:
         raise ChartMismatch("operator and polynomial on different charts")
-    chart = D.chart
-    sums: _Sums = {}
+    chart, sums, right = D.chart, {}, [(_unit(D.chart), {0: a}, None)]
     for I, wp in D.terms.items():
-        for rest, g in _leibniz(chart, I, a, free=False):
-            for w, c in wp.items():
-                _add_into(sums, rest, w, c * g)
+        _add_leibniz(sums, chart, I, right, wp, free=False)
     return _from_sums(chart, sums)
 
 
@@ -438,12 +430,7 @@ def _exp_ad(D: DiffOp, u: GradedPoly, wpow: int = 0) -> DiffOp:
 def specialize(P: DiffOp, w0) -> DiffOp:
     """Substitute W := w0 in all coefficients."""
     w0 = w0 if type(w0) is Fraction else Fraction(w0)
-    terms: dict[Key, WPoly] = {}
-    for key, wp in P.terms.items():
-        acc = _at_weight(P.chart, wp, w0)
-        if not acc.is_zero():
-            terms[key] = {0: acc}
-    return DiffOp(P.chart, terms)
+    return DiffOp(P.chart, {key: {0: _at_weight(P.chart, wp, w0)} for key, wp in P.terms.items()})
 
 
 def formal_adjoint(D: DiffOp) -> DiffOp:
@@ -460,16 +447,19 @@ def formal_adjoint(D: DiffOp) -> DiffOp:
     for key, wp in D.terms.items():
         ko, nder = len(key[1]), _deg(key)
         for wpow, c in wp.items():
-            for cp, cpart in c.homogeneous_parts():
-                # (c W^wpow d^I)* = (1-W)^wpow d(o_k) o ... o d(o_1) o
-                # d_even^e o c, signed by (-1)^nder and by the reversal of the
-                # factor list [c, d, ..., d], whose odd-odd swaps give
-                # (-1)^{cp ko + ko(ko-1)/2}; reversing the odd derivatives
-                # back to d^I gives (-1)^{ko(ko-1)/2} again, which cancels.
-                sgn = (-1) ** (cp * ko + nder)
-                for rest, g in _leibniz(chart, key, cpart):
-                    for j in range(wpow + 1):
-                        _add_into(sums, rest, j, g, sgn * (-1) ** j * comb(wpow, j))
+            # (1-W)^wpow = sum_j (-1)^j binom(wpow, j) W^j
+            ws = [(j, (-1) ** (nder + j) * comb(wpow, j)) for j in range(wpow + 1)]
+            for m0, c0 in c.terms.items():
+                # (c W^wpow d^I)* = (1-W)^wpow d(o_k) o ... o d(o_1) o d_even^e
+                # o c, signed by (-1)^nder and, for a monomial c of parity cp,
+                # by the reversal of [c, d, ..., d], whose odd-odd swaps give
+                # (-1)^{cp ko + ko(ko-1)/2}; reversing the odd derivatives back
+                # to d^I gives (-1)^{ko(ko-1)/2} again, which cancels.
+                s = -1 if len(m0[1]) * ko & 1 else 1
+                for rest, m, n in _leibniz(key, m0):
+                    for j, b in ws:
+                        acc, v = sums.setdefault(rest, {}).setdefault(j, {}), c0 * (s * n * b)
+                        acc[m] = acc[m] + v if m in acc else v
     return _from_sums(chart, sums)
 
 
@@ -486,7 +476,6 @@ def op_from_action(chart: Chart, action: Callable[[GradedPoly], GradedPoly],
         if val.is_zero():
             continue
         # d^key applied to its own monomial is +-prod e_i!, never 0
-        probe = DiffOp(chart, {key: {0: GradedPoly.one(chart)}})
-        c = val * (_ONE / probe.apply_poly(m).constant_term())
+        c = val * (_ONE / _derive(key, m).constant_term())
         result = result + DiffOp(chart, {key: {0: c}})
     return result

@@ -296,14 +296,13 @@ def _div_form(chart: Chart, S: SMatrix, g: GradedPoly, h: GradedPoly,
     Sh = _contract(chart, S, {b: partial(b, h) for b in chart.names}) if h.terms else {}
     sums: _Sums = {}
     for a in chart.names:
-        da_g = partial(a, g)
-        T = [(s, keys[b]) for b in chart.names if (s := S.get((a, b))) is not None]
+        T = [(keys[b], {0: s}, None) for b in chart.names if (s := S.get((a, b))) is not None]
         if Sh and Sh[a].terms:
-            T.append((Sh[a], zero))
-        for s, k in T:
-            if da_g.terms:
-                _add_into(sums, k, 0, da_g * s)
-            _add_leibniz(sums, chart, keys[a], s, k)
+            T.append((zero, {0: Sh[a]}, None))
+        if (da_g := partial(a, g)).terms:
+            for k, s, _ in T:
+                _add_into(sums, k, 0, da_g * s[0])
+        _add_leibniz(sums, chart, keys[a], T)
     return _from_sums(chart, sums)
 
 
@@ -776,7 +775,8 @@ def transform_op(D: DiffOp, cmap: CoordMap) -> DiffOp:
     chart = D.chart
     push = cmap.push
     J = cmap.jacobian()
-    fields = {a: [(_key(chart, b)[0], c) for b in chart.names
+    # the field of d_a, as _add_leibniz's right-hand sum
+    fields = {a: [(_key(chart, b)[0], {0: c}, None) for b in chart.names
                   if not (c := push(J[(b, a)])).is_zero()] for a in chart.names}
     sums: _Sums = {}
     for I, wp in D.terms.items():
@@ -785,8 +785,7 @@ def transform_op(D: DiffOp, cmap: CoordMap) -> DiffOp:
         for name in _key_names(chart, I):
             step: _Sums = {}
             for K, g in F.items():
-                for kb, c in fields[name]:
-                    _add_leibniz(step, chart, K, c, kb, g)
+                _add_leibniz(step, chart, K, fields[name], g)
             F = _from_sums(chart, step).terms
         for k, c in wp.items():
             c = push(c)

@@ -22,14 +22,17 @@ it inside the package; other modules go through the key helpers: ``_key``
 (the key of a product), ``_unit`` (the key of 1), ``_deg`` (its degree),
 ``_keys_upto`` (every key up to a degree), ``_key_powers`` and
 ``_key_names`` (its factors), ``_odd_degree_part`` and ``_embed`` (a
-polynomial on a chart whose blocks begin with its own).
+polynomial on a chart whose blocks begin with its own).  ``_derive`` takes
+d^key of each monomial in one step; ``partial``, its one-variable case,
+serves ``geom`` and the API, and ``diffop`` calls ``_derive``, never it.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from operator import add as _add, mul as _mul
+from math import perm, prod
+from operator import add as _add, mul as _mul, sub
 from typing import Mapping, NamedTuple
 
 EVEN = 0
@@ -166,17 +169,17 @@ def _parity(parities: set) -> int | None:
 
 def _power(x, n: int, one, mul=_mul):
     """x^n by repeated squaring, for any associative product ``mul`` with
-    unit ``one``; about 2 log2(n) products instead of n."""
+    unit ``one``: about 2 log2(n) products, and none for x^1, which is x."""
     if n < 0:
         raise ValueError("negative power")
-    out = one
+    out = None
     while n:
         if n & 1:
-            out = mul(out, x)
+            out = x if out is None else mul(out, x)
         n >>= 1
         if n:
             x = mul(x, x)
-    return out
+    return one if out is None else out
 
 
 class GradedPoly:
@@ -342,25 +345,33 @@ def _embed(p: GradedPoly, chart: Chart) -> GradedPoly:
     return GradedPoly._of(chart, {(e + pad, o): c for (e, o), c in p.terms.items()})
 
 
+def _derive(key: Key, p: GradedPoly) -> GradedPoly:
+    """d^key p, each monomial in one step: d^key x^m is 0 unless m holds
+    key, and otherwise x^{m-key} times the falling factorials a!/(a-n)! of
+    its even exponents and (-1)^pos for each odd index i of key, pos the
+    number of odd indices of m below i, as the innermost derivative (of the
+    largest index) acts first.  The key map is injective on the terms it
+    keeps, so no two terms merge and no coefficient becomes 0."""
+    e, o = key
+    de, terms = any(e), {}
+    for (me, m), c in p.terms.items():
+        n = prod(map(perm, me, e)) if de else 1
+        for i in reversed(o):
+            if i not in m:
+                n = 0
+                break
+            pos = m.index(i)
+            m, n = m[:pos] + m[pos + 1:], -n if pos & 1 else n
+        if n:
+            terms[(tuple(map(sub, me, e)) if de else me, m)] = \
+                c if n == 1 else -c if n == -1 else c * n
+    return GradedPoly._of(p.chart, terms)
+
+
 def partial(name: str, p: GradedPoly) -> GradedPoly:
     """Left partial derivative by the named variable: a graded derivation
-    with partial(a, x^b) = delta_a^b.  The key map is injective on the terms
-    it keeps, so no two terms merge and no coefficient becomes 0."""
-    chart = p.chart
-    terms: dict[Key, Fraction] = {}
-    if chart.parity(name) == EVEN:
-        i = chart.even.index(name)
-        for (e, o), c in p.terms.items():
-            n = e[i]
-            if n:
-                terms[(e[:i] + (n - 1,) + e[i + 1:], o)] = c * n if n > 1 else c
-    else:
-        i = chart.odd.index(name)
-        for (e, o), c in p.terms.items():
-            if i in o:
-                pos = o.index(i)
-                terms[(e, o[:pos] + o[pos + 1:])] = -c if pos % 2 else c
-    return GradedPoly._of(chart, terms)
+    with partial(a, x^b) = delta_a^b."""
+    return _derive(_key(p.chart, name)[0], p)
 
 
 def substitute(p: GradedPoly, images: Mapping[str, GradedPoly],

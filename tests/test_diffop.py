@@ -21,6 +21,9 @@ from superdelta import (
     op_from_action,
     specialize,
 )
+from superdelta import gralg
+from superdelta.diffop import _leibniz
+from superdelta.gralg import _deg, _keys_upto, _mul_keys
 
 from conftest import CHARTS, R11, R12, R22, R02, R03, rand_op, rand_poly
 
@@ -318,3 +321,131 @@ def test_polynomial_defers_to_richer_operands(rng):
         for n in range(5):
             assert psi ** n == prod
             prod = prod * psi
+
+
+# ---------------------------------------------------------------------------
+# the Leibniz kernel, one monomial at a time
+
+
+def _partial_reference(name, p):
+    """The left partial derivative by one variable, term by term: x_i^n
+    gives n x_i^{n-1}, and an odd xi_i at position pos among the odd
+    factors of a term gives (-1)^pos.  Kept apart from gralg, which takes
+    it as a case of d^key of a monomial."""
+    chart, terms = p.chart, {}
+    for (e, o), c in p.terms.items():
+        if name in chart.even:
+            i = chart.even.index(name)
+            if e[i]:
+                terms[(e[:i] + (e[i] - 1,) + e[i + 1:], o)] = c * e[i]
+        elif (i := chart.odd.index(name)) in o:
+            pos = o.index(i)
+            terms[(e, o[:pos] + o[pos + 1:])] = -c if pos % 2 else c
+    return GradedPoly(chart, terms)
+
+
+def _leibniz_reference(chart, key, f, hits=None, free=True):
+    """d^key o (f.) = sum g d^rest as (rest, g) pairs, one derivative at a
+    time on whole polynomials by _partial_reference: innermost first, each
+    odd derivative hits a homogeneous part of f or passes it at the Koszul
+    sign (-1)^{|g|}, then the even ones expand with binomials.  The
+    engine's former kernel, an independent reference for the one-step one."""
+    e, o = key
+    h0 = h = _deg(key) if hits is None else hits
+    odd_terms = [((), g, par, 1, h) for par, g in f.homogeneous_parts()]
+    for i in reversed(o):
+        nxt = []
+        for rest, g, par, c, h in odd_terms:
+            if h and not (dg := _partial_reference(chart.odd[i], g)).is_zero():
+                nxt.append((rest, dg, 1 - par, c, h - 1))
+            nxt.append(((i,) + rest, g, par, -c if par else c, h))
+        odd_terms = nxt
+    terms = [(e, rest, g, c, h) for rest, g, _, c, h in odd_terms]
+    for j, n in enumerate(e):
+        nxt = []
+        for er, rest, g, c, h in terms:
+            for k in range(min(n, h) + 1):
+                if k and (g := _partial_reference(chart.even[j], g)).is_zero():
+                    break
+                nxt.append((er[:j] + (n - k,) + er[j + 1:], rest, g, c * math.comb(n, k), h - k))
+        terms = nxt
+    return [((er, rest), g * c) for er, rest, g, c, h in terms if free or h != h0]
+
+
+def _per_rest(pairs):
+    """rest -> the nonzero sum of the polynomials paired with it."""
+    out = {}
+    for rest, g in pairs:
+        out[rest] = out[rest] + g if rest in out else g
+    return {rest: g for rest, g in out.items() if not g.is_zero()}
+
+
+def test_monomial_leibniz_matches_the_partial_reference():
+    """The (rest, m, n) triples of every monomial of f, summed per rest
+    key, equal the partial-based expansion of f: seeded keys of degree <= 4
+    and polynomials on all five charts, with at most None (all), 0 or 1
+    hits, the free branch kept and left out."""
+    rng = random.Random("leibniz kernel")
+    for chart in CHARTS:
+        keys = _keys_upto(chart, 4)
+        for _ in range(25):
+            key, f = rng.choice(keys), rand_poly(rng, chart, 4, nterms=6)
+            for hits, free in itertools.product((None, 0, 1), (True, False)):
+                got = [(rest, GradedPoly(chart, {m: c * n}))
+                       for m0, c in f.terms.items()
+                       for rest, m, n in _leibniz(key, m0, hits, free)]
+                want = _leibniz_reference(chart, key, f, hits, free)
+                assert _per_rest(got) == _per_rest(want)
+
+
+def test_one_step_apply_matches_repeated_partials():
+    """d^key of a monomial in one step equals |key| partial derivatives
+    (_partial_reference), innermost (the last odd index) first: seeded keys
+    and monomials of degree <= 4 on all five charts, half of the monomials
+    multiples of the key."""
+    rng = random.Random("apply kernel")
+    hit = 0
+    for chart in CHARTS:
+        keys = _keys_upto(chart, 4)
+        for i in range(60):
+            key, mono = rng.choice(keys), rng.choice(keys)
+            if i % 2 and (k := _mul_keys(key, mono)):
+                mono = k[0]
+            m = GradedPoly(chart, {mono: Fraction(rng.randint(1, 9), rng.randint(1, 4))})
+            want = m
+            for j in reversed(key[1]):
+                want = _partial_reference(chart.odd[j], want)
+            for name, n in zip(chart.even, key[0]):
+                for _ in range(n):
+                    want = _partial_reference(name, want)
+            assert DiffOp(chart, {key: {0: GradedPoly.one(chart)}}).apply_poly(m) == want
+            hit += not want.is_zero()
+    assert hit >= 100
+
+
+def test_operator_algebra_takes_no_partial(count_calls):
+    """compose, ad_mult, formal_adjoint and apply differentiate monomials
+    in one step and never call gralg.partial."""
+    calls = count_calls(gralg, "partial")
+    rng = random.Random("no partial")
+    for chart in CHARTS:
+        D = rand_op(rng, chart, 3) + compose(DiffOp.weight(chart), rand_op(rng, chart, 2))
+        f = rand_poly(rng, chart, 3)
+        compose(D, D), compose(D, D, floor=2), ad_mult(D, f), formal_adjoint(D)
+        D.apply(f), D.apply(DensityElement(chart, {Fraction(1, 2): f}))
+    assert calls == []
+
+
+def test_odd_square_product_count_is_pinned(count_calls):
+    """compose(D, D, odd_square=True) on one fixed odd (1|1) operator sums
+    the Leibniz terms per output key before each product with a left
+    coefficient: 15 products (the expansion per term pair made 17)."""
+    x, xi = GradedPoly.var(R11, "x"), GradedPoly.var(R11, "xi")
+    dx, dxi = DiffOp.deriv(R11, "x"), DiffOp.deriv(R11, "xi")
+    D = DiffOp.mult(x * xi) * dx ** 2 + DiffOp.mult(x ** 2) * dxi + DiffOp.mult(xi) * dx \
+        + dxi * dx + DiffOp.mult(x + 3) * dxi * dx ** 2
+    assert D.parity() == 1
+    products = count_calls(GradedPoly, "__mul__")
+    square = compose(D, D, odd_square=True)
+    assert len(products) == 15
+    assert square == compose(D, D)

@@ -296,3 +296,15 @@ def test_equal_operators_and_densities_hash_equal(rng):
         b = DensityElement(chart, {0: g, Fraction(1, 2): f})
         assert a == b and hash(a) == hash(b)
         assert hash(a + b) == hash(b * 2)
+
+
+def test_first_power_is_the_base_with_no_product(count_calls):
+    """x^1 starts at its one factor: no GradedPoly.__mul__ call, and the
+    value is x, for polynomials, operators and densities; x^3 takes two."""
+    p = rand_poly(random.Random("first power"), R12, 2) + GradedPoly.var(R12, "x")
+    D = DiffOp.mult(p) + DiffOp.deriv(R12, "xi1")
+    psi = DensityElement(R12, {Fraction(1, 2): p})
+    products = count_calls(GradedPoly, "__mul__")
+    assert p ** 1 == p and D ** 1 == D and psi ** 1 == psi
+    assert products == []
+    assert p ** 3 == p * p * p and len(products) == 2 + 2

@@ -13,6 +13,7 @@ from superdelta import (
 )
 from superdelta.brackets import (
     LieSuperAlgebraInstance,
+    leibniz_obstruction,
     matrix_of,
     matrix_oracle_instance,
 )
@@ -63,6 +64,12 @@ _REFUSALS = [
     (lambda: matrix_of(ID11), ValueError, "matrix oracle requires a purely odd chart"),
     (lambda: matrix_oracle_instance(R11), ValueError,
      "matrix oracle requires a purely odd chart"),
+    # a message an earlier row gives as well: the row's own id leaves the
+    # ids of the other rows as they are
+    pytest.param(lambda: leibniz_obstruction(_d(R11, "x") + _d(R11, "xi"), [], _v(R11, "x"),
+                                             _v(R11, "x")),
+                 ParityError, "bracket generator must be homogeneous",
+                 id="leibniz_obstruction: bracket generator must be homogeneous"),
     # diffop: operands on different charts, conjugation preconditions
     (lambda: ID11 + ID12, ChartMismatch, "operators on different charts"),
     (lambda: ID11.apply(ONE12), ChartMismatch, "operand on wrong chart"),
