@@ -139,7 +139,7 @@ def higher_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     D = Delta
     for j in range(n - 1):
         D = _step(D, args[j], n - j)
-    return _top(D, 1).apply_poly(args[-1])
+    return _top(D, 1).apply(args[-1])
 
 
 def square_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
@@ -215,11 +215,11 @@ def jacobiator(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     for k in range(max(0, n - r + 1), min(n, r) + 1):
         for s in shuffles(k, n - k):
             S, R = s[:k], s[k:]
-            inner = _top(chain(S[:-1]), 1).apply_poly(args[S[-1]]) if k \
+            inner = _top(chain(S[:-1]), 1).apply(args[S[-1]]) if k \
                 else _on_one(Delta)
             if inner.is_zero():
                 continue
-            outer = _top(chain(R), 1).apply_poly(inner)
+            outer = _top(chain(R), 1).apply(inner)
             p = (pD + sum(pars[i] for i in S)) * sum(pars[i] for i in R)
             terms.append(outer if koszul_sign(s, pars) * (-1) ** p == 1 else -outer)
     return GradedPoly._sum(chart, terms)
@@ -342,7 +342,7 @@ def operator_algebra_instance(chart: Chart) -> LieSuperAlgebraInstance:
     one = GradedPoly.one(chart)
 
     def project(D: DiffOp) -> DiffOp:
-        return DiffOp.mult(D.apply_poly(one))
+        return DiffOp.mult(D.apply(one))
 
     return LieSuperAlgebraInstance(
         bracket=commutator,
@@ -448,7 +448,7 @@ def matrix_of(D: DiffOp) -> GrassmannMatrix:
     index = {o: i for i, o in enumerate(basis)}
     entries = [{} for _ in basis]
     for j, o in enumerate(basis):
-        for (_, oi), c in D.apply_poly(GradedPoly._of(chart, {((), o): _ONE})).terms.items():
+        for (_, oi), c in D.apply(GradedPoly._of(chart, {((), o): _ONE})).terms.items():
             entries[index[oi]][j] = c
     return GrassmannMatrix(chart, entries)
 
@@ -502,20 +502,6 @@ class LInftyReport(NamedTuple):
     checked: dict  # arity -> J^n vanishes
     witness: Optional[tuple]  # (arity, args) with J^n != 0
     certified: bool
-
-    def __str__(self):
-        r = "-inf" if self.square_order is None else str(self.square_order)
-        lines = [f"ord(Delta^2) = {r}"]
-        for nn in sorted(self.checked):
-            lines.append(f"  J^{nn} = 0: proved")
-        if self.witness is not None:
-            from .dsl import render
-
-            nn, args = self.witness
-            shown = ", ".join(render(a) for a in args)
-            lines.append(f"  witness: J^{nn} != 0 at ({shown})")
-        lines.append(f"  certified: {self.certified}")
-        return "\n".join(lines)
 
 
 def linfty_check(Delta: DiffOp, n_max: int = 4) -> LInftyReport:

@@ -84,9 +84,9 @@ class VBracketData(_VBracketFields):
     """The coordinate data (S^{ab}, gamma^a, theta) of a weight-zero bracket
     on the algebra of densities, together with the bracket parity eps.
 
-    The constructor completes a partially given S by the forced graded
-    symmetry and rejects entries that contradict it or carry wrong parity.
-    An immutable record.
+    The constructor drops zero entries of S and gamma, completes a partially
+    given S by the forced graded symmetry and rejects entries that
+    contradict it or carry wrong parity.  An immutable record.
     """
 
     __slots__ = ()
@@ -114,11 +114,9 @@ class VBracketData(_VBracketFields):
                 full[(b, a)] = expected
             elif mirror != expected:
                 raise BracketDataError(f"S[{a},{b}] breaks graded symmetry")
+        gamma = {a: p for a, p in gamma.items() if not p.is_zero()}
         for a, p in gamma.items():
-            if p.is_zero():
-                continue
-            want = (eps + chart.parity(a)) % 2
-            if p.parity() != want:
+            if p.parity() != (eps + chart.parity(a)) % 2:
                 raise BracketDataError(f"gamma[{a}] has wrong parity")
         if not theta.is_zero() and theta.parity() != eps:
             raise BracketDataError("theta has wrong parity")
@@ -145,7 +143,7 @@ def _as_sigma(sigma: GradedPoly) -> GradedPoly:
 def matrix_bracket(S: SMatrix, chart: Chart, f: GradedPoly, g: GradedPoly) -> GradedPoly:
     """The coordinate bracket {f,g} = S^{ab} d_b f d_a g (-1)^{pa(a) pf},
     which is X_f(g)."""
-    return hamiltonian_vf(S, chart, f).apply_poly(g)
+    return hamiltonian_vf(S, chart, f).apply(g)
 
 
 def poisson_bracket(S: SMatrix, chart: Chart, f: GradedPoly, g: GradedPoly) -> GradedPoly:
@@ -410,12 +408,8 @@ def pencil_bracket(P: DiffOp, psi: DensityElement, chi: DensityElement) -> Densi
     eps = P.parity()
     if eps is None:
         raise ParityError("pencil must be homogeneous")
-    chart = P.chart
-    out = DensityElement.zero(chart)
-    for ppsi in (EVEN, ODD):
-        ph = psi.parity_part(ppsi)
-        if ph.is_zero():
-            continue
+    out = DensityElement.zero(P.chart)
+    for ppsi, ph in psi.homogeneous_parts():
         out = (out + P.apply(ph * chi) - P.apply(ph) * chi
                - ph * P.apply(chi) * (-1) ** (eps * ppsi))
     return out
@@ -528,8 +522,8 @@ def jacobi_report(data: VBracketData) -> tuple[GradedPoly, GradedPoly, GradedPol
     th = _embed(data.theta, ct)
     canonical = _tstar_matrix(ct)
     XS, Xg = (hamiltonian_vf(canonical, ct, F) for F in (S, g))
-    return (XS.apply_poly(S), XS.apply_poly(g), XS.apply_poly(th) + Xg.apply_poly(g),
-            Xg.apply_poly(th))
+    return (XS.apply(S), XS.apply(g), XS.apply(th) + Xg.apply(g),
+            Xg.apply(th))
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +806,7 @@ def transform_smatrix(S: SMatrix, chart: Chart, cmap: CoordMap) -> SMatrix:
     brackets X_{x'^b}(x'^a) from one Hamiltonian field.  A reference law:
     transform_data reads S' off the transformed pencil instead."""
     fields = {b: hamiltonian_vf(S, chart, cmap.fwd[b]) for b in chart.names}
-    out = {(a, b): cmap.push(fields[b].apply_poly(cmap.fwd[a])) * _sym_sign(chart, a, b)
+    out = {(a, b): cmap.push(fields[b].apply(cmap.fwd[a])) * _sym_sign(chart, a, b)
            for a in chart.names for b in chart.names}
     return {k: v for k, v in out.items() if not v.is_zero()}
 

@@ -25,6 +25,13 @@ it inside the package; other modules go through the key helpers: ``_key``
 polynomial on a chart whose blocks begin with its own).  ``_derive`` takes
 d^key of each monomial in one step; ``partial``, its one-variable case,
 serves ``geom`` and the API, and ``diffop`` calls ``_derive``, never it.
+
+Polynomials, densities and operators share one arithmetic protocol, the
+base ``_Value``.  A function is a density of weight 0 and a multiplication
+operator, and numbers are central; ``_as_poly`` is the one lift rule, and
+each type's ``_lift`` carries a number or a lower type up to it.  A number
+scales from either side, a lower type multiplies from the left, and any
+other operand is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -182,7 +189,53 @@ def _power(x, n: int, one, mul=_mul):
     return one if out is None else out
 
 
-class GradedPoly:
+class _Value:
+    """The arithmetic shared by GradedPoly, DensityElement and DiffOp.  Each
+    type defines ``_lift`` (a number or a lower type as a value of the type,
+    or None), ``__add__``, ``__neg__``, ``__mul__``, ``__eq__``, ``parity_part``
+    and ``is_zero``; those return NotImplemented for an operand ``_lift``
+    does not take, so Python raises TypeError."""
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self.__add__(other)  # not other + self, which recurses
+
+    def __sub__(self, other):
+        return self.__add__(-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * other  # a number scales
+        return NotImplemented if (other := self._lift(other)) is None else other * self
+
+    def __pow__(self, n: int):
+        return _power(self, n, self._lift(1))
+
+    def __repr__(self):
+        from .dsl import render  # local import: dsl depends on gralg
+        return f"{type(self).__name__}({render(self)})"
+
+    def homogeneous_parts(self) -> list[tuple[int, "_Value"]]:
+        """Split into (parity, nonzero part) pairs."""
+        return [(par, part) for par in (EVEN, ODD)
+                if not (part := self.parity_part(par)).is_zero()]
+
+
+def _as_poly(chart: Chart, x) -> "GradedPoly | None":
+    """x as a polynomial on chart: a GradedPoly as itself, a number as a
+    constant, anything else None.  It tests for GradedPoly before (int,
+    Fraction): the isinstance test against Fraction dispatches through
+    ABCMeta when it fails."""
+    if isinstance(x, GradedPoly):
+        return x
+    return GradedPoly.const(chart, x) if isinstance(x, (int, Fraction)) else None
+
+
+class GradedPoly(_Value):
     """A supercommutative polynomial with rational coefficients.
 
     ``terms`` maps a monomial ``Key`` to a nonzero ``Fraction``.  Instances
@@ -260,31 +313,22 @@ class GradedPoly:
         return self.terms.get(_unit(self.chart), Fraction(0))
 
     # -- arithmetic --------------------------------------------------------
-    # Each dunder tests for GradedPoly before (int, Fraction): the isinstance
-    # test against Fraction dispatches through ABCMeta when it fails.
 
     def _check(self, other: "GradedPoly"):
         if self.chart != other.chart:
             raise ChartMismatch("operands live on different charts")
 
+    def _lift(self, x) -> "GradedPoly | None":
+        return _as_poly(self.chart, x)
+
     def __add__(self, other):
-        if not isinstance(other, GradedPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented  # a DensityElement or DiffOp adds itself
-            other = GradedPoly.const(self.chart, other)
+        if not isinstance(other, GradedPoly) and (other := self._lift(other)) is None:
+            return NotImplemented  # a DensityElement or DiffOp adds itself
         self._check(other)
         return GradedPoly._sum(self.chart, (self, other))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return GradedPoly._of(self.chart, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, GradedPoly):
@@ -310,27 +354,13 @@ class GradedPoly:
                 terms[k] = terms[k] + c if k in terms else c
         return GradedPoly._of(self.chart, {k: c for k, c in terms.items() if c})
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        return _power(self, n, GradedPoly.one(self.chart))
-
     def __eq__(self, other):
-        if not isinstance(other, GradedPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = GradedPoly.const(self.chart, other)
+        if not isinstance(other, GradedPoly) and (other := self._lift(other)) is None:
+            return NotImplemented
         return self.chart == other.chart and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.chart, tuple(sorted(self.terms.items()))))
-
-    def __repr__(self):
-        from .dsl import render  # local import: dsl depends on gralg
-        return f"GradedPoly({render(self)})"
 
 
 def _odd_degree_part(p: GradedPoly, j: int) -> GradedPoly:
@@ -416,7 +446,7 @@ def _substitute(p: GradedPoly, images: Mapping[str, GradedPoly],
     return GradedPoly._sum(target, monomials)
 
 
-class DensityElement:
+class DensityElement(_Value):
     """A finite sum of weighted densities  psi = sum_w psi_w * t^w  with
     rational weights w and GradedPoly components psi_w."""
 
@@ -459,32 +489,20 @@ class DensityElement:
             self.chart, {w: c.parity_part(p) for w, c in self.parts.items()}
         )
 
-    # The dunders test for their own types before (int, Fraction), as in
-    # GradedPoly.
-
-    def _coerce(self, other):
-        if isinstance(other, DensityElement):
-            return other
-        if not isinstance(other, GradedPoly):
-            if not isinstance(other, (int, Fraction)):
-                return other
-            other = GradedPoly.const(self.chart, other)
-        return DensityElement.from_poly(other)
+    def _lift(self, x) -> "DensityElement | None":
+        p = _as_poly(self.chart, x)
+        return None if p is None else DensityElement.from_poly(p)
 
     def __add__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, DensityElement) and (other := self._lift(other)) is None:
+            return NotImplemented
         parts = dict(self.parts)
         for w, p in other.parts.items():
             parts[w] = parts[w] + p if w in parts else p
         return DensityElement(self.chart, parts)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return DensityElement(self.chart, {w: -p for w, p in self.parts.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
 
     def __mul__(self, other):
         if not isinstance(other, (DensityElement, GradedPoly)) and \
@@ -492,7 +510,8 @@ class DensityElement:
             return DensityElement(
                 self.chart, {w: p * other for w, p in self.parts.items()}
             )
-        other = self._coerce(other)
+        if not isinstance(other, DensityElement) and (other := self._lift(other)) is None:
+            return NotImplemented
         parts: dict[Fraction, GradedPoly] = {}
         for u, p in self.parts.items():
             for v, q in other.parts.items():
@@ -500,26 +519,13 @@ class DensityElement:
                 parts[w] = parts[w] + pq if w in parts else pq
         return DensityElement(self.chart, parts)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GradedPoly)):
-            return self._coerce(other) * self
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        return _power(self, n, DensityElement.from_poly(GradedPoly.one(self.chart)))
-
     def __eq__(self, other):
-        other = self._coerce(other)
-        if not isinstance(other, DensityElement):
+        if not isinstance(other, DensityElement) and (other := self._lift(other)) is None:
             return NotImplemented
         return self.chart == other.chart and self.parts == other.parts
 
     def __hash__(self):
         return hash((self.chart, tuple(sorted(self.parts.items()))))
-
-    def __repr__(self):
-        from .dsl import render
-        return f"DensityElement({render(self)})"
 
 
 def residue_pair(psi: DensityElement, chi: DensityElement) -> GradedPoly:

@@ -2,9 +2,12 @@
 the engine is referenced in src/ outside its own definition."""
 
 import ast
+import importlib.util
 import re
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "superdelta"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -130,3 +133,25 @@ def test_only_the_kernel_reads_the_key_layout():
                   for n in ast.walk(tree)
                   if id(n) not in exempt and (what := _key_pattern(n))]
     assert found == [], "\n".join(sorted(found))
+
+
+def _coverage_script():
+    path = SRC.parent.parent / "scripts" / "coverage.py"
+    spec = importlib.util.spec_from_file_location("coverage_script", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_coverage_allowlist_parses():
+    """Every entry of scripts/coverage_allow.txt names an engine file and a
+    line of it, and a source line that contains the separator round-trips."""
+    script = _coverage_script()
+    for file, source in script.parse_allowlist(script.ALLOW.read_text()):
+        lines = {line.strip() for line in (SRC / file).read_text().splitlines()}
+        assert source in lines, f"{file} | {source}"
+    text = "geom.py | x: int | None = a | b | why it may stay unexecuted\n"
+    assert script.parse_allowlist(text) == {("geom.py", "x: int | None = a | b")}
+    for bad in ("geom.py | no reason", "geom.py |  | no source"):
+        with pytest.raises(SystemExit, match=re.escape("is not file | source | reason")):
+            script.parse_allowlist(bad)

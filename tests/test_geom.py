@@ -1281,3 +1281,12 @@ def test_equal_bracket_data_hash_equal():
                              dict(reversed(list(data.gamma.items()))), data.theta + 0)
         assert again == data
         assert hash(again) == hash(data)
+        # explicit zero entries of S and gamma are dropped, and have no parity to check
+        zero = GradedPoly.zero(chart)
+        padded = {(a, b): zero for a in chart.names for b in chart.names}
+        assert VBracketData(chart, 1, {**padded, **data.S}, data.gamma, data.theta) == data
+        bare = VBracketData(chart, 1, data.S, {}, data.theta)
+        again = VBracketData(chart, 1, data.S, {a: zero for a in chart.names}, data.theta)
+        assert again.gamma == {}
+        assert again == bare
+        assert hash(again) == hash(bare)

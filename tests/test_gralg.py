@@ -122,6 +122,9 @@ def test_substitute_morphism(rng):
     images = {"x": x + xi1 * xi2, "xi1": xi2, "xi2": xi1 - xi2}
     assert substitute(p * q, images) == substitute(p, images) * substitute(q, images)
     assert substitute(p + q, images) == substitute(p, images) + substitute(q, images)
+    fewer = {"xi1": xi2}  # x and xi2 map to themselves
+    assert substitute(p * q, fewer) == substitute(p, fewer) * substitute(q, fewer)
+    assert substitute(x * xi1 + xi2, fewer) == x * xi2 + xi2
 
 
 def test_substitute_parity_check():
@@ -308,3 +311,69 @@ def test_first_power_is_the_base_with_no_product(count_calls):
     assert p ** 1 == p and D ** 1 == D and psi ** 1 == psi
     assert products == []
     assert p ** 3 == p * p * p and len(products) == 2 + 2
+
+
+# ---------------------------------------------------------------------------
+# one arithmetic protocol: numbers and lower types lift, anything else is a
+# TypeError
+
+# The result type of  left op right  for every ordered pair of operands, one
+# row per left operand in the order of _OPERANDS, one letter per right
+# operand: i int, q Fraction, P GradedPoly, R DensityElement, O DiffOp,
+# f float, s str, and - for a TypeError.
+_TYPES = {"i": int, "q": Fraction, "P": GradedPoly, "R": DensityElement,
+          "O": DiffOp, "f": float, "s": str}
+_TABLES = {
+    "+": ("iqPROf-", "qqPROf-", "PPPRO--", "RRRR---", "OOO-O--", "ff---f-", "------s"),
+    "-": ("iqPROf-", "qqPROf-", "PPPRO--", "RRRR---", "OOO-O--", "ff---f-", "-------"),
+    "*": ("iqPROfs", "qqPROf-", "PPPRO--", "RRRR---", "OOO-O--", "ff---f-", "s------"),
+}
+
+
+def _operands():
+    x, xi = GradedPoly.var(R11, "x"), GradedPoly.var(R11, "xi")
+    psi = DensityElement(R11, {Fraction(1, 2): x * xi, 0: x + 1})
+    D = DiffOp.deriv(R11, "xi") + DiffOp.mult(x * xi) * DiffOp.deriv(R11, "x")
+    return [2, Fraction(1, 3), x * x + xi, psi, D, 1.5, "a"]
+
+
+def test_mixed_type_arithmetic_table():
+    ops = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}
+    operands = _operands()
+    for op, rows in _TABLES.items():
+        for a, row in zip(operands, rows):
+            for b, want in zip(operands, row):
+                case = f"{type(a).__name__} {op} {type(b).__name__}"
+                if want == "-":
+                    with pytest.raises(TypeError):
+                        ops[op](a, b)
+                else:
+                    assert type(ops[op](a, b)) is _TYPES[want], case
+                assert type(a == b) is bool, case
+    values = operands[:5]  # the numbers and the three engine types
+    for a, row in zip(values, _TABLES["+"]):
+        for b, want in zip(values, row):
+            if want != "-":
+                assert a + b == b + a and a - b == -(b - a)
+    for n in values[:2]:
+        for v in values[2:]:
+            assert n * v == v * n
+
+
+def test_lifted_values_equal_their_source():
+    x = GradedPoly.var(R11, "x")
+    psi, D = DensityElement.from_poly(x), DiffOp.mult(x)
+    assert x == psi and psi == x and x == D and D == x
+    assert 2 == DiffOp.const(R11, 2) and DensityElement.from_poly(GradedPoly.const(R11, 2)) == 2
+    assert psi != D and D != psi and x != 1.5 and D != "x"
+    one = DensityElement.from_poly(GradedPoly.one(R11))
+    assert 1 - psi == -(psi - 1) == one - psi
+    assert x * psi == psi * x and (x * D).apply(x) == x * D.apply(x)
+
+
+def test_repr_names_the_type_and_renders_the_value():
+    x, xi = GradedPoly.var(R11, "x"), GradedPoly.var(R11, "xi")
+    assert repr(x + 1) == "GradedPoly(1 + x)"
+    assert repr(DensityElement(R11, {Fraction(1, 2): x * xi, 0: x})) == \
+        "DensityElement(x + x*xi*t^(1/2))"
+    assert repr(DiffOp.deriv(R11, "xi") + DiffOp.mult(x)) == "DiffOp(x + d(xi))"
