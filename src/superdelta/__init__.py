@@ -50,7 +50,6 @@ from .brackets import (
     higher_bracket,
     jacobiator,
     koszul_sign,
-    leibniz_obstruction,
     linfty_check,
     square_bracket,
 )

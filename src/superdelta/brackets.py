@@ -39,14 +39,14 @@ import itertools
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-from .gralg import _ONE, Chart, GradedPoly, ParityError, _deg, _key_names, _keys_upto
+from .gralg import (_ONE, Chart, ChartMismatch, GradedPoly, ParityError, _deg, _key_names,
+                    _keys_upto)
 from .diffop import DiffOp, _on_one, ad_mult, commutator, compose, specialize
 
 __all__ = [
     "koszul_sign",
     "shuffles",
     "higher_bracket",
-    "leibniz_obstruction",
     "jacobiator",
     "square_bracket",
     "LieSuperAlgebraInstance",
@@ -128,6 +128,8 @@ def higher_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     n - j steps left (_step).  Before the last step D has no term of
     order 0, so D 1 = 0 at weight 0 and [D, a] 1 = D(a): the last
     commutator is an evaluation."""
+    if any(a.chart != Delta.chart for a in args):  # before a shortcut skips an argument
+        raise ChartMismatch("bracket argument on a different chart")
     if Delta.parity() is None:
         raise ParityError("bracket generator must be homogeneous")
     n = len(args)
@@ -151,34 +153,6 @@ def square_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     return higher_bracket(compose(Delta, Delta, floor=floor, odd_square=p == 1), args)
 
 
-def leibniz_obstruction(
-    Delta: DiffOp, args: Sequence[GradedPoly], b: GradedPoly, c: GradedPoly
-) -> GradedPoly:
-    """The failure of the k-ary bracket (k = len(args)+1) to be a
-    derivation in its last slot:
-
-        {args, bc} - {args, b} c - (-1)^{pb (pD + sum pa)} b {args, c},
-
-    for homogeneous b (inhomogeneous b and c are split by linearity).
-    Equals the (k+1)-ary bracket {args, b, c} whenever the latter is the
-    top nonvanishing arity obstruction; cross-checked against
-    higher_bracket in the test suite."""
-    chart = Delta.chart
-    if (pD := Delta.parity()) is None:
-        raise ParityError("bracket generator must be homogeneous")
-    out = GradedPoly.zero(chart)
-    for *split, (pb, bh) in itertools.product(*(a.homogeneous_parts() for a in (*args, b))):
-        tup = [p for _, p in split]
-        sgn = (-1) ** (pb * ((pD + sum(par for par, _ in split)) % 2))
-        out = (
-            out
-            + higher_bracket(Delta, tup + [bh * c])
-            - higher_bracket(Delta, tup + [bh]) * c
-            - bh * higher_bracket(Delta, tup + [c]) * Fraction(sgn)
-        )
-    return out
-
-
 def jacobiator(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     """The n-th Jacobiator of the higher brackets generated by Delta,
     n = len(args): the (k,l)-shuffle sum with the Koszul permutation sign
@@ -194,12 +168,12 @@ def jacobiator(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     _step(C(T[:-1]), a_tm, 2): it is extended or evaluated without its
     order-0 terms.  {a_S} is C(S[:-1])(a_{S[-1]}), and multiplication
     operators supercommute: {b, a_R} = (-1)^{|b| |a_R|} C(R)(b)."""
-    chart = Delta.chart
+    if any(a.chart != Delta.chart for a in args):  # before a shortcut skips an argument
+        raise ChartMismatch("bracket argument on a different chart")
     pars = [a.parity() for a in args]
     if None in pars:
         raise ParityError("Jacobiator arguments must be homogeneous")
-    pD = Delta.parity()
-    if pD is None:
+    if (pD := Delta.parity()) is None:
         raise ParityError("bracket generator must be homogeneous")
     n = len(args)
     r = Delta.order() or 0  # Delta = 0 leaves the k-range empty
@@ -222,7 +196,7 @@ def jacobiator(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
             outer = _top(chain(R), 1).apply(inner)
             p = (pD + sum(pars[i] for i in S)) * sum(pars[i] for i in R)
             terms.append(outer if koszul_sign(s, pars) * (-1) ** p == 1 else -outer)
-    return GradedPoly._sum(chart, terms)
+    return GradedPoly._sum(Delta.chart, terms)
 
 
 # ---------------------------------------------------------------------------

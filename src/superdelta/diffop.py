@@ -50,6 +50,7 @@ from .gralg import (
     _parity,
     _power,
     _unit,
+    _weight,
 )
 
 # coefficient of one derivative key: map  W-power -> GradedPoly
@@ -261,8 +262,8 @@ def _leibniz(key: Key, mono: Key, hits=None, free=True) -> list[tuple[Key, Key, 
 _Sums = dict[Key, dict[int, dict[Key, Fraction]]]
 
 
-def _add_into(sums: _Sums, key: Key, wpow: int, p: GradedPoly, factor: int = 1):
-    acc = sums.setdefault(key, {}).setdefault(wpow, {})
+def _add_into(sums: _Sums, key: Key, w: int, p: GradedPoly, factor: int = 1):
+    acc = sums.setdefault(key, {}).setdefault(w, {})
     for m, c in p.terms.items():
         if factor != 1:
             c = c * factor
@@ -364,32 +365,19 @@ def ad_mult(D: DiffOp, a: GradedPoly) -> DiffOp:
     return _from_sums(chart, sums)
 
 
-def conjugate_by_exp(D: DiffOp, u: GradedPoly, sign: int = 1) -> DiffOp:
-    """Exact conjugation  e^{-s u} o D o e^{s u}  (s = sign), computed as the
-    terminating commutator series  sum_k (1/k!) ad_{su}^k D."""
-    if u.parity() not in (EVEN,):
-        raise ParityError("conjugation exponent must be even")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return _exp_ad(D, u * sign)
-
-
-def _exp_ad(D: DiffOp, u: GradedPoly, wpow: int = 0) -> DiffOp:
-    """The series  sum_k (1/k!) [...[D, M], ..., M]  (k commutators) with
-    M = W^wpow u for an even polynomial u.  W is central, so
-    [X, W^wpow u] = W^wpow [X, u.].
+def conjugate_by_exp(D: DiffOp, u: GradedPoly) -> DiffOp:
+    """Exact conjugation  e^{-u} o D o e^{u}  by an even polynomial u, as the
+    terminating series  sum_k (1/k!) [...[D, u.], ..., u.]  (k commutators).
 
     Bound: ad_mult drops every term whose derivatives all pass u, so each
     commutator lowers the order by at least one, and the k-th term has
     order <= ord D - k.  The term k = ord D + 1 is therefore 0, and at
     most ord D commutators are taken."""
+    if u.parity() not in (EVEN,):
+        raise ParityError("conjugation exponent must be even")
     out = term = D
     for k in range(1, (D.order() or 0) + 1):
-        inv = Fraction(1, k)
-        term = DiffOp(D.chart, {
-            key: {w + wpow: p * inv for w, p in wp.items()}
-            for key, wp in ad_mult(term, u).terms.items()
-        })
+        term = ad_mult(term, u) * Fraction(1, k)
         if term.is_zero():
             break
         out = out + term
@@ -398,7 +386,7 @@ def _exp_ad(D: DiffOp, u: GradedPoly, wpow: int = 0) -> DiffOp:
 
 def specialize(P: DiffOp, w0) -> DiffOp:
     """Substitute W := w0 in all coefficients."""
-    w0 = w0 if type(w0) is Fraction else Fraction(w0)
+    w0 = _weight(w0)
     return DiffOp(P.chart, {key: {0: _at_weight(P.chart, wp, w0)} for key, wp in P.terms.items()})
 
 
@@ -415,11 +403,11 @@ def formal_adjoint(D: DiffOp) -> DiffOp:
     sums: _Sums = {}
     for key, wp in D.terms.items():
         ko, nder = len(key[1]), _deg(key)
-        for wpow, c in wp.items():
-            # (1-W)^wpow = sum_j (-1)^j binom(wpow, j) W^j
-            ws = [(j, (-1) ** (nder + j) * comb(wpow, j)) for j in range(wpow + 1)]
+        for w, c in wp.items():
+            # (1-W)^w = sum_j (-1)^j binom(w, j) W^j
+            ws = [(j, (-1) ** (nder + j) * comb(w, j)) for j in range(w + 1)]
             for m0, c0 in c.terms.items():
-                # (c W^wpow d^I)* = (1-W)^wpow d(o_k) o ... o d(o_1) o d_even^e
+                # (c W^w d^I)* = (1-W)^w d(o_k) o ... o d(o_1) o d_even^e
                 # o c, signed by (-1)^nder and, for a monomial c of parity cp,
                 # by the reversal of [c, d, ..., d], whose odd-odd swaps give
                 # (-1)^{cp ko + ko(ko-1)/2}; reversing the odd derivatives back

@@ -35,6 +35,7 @@ from .gralg import (
     _odd_degree_part,
     _substitute,
     _unit,
+    _weight,
     partial,
 )
 from .diffop import (
@@ -43,7 +44,6 @@ from .diffop import (
     _Sums,
     _add_into,
     _add_leibniz,
-    _exp_ad,
     _from_sums,
     _on_one,
     compose,
@@ -337,10 +337,10 @@ def modular_vf(P: SMatrix, chart: Chart, sigma) -> DiffOp:
 
 def act_on_w_densities(S: SMatrix, chart: Chart, sigma, w) -> DiffOp:
     """The odd Laplacian on w-densities,  rho^w Delta_rho (rho^{-w} . ) =
-    conjugate_by_exp(Delta_rho, w sigma, sign=-1), in closed form as e^{w sigma}
+    conjugate_by_exp(Delta_rho, -w sigma), in closed form as e^{w sigma}
     is even: (1/2) sum (d_a + (1-w) d_a sigma) o S^{ab} (d_b - w d_b sigma)."""
     sigma = _as_sigma(sigma)
-    w = w if type(w) is Fraction else Fraction(w)
+    w = _weight(w)
     return _laplacian(S, chart, sigma * (_ONE - w), sigma * -w)
 
 
@@ -764,14 +764,17 @@ def transform_op(D: DiffOp, cmap: CoordMap) -> DiffOp:
     in the new coordinates, so c d^I becomes the pushed-forward coefficient
     times the composite F^I of those fields in the order of d^I, built one
     field at a time by the Leibniz rule; W is central and stays with its
-    coefficient.  Coefficients involving W then pick up the density
-    conjugation by the Berezinian factor."""
+    coefficient.  The field of d_a carries W d_a log Ber: conjugation by the
+    density factor e^{W log Ber}, even, adds just that, so none follows."""
     chart = D.chart
     push = cmap.push
     J = cmap.jacobian()
+    L = _log_berezinian(chart, J)
     # the field of d_a, as _add_leibniz's right-hand sum
     fields = {a: [(_key(chart, b)[0], {0: c}, None) for b in chart.names
                   if not (c := push(J[(b, a)])).is_zero()] for a in chart.names}
+    for a in chart.names if L.terms else ():
+        fields[a].append((_unit(chart), {1: push(partial(a, L))}, None))
     sums: _Sums = {}
     for I, wp in D.terms.items():
         F: dict[Key, WPoly | None] = {_unit(chart): None}  # None: 1
@@ -784,13 +787,9 @@ def transform_op(D: DiffOp, cmap: CoordMap) -> DiffOp:
         for k, c in wp.items():
             c = push(c)
             for K, g in F.items():
-                _add_into(sums, K, k, c if g is None else c * g[0])
-    out = _from_sums(chart, sums)
-    # density correction: conjugate by exp(W log Ber'), exact and terminating
-    v = push(_log_berezinian(chart, J))
-    if v.is_zero():
-        return out
-    return _exp_ad(out, v, 1)
+                for w, f in (g or {0: None}).items():
+                    _add_into(sums, K, k + w, c if f is None else c * f)
+    return _from_sums(chart, sums)
 
 
 def transform_logvol(sigma, cmap: CoordMap) -> GradedPoly:

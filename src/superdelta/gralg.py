@@ -446,6 +446,14 @@ def _substitute(p: GradedPoly, images: Mapping[str, GradedPoly],
     return GradedPoly._sum(target, monomials)
 
 
+def _weight(w) -> Fraction:
+    """A density weight, an int or a Fraction, as a Fraction, tested by type:
+    isinstance(w, Fraction), like Fraction == Fraction, dispatches through ABCMeta."""
+    if type(w) is not Fraction and type(w) is not int:
+        raise TypeError(f"a weight must be an int or a Fraction, not {type(w).__name__}")
+    return w if type(w) is Fraction else Fraction(w)
+
+
 class DensityElement(_Value):
     """A finite sum of weighted densities  psi = sum_w psi_w * t^w  with
     rational weights w and GradedPoly components psi_w."""
@@ -456,10 +464,11 @@ class DensityElement(_Value):
         self.chart = chart
         clean: dict[Fraction, GradedPoly] = {}
         for w, p in (parts or {}).items():
+            w = _weight(w)
             if p.chart != chart:
                 raise ChartMismatch("component on wrong chart")
             if not p.is_zero():
-                clean[w if type(w) is Fraction else Fraction(w)] = p
+                clean[w] = p
         self.parts = clean
 
     @staticmethod
@@ -468,12 +477,10 @@ class DensityElement(_Value):
 
     @staticmethod
     def from_poly(p: GradedPoly, w=0) -> "DensityElement":
-        return DensityElement(p.chart, {Fraction(w): p})
+        return DensityElement(p.chart, {w: p})
 
     def component(self, w) -> GradedPoly:
-        # Fraction(Fraction) and Fraction == Fraction dispatch through ABCMeta
-        key = w if type(w) is int or type(w) is Fraction else Fraction(w)
-        return self.parts.get(key, GradedPoly.zero(self.chart))
+        return self.parts.get(w if type(w) is int else _weight(w), GradedPoly.zero(self.chart))
 
     def weights(self) -> list[Fraction]:
         return sorted(self.parts)

@@ -16,7 +16,6 @@ from superdelta.brackets import (
     jacobiator,
     jacobiator_abstract,
     koszul_sign,
-    leibniz_obstruction,
     linfty_check,
     matrix_of,
     matrix_oracle_instance,
@@ -108,6 +107,28 @@ def test_graded_symmetry(rng):
                 base * Fraction(sgn)
 
 
+def _leibniz_reference(Delta, args, b, c):
+    """The failure of the k-ary bracket (k = len(args) + 1) to be a
+    derivation in its last slot,
+
+        {args, bc} - {args, b} c - (-1)^{pb (pD + sum pa)} b {args, c},
+
+    for homogeneous Delta, each argument and b split into homogeneous parts
+    by linearity: three k-ary brackets, a path independent of the
+    (k + 1)-ary bracket it is compared with.  It certifies the conventions
+    line "the Leibniz obstruction of the k-ary bracket equals + the
+    (k+1)-ary bracket"."""
+    pD = Delta.parity()
+    out = GradedPoly.zero(Delta.chart)
+    for *split, (pb, bh) in itertools.product(*(a.homogeneous_parts() for a in (*args, b))):
+        head = [p for _, p in split]
+        sgn = (-1) ** (pb * (pD + sum(par for par, _ in split)))
+        out = (out + higher_bracket(Delta, head + [bh * c])
+               - higher_bracket(Delta, head + [bh]) * c
+               - bh * higher_bracket(Delta, head + [c]) * sgn)
+    return out
+
+
 def test_vanishing_threshold_and_top_derivation(rng):
     chart = R11
     monos = monomials_upto(chart, 2)
@@ -131,7 +152,8 @@ def test_vanishing_threshold_and_top_derivation(rng):
         for _ in range(5):
             head = [rng.choice(monos) for _ in range(N - 1)]
             b, c = rng.choice(monos), rng.choice(monos)
-            assert leibniz_obstruction(D, head, b, c).is_zero()
+            obstruction = _leibniz_reference(D, head, b, c)
+            assert obstruction.is_zero() and obstruction == higher_bracket(D, head + [b, c])
 
 
 def test_leibniz_obstruction_equals_next_bracket(rng):
@@ -144,7 +166,7 @@ def test_leibniz_obstruction_equals_next_bracket(rng):
             k = rng.randint(1, 3)
             head = [rng.choice(monos) for _ in range(k - 1)]
             b, c = rng.choice(monos), rng.choice(monos)
-            assert leibniz_obstruction(D, head, b, c) == \
+            assert _leibniz_reference(D, head, b, c) == \
                 higher_bracket(D, head + [b, c])
 
 
@@ -152,25 +174,27 @@ def test_leibniz_obstruction_examples():
     D = compose(DiffOp.deriv(R11, "x"), DiffOp.deriv(R11, "xi"))
     x, xi = _x(R11, "x"), _x(R11, "xi")
     X = compose(DiffOp.mult(xi), DiffOp.deriv(R11, "x"))  # a vector field
-    assert leibniz_obstruction(X, [], x, x).is_zero()
-    assert leibniz_obstruction(D, [], x, xi) == higher_bracket(D, [x, xi])
+    assert _leibniz_reference(X, [], x, x).is_zero()
+    assert higher_bracket(X, [x, x]).is_zero()
+    assert _leibniz_reference(D, [], x, xi) == higher_bracket(D, [x, xi])
 
 
 def test_leibniz_obstruction_splits_by_linearity(rng):
     """A zero argument or a zero b gives 0; inhomogeneous arguments give
-    the sum over their homogeneous parts."""
+    the sum over their homogeneous parts, and the next bracket."""
     for chart in (R11, R12):
         zero = GradedPoly.zero(chart)
         for _ in range(6):
             D = rand_op(rng, chart, 3, parity=rng.randint(0, 1))
             head = [rand_poly(rng, chart, 2, nterms=3)]
             b, c = rand_poly(rng, chart, 2, nterms=3), rand_poly(rng, chart, 2, nterms=3)
-            assert leibniz_obstruction(D, [zero], b, c).is_zero()
-            assert leibniz_obstruction(D, head, zero, c).is_zero()
+            assert _leibniz_reference(D, [zero], b, c).is_zero()
+            assert _leibniz_reference(D, head, zero, c).is_zero()
             split = GradedPoly._sum(chart, (
-                leibniz_obstruction(D, [h], bh, c)
+                _leibniz_reference(D, [h], bh, c)
                 for _, h in head[0].homogeneous_parts() for _, bh in b.homogeneous_parts()))
-            assert leibniz_obstruction(D, head, b, c) == split
+            assert _leibniz_reference(D, head, b, c) == split == \
+                higher_bracket(D, head + [b, c])
 
 
 def _reference_monomials(chart, deg):

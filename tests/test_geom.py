@@ -304,7 +304,7 @@ def _outcome(compute):
 def test_w_density_closed_form_is_the_conjugation():
     """act_on_w_densities, a closed form, against the conjugation it
     replaces, rho^w Delta_rho rho^{-w} = conjugate_by_exp(Delta_rho,
-    w sigma, sign=-1): 1,200 seeded cases on five charts and six weights,
+    -w sigma): 1,200 seeded cases on five charts and six weights,
     with arbitrary S.  Where Delta_rho is inhomogeneous both sides raise the
     same ParityError."""
     rng = random.Random("w-density closed form")
@@ -317,7 +317,7 @@ def test_w_density_closed_form_is_the_conjugation():
             for w in weights:
                 got = _outcome(lambda: act_on_w_densities(S, chart, sigma, w))
                 want = _outcome(lambda: conjugate_by_exp(
-                    odd_laplacian(S, chart, sigma), sigma * w, sign=-1))
+                    odd_laplacian(S, chart, sigma), sigma * -w))
                 assert got == want
                 cases += 1
                 refused += isinstance(want, tuple)
@@ -347,8 +347,10 @@ def test_master_discrepancy_closed_form_is_the_conjugation():
 
 def test_density_calculus_takes_no_commutator(count_calls):
     """act_on_w_densities and master_discrepancy take no ad_mult, so no
-    conjugation series; transform_op takes the Jacobi matrix once, for its
-    fields and for the Berezinian.  Counted, not timed."""
+    conjugation series; nor does transform_op, whose fields carry the
+    density correction, on maps with a non-constant Berezinian, and it takes
+    the Jacobi matrix once, for its fields and for the Berezinian.  Counted,
+    not timed."""
     ad = count_calls(diffop, "ad_mult")
     jac = count_calls(CoordMap, "jacobian")
     rng = random.Random("closed-form counts")
@@ -359,11 +361,14 @@ def test_density_calculus_takes_no_commutator(count_calls):
             act_on_w_densities(S, chart, s0 + s, w)
         master_discrepancy(S, chart, s0, s)
     assert ad == []
-    for chart in CHARTS:
+    nonconstant = 0
+    for chart in CHARTS * 3:
         cmap = _triangular_map(rng, chart)
+        nonconstant += not log_berezinian(cmap).is_zero()
         jac.clear()
         assert not transform_op(canonical_pencil(rand_vdata(rng, chart)), cmap).is_zero()
         assert len(jac) == 1
+    assert ad == [] and nonconstant
     # the counters see the calls they count
     conjugate_by_exp(odd_laplacian(S, chart, s0), s)
     log_berezinian(cmap)

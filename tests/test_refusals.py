@@ -1,5 +1,8 @@
 """Library refusals: one row per precondition of a public call that no
-command-line path reaches.  Each row is (call, exception type, message)."""
+command-line path reaches.  Each row is (call, exception type, message).
+Density weights are refused by one rule, tabled over every entry point."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -13,15 +16,17 @@ from superdelta import (
 )
 from superdelta.brackets import (
     LieSuperAlgebraInstance,
-    leibniz_obstruction,
+    higher_bracket,
+    jacobiator,
     matrix_of,
     matrix_oracle_instance,
 )
-from superdelta.diffop import ad_mult, commutator, compose, conjugate_by_exp
+from superdelta.diffop import ad_mult, commutator, compose, conjugate_by_exp, specialize
 from superdelta.dsl import render
 from superdelta.geom import (
     BracketDataError,
     VBracketData,
+    act_on_w_densities,
     cotangent_chart,
     modular_vf,
     principal_matrix,
@@ -30,7 +35,7 @@ from superdelta.geom import (
 )
 from superdelta.gralg import berezin_integral, residue_pair, substitute
 
-from conftest import R02, R11, R12, R22
+from conftest import R02, R11, R12, R22, std_odd_smatrix
 
 
 def _v(chart, name):
@@ -43,6 +48,8 @@ def _d(chart, name):
 
 ONE11, ONE12 = GradedPoly.one(R11), GradedPoly.one(R12)
 ID11, ID12 = DiffOp.identity(R11), DiffOp.identity(R12)
+# an argument on (0|2) for a generator on (1|1)
+XI = _v(R02, "xi1")
 
 
 _REFUSALS = [
@@ -64,12 +71,21 @@ _REFUSALS = [
     (lambda: matrix_of(ID11), ValueError, "matrix oracle requires a purely odd chart"),
     (lambda: matrix_oracle_instance(R11), ValueError,
      "matrix oracle requires a purely odd chart"),
-    # a message an earlier row gives as well: the row's own id leaves the
-    # ids of the other rows as they are
-    pytest.param(lambda: leibniz_obstruction(_d(R11, "x") + _d(R11, "xi"), [], _v(R11, "x"),
-                                             _v(R11, "x")),
-                 ParityError, "bracket generator must be homogeneous",
-                 id="leibniz_obstruction: bracket generator must be homogeneous"),
+    # brackets: an argument on another chart is refused before any shortcut
+    # to 0 (a zero generator, more arguments than its order, a zero
+    # argument); rows sharing a message take their own ids
+    pytest.param(lambda: higher_bracket(DiffOp.zero(R11), [XI]),
+                 ChartMismatch, "bracket argument on a different chart",
+                 id="higher_bracket of 0: bracket argument on a different chart"),
+    pytest.param(lambda: higher_bracket(_d(R11, "x"), [XI, XI]),
+                 ChartMismatch, "bracket argument on a different chart",
+                 id="higher_bracket past the order: bracket argument on a different chart"),
+    pytest.param(lambda: higher_bracket(_d(R11, "x"), [XI, GradedPoly.zero(R11)]),
+                 ChartMismatch, "bracket argument on a different chart",
+                 id="higher_bracket with a zero argument: bracket argument on a different chart"),
+    pytest.param(lambda: jacobiator(DiffOp.zero(R11), [XI]),
+                 ChartMismatch, "bracket argument on a different chart",
+                 id="jacobiator of 0: bracket argument on a different chart"),
     # diffop: operands on different charts, conjugation preconditions
     (lambda: ID11 + ID12, ChartMismatch, "operators on different charts"),
     (lambda: ID11.apply(ONE12), ChartMismatch, "operand on wrong chart"),
@@ -79,8 +95,6 @@ _REFUSALS = [
      "operator and polynomial on different charts"),
     (lambda: conjugate_by_exp(_d(R11, "x"), _v(R11, "xi")), ParityError,
      "conjugation exponent must be even"),
-    (lambda: conjugate_by_exp(_d(R11, "x"), _v(R11, "x"), sign=2), ValueError,
-     "sign must be +1 or -1"),
     # geom: bracket data, symbols, divergence constructions
     (lambda: VBracketData(R11, 1, {("x", "xi"): ONE12}, {}, GradedPoly.zero(R11)),
      ChartMismatch, "S entry on wrong chart"),
@@ -117,3 +131,27 @@ def test_library_refusal_table(call, exc, message):
     with pytest.raises(exc) as info:
         call()
     assert (type(info.value), info.value.args) == (exc, (message,))
+
+
+_WEIGHT_CALLS = {
+    "specialize": lambda w: specialize(DiffOp.weight(R11) * _d(R11, "x"), w),
+    "DensityElement": lambda w: DensityElement(R11, {w: ONE11}),
+    "from_poly": lambda w: DensityElement.from_poly(ONE11, w),
+    "component": lambda w: DensityElement.from_poly(ONE11, 2).component(w),
+    "act_on_w_densities": lambda w: act_on_w_densities(
+        std_odd_smatrix(R11), R11, _v(R11, "x") * _v(R11, "x"), w),
+}
+
+
+@pytest.mark.parametrize("name", _WEIGHT_CALLS)
+def test_weight_is_an_int_or_a_fraction(name):
+    """An int weight means its Fraction; a float or a string is refused, not
+    read through Fraction (0.1 would be 3602879701896397/36028797018963968)."""
+    call = _WEIGHT_CALLS[name]
+    assert call(2) == call(Fraction(2))
+    call(Fraction(1, 10))
+    for w in (0.1, "1/10"):
+        with pytest.raises(TypeError) as info:
+            call(w)
+        assert info.value.args == (
+            f"a weight must be an int or a Fraction, not {type(w).__name__}",)
