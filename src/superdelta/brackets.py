@@ -23,13 +23,21 @@ too low in order to reach order 0 in the steps left, and takes the last
 commutator as an evaluation, [D, a] 1 = D(a).  ``jacobiator`` sums only
 the blocks whose inner (k) and outer (l + 1) brackets both have arity
 <= r, max(0, n - r + 1) <= k <= min(n, r), so J^n = 0 for n >= 2r.  The
-abstract engine and the matrix oracle assume no such bound: they are the
-independent paths that check it.
+abstract engine and the matrix oracle assume no such bound, nor the next:
+they are the independent paths that check them.
+
+Support bound: [...[c d^I, a_1], ..., a_n] 1 sums over the splittings
+I = I_1 + ... + I_n with each d^{I_j} hitting a_j, so a term reaches the
+bracket only if I is within the envelope of the arguments (gralg's
+_envelope).  ``higher_bracket`` drops the terms outside the envelope of
+the arguments left before each step; ``jacobiator``'s outer chains act on
+inner brackets, not on the arguments, and are bounded by order alone.
 
 One ``jacobiator`` call evaluates each commutator chain once and keeps
-none; ``square_bracket`` forms Delta^2 only from order n up, and for odd
-Delta without the terms where no derivative hits a coefficient: they sum to
-sigma(Delta)^2, the square of an odd symbol, which is 0 (diffop).
+none; ``square_bracket`` forms Delta^2 only from order n up and within the
+envelope, and for odd Delta without the terms where no derivative hits a
+coefficient: they sum to sigma(Delta)^2, the square of an odd symbol,
+which is 0 (diffop).
 """
 
 from __future__ import annotations
@@ -39,8 +47,8 @@ import itertools
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-from .gralg import (_ONE, Chart, ChartMismatch, GradedPoly, ParityError, _deg, _key_names,
-                    _keys_upto)
+from .gralg import (_ONE, Chart, ChartMismatch, GradedPoly, ParityError, _deg, _envelope,
+                    _key_names, _keys_upto, _within)
 from .diffop import DiffOp, _on_one, ad_mult, commutator, compose, specialize
 
 __all__ = [
@@ -103,15 +111,22 @@ def shuffles(k: int, l: int) -> list[tuple[int, ...]]:
 # higher brackets of operators
 
 
-def _top(D: DiffOp, r: int) -> DiffOp:
-    """The terms of D of order >= r."""
-    kept = {k: wp for k, wp in D.terms.items() if _deg(k) >= r}
-    return D if len(kept) == len(D.terms) else DiffOp(D.chart, kept)
+def _check_charts(Delta: DiffOp, args: Sequence[GradedPoly]):
+    """Refuse an argument on another chart, before a shortcut skips it."""
+    if any(a.chart != Delta.chart for a in args):
+        raise ChartMismatch("bracket argument on a different chart")
 
 
-def _step(D: DiffOp, a: GradedPoly, r: int) -> DiffOp:
-    """[D, a] with the terms of D of order < r dropped first; 0 stays 0."""
-    D = _top(D, r)
+def _top(D: DiffOp, r: int, bound=None) -> DiffOp:
+    """The terms of D of order >= r, and with a bound key, _within it."""
+    kept = {k: wp for k, wp in D.terms.items()
+            if _deg(k) >= r and (bound is None or _within(k, bound))}
+    return D if len(kept) == len(D.terms) else DiffOp._of(D.chart, kept)
+
+
+def _step(D: DiffOp, a: GradedPoly, r: int, bound=None) -> DiffOp:
+    """[D', a] for the terms D' = _top(D, r, bound) of D; 0 stays 0."""
+    D = _top(D, r, bound)
     return D if D.is_zero() else ad_mult(D, a)
 
 
@@ -125,11 +140,11 @@ def higher_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     multiplication operator lowers the order by at least one, so the
     bracket is 0 when n > r = ord Delta (or Delta = 0, or some a_i = 0),
     and a term of order < n - j before step j cannot reach order 0 in the
-    n - j steps left (_step).  Before the last step D has no term of
+    n - j steps left, nor can one outside the envelope of the arguments
+    left (module docstring; _step).  Before the last step D has no term of
     order 0, so D 1 = 0 at weight 0 and [D, a] 1 = D(a): the last
     commutator is an evaluation."""
-    if any(a.chart != Delta.chart for a in args):  # before a shortcut skips an argument
-        raise ChartMismatch("bracket argument on a different chart")
+    _check_charts(Delta, args)
     if Delta.parity() is None:
         raise ParityError("bracket generator must be homogeneous")
     n = len(args)
@@ -138,19 +153,22 @@ def higher_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
         return GradedPoly.zero(Delta.chart)
     if not n:
         return _on_one(Delta)
-    D = Delta
+    D, chart = Delta, Delta.chart
     for j in range(n - 1):
-        D = _step(D, args[j], n - j)
-    return _top(D, 1).apply(args[-1])
+        D = _step(D, args[j], n - j, _envelope(chart, args[j:]))
+    return _top(D, 1, _envelope(chart, args[-1:])).apply(args[-1])
 
 
 def square_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     """The n-th higher bracket generated by Delta^2 (the right-hand side of
-    the Jacobiator identity).  It reads the terms of order >= n only;
+    the Jacobiator identity).  It reads only the terms of order >= n with
+    key within the envelope of the arguments, so only those are formed;
     Delta^2 is formed whole when its parity is in doubt."""
-    p = Delta.parity()
-    floor = len(args) if p is not None else 0
-    return higher_bracket(compose(Delta, Delta, floor=floor, odd_square=p == 1), args)
+    _check_charts(Delta, args)  # before _envelope reads them
+    if (p := Delta.parity()) is None:
+        return higher_bracket(compose(Delta, Delta), args)
+    return higher_bracket(compose(Delta, Delta, floor=len(args), odd_square=p == 1,
+                                  bound=_envelope(Delta.chart, args)), args)
 
 
 def jacobiator(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
@@ -168,8 +186,7 @@ def jacobiator(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     _step(C(T[:-1]), a_tm, 2): it is extended or evaluated without its
     order-0 terms.  {a_S} is C(S[:-1])(a_{S[-1]}), and multiplication
     operators supercommute: {b, a_R} = (-1)^{|b| |a_R|} C(R)(b)."""
-    if any(a.chart != Delta.chart for a in args):  # before a shortcut skips an argument
-        raise ChartMismatch("bracket argument on a different chart")
+    _check_charts(Delta, args)
     pars = [a.parity() for a in args]
     if None in pars:
         raise ParityError("Jacobiator arguments must be homogeneous")

@@ -49,8 +49,9 @@ from .gralg import (
     _mul_keys,
     _parity,
     _power,
+    _rational,
     _unit,
-    _weight,
+    _within,
 )
 
 # coefficient of one derivative key: map  W-power -> GradedPoly
@@ -221,7 +222,7 @@ def _on_one(D: DiffOp) -> GradedPoly:
     return D.terms.get(_unit(D.chart), {}).get(0, GradedPoly.zero(D.chart))
 
 
-def _leibniz(key: Key, mono: Key, hits=None, free=True) -> list[tuple[Key, Key, int]]:
+def _leibniz(key: Key, mono: Key, hits=None, free=True, cap=None) -> list[tuple[Key, Key, int]]:
     """d^key o (x^mono .) = sum n x^m d^rest, normal-ordered by the graded
     Leibniz rule, as (rest, m, n) triples with integer n.  Innermost first,
     each odd derivative d_i either hits the monomial, at (-1)^pos for the
@@ -232,7 +233,8 @@ def _leibniz(key: Key, mono: Key, hits=None, free=True) -> list[tuple[Key, Key, 
     the n derivatives d_x hit x^a at binom(n, k) a!/(a-k)!.  The triple
     with rest = key is the term where no derivative hits; free=False leaves
     it out.  With ``hits`` given, a branch that has hit that often only
-    passes on."""
+    passes on.  With a ``cap`` key, only rests within it are formed: an odd
+    d_i passes only if i is in it, and n - cap_x of the n d_x hit at least."""
     e, o = key
     me, mo = mono
     h0 = _deg(key) if hits is None else hits
@@ -244,17 +246,19 @@ def _leibniz(key: Key, mono: Key, hits=None, free=True) -> list[tuple[Key, Key, 
             if h and i in m:
                 pos = m.index(i)
                 nxt.append((rest, m[:pos] + m[pos + 1:], -n if pos & 1 else n, h - 1))
-            nxt.append(((i,) + rest, m, -n if len(m) & 1 else n, h))
+            if cap is None or i in cap[1]:
+                nxt.append(((i,) + rest, m, -n if len(m) & 1 else n, h))
         terms = nxt
-    if not any(e) or not any(me):  # no even derivative hits
+    if not any(e) or cap is None and not any(me):  # no even derivative hits
         return [((e, rest), (me, m), n) for rest, m, n, h in terms if free or h != h0]
     # and the even exponents left, the monomial's
     terms = [(e, me, rest, m, n, h) for rest, m, n, h in terms]
     for j, n in enumerate(e):
-        if n and (a := me[j]):
+        lo, a = 0 if cap is None else max(n - cap[0][j], 0), me[j]
+        if lo or n and a:
             terms = [(er[:j] + (n - k,) + er[j + 1:], em[:j] + (a - k,) + em[j + 1:], rest, m,
                       c * comb(n, k) * perm(a, k), h - k)
-                     for er, em, rest, m, c, h in terms for k in range(min(n, a, h) + 1)]
+                     for er, em, rest, m, c, h in terms for k in range(lo, min(n, a, h) + 1)]
     return [((er, rest), (em, m), c) for er, em, rest, m, c, h in terms if free or h != h0]
 
 
@@ -280,19 +284,20 @@ def _from_sums(chart: Chart, sums: _Sums) -> DiffOp:
 
 
 def _add_leibniz(sums: _Sums, chart: Chart, I: Key, right, left: WPoly | None = None,
-                 free=True):
+                 free=True, caps: dict[Key, Key] | None = None):
     """Add  left d^I o R  to sums (left None stands for 1), R the sum of
     W^w f d^J over the (J, {w: f}, hits) of ``right``.  Each monomial of f
-    gives (rest, m, n) triples (_leibniz, with at most ``hits`` hits, and
-    one at least unless ``free``); d^rest d^J is one key by _mul_keys, or 0
-    if their odd indices overlap.  The terms are summed per key and W-power
-    before one product with each coefficient of left.  W is central."""
+    gives (rest, m, n) triples (_leibniz, at most ``hits`` hits, one at least
+    unless ``free``, rest within caps[J] if given); d^rest d^J is one key by
+    _mul_keys, or 0 if their odd indices overlap.  The terms are summed per
+    key and W-power before one product with each coefficient of left."""
     acc_sums = sums if left is None else {}
     for J, wp, hits in right:
+        cap = None if caps is None else caps[J]
         for w, f in wp.items():
             accs: dict = {}  # rest -> (term map of d^rest d^J at W^w, sign), or None
             for m0, c0 in f.terms.items():
-                for rest, m, n in _leibniz(I, m0, hits, free):
+                for rest, m, n in _leibniz(I, m0, hits, free, cap):
                     if (a := accs.get(rest, False)) is False:
                         k = _mul_keys(rest, J)
                         a = accs[rest] = k and (acc_sums.setdefault(k[0], {}).setdefault(w, {}),
@@ -312,26 +317,34 @@ def _add_leibniz(sums: _Sums, chart: Chart, I: Key, right, left: WPoly | None = 
                     _add_into(sums, key, wc + w, c * g)
 
 
-def compose(D: DiffOp, E: DiffOp, *, floor: int = 0, odd_square: bool = False) -> DiffOp:
+def compose(D: DiffOp, E: DiffOp, *, floor: int = 0, odd_square: bool = False,
+            bound: Key | None = None) -> DiffOp:
     """Normal-ordered composition: apply(compose(D, E), psi) =
     apply(D, apply(E, psi)), summing  c d^I o (f d^J)  by _add_leibniz, all
     of E at once for each term of D.  Only the terms of order >= floor are
     formed: a term where h derivatives hit f has order |I| + |J| - h, so
-    each pair is expanded with at most |I| + |J| - floor hits.
+    each pair is expanded with at most |I| + |J| - floor hits.  With a
+    ``bound`` key, only the terms with key _within it are formed: a term of
+    c d^I o f d^J has key rest + J, rest <= I, so E's terms with J outside
+    the bound are dropped and rest is capped at bound - J.
     odd_square=True says D is odd (unchecked) and E is D: the terms no
-    derivative hits sum to sigma(D)^2 = 0 (module docstring) and are left
-    out."""
+    derivative hits sum to sigma(D)^2 = 0 (module docstring) key by key and
+    are left out, also under a bound, within which a free term d^{I+J}
+    has both I and J."""
     if D.chart != E.chart:
         raise ChartMismatch("operators on different charts")
     if odd_square and E is not D:
         raise ValueError("odd_square composes an operator with itself")
     chart = D.chart
     sums: _Sums = {}
-    right = [(J, wpE, _deg(J) - floor) for J, wpE in E.terms.items()]
+    caps = None if bound is None else {J: (tuple(b - j for b, j in zip(bound[0], J[0])), tuple(
+        i for i in bound[1] if i not in J[1])) for J in E.terms if _within(J, bound)}
+    right = [(J, wpE, _deg(J) - floor) for J, wpE in E.terms.items()
+             if caps is None or J in caps]
     for I, wpD in D.terms.items():
         d = _deg(I)
         _add_leibniz(sums, chart, I, [(J, wpE, h + d) for J, wpE, h in right
-                                      if h + d >= odd_square], wpD, free=not odd_square)
+                                      if h + d >= odd_square], wpD, not odd_square, caps)
     return _from_sums(chart, sums)
 
 
@@ -386,7 +399,7 @@ def conjugate_by_exp(D: DiffOp, u: GradedPoly) -> DiffOp:
 
 def specialize(P: DiffOp, w0) -> DiffOp:
     """Substitute W := w0 in all coefficients."""
-    w0 = _weight(w0)
+    w0 = _rational(w0, "weight")
     return DiffOp(P.chart, {key: {0: _at_weight(P.chart, wp, w0)} for key, wp in P.terms.items()})
 
 

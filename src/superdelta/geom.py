@@ -33,9 +33,9 @@ from .gralg import (
     _key,
     _key_names,
     _odd_degree_part,
+    _rational,
     _substitute,
     _unit,
-    _weight,
     partial,
 )
 from .diffop import (
@@ -340,7 +340,7 @@ def act_on_w_densities(S: SMatrix, chart: Chart, sigma, w) -> DiffOp:
     conjugate_by_exp(Delta_rho, -w sigma), in closed form as e^{w sigma}
     is even: (1/2) sum (d_a + (1-w) d_a sigma) o S^{ab} (d_b - w d_b sigma)."""
     sigma = _as_sigma(sigma)
-    w = _weight(w)
+    w = _rational(w, "weight")
     return _laplacian(S, chart, sigma * (_ONE - w), sigma * -w)
 
 

@@ -7,22 +7,24 @@ of canonical forms.  Odd monomials are stored as ascending index tuples in
 declaration order with the reordering sign folded into the coefficient.
 
 The kernel contract: every coefficient in ``GradedPoly.terms`` is a nonzero
-``Fraction``.  The public constructor validates its input (wraps each value
-in ``Fraction``, drops zeros); ``GradedPoly._of`` is private and trusted,
-for term maps the engine built itself, and adopts them unchecked.  The
-``.terms`` layouts (here and in ``DiffOp``) are read by the benchmark under
-``bench/``, and every polynomial-by-polynomial product goes through
-``GradedPoly.__mul__``, the boundary its tracer wraps, except that ``dsl``
-builds each product of numbers, variables, W and derivatives in ``.sd``
-text as one term.  ``substitute`` validates its images for the kernel
-``_substitute``, which coordinate maps, validated when built, call directly.
-Products of variables and products of derivatives share the key layout,
-and only this module, ``diffop`` and the matrix oracle's ``matrix_of`` read
-it inside the package; other modules go through the key helpers: ``_key``
-(the key of a product), ``_unit`` (the key of 1), ``_deg`` (its degree),
-``_keys_upto`` (every key up to a degree), ``_key_powers`` and
-``_key_names`` (its factors), ``_odd_degree_part`` and ``_embed`` (a
-polynomial on a chart whose blocks begin with its own).  ``_derive`` takes
+``Fraction``.  The public constructor validates its input (takes an int or
+a Fraction as a ``Fraction``, refuses anything else, drops zeros);
+``GradedPoly._of`` is private and trusted, for term maps the engine built
+itself, and adopts them unchecked.  The ``.terms`` layouts (here and in
+``DiffOp``) are read by the benchmark under ``bench/``, and every
+polynomial-by-polynomial product goes through ``GradedPoly.__mul__``, the
+boundary its tracer wraps, except that ``dsl`` builds each product of
+numbers, variables, W and derivatives in ``.sd`` text as one term.
+``substitute`` validates its images for the kernel ``_substitute``, which
+coordinate maps, validated when built, call directly.  Products of
+variables and products of derivatives share the key layout, and only this
+module, ``diffop`` and the matrix oracle's ``matrix_of`` read it inside the
+package; other modules go through the key helpers: ``_key`` (the key of a
+product), ``_unit`` (the key of 1), ``_deg`` (its degree), ``_keys_upto``
+(every key up to a degree), ``_key_powers`` and ``_key_names`` (its
+factors), ``_envelope`` and ``_within`` (a bracket's support bound),
+``_odd_degree_part`` and ``_embed`` (a polynomial on a chart whose blocks
+begin with its own).  ``_derive`` takes
 d^key of each monomial in one step; ``partial``, its one-variable case,
 serves ``geom`` and the API, and ``diffop`` calls ``_derive``, never it.
 
@@ -39,7 +41,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import perm, prod
-from operator import add as _add, mul as _mul, sub
+from operator import add as _add, le, mul as _mul, sub
 from typing import Mapping, NamedTuple
 
 EVEN = 0
@@ -168,6 +170,28 @@ def _key_names(chart: Chart, key: Key) -> list[str]:
     return [n for n, k in _key_powers(chart, key) for _ in range(k)]
 
 
+def _rational(x, what: str) -> Fraction:
+    """A coefficient or a weight, an int or a Fraction, as a Fraction, tested by
+    type (isinstance dispatches through ABCMeta); a float or a str is refused."""
+    if type(x) is not Fraction and type(x) is not int:
+        raise TypeError(f"a {what} must be an int or a Fraction, not {type(x).__name__}")
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _envelope(chart: Chart, polys) -> Key:
+    """The key of the derivatives polys can absorb: per even variable the
+    sum over polys of its largest exponent in each, and the union of their
+    odd indices.  It bounds the brackets of polys (brackets' support bound)."""
+    even = tuple(sum(max((e[j] for e, _ in p.terms), default=0) for p in polys)
+                 for j in range(len(chart.even)))
+    return even, tuple(sorted({i for p in polys for _, o in p.terms for i in o}))
+
+
+def _within(key: Key, bound: Key) -> bool:
+    """key <= bound: no even exponent above bound's, no odd index outside it."""
+    return all(map(le, key[0], bound[0])) and set(key[1]).issubset(bound[1])
+
+
 def _parity(parities: set) -> int | None:
     """The parity every part shares, from the set of their parities: EVEN
     when there are no parts, None when two differ."""
@@ -247,8 +271,7 @@ class GradedPoly(_Value):
     def __init__(self, chart: Chart, terms: Mapping[Key, Fraction] | None = None):
         clean = {}
         for key, c in (terms or {}).items():
-            c = c if type(c) is Fraction else Fraction(c)
-            if c:
+            if c := _rational(c, "coefficient"):
                 clean[key] = c
         self.chart, self.terms = chart, clean
 
@@ -446,14 +469,6 @@ def _substitute(p: GradedPoly, images: Mapping[str, GradedPoly],
     return GradedPoly._sum(target, monomials)
 
 
-def _weight(w) -> Fraction:
-    """A density weight, an int or a Fraction, as a Fraction, tested by type:
-    isinstance(w, Fraction), like Fraction == Fraction, dispatches through ABCMeta."""
-    if type(w) is not Fraction and type(w) is not int:
-        raise TypeError(f"a weight must be an int or a Fraction, not {type(w).__name__}")
-    return w if type(w) is Fraction else Fraction(w)
-
-
 class DensityElement(_Value):
     """A finite sum of weighted densities  psi = sum_w psi_w * t^w  with
     rational weights w and GradedPoly components psi_w."""
@@ -464,7 +479,7 @@ class DensityElement(_Value):
         self.chart = chart
         clean: dict[Fraction, GradedPoly] = {}
         for w, p in (parts or {}).items():
-            w = _weight(w)
+            w = _rational(w, "weight")
             if p.chart != chart:
                 raise ChartMismatch("component on wrong chart")
             if not p.is_zero():
@@ -480,7 +495,8 @@ class DensityElement(_Value):
         return DensityElement(p.chart, {w: p})
 
     def component(self, w) -> GradedPoly:
-        return self.parts.get(w if type(w) is int else _weight(w), GradedPoly.zero(self.chart))
+        w = w if type(w) is int else _rational(w, "weight")
+        return self.parts.get(w, GradedPoly.zero(self.chart))
 
     def weights(self) -> list[Fraction]:
         return sorted(self.parts)

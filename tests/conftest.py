@@ -97,6 +97,12 @@ def std_odd_smatrix(chart: Chart) -> dict:
     return S
 
 
+def key_within(key, bound) -> bool:
+    """key <= bound, from the definition: every even exponent at most
+    bound's and every odd index one of bound's.  Kept apart from gralg."""
+    return all(a <= b for a, b in zip(key[0], bound[0])) and set(key[1]) <= set(bound[1])
+
+
 # ---------------------------------------------------------------------------
 # hypothesis strategies
 

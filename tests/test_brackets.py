@@ -25,7 +25,7 @@ from superdelta.brackets import (
     square_bracket,
 )
 
-from conftest import CHARTS, R11, R12, R22, R02, R03, rand_op, rand_poly
+from conftest import CHARTS, R11, R12, R22, R02, R03, key_within, rand_op, rand_poly
 
 
 def _x(chart, name):
@@ -308,18 +308,110 @@ def test_brackets_match_commutator_chain(chart):
     assert nonzero[0] >= 5 and nonzero[1] >= 40
 
 
+def _envelope_reference(chart, args):
+    """The derivatives args can absorb, from the definition: per even
+    variable the sum of its largest exponent in each argument, and the
+    union of the odd indices."""
+    even, odd = [0] * len(chart.even), set()
+    for a in args:
+        top = [0] * len(chart.even)
+        for e, o in a.terms:
+            top = [max(t, x) for t, x in zip(top, e)]
+            odd |= set(o)
+        even = [s + t for s, t in zip(even, top)]
+    return tuple(even), tuple(sorted(odd))
+
+
+def _narrow_poly(rng, chart):
+    """A polynomial whose support the bound can use: a constant, one
+    variable, or a few monomials in a random part of the odd coordinates
+    with small even exponents."""
+    pick = rng.random()
+    if pick < 0.15:
+        return GradedPoly.const(chart, rng.randint(1, 3))
+    if pick < 0.45:
+        return GradedPoly.var(chart, rng.choice(chart.names))
+    odd = set(rng.sample(range(len(chart.odd)), rng.randint(0, len(chart.odd) - 1)))
+    top = rng.randint(0, 2)
+    p = rand_poly(rng, chart, 3, nterms=5)
+    return GradedPoly(chart, {(e, o): c for (e, o), c in p.terms.items()
+                              if set(o) <= odd and max(e, default=0) <= top})
+
+
+def test_support_bound_matches_commutator_chain():
+    """higher_bracket and square_bracket, which drop the terms whose key is
+    not within the envelope of the arguments, against commutator chains of
+    Delta and of the whole Delta^2 that assume no bound: odd and even
+    Delta of order <= 3 on all five charts, every third carrying W, and
+    arguments that are single variables (so often of disjoint odd
+    supports), constants, or several monomials in part of the odd
+    coordinates, n = 0-4.  In most cases Delta^2 has terms outside the
+    envelope."""
+    rng = random.Random("support bound")
+    cases = bites = nonzero = 0
+    for chart in CHARTS:
+        for D in _seeded_generators(rng, chart, 10):
+            sq = compose(D, D)
+            for n in range(5):
+                for _ in range(3):
+                    args = []
+                    while len(args) < n:
+                        if not (a := _narrow_poly(rng, chart)).is_zero():
+                            args.append(a)
+                    B = higher_bracket(D, args)
+                    assert B == _chain_bracket(D, args)
+                    F = square_bracket(D, args)
+                    assert F == _chain_bracket(sq, args)
+                    env = _envelope_reference(chart, args)
+                    cases += 1
+                    bites += any(not key_within(k, env) for k in sq.terms)
+                    nonzero += not F.is_zero() and not B.is_zero()
+    assert cases == 750 and bites >= 450 and nonzero >= 80
+
+
+def test_square_bracket_product_count_is_pinned(count_calls):
+    """square_bracket forms only the terms of Delta^2 its arguments can
+    absorb, for one fixed odd (0|3) operator: {}_{Delta^2} = Delta^2 1 takes
+    1 product and {xi1}_{Delta^2} 2, where the whole square from order n
+    up took 7 for each."""
+    xi1, xi2, xi3 = (_x(R03, name) for name in R03.odd)
+    d1, d2, d3 = (DiffOp.deriv(R03, name) for name in R03.odd)
+    D = d1 * d2 * d3 + DiffOp.mult(xi1) * d2 * d3 + DiffOp.mult(xi2 * xi3) * d1 \
+        + DiffOp.mult(xi3) * d1 * d2 + DiffOp.mult(xi1)
+    assert D.parity() == 1
+    sq = compose(D, D)
+    want = [_chain_bracket(sq, []), _chain_bracket(sq, [xi1])]
+    assert want == [xi2 * xi3, -xi1]
+    products = count_calls(GradedPoly, "__mul__")
+    assert square_bracket(D, []) == want[0]
+    assert len(products) == 1
+    products.clear()
+    assert square_bracket(D, [xi1]) == want[1]
+    assert len(products) == 2
+
+
+def _ad_mult_chain(D, args):
+    """{a_1,...,a_n} by its definition, each commutator by brackets.ad_mult
+    (looked up per call, so a monkeypatched counter sees it) with no order
+    floor or support bound: [...[D, a_1], ..., a_n] applied to 1 at weight 0."""
+    from superdelta import brackets
+
+    for a in args:
+        D = brackets.ad_mult(D, a)
+    return D.apply(GradedPoly.one(D.chart))
+
+
 def _shuffle_jacobiator(D, args):
-    """The bounded shuffle sum with every inner and outer bracket taken by
-    higher_bracket from scratch, as jacobiator did before it shared its
-    commutator chains."""
+    """The bounded shuffle sum with every inner and outer bracket taken
+    from scratch by _ad_mult_chain, sharing no commutator chain."""
     pars = [a.parity() for a in args]
     n = len(args)
     r = D.order() or 0
     terms = []
     for k in range(max(0, n - r + 1), min(n, r) + 1):
         for s in shuffles(k, n - k):
-            inner = higher_bracket(D, [args[s[i]] for i in range(k)])
-            outer = higher_bracket(D, [inner] + [args[s[i]] for i in range(k, n)])
+            inner = _ad_mult_chain(D, [args[s[i]] for i in range(k)])
+            outer = _ad_mult_chain(D, [inner] + [args[s[i]] for i in range(k, n)])
             terms.append(outer if koszul_sign(s, pars) == 1 else -outer)
     return GradedPoly._sum(D.chart, terms)
 

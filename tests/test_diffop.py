@@ -25,7 +25,7 @@ from superdelta import gralg
 from superdelta.diffop import _leibniz
 from superdelta.gralg import _deg, _keys_upto, _mul_keys
 
-from conftest import CHARTS, R11, R12, R22, R02, R03, rand_op, rand_poly
+from conftest import CHARTS, R11, R12, R22, R02, R03, key_within, rand_op, rand_poly
 
 
 def test_constructors_and_order():
@@ -262,6 +262,35 @@ def test_odd_square_leaves_out_only_the_symbol_square():
         compose(D, D + 0, odd_square=True)
 
 
+def test_compose_bound_keeps_the_keys_within_it():
+    """compose(D, E, floor=k, bound=B) is the part of compose(D, E) of order
+    >= k with key within B: seeded D, E and B on all five charts, half of
+    D and E W pencils, and for odd D also compose(D, D, odd_square=True)
+    against compose(D, D).  The bound drops terms and keeps others."""
+    rng = random.Random("compose bound")
+    dropped = kept = 0
+    for chart in CHARTS:
+        W = DiffOp.weight(chart)
+        bounds = _keys_upto(chart, 4)
+        for i in range(12):
+            D = rand_op(rng, chart, 3, parity=i % 2)
+            E = rand_op(rng, chart, 2)
+            if i % 4 >= 2:
+                D = D + compose(W, rand_op(rng, chart, 2, parity=i % 2))
+                E = E - compose(W, rand_op(rng, chart, 1))
+            pairs = [(D, E, False)] + [(D, D, True)] * (i % 2)
+            for A, B_op, odd_square in pairs:
+                full = compose(A, B_op)
+                for _ in range(3):
+                    B, k = rng.choice(bounds), rng.randint(0, 3)
+                    want = DiffOp(chart, {key: wp for key, wp in full.terms.items()
+                                          if _deg(key) >= k and key_within(key, B)})
+                    assert compose(A, B_op, floor=k, bound=B, odd_square=odd_square) == want
+                    dropped += any(not key_within(key, B) for key in full.terms)
+                    kept += not want.is_zero()
+    assert dropped >= 150 and kept >= 100
+
+
 def test_odd_square_of_xi_dx_forms_no_product(count_calls):
     """(xi d_x)^2 = xi xi d_x^2 = 0 is all symbol square: d_x does not hit
     xi, so composing xi d_x with itself as an odd square multiplies no two
@@ -396,6 +425,31 @@ def test_monomial_leibniz_matches_the_partial_reference():
                        for rest, m, n in _leibniz(key, m0, hits, free)]
                 want = _leibniz_reference(chart, key, f, hits, free)
                 assert _per_rest(got) == _per_rest(want)
+
+
+def test_leibniz_cap_keeps_the_rests_within_it():
+    """_leibniz with a cap gives the triples of the partial-based expansion
+    whose rest key is within the cap: seeded keys of degree <= 4, caps of
+    degree <= 3 and polynomials on all five charts, with at most None
+    (all), 0 or 1 hits, the free branch kept and left out.  Both the odd
+    cap (an odd derivative that may not pass) and the even cap (even
+    derivatives that must hit) bite."""
+    rng = random.Random("leibniz cap")
+    odd_bites = even_bites = 0
+    for chart in CHARTS:
+        keys, caps = _keys_upto(chart, 4), _keys_upto(chart, 3)
+        for _ in range(40):
+            key, cap, f = rng.choice(keys), rng.choice(caps), rand_poly(rng, chart, 4, nterms=6)
+            odd_bites += not set(key[1]) <= set(cap[1])
+            even_bites += any(n > c for n, c in zip(key[0], cap[0]))
+            for hits, free in itertools.product((None, 0, 1), (True, False)):
+                got = [(rest, GradedPoly(chart, {m: c * n}))
+                       for m0, c in f.terms.items()
+                       for rest, m, n in _leibniz(key, m0, hits, free, cap)]
+                want = [(rest, g) for rest, g in _leibniz_reference(chart, key, f, hits, free)
+                        if key_within(rest, cap)]
+                assert _per_rest(got) == _per_rest(want)
+    assert odd_bites >= 60 and even_bites >= 40
 
 
 def test_one_step_apply_matches_repeated_partials():

@@ -20,6 +20,7 @@ from superdelta.brackets import (
     jacobiator,
     matrix_of,
     matrix_oracle_instance,
+    square_bracket,
 )
 from superdelta.diffop import ad_mult, commutator, compose, conjugate_by_exp, specialize
 from superdelta.dsl import render
@@ -86,6 +87,9 @@ _REFUSALS = [
     pytest.param(lambda: jacobiator(DiffOp.zero(R11), [XI]),
                  ChartMismatch, "bracket argument on a different chart",
                  id="jacobiator of 0: bracket argument on a different chart"),
+    pytest.param(lambda: square_bracket(_d(R11, "xi"), [XI]),
+                 ChartMismatch, "bracket argument on a different chart",
+                 id="square_bracket before its envelope: bracket argument on a different chart"),
     # diffop: operands on different charts, conjugation preconditions
     (lambda: ID11 + ID12, ChartMismatch, "operators on different charts"),
     (lambda: ID11.apply(ONE12), ChartMismatch, "operand on wrong chart"),
@@ -111,6 +115,15 @@ _REFUSALS = [
     (lambda: tstar_bracket(GradedPoly.one(cotangent_chart(R11)),
                            GradedPoly.one(cotangent_chart(R12))),
      ChartMismatch, "symbols on different cotangent charts"),
+    # gralg: coefficients are an int or a Fraction; rows sharing a message
+    # take their own ids
+    *(pytest.param(lambda make=make, c=c: make(c), TypeError,
+                   f"a coefficient must be an int or a Fraction, not {kind}",
+                   id=f"{name} of a {kind}: a coefficient must be an int or a Fraction")
+      for name, make in (("GradedPoly", lambda c: GradedPoly(R11, {((0,), ()): c})),
+                         ("GradedPoly.const", lambda c: GradedPoly.const(R11, c)),
+                         ("DiffOp.const", lambda c: DiffOp.const(R11, c)))
+      for c, kind in ((0.1, "float"), ("1/10", "str"))),
     # gralg: charts, substitution, densities, the Berezin integral
     (lambda: R11.parity("nope"), KeyError, "unknown variable 'nope'"),
     (lambda: substitute(_v(R11, "x"), {"x": _v(R11, "x"), "xi": _v(R12, "xi1")}),
