@@ -38,6 +38,13 @@ none; ``square_bracket`` forms Delta^2 only from order n up and within the
 envelope, and for odd Delta without the terms where no derivative hits a
 coefficient: they sum to sigma(Delta)^2, the square of an odd symbol,
 which is 0 (diffop).
+
+Matrix oracle: on a purely odd chart an operator is an exact matrix on
+the Grassmann basis.  ``matrix_of`` builds it from the oracle's own
+product and derivative tables and applies no engine kernel (no
+``DiffOp.apply``, ``_derive`` or polynomial product), and
+``jacobiator_abstract`` shares its inner chains as ``jacobiator`` does,
+taking every outer nest literally.
 """
 
 from __future__ import annotations
@@ -293,14 +300,23 @@ def jacobiator_abstract(
     order bound.  The arguments are checked against the image of P once;
     each inner bracket lies in it by construction.  The signed sum needs
     ``sub`` alone: x + y = x - (0 - y), with 0 = t - t for the first term
-    t, which belongs to the identity shuffle and so has sign +1."""
+    t, which belongs to the identity shuffle and so has sign +1.
+
+    Each inner chain [...[Delta, a_s1], ..., a_sk], before its projection,
+    is taken once, from the chain of S[:-1]: the blocks run by increasing
+    k and every increasing tuple of length k - 1 is the first block of a
+    shuffle before them.  So (2^n - 1) + sum_k C(n, k) (n - k + 1)
+    brackets are taken in all.  The outer nests stay literal."""
     _check_image(inst, args)
     n = len(args)
+    chains = {(): Delta}
     total = zero = None
     for k in range(n + 1):
         for s in shuffles(k, n - k):
-            inner = _nested(inst, Delta, [args[s[i]] for i in range(k)])
-            term = _nested(inst, Delta, [inner] + [args[s[i]] for i in range(k, n)])
+            S = s[:k]
+            if k:
+                chains[S] = inst.bracket(chains[S[:-1]], args[S[-1]])
+            term = _nested(inst, Delta, [inst.project(chains[S])] + [args[i] for i in s[k:]])
             if total is None:
                 total, zero = term, inst.sub(term, term)
             elif koszul_sign(s, parities) == 1:
@@ -358,15 +374,16 @@ def _grassmann_basis(chart: Chart) -> tuple[tuple[int, ...], ...]:
 class GrassmannMatrix:
     """An exact matrix acting on the 2^q-dimensional Grassmann algebra of a
     purely odd chart, held as its nonzero entries: rows[i] maps a column j
-    to the entry (i, j), built from maps that may also hold zeros.  The
-    entry (i, j) has parity |i| + |j| mod 2 for the basis monomials i and
-    j, and ``parity`` is the common parity of the entries (None for a zero
-    or inhomogeneous matrix), read off them on first access and kept.
-    Immutable by convention."""
+    to the entry (i, j), and holds no zero (its builder filters it with
+    _nonzero).  The entry (i, j) has parity |i| + |j| mod 2 for the basis
+    monomials i and j, and ``parity`` is the common parity of the entries
+    (None for a zero or inhomogeneous matrix), read off them on first
+    access and kept.  Immutable by convention, rows included: they are
+    shared, never copied."""
 
-    def __init__(self, chart: Chart, entries):
+    def __init__(self, chart: Chart, rows):
         self.chart = chart
-        self.rows = tuple({j: c for j, c in acc.items() if c} for acc in entries)
+        self.rows = tuple(rows)
 
     @functools.cached_property
     def parity(self) -> Optional[int]:
@@ -385,30 +402,41 @@ class GrassmannMatrix:
         return not any(self.rows)
 
 
+def _nonzero(acc: dict[int, Fraction]) -> dict[int, Fraction]:
+    """A summed row without its zero entries; rebuilt only if it holds one,
+    as diffop._from_sums does."""
+    return acc if all(acc.values()) else {j: c for j, c in acc.items() if c}
+
+
 def _mat_mul(A: GrassmannMatrix, B: GrassmannMatrix, sign: int = 0) -> GrassmannMatrix:
     """AB, or with sign = +-1 the sum AB + sign BA, in one pass over the rows."""
-    entries = []
+    rows = []
     for i in range(len(A.rows)):
         acc: dict[int, Fraction] = {}
         for X, Y, s in ((A, B, 1), (B, A, sign))[:2 if sign else 1]:
             for k, x in X.rows[i].items():
+                x = x if s > 0 else -x
                 for j, y in Y.rows[k].items():
-                    xy = x * y if s > 0 else -(x * y)
+                    xy = x * y
                     acc[j] = acc[j] + xy if j in acc else xy
-        entries.append(acc)
-    return GrassmannMatrix(A.chart, entries)
+        rows.append(_nonzero(acc))
+    return GrassmannMatrix(A.chart, rows)
 
 
 def _mat_sub(A: GrassmannMatrix, B: GrassmannMatrix, sign: int = -1) -> GrassmannMatrix:
-    """A + sign B (A - B by default)."""
+    """A + sign B (A - B by default); a row B does not touch is A's."""
     if B.is_zero():
         return A
-    entries = [dict(row) for row in A.rows]
-    for acc, row_b in zip(entries, B.rows):
-        for j, b in row_b.items():
-            b = b if sign > 0 else -b
-            acc[j] = acc[j] + b if j in acc else b
-    return GrassmannMatrix(A.chart, entries)
+    rows = []
+    for row_a, row_b in zip(A.rows, B.rows):
+        if row_b:
+            acc = dict(row_a)
+            for j, b in row_b.items():
+                b = b if sign > 0 else -b
+                acc[j] = acc[j] + b if j in acc else b
+            row_a = _nonzero(acc)
+        rows.append(row_a)
+    return GrassmannMatrix(A.chart, rows)
 
 
 def _mat_bracket(A: GrassmannMatrix, B: GrassmannMatrix) -> GrassmannMatrix:
@@ -418,30 +446,63 @@ def _mat_bracket(A: GrassmannMatrix, B: GrassmannMatrix) -> GrassmannMatrix:
     return _mat_mul(A, B, 1 if pa and pb else -1)
 
 
-def _sign_table(basis) -> list[list[Optional[tuple[int, int]]]]:
+@functools.cache
+def _sign_table(basis) -> tuple[tuple[Optional[tuple[int, int]], ...], ...]:
     """table[m][j] = (i, s) with xi^basis[m] xi^basis[j] = s xi^basis[i], or
     None when an odd factor repeats: s = (-1)^inv, inv the number of pairs
     a in basis[m], b in basis[j] with a > b, which sorting swaps."""
     index = {o: i for i, o in enumerate(basis)}
-    return [[None if set(m) & set(o) else (index[tuple(sorted(m + o))],
-                                           (-1) ** sum(a > b for a in m for b in o))
-             for o in basis] for m in basis]
+    return tuple(tuple(None if set(m) & set(o) else (index[tuple(sorted(m + o))],
+                                                     (-1) ** sum(a > b for a in m for b in o))
+                       for o in basis) for m in basis)
+
+
+@functools.cache
+def _derivative_table(basis) -> tuple[tuple[Optional[tuple[int, int]], ...], ...]:
+    """table[m][j] = (r, s) with d^basis[m] xi^basis[j] = s xi^basis[r], or
+    None when it is 0, from _sign_table alone.  With I = basis[m] of length
+    k and r free of I, the left derivatives d^I = d_i1 o ... o d_ik pass
+    xi^basis[r] and, innermost first, take xi^I to (-1)^(k(k-1)/2); so
+    xi^I xi^basis[r] = s xi^basis[j] gives d^I xi^basis[j] = +-s xi^basis[r],
+    and d^I kills a monomial that does not hold I."""
+    table = []
+    for I, products in zip(basis, _sign_table(basis)):
+        flip = -1 if len(I) // 2 & 1 else 1  # k(k-1)/2 is odd iff k = 2, 3 mod 4
+        col: list[Optional[tuple[int, int]]] = [None] * len(basis)
+        for r, hit in enumerate(products):
+            if hit:
+                col[hit[0]] = r, hit[1] * flip
+        table.append(tuple(col))
+    return tuple(table)
 
 
 def matrix_of(D: DiffOp) -> GrassmannMatrix:
     """The exact matrix of a weight-free operator on the Grassmann algebra
     of a purely odd chart (q = number of odd variables <= 3 is the intended
-    range; any q works, at 2^q cost): column j is D(j-th basis monomial)."""
+    range; any q works, at 2^q cost): column j is D(j-th basis monomial), a
+    pencil read at weight 0.  Built from the oracle's own tables, applying
+    no engine kernel: each term c d^I sends the j-th monomial to
+    c (s xi^basis[r]) (_derivative_table), and c multiplies from the left
+    one monomial at a time (_sign_table)."""
     chart = D.chart
     if chart.even:
         raise ValueError("matrix oracle requires a purely odd chart")
     basis = _grassmann_basis(chart)
+    signs, derivs = _sign_table(basis), _derivative_table(basis)
     index = {o: i for i, o in enumerate(basis)}
-    entries = [{} for _ in basis]
-    for j, o in enumerate(basis):
-        for (_, oi), c in D.apply(GradedPoly._of(chart, {((), o): _ONE})).terms.items():
-            entries[index[oi]][j] = c
-    return GrassmannMatrix(chart, entries)
+    entries: list[dict[int, Fraction]] = [{} for _ in basis]
+    for (_, o), wp in D.terms.items():
+        if (c := wp.get(0)) is None:
+            continue
+        coeff = [(signs[index[om]], cm) for (_, om), cm in c.terms.items()]
+        for j, hit in enumerate(derivs[index[o]]):
+            if hit:
+                r, s = hit
+                for row, cm in coeff:
+                    if prod := row[r]:
+                        acc, v = entries[prod[0]], cm if s == prod[1] else -cm
+                        acc[j] = acc[j] + v if j in acc else v
+    return GrassmannMatrix(chart, map(_nonzero, entries))
 
 
 def matrix_oracle_instance(chart: Chart) -> LieSuperAlgebraInstance:
@@ -460,7 +521,7 @@ def matrix_oracle_instance(chart: Chart) -> LieSuperAlgebraInstance:
         for m, row in enumerate(A.rows):
             if c := row.get(0):
                 for j, hit in enumerate(table[m]):
-                    if hit:  # xi^m is the only factor giving (i, j)
+                    if hit:  # xi^m is the only factor giving (i, j): no zero
                         entries[hit[0]][j] = c if hit[1] > 0 else -c
         return GrassmannMatrix(chart, entries)
 

@@ -72,12 +72,27 @@ class DiffOp(_Value):
     __slots__ = ("chart", "terms")
 
     def __init__(self, chart: Chart, terms: Mapping[Key, Mapping[int, GradedPoly]] | None = None):
+        """Validates each W-power (a non-negative int, tested by type, so a
+        bool is refused) and coefficient (a GradedPoly on chart), and drops
+        zero coefficients; _of trusts its input."""
         self.chart = chart
         clean: dict[Key, WPoly] = {}
         for key, wp in (terms or {}).items():
-            wp = {k: p for k, p in wp.items() if not p.is_zero()}
-            if wp:
-                clean[key] = wp
+            kept = {}
+            for k, p in wp.items():
+                if type(k) is not int:
+                    raise TypeError(f"a W-power must be an int, not {type(k).__name__}")
+                if k < 0:
+                    raise ValueError(f"a W-power must be non-negative, not {k}")
+                if not isinstance(p, GradedPoly):
+                    raise TypeError(
+                        f"an operator coefficient must be a GradedPoly, not {type(p).__name__}")
+                if p.chart != chart:
+                    raise ChartMismatch("operator coefficient on wrong chart")
+                if p.terms:
+                    kept[k] = p
+            if kept:
+                clean[key] = kept
         self.terms = clean
 
     @staticmethod

@@ -14,7 +14,8 @@ itself, and adopts them unchecked.  The ``.terms`` layouts (here and in
 ``DiffOp``) are read by the benchmark under ``bench/``, and every
 polynomial-by-polynomial product goes through ``GradedPoly.__mul__``, the
 boundary its tracer wraps, except that ``dsl`` builds each product of
-numbers, variables, W and derivatives in ``.sd`` text as one term.
+numbers, variables, W and derivatives in ``.sd`` text as one term, and
+the matrix oracle (``brackets``) multiplies by its own Grassmann tables.
 ``substitute`` validates its images for the kernel ``_substitute``, which
 coordinate maps, validated when built, call directly.  Products of
 variables and products of derivatives share the key layout, and only this

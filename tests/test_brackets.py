@@ -11,6 +11,7 @@ from superdelta import Chart, DiffOp, GradedPoly, ParityError
 from superdelta.diffop import commutator, compose
 from superdelta.brackets import (
     LieSuperAlgebraInstance,
+    _grassmann_basis,
     derived_bracket_abstract,
     higher_bracket,
     jacobiator,
@@ -26,6 +27,8 @@ from superdelta.brackets import (
 )
 
 from conftest import CHARTS, R11, R12, R22, R02, R03, key_within, rand_op, rand_poly
+
+R01 = Chart((), ("xi1",))
 
 
 def _x(chart, name):
@@ -698,6 +701,133 @@ def test_matrix_bracket_is_one_product_pass(count_calls):
             assert C == _mat_sub(_mat_mul(A, B), _mat_mul(B, A), sign) \
                 == matrix_of(commutator(D, E))
     assert {(0, 0), (0, 1), (1, 0), (1, 1)} <= pars
+
+
+def _seeded_oracle_ops(rng, chart):
+    """Seeded operators of every kind the oracle reads: even, odd,
+    inhomogeneous, zero, and W pencils, whose matrix is read at weight 0."""
+    q = len(chart.odd)
+    ops = [DiffOp.zero(chart), DiffOp.weight(chart)]
+    for parity in (0, 1, None):
+        for _ in range(6):
+            D = rand_op(rng, chart, q, parity=parity, nterms=3)
+            ops += [D, D + DiffOp.weight(chart) * rand_op(rng, chart, q, nterms=2)]
+    return ops
+
+
+def _column(M, j):
+    """Column j of a matrix as a polynomial, from the oracle's basis."""
+    basis = _grassmann_basis(M.chart)
+    return GradedPoly(M.chart, {((), basis[i]): row[j] for i, row in enumerate(M.rows)
+                                if j in row})
+
+
+def test_matrix_of_columns_are_the_action(count_calls):
+    """Column j of matrix_of(D) is D applied to the j-th basis monomial, on
+    (0|1), (0|2) and (0|3); matrix_of itself calls no engine kernel: no
+    DiffOp.apply, _derive or GradedPoly product."""
+    from superdelta import gralg
+    rng = random.Random("matrix_of columns")
+    kernel = [count_calls(DiffOp, "apply"), count_calls(gralg, "_derive"),
+              count_calls(GradedPoly, "__mul__")]
+    for chart in (R01, R02, R03):
+        basis = _grassmann_basis(chart)
+        for D in _seeded_oracle_ops(rng, chart):
+            for calls in kernel:
+                calls.clear()
+            M = matrix_of(D)
+            assert [len(calls) for calls in kernel] == [0, 0, 0]
+            for j, o in enumerate(basis):
+                assert _column(M, j) == D.apply(GradedPoly(chart, {((), o): 1}))
+
+
+def _literal_jacobiator(inst, Delta, args, parities):
+    """The abstract Jacobiator with every nest of every shuffle taken from
+    Delta, nothing shared, summed with inst.sub alone."""
+    def nest(x, ys):
+        for y in ys:
+            x = inst.bracket(x, y)
+        return inst.project(x)
+
+    n, terms = len(args), []
+    for k in range(n + 1):
+        for s in shuffles(k, n - k):
+            inner = nest(Delta, [args[i] for i in s[:k]])
+            terms.append((koszul_sign(s, parities),
+                          nest(Delta, [inner] + [args[i] for i in s[k:]])))
+    zero = inst.sub(terms[0][1], terms[0][1])
+    total = zero
+    for sign, t in terms:
+        total = inst.sub(total, inst.sub(zero, t) if sign > 0 else t)
+    return total
+
+
+def test_jacobiator_abstract_takes_each_inner_chain_once():
+    """For n arguments jacobiator_abstract takes (2^n - 1) inner chain
+    brackets and sum_k C(n, k) (n - k + 1) outer ones, 27 at n = 3 against
+    the 32 of a literal evaluation, and agrees with that evaluation on the
+    matrix oracle on (0|2) and (0|3) for n <= 4."""
+    rng = random.Random("jacobiator_abstract work")
+    for chart in (R02, R03):
+        imx = matrix_oracle_instance(chart)
+        calls = []
+        counting = LieSuperAlgebraInstance(
+            bracket=lambda x, y: calls.append(1) or imx.bracket(x, y), project=imx.project,
+            sub=imx.sub, is_zero=imx.is_zero)
+        monos = monomials_upto(chart, 3)
+        for _ in range(3):
+            D = rand_op(rng, chart, 3, parity=1)
+            for n in range(5):
+                args = [rng.choice(monos) for _ in range(n)]
+                pars = [a.parity() for a in args]
+                mats = [matrix_of(DiffOp.mult(a)) for a in args]
+                calls.clear()
+                J = jacobiator_abstract(counting, matrix_of(D), mats, pars)
+                assert len(calls) == 2 ** n - 1 + sum(
+                    math.comb(n, k) * (n - k + 1) for k in range(n + 1))
+                assert n != 3 or len(calls) == 27
+                calls.clear()
+                assert _literal_jacobiator(counting, matrix_of(D), mats, pars) == J
+                assert n != 3 or len(calls) == 32
+
+
+def test_oracle_matrices_hold_no_zero():
+    """No matrix that matrix_of, _mat_mul, _mat_bracket, _mat_sub or the
+    projector builds holds a zero entry, on seeded cases where entries
+    cancel: E - k (E the Euler operator sum xi_i d_i, which scales a
+    monomial by its degree), (1 + n)(1 - n) for nilpotent n, brackets of
+    multiplication operators (which supercommute) and A - A."""
+    from superdelta.brackets import _mat_bracket, _mat_mul, _mat_sub
+    rng = random.Random("oracle rows")
+
+    def clean(M):
+        assert all(all(row.values()) for row in M.rows)
+        return M
+
+    for chart in (R01, R02, R03):
+        imx = matrix_oracle_instance(chart)
+        xis = [GradedPoly.var(chart, v) for v in chart.odd]
+        euler = sum((DiffOp.mult(x) * DiffOp.deriv(chart, v) for x, v in zip(xis, chart.odd)),
+                    DiffOp.zero(chart))
+        for k in range(len(xis) + 1):
+            M = clean(matrix_of(euler - k))
+            assert all(_column(M, j).is_zero()
+                       for j, o in enumerate(_grassmann_basis(chart)) if len(o) == k)
+        for _ in range(8):
+            n = rand_poly(rng, chart, len(xis), nterms=3)
+            n = n - n.constant_term()
+            P, Q = matrix_of(DiffOp.mult(1 + n)), matrix_of(DiffOp.mult(1 - n))
+            assert clean(_mat_mul(P, Q)) == matrix_of(DiffOp.mult(1 - n * n))
+            a, b = (rand_poly(rng, chart, 2, parity=rng.randint(0, 1), nterms=3)
+                    for _ in range(2))
+            A, B = matrix_of(DiffOp.mult(a)), matrix_of(DiffOp.mult(b))
+            assert clean(_mat_bracket(A, B)).is_zero()
+            D = rand_op(rng, chart, len(xis), nterms=3)
+            C = matrix_of(D)
+            assert clean(_mat_sub(C, C)).is_zero()
+            assert clean(_mat_sub(_mat_mul(C, A), C, 1)) \
+                == matrix_of(compose(D, DiffOp.mult(a)) + D)
+            clean(imx.project(clean(_mat_mul(C, C))))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ def _d(chart, name):
 
 ONE11, ONE12 = GradedPoly.one(R11), GradedPoly.one(R12)
 ID11, ID12 = DiffOp.identity(R11), DiffOp.identity(R12)
+UNIT11 = ((0,), ())  # the key of 1 on (1|1)
 # an argument on (0|2) for a generator on (1|1)
 XI = _v(R02, "xi1")
 
@@ -99,6 +100,18 @@ _REFUSALS = [
      "operator and polynomial on different charts"),
     (lambda: conjugate_by_exp(_d(R11, "x"), _v(R11, "xi")), ParityError,
      "conjugation exponent must be even"),
+    # diffop: the public constructor takes W-powers that are non-negative
+    # ints, tested by type, and coefficients that are polynomials on its chart
+    *((lambda k=k: DiffOp(R11, {UNIT11: {k: ONE11}}), TypeError,
+       f"a W-power must be an int, not {kind}")
+      for k, kind in ((Fraction(1, 2), "Fraction"), ("1", "str"), (True, "bool"),
+                      (0.5, "float"))),
+    (lambda: DiffOp(R11, {UNIT11: {-1: ONE11}}), ValueError,
+     "a W-power must be non-negative, not -1"),
+    (lambda: DiffOp(R11, {UNIT11: {0: 1}}), TypeError,
+     "an operator coefficient must be a GradedPoly, not int"),
+    (lambda: DiffOp(R11, {UNIT11: {0: _v(R12, "xi2")}}), ChartMismatch,
+     "operator coefficient on wrong chart"),
     # geom: bracket data, symbols, divergence constructions
     (lambda: VBracketData(R11, 1, {("x", "xi"): ONE12}, {}, GradedPoly.zero(R11)),
      ChartMismatch, "S entry on wrong chart"),
