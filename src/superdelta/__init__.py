@@ -9,6 +9,7 @@ from .gralg import (
     DensityElement,
     DomainError,
     GradedPoly,
+    KeyLayoutError,
     ParityError,
     berezin_integral,
     partial,

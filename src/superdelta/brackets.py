@@ -15,36 +15,31 @@ the background Delta 1.  The n-th Jacobiator is the shuffle sum
 with the pure Koszul permutation sign, and equals the n-th higher bracket
 generated by Delta^2.
 
-Order bound: a commutator with a multiplication operator lowers the order
-by at least one, so an operator of order r generates brackets of arity
-<= r only.  ``higher_bracket`` evaluates only the terms this leaves
-nonzero: it returns 0 for n > r, drops before each commutator the terms
-too low in order to reach order 0 in the steps left, and takes the last
-commutator as an evaluation, [D, a] 1 = D(a).  ``jacobiator`` sums only
-the blocks whose inner (k) and outer (l + 1) brackets both have arity
-<= r, max(0, n - r + 1) <= k <= min(n, r), so J^n = 0 for n >= 2r.  The
-abstract engine and the matrix oracle assume no such bound, nor the next:
-they are the independent paths that check them.
-
-Support bound: [...[c d^I, a_1], ..., a_n] 1 sums over the splittings
-I = I_1 + ... + I_n with each d^{I_j} hitting a_j, so a term reaches the
-bracket only if I is within the envelope of the arguments (gralg's
-_envelope).  ``higher_bracket`` drops the terms outside the envelope of
-the arguments left before each step; ``jacobiator``'s outer chains act on
-inner brackets, not on the arguments, and are bounded by order alone.
-
-One ``jacobiator`` call evaluates each commutator chain once and keeps
-none; ``square_bracket`` forms Delta^2 only from order n up and within the
+One kernel evaluates every bracket.  [c D, a] = c [D, a] for a
+multiplication operator c, so with Delta = sum_I c_I d^I (W^0 coefficients
+c_I: W acts as 0 at weight 0) the bracket is {a_1, ..., a_n} = sum_I c_I
+P_I(a_1, ..., a_n), where P_I = [...[d^I, a_1], ..., a_n] 1 is the bracket
+of a constant operator: the multinomial Leibniz rule over the splittings
+I = I_1 + ... + I_n into nonempty blocks, d^{I_j} hitting a_j.  _Tables
+keeps P_I(a_T) per call, built by recursion over diffop's _leibniz.  So
+P_I(a_T) = 0 unless |I| >= |T| (order bound: an operator of order r
+generates brackets of arity <= r only) and I is within the envelope of
+a_T (gralg's _envelope: support bound), and only such terms are formed.
+``jacobiator`` sums only the blocks whose inner (k) and outer (l + 1)
+brackets both have arity <= r, max(0, n - r + 1) <= k <= min(n, r), so
+J^n = 0 for n >= 2r; its outer brackets {{a_S}, a_R} share the tables of
+a_R.  ``square_bracket`` forms Delta^2 only from order n up and within the
 envelope, and for odd Delta without the terms where no derivative hits a
 coefficient: they sum to sigma(Delta)^2, the square of an odd symbol,
-which is 0 (diffop).
+which is 0 (diffop).  The abstract engine and the matrix oracle assume no
+bound: they are the independent paths that check them.
 
 Matrix oracle: on a purely odd chart an operator is an exact matrix on
 the Grassmann basis.  ``matrix_of`` builds it from the oracle's own
 product and derivative tables and applies no engine kernel (no
 ``DiffOp.apply``, ``_derive`` or polynomial product), and
-``jacobiator_abstract`` shares its inner chains as ``jacobiator`` does,
-taking every outer nest literally.
+``jacobiator_abstract`` takes each inner chain once and every outer nest
+literally.
 """
 
 from __future__ import annotations
@@ -54,9 +49,9 @@ import itertools
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-from .gralg import (_ONE, Chart, ChartMismatch, GradedPoly, ParityError, _deg, _envelope,
-                    _key_names, _keys_upto, _within)
-from .diffop import DiffOp, _on_one, ad_mult, commutator, compose, specialize
+from .gralg import (_ONE, Chart, ChartMismatch, GradedPoly, Key, ParityError, _deg, _envelope,
+                    _key_names, _keys_upto, _mul_keys)
+from .diffop import DiffOp, _leibniz, _on_one, commutator, compose, specialize
 
 __all__ = [
     "koszul_sign",
@@ -124,53 +119,72 @@ def _check_charts(Delta: DiffOp, args: Sequence[GradedPoly]):
         raise ChartMismatch("bracket argument on a different chart")
 
 
-def _top(D: DiffOp, r: int, bound=None) -> DiffOp:
-    """The terms of D of order >= r, and with a bound key, _within it."""
-    kept = {k: wp for k, wp in D.terms.items()
-            if _deg(k) >= r and (bound is None or _within(k, bound))}
-    return D if len(kept) == len(D.terms) else DiffOp._of(D.chart, kept)
+class _Tables(dict):
+    """The bracket kernel of one call of Delta on ``args``: self[I, T] is the
+    term map of P_I(a_T) = [...[d^I, a_t1], ..., a_tk] 1 for a derivative key
+    I and a tuple T of argument positions, built on first lookup and kept.
+    P_I() is 1 if I is the unit key and 0 otherwise (the key of 1 has degree
+    0).  ``top`` holds (I, |I|, c_I) for the W^0 coefficients c_I of Delta."""
 
+    def __init__(self, Delta: DiffOp, args: Sequence[GradedPoly]):
+        super().__init__()
+        self.chart, self.args, self.caps = Delta.chart, args, {}
+        self.top = [(I, _deg(I), wp[0]) for I, wp in Delta.terms.items() if 0 in wp]
 
-def _step(D: DiffOp, a: GradedPoly, r: int, bound=None) -> DiffOp:
-    """[D', a] for the terms D' = _top(D, r, bound) of D; 0 stays 0."""
-    D = _top(D, r, bound)
-    return D if D.is_zero() else ad_mult(D, a)
+    def __missing__(self, key):
+        I, T = key
+        out = self[key] = self.expand(I, self.args[T[0]], T[1:]) if T \
+            else {} if _deg(I) else {I: _ONE}
+        return out
+
+    def expand(self, I: Key, a: GradedPoly, T: tuple) -> dict:
+        """P_I(a, a_T) for a polynomial a: [d^I, a] is the sum of the terms
+        n x^m d^rest of _leibniz(I, m0) where some derivative hits a monomial
+        m0 of a, so P_I(a, a_T) = sum c0 n x^m P_rest(a_T).  Every step takes
+        a derivative and the arguments after it must absorb the rest, so it
+        is 0 for |I| <= |T|, and only rests within the envelope of a_T are
+        formed."""
+        if _deg(I) <= len(T):
+            return {}
+        if (cap := self.caps.get(T)) is None:
+            cap = self.caps[T] = _envelope(self.chart, [self.args[t] for t in T])
+        out: dict[Key, Fraction] = {}
+        for m0, c0 in a.terms.items():
+            for rest, m, n in _leibniz(I, m0, free=False, cap=cap):
+                for k, v in self[rest, T].items():
+                    if prod := _mul_keys(m, k):
+                        key, c, s = prod[0], c0 * v, n * prod[1]
+                        c = c if s == 1 else -c if s == -1 else c * s
+                        out[key] = out[key] + c if key in out else c
+        return {k: c for k, c in out.items() if c}
+
+    def phi(self, a: GradedPoly, T: tuple) -> GradedPoly:
+        """The bracket {a, a_T} of Delta, sum_I c_I P_I(a, a_T): one
+        polynomial product per term of Delta it keeps."""
+        chart, n = self.chart, len(T)
+        return GradedPoly._sum(chart, [c * GradedPoly._of(chart, t) for I, d, c in self.top
+                                       if d > n and (t := self.expand(I, a, T))])
 
 
 def higher_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
-    """{a_1,...,a_n} = [...[[Delta,a_1],a_2],...,a_n] 1.  Multilinear;
-    each commutator is taken by ad_mult, which is linear in its argument,
-    so inhomogeneous arguments need no splitting.  The 0-ary bracket is
-    the background Delta 1.
-
-    Only terms that can be nonzero are evaluated.  A commutator with a
-    multiplication operator lowers the order by at least one, so the
-    bracket is 0 when n > r = ord Delta (or Delta = 0, or some a_i = 0),
-    and a term of order < n - j before step j cannot reach order 0 in the
-    n - j steps left, nor can one outside the envelope of the arguments
-    left (module docstring; _step).  Before the last step D has no term of
-    order 0, so D 1 = 0 at weight 0 and [D, a] 1 = D(a): the last
-    commutator is an evaluation."""
+    """{a_1,...,a_n} = [...[[Delta,a_1],a_2],...,a_n] 1 = sum_I c_I P_I(a_1,
+    ..., a_n) by the kernel (module docstring), so 0 for n > ord Delta.
+    Multilinear; the kernel expands each argument monomial by monomial, so
+    inhomogeneous arguments need no splitting.  The 0-ary bracket is the
+    background Delta 1, read off the terms."""
     _check_charts(Delta, args)
     if Delta.parity() is None:
         raise ParityError("bracket generator must be homogeneous")
-    n = len(args)
-    r = Delta.order()
-    if r is None or n > r or any(a.is_zero() for a in args):
-        return GradedPoly.zero(Delta.chart)
-    if not n:
+    if not args:
         return _on_one(Delta)
-    D, chart = Delta, Delta.chart
-    for j in range(n - 1):
-        D = _step(D, args[j], n - j, _envelope(chart, args[j:]))
-    return _top(D, 1, _envelope(chart, args[-1:])).apply(args[-1])
+    return _Tables(Delta, args).phi(args[0], tuple(range(1, len(args))))
 
 
 def square_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     """The n-th higher bracket generated by Delta^2 (the right-hand side of
-    the Jacobiator identity).  It reads only the terms of order >= n with
-    key within the envelope of the arguments, so only those are formed;
-    Delta^2 is formed whole when its parity is in doubt."""
+    the Jacobiator identity).  The kernel reads only the terms of order >= n
+    with key within the envelope of the arguments, so compose forms only
+    those; Delta^2 is formed whole when its parity is in doubt."""
     _check_charts(Delta, args)  # before _envelope reads them
     if (p := Delta.parity()) is None:
         return higher_bracket(compose(Delta, Delta), args)
@@ -188,38 +202,27 @@ def jacobiator(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     block contributes only if the inner bracket (k arguments) and the
     outer one (n - k + 1) both have at most r: k runs over
     max(0, n - r + 1) .. min(n, r), at most 2^(2r - 1) shuffles in all,
-    and J^n = 0 for n >= 2r with no shuffle enumerated.  Each chain
-    C(T) = [...[Delta, a_t1], ..., a_tm] is computed once, as
-    _step(C(T[:-1]), a_tm, 2): it is extended or evaluated without its
-    order-0 terms.  {a_S} is C(S[:-1])(a_{S[-1]}), and multiplication
-    operators supercommute: {b, a_R} = (-1)^{|b| |a_R|} C(R)(b)."""
+    and J^n = 0 for n >= 2r with no shuffle enumerated.  Every bracket is
+    sum_I c_I P_I from the kernel, the outer {{a_S}, a_R} taken directly:
+    the shuffles share the tables P_rest(a_R) it expands the inner one over."""
     _check_charts(Delta, args)
     pars = [a.parity() for a in args]
     if None in pars:
         raise ParityError("Jacobiator arguments must be homogeneous")
-    if (pD := Delta.parity()) is None:
+    if Delta.parity() is None:
         raise ParityError("bracket generator must be homogeneous")
     n = len(args)
     r = Delta.order() or 0  # Delta = 0 leaves the k-range empty
-    chains = {(): Delta}  # freed on return; a recursive chain() would be a cycle
-
-    def chain(T: tuple) -> DiffOp:
-        for m in range(len(T)):
-            if T[:m + 1] not in chains:
-                chains[T[:m + 1]] = _step(chains[T[:m]], args[T[m]], 2)
-        return chains[T]
-
+    tables = _Tables(Delta, args)
     terms = []
     for k in range(max(0, n - r + 1), min(n, r) + 1):
         for s in shuffles(k, n - k):
             S, R = s[:k], s[k:]
-            inner = _top(chain(S[:-1]), 1).apply(args[S[-1]]) if k \
-                else _on_one(Delta)
+            inner = tables.phi(args[S[0]], S[1:]) if k else _on_one(Delta)
             if inner.is_zero():
                 continue
-            outer = _top(chain(R), 1).apply(inner)
-            p = (pD + sum(pars[i] for i in S)) * sum(pars[i] for i in R)
-            terms.append(outer if koszul_sign(s, pars) * (-1) ** p == 1 else -outer)
+            outer = tables.phi(inner, R)
+            terms.append(outer if koszul_sign(s, pars) == 1 else -outer)
     return GradedPoly._sum(Delta.chart, terms)
 
 
@@ -377,19 +380,15 @@ class GrassmannMatrix:
     to the entry (i, j), and holds no zero (its builder filters it with
     _nonzero).  The entry (i, j) has parity |i| + |j| mod 2 for the basis
     monomials i and j, and ``parity`` is the common parity of the entries
-    (None for a zero or inhomogeneous matrix), read off them on first
-    access and kept.  Immutable by convention, rows included: they are
-    shared, never copied."""
+    (None for a zero or inhomogeneous matrix), read off them when built.
+    Immutable by convention, rows included: they are shared, never copied."""
 
     def __init__(self, chart: Chart, rows):
         self.chart = chart
-        self.rows = tuple(rows)
-
-    @functools.cached_property
-    def parity(self) -> Optional[int]:
-        rows, basis = self.rows, _grassmann_basis(self.chart)
+        self.rows = rows = tuple(rows)
+        basis = _grassmann_basis(chart)
         pars = {(len(basis[i]) + len(basis[j])) % 2 for i, row in enumerate(rows) for j in row}
-        return pars.pop() if len(pars) == 1 else None
+        self.parity: Optional[int] = pars.pop() if len(pars) == 1 else None
 
     def __eq__(self, other):
         return (

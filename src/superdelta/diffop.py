@@ -42,6 +42,7 @@ from .gralg import (
     _ONE,
     _Value,
     _as_poly,
+    _check_key,
     _deg,
     _derive,
     _key,
@@ -72,12 +73,13 @@ class DiffOp(_Value):
     __slots__ = ("chart", "terms")
 
     def __init__(self, chart: Chart, terms: Mapping[Key, Mapping[int, GradedPoly]] | None = None):
-        """Validates each W-power (a non-negative int, tested by type, so a
-        bool is refused) and coefficient (a GradedPoly on chart), and drops
-        zero coefficients; _of trusts its input."""
+        """Validates each key (_check_key), W-power (a non-negative int,
+        tested by type, so a bool is refused) and coefficient (a GradedPoly
+        on chart), and drops zero coefficients; _of trusts its input."""
         self.chart = chart
         clean: dict[Key, WPoly] = {}
         for key, wp in (terms or {}).items():
+            _check_key(chart, key)
             kept = {}
             for k, p in wp.items():
                 if type(k) is not int:

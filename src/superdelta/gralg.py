@@ -7,23 +7,24 @@ of canonical forms.  Odd monomials are stored as ascending index tuples in
 declaration order with the reordering sign folded into the coefficient.
 
 The kernel contract: every coefficient in ``GradedPoly.terms`` is a nonzero
-``Fraction``.  The public constructor validates its input (takes an int or
-a Fraction as a ``Fraction``, refuses anything else, drops zeros);
+``Fraction``.  The public constructor validates its input (refuses a key
+not in the chart's layout, as ``DiffOp``'s does, takes an int or a
+Fraction as a ``Fraction``, refuses anything else, drops zeros);
 ``GradedPoly._of`` is private and trusted, for term maps the engine built
 itself, and adopts them unchecked.  The ``.terms`` layouts (here and in
 ``DiffOp``) are read by the benchmark under ``bench/``, and every
 polynomial-by-polynomial product goes through ``GradedPoly.__mul__``, the
 boundary its tracer wraps, except that ``dsl`` builds each product of
 numbers, variables, W and derivatives in ``.sd`` text as one term, and
-the matrix oracle (``brackets``) multiplies by its own Grassmann tables.
+``brackets`` multiplies by ``_mul_keys`` and by its own Grassmann tables.
 ``substitute`` validates its images for the kernel ``_substitute``, which
 coordinate maps, validated when built, call directly.  Products of
 variables and products of derivatives share the key layout, and only this
 module, ``diffop`` and the matrix oracle's ``matrix_of`` read it inside the
-package; other modules go through the key helpers: ``_key`` (the key of a
-product), ``_unit`` (the key of 1), ``_deg`` (its degree), ``_keys_upto``
-(every key up to a degree), ``_key_powers`` and ``_key_names`` (its
-factors), ``_envelope`` and ``_within`` (a bracket's support bound),
+package; other modules go through the key helpers: ``_key`` and
+``_mul_keys`` (the key of a product), ``_unit`` (the key of 1), ``_deg``
+(its degree), ``_keys_upto`` (every key up to a degree), ``_key_powers``
+and ``_key_names`` (its factors), ``_envelope`` (a support bound),
 ``_odd_degree_part`` and ``_embed`` (a polynomial on a chart whose blocks
 begin with its own).  ``_derive`` takes
 d^key of each monomial in one step; ``partial``, its one-variable case,
@@ -61,6 +62,10 @@ class ChartMismatch(DomainError):
 
 class ParityError(DomainError):
     pass
+
+
+class KeyLayoutError(DomainError):
+    """A monomial or derivative key that does not fit its chart's layout."""
 
 
 class _ChartFields(NamedTuple):
@@ -114,6 +119,29 @@ def _merge_odd(o1: tuple[int, ...], o2: tuple[int, ...]):
                 break
             inversions += 1
     return tuple(sorted(o1 + o2)), -1 if inversions & 1 else 1
+
+
+def _check_key(chart: Chart, key) -> None:
+    """Refuse a key that is not in chart's layout: a pair of tuples, one
+    non-negative int exponent per even variable and strictly ascending int
+    indices of odd variables, each tested by type, so a bool is refused."""
+    if type(key) is not tuple or len(key) != 2 or type(key[0]) is not tuple \
+            or type(key[1]) is not tuple:
+        raise KeyLayoutError(
+            f"a key must be a pair of tuples (even exponents, odd indices), not {key!r}")
+    if len(key[0]) != len(chart.even):
+        raise KeyLayoutError(
+            f"a key on a chart of {len(chart.even)} even variables needs as many "
+            f"exponents, not {key[0]!r}")
+    for n in key[0]:
+        if type(n) is not int or n < 0:
+            raise KeyLayoutError(f"an even exponent must be a non-negative int, not {n!r}")
+    last, q = -1, len(chart.odd)
+    for i in key[1]:
+        if type(i) is not int or not last < i < q:
+            raise KeyLayoutError(
+                f"odd indices must ascend strictly within range({q}), not {key[1]!r}")
+        last = i
 
 
 def _mul_keys(k1: Key, k2: Key):
@@ -270,8 +298,10 @@ class GradedPoly(_Value):
     __slots__ = ("chart", "terms")
 
     def __init__(self, chart: Chart, terms: Mapping[Key, Fraction] | None = None):
+        """Validates each key (_check_key) and coefficient, and drops zeros."""
         clean = {}
         for key, c in (terms or {}).items():
+            _check_key(chart, key)
             if c := _rational(c, "coefficient"):
                 clean[key] = c
         self.chart, self.terms = chart, clean

@@ -275,8 +275,8 @@ def _chain_jacobiator(D, args):
 @pytest.mark.parametrize("chart", [R11, R12, R22, R03],
                          ids=["1|1", "1|2", "2|2", "0|3"])
 def test_brackets_match_commutator_chain(chart):
-    """higher_bracket (order pruning, evaluation at the last step) and
-    jacobiator (the k-range of the order bound) against commutator chains
+    """higher_bracket (the kernel's order bound) and jacobiator (also the
+    k-range of the order bound) against commutator chains
     that assume no bound: odd and even generators of order <= 3, some
     carrying W, and Delta = 0; arities 0-5, so n > ord Delta and
     n >= 2 ord Delta occur; zero and, for brackets, inhomogeneous
@@ -342,7 +342,7 @@ def _narrow_poly(rng, chart):
 
 
 def test_support_bound_matches_commutator_chain():
-    """higher_bracket and square_bracket, which drop the terms whose key is
+    """higher_bracket and square_bracket, which form no term whose key is
     not within the envelope of the arguments, against commutator chains of
     Delta and of the whole Delta^2 that assume no bound: odd and even
     Delta of order <= 3 on all five charts, every third carrying W, and
@@ -394,13 +394,13 @@ def test_square_bracket_product_count_is_pinned(count_calls):
 
 
 def _ad_mult_chain(D, args):
-    """{a_1,...,a_n} by its definition, each commutator by brackets.ad_mult
+    """{a_1,...,a_n} by its definition, each commutator by diffop.ad_mult
     (looked up per call, so a monkeypatched counter sees it) with no order
     floor or support bound: [...[D, a_1], ..., a_n] applied to 1 at weight 0."""
-    from superdelta import brackets
+    from superdelta import diffop
 
     for a in args:
-        D = brackets.ad_mult(D, a)
+        D = diffop.ad_mult(D, a)
     return D.apply(GradedPoly.one(D.chart))
 
 
@@ -443,16 +443,32 @@ def _homogeneous_args(rng, chart, monos, n):
     return out
 
 
-def test_shared_chains_match_the_shuffle_loop():
-    """jacobiator, which evaluates each commutator chain once, against the
-    shuffle loop that takes every bracket from scratch, and square_bracket,
-    which forms Delta^2 from order n up, against the bracket of the whole
-    square: 1,080 seeded cases, odd and even Delta, some with W, n = 0-5,
-    compared by value and by rendered text."""
+def _mixed_args(rng, chart, monos, n):
+    """n inhomogeneous arguments, so of two terms at least: an even and an
+    odd monomial plus a few random terms, drawn again if these cancel one."""
+    even = [m for m in monos if m.parity() == 0]
+    odd = [m for m in monos if m.parity() == 1]
+    out = []
+    while len(out) < n:
+        a = rng.choice(even) + rng.choice(odd) * rng.randint(1, 3) \
+            + rand_poly(rng, chart, 2, nterms=2)
+        if a.parity() is None:
+            out.append(a)
+    return out
+
+
+def test_bracket_kernel_matches_the_ad_mult_chain():
+    """The bracket kernel against commutator chains taken by diffop.ad_mult
+    with no bound: jacobiator against the shuffle loop that takes every
+    bracket from scratch, square_bracket against the chain of the whole
+    square, and higher_bracket and square_bracket again on inhomogeneous
+    multi-term arguments: 1,080 seeded cases, odd and even Delta, some with
+    W, n = 0-5, on all five charts, compared by value and by rendered text."""
     from superdelta.dsl import render
 
     rng = random.Random(1414)
-    cases = nonzero = 0
+    mixed_rng = random.Random("mixed arguments")
+    cases = nonzero = mixed_nonzero = 0
     for chart in (R11, R12, R22, R02, R03):
         monos = monomials_upto(chart, 2)
         for D in _seeded_generators(rng, chart, 36):
@@ -462,12 +478,17 @@ def test_shared_chains_match_the_shuffle_loop():
                 J = jacobiator(D, args)
                 ref = _shuffle_jacobiator(D, args)
                 assert J == ref and render(J) == render(ref)
-                F = square_bracket(D, args)
-                assert F == higher_bracket(sq, args)
-                assert render(F) == render(higher_bracket(sq, args))
+                F, ref = square_bracket(D, args), _ad_mult_chain(sq, args)
+                assert F == ref and render(F) == render(ref)
+                mixed = _mixed_args(mixed_rng, chart, monos, n)
+                for op, bracket in ((D, higher_bracket(D, mixed)),
+                                    (sq, square_bracket(D, mixed))):
+                    ref = _ad_mult_chain(op, mixed)
+                    assert bracket == ref and render(bracket) == render(ref)
+                    mixed_nonzero += not ref.is_zero()
                 cases += 1
                 nonzero += not J.is_zero()
-    assert cases >= 1000 and nonzero >= 100
+    assert cases >= 1000 and nonzero >= 100 and mixed_nonzero >= 500
 
 
 def test_square_bracket_of_an_inhomogeneous_generator():
@@ -509,37 +530,36 @@ def test_parity_is_taken_once_per_jacobiator(count_calls):
     assert background >= 100
 
 
-def test_jacobiator_computes_no_chain_twice(monkeypatch):
-    """Within one call each commutator chain is one ad_mult call; the shuffle
-    loop that takes every bracket from scratch repeats them."""
+def test_jacobiator_computes_no_table_twice(monkeypatch):
+    """Within one call each kernel table P_I(a_T) is built once, however many
+    shuffles read it, and the tables keep to the order bound: at most one
+    per derivative key and increasing tuple T of length 0..r."""
     from superdelta import brackets
 
     seen = []
-    ad_mult = brackets.ad_mult
+    build = brackets._Tables.__missing__
 
-    def counted(D, a):
-        seen.append((D, a))
-        return ad_mult(D, a)
+    def counted(tables, key):
+        seen.append(key)
+        return build(tables, key)
 
-    monkeypatch.setattr(brackets, "ad_mult", counted)
+    monkeypatch.setattr(brackets._Tables, "__missing__", counted)
     rng = random.Random(99)
     chart = R11
     args = [_x(chart, "x"), _x(chart, "xi"), _x(chart, "x") * _x(chart, "x"),
             _x(chart, "x") * _x(chart, "xi"), GradedPoly.one(chart)]
     ops = [D for D in _seeded_generators(rng, chart, 12) if D.order() == 3]
     assert ops
+    built = 0
     for D in ops:
         for n in range(6):
             seen.clear()
             J = jacobiator(D, args[:n])
-            shared = len(seen)
-            assert len(set(seen)) == shared
-            # at most one chain per increasing index tuple of length 1..r-1
-            assert shared <= sum(math.comb(n, m) for m in range(1, 3))
-            seen.clear()
+            assert len(set(seen)) == len(seen)
+            assert all(len(T) <= 3 and list(T) == sorted(T) for _, T in seen)
             assert _shuffle_jacobiator(D, args[:n]) == J
-            if n >= 3:
-                assert shared < len(seen)
+            built += len(seen)
+    assert built
 
 
 def test_oracle_sign_table_matches_the_product():

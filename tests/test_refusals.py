@@ -12,6 +12,7 @@ from superdelta import (
     DiffOp,
     DomainError,
     GradedPoly,
+    KeyLayoutError,
     ParityError,
 )
 from superdelta.brackets import (
@@ -112,6 +113,26 @@ _REFUSALS = [
      "an operator coefficient must be a GradedPoly, not int"),
     (lambda: DiffOp(R11, {UNIT11: {0: _v(R12, "xi2")}}), ChartMismatch,
      "operator coefficient on wrong chart"),
+    # gralg and diffop: the public constructors take keys in the chart's
+    # layout only; rows sharing a message take their own ids
+    *(pytest.param(lambda make=make, key=key: make(key), KeyLayoutError, message,
+                   id=f"{name} key {key!r}: {message}")
+      for name, make in (("GradedPoly", lambda key: GradedPoly(R11, {key: 1})),
+                         ("DiffOp", lambda key: DiffOp(R11, {key: {0: ONE11}})))
+      for key, message in (
+          (((0, 0), ()), "a key on a chart of 1 even variables needs as many exponents, "
+                         "not (0, 0)"),
+          (((), ()), "a key on a chart of 1 even variables needs as many exponents, not ()"),
+          (((-1,), ()), "an even exponent must be a non-negative int, not -1"),
+          (((True,), ()), "an even exponent must be a non-negative int, not True"),
+          (((1.0,), ()), "an even exponent must be a non-negative int, not 1.0"),
+          (((0,), (0, 0)), "odd indices must ascend strictly within range(1), not (0, 0)"),
+          (((0,), (1,)), "odd indices must ascend strictly within range(1), not (1,)"),
+          (((0,), (-1,)), "odd indices must ascend strictly within range(1), not (-1,)"),
+          (((0,), (False,)), "odd indices must ascend strictly within range(1), not (False,)"),
+          ((0,), "a key must be a pair of tuples (even exponents, odd indices), not (0,)"),
+          (("x", ()), "a key must be a pair of tuples (even exponents, odd indices), "
+                      "not ('x', ())"))),
     # geom: bracket data, symbols, divergence constructions
     (lambda: VBracketData(R11, 1, {("x", "xi"): ONE12}, {}, GradedPoly.zero(R11)),
      ChartMismatch, "S entry on wrong chart"),
