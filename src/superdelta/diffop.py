@@ -49,6 +49,7 @@ from .gralg import (
     _keys_upto,
     _mul_keys,
     _parity,
+    _polynomial,
     _power,
     _rational,
     _unit,
@@ -66,6 +67,12 @@ def _at_weight(chart: Chart, wp: Mapping[int, GradedPoly], w: Fraction) -> Grade
                                    for k, c in wp.items()))
 
 
+def _pruned(terms: Mapping[Key, Mapping[int, GradedPoly]]) -> dict[Key, WPoly]:
+    """terms without its zero coefficients and the keys they leave empty."""
+    return {key: kept for key, wp in terms.items()
+            if (kept := {k: p for k, p in wp.items() if p.terms})}
+
+
 class DiffOp(_Value):
     """Normal-ordered graded differential operator.  Immutable by
     convention."""
@@ -75,31 +82,21 @@ class DiffOp(_Value):
     def __init__(self, chart: Chart, terms: Mapping[Key, Mapping[int, GradedPoly]] | None = None):
         """Validates each key (_check_key), W-power (a non-negative int,
         tested by type, so a bool is refused) and coefficient (a GradedPoly
-        on chart), and drops zero coefficients; _of trusts its input."""
-        self.chart = chart
-        clean: dict[Key, WPoly] = {}
+        on chart), then drops zeros as the arithmetic does (_pruned)."""
         for key, wp in (terms or {}).items():
             _check_key(chart, key)
-            kept = {}
             for k, p in wp.items():
                 if type(k) is not int:
                     raise TypeError(f"a W-power must be an int, not {type(k).__name__}")
                 if k < 0:
                     raise ValueError(f"a W-power must be non-negative, not {k}")
-                if not isinstance(p, GradedPoly):
-                    raise TypeError(
-                        f"an operator coefficient must be a GradedPoly, not {type(p).__name__}")
-                if p.chart != chart:
+                if _polynomial(p, "an operator coefficient").chart != chart:
                     raise ChartMismatch("operator coefficient on wrong chart")
-                if p.terms:
-                    kept[k] = p
-            if kept:
-                clean[key] = kept
-        self.terms = clean
+        self.chart, self.terms = chart, _pruned(terms or {})
 
     @staticmethod
     def _of(chart: Chart, terms: dict[Key, WPoly]) -> "DiffOp":
-        """Trusted constructor, as GradedPoly._of: no zero or empty entries."""
+        """Trusted constructor, as GradedPoly._of: no zero or empty entries (_pruned)."""
         D = object.__new__(DiffOp)
         D.chart, D.terms = chart, terms
         return D
@@ -108,12 +105,13 @@ class DiffOp(_Value):
 
     @staticmethod
     def zero(chart: Chart) -> "DiffOp":
-        return DiffOp(chart, {})
+        return DiffOp._of(chart, {})
 
     @staticmethod
     def mult(p: GradedPoly) -> "DiffOp":
         """Left multiplication operator by p."""
-        return DiffOp(p.chart, {_unit(p.chart): {0: p}})
+        p = _polynomial(p, "an operator coefficient")
+        return DiffOp._of(p.chart, _pruned({_unit(p.chart): {0: p}}))
 
     @staticmethod
     def const(chart: Chart, c) -> "DiffOp":
@@ -125,12 +123,12 @@ class DiffOp(_Value):
 
     @staticmethod
     def deriv(chart: Chart, name: str) -> "DiffOp":
-        return DiffOp(chart, {_key(chart, name)[0]: {0: GradedPoly.one(chart)}})
+        return DiffOp._of(chart, {_key(chart, name)[0]: {0: GradedPoly.one(chart)}})
 
     @staticmethod
     def weight(chart: Chart) -> "DiffOp":
         """The central weight symbol W (the Euler operator t d/dt)."""
-        return DiffOp(chart, {_unit(chart): {1: GradedPoly.one(chart)}})
+        return DiffOp._of(chart, {_unit(chart): {1: GradedPoly.one(chart)}})
 
     # -- structure ---------------------------------------------------------
 
@@ -157,9 +155,9 @@ class DiffOp(_Value):
                         for p in wp.values() for (_, m) in p.terms})
 
     def parity_part(self, par: int) -> "DiffOp":
-        return DiffOp(self.chart, {
+        return DiffOp._of(self.chart, _pruned({
             (e, o): {k: p.parity_part((par + len(o)) % 2) for k, p in wp.items()}
-            for (e, o), wp in self.terms.items()})
+            for (e, o), wp in self.terms.items()}))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -180,23 +178,18 @@ class DiffOp(_Value):
             acc = terms.setdefault(k, {})
             for j, p in wp.items():
                 acc[j] = acc[j] + p if j in acc else p
-        return DiffOp(self.chart, terms)
+        return DiffOp._of(self.chart, _pruned(terms))
 
     def __neg__(self):
-        return DiffOp(
-            self.chart,
-            {k: {j: -p for j, p in wp.items()} for k, wp in self.terms.items()},
-        )
+        return DiffOp._of(
+            self.chart, {k: {j: -p for j, p in wp.items()} for k, wp in self.terms.items()})
 
     def __mul__(self, other):
         """Operator composition (scalars act as constants)."""
         if not isinstance(other, (DiffOp, GradedPoly)) and \
                 isinstance(other, (int, Fraction)):
-            c = other if type(other) is Fraction else Fraction(other)
-            return DiffOp(
-                self.chart,
-                {k: {j: p * c for j, p in wp.items()} for k, wp in self.terms.items()},
-            )
+            return DiffOp._of(self.chart, _pruned(
+                {k: {j: p * other for j, p in wp.items()} for k, wp in self.terms.items()}))
         if not isinstance(other, DiffOp) and (other := self._lift(other)) is None:
             return NotImplemented
         return compose(self, other)
@@ -218,14 +211,14 @@ class DiffOp(_Value):
         """Apply to a DensityElement, or to a GradedPoly at weight 0."""
         if psi.chart != self.chart:
             raise ChartMismatch("operand on wrong chart")
-        poly = isinstance(psi, GradedPoly)
-        out = {}
+        poly, out = isinstance(psi, GradedPoly), {}
         for w, comp in ({0: psi} if poly else psi.parts).items():
             # sum c d^key(comp); at w = 0 c is wp[0], nonzero if present
             out[w] = GradedPoly._sum(self.chart, [
                 c * d for key, wp in self.terms.items() if (d := _derive(key, comp)).terms
                 and (c := _at_weight(self.chart, wp, w) if w else wp.get(0)) and c.terms])
-        return out[0] if poly else DensityElement(self.chart, out)
+        return out[0] if poly else \
+            DensityElement._of(self.chart, {w: p for w, p in out.items() if p.terms})
 
     def apply_poly(self, p: GradedPoly) -> GradedPoly:
         """An alias of apply for a weight-0 polynomial.  The engine calls
@@ -417,7 +410,8 @@ def conjugate_by_exp(D: DiffOp, u: GradedPoly) -> DiffOp:
 def specialize(P: DiffOp, w0) -> DiffOp:
     """Substitute W := w0 in all coefficients."""
     w0 = _rational(w0, "weight")
-    return DiffOp(P.chart, {key: {0: _at_weight(P.chart, wp, w0)} for key, wp in P.terms.items()})
+    return DiffOp._of(P.chart, _pruned(
+        {key: {0: _at_weight(P.chart, wp, w0)} for key, wp in P.terms.items()}))
 
 
 def formal_adjoint(D: DiffOp) -> DiffOp:
@@ -463,6 +457,6 @@ def op_from_action(chart: Chart, action: Callable[[GradedPoly], GradedPoly],
         if val.is_zero():
             continue
         # d^key applied to its own monomial is +-prod e_i!, never 0
-        c = val * (_ONE / _derive(key, m).constant_term())
-        result = result + DiffOp(chart, {key: {0: c}})
+        c = _polynomial(val, "an operator coefficient") * (_ONE / _derive(key, m).constant_term())
+        result = result + DiffOp._of(chart, {key: {0: c}})
     return result

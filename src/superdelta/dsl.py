@@ -59,7 +59,7 @@ from itertools import islice
 
 from .gralg import (_ONE, Chart, DensityElement, DomainError, GradedPoly, _deg, _key,
                     _key_powers, _mul_keys, _power, _unit)
-from .diffop import DiffOp, _add_into, _from_sums, _on_one
+from .diffop import DiffOp, _add_into, _from_sums, _on_one, _pruned
 from .geom import CoordMap, VBracketData, _as_sigma
 
 __all__ = ["DslError", "Module", "load_module", "parse_element", "render"]
@@ -385,7 +385,7 @@ class _Parser:
             return v
         c, mono, w, J = v
         p = GradedPoly._of(self.m.chart, {mono: c} if c else {})
-        return DiffOp(self.m.chart, {J: {w: p}}) if w or J != self.one else p
+        return DiffOp._of(self.m.chart, _pruned({J: {w: p}})) if w or J != self.one else p
 
     def expr(self, operator: bool):
         """term { ("+"|"-") term }.  A sum is added up in one term map, key
@@ -452,7 +452,7 @@ class _Parser:
                 for I, wp in (a.terms if isinstance(a, DiffOp) else {one: {0: a}}).items():
                     if k := _mul_keys(I, J):
                         terms[k[0]] = {u + w: p * (c if k[1] > 0 else -c) for u, p in wp.items()}
-                return DiffOp(self.m.chart, terms)
+                return DiffOp._of(self.m.chart, _pruned(terms))
         return self._value(a) * self._value(b)
 
     def factor(self, operator: bool):
@@ -489,7 +489,7 @@ class _Parser:
             if operator:
                 self.fail("t^w factors are only allowed in element expressions", i)
             self.expect("^")
-            v = DensityElement(m.chart, {self._weight_exponent(): GradedPoly.one(m.chart)})
+            v = DensityElement._of(m.chart, {self._weight_exponent(): GradedPoly.one(m.chart)})
         elif t in m.densities:
             v = m.densities[t]
         elif t in m.elements:

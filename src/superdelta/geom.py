@@ -46,6 +46,7 @@ from .diffop import (
     _add_leibniz,
     _from_sums,
     _on_one,
+    _pruned,
     compose,
     formal_adjoint,
     specialize,
@@ -272,7 +273,7 @@ def divergence(X: DiffOp) -> GradedPoly:
 def lie_derivative_pencil(X: DiffOp) -> DiffOp:
     """Lie derivative along a vector field acting on w-densities, as a pencil:
     L_X = X + W (div X), W (div X) being the term W^1 at the zero key."""
-    return X + DiffOp(X.chart, {_unit(X.chart): {1: divergence(X)}})
+    return X + DiffOp._of(X.chart, _pruned({_unit(X.chart): {1: divergence(X)}}))
 
 
 def lie_derivative(X: DiffOp, w) -> DiffOp:

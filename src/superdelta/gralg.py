@@ -6,29 +6,29 @@ rational, and all equalities used by the theorem suites are literal equality
 of canonical forms.  Odd monomials are stored as ascending index tuples in
 declaration order with the reordering sign folded into the coefficient.
 
-The kernel contract: every coefficient in ``GradedPoly.terms`` is a nonzero
-``Fraction``.  The public constructor validates its input (refuses a key
-not in the chart's layout, as ``DiffOp``'s does, takes an int or a
-Fraction as a ``Fraction``, refuses anything else, drops zeros);
-``GradedPoly._of`` is private and trusted, for term maps the engine built
-itself, and adopts them unchecked.  The ``.terms`` layouts (here and in
-``DiffOp``) are read by the benchmark under ``bench/``, and every
-polynomial-by-polynomial product goes through ``GradedPoly.__mul__``, the
-boundary its tracer wraps, except that ``dsl`` builds each product of
-numbers, variables, W and derivatives in ``.sd`` text as one term, and
-``brackets`` multiplies by ``_mul_keys`` and by its own Grassmann tables.
-``substitute`` validates its images for the kernel ``_substitute``, which
-coordinate maps, validated when built, call directly.  Products of
-variables and products of derivatives share the key layout, and only this
-module, ``diffop`` and the matrix oracle's ``matrix_of`` read it inside the
-package; other modules go through the key helpers: ``_key`` and
-``_mul_keys`` (the key of a product), ``_unit`` (the key of 1), ``_deg``
-(its degree), ``_keys_upto`` (every key up to a degree), ``_key_powers``
-and ``_key_names`` (its factors), ``_envelope`` (a support bound),
-``_odd_degree_part`` and ``_embed`` (a polynomial on a chart whose blocks
-begin with its own).  ``_derive`` takes
-d^key of each monomial in one step; ``partial``, its one-variable case,
-serves ``geom`` and the API, and ``diffop`` calls ``_derive``, never it.
+The kernel contract, one rule for the three value types: a polynomial
+coefficient is a nonzero ``Fraction``, and a density component or operator
+coefficient a nonzero ``GradedPoly`` on the value's chart.  The public
+constructors check what they are given (keys by ``_check_key``, numbers by
+``_rational``, polynomials by ``_polynomial``) and drop zeros; each type's
+private ``_of`` is trusted: it builds every value the engine computes,
+unchecked.  The ``.terms`` layouts (here and in ``DiffOp``) are read by the
+benchmark under ``bench/``, and every polynomial-by-polynomial product goes
+through ``GradedPoly.__mul__``, the boundary its tracer wraps, except that
+``dsl`` builds each product of numbers, variables, W and derivatives in
+``.sd`` text as one term, and ``brackets`` multiplies by ``_mul_keys`` and
+by its own Grassmann tables.  ``substitute`` validates its images for the
+kernel ``_substitute``, which coordinate maps, validated when built, call
+directly.  Products of variables and products of derivatives share the key
+layout, and only this module, ``diffop`` and the matrix oracle's
+``matrix_of`` read it inside the package; other modules go through the key
+helpers: ``_key`` and ``_mul_keys`` (the key of a product), ``_unit`` (the
+key of 1), ``_deg`` (its degree), ``_keys_upto`` (every key up to a
+degree), ``_key_powers`` and ``_key_names`` (its factors), ``_envelope`` (a
+support bound), ``_odd_degree_part`` and ``_embed`` (a polynomial on a
+chart whose blocks begin with its own).  ``_derive`` takes d^key of each
+monomial in one step; ``partial``, its one-variable case, serves ``geom``
+and the API, and ``diffop`` calls ``_derive``, never it.
 
 Polynomials, densities and operators share one arithmetic protocol, the
 base ``_Value``.  A function is a density of weight 0 and a multiplication
@@ -207,6 +207,13 @@ def _rational(x, what: str) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
+def _polynomial(x, what: str) -> "GradedPoly":
+    """x if it is a GradedPoly; anything else is refused, naming its type."""
+    if not isinstance(x, GradedPoly):
+        raise TypeError(f"{what} must be a GradedPoly, not {type(x).__name__}")
+    return x
+
+
 def _envelope(chart: Chart, polys) -> Key:
     """The key of the derivatives polys can absorb: per even variable the
     sum over polys of its largest exponent in each, and the union of their
@@ -250,6 +257,10 @@ class _Value:
     does not take, so Python raises TypeError."""
 
     __slots__ = ()
+
+    def _check(self, other: "_Value"):
+        if self.chart != other.chart:
+            raise ChartMismatch("operands live on different charts")
 
     def __radd__(self, other):
         return self.__add__(other)  # not other + self, which recurses
@@ -331,11 +342,12 @@ class GradedPoly(_Value):
 
     @staticmethod
     def const(chart: Chart, c) -> "GradedPoly":
-        return GradedPoly(chart, {_unit(chart): c})
+        c = _rational(c, "coefficient")
+        return GradedPoly._of(chart, {_unit(chart): c} if c else {})
 
     @staticmethod
     def one(chart: Chart) -> "GradedPoly":
-        return GradedPoly.const(chart, 1)
+        return GradedPoly._of(chart, {_unit(chart): _ONE})
 
     @staticmethod
     def var(chart: Chart, name: str) -> "GradedPoly":
@@ -367,10 +379,6 @@ class GradedPoly(_Value):
         return self.terms.get(_unit(self.chart), Fraction(0))
 
     # -- arithmetic --------------------------------------------------------
-
-    def _check(self, other: "GradedPoly"):
-        if self.chart != other.chart:
-            raise ChartMismatch("operands live on different charts")
 
     def _lift(self, x) -> "GradedPoly | None":
         return _as_poly(self.chart, x)
@@ -486,9 +494,9 @@ def _substitute(p: GradedPoly, images: Mapping[str, GradedPoly],
                 target: Chart) -> GradedPoly:
     """substitute for trusted images, one on ``target`` for every variable of
     p's chart, each of its parity; each power of an image is formed once."""
-    chart, powers, monomials = p.chart, {}, []
+    chart, unit, powers, monomials = p.chart, _unit(target), {}, []
     for (e, o), c in p.terms.items():
-        m = GradedPoly.const(target, c)
+        m = GradedPoly._of(target, {unit: c})
         for name, n in zip(chart.even, e):
             if n:
                 if (name, n) not in powers:
@@ -507,23 +515,31 @@ class DensityElement(_Value):
     __slots__ = ("chart", "parts")
 
     def __init__(self, chart: Chart, parts: Mapping[Fraction, GradedPoly] | None = None):
-        self.chart = chart
+        """Validates each weight and component, and drops zero components."""
         clean: dict[Fraction, GradedPoly] = {}
         for w, p in (parts or {}).items():
             w = _rational(w, "weight")
-            if p.chart != chart:
+            if _polynomial(p, "a density component").chart != chart:
                 raise ChartMismatch("component on wrong chart")
-            if not p.is_zero():
+            if p.terms:
                 clean[w] = p
-        self.parts = clean
+        self.chart, self.parts = chart, clean
+
+    @staticmethod
+    def _of(chart: Chart, parts: dict[Fraction, GradedPoly]) -> "DensityElement":
+        """Trusted constructor, as GradedPoly._of: Fraction weights, nonzero parts on chart."""
+        psi = object.__new__(DensityElement)
+        psi.chart, psi.parts = chart, parts
+        return psi
 
     @staticmethod
     def zero(chart: Chart) -> "DensityElement":
-        return DensityElement(chart, {})
+        return DensityElement._of(chart, {})
 
     @staticmethod
     def from_poly(p: GradedPoly, w=0) -> "DensityElement":
-        return DensityElement(p.chart, {w: p})
+        w, p = _rational(w, "weight"), _polynomial(p, "a density component")
+        return DensityElement._of(p.chart, {w: p} if p.terms else {})
 
     def component(self, w) -> GradedPoly:
         w = w if type(w) is int else _rational(w, "weight")
@@ -539,9 +555,8 @@ class DensityElement(_Value):
         return _parity({len(o) % 2 for p in self.parts.values() for (_, o) in p.terms})
 
     def parity_part(self, p: int) -> "DensityElement":
-        return DensityElement(
-            self.chart, {w: c.parity_part(p) for w, c in self.parts.items()}
-        )
+        return DensityElement._of(self.chart, {
+            w: q for w, c in self.parts.items() if (q := c.parity_part(p)).terms})
 
     def _lift(self, x) -> "DensityElement | None":
         p = _as_poly(self.chart, x)
@@ -550,20 +565,20 @@ class DensityElement(_Value):
     def __add__(self, other):
         if not isinstance(other, DensityElement) and (other := self._lift(other)) is None:
             return NotImplemented
+        self._check(other)
         parts = dict(self.parts)
         for w, p in other.parts.items():
             parts[w] = parts[w] + p if w in parts else p
-        return DensityElement(self.chart, parts)
+        return DensityElement._of(self.chart, {w: p for w, p in parts.items() if p.terms})
 
     def __neg__(self):
-        return DensityElement(self.chart, {w: -p for w, p in self.parts.items()})
+        return DensityElement._of(self.chart, {w: -p for w, p in self.parts.items()})
 
     def __mul__(self, other):
         if not isinstance(other, (DensityElement, GradedPoly)) and \
                 isinstance(other, (int, Fraction)):
-            return DensityElement(
-                self.chart, {w: p * other for w, p in self.parts.items()}
-            )
+            return DensityElement._of(
+                self.chart, {w: p * other for w, p in self.parts.items()} if other else {})
         if not isinstance(other, DensityElement) and (other := self._lift(other)) is None:
             return NotImplemented
         parts: dict[Fraction, GradedPoly] = {}
@@ -571,7 +586,7 @@ class DensityElement(_Value):
             for v, q in other.parts.items():
                 w, pq = u + v, p * q
                 parts[w] = parts[w] + pq if w in parts else pq
-        return DensityElement(self.chart, parts)
+        return DensityElement._of(self.chart, {w: p for w, p in parts.items() if p.terms})
 
     def __eq__(self, other):
         if not isinstance(other, DensityElement) and (other := self._lift(other)) is None:

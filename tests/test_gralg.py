@@ -25,6 +25,8 @@ from superdelta import (
     specialize,
     substitute,
 )
+from superdelta.dsl import load_module
+from superdelta.geom import lie_derivative, lie_derivative_pencil
 from superdelta.gralg import _key, _key_names
 
 from conftest import R11, R12, R22, R02, R03, poly_strategy, rand_op, rand_poly
@@ -168,7 +170,7 @@ def test_residue_pairing_picks_weight_one(rng):
 
 # ---------------------------------------------------------------------------
 # the kernel contract: engine-built results are built unchecked (through
-# GradedPoly._of), so their coefficients must already be canonical
+# each type's _of), so their entries must already be canonical
 
 
 def _assert_canonical(p):
@@ -186,6 +188,20 @@ def _assert_canonical_op(D):
             _assert_canonical(c)
 
 
+def _assert_canonical_density(psi):
+    """Every weight is a Fraction and every component a nonzero canonical
+    polynomial on psi's chart."""
+    for w, c in psi.parts.items():
+        assert type(w) is Fraction and not c.is_zero() and c.chart == psi.chart
+        _assert_canonical(c)
+
+
+def _sd_header(chart):
+    """The chart declaration of a .sd module on chart."""
+    return "chart C { " + "".join(f"{kind} {', '.join(names)}; " for kind, names in
+                                  (("even", chart.even), ("odd", chart.odd)) if names) + "}\n"
+
+
 @pytest.mark.parametrize("chart", [R11, R12, R22, R03],
                          ids=["1|1", "1|2", "2|2", "0|3"])
 def test_engine_results_keep_the_kernel_contract(chart):
@@ -199,7 +215,8 @@ def test_engine_results_keep_the_kernel_contract(chart):
                   for n in chart.names}
         polys = [p + q, p + (-p), p - q, p - p, -p, p * 3, p * Fraction(-2, 3),
                  p * 0, 2 * p, p * 1, p * q, odd * odd, p ** 3,
-                 substitute(p, images), p.parity_part(0), p.parity_part(1)]
+                 substitute(p, images), p.parity_part(0), p.parity_part(1),
+                 GradedPoly.const(chart, 0), GradedPoly.const(chart, Fraction(-1, 2))]
         polys += [part for _, part in p.homogeneous_parts()]
         polys += [partial(n, p) for n in chart.names]
         for r in polys:
@@ -208,13 +225,43 @@ def test_engine_results_keep_the_kernel_contract(chart):
         D = rand_op(rng, chart, 2)
         E = rand_op(rng, chart, 2) + compose(W, rand_op(rng, chart, 1))
         psi = DensityElement(chart, {Fraction(1, 2): p, 0: q})
+        chi = DensityElement(chart, {Fraction(1, 2): -p, 1: q})
+        # a vector field, and one of divergence 0
+        X = DiffOp.zero(chart)
+        for n in chart.names:
+            X = X + DiffOp.mult(rand_poly(rng, chart, 2)) * DiffOp.deriv(chart, n)
+        d0 = DiffOp.deriv(chart, chart.names[0])
         ops = [compose(D, E), compose(E, E), ad_mult(D, p), ad_mult(E, odd),
                formal_adjoint(E), conjugate_by_exp(D, p.parity_part(0)),
-               specialize(E, Fraction(1, 3)), specialize(E, 0), D - D]
+               specialize(E, Fraction(1, 3)), specialize(E, 0), D - D,
+               D + E, D + (-D), -D, D * 0, E * Fraction(-1, 2), 3 * E,
+               D.parity_part(0), D.parity_part(1), E.parity_part(0), E.parity_part(1),
+               lie_derivative(X, Fraction(1, 2)), lie_derivative(X, 0),
+               lie_derivative_pencil(X), lie_derivative_pencil(d0), lie_derivative(d0, 1),
+               DiffOp.mult(p - p), DiffOp.const(chart, 0)]
         for op in ops:
             _assert_canonical_op(op)
         for r in [E.apply_poly(p), *E.apply(psi).parts.values()]:
             _assert_canonical(r)
+        densities = [psi + chi, psi + (-psi), psi - psi, psi - chi, -psi, psi + p, p + psi,
+                     psi * 3, 0 * psi, psi * Fraction(-2, 3), psi * chi, chi * chi, psi * p,
+                     psi.parity_part(0), psi.parity_part(1), chi.parity_part(1),
+                     E.apply(psi), D.apply(chi), (D - D).apply(psi),
+                     DensityElement.from_poly(p - p, Fraction(1, 2)), DensityElement.zero(chart)]
+        for r in densities:
+            _assert_canonical_density(r)
+
+    # the .sd reader builds a product with a zero coefficient, or a zero
+    # term, in one term map
+    v = chart.names[0]
+    m = load_module(_sd_header(chart) + "".join(
+        f"operator P{i} on C = {text};\n" for i, text in enumerate((
+            f"({v} - {v})*d({v})", f"0*W*d({v})", f"({v} - {v})*d({v}) + d({v})",
+            f"d({v})*({v} - {v})", f"({v} - {v})*W"))))
+    for op in m.operators.values():
+        _assert_canonical_op(op)
+    assert m.operators["P0"].is_zero() and m.operators["P1"].is_zero()
+    assert m.operators["P2"] == DiffOp.deriv(chart, v)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,14 @@ from superdelta.brackets import (
     matrix_oracle_instance,
     square_bracket,
 )
-from superdelta.diffop import ad_mult, commutator, compose, conjugate_by_exp, specialize
+from superdelta.diffop import (
+    ad_mult,
+    commutator,
+    compose,
+    conjugate_by_exp,
+    op_from_action,
+    specialize,
+)
 from superdelta.dsl import render
 from superdelta.geom import (
     BracketDataError,
@@ -163,6 +170,25 @@ _REFUSALS = [
     (lambda: substitute(_v(R11, "x"), {"x": _v(R11, "x"), "xi": _v(R12, "xi1")}),
      ChartMismatch, "substitution images on mixed charts"),
     (lambda: DensityElement(R11, {0: ONE12}), ChartMismatch, "component on wrong chart"),
+    (lambda: DensityElement.from_poly(ONE11) + DensityElement.from_poly(ONE12, 1),
+     ChartMismatch, "operands live on different charts"),
+    # gralg and diffop: a density component or an operator coefficient that
+    # is not a polynomial is refused by type; rows sharing a message take
+    # their own ids
+    *(pytest.param(call, TypeError, f"{what} must be a GradedPoly, not {kind}",
+                   id=f"{name}: {what} must be a GradedPoly, not {kind}")
+      for name, call, what, kind in (
+          ("DiffOp.mult(3)", lambda: DiffOp.mult(3), "an operator coefficient", "int"),
+          ("DiffOp.mult(None)", lambda: DiffOp.mult(None), "an operator coefficient",
+           "NoneType"),
+          ("DiffOp.mult of a density", lambda: DiffOp.mult(DensityElement.from_poly(ONE11)),
+           "an operator coefficient", "DensityElement"),
+          ("op_from_action of a density", lambda: op_from_action(
+              R11, DensityElement.from_poly, 1), "an operator coefficient", "DensityElement"),
+          ("DensityElement.from_poly(3)", lambda: DensityElement.from_poly(3),
+           "a density component", "int"),
+          ("DensityElement(R11, {0: 3})", lambda: DensityElement(R11, {0: 3}),
+           "a density component", "int"))),
     (lambda: residue_pair(DensityElement.from_poly(ONE11), DensityElement.from_poly(ONE12)),
      ChartMismatch, "pairing across charts"),
     (lambda: berezin_integral(ONE11), DomainError,
