@@ -11,9 +11,7 @@ from .gralg import (
     GradedPoly,
     KeyLayoutError,
     ParityError,
-    berezin_integral,
     partial,
-    residue_pair,
     substitute,
 )
 from .diffop import (
@@ -42,7 +40,6 @@ from .geom import (
     master_discrepancy,
     odd_laplacian,
     pencil_bracket,
-    poisson_bracket,
     recover_action,
     transform_op,
 )

@@ -39,7 +39,8 @@ the Grassmann basis.  ``matrix_of`` builds it from the oracle's own
 product and derivative tables and applies no engine kernel (no
 ``DiffOp.apply``, ``_derive`` or polynomial product), and
 ``jacobiator_abstract`` takes each inner chain once and every outer nest
-literally.
+literally.  Both stay here because the benchmark binds them; the other
+reference definitions are in ``superdelta.oracle``.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .gralg import (_ONE, Chart, ChartMismatch, GradedPoly, Key, ParityError, _deg, _envelope,
                     _key_names, _keys_upto, _mul_keys)
-from .diffop import DiffOp, _leibniz, _on_one, commutator, compose, specialize
+from .diffop import DiffOp, _leibniz, _on_one, compose, specialize
 
 __all__ = [
     "koszul_sign",
@@ -60,11 +61,9 @@ __all__ = [
     "jacobiator",
     "square_bracket",
     "LieSuperAlgebraInstance",
-    "operator_algebra_instance",
     "GrassmannMatrix",
     "matrix_of",
     "matrix_oracle_instance",
-    "derived_bracket_abstract",
     "jacobiator_abstract",
     "LInftyReport",
     "linfty_check",
@@ -285,15 +284,6 @@ def _nested(inst: LieSuperAlgebraInstance, Delta, args: Sequence):
     return inst.project(x)
 
 
-def derived_bracket_abstract(
-    inst: LieSuperAlgebraInstance, Delta, args: Sequence
-):
-    """{a_1,...,a_n}_Delta = P [...[[Delta,a_1],a_2],...,a_n] for arguments
-    in the image of P."""
-    _check_image(inst, args)
-    return _nested(inst, Delta, args)
-
-
 def jacobiator_abstract(
     inst: LieSuperAlgebraInstance, Delta, args: Sequence, parities: Sequence[int]
 ):
@@ -329,11 +319,8 @@ def jacobiator_abstract(
     return total
 
 
-# ---------------------------------------------------------------------------
-# the operator-algebra instance
-
-
 def _op_span(chart: Chart) -> tuple[DiffOp, ...]:
+    """The operators on which an operator instance checks its laws."""
     span = [DiffOp.identity(chart)]
     for v in chart.names:
         span.append(DiffOp.mult(GradedPoly.var(chart, v)))
@@ -344,24 +331,6 @@ def _op_span(chart: Chart) -> tuple[DiffOp, ...]:
         a, b = chart.names[0], chart.names[1]
         span.append(compose(DiffOp.deriv(chart, a), DiffOp.deriv(chart, b)))
     return tuple(span)
-
-
-def operator_algebra_instance(chart: Chart) -> LieSuperAlgebraInstance:
-    """Normal-ordered differential operators on a chart with the graded
-    commutator; P sends an operator D to multiplication by D(1)."""
-    one = GradedPoly.one(chart)
-
-    def project(D: DiffOp) -> DiffOp:
-        return DiffOp.mult(D.apply(one))
-
-    return LieSuperAlgebraInstance(
-        bracket=commutator,
-        project=project,
-        sub=lambda D, E: D - E,
-        is_zero=lambda D: D.is_zero(),
-        span=_op_span(chart),
-        name=f"operator algebra on {chart.names}",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +391,8 @@ def _mat_mul(A: GrassmannMatrix, B: GrassmannMatrix, sign: int = 0) -> Grassmann
     return GrassmannMatrix(A.chart, rows)
 
 
-def _mat_sub(A: GrassmannMatrix, B: GrassmannMatrix, sign: int = -1) -> GrassmannMatrix:
-    """A + sign B (A - B by default); a row B does not touch is A's."""
+def _mat_sub(A: GrassmannMatrix, B: GrassmannMatrix) -> GrassmannMatrix:
+    """A - B; a row B does not touch is A's."""
     if B.is_zero():
         return A
     rows = []
@@ -431,8 +400,7 @@ def _mat_sub(A: GrassmannMatrix, B: GrassmannMatrix, sign: int = -1) -> Grassman
         if row_b:
             acc = dict(row_a)
             for j, b in row_b.items():
-                b = b if sign > 0 else -b
-                acc[j] = acc[j] + b if j in acc else b
+                acc[j] = acc[j] - b if j in acc else -b
             row_a = _nonzero(acc)
         rows.append(row_a)
     return GrassmannMatrix(A.chart, rows)

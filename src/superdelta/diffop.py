@@ -221,9 +221,9 @@ class DiffOp(_Value):
             DensityElement._of(self.chart, {w: p for w, p in out.items() if p.terms})
 
     def apply_poly(self, p: GradedPoly) -> GradedPoly:
-        """An alias of apply for a weight-0 polynomial.  The engine calls
-        apply; the alias stays only for the benchmark workloads and the
-        tests, and goes with the next revision of the benchmark."""
+        """An alias of apply for a weight-0 polynomial.  The engine and the
+        tests call apply; the alias stays only for the benchmark workloads,
+        and goes with the next revision of the benchmark."""
         return self.apply(p)
 
 

@@ -3,6 +3,9 @@ operators, symbols, odd Laplacians, the canonical density pencil, Jacobi
 conditions on the cotangent space, and coordinate covariance.  Operators
 are written as term maps, each coefficient at its normal-ordered key, and
 bracket data is read off a pencil's coefficients, not probed by brackets.
+The laws these are checked against (coordinate brackets as explicit sums,
+the subprincipal symbol, the modular vector field, the tensor laws of S and
+gamma) are in superdelta.oracle.
 
 Frozen conventions (certified by the theorem suites in tests/):
 
@@ -92,6 +95,13 @@ class VBracketData(_VBracketFields):
 
     __slots__ = ()
 
+    @staticmethod
+    def _of(chart: Chart, eps: int, S: SMatrix, gamma: GVector,
+            theta: GradedPoly) -> "VBracketData":
+        """Trusted constructor: adopts data the engine read off a pencil
+        (_pencil_data), unchecked."""
+        return _VBracketFields.__new__(VBracketData, chart, eps, S, gamma, theta)
+
     def __new__(cls, chart: Chart, eps: int, S: SMatrix, gamma: GVector,
                 theta: GradedPoly):
         full: SMatrix = {}
@@ -139,24 +149,6 @@ def _as_sigma(sigma: GradedPoly) -> GradedPoly:
 # ---------------------------------------------------------------------------
 # brackets of functions
 # ---------------------------------------------------------------------------
-
-
-def matrix_bracket(S: SMatrix, chart: Chart, f: GradedPoly, g: GradedPoly) -> GradedPoly:
-    """The coordinate bracket {f,g} = S^{ab} d_b f d_a g (-1)^{pa(a) pf},
-    which is X_f(g)."""
-    return hamiltonian_vf(S, chart, f).apply(g)
-
-
-def poisson_bracket(S: SMatrix, chart: Chart, f: GradedPoly, g: GradedPoly) -> GradedPoly:
-    """The antibracket-normalized coordinate bracket
-    {f,g}_P = (-1)^{pf+1} {f,g} for homogeneous f (extended additively).
-    In this normalization the odd Laplacian is a derivation of the bracket
-    and satisfies the Leibniz discrepancy identity with the (-1)^{pf+1}
-    sign."""
-    out = GradedPoly.zero(chart)
-    for pf, fh in f.homogeneous_parts():
-        out = out + matrix_bracket(S, chart, fh, g) * (-1) ** (pf + 1)
-    return out
 
 
 def bracket_from_operator(D: DiffOp, f: GradedPoly, g: GradedPoly) -> GradedPoly:
@@ -225,29 +217,6 @@ def _column(chart: Chart, S: SMatrix, a: str) -> GVector:
     return {b: s for b in chart.names if (s := S.get((b, a))) is not None}
 
 
-def subprincipal(D: DiffOp) -> GVector:
-    """The components gamma^a = div S^{.a} - 2 T^a (canonical_pencil) of
-    Hormander's subprincipal symbol, for a normalized (D1 = 0) plain (W-free)
-    operator of order <= 2."""
-    chart = D.chart
-    if not D.order_leq(2) or D.uses_weight():
-        raise DomainError("subprincipal symbol requires a W-free operator of order <= 2")
-    if not _on_one(D).is_zero():
-        raise DomainError("operator must be normalized: D1 = 0")
-    eps = D.parity()
-    if eps is None:
-        raise ParityError("operator must be homogeneous")
-    S = principal_matrix(D)
-    # D - (1/2) S^{ab} d_b d_a has the first-order part of D
-    T = first_order_coeffs(D)
-    out: GVector = {}
-    for a in chart.names:
-        acc = _divergence(chart, _column(chart, S, a), eps) - 2 * T.get(a, GradedPoly.zero(chart))
-        if not acc.is_zero():
-            out[a] = acc
-    return out
-
-
 def hamiltonian_vf(S: SMatrix, chart: Chart, f: GradedPoly) -> DiffOp:
     """The Hamiltonian vector field X_f = S^{ab} d_b f (-1)^{pa(a) pf} d_a,
     with X_f(g) = {f,g}, written term by term."""
@@ -285,12 +254,13 @@ def lie_derivative(X: DiffOp, w) -> DiffOp:
 # ---------------------------------------------------------------------------
 
 
-def _div_form(chart: Chart, S: SMatrix, g: GradedPoly, h: GradedPoly,
-              factor=1) -> DiffOp:
-    """factor * sum_{a,b} (d_a + d_a g) o S^{ab} (d_b + d_b h), that is
-    factor e^{-g} d_a (e^{g-h} S^{ab} d_b (e^h . )) for even g and h, written
-    term by term as (d_a + d_a g) o T^a, T^a = S^{ab} d_b + S^{ab} d_b h."""
-    S = {k: s * factor for k, s in S.items() if s.terms}
+def _laplacian(S: SMatrix, chart: Chart, g: GradedPoly, h: GradedPoly) -> DiffOp:
+    """(1/2) sum_{a,b} (d_a + d_a g) o S^{ab} (d_b + d_b h), that is
+    (1/2) e^{-g} d_a (e^{g-h} S^{ab} d_b (e^h . )) for even g and h, a
+    conjugate of Delta_rho by an even exponential, which keeps each parity
+    part: refused when inhomogeneous.  Written term by term as
+    (d_a + d_a g) o T^a, T^a = (1/2)(S^{ab} d_b + S^{ab} d_b h)."""
+    S = {k: s * HALF for k, s in S.items() if s.terms}
     keys, zero = {a: _key(chart, a)[0] for a in chart.names}, _unit(chart)
     Sh = _contract(chart, S, {b: partial(b, h) for b in chart.names}) if h.terms else {}
     sums: _Sums = {}
@@ -302,13 +272,7 @@ def _div_form(chart: Chart, S: SMatrix, g: GradedPoly, h: GradedPoly,
             for k, s, _ in T:
                 _add_into(sums, k, 0, da_g * s[0])
         _add_leibniz(sums, chart, keys[a], T)
-    return _from_sums(chart, sums)
-
-
-def _laplacian(S: SMatrix, chart: Chart, g: GradedPoly, h: GradedPoly) -> DiffOp:
-    """(1/2) _div_form, refused when inhomogeneous: a conjugate of Delta_rho
-    by an even exponential, which keeps each parity part."""
-    op = _div_form(chart, S, g, h, HALF)
+    op = _from_sums(chart, sums)
     if op.parity() not in (ODD, EVEN):
         raise ParityError("odd Laplacian came out inhomogeneous")
     return op
@@ -318,22 +282,6 @@ def odd_laplacian(S: SMatrix, chart: Chart, sigma) -> DiffOp:
     """The odd Laplacian  (1/2) e^{-sigma} d_a (e^{sigma} S^{ab} d_b . )
     attached to odd bracket data S and volume form rho = e^sigma Dx."""
     return _laplacian(S, chart, _as_sigma(sigma), GradedPoly.zero(chart))
-
-
-def modular_vf(P: SMatrix, chart: Chart, sigma) -> DiffOp:
-    """The modular vector field of an even antisymmetric Poisson tensor:
-    the same divergence construction without the 1/2.  Its second-order
-    terms cancel in pairs exactly when every entry of P between an even and
-    an odd coordinate is even."""
-    sigma = _as_sigma(sigma)
-    for (a, b), p in P.items():
-        mirror = P.get((b, a), GradedPoly.zero(chart))
-        if mirror != -(_sym_sign(chart, a, b) * p):
-            raise BracketDataError("P must be graded antisymmetric")
-    op = _div_form(chart, P, sigma, GradedPoly.zero(chart))
-    if not op.order_leq(1):
-        raise BracketDataError("P must have even entries between even and odd coordinates")
-    return op
 
 
 def act_on_w_densities(S: SMatrix, chart: Chart, sigma, w) -> DiffOp:
@@ -421,13 +369,16 @@ def _pencil_data(P: DiffOp, eps: int) -> VBracketData:
     at the W^0 coefficient of d_b d_a (principal_matrix), gamma^a at the
     W^1 coefficient of d_a, and theta as twice the W^2 coefficient at the
     zero key.  On the image of canonical_pencil this inverts it exactly:
-    no other term of the formula carries those keys and W-powers."""
+    no other term of the formula carries those keys and W-powers.  The data
+    is valid as read, so VBracketData._of builds it: P is homogeneous of
+    parity eps and holds no zero coefficient, and principal_matrix fills
+    S^{ab} and S^{ba} from the one key of d_b d_a, never S^{aa} for odd a."""
     chart = P.chart
     gamma = {a: wp[1] for a in chart.names
              if 1 in (wp := P.terms.get(_key(chart, a)[0], {}))}
     c = P.terms.get(_unit(chart), {}).get(2)
     theta = GradedPoly.zero(chart) if c is None else c * 2
-    return VBracketData(chart, eps, principal_matrix(P), gamma, theta)
+    return VBracketData._of(chart, eps, principal_matrix(P), gamma, theta)
 
 
 def extract_vbracket(P: DiffOp) -> VBracketData:
@@ -486,20 +437,9 @@ def _momenta(ct: Chart) -> dict[str, str]:
     return dict(zip(ct.even[:ev] + ct.odd[:od], ct.even[ev:] + ct.odd[od:]))
 
 
-def tstar_bracket(F: GradedPoly, G: GradedPoly) -> GradedPoly:
-    """The canonical (even) Poisson bracket on T*M, normalized by
-    (p_a, x^b) = delta_a^b: the coordinate bracket (matrix_bracket) of the
-    constant matrix S^{x^a p_a} = (-1)^{pa(a)}, S^{p_a x^a} = -1, that is
-
-    (F,G) = sum_a [ (-1)^{pa(a)(pF+1)} dF/dp_a dG/dx^a
-                    - (-1)^{pa(a) pF}  dF/dx^a dG/dp_a ]."""
-    if G.chart != F.chart:
-        raise ChartMismatch("symbols on different cotangent charts")
-    return matrix_bracket(_tstar_matrix(F.chart), F.chart, F, G)
-
-
 def _tstar_matrix(ct: Chart) -> SMatrix:
-    """The canonical matrix of tstar_bracket on a cotangent chart."""
+    """The canonical matrix on a cotangent chart: (F, G) = X_F(G) is the
+    canonical (even) Poisson bracket, normalized by (p_a, x^b) = delta_a^b."""
     one = GradedPoly.one(ct)
     S: SMatrix = {}
     for x, p in _momenta(ct).items():
@@ -510,10 +450,10 @@ def _tstar_matrix(ct: Chart) -> SMatrix:
 def jacobi_report(data: VBracketData) -> tuple[GradedPoly, GradedPoly, GradedPoly, GradedPoly]:
     """The four obstruction symbols ((S,S), (S,gamma), (S,theta)+(gamma,gamma),
     (gamma,theta)) of the symbols S = 1/2 S^{ab} p_b p_a, gamma = gamma^a p_a
-    and theta on T*M, under tstar_bracket; all four vanish iff
-    ord(Delta^2) <= 1 for the canonical pencil.  A coefficient moves to
-    T*M unchanged (_embed): each parity block of T*M begins with the base's.
-    (F, G) = X_F(G): X_S and X_gamma are built once each."""
+    and theta on T*M, under the canonical bracket (_tstar_matrix); all four
+    vanish iff ord(Delta^2) <= 1 for the canonical pencil.  A coefficient
+    moves to T*M unchanged (_embed): each parity block of T*M begins with
+    the base's.  (F, G) = X_F(G): X_S and X_gamma are built once each."""
     if data.eps != ODD:
         raise ParityError("Jacobi report requires an odd bracket")
     ct = cotangent_chart(data.chart)
@@ -798,30 +738,6 @@ def transform_logvol(sigma, cmap: CoordMap) -> GradedPoly:
     (additive constants dropped)."""
     sigma = _as_sigma(sigma)
     return cmap.push(sigma - log_berezinian(cmap))
-
-
-def transform_smatrix(S: SMatrix, chart: Chart, cmap: CoordMap) -> SMatrix:
-    """Tensorial transform of S through the bracket on the new coordinate
-    functions: S'^{ab} = (-1)^{pa(a) pa(b)} {x'^b, x'^a}, each row of
-    brackets X_{x'^b}(x'^a) from one Hamiltonian field.  A reference law:
-    transform_data reads S' off the transformed pencil instead."""
-    fields = {b: hamiltonian_vf(S, chart, cmap.fwd[b]) for b in chart.names}
-    out = {(a, b): cmap.push(fields[b].apply(cmap.fwd[a])) * _sym_sign(chart, a, b)
-           for a in chart.names for b in chart.names}
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def transform_gamma(S: SMatrix, gamma: GVector, chart: Chart, cmap: CoordMap) -> GVector:
-    """gamma^{a'} = (gamma^a + S^{ab} d_b log J) dx^{a'}/dx^a, expressed in
-    new coordinates.  A reference law: transform_data reads gamma' off the
-    transformed pencil instead."""
-    J, lnJ = cmap.jacobian(), log_berezinian(cmap)
-    shift = _contract(chart, S, {b: partial(b, lnJ) for b in chart.names})
-    corrected = {a: gamma.get(a, GradedPoly.zero(chart)) + shift[a] for a in chart.names}
-    out = {ap: cmap.push(GradedPoly._sum(chart, (corrected[a] * J[(ap, a)]
-                                                 for a in chart.names)))
-           for ap in chart.names}
-    return {a: g for a, g in out.items() if not g.is_zero()}
 
 
 def transform_data(data: VBracketData, cmap: CoordMap) -> VBracketData:

@@ -596,20 +596,3 @@ class DensityElement(_Value):
     def __hash__(self):
         return hash((self.chart, tuple(sorted(self.parts.items()))))
 
-
-def residue_pair(psi: DensityElement, chi: DensityElement) -> GradedPoly:
-    """The weight-1 component of psi*chi: the integrand of the invariant
-    scalar product on the algebra of densities."""
-    if psi.chart != chi.chart:
-        raise ChartMismatch("pairing across charts")
-    return (psi * chi).component(1)
-
-
-def berezin_integral(p: GradedPoly) -> Fraction:
-    """Integral over a purely odd chart: the coefficient of the top odd
-    monomial in canonical order."""
-    chart = p.chart
-    if chart.even:
-        raise DomainError("Berezin integral requires a purely odd chart")
-    top = tuple(range(len(chart.odd)))
-    return p.terms.get(((), top), Fraction(0))

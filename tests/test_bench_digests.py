@@ -11,7 +11,9 @@ builds every value it computes with a trusted ``_of``, so over the ops and
 their checks neither ``gralg._check_key`` nor the validating ``__init__``
 of ``GradedPoly``, ``DiffOp`` or ``DensityElement`` runs.  ``worker.build``
 makes the inputs through those public constructors, so it stays outside
-the count."""
+the count.  Bracket data is validated where it enters, by the ``.sd`` reader
+and the command-line flags; the data the engine reads off a pencil is built
+by the trusted ``VBracketData._of``, so two workloads construct none."""
 
 import hashlib
 import pathlib
@@ -23,7 +25,7 @@ BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 
 import worker  # noqa: E402
-from superdelta import DensityElement, DiffOp, GradedPoly, gralg  # noqa: E402
+from superdelta import DensityElement, DiffOp, GradedPoly, VBracketData, gralg  # noqa: E402
 
 DIGESTS = {
     "derived-brackets":
@@ -41,8 +43,10 @@ def test_seed_1_pass_0_digest(workload, tmp_path, count_calls):
     checks = {"_check_key": count_calls(gralg, "_check_key")}
     for cls in (GradedPoly, DiffOp, DensityElement):
         checks[f"{cls.__name__}.__init__"] = count_calls(cls, "__init__")
+    data = count_calls(VBracketData, "__new__")
     digest = hashlib.sha256()
     _, _, failures = worker.run_pass(ops, 0, digest)
     assert failures == []
     assert digest.hexdigest() == DIGESTS[workload]
     assert {name: len(calls) for name, calls in checks.items() if calls} == {}
+    assert workload == "cli-session" or data == []

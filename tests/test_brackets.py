@@ -12,7 +12,6 @@ from superdelta.diffop import commutator, compose
 from superdelta.brackets import (
     LieSuperAlgebraInstance,
     _grassmann_basis,
-    derived_bracket_abstract,
     higher_bracket,
     jacobiator,
     jacobiator_abstract,
@@ -21,9 +20,12 @@ from superdelta.brackets import (
     matrix_of,
     matrix_oracle_instance,
     monomials_upto,
-    operator_algebra_instance,
     shuffles,
     square_bracket,
+)
+from superdelta.oracle import (
+    chain_bracket, derived_bracket_abstract, leibniz_obstruction, operator_algebra_instance,
+    shuffle_jacobiator,
 )
 
 from conftest import CHARTS, R11, R12, R22, R02, R03, key_within, rand_op, rand_poly
@@ -110,28 +112,6 @@ def test_graded_symmetry(rng):
                 base * Fraction(sgn)
 
 
-def _leibniz_reference(Delta, args, b, c):
-    """The failure of the k-ary bracket (k = len(args) + 1) to be a
-    derivation in its last slot,
-
-        {args, bc} - {args, b} c - (-1)^{pb (pD + sum pa)} b {args, c},
-
-    for homogeneous Delta, each argument and b split into homogeneous parts
-    by linearity: three k-ary brackets, a path independent of the
-    (k + 1)-ary bracket it is compared with.  It certifies the conventions
-    line "the Leibniz obstruction of the k-ary bracket equals + the
-    (k+1)-ary bracket"."""
-    pD = Delta.parity()
-    out = GradedPoly.zero(Delta.chart)
-    for *split, (pb, bh) in itertools.product(*(a.homogeneous_parts() for a in (*args, b))):
-        head = [p for _, p in split]
-        sgn = (-1) ** (pb * (pD + sum(par for par, _ in split)))
-        out = (out + higher_bracket(Delta, head + [bh * c])
-               - higher_bracket(Delta, head + [bh]) * c
-               - bh * higher_bracket(Delta, head + [c]) * sgn)
-    return out
-
-
 def test_vanishing_threshold_and_top_derivation(rng):
     chart = R11
     monos = monomials_upto(chart, 2)
@@ -155,7 +135,7 @@ def test_vanishing_threshold_and_top_derivation(rng):
         for _ in range(5):
             head = [rng.choice(monos) for _ in range(N - 1)]
             b, c = rng.choice(monos), rng.choice(monos)
-            obstruction = _leibniz_reference(D, head, b, c)
+            obstruction = leibniz_obstruction(D, head, b, c)
             assert obstruction.is_zero() and obstruction == higher_bracket(D, head + [b, c])
 
 
@@ -169,7 +149,7 @@ def test_leibniz_obstruction_equals_next_bracket(rng):
             k = rng.randint(1, 3)
             head = [rng.choice(monos) for _ in range(k - 1)]
             b, c = rng.choice(monos), rng.choice(monos)
-            assert _leibniz_reference(D, head, b, c) == \
+            assert leibniz_obstruction(D, head, b, c) == \
                 higher_bracket(D, head + [b, c])
 
 
@@ -177,9 +157,9 @@ def test_leibniz_obstruction_examples():
     D = compose(DiffOp.deriv(R11, "x"), DiffOp.deriv(R11, "xi"))
     x, xi = _x(R11, "x"), _x(R11, "xi")
     X = compose(DiffOp.mult(xi), DiffOp.deriv(R11, "x"))  # a vector field
-    assert _leibniz_reference(X, [], x, x).is_zero()
+    assert leibniz_obstruction(X, [], x, x).is_zero()
     assert higher_bracket(X, [x, x]).is_zero()
-    assert _leibniz_reference(D, [], x, xi) == higher_bracket(D, [x, xi])
+    assert leibniz_obstruction(D, [], x, xi) == higher_bracket(D, [x, xi])
 
 
 def test_leibniz_obstruction_splits_by_linearity(rng):
@@ -191,12 +171,12 @@ def test_leibniz_obstruction_splits_by_linearity(rng):
             D = rand_op(rng, chart, 3, parity=rng.randint(0, 1))
             head = [rand_poly(rng, chart, 2, nterms=3)]
             b, c = rand_poly(rng, chart, 2, nterms=3), rand_poly(rng, chart, 2, nterms=3)
-            assert _leibniz_reference(D, [zero], b, c).is_zero()
-            assert _leibniz_reference(D, head, zero, c).is_zero()
+            assert leibniz_obstruction(D, [zero], b, c).is_zero()
+            assert leibniz_obstruction(D, head, zero, c).is_zero()
             split = GradedPoly._sum(chart, (
-                _leibniz_reference(D, [h], bh, c)
+                leibniz_obstruction(D, [h], bh, c)
                 for _, h in head[0].homogeneous_parts() for _, bh in b.homogeneous_parts()))
-            assert _leibniz_reference(D, head, b, c) == split == \
+            assert leibniz_obstruction(D, head, b, c) == split == \
                 higher_bracket(D, head + [b, c])
 
 
@@ -250,35 +230,13 @@ def test_jacobiator_equals_square_bracket(rng):
                     assert jacobiator(D, args) == square_bracket(D, args)
 
 
-def _chain_bracket(D, args):
-    """{a_1,...,a_n} by its definition, with graded commutators of whole
-    operators: [...[D, a_1], ..., a_n] applied to 1 at weight 0."""
-    for a in args:
-        D = commutator(D, DiffOp.mult(a))
-    return D.apply_poly(GradedPoly.one(D.chart))
-
-
-def _chain_jacobiator(D, args):
-    """The full shuffle sum over every block size, each bracket by
-    _chain_bracket."""
-    pars = [a.parity() for a in args]
-    n = len(args)
-    total = GradedPoly.zero(D.chart)
-    for k in range(n + 1):
-        for s in shuffles(k, n - k):
-            inner = _chain_bracket(D, [args[i] for i in s[:k]])
-            outer = _chain_bracket(D, [inner] + [args[i] for i in s[k:]])
-            total = total + outer * koszul_sign(s, pars)
-    return total
-
-
 @pytest.mark.parametrize("chart", [R11, R12, R22, R03],
                          ids=["1|1", "1|2", "2|2", "0|3"])
 def test_brackets_match_commutator_chain(chart):
     """higher_bracket (the kernel's order bound) and jacobiator (also the
-    k-range of the order bound) against commutator chains
-    that assume no bound: odd and even generators of order <= 3, some
-    carrying W, and Delta = 0; arities 0-5, so n > ord Delta and
+    k-range of the order bound) against the oracle's commutator chains and
+    shuffle sum, which assume no bound: odd and even generators of order
+    <= 3, some carrying W, and Delta = 0; arities 0-5, so n > ord Delta and
     n >= 2 ord Delta occur; zero and, for brackets, inhomogeneous
     arguments."""
     rng = random.Random(808)
@@ -300,12 +258,12 @@ def test_brackets_match_commutator_chain(chart):
             if n and rng.random() < 0.2:
                 args[rng.randrange(n)] = zero
             J = jacobiator(D, args)
-            assert J == _chain_jacobiator(D, args)
+            assert J == shuffle_jacobiator(lambda xs: chain_bracket(D, xs), args)
             nonzero[0] += not J.is_zero()
             mixed = [a + rng.choice(monos) for a in args]
             for bargs in (args, mixed):
                 B = higher_bracket(D, bargs)
-                assert B == _chain_bracket(D, bargs)
+                assert B == chain_bracket(D, bargs)
                 nonzero[1] += not B.is_zero()
     # the draw is not all zeros
     assert nonzero[0] >= 5 and nonzero[1] >= 40
@@ -362,9 +320,9 @@ def test_support_bound_matches_commutator_chain():
                         if not (a := _narrow_poly(rng, chart)).is_zero():
                             args.append(a)
                     B = higher_bracket(D, args)
-                    assert B == _chain_bracket(D, args)
+                    assert B == chain_bracket(D, args)
                     F = square_bracket(D, args)
-                    assert F == _chain_bracket(sq, args)
+                    assert F == chain_bracket(sq, args)
                     env = _envelope_reference(chart, args)
                     cases += 1
                     bites += any(not key_within(k, env) for k in sq.terms)
@@ -383,7 +341,7 @@ def test_square_bracket_product_count_is_pinned(count_calls):
         + DiffOp.mult(xi3) * d1 * d2 + DiffOp.mult(xi1)
     assert D.parity() == 1
     sq = compose(D, D)
-    want = [_chain_bracket(sq, []), _chain_bracket(sq, [xi1])]
+    want = [chain_bracket(sq, []), chain_bracket(sq, [xi1])]
     assert want == [xi2 * xi3, -xi1]
     products = count_calls(GradedPoly, "__mul__")
     assert square_bracket(D, []) == want[0]
@@ -391,32 +349,6 @@ def test_square_bracket_product_count_is_pinned(count_calls):
     products.clear()
     assert square_bracket(D, [xi1]) == want[1]
     assert len(products) == 2
-
-
-def _ad_mult_chain(D, args):
-    """{a_1,...,a_n} by its definition, each commutator by diffop.ad_mult
-    (looked up per call, so a monkeypatched counter sees it) with no order
-    floor or support bound: [...[D, a_1], ..., a_n] applied to 1 at weight 0."""
-    from superdelta import diffop
-
-    for a in args:
-        D = diffop.ad_mult(D, a)
-    return D.apply(GradedPoly.one(D.chart))
-
-
-def _shuffle_jacobiator(D, args):
-    """The bounded shuffle sum with every inner and outer bracket taken
-    from scratch by _ad_mult_chain, sharing no commutator chain."""
-    pars = [a.parity() for a in args]
-    n = len(args)
-    r = D.order() or 0
-    terms = []
-    for k in range(max(0, n - r + 1), min(n, r) + 1):
-        for s in shuffles(k, n - k):
-            inner = _ad_mult_chain(D, [args[s[i]] for i in range(k)])
-            outer = _ad_mult_chain(D, [inner] + [args[s[i]] for i in range(k, n)])
-            terms.append(outer if koszul_sign(s, pars) == 1 else -outer)
-    return GradedPoly._sum(D.chart, terms)
 
 
 def _seeded_generators(rng, chart, count):
@@ -458,9 +390,9 @@ def _mixed_args(rng, chart, monos, n):
 
 
 def test_bracket_kernel_matches_the_ad_mult_chain():
-    """The bracket kernel against commutator chains taken by diffop.ad_mult
-    with no bound: jacobiator against the shuffle loop that takes every
-    bracket from scratch, square_bracket against the chain of the whole
+    """The bracket kernel against the oracle's commutator chains, which take
+    no bound: jacobiator against the shuffle sum over every block that takes
+    every bracket from scratch, square_bracket against the chain of the whole
     square, and higher_bracket and square_bracket again on inhomogeneous
     multi-term arguments: 1,080 seeded cases, odd and even Delta, some with
     W, n = 0-5, on all five charts, compared by value and by rendered text."""
@@ -476,14 +408,14 @@ def test_bracket_kernel_matches_the_ad_mult_chain():
             for n in range(6):
                 args = _homogeneous_args(rng, chart, monos, n)
                 J = jacobiator(D, args)
-                ref = _shuffle_jacobiator(D, args)
+                ref = shuffle_jacobiator(lambda xs: chain_bracket(D, xs), args)
                 assert J == ref and render(J) == render(ref)
-                F, ref = square_bracket(D, args), _ad_mult_chain(sq, args)
+                F, ref = square_bracket(D, args), chain_bracket(sq, args)
                 assert F == ref and render(F) == render(ref)
                 mixed = _mixed_args(mixed_rng, chart, monos, n)
                 for op, bracket in ((D, higher_bracket(D, mixed)),
                                     (sq, square_bracket(D, mixed))):
-                    ref = _ad_mult_chain(op, mixed)
+                    ref = chain_bracket(op, mixed)
                     assert bracket == ref and render(bracket) == render(ref)
                     mixed_nonzero += not ref.is_zero()
                 cases += 1
@@ -557,7 +489,7 @@ def test_jacobiator_computes_no_table_twice(monkeypatch):
             J = jacobiator(D, args[:n])
             assert len(set(seen)) == len(seen)
             assert all(len(T) <= 3 and list(T) == sorted(T) for _, T in seen)
-            assert _shuffle_jacobiator(D, args[:n]) == J
+            assert shuffle_jacobiator(lambda xs: chain_bracket(D, xs), args[:n]) == J
             built += len(seen)
     assert built
 
@@ -642,6 +574,12 @@ def test_matrix_oracle_agrees_with_symbolic(rng):
                 assert rhs == jmx
 
 
+def _mat_add(A, B):
+    """A + B from the oracle's own difference: A - ((B - B) - B)."""
+    from superdelta.brackets import _mat_sub
+    return _mat_sub(A, _mat_sub(_mat_sub(B, B), B))
+
+
 def test_matrix_parity_is_read_off_entries(monkeypatch, rng):
     """The oracle reads a matrix's parity off its nonzero entries and makes
     no DiffOp.parity call: it is the parity of the operator represented,
@@ -670,8 +608,8 @@ def test_matrix_parity_is_read_off_entries(monkeypatch, rng):
             assert A.parity == want(D) and B.parity == want(E)
             assert _mat_mul(A, B).parity == want(compose(D, E))
             assert _mat_sub(A, B).parity == want(D - E)
-            assert _mat_sub(A, B, 1).parity == want(D + E)
-            assert imx.project(A).parity == want(DiffOp.mult(D.apply_poly(one)))
+            assert _mat_add(A, B).parity == want(D + E)
+            assert imx.project(A).parity == want(DiffOp.mult(D.apply(one)))
     assert seen == {0, 1, None}
 
 
@@ -702,7 +640,7 @@ def test_odd_square_matrix_is_the_matrix_square():
 def test_matrix_bracket_is_one_product_pass(count_calls):
     """_mat_bracket(A, B) = AB - (-1)^{|A| |B|} BA, built as one matrix from
     one pass over the rows, on seeded homogeneous matrices of both
-    parities; the two products and their difference are the reference."""
+    parities; the two products and their sum or difference are the reference."""
     from superdelta.brackets import GrassmannMatrix, _mat_bracket, _mat_mul, _mat_sub
     rng = random.Random("matrix bracket")
     built = count_calls(GrassmannMatrix, "__init__")
@@ -714,11 +652,11 @@ def test_matrix_bracket_is_one_product_pass(count_calls):
                     for _ in range(2))
             A, B = matrix_of(D), matrix_of(E)
             pars.add((A.parity, B.parity))
-            sign = 1 if A.parity == B.parity == 1 else -1
+            combine = _mat_add if A.parity == B.parity == 1 else _mat_sub
             built.clear()
             C = _mat_bracket(A, B)
             assert len(built) == 1
-            assert C == _mat_sub(_mat_mul(A, B), _mat_mul(B, A), sign) \
+            assert C == combine(_mat_mul(A, B), _mat_mul(B, A)) \
                 == matrix_of(commutator(D, E))
     assert {(0, 0), (0, 1), (1, 0), (1, 1)} <= pars
 
@@ -761,27 +699,6 @@ def test_matrix_of_columns_are_the_action(count_calls):
                 assert _column(M, j) == D.apply(GradedPoly(chart, {((), o): 1}))
 
 
-def _literal_jacobiator(inst, Delta, args, parities):
-    """The abstract Jacobiator with every nest of every shuffle taken from
-    Delta, nothing shared, summed with inst.sub alone."""
-    def nest(x, ys):
-        for y in ys:
-            x = inst.bracket(x, y)
-        return inst.project(x)
-
-    n, terms = len(args), []
-    for k in range(n + 1):
-        for s in shuffles(k, n - k):
-            inner = nest(Delta, [args[i] for i in s[:k]])
-            terms.append((koszul_sign(s, parities),
-                          nest(Delta, [inner] + [args[i] for i in s[k:]])))
-    zero = inst.sub(terms[0][1], terms[0][1])
-    total = zero
-    for sign, t in terms:
-        total = inst.sub(total, inst.sub(zero, t) if sign > 0 else t)
-    return total
-
-
 def test_jacobiator_abstract_takes_each_inner_chain_once():
     """For n arguments jacobiator_abstract takes (2^n - 1) inner chain
     brackets and sum_k C(n, k) (n - k + 1) outer ones, 27 at n = 3 against
@@ -807,7 +724,9 @@ def test_jacobiator_abstract_takes_each_inner_chain_once():
                     math.comb(n, k) * (n - k + 1) for k in range(n + 1))
                 assert n != 3 or len(calls) == 27
                 calls.clear()
-                assert _literal_jacobiator(counting, matrix_of(D), mats, pars) == J
+                M = matrix_of(D)
+                assert shuffle_jacobiator(lambda xs: derived_bracket_abstract(counting, M, xs),
+                                          mats, pars, counting.sub) == J
                 assert n != 3 or len(calls) == 32
 
 
@@ -845,7 +764,7 @@ def test_oracle_matrices_hold_no_zero():
             D = rand_op(rng, chart, len(xis), nterms=3)
             C = matrix_of(D)
             assert clean(_mat_sub(C, C)).is_zero()
-            assert clean(_mat_sub(_mat_mul(C, A), C, 1)) \
+            assert clean(_mat_add(_mat_mul(C, A), C)) \
                 == matrix_of(compose(D, DiffOp.mult(a)) + D)
             clean(imx.project(clean(_mat_mul(C, C))))
 

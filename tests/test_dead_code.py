@@ -155,3 +155,30 @@ def test_coverage_allowlist_parses():
     for bad in ("geom.py | no reason", "geom.py |  | no source"):
         with pytest.raises(SystemExit, match=re.escape("is not file | source | reason")):
             script.parse_allowlist(bad)
+
+
+def _imported(tree: ast.AST) -> set[str]:
+    """Every module, and every module attribute, that an import in tree
+    names, with a relative import resolved inside the package."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            out |= {a.name for a in n.names}
+        elif isinstance(n, ast.ImportFrom):
+            base = ".".join(filter(None, ("superdelta" if n.level else "", n.module)))
+            out |= {base} | {f"{base}.{a.name}" for a in n.names}
+    return out
+
+
+def test_no_engine_module_imports_the_oracle():
+    """Only tests import superdelta.oracle, the reference definitions the
+    engine is checked against: no other module of src/superdelta,
+    __init__ included, imports it, absolutely or relatively."""
+    for text in ("import superdelta.oracle as o", "from superdelta import oracle",
+                 "from superdelta.oracle import x", "from . import oracle",
+                 "from .oracle import x"):
+        assert "superdelta.oracle" in _imported(ast.parse(text))
+    assert "superdelta.oracle" not in _imported(ast.parse("from .geom import oracle_x"))
+    found = [p.name for p in sorted(SRC.glob("*.py")) if p.name != "oracle.py"
+             and "superdelta.oracle" in _imported(ast.parse(p.read_text(), str(p)))]
+    assert found == []

@@ -20,6 +20,7 @@ from superdelta.geom import (
     CoordMapError,
     VBracketData,
     _exact_quotient,
+    _tstar_matrix,
     _unit_series,
     act_on_w_densities,
     berezinian,
@@ -37,24 +38,21 @@ from superdelta.geom import (
     lie_derivative_pencil,
     log_berezinian,
     master_discrepancy,
-    matrix_bracket,
-    modular_vf,
     odd_laplacian,
     pencil_bracket,
-    poisson_bracket,
     principal_matrix,
     recover_action,
     second_order_part,
-    subprincipal,
     transform_data,
-    transform_gamma,
     transform_logvol,
     transform_op,
-    transform_smatrix,
-    tstar_bracket,
 )
 
 from superdelta import diffop, geom
+from superdelta.oracle import (
+    div_form, matrix_bracket, modular_vf, poisson_bracket, smatrix_of, subprincipal,
+    transform_gamma, transform_smatrix, tstar_bracket,
+)
 from superdelta.dsl import load_module, render
 
 from conftest import (
@@ -86,19 +84,8 @@ def test_bracket_symmetry(rng):
 def test_bracket_on_coordinates_recovers_s(rng):
     for eps in (0, 1):
         S = rand_smatrix(rng, R22, eps)
-        D = None
-        assert principal_matrix_equal(S, R22, eps)
-
-
-def principal_matrix_equal(S, chart, eps):
-    for a in chart.names:
-        for b in chart.names:
-            v = matrix_bracket(S, chart, GradedPoly.var(chart, b),
-                               GradedPoly.var(chart, a))
-            v = v * Fraction((-1) ** (chart.parity(a) * chart.parity(b)))
-            if S.get((a, b), GradedPoly.zero(chart)) != v:
-                return False
-    return True
+        assert smatrix_of(R22, lambda b, a: matrix_bracket(
+            S, R22, GradedPoly.var(R22, b), GradedPoly.var(R22, a))) == S
 
 
 def test_bracket_from_operator_matches_matrix_bracket(rng):
@@ -125,10 +112,10 @@ def test_bracket_from_operator_matches_matrix_bracket(rng):
                     g = rand_poly(rng, chart, 3)
                     expected = GradedPoly.zero(chart)
                     for pf, fh in f.homogeneous_parts():
-                        expected = (expected + op.apply_poly(fh * g)
-                                    - op.apply_poly(fh) * g
-                                    - (-1) ** (eps * pf) * fh * op.apply_poly(g)
-                                    + op.apply_poly(one) * fh * g)
+                        expected = (expected + op.apply(fh * g)
+                                    - op.apply(fh) * g
+                                    - (-1) ** (eps * pf) * fh * op.apply(g)
+                                    + op.apply(one) * fh * g)
                     assert bracket_from_operator(op, f, g) == expected
 
 
@@ -140,7 +127,7 @@ def test_odd_laplacian_flat_case():
     S = std_odd_smatrix(R11)
     D = odd_laplacian(S, R11, GradedPoly.zero(R11))
     assert D == compose(DiffOp.deriv(R11, "x"), DiffOp.deriv(R11, "xi"))
-    assert D.apply_poly(GradedPoly.one(R11)).is_zero()
+    assert D.apply(GradedPoly.one(R11)).is_zero()
 
 
 def test_leibniz_discrepancy_antibracket_sign(rng):
@@ -153,9 +140,9 @@ def test_leibniz_discrepancy_antibracket_sign(rng):
             f = rand_poly(rng, chart, 3)
             g = rand_poly(rng, chart, 3)
             for pf, fh in f.homogeneous_parts():
-                lhs = D.apply_poly(fh * g)
-                rhs = D.apply_poly(fh) * g \
-                    + fh * D.apply_poly(g) * Fraction((-1) ** pf) \
+                lhs = D.apply(fh * g)
+                rhs = D.apply(fh) * g \
+                    + fh * D.apply(g) * Fraction((-1) ** pf) \
                     + poisson_bracket(S, chart, fh, g) * Fraction((-1) ** (pf + 1))
                 assert lhs == rhs
 
@@ -183,9 +170,9 @@ def test_derivation_property_under_jacobi(rng):
         f = rand_poly(rng, chart, 2)
         g = rand_poly(rng, chart, 2)
         for pf, fh in f.homogeneous_parts():
-            lhs = D.apply_poly(poisson_bracket(S, chart, fh, g))
-            rhs = poisson_bracket(S, chart, D.apply_poly(fh), g) + \
-                poisson_bracket(S, chart, fh, D.apply_poly(g)) * \
+            lhs = D.apply(poisson_bracket(S, chart, fh, g))
+            rhs = poisson_bracket(S, chart, D.apply(fh), g) + \
+                poisson_bracket(S, chart, fh, D.apply(g)) * \
                 Fraction((-1) ** (pf + 1))
             assert lhs == rhs
 
@@ -213,7 +200,7 @@ def test_modular_vector_field_even_case(rng):
     sigma = rand_poly(rng, chart, 2, parity=0)
     X = modular_vf(P, chart, sigma)
     assert X.order_leq(1)
-    assert X.apply_poly(GradedPoly.one(chart)).is_zero()
+    assert X.apply(GradedPoly.one(chart)).is_zero()
 
 
 def test_w_density_commutator_law(rng):
@@ -231,7 +218,7 @@ def test_w_density_commutator_law(rng):
             lhs = commutator(Dw, DiffOp.mult(f))
             X = hamiltonian_vf(S, chart, f)
             rhs = lie_derivative(X, w) + \
-                DiffOp.mult(D0.apply_poly(f)) * (1 - 2 * w)
+                DiffOp.mult(D0.apply(f)) * (1 - 2 * w)
             assert lhs == rhs
 
 
@@ -385,7 +372,7 @@ def test_pencil_suite(rng):
             for _ in range(6):
                 data = rand_vdata(rng, chart, eps)
                 P = canonical_pencil(data)
-                assert specialize(P, 0).apply_poly(
+                assert specialize(P, 0).apply(
                     GradedPoly.one(chart)).is_zero()
                 assert formal_adjoint(P) == P
                 assert extract_vbracket(P) == data
@@ -400,14 +387,9 @@ def test_pencil_bracket_reproduces_data(rng):
     tt = pencil_bracket(P, t, t)
     assert tt == DensityElement(chart, {Fraction(2): data.theta}) or \
         (tt.is_zero() and data.theta.is_zero())
-    for a in chart.names:
-        for b in chart.names:
-            fa = DensityElement.from_poly(GradedPoly.var(chart, a))
-            fb = DensityElement.from_poly(GradedPoly.var(chart, b))
-            v = pencil_bracket(P, fb, fa)
-            expect = data.S.get((a, b), GradedPoly.zero(chart)) * Fraction(
-                (-1) ** (chart.parity(a) * chart.parity(b)))
-            assert v.component(0) == expect
+    assert smatrix_of(chart, lambda b, a: pencil_bracket(
+        P, DensityElement.from_poly(GradedPoly.var(chart, b)),
+        DensityElement.from_poly(GradedPoly.var(chart, a))).component(0)) == data.S
 
 
 def test_constant_pencil_example():
@@ -519,23 +501,6 @@ def test_report_with_momentum_like_chart_names():
     assert [move(s) for s in jacobi_report(data)] == list(jacobi_report(data2))
 
 
-def _tstar_reference(F, G):
-    """The canonical bracket on T*M as an explicit sum over the base
-    coordinates a, with p_a found by position in the cotangent chart:
-    (F,G) = sum_a [ (-1)^{pa(a)(pF+1)} dF/dp_a dG/dx^a
-                    - (-1)^{pa(a) pF}  dF/dx^a dG/dp_a ]."""
-    ct = F.chart
-    ev, od = len(ct.even) // 2, len(ct.odd) // 2
-    pairs = list(zip(ct.even[:ev], ct.even[ev:])) + list(zip(ct.odd[:od], ct.odd[od:]))
-    out = GradedPoly.zero(ct)
-    for pF, Fh in F.homogeneous_parts():
-        for a, pm in pairs:
-            pa = ct.parity(a)
-            out = out + partial(pm, Fh) * partial(a, G) * (-1) ** (pa * (pF + 1))
-            out = out - partial(a, Fh) * partial(pm, G) * (-1) ** (pa * pF)
-    return out
-
-
 def _rand_symbol(rng, ct):
     """A sum of four seeded monomials of degree <= 3 on ct, often of mixed
     parity."""
@@ -549,20 +514,23 @@ def _rand_symbol(rng, ct):
 
 
 def test_tstar_bracket_against_explicit_sum(rng):
-    """tstar_bracket, the coordinate bracket of the canonical matrix, is the
-    explicit sum on seeded symbols, inhomogeneous ones included, on the
-    cotangent chart of every chart; and (p_a, x^b) = delta_a^b."""
+    """The canonical bracket jacobi_report takes, X_F(G) for the canonical
+    matrix, is the explicit sum (oracle.tstar_bracket) on seeded symbols,
+    inhomogeneous ones included, on the cotangent chart of every chart; and
+    (p_a, x^b) = delta_a^b."""
     for chart in CHARTS:
         ct = cotangent_chart(chart)
+        canonical = _tstar_matrix(ct)
         ev, od = len(chart.even), len(chart.odd)
         momenta = ct.even[ev:] + ct.odd[od:]
         for pm, a in zip(momenta, chart.names):
             for b in chart.names:
-                pab = tstar_bracket(GradedPoly.var(ct, pm), GradedPoly.var(ct, b))
+                pab = hamiltonian_vf(canonical, ct, GradedPoly.var(ct, pm)).apply(
+                    GradedPoly.var(ct, b))
                 assert pab == (1 if a == b else 0)
         for _ in range(20):
             F, G = (_rand_symbol(rng, ct) for _ in range(2))
-            assert tstar_bracket(F, G) == _tstar_reference(F, G)
+            assert hamiltonian_vf(canonical, ct, F).apply(G) == tstar_bracket(F, G)
 
 
 def test_report_characterizes_square_order(rng):
@@ -808,7 +776,7 @@ def test_transform_op_matches_action_oracle(rng):
             for par in (0, 1, None):
                 D = rand_op(rng, chart, order, parity=par)
                 want = op_from_action(
-                    chart, lambda f: cmap.push(D.apply_poly(cmap.pull(f))), order)
+                    chart, lambda f: cmap.push(D.apply(cmap.pull(f))), order)
                 got = transform_op(D, cmap)
                 assert specialize(got, 0) == want
                 if log_berezinian(cmap).is_zero():
@@ -946,7 +914,7 @@ def test_square_of_odd_order_two_has_order_at_most_three():
         chart = (R11, R12, R22, R02, R03)[i % 5]
         D = rand_op(rng, chart, 2, parity=1, nterms=8)
         assert compose(D, D).order_leq(3)
-        D = D - DiffOp.mult(D.apply_poly(GradedPoly.one(chart)))
+        D = D - DiffOp.mult(D.apply(GradedPoly.one(chart)))
         if D.parity() == 1:
             assert classify_square(D) in _LEVEL_NAMES
 
@@ -1025,27 +993,6 @@ def _ref_canonical_pencil(data):
     return _ref_second_order_part(chart, data.S) + out * Fraction(1, 2)
 
 
-def _ref_hamiltonian_vf(S, chart, f):
-    out = DiffOp.zero(chart)
-    for pf, fh in f.homogeneous_parts():
-        for (a, b), s in S.items():
-            c = s * partial(b, fh) * (-1) ** (chart.parity(a) * pf)
-            out = out + DiffOp.mult(c) * DiffOp.deriv(chart, a)
-    return out
-
-
-def _ref_div_form(chart, S, sigma):
-    """sum_a (d_a sigma + d_a) o (sum_b S^{ab} d_b), by compose."""
-    out = DiffOp.zero(chart)
-    for a in chart.names:
-        Ba = DiffOp.zero(chart)
-        for b in chart.names:
-            if (a, b) in S:
-                Ba = Ba + DiffOp.mult(S[(a, b)]) * DiffOp.deriv(chart, b)
-        out = out + compose(DiffOp.deriv(chart, a) + DiffOp.mult(partial(a, sigma)), Ba)
-    return out
-
-
 def _ref_transform_op(D, cmap):
     chart = D.chart
     J = cmap.jacobian()
@@ -1071,18 +1018,6 @@ def _ref_transform_op(D, cmap):
     return out
 
 
-def _antisymmetric(rng, chart):
-    P = {}
-    for j, a in enumerate(chart.names):
-        for b in chart.names[j + 1:]:
-            p = rand_poly(rng, chart, 2, nterms=2)
-            if rng.random() < 0.6:
-                p = p.parity_part(rng.randint(0, 1))
-            sign = (-1) ** (chart.parity(a) * chart.parity(b))
-            P[(a, b)], P[(b, a)] = p, -(p * sign)
-    return P
-
-
 @pytest.mark.parametrize("chart", CHARTS, ids=lambda c: f"{len(c.even)}|{len(c.odd)}")
 def test_term_map_builders_match_compose_references(chart):
     rng = random.Random(f"builders {chart}")
@@ -1094,18 +1029,11 @@ def test_term_map_builders_match_compose_references(chart):
         assert second_order_part(chart, data.S) == _ref_second_order_part(chart, data.S)
         f = rand_poly(rng, chart, 3)
         X = hamiltonian_vf(data.S, chart, f)
-        assert X == _ref_hamiltonian_vf(data.S, chart, f)
+        assert X == op_from_action(chart, lambda g: matrix_bracket(data.S, chart, f, g), 1)
         assert lie_derivative_pencil(X) == X + W * DiffOp.mult(divergence(X))
         sigma = rand_poly(rng, chart, 2, parity=0)
         D = odd_laplacian(data.S, chart, sigma)
-        assert D == _ref_div_form(chart, data.S, sigma) * Fraction(1, 2)
-        P = _antisymmetric(rng, chart)
-        ref = _ref_div_form(chart, P, sigma)
-        if ref.order_leq(1):
-            assert modular_vf(P, chart, sigma) == ref
-        else:
-            with pytest.raises(BracketDataError, match="even entries between"):
-                modular_vf(P, chart, sigma)
+        assert D == div_form(chart, data.S, sigma) * Fraction(1, 2)
         cmap = _triangular_map(rng, chart)
         for order in (0, 1, 2, 3):
             E = rand_op(rng, chart, order, parity=rng.choice((0, 1, None)))
@@ -1114,23 +1042,11 @@ def test_term_map_builders_match_compose_references(chart):
                 assert transform_op(op, cmap) == _ref_transform_op(op, cmap)
 
 
-def _probe_smatrix(chart, bracket):
-    """S^{ab} = (-1)^{pa(a) pa(b)} {x^b, x^a}, from bracket(b, a) on the
-    coordinate names."""
-    S = {}
-    for a in chart.names:
-        for b in chart.names:
-            v = bracket(b, a) * Fraction((-1) ** (chart.parity(a) * chart.parity(b)))
-            if not v.is_zero():
-                S[(a, b)] = v
-    return S
-
-
 @pytest.mark.parametrize("chart", CHARTS, ids=lambda c: f"{len(c.even)}|{len(c.odd)}")
 def test_coefficient_readers_match_bracket_probes(chart):
     """extract_vbracket against pencil_bracket on the coordinates and the
-    unit density t of weight 1, principal_matrix against the derived
-    bracket on coordinates, and transform_smatrix against n^2 brackets."""
+    unit density t of weight 1, and principal_matrix against the derived
+    bracket on coordinates."""
     rng = random.Random(f"readers {chart}")
     W = DiffOp.weight(chart)
     t = DensityElement.from_poly(GradedPoly.one(chart), 1)
@@ -1143,7 +1059,7 @@ def test_coefficient_readers_match_bracket_probes(chart):
         data = rand_vdata(rng, chart, i % 2)
         P = canonical_pencil(data)
         got = extract_vbracket(P)
-        S = _probe_smatrix(chart, lambda b, a: pencil_bracket(
+        S = smatrix_of(chart, lambda b, a: pencil_bracket(
             P, DensityElement.from_poly(coord(b)),
             DensityElement.from_poly(coord(a))).component(0))
         gamma = {a: pencil_bracket(P, DensityElement.from_poly(coord(a)), t).component(1)
@@ -1155,13 +1071,9 @@ def test_coefficient_readers_match_bracket_probes(chart):
             D = rand_op(rng, chart, order, parity=i % 2)
             for op in (D, D + W * rand_op(rng, chart, order, parity=i % 2)):
                 S = principal_matrix(op)
-                assert S == _probe_smatrix(
+                assert S == smatrix_of(
                     chart, lambda b, a: bracket_from_operator(op, coord(b), coord(a)))
                 seen_nonzero += bool(S)
-        cmap = _triangular_map(rng, chart)
-        assert transform_smatrix(data.S, chart, cmap) == _probe_smatrix(
-            chart, lambda b, a: cmap.push(
-                matrix_bracket(data.S, chart, cmap.fwd[b], cmap.fwd[a])))
     assert seen_nonzero
 
 
@@ -1211,8 +1123,8 @@ def test_pencil_io_makes_no_probe_and_no_composition(count_calls):
     coefficients: no pencil_bracket probe and no compose.  transform_data
     reads the transformed pencil, so it builds no Hamiltonian field;
     extract_vbracket proves a canonical pencil self-adjoint by its round
-    trip, so it takes no formal_adjoint; transform_smatrix builds one
-    Hamiltonian field per coordinate.  Counted by wrappers on every engine
+    trip, so it takes no formal_adjoint; jacobi_report builds two
+    Hamiltonian fields, X_S and X_gamma.  Counted by wrappers on every engine
     module that names the function (count_calls); no wall-clock
     assertion."""
     calls = {name: count_calls(geom, name) for name in
@@ -1228,8 +1140,8 @@ def test_pencil_io_makes_no_probe_and_no_composition(count_calls):
     assert calls["formal_adjoint"] == []
     for chart in CHARTS:
         before = len(calls["hamiltonian_vf"])
-        geom.transform_smatrix(rand_smatrix(rng, chart, 1), chart, _triangular_map(rng, chart))
-        assert len(calls["hamiltonian_vf"]) - before == len(chart.names)
+        geom.jacobi_report(rand_vdata(rng, chart, 1))
+        assert len(calls["hamiltonian_vf"]) - before == 2
     # the counters see the calls they count
     diffop.compose(DiffOp.deriv(R11, "x"), DiffOp.deriv(R11, "xi"))
     one = DensityElement.from_poly(GradedPoly.one(R11))
@@ -1238,6 +1150,20 @@ def test_pencil_io_makes_no_probe_and_no_composition(count_calls):
         geom.extract_vbracket(DiffOp.deriv(R11, "x"))
     assert len(calls["compose"]) == len(calls["pencil_bracket"]) == 1
     assert len(calls["formal_adjoint"]) == 1
+
+
+def test_data_read_off_a_pencil_is_valid_as_read():
+    """extract_vbracket and transform_data build their data unchecked
+    (VBracketData._of); the validating constructor takes it back unchanged,
+    on seeded data of both parities on every chart, the zero data included."""
+    rng = random.Random("data as read")
+    for chart in CHARTS:
+        for eps in (0, 1):
+            zero = VBracketData(chart, eps, {}, {}, GradedPoly.zero(chart))
+            for data in (zero, rand_vdata(rng, chart, eps), rand_vdata(rng, chart, eps)):
+                for read in (extract_vbracket(canonical_pencil(data)),
+                             transform_data(data, _triangular_map(rng, chart))):
+                    assert VBracketData(*read) == read
 
 
 # ---------------------------------------------------------------------------

@@ -37,12 +37,12 @@ from superdelta.geom import (
     VBracketData,
     act_on_w_densities,
     cotangent_chart,
-    modular_vf,
     principal_matrix,
-    subprincipal,
-    tstar_bracket,
 )
-from superdelta.gralg import berezin_integral, residue_pair, substitute
+from superdelta.gralg import substitute
+from superdelta.oracle import (
+    berezin_integral, modular_vf, residue_pair, subprincipal, tstar_bracket,
+)
 
 from conftest import R02, R11, R12, R22, std_odd_smatrix
 
