@@ -21,7 +21,8 @@ c_I: W acts as 0 at weight 0) the bracket is {a_1, ..., a_n} = sum_I c_I
 P_I(a_1, ..., a_n), where P_I = [...[d^I, a_1], ..., a_n] 1 is the bracket
 of a constant operator: the multinomial Leibniz rule over the splittings
 I = I_1 + ... + I_n into nonempty blocks, d^{I_j} hitting a_j.  _Tables
-keeps P_I(a_T) per call, built by recursion over diffop's _leibniz.  So
+keeps P_I(a_T) per call, built by recursion over diffop's _leibniz down to
+the last argument a, where P_I(a) = d^I a is one _derive pass.  So
 P_I(a_T) = 0 unless |I| >= |T| (order bound: an operator of order r
 generates brackets of arity <= r only) and I is within the envelope of
 a_T (gralg's _envelope: support bound), and only such terms are formed.
@@ -50,8 +51,8 @@ import itertools
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-from .gralg import (_ONE, Chart, ChartMismatch, GradedPoly, Key, ParityError, _deg, _envelope,
-                    _key_names, _keys_upto, _mul_keys)
+from .gralg import (_ONE, Chart, ChartMismatch, GradedPoly, Key, ParityError, _deg, _derive,
+                    _envelope, _key_names, _keys_upto, _mul_keys)
 from .diffop import DiffOp, _leibniz, _on_one, compose, specialize
 
 __all__ = [
@@ -121,9 +122,9 @@ def _check_charts(Delta: DiffOp, args: Sequence[GradedPoly]):
 class _Tables(dict):
     """The bracket kernel of one call of Delta on ``args``: self[I, T] is the
     term map of P_I(a_T) = [...[d^I, a_t1], ..., a_tk] 1 for a derivative key
-    I and a tuple T of argument positions, built on first lookup and kept.
-    P_I() is 1 if I is the unit key and 0 otherwise (the key of 1 has degree
-    0).  ``top`` holds (I, |I|, c_I) for the W^0 coefficients c_I of Delta."""
+    I and a nonempty tuple T of argument positions, built on first lookup and
+    kept.  P_I of the last argument alone is d^I a by _derive, no table.
+    ``top`` holds (I, |I|, c_I) for the W^0 coefficients c_I of Delta."""
 
     def __init__(self, Delta: DiffOp, args: Sequence[GradedPoly]):
         super().__init__()
@@ -132,19 +133,20 @@ class _Tables(dict):
 
     def __missing__(self, key):
         I, T = key
-        out = self[key] = self.expand(I, self.args[T[0]], T[1:]) if T \
-            else {} if _deg(I) else {I: _ONE}
+        out = self[key] = self.expand(I, _deg(I), self.args[T[0]], T[1:])
         return out
 
-    def expand(self, I: Key, a: GradedPoly, T: tuple) -> dict:
-        """P_I(a, a_T) for a polynomial a: [d^I, a] is the sum of the terms
-        n x^m d^rest of _leibniz(I, m0) where some derivative hits a monomial
-        m0 of a, so P_I(a, a_T) = sum c0 n x^m P_rest(a_T).  Every step takes
-        a derivative and the arguments after it must absorb the rest, so it
-        is 0 for |I| <= |T|, and only rests within the envelope of a_T are
-        formed."""
-        if _deg(I) <= len(T):
+    def expand(self, I: Key, d: int, a: GradedPoly, T: tuple) -> dict:
+        """P_I(a, a_T) for a polynomial a and d = |I|: [d^I, a] is the sum of
+        the terms n x^m d^rest of _leibniz(I, m0) where some derivative hits
+        a monomial m0 of a, so P_I(a, a_T) = sum c0 n x^m P_rest(a_T).  Every
+        step takes a derivative and the arguments after it must absorb the
+        rest, so it is 0 for |I| <= |T|, and only rests within the envelope
+        of a_T are formed.  With T empty every derivative hits: d^I a."""
+        if d <= len(T):
             return {}
+        if not T:
+            return _derive(I, a).terms
         if (cap := self.caps.get(T)) is None:
             cap = self.caps[T] = _envelope(self.chart, [self.args[t] for t in T])
         out: dict[Key, Fraction] = {}
@@ -162,7 +164,7 @@ class _Tables(dict):
         polynomial product per term of Delta it keeps."""
         chart, n = self.chart, len(T)
         return GradedPoly._sum(chart, [c * GradedPoly._of(chart, t) for I, d, c in self.top
-                                       if d > n and (t := self.expand(I, a, T))])
+                                       if d > n and (t := self.expand(I, d, a, T))])
 
 
 def higher_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:

@@ -661,16 +661,11 @@ def _unit_series(u: GradedPoly, what: str, coeff) -> tuple[Fraction, GradedPoly]
     return c, out
 
 
-def berezinian(cmap: CoordMap) -> GradedPoly:
-    """The superdeterminant of the Jacobi matrix, in old coordinates:
+def _berezinian(chart: Chart, J: Mapping[tuple[str, str], GradedPoly]) -> GradedPoly:
+    """The superdeterminant of the Jacobi matrix J, in old coordinates:
     Ber = det(A - B D^{-1} C) / det D for the blocks of J by parity, with
     D^{-1} from the adjugate.  An empty block has determinant 1, so a
     purely even or purely odd chart needs no case of its own."""
-    return _berezinian(cmap.chart, cmap.jacobian())
-
-
-def _berezinian(chart: Chart, J: Mapping[tuple[str, str], GradedPoly]) -> GradedPoly:
-    """berezinian from the Jacobi matrix."""
     ev, od = chart.even, chart.odd
     A = [[J[(ap, a)] for a in ev] for ap in ev]
     B = [[J[(ap, a)] for a in od] for ap in ev]

@@ -28,7 +28,7 @@ degree), ``_key_powers`` and ``_key_names`` (its factors), ``_envelope`` (a
 support bound), ``_odd_degree_part`` and ``_embed`` (a polynomial on a
 chart whose blocks begin with its own).  ``_derive`` takes d^key of each
 monomial in one step; ``partial``, its one-variable case, serves ``geom``
-and the API, and ``diffop`` calls ``_derive``, never it.
+and the API, and ``diffop`` and ``brackets`` call ``_derive``, never it.
 
 Polynomials, densities and operators share one arithmetic protocol, the
 base ``_Value``.  A function is a density of weight 0 and a multiplication
@@ -40,6 +40,7 @@ other operand is a ``TypeError``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import perm, prod
@@ -151,10 +152,12 @@ def _mul_keys(k1: Key, k2: Key):
     return merged and ((tuple(map(_add, k1[0], k2[0])), merged[0]), merged[1])
 
 
+@functools.cache
 def _key(chart: Chart, *names: str) -> tuple[Key, int] | None:
     """The key K and sign s with x_{n1} x_{n2} ... = s x^K, and with
     d_{n1} o d_{n2} o ... = s d^K, or None when an odd factor repeats; only
-    the odd factors reorder."""
+    the odd factors reorder.  Cached: callers pass one or two of the
+    chart's names, so the cache is bounded by the chart's size."""
     e, o, sign = [0] * len(chart.even), (), 1
     for name in names:
         if chart.parity(name) == EVEN:

@@ -465,7 +465,8 @@ def test_parity_is_taken_once_per_jacobiator(count_calls):
 def test_jacobiator_computes_no_table_twice(monkeypatch):
     """Within one call each kernel table P_I(a_T) is built once, however many
     shuffles read it, and the tables keep to the order bound: at most one
-    per derivative key and increasing tuple T of length 0..r."""
+    per derivative key and increasing tuple T of length 1..r.  No table has
+    an empty T: P_I of the last argument alone is d^I a, taken by _derive."""
     from superdelta import brackets
 
     seen = []
@@ -489,9 +490,38 @@ def test_jacobiator_computes_no_table_twice(monkeypatch):
             J = jacobiator(D, args[:n])
             assert len(set(seen)) == len(seen)
             assert all(len(T) <= 3 and list(T) == sorted(T) for _, T in seen)
+            assert all(T for _, T in seen)
             assert shuffle_jacobiator(lambda xs: chain_bracket(D, xs), args[:n]) == J
             built += len(seen)
     assert built
+
+
+def test_last_argument_is_the_leibniz_term_where_every_derivative_hits():
+    """The kernel takes P_I(a) of the last argument as d^I a by _derive and
+    every other table by _leibniz, so the two must share one sign rule: for
+    every key I and monomial x^m of degree <= 3 on all five charts, d^I x^m
+    is the sum of the _leibniz(I, m, free=False) terms n x^m' d^rest whose
+    rest is the unit key, and so is the kernel's P_I(x^m).  For I = unit
+    both are 0: free=False leaves out the term where no derivative hits,
+    and P_unit(x^m) = 0 as an operator of order 0 has no unary bracket."""
+    from superdelta.brackets import _Tables
+    from superdelta.diffop import _leibniz
+    from superdelta.gralg import _deg, _derive, _keys_upto
+
+    for chart in CHARTS:
+        keys = _keys_upto(chart, 3)
+        unit = keys[0]
+        for m in keys:
+            x_m = GradedPoly(chart, {m: 1})
+            tables = _Tables(DiffOp.zero(chart), [x_m])
+            for I in keys:
+                sums = {}
+                for rest, m1, n in _leibniz(I, m, free=False):
+                    if rest == unit:
+                        sums[m1] = sums.get(m1, 0) + n
+                want = GradedPoly(chart, sums)
+                assert GradedPoly(chart, tables.expand(I, _deg(I), x_m, ())) == want
+                assert want.is_zero() if I == unit else _derive(I, x_m) == want
 
 
 def test_oracle_sign_table_matches_the_product():

@@ -19,11 +19,11 @@ from superdelta.geom import (
     CoordMap,
     CoordMapError,
     VBracketData,
+    _berezinian,
     _exact_quotient,
     _tstar_matrix,
     _unit_series,
     act_on_w_densities,
-    berezinian,
     bracket_from_operator,
     canonical_pencil,
     classify_square,
@@ -791,7 +791,7 @@ def test_berezinian_example():
     fwd = {"x": x + xi1 * xi2, "xi1": xi1, "xi2": xi2}
     inv = {"x": x - xi1 * xi2, "xi1": xi1, "xi2": xi2}
     cmap = CoordMap(chart, fwd, inv)
-    ber = berezinian(cmap)
+    ber = _berezinian(chart, cmap.jacobian())
     assert ber == GradedPoly.one(chart)  # dx'/dx = 1, odd block unchanged
     assert log_berezinian(cmap).is_zero()
 
@@ -803,7 +803,7 @@ def test_berezinian_purely_even_chart():
     x, y = GradedPoly.var(chart, "x"), GradedPoly.var(chart, "y")
     cmap = CoordMap(chart, {"x": x + y * y, "y": y * 3},
                     {"x": x - y * y * Fraction(1, 9), "y": y * Fraction(1, 3)})
-    assert berezinian(cmap) == GradedPoly.const(chart, 3)
+    assert _berezinian(chart, cmap.jacobian()) == GradedPoly.const(chart, 3)
     assert log_berezinian(cmap).is_zero()
 
 
@@ -817,7 +817,7 @@ def test_berezinian_purely_odd_chart():
     cmap = CoordMap(chart, {"xi1": a * 2, "xi2": b + a * b * c, "xi3": c},
                     {"xi1": a * Fraction(1, 2), "xi2": b - a * b * c * Fraction(1, 2),
                      "xi3": c})
-    assert berezinian(cmap) == (1 + a * c) * Fraction(1, 2)
+    assert _berezinian(chart, cmap.jacobian()) == (1 + a * c) * Fraction(1, 2)
     assert log_berezinian(cmap) == a * c
 
 
