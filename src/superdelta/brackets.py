@@ -29,11 +29,10 @@ a_T (gralg's _envelope: support bound), and only such terms are formed.
 ``jacobiator`` sums only the blocks whose inner (k) and outer (l + 1)
 brackets both have arity <= r, max(0, n - r + 1) <= k <= min(n, r), so
 J^n = 0 for n >= 2r; its outer brackets {{a_S}, a_R} share the tables of
-a_R.  ``square_bracket`` forms Delta^2 only from order n up and within the
-envelope, and for odd Delta without the terms where no derivative hits a
-coefficient: they sum to sigma(Delta)^2, the square of an odd symbol,
-which is 0 (diffop).  The abstract engine and the matrix oracle assume no
-bound: they are the independent paths that check them.
+a_R.  This module forms every Delta^2 the engine reads: ``square_bracket``
+only from order n up and within the envelope, ``linfty_check`` whole.
+The abstract engine and the matrix oracle assume no bound: they are the
+independent paths that check them.
 
 Matrix oracle: on a purely odd chart an operator is an exact matrix on
 the Grassmann basis.  ``matrix_of`` builds it from the oracle's own
@@ -185,11 +184,12 @@ def square_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     """The n-th higher bracket generated by Delta^2 (the right-hand side of
     the Jacobiator identity).  The kernel reads only the terms of order >= n
     with key within the envelope of the arguments, so compose forms only
-    those; Delta^2 is formed whole when its parity is in doubt."""
+    those; Delta^2 is formed whole when its parity is in doubt, so that
+    higher_bracket refuses an inhomogeneous square."""
     _check_charts(Delta, args)  # before _envelope reads them
-    if (p := Delta.parity()) is None:
+    if Delta.parity() is None:
         return higher_bracket(compose(Delta, Delta), args)
-    return higher_bracket(compose(Delta, Delta, floor=len(args), odd_square=p == 1,
+    return higher_bracket(compose(Delta, Delta, floor=len(args),
                                   bound=_envelope(Delta.chart, args)), args)
 
 
@@ -544,12 +544,7 @@ def linfty_check(Delta: DiffOp, n_max: int = 4) -> LInftyReport:
     the report is not certified."""
     if Delta.parity() != 1:
         raise ParityError("homotopy certification expects an odd operator")
-    return _linfty_report(compose(Delta, Delta, odd_square=True), n_max)
-
-
-def _linfty_report(sq: DiffOp, n_max: int) -> LInftyReport:
-    """linfty_check's report from the square sq = Delta^2 it certifies."""
-    chart = sq.chart
+    chart, sq = Delta.chart, compose(Delta, Delta)
     r = sq.order()
     lo = 0 if r is None else r + 1
     checked = {n: True for n in range(lo, n_max + 1)}

@@ -30,7 +30,7 @@ from .geom import (
     transform_logvol,
     transform_op,
 )
-from .brackets import _linfty_report, higher_bracket, jacobiator
+from .brackets import higher_bracket, jacobiator
 from .conventions import CONVENTIONS
 from .dsl import DslError, Module, _position, load_module, parse_element, render
 
@@ -313,8 +313,7 @@ _LEVEL_NAMES = {"<=3": "none", "<=2": "Jacobi_3", "<=1": "Jacobi_2",
 
 def _cmd_classify(args, m: Module) -> int:
     D = _get_op(m, args.op)
-    level, square = _classify(D)  # classify_square's checks and level, Delta^2 once
-    rep = _linfty_report(square, n_max=4)
+    level, rep = _classify(D)  # classify_square's checks and level, Delta^2 once
     sq = "zero" if rep.square_order is None else rep.square_order
     extra = {
         "square_order": sq,

@@ -22,7 +22,7 @@ commutator [D, a.] with a multiplication operator is the same sum without
 its K = 0 term (ad_mult).
 The K = 0 terms of D o D sum to sigma(D)^2 for the total symbol
 sigma(c d^I) = c p^I in the supercommutative symbol algebra; for odd D it
-is the square of an odd element, 0, and compose may leave them out.
+is the square of an odd element, 0, and compose leaves them out of D o D.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ from .gralg import (
 # coefficient of one derivative key: map  W-power -> GradedPoly
 WPoly = dict[int, GradedPoly]
 
+_UNWALKED = object()  # a DiffOp's parity before its first walk
+
 
 def _at_weight(chart: Chart, wp: Mapping[int, GradedPoly], w: Fraction) -> GradedPoly:
     """The coefficient sum_k c_k w^k of one derivative key at W = w; w^k is a
@@ -75,9 +77,9 @@ def _pruned(terms: Mapping[Key, Mapping[int, GradedPoly]]) -> dict[Key, WPoly]:
 
 class DiffOp(_Value):
     """Normal-ordered graded differential operator.  Immutable by
-    convention."""
+    convention; keeps its parity after the first walk."""
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "terms", "_par")
 
     def __init__(self, chart: Chart, terms: Mapping[Key, Mapping[int, GradedPoly]] | None = None):
         """Validates each key (_check_key), W-power (a non-negative int,
@@ -92,13 +94,13 @@ class DiffOp(_Value):
                     raise ValueError(f"a W-power must be non-negative, not {k}")
                 if _polynomial(p, "an operator coefficient").chart != chart:
                     raise ChartMismatch("operator coefficient on wrong chart")
-        self.chart, self.terms = chart, _pruned(terms or {})
+        self.chart, self.terms, self._par = chart, _pruned(terms or {}), _UNWALKED
 
     @staticmethod
     def _of(chart: Chart, terms: dict[Key, WPoly]) -> "DiffOp":
         """Trusted constructor, as GradedPoly._of: no zero or empty entries (_pruned)."""
         D = object.__new__(DiffOp)
-        D.chart, D.terms = chart, terms
+        D.chart, D.terms, D._par = chart, terms, _UNWALKED
         return D
 
     # -- constructors ------------------------------------------------------
@@ -150,9 +152,11 @@ class DiffOp(_Value):
 
     def parity(self) -> int | None:
         """The parity c d^I shares for every monomial c of every coefficient
-        (_parity); the zero operator is even."""
-        return _parity({(len(m) + len(o)) % 2 for (_, o), wp in self.terms.items()
-                        for p in wp.values() for (_, m) in p.terms})
+        (_parity); the zero operator is even.  Walked once, then kept."""
+        if self._par is _UNWALKED:
+            self._par = _parity({(len(m) + len(o)) % 2 for (_, o), wp in self.terms.items()
+                                 for p in wp.values() for (_, m) in p.terms})
+        return self._par
 
     def parity_part(self, par: int) -> "DiffOp":
         return DiffOp._of(self.chart, _pruned({
@@ -327,8 +331,7 @@ def _add_leibniz(sums: _Sums, chart: Chart, I: Key, right, left: WPoly | None = 
                     _add_into(sums, key, wc + w, c * g)
 
 
-def compose(D: DiffOp, E: DiffOp, *, floor: int = 0, odd_square: bool = False,
-            bound: Key | None = None) -> DiffOp:
+def compose(D: DiffOp, E: DiffOp, *, floor: int = 0, bound: Key | None = None) -> DiffOp:
     """Normal-ordered composition: apply(compose(D, E), psi) =
     apply(D, apply(E, psi)), summing  c d^I o (f d^J)  by _add_leibniz, all
     of E at once for each term of D.  Only the terms of order >= floor are
@@ -337,14 +340,13 @@ def compose(D: DiffOp, E: DiffOp, *, floor: int = 0, odd_square: bool = False,
     ``bound`` key, only the terms with key _within it are formed: a term of
     c d^I o f d^J has key rest + J, rest <= I, so E's terms with J outside
     the bound are dropped and rest is capped at bound - J.
-    odd_square=True says D is odd (unchecked) and E is D: the terms no
-    derivative hits sum to sigma(D)^2 = 0 (module docstring) key by key and
-    are left out, also under a bound, within which a free term d^{I+J}
-    has both I and J."""
+    When E is D and D is odd, the terms no derivative hits sum to
+    sigma(D)^2 = 0 (module docstring) key by key and are left out, also
+    under a bound, within which a free term d^{I+J} has both I and J.  The
+    test is identity, not equality: the result is the same either way."""
     if D.chart != E.chart:
         raise ChartMismatch("operators on different charts")
-    if odd_square and E is not D:
-        raise ValueError("odd_square composes an operator with itself")
+    odd = E is D and D.parity() == 1
     chart = D.chart
     sums: _Sums = {}
     caps = None if bound is None else {J: (tuple(b - j for b, j in zip(bound[0], J[0])), tuple(
@@ -354,7 +356,7 @@ def compose(D: DiffOp, E: DiffOp, *, floor: int = 0, odd_square: bool = False,
     for I, wpD in D.terms.items():
         d = _deg(I)
         _add_leibniz(sums, chart, I, [(J, wpE, h + d) for J, wpE, h in right
-                                      if h + d >= odd_square], wpD, not odd_square, caps)
+                                      if h + d >= odd], wpD, not odd, caps)
     return _from_sums(chart, sums)
 
 

@@ -50,11 +50,10 @@ from .diffop import (
     _from_sums,
     _on_one,
     _pruned,
-    compose,
     formal_adjoint,
     specialize,
 )
-from .brackets import higher_bracket
+from .brackets import LInftyReport, higher_bracket, linfty_check
 
 SMatrix = dict[tuple[str, str], GradedPoly]
 GVector = dict[str, GradedPoly]
@@ -88,9 +87,10 @@ class VBracketData(_VBracketFields):
     """The coordinate data (S^{ab}, gamma^a, theta) of a weight-zero bracket
     on the algebra of densities, together with the bracket parity eps.
 
-    The constructor drops zero entries of S and gamma, completes a partially
-    given S by the forced graded symmetry and rejects entries that
-    contradict it or carry wrong parity.  An immutable record.
+    The constructor refuses a parity eps that is not the int 0 or 1 (a
+    bool included), drops zero entries of S and gamma, completes a
+    partially given S by the forced graded symmetry and rejects entries
+    that contradict it or carry wrong parity.  An immutable record.
     """
 
     __slots__ = ()
@@ -104,6 +104,8 @@ class VBracketData(_VBracketFields):
 
     def __new__(cls, chart: Chart, eps: int, S: SMatrix, gamma: GVector,
                 theta: GradedPoly):
+        if type(eps) is not int or eps not in (EVEN, ODD):
+            raise BracketDataError(f"a bracket parity must be the int 0 or 1, not {eps!r}")
         full: SMatrix = {}
         for (a, b), p in S.items():
             if p.chart != chart:
@@ -477,18 +479,17 @@ def classify_square(D: DiffOp) -> str:
     return _classify(D)[0]
 
 
-def _classify(D: DiffOp) -> tuple[str, DiffOp]:
-    """classify_square's level and the square Delta^2 it reads."""
+def _classify(D: DiffOp) -> tuple[str, LInftyReport]:
+    """classify_square's level, read off the report of linfty_check, which
+    forms Delta^2 once."""
     if D.parity() != ODD:
         raise ParityError("classification requires an odd operator")
     if not D.order_leq(2):
         raise DomainError("classification requires order <= 2")
     if not _on_one(D).is_zero():
         raise DomainError("operator must be normalized: D1 = 0")
-    # ord Delta^2 <= 3: the order-4 part sigma_2(Delta)^2 of sigma(Delta)^2,
-    # the square of an odd symbol, is 0, and compose leaves all of it out
-    sq = compose(D, D, odd_square=True)
-    return f"<={sq.order() or 0}", sq
+    rep = linfty_check(D)
+    return f"<={rep.square_order or 0}", rep
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +582,8 @@ class _CoordMapFields(NamedTuple):
 class CoordMap(_CoordMapFields):
     """A coordinate change x' = phi(x) on a fixed chart, of the form
     "constant invertible body plus nilpotent (odd-containing) corrections",
-    with the inverse supplied and checked, once: push and pull substitute
-    through the trusted kernel gralg._substitute.  An immutable record."""
+    with the inverse supplied and checked, once: push substitutes through
+    the trusted kernel gralg._substitute.  An immutable record."""
 
     __slots__ = ()
 
@@ -604,10 +605,6 @@ class CoordMap(_CoordMapFields):
     def push(self, p: GradedPoly) -> GradedPoly:
         """Express an old-coordinate polynomial in new coordinates."""
         return _substitute(p, self.inv, self.chart)
-
-    def pull(self, p: GradedPoly) -> GradedPoly:
-        """Express a new-coordinate polynomial in old coordinates."""
-        return _substitute(p, self.fwd, self.chart)
 
     def jacobian(self) -> dict[tuple[str, str], GradedPoly]:
         """Entries J[a', a] = d x'^{a'} / d x^a in old coordinates."""
@@ -701,7 +698,10 @@ def transform_op(D: DiffOp, cmap: CoordMap) -> DiffOp:
     times the composite F^I of those fields in the order of d^I, built one
     field at a time by the Leibniz rule; W is central and stays with its
     coefficient.  The field of d_a carries W d_a log Ber: conjugation by the
-    density factor e^{W log Ber}, even, adds just that, so none follows."""
+    density factor e^{W log Ber}, even, adds just that, so none follows.
+    An operator on another chart than the map's is refused."""
+    if D.chart != cmap.chart:
+        raise ChartMismatch("operator and coordinate map on different charts")
     chart = D.chart
     push = cmap.push
     J = cmap.jacobian()

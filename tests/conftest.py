@@ -97,6 +97,13 @@ def std_odd_smatrix(chart: Chart) -> dict:
     return S
 
 
+def full_square(D: DiffOp) -> DiffOp:
+    """D o D with every term formed, the reference for each square an engine
+    path forms: D + 0 equals D but is not D, so compose leaves out no symbol
+    square, and a property of the square is not met by leaving terms out."""
+    return compose(D, D + 0)
+
+
 def key_within(key, bound) -> bool:
     """key <= bound, from the definition: every even exponent at most
     bound's and every odd index one of bound's.  Kept apart from gralg."""

@@ -56,7 +56,7 @@ from superdelta.dsl import load_module, render
 
 from conftest import (
     R11, R12, R22, R02, R03,
-    rand_op, rand_poly, rand_vdata, std_odd_smatrix,
+    full_square, rand_op, rand_poly, rand_vdata, std_odd_smatrix,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -97,7 +97,7 @@ def test_criterion_1_derived_bracket_identity(capsys):
             monos = monomials_upto(chart, 3)
             for _ in range(20):
                 D = rand_op(rng, chart, 3, parity=1)
-                sq = compose(D, D)
+                sq = full_square(D)
                 for n in range(4):
                     args = [rng.choice(monos) for _ in range(n)]
                     pars = [a.parity() for a in args]
@@ -147,11 +147,11 @@ def test_criterion_2_square_order_equivalence(capsys):
                 D = rand_op(rng, rchart, 2, parity=1, nterms=4)
                 D = D - DiffOp.mult(D.apply(one))  # normalize: D1 = 0
                 if not D.is_zero():
-                    cases.append((D, compose(D, D).order(), True))
+                    cases.append((D, full_square(D).order(), True))
                     drawn += 1
         iops = {}
         for D, r, certified in cases:
-            sq = compose(D, D)
+            sq = full_square(D)
             assert sq.order() == r
             rep = linfty_check(D, n_max=4)
             assert rep.square_order == r
@@ -303,7 +303,7 @@ def test_criterion_5_geometric_equivalences(capsys):
         for _ in range(40):
             data = rand_vdata(rng, chart, 1, deg=1)
             D = specialize(canonical_pencil(data), 0)
-            sq = compose(D, D)
+            sq = full_square(D)
             ss, sg, *_ = jacobi_report(data)
             assert ss.is_zero() == sq.order_leq(2)
             if ss.is_zero():

@@ -28,7 +28,8 @@ from superdelta.oracle import (
     shuffle_jacobiator,
 )
 
-from conftest import CHARTS, R11, R12, R22, R02, R03, key_within, rand_op, rand_poly
+from conftest import (CHARTS, R11, R12, R22, R02, R03, full_square, key_within, rand_op,
+                      rand_poly)
 
 R01 = Chart((), ("xi1",))
 
@@ -312,7 +313,7 @@ def test_support_bound_matches_commutator_chain():
     cases = bites = nonzero = 0
     for chart in CHARTS:
         for D in _seeded_generators(rng, chart, 10):
-            sq = compose(D, D)
+            sq = full_square(D)
             for n in range(5):
                 for _ in range(3):
                     args = []
@@ -340,7 +341,7 @@ def test_square_bracket_product_count_is_pinned(count_calls):
     D = d1 * d2 * d3 + DiffOp.mult(xi1) * d2 * d3 + DiffOp.mult(xi2 * xi3) * d1 \
         + DiffOp.mult(xi3) * d1 * d2 + DiffOp.mult(xi1)
     assert D.parity() == 1
-    sq = compose(D, D)
+    sq = full_square(D)
     want = [chain_bracket(sq, []), chain_bracket(sq, [xi1])]
     assert want == [xi2 * xi3, -xi1]
     products = count_calls(GradedPoly, "__mul__")
@@ -389,38 +390,56 @@ def _mixed_args(rng, chart, monos, n):
     return out
 
 
-def test_bracket_kernel_matches_the_ad_mult_chain():
+def _kernel_draws(upto):
+    """The seeded draws of the kernel test on CHARTS[upto]: (Delta, [(args,
+    mixed args) for n = 0-5]) for 36 generators.  The draws of the charts
+    before it are replayed and not evaluated, so each chart gets the cases
+    one run over all five would give it."""
+    rng = random.Random(1414)
+    mixed_rng = random.Random("mixed arguments")
+    for chart in CHARTS[:upto + 1]:
+        monos = monomials_upto(chart, 2)
+        for D in _seeded_generators(rng, chart, 36):
+            draws = [(_homogeneous_args(rng, chart, monos, n),
+                      _mixed_args(mixed_rng, chart, monos, n)) for n in range(6)]
+            if chart is CHARTS[upto]:
+                yield D, draws
+
+
+# per chart of CHARTS, the floors of nonzero J and of nonzero mixed brackets
+_KERNEL_FLOORS = ((30, 150), (25, 130), (10, 70), (20, 80), (15, 80))
+
+
+@pytest.mark.parametrize("upto", range(len(CHARTS)), ids=("R11", "R12", "R22", "R02", "R03"))
+def test_bracket_kernel_matches_the_ad_mult_chain(upto):
     """The bracket kernel against the oracle's commutator chains, which take
     no bound: jacobiator against the shuffle sum over every block that takes
     every bracket from scratch, square_bracket against the chain of the whole
     square, and higher_bracket and square_bracket again on inhomogeneous
-    multi-term arguments: 1,080 seeded cases, odd and even Delta, some with
-    W, n = 0-5, on all five charts, compared by value and by rendered text."""
+    multi-term arguments: 216 seeded cases per chart, 1,080 on the five,
+    odd and even Delta, some with W, n = 0-5, compared by value and by
+    rendered text.  The floors sum to 100 nonzero J and 500 nonzero mixed
+    brackets."""
     from superdelta.dsl import render
 
-    rng = random.Random(1414)
-    mixed_rng = random.Random("mixed arguments")
     cases = nonzero = mixed_nonzero = 0
-    for chart in (R11, R12, R22, R02, R03):
-        monos = monomials_upto(chart, 2)
-        for D in _seeded_generators(rng, chart, 36):
-            sq = compose(D, D)
-            for n in range(6):
-                args = _homogeneous_args(rng, chart, monos, n)
-                J = jacobiator(D, args)
-                ref = shuffle_jacobiator(lambda xs: chain_bracket(D, xs), args)
-                assert J == ref and render(J) == render(ref)
-                F, ref = square_bracket(D, args), chain_bracket(sq, args)
-                assert F == ref and render(F) == render(ref)
-                mixed = _mixed_args(mixed_rng, chart, monos, n)
-                for op, bracket in ((D, higher_bracket(D, mixed)),
-                                    (sq, square_bracket(D, mixed))):
-                    ref = chain_bracket(op, mixed)
-                    assert bracket == ref and render(bracket) == render(ref)
-                    mixed_nonzero += not ref.is_zero()
-                cases += 1
-                nonzero += not J.is_zero()
-    assert cases >= 1000 and nonzero >= 100 and mixed_nonzero >= 500
+    for D, draws in _kernel_draws(upto):
+        sq = full_square(D)
+        for args, mixed in draws:
+            J = jacobiator(D, args)
+            ref = shuffle_jacobiator(lambda xs: chain_bracket(D, xs), args)
+            assert J == ref and render(J) == render(ref)
+            F, ref = square_bracket(D, args), chain_bracket(sq, args)
+            assert F == ref and render(F) == render(ref)
+            for op, bracket in ((D, higher_bracket(D, mixed)),
+                                (sq, square_bracket(D, mixed))):
+                ref = chain_bracket(op, mixed)
+                assert bracket == ref and render(bracket) == render(ref)
+                mixed_nonzero += not ref.is_zero()
+            cases += 1
+            nonzero += not J.is_zero()
+    floor_j, floor_mixed = _KERNEL_FLOORS[upto]
+    assert cases == 216 and nonzero >= floor_j and mixed_nonzero >= floor_mixed
 
 
 def test_square_bracket_of_an_inhomogeneous_generator():
@@ -439,26 +458,39 @@ def test_square_bracket_of_an_inhomogeneous_generator():
         assert square_bracket(D, [xi1, xi2][:n]).is_zero()
 
 
-def test_parity_is_taken_once_per_jacobiator(count_calls):
-    """jacobiator takes the parity of a homogeneous Delta once: its k = 0
-    block reads Delta 1 off the terms, where higher_bracket(Delta, []) took
-    the parity again.  square_bracket takes it once of Delta, and
-    higher_bracket once more of the square.  Counted, not timed."""
-    calls = count_calls(DiffOp, "parity")
+def test_parity_is_taken_once_per_jacobiator(monkeypatch):
+    """Delta walks its terms for its parity once, however often it is asked:
+    over four jacobiator and four square_bracket calls on one fresh Delta it
+    is walked once, by the first jacobiator, whose k = 0 block reads Delta 1
+    off the terms.  Each square_bracket walks exactly one new operator, its
+    Delta^2, which higher_bracket asks for.  A walk is a call of diffop's
+    _parity, laid to the operator asked just before it.  Counted, not
+    timed."""
+    from superdelta import diffop
+    events = []
+    ask, walk = DiffOp.parity, diffop._parity
+    monkeypatch.setattr(DiffOp, "parity", lambda D: events.append(D) or ask(D))
+    monkeypatch.setattr(diffop, "_parity", lambda pars: events.append(None) or walk(pars))
+
+    def walked():
+        out = [events[i - 1] for i, e in enumerate(events) if e is None]
+        events.clear()
+        return out
+
     rng = random.Random("parity once")
     background = 0
     for chart in (R11, R12, R22, R02, R03):
         monos = monomials_upto(chart, 2)
         for D in _seeded_generators(rng, chart, 12):
+            D = D + 0  # a fresh operator, not walked yet
             for n in range(4):
                 args = _homogeneous_args(rng, chart, monos, n)
-                calls.clear()
+                walked()
                 jacobiator(D, args)
-                assert [c[0] for c in calls] == [D]
+                assert [W is D for W in walked()] == [True] * (n == 0)
                 background += n < (D.order() or 0)
-                calls.clear()
                 square_bracket(D, args)
-                assert len(calls) == 2 and calls[0][0] is D
+                assert [W is D for W in walked()] == [False]
     assert background >= 100
 
 
@@ -586,7 +618,7 @@ def test_matrix_oracle_agrees_with_symbolic(rng):
         monos = monomials_upto(chart, 3)
         for _ in range(6):
             D = rand_op(rng, chart, 3, parity=1)
-            sq = compose(D, D)
+            sq = full_square(D)
             for n in range(0, 4):
                 args = [rng.choice(monos) for _ in range(n)]
                 pars = [a.parity() for a in args]
@@ -652,16 +684,16 @@ def test_matrix_of_compose_is_product(rng):
 
 
 def test_odd_square_matrix_is_the_matrix_square():
-    """On (0|2) and (0|3) the odd square formed without sigma(Delta)^2 has
-    the square of Delta's matrix as its matrix: the oracle's product is a
-    path independent of the Leibniz rule."""
+    """On (0|2) and (0|3) the odd square compose(D, D), formed without
+    sigma(Delta)^2, has the square of Delta's matrix as its matrix: the
+    oracle's product is a path independent of the Leibniz rule."""
     from superdelta.brackets import _mat_mul
     rng = random.Random("odd square matrix")
     nonzero = 0
     for chart in (R02, R03):
         for _ in range(60):
             D = rand_op(rng, chart, 3, parity=1)
-            sq = compose(D, D, odd_square=True)
+            sq = compose(D, D)
             assert matrix_of(sq) == _mat_mul(matrix_of(D), matrix_of(D))
             nonzero += not sq.is_zero()
     assert nonzero >= 60

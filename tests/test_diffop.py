@@ -26,7 +26,8 @@ from superdelta.diffop import _leibniz
 from superdelta.gralg import _deg, _keys_upto, _mul_keys
 from superdelta.oracle import berezin_integral
 
-from conftest import CHARTS, R11, R12, R22, R02, R03, key_within, rand_op, rand_poly
+from conftest import (CHARTS, R11, R12, R22, R02, R03, full_square, key_within, rand_op,
+                      rand_poly)
 
 
 def test_constructors_and_order():
@@ -232,10 +233,11 @@ def test_compose_floor_keeps_the_top_orders():
 
 def test_odd_square_leaves_out_only_the_symbol_square():
     """For odd D the terms of D o D where no derivative hits a coefficient
-    sum to sigma(D)^2 = 0, so compose(D, D, odd_square=True) equals
-    compose(D, D) at every floor: 1,000 seeded odd operators of order 1-4
-    on five charts, half of them W pencils.  A pair of two operators is
-    refused."""
+    sum to sigma(D)^2 = 0, so compose(D, D), which leaves them out, is the
+    part of full_square(D) of order >= k at every floor k: 1,000 seeded odd
+    operators of order 1-4 on five charts, half of them W pencils.  The
+    square of an even operator with itself keeps them: d_x o d_x = d_x^2.
+    compose takes no word on parity: odd_square= is a TypeError."""
     rng = random.Random("odd square")
     ops = 0
     for i, chart in enumerate(CHARTS):
@@ -247,18 +249,23 @@ def test_odd_square_leaves_out_only_the_symbol_square():
             if D.is_zero():
                 continue
             assert D.parity() == 1
+            full = full_square(D)
             for k in range(6):
-                assert compose(D, D, floor=k, odd_square=True) == compose(D, D, floor=k)
+                assert compose(D, D, floor=k) == DiffOp(chart, {
+                    key: wp for key, wp in full.terms.items() if _deg(key) >= k})
             ops += 1
-    with pytest.raises(ValueError):
-        compose(D, D + 0, odd_square=True)
+    dx = DiffOp.deriv(R11, "x")
+    assert compose(dx, dx) == DiffOp(R11, {((2,), ()): {0: GradedPoly.one(R11)}})
+    with pytest.raises(TypeError):
+        compose(D, D, odd_square=True)
 
 
 def test_compose_bound_keeps_the_keys_within_it():
     """compose(D, E, floor=k, bound=B) is the part of compose(D, E) of order
     >= k with key within B: seeded D, E and B on all five charts, half of
-    D and E W pencils, and for odd D also compose(D, D, odd_square=True)
-    against compose(D, D).  The bound drops terms and keeps others."""
+    D and E W pencils, and for odd D also compose(D, D), which leaves out
+    sigma(D)^2, against full_square(D).  The bound drops terms and keeps
+    others."""
     rng = random.Random("compose bound")
     dropped = kept = 0
     for chart in CHARTS:
@@ -270,14 +277,13 @@ def test_compose_bound_keeps_the_keys_within_it():
             if i % 4 >= 2:
                 D = D + compose(W, rand_op(rng, chart, 2, parity=i % 2))
                 E = E - compose(W, rand_op(rng, chart, 1))
-            pairs = [(D, E, False)] + [(D, D, True)] * (i % 2)
-            for A, B_op, odd_square in pairs:
-                full = compose(A, B_op)
+            for A, B_op in [(D, E)] + [(D, D)] * (i % 2):
+                full = compose(A, B_op + 0)
                 for _ in range(3):
                     B, k = rng.choice(bounds), rng.randint(0, 3)
                     want = DiffOp(chart, {key: wp for key, wp in full.terms.items()
                                           if _deg(key) >= k and key_within(key, B)})
-                    assert compose(A, B_op, floor=k, bound=B, odd_square=odd_square) == want
+                    assert compose(A, B_op, floor=k, bound=B) == want
                     dropped += any(not key_within(key, B) for key in full.terms)
                     kept += not want.is_zero()
     assert dropped >= 150 and kept >= 100
@@ -285,13 +291,30 @@ def test_compose_bound_keeps_the_keys_within_it():
 
 def test_odd_square_of_xi_dx_forms_no_product(count_calls):
     """(xi d_x)^2 = xi xi d_x^2 = 0 is all symbol square: d_x does not hit
-    xi, so composing xi d_x with itself as an odd square multiplies no two
-    polynomials, where the full product forms xi * xi."""
+    xi, so composing the odd xi d_x with itself, by compose, * or **,
+    multiplies no two polynomials, where the full product forms xi * xi."""
     D = DiffOp.mult(GradedPoly.var(R11, "xi")) * DiffOp.deriv(R11, "x")
     products = count_calls(GradedPoly, "__mul__")
-    assert compose(D, D, odd_square=True).is_zero()
+    assert compose(D, D).is_zero() and (D * D).is_zero() and (D ** 2).is_zero()
     assert products == []
-    assert compose(D, D).is_zero() and len(products) == 1
+    assert full_square(D).is_zero() and len(products) == 1
+
+
+def test_parity_is_walked_once(monkeypatch):
+    """An operator walks its terms for its parity on the first ask and keeps
+    the answer, None included, for operators from the validating and the
+    trusted constructor alike; an equal operator the arithmetic builds is a
+    new one and walks once itself.  Walks are diffop's _parity calls."""
+    from superdelta import diffop
+    walks = []
+    real = diffop._parity
+    monkeypatch.setattr(diffop, "_parity", lambda pars: walks.append(pars) or real(pars))
+    x, xi = GradedPoly.var(R11, "x"), GradedPoly.var(R11, "xi")
+    for D, want in ((DiffOp.deriv(R11, "xi"), 1), (DiffOp.mult(x + xi), None),
+                    (DiffOp.zero(R11), 0), (DiffOp(R11, {((1,), (0,)): {1: xi}}), 0)):
+        walks.clear()
+        assert [D.parity() for _ in range(3)] == [want] * 3 and len(walks) == 1
+        assert (D + 0).parity() == want and len(walks) == 2
 
 
 def test_apply_to_a_polynomial_is_the_weight_zero_action(rng):
@@ -483,15 +506,20 @@ def test_operator_algebra_takes_no_partial(count_calls):
 
 
 def test_odd_square_product_count_is_pinned(count_calls):
-    """compose(D, D, odd_square=True) on one fixed odd (1|1) operator sums
-    the Leibniz terms per output key before each product with a left
-    coefficient: 15 products (the expansion per term pair made 17)."""
+    """The square of one fixed odd (1|1) operator sums the Leibniz terms per
+    output key before each product with a left coefficient, and leaves out
+    sigma(D)^2: 15 products by compose(D, D), D * D and D ** 2 alike, where
+    full_square(D) makes 25 (the expansion per term pair made 17)."""
     x, xi = GradedPoly.var(R11, "x"), GradedPoly.var(R11, "xi")
     dx, dxi = DiffOp.deriv(R11, "x"), DiffOp.deriv(R11, "xi")
     D = DiffOp.mult(x * xi) * dx ** 2 + DiffOp.mult(x ** 2) * dxi + DiffOp.mult(xi) * dx \
         + dxi * dx + DiffOp.mult(x + 3) * dxi * dx ** 2
     assert D.parity() == 1
     products = count_calls(GradedPoly, "__mul__")
-    square = compose(D, D, odd_square=True)
-    assert len(products) == 15
-    assert square == compose(D, D)
+    squares, counts = [], []
+    for form in (lambda: compose(D, D), lambda: D * D, lambda: D ** 2, lambda: full_square(D)):
+        products.clear()
+        squares.append(form())
+        counts.append(len(products))
+    assert counts == [15, 15, 15, 25]
+    assert squares[0] == squares[1] == squares[2] == squares[3]

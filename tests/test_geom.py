@@ -57,7 +57,7 @@ from superdelta.dsl import load_module, render
 
 from conftest import (
     CHARTS, R02, R03, R11, R12, R22,
-    poly_strategy, rand_op, rand_poly, rand_smatrix, rand_vdata, std_odd_smatrix,
+    full_square, poly_strategy, rand_op, rand_poly, rand_smatrix, rand_vdata, std_odd_smatrix,
 )
 
 WEIGHTS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2))
@@ -559,7 +559,7 @@ def test_function_level_equivalences(rng):
                 gamma[a] = p
         data = VBracketData(chart, 1, S, gamma, GradedPoly.zero(chart))
         D = specialize(canonical_pencil(data), 0)
-        sq = compose(D, D)
+        sq = full_square(D)
         ss, sg = jacobi_report(data)[0], jacobi_report(data)[1]
         assert ss.is_zero() == sq.order_leq(2)
         if ss.is_zero():
@@ -576,7 +576,7 @@ def test_classify_square_examples():
     D = Dxi + compose(DiffOp.mult(GradedPoly.var(R11, "xi")),
                       compose(DiffOp.deriv(R11, "x"), DiffOp.deriv(R11, "x")))
     assert classify_square(D) in ("<=2", "<=3")
-    sq = compose(D, D)
+    sq = full_square(D)
     assert sq.order() == 2
 
 
@@ -721,7 +721,7 @@ def _nilpotent_map(rng, chart):
 
 
 def test_coordinate_maps_substitute_as_public_substitute():
-    """push and pull, which call the trusted substitution kernel, against
+    """push, which calls the trusted substitution kernel, against
     the validating public substitute on seeded nilpotent and triangular
     maps."""
     rng = random.Random("coordinate map kernel")
@@ -735,7 +735,6 @@ def test_coordinate_maps_substitute_as_public_substitute():
             for _ in range(4):
                 p = rand_poly(rng, chart, 4, nterms=6)
                 assert cmap.push(p) == substitute(p, dict(cmap.inv))
-                assert cmap.pull(p) == substitute(p, dict(cmap.fwd))
     assert maps >= 40
 
 
@@ -767,7 +766,7 @@ def _triangular_map(rng, chart):
 
 def test_transform_op_matches_action_oracle(rng):
     """The chain-rule transform against the operator reconstructed from its
-    action f -> push(D(pull f)).  The Berezinian conjugation only adds
+    action f -> push(D(f o fwd)).  The Berezinian conjugation only adds
     W-carrying terms, so the two agree at weight 0, and everywhere when the
     Berezinian is constant."""
     for chart in (R11, R12, R22, R02, R03):
@@ -776,7 +775,7 @@ def test_transform_op_matches_action_oracle(rng):
             for par in (0, 1, None):
                 D = rand_op(rng, chart, order, parity=par)
                 want = op_from_action(
-                    chart, lambda f: cmap.push(D.apply(cmap.pull(f))), order)
+                    chart, lambda f: cmap.push(D.apply(substitute(f, dict(cmap.fwd)))), order)
                 got = transform_op(D, cmap)
                 assert specialize(got, 0) == want
                 if log_berezinian(cmap).is_zero():
@@ -913,7 +912,7 @@ def test_square_of_odd_order_two_has_order_at_most_three():
     for i in range(200):
         chart = (R11, R12, R22, R02, R03)[i % 5]
         D = rand_op(rng, chart, 2, parity=1, nterms=8)
-        assert compose(D, D).order_leq(3)
+        assert full_square(D).order_leq(3)
         D = D - DiffOp.mult(D.apply(GradedPoly.one(chart)))
         if D.parity() == 1:
             assert classify_square(D) in _LEVEL_NAMES
@@ -1127,7 +1126,7 @@ def test_pencil_io_makes_no_probe_and_no_composition(count_calls):
     Hamiltonian fields, X_S and X_gamma.  Counted by wrappers on every engine
     module that names the function (count_calls); no wall-clock
     assertion."""
-    calls = {name: count_calls(geom, name) for name in
+    calls = {name: count_calls(diffop if name == "compose" else geom, name) for name in
              ("compose", "pencil_bracket", "hamiltonian_vf", "formal_adjoint")}
     rng = random.Random("pencil io")
     for chart in CHARTS:

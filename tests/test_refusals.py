@@ -34,10 +34,13 @@ from superdelta.diffop import (
 from superdelta.dsl import render
 from superdelta.geom import (
     BracketDataError,
+    CoordMap,
     VBracketData,
     act_on_w_densities,
     cotangent_chart,
     principal_matrix,
+    transform_data,
+    transform_op,
 )
 from superdelta.gralg import substitute
 from superdelta.oracle import (
@@ -58,6 +61,10 @@ def _d(chart, name):
 ONE11, ONE12 = GradedPoly.one(R11), GradedPoly.one(R12)
 ID11, ID12 = DiffOp.identity(R11), DiffOp.identity(R12)
 UNIT11 = ((0,), ())  # the key of 1 on (1|1)
+_IDENTITY11 = {v: _v(R11, v) for v in R11.names}
+MAP11 = CoordMap(R11, _IDENTITY11, _IDENTITY11)  # the identity map on (1|1)
+# S on (1|2) that checks as even at any even eps, read as odd by an eps of 2
+S12 = {("xi1", "xi2"): _v(R12, "x") * _v(R12, "xi1") * _v(R12, "xi2") + _v(R12, "x")}
 # an argument on (0|2) for a generator on (1|1)
 XI = _v(R02, "xi1")
 
@@ -143,6 +150,17 @@ _REFUSALS = [
     # geom: bracket data, symbols, divergence constructions
     (lambda: VBracketData(R11, 1, {("x", "xi"): ONE12}, {}, GradedPoly.zero(R11)),
      ChartMismatch, "S entry on wrong chart"),
+    *((lambda eps=eps: VBracketData(R12, eps, S12, {}, GradedPoly.zero(R12)),
+       BracketDataError, f"a bracket parity must be the int 0 or 1, not {eps!r}")
+      for eps in (2, -1, True, 1.0)),
+    # geom: a coordinate change on another chart, refused at transform_op's
+    # entry, which transform_data goes through
+    *(pytest.param(call, ChartMismatch, "operator and coordinate map on different charts",
+                   id=f"{name}: operator and coordinate map on different charts")
+      for name, call in (
+          ("transform_op", lambda: transform_op(_d(R22, "y"), MAP11)),
+          ("transform_data", lambda: transform_data(
+              VBracketData(R22, 1, {}, {}, GradedPoly.zero(R22)), MAP11)))),
     (lambda: principal_matrix(_d(R11, "x") ** 3), DomainError,
      "principal symbol defined for order <= 2 only"),
     (lambda: principal_matrix(_d(R11, "x") + _d(R11, "xi")), ParityError,
