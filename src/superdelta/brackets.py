@@ -51,7 +51,7 @@ from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .gralg import (_ONE, Chart, ChartMismatch, GradedPoly, Key, ParityError, _deg, _derive,
-                    _envelope, _key_names, _keys_upto, _mul_keys)
+                    _envelope, _key_names, _keys_upto, _mul_keys, _polynomial)
 from .diffop import DiffOp, _leibniz, _on_one, compose, specialize
 
 __all__ = [
@@ -113,9 +113,11 @@ def shuffles(k: int, l: int) -> list[tuple[int, ...]]:
 
 
 def _check_charts(Delta: DiffOp, args: Sequence[GradedPoly]):
-    """Refuse an argument on another chart, before a shortcut skips it."""
-    if any(a.chart != Delta.chart for a in args):
-        raise ChartMismatch("bracket argument on a different chart")
+    """Refuse an argument that is not a polynomial, by its type, or one on
+    another chart, before a shortcut skips it."""
+    for a in args:
+        if _polynomial(a, "a bracket argument").chart != Delta.chart:
+            raise ChartMismatch("bracket argument on a different chart")
 
 
 class _Tables(dict):

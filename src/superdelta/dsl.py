@@ -38,16 +38,16 @@ A module is read in one pass.  The lexer makes the token strings with one
 ``findall``, and the parser reads them by index; a token's position is
 found again only for a diagnostic.  The parser evaluates each expression
 as it reads it and stores each declaration's value in the ``Module`` at
-once, so a name is in scope from the end of its declaration on, and the
-first error in source order is the one reported.  A product of numbers,
-chart variables, W and d(x), with ^INT powers and unary minus, is built as
-one normal-ordered term c x^m W^w d^J, its signs from ``gralg._merge_odd``;
-a value times a term c W^w d^J is taken one derivative key at a time, and
-a sum is added up in one term map and built once.  The rest (a variable
-after a derivative, a named value, t^w) goes through the arithmetic of the
-value types.  Each declaration converts its value once: an operator
-through ``DiffOp.mult``, an element to a polynomial when it has no
-t-component, and a log-volume, tensor entry or map image must be t-free.
+once, so a name is in scope from the end of its declaration on (one table
+holds every name taken), and the first error in source order is reported.
+A product of numbers, chart variables, W and d(x), with ^INT powers and
+unary minus, is one normal-ordered term c x^m W^w d^J, its signs from
+``gralg._merge_odd``.  A sum is added up in one term map, stays one when
+multiplied by a term c W^w d^J, and is built once, when its value is
+needed.  The rest (a variable after a derivative, a named value, t^w) goes
+through the value types' arithmetic.  Each declaration converts its value
+once: an operator through ``DiffOp.mult``, an element to a polynomial when
+it has no t-component; a log-volume, tensor entry or map image is t-free.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from itertools import islice
 
 from .gralg import (_ONE, Chart, DensityElement, DomainError, GradedPoly, _deg, _key,
                     _key_powers, _mul_keys, _power, _unit)
-from .diffop import DiffOp, _add_into, _from_sums, _on_one, _pruned
+from .diffop import DiffOp, _from_sums
 from .geom import CoordMap, VBracketData, _as_sigma
 
 __all__ = ["DslError", "Module", "load_module", "parse_element", "render"]
@@ -130,8 +130,7 @@ class Module:
                  "operators", "maps")
 
     def __init__(self, chart: Chart, chart_name: str):
-        self.chart = chart
-        self.chart_name = chart_name
+        self.chart, self.chart_name = chart, chart_name
         self.tensors: dict = {}    # name -> ("matrix"|"vector", eps, dict)
         self.densities: dict = {}  # name -> even GradedPoly
         self.elements: dict = {}   # name -> GradedPoly | DensityElement
@@ -154,6 +153,8 @@ def _simplify_element(v):
 # (c, m, w, J): a Fraction c, the monomial key m, the W-power w and the
 # derivative key J, in the key layout of GradedPoly and DiffOp.  c = 0 is
 # the zero term: the number 0, or a product in which an odd factor repeats.
+# A sum is a dict J -> w -> {m: c}, the layout of ``diffop``'s sums, kept
+# until ``_value`` builds it once: a DiffOp if it has W or a derivative.
 
 
 class _Parser:
@@ -161,9 +162,8 @@ class _Parser:
     chart declaration creates.  The tokens are the strings of ``_lex``, read
     by index; a diagnostic names its token by index, and ``fail`` finds the
     token's position only then.  Expression methods return the value, a
-    term or an algebra value, and the index of the token at the root of the
-    expression, where a t-free check reports.  A sum is added up in one
-    term map and built once."""
+    term, a sum or an algebra value, and the index of the token at the root
+    of the expression, where a t-free check reports."""
 
     def __init__(self, text: str, m: Module | None = None):
         self.text, self.code = text, _COMMENT.sub(lambda c: " " * len(c[0]), text)
@@ -172,9 +172,13 @@ class _Parser:
             self._enter(m)
 
     def _enter(self, m: Module):
-        """Read against m, with the key of 1 and of each chart variable."""
+        """Read against m, with the key of 1 and of each chart variable, and
+        the one scope table: every name taken, with the value of a density,
+        element or operator, None for any other."""
         self.m, self.one = m, _unit(m.chart)
         self.keys = {v: _key(m.chart, v)[0] for v in m.chart.names}
+        self.scope = {**dict.fromkeys((m.chart_name, *m.chart.names)), **m.densities,
+                      **m.elements, **m.operators}
 
     def fail(self, message: str, i: int, expected=()):
         """Raise a DslError at token i, found again by the token pattern; the
@@ -269,15 +273,14 @@ class _Parser:
     def _new_name(self, kind: str) -> str:
         """The declared name, which no earlier declaration may have taken,
         followed by "on" and the chart name."""
-        i, m = self.i, self.m
+        i = self.i
         name = self.expect_name(f"the {kind} name")
-        if name == m.chart_name or name in m.chart.names or any(
-                name in names for names in
-                (m.tensors, m.densities, m.elements, m.operators, m.maps)):
+        if name in self.scope:
             self.fail(f"name {name!r} is already declared", i)
+        self.scope[name] = None
         self.expect("on")
         i = self.i
-        if (chart := self.expect_name("the chart name")) != m.chart_name:
+        if (chart := self.expect_name("the chart name")) != self.m.chart_name:
             self.fail(f"unknown chart {chart!r}", i)
         return name
 
@@ -292,8 +295,7 @@ class _Parser:
         """An element expression and its ";", as a polynomial."""
         v, at = self.expr(operator=False)
         self.expect(";")
-        v = _simplify_element(self._value(v))
-        if isinstance(v, DensityElement):
+        if isinstance(v := _simplify_element(self._value(v)), DensityElement):
             self.fail(f"{what} must be t-free", at)
         return v
 
@@ -343,32 +345,33 @@ class _Parser:
         kw = self.expect(kind)
         name = self._new_name(kind)
         self.expect("=")
-        m = self.m
         if kind == "density":
-            m.densities[name] = self._build(kw, _as_sigma, self._t_free("a log-volume"))
+            self.m.densities[name] = self.scope[name] = self._build(
+                kw, _as_sigma, self._t_free("a log-volume"))
             return
         v = self._value(self.expr(operator=(kind == "operator"))[0])
         self.expect(";")
         if kind == "element":
-            m.elements[name] = _simplify_element(v)
+            self.m.elements[name] = self.scope[name] = _simplify_element(v)
         else:
-            m.operators[name] = DiffOp.mult(v) if isinstance(v, GradedPoly) else v
+            self.m.operators[name] = self.scope[name] = \
+                DiffOp.mult(v) if isinstance(v, GradedPoly) else v
 
     def map_decl(self):
         kw = self.expect("map")
         name = self._new_name("map")
         self.expect("{")
-        fwd = self._map_rules(stop=("inverse",))
+        fwd = self._map_rules(stop="inverse")
         self.expect("inverse")
         self.expect("{")
-        inv = self._map_rules(stop=())
+        inv = self._map_rules(stop="}")
         self.expect("}")
         self.expect("}")
         self.m.maps[name] = self._build(kw, CoordMap, self.m.chart, fwd, inv)
 
-    def _map_rules(self, stop) -> dict[str, GradedPoly]:
+    def _map_rules(self, stop: str) -> dict[str, GradedPoly]:
         rules = {}
-        while self.toks[i := self.i] not in ("}",) + tuple(stop):
+        while self.toks[i := self.i] != "}" and self.toks[i] != stop:
             v = self._chart_var()
             if v in rules:
                 self.fail(f"duplicate rule for {v!r}", i)
@@ -376,66 +379,70 @@ class _Parser:
             rules[v] = self._t_free("a map image")
         return rules
 
-    # -- expressions: (term or value, index of the root token)
+    # -- expressions: (term, sum or value, index of the root token)
+
+    def _sums(self, v) -> dict:
+        """A sum; a polynomial or an operator as a sum sharing its term maps."""
+        return v if type(v) is dict else {J: {w: p.terms for w, p in wp.items()} for J, wp in (
+            v.terms if isinstance(v, DiffOp) else {self.one: {0: v}}).items()}
 
     def _value(self, v):
-        """The algebra value of a term, a polynomial when it has neither W
-        nor derivatives; any other value is its own."""
-        if type(v) is not tuple:
+        """The algebra value of a term or a sum, a polynomial when it has
+        neither W nor a derivative; any other value is its own."""
+        chart, one = self.m.chart, self.one
+        if type(v) is tuple:
+            c, mono, w, J = v
+            p = GradedPoly._of(chart, {mono: c} if c else {})
+            return DiffOp._of(chart, {J: {w: p}} if c else {}) if w or J != one else p
+        if type(v) is not dict:
             return v
-        c, mono, w, J = v
-        p = GradedPoly._of(self.m.chart, {mono: c} if c else {})
-        return DiffOp._of(self.m.chart, _pruned({J: {w: p}})) if w or J != self.one else p
+        if v.keys() - {one} or v.get(one, {}).keys() - {0}:
+            return _from_sums(chart, v)
+        return GradedPoly._of(chart, {m: c for m, c in v.get(one, {}).get(0, {}).items() if c})
 
     def expr(self, operator: bool):
-        """term { ("+"|"-") term }.  A sum is added up in one term map, key
-        -> W-power -> monomial -> coefficient as in ``diffop``, and its value
-        built once: a DiffOp when a summand is one or has W or a derivative,
-        else a polynomial.  Only its t^w summands are added by the algebra."""
-        v, at = self.term(operator)
-        toks, one = self.toks, self.one
-        if toks[self.i] != "+" and toks[self.i] != "-":
-            return v, at
-        sums, densities, is_op, sign = {}, [], False, 1
+        """term { ("+"|"-") term }, term = factor { "*" factor } read in
+        place.  The summands are added up in one sum; only its t^w summands
+        are added by the algebra."""
+        toks, sums, sign = self.toks, None, 1
         while True:
+            v, at = self.factor(operator)
+            while toks[self.i] == "*":
+                at = self.i
+                self.i += 1
+                v = self._mul(v, self.factor(operator)[0])
+            t = toks[self.i]
+            if sums is None:
+                if t != "+" and t != "-":
+                    return v, at
+                sums, densities = {}, []
             if type(v) is tuple:
                 acc = sums.setdefault(v[3], {}).setdefault(v[2], {})
                 c = v[0] if sign > 0 else -v[0]
                 acc[v[1]] = acc[v[1]] + c if v[1] in acc else c
             elif isinstance(v, DensityElement):
                 densities.append(v if sign > 0 else -v)
-            elif isinstance(v, DiffOp):
-                is_op = True
-                for J, wp in v.terms.items():
-                    for w, p in wp.items():
-                        _add_into(sums, J, w, p, sign)
             else:
-                _add_into(sums, one, 0, v, sign)
-            if (t := toks[self.i]) != "+" and t != "-":
+                for J, wp in self._sums(v).items():
+                    for w, p in wp.items():
+                        acc = sums.setdefault(J, {}).setdefault(w, {})
+                        for m, c in p.items():
+                            c = c if sign > 0 else -c
+                            acc[m] = acc[m] + c if m in acc else c
+            if t != "+" and t != "-":
                 break
-            at, sign = self.i, 1 if t == "+" else -1
+            root, sign = self.i, 1 if t == "+" else -1
             self.i += 1
-            v = self.term(operator)[0]
-        v = _from_sums(self.m.chart, sums)
-        if not (is_op or sums.keys() - {one} or sums.get(one, {}).keys() - {0}):
-            v = _on_one(v)
+        v = sums
         for d in densities:
-            v = d + v
-        return v, at
-
-    def term(self, operator: bool):
-        v, at = self.factor(operator)
-        while self.toks[self.i] == "*":
-            at = self.i
-            self.i += 1
-            v = self._mul(v, self.factor(operator)[0])
-        return v, at
+            v = d + self._value(v)
+        return v, root
 
     def _mul(self, a, b):
         """a * b.  Two terms multiply as one term unless a variable follows a
-        derivative.  A value times a term c W^w d^J without variables is
-        taken one derivative key I at a time, d^I d^J being one key.  Any
-        other product goes through the operator algebra."""
+        derivative.  A sum, polynomial or operator times a term c W^w d^J is
+        a sum, taken one derivative key I at a time, d^I d^J being one key.
+        Any other product goes through the operator algebra."""
         one = self.one
         if type(b) is tuple:
             c, mono, w, J = b
@@ -447,18 +454,20 @@ class _Parser:
                     return (Fraction(0), one, 0, one)
                 c = c if a[0] is _ONE else a[0] if c is _ONE else a[0] * c
                 return (c if km[1] == kd[1] else -c, km[0], a[2] + w, kd[0])
-            if type(a) is not tuple and mono == one and (w or J != one):
-                terms = {}  # a is a polynomial or an operator
-                for I, wp in (a.terms if isinstance(a, DiffOp) else {one: {0: a}}).items():
+            if type(a) is not tuple and mono == one and not isinstance(a, DensityElement):
+                out = {}
+                for I, wp in self._sums(a).items():
                     if k := _mul_keys(I, J):
-                        terms[k[0]] = {u + w: p * (c if k[1] > 0 else -c) for u, p in wp.items()}
-                return DiffOp._of(self.m.chart, _pruned(terms))
+                        s = c if k[1] > 0 else -c
+                        out[k[0]] = {u + w: t if s is _ONE else {m: x * s for m, x in t.items()}
+                                     for u, t in wp.items()}
+                return out
         return self._value(a) * self._value(b)
 
     def factor(self, operator: bool):
         """{ "-" } atom { "^" INT }, read in one method: the minus signs, each
         opening a nesting level, the atom, and its powers."""
-        toks, m, one = self.toks, self.m, self.one
+        toks, one = self.toks, self.one
         i = start = self.i
         while toks[i] == "-":
             self.nest(i)
@@ -489,18 +498,14 @@ class _Parser:
             if operator:
                 self.fail("t^w factors are only allowed in element expressions", i)
             self.expect("^")
-            v = DensityElement._of(m.chart, {self._weight_exponent(): GradedPoly.one(m.chart)})
-        elif t in m.densities:
-            v = m.densities[t]
-        elif t in m.elements:
-            v = m.elements[t]
+            chart = self.m.chart
+            v = DensityElement._of(chart, {self._weight_exponent(): GradedPoly.one(chart)})
+        elif (v := self.scope.get(t)) is not None:  # a density, element or operator
             if operator and isinstance(v, DensityElement):
                 self.fail(f"element {t!r} has t-components and cannot be an "
                           "operator coefficient", i)
-        elif t in m.operators:
-            if not operator:
+            if not operator and isinstance(v, DiffOp):
                 self.fail(f"operator {t!r} used in an element expression", i)
-            v = m.operators[t]
         elif t.isidentifier() and t not in _RESERVED:
             self.fail(f"undeclared name {t!r}", i)
         else:
@@ -512,11 +517,12 @@ class _Parser:
             n = self.expect_int()
             # a term squares through _mul, so its power is one term unless a
             # variable follows a derivative
-            v = _power(v, n, (_ONE, one, 0, one), self._mul) if type(v) is tuple else v ** n
+            v = _power(v, n, (_ONE, one, 0, one), self._mul) if type(v) is tuple \
+                else self._value(v) ** n
         if i > start:
             self.depth -= i - start
             if (i - start) % 2:
-                v = (-v[0], *v[1:]) if type(v) is tuple else -v
+                v = (-v[0], *v[1:]) if type(v) is tuple else -self._value(v)
             at = start
         return v, at
 
@@ -555,7 +561,7 @@ def parse_element(text: str, m: Module):
     against a loaded module.  Diagnostic positions count from the start of
     ``text``."""
     p = _Parser(text, m)
-    v, _ = p.expr(operator=False)
+    v = p.expr(operator=False)[0]
     if p.toks[p.i]:
         p.fail(f"trailing input {p.toks[p.i]!r}", p.i)
     return _simplify_element(p._value(v))
@@ -647,10 +653,7 @@ def _render_op(D: DiffOp) -> str:
         dstr = "*".join(dfac)
         if len(cpairs) == 1:
             neg, s = cpairs[0]
-            if s == "1":
-                pairs.append((neg, dstr))
-            else:
-                pairs.append((neg, s + "*" + dstr))
+            pairs.append((neg, dstr if s == "1" else s + "*" + dstr))
         else:
             pairs.append((False, "(" + _join(cpairs) + ")*" + dstr))
     return _join(pairs)
@@ -677,11 +680,8 @@ def _render(obj) -> str:
     if isinstance(obj, DiffOp):
         return _render_op(obj)
     if isinstance(obj, VBracketData):
-        lines = []
-        for (a, b) in sorted(obj.S):
-            lines.append(f"S[{a},{b}] = " + _render_poly(obj.S[(a, b)]))
-        for a in sorted(obj.gamma):
-            lines.append(f"gamma[{a}] = " + _render_poly(obj.gamma[a]))
-        lines.append("theta = " + _render_poly(obj.theta))
-        return "\n".join(lines)
+        S, gamma = sorted(obj.S.items()), sorted(obj.gamma.items())
+        return "\n".join([*(f"S[{a},{b}] = " + _render_poly(p) for (a, b), p in S),
+                          *(f"gamma[{a}] = " + _render_poly(p) for a, p in gamma),
+                          "theta = " + _render_poly(obj.theta)])
     raise TypeError(f"no canonical rendering for {type(obj).__name__}")

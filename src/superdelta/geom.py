@@ -36,6 +36,7 @@ from .gralg import (
     _key,
     _key_names,
     _odd_degree_part,
+    _polynomial,
     _rational,
     _substitute,
     _unit,
@@ -582,8 +583,10 @@ class _CoordMapFields(NamedTuple):
 class CoordMap(_CoordMapFields):
     """A coordinate change x' = phi(x) on a fixed chart, of the form
     "constant invertible body plus nilpotent (odd-containing) corrections",
-    with the inverse supplied and checked, once: push substitutes through
-    the trusted kernel gralg._substitute.  An immutable record."""
+    with the inverse supplied and checked, once: each image must be a
+    polynomial on the chart, of its variable's parity, before the round trip
+    runs, and push substitutes through the trusted kernel gralg._substitute.
+    An immutable record."""
 
     __slots__ = ()
 
@@ -593,12 +596,14 @@ class CoordMap(_CoordMapFields):
             for m in (fwd, inv):
                 if name not in m:
                     raise CoordMapError(f"map must list every variable ({name})")
-                im = m[name]
-                if not im.is_zero() and im.parity() != chart.parity(name):
+                im = _polynomial(m[name], f"the image of {name}")
+                if im.chart != chart:
+                    raise ChartMismatch(f"image of {name} on wrong chart")
+                if im.terms and im.parity() != chart.parity(name):
                     raise CoordMapError(f"image of {name} has wrong parity")
         # round trip check on the generators
         for name in chart.names:
-            if _substitute(fwd[name], inv, chart) != GradedPoly.var(chart, name):
+            if _substitute(fwd[name], inv, chart).terms != {_key(chart, name)[0]: _ONE}:
                 raise CoordMapError("supplied inverse fails the round trip")
         return super().__new__(cls, chart, fwd, inv)
 

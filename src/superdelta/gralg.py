@@ -16,9 +16,10 @@ unchecked.  The ``.terms`` layouts (here and in ``DiffOp``) are read by the
 benchmark under ``bench/``, and every polynomial-by-polynomial product goes
 through ``GradedPoly.__mul__``, the boundary its tracer wraps, except that
 ``dsl`` builds each product of numbers, variables, W and derivatives in
-``.sd`` text as one term, and ``brackets`` multiplies by ``_mul_keys`` and
-by its own Grassmann tables.  ``substitute`` validates its images for the
-kernel ``_substitute``, which coordinate maps, validated when built, call
+``.sd`` text as one term and multiplies a sum by such a term key by key,
+and ``brackets`` multiplies by ``_mul_keys`` and by its own Grassmann
+tables.  ``substitute`` validates its images for the kernel
+``_substitute``, which coordinate maps, validated when built, call
 directly.  Products of variables and products of derivatives share the key
 layout, and only this module, ``diffop`` and the matrix oracle's
 ``matrix_of`` read it inside the package; other modules go through the key
@@ -238,8 +239,9 @@ def _parity(parities: set) -> int | None:
 
 
 def _power(x, n: int, one, mul=_mul):
-    """x^n by repeated squaring, for any associative product ``mul`` with
-    unit ``one``: about 2 log2(n) products, and none for x^1, which is x."""
+    """x^n by repeated squaring, for any associative product ``mul``: about
+    2 log2(n) products, and none for x^1, which is x; ``one``, the unit, is
+    the value of x^0 and read for no other n."""
     if n < 0:
         raise ValueError("negative power")
     out = None
@@ -280,7 +282,7 @@ class _Value:
         return NotImplemented if (other := self._lift(other)) is None else other * self
 
     def __pow__(self, n: int):
-        return _power(self, n, self._lift(1))
+        return _power(self, n, None) if n else self._lift(1)  # the unit only for x^0
 
     def __repr__(self):
         from .dsl import render  # local import: dsl depends on gralg
@@ -496,19 +498,26 @@ def substitute(p: GradedPoly, images: Mapping[str, GradedPoly],
 def _substitute(p: GradedPoly, images: Mapping[str, GradedPoly],
                 target: Chart) -> GradedPoly:
     """substitute for trusted images, one on ``target`` for every variable of
-    p's chart, each of its parity; each power of an image is formed once."""
-    chart, unit, powers, monomials = p.chart, _unit(target), {}, []
+    p's chart, each of its parity.  A monomial c x^m starts at its first
+    image factor (a constant at 1) and multiplies in the others, each power
+    of an image formed once, the first power being the image itself; c
+    scales its terms as they are added into the one sum, unless c is the
+    shared 1 (``_ONE``), so no product by 1 or by a unit polynomial runs."""
+    chart, acc, powers = p.chart, {}, {}
     for (e, o), c in p.terms.items():
-        m = GradedPoly._of(target, {unit: c})
+        m = None
         for name, n in zip(chart.even, e):
             if n:
-                if (name, n) not in powers:
-                    powers[(name, n)] = images[name] ** n
-                m = m * powers[(name, n)]
+                if (f := powers.get((name, n))) is None:
+                    f = powers[name, n] = images[name] ** n
+                m = f if m is None else m * f
         for i in o:
-            m = m * images[chart.odd[i]]
-        monomials.append(m)
-    return GradedPoly._sum(target, monomials)
+            f = images[chart.odd[i]]
+            m = f if m is None else m * f
+        for k, v in (m.terms.items() if m is not None else ((_unit(target), _ONE),)):
+            v = v if c is _ONE else v * c
+            acc[k] = acc[k] + v if k in acc else v
+    return GradedPoly._of(target, {k: v for k, v in acc.items() if v})
 
 
 class DensityElement(_Value):

@@ -2,8 +2,9 @@
 once and written from its statement, without the engine's shortcuts (order
 floors, support bounds, shared tables, term maps written in place): the
 nested commutator and the literal shuffle sum of Voronov's higher derived
-brackets (arXiv:math/0304038), coordinate brackets as explicit sums, the
-reference laws of the geometry, and the Berezin pairing.
+brackets (arXiv:math/0304038), coordinate brackets as explicit sums,
+substitution monomial by monomial, the reference laws of the geometry, and
+the Berezin pairing.
 
 Only tests import it; no engine module and not ``superdelta/__init__`` does
 (tests/test_dead_code.py), so an engine path checked against it is checked
@@ -24,7 +25,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .brackets import (LieSuperAlgebraInstance, _check_image, _nested, _op_span,
                        higher_bracket, koszul_sign, shuffles)
@@ -32,7 +33,7 @@ from .diffop import DiffOp, _on_one, ad_mult, commutator, compose
 from .geom import (BracketDataError, CoordMap, GVector, SMatrix, _as_sigma, _column, _contract,
                    _divergence, _sym_sign, first_order_coeffs, log_berezinian, principal_matrix)
 from .gralg import (Chart, ChartMismatch, DensityElement, DomainError, GradedPoly, ParityError,
-                    partial)
+                    _key_names, partial)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +167,25 @@ def smatrix_of(chart: Chart, bracket: Callable[[str, str], GradedPoly]) -> SMatr
             if not (v := bracket(b, a) * (-1) ** (chart.parity(a) * chart.parity(b))).is_zero():
                 S[(a, b)] = v
     return S
+
+
+# ---------------------------------------------------------------------------
+# substitution
+
+
+def substitute(p: GradedPoly, images: Mapping[str, GradedPoly], target: Chart) -> GradedPoly:
+    """The algebra morphism sending each variable of p's chart to its image
+    on ``target``, by its definition: each term c x^m is c times the images
+    of the factors of x^m, multiplied left to right one factor at a time in
+    canonical order (a power is repeated products), and the terms are added
+    up one by one, with no power table and no scaling at the end."""
+    out = GradedPoly.zero(target)
+    for key, c in p.terms.items():
+        m = GradedPoly.const(target, c)
+        for name in _key_names(p.chart, key):
+            m = m * images[name]
+        out = out + m
+    return out
 
 
 # ---------------------------------------------------------------------------

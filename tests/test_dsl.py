@@ -517,6 +517,26 @@ def test_sums_are_added_in_one_term_map(monkeypatch, rng):
     assert callers == {DiffOp: [], GradedPoly: [DensityElement.__add__.__code__]}
 
 
+def test_load_product_count_is_pinned(count_calls):
+    """The polynomial products of reading the four fixtures and one seeded
+    module of the cli-session benchmark (on (2|2), with a map), pinned: a
+    sum times a term without variables stays a sum, and the round trip of a
+    map multiplies by no unit and scales no image by 1, so what is left is
+    the graded symmetrization of S and the t^w products."""
+    sys.path.insert(0, str(FIXTURES.parent / "bench"))
+    import gen
+    import workloads
+    texts = [p.read_text() for p in sorted(FIXTURES.glob("*.sd"))]
+    texts.append(workloads._module_text(gen.R22, workloads._module_values(
+        random.Random("load products"), gen.R22)))
+    products, counts = count_calls(GradedPoly, "__mul__"), []
+    for text in texts:  # bv, lb, master, pencil, the generated module
+        load_module(text)
+        counts.append(len(products))
+        products.clear()
+    assert counts == [1, 1, 1, 3, 4]
+
+
 # a diagnostic that quotes the token it is reported at
 _QUOTED = re.compile(r"(?:found|unexpected character|undeclared name|undeclared "
                      r"variable|unknown chart|unknown declaration|name|duplicate "

@@ -12,7 +12,7 @@ from superdelta.diffop import (
     commutator, compose, conjugate_by_exp, formal_adjoint, op_from_action,
     specialize,
 )
-from superdelta.gralg import DomainError, ParityError
+from superdelta.gralg import ChartMismatch, DomainError, ParityError, _substitute
 from superdelta.cli import _LEVEL_NAMES
 from superdelta.geom import (
     BracketDataError,
@@ -48,7 +48,7 @@ from superdelta.geom import (
     transform_op,
 )
 
-from superdelta import diffop, geom
+from superdelta import diffop, geom, gralg, oracle
 from superdelta.oracle import (
     div_form, matrix_bracket, modular_vf, poisson_bracket, smatrix_of, subprincipal,
     transform_gamma, transform_smatrix, tstar_bracket,
@@ -736,6 +736,46 @@ def test_coordinate_maps_substitute_as_public_substitute():
                 p = rand_poly(rng, chart, 4, nterms=6)
                 assert cmap.push(p) == substitute(p, dict(cmap.inv))
     assert maps >= 40
+
+
+def test_substitution_matches_the_oracle():
+    """The kernel gralg._substitute, push and the round trip against
+    oracle.substitute, which multiplies each monomial out factor by factor
+    with no power table and no scaling at the end, on seeded nilpotent and
+    triangular maps of every test chart, through both directions."""
+    rng = random.Random("substitution oracle")
+    maps = 0
+    for chart in CHARTS:
+        for i in range(12):
+            cmap = _nilpotent_map(rng, chart) if i % 3 else _triangular_map(rng, chart)
+            if cmap is None:
+                continue
+            maps += 1
+            for a in chart.names:  # the round trip, generator by generator
+                back = _substitute(cmap.fwd[a], cmap.inv, chart)
+                assert back == oracle.substitute(cmap.fwd[a], cmap.inv, chart) \
+                    == GradedPoly.var(chart, a)
+            for _ in range(4):
+                p = rand_poly(rng, chart, 4, nterms=6)
+                want = oracle.substitute(p, cmap.inv, chart)
+                assert cmap.push(p) == _substitute(p, cmap.inv, chart) == want
+                assert _substitute(p, cmap.fwd, chart) == oracle.substitute(p, cmap.fwd, chart)
+    assert maps >= 40
+
+
+def test_coordinate_map_refuses_foreign_images(count_calls):
+    """An image that is not a polynomial is refused by its type, and one on
+    another chart (here (1|2) for a map on (1|1)) as a ChartMismatch, each
+    naming the variable, before the round trip substitutes anything."""
+    ident = {a: GradedPoly.var(R11, a) for a in R11.names}
+    kernel = count_calls(gralg, "_substitute")
+    with pytest.raises(TypeError) as info:
+        CoordMap(R11, dict(ident, x=3), ident)
+    assert info.value.args == ("the image of x must be a GradedPoly, not int",)
+    with pytest.raises(ChartMismatch) as info:
+        CoordMap(R11, ident, {"x": GradedPoly.var(R12, "x"), "xi": GradedPoly.var(R12, "xi1")})
+    assert info.value.args == ("image of x on wrong chart",)
+    assert kernel == []
 
 
 def _triangular_map(rng, chart):

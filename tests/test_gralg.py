@@ -349,14 +349,21 @@ def test_equal_operators_and_densities_hash_equal(rng):
 
 def test_first_power_is_the_base_with_no_product(count_calls):
     """x^1 starts at its one factor: no GradedPoly.__mul__ call, and the
-    value is x, for polynomials, operators and densities; x^3 takes two."""
+    value is x, for polynomials, operators and densities; x^3 takes two.
+    Only x^0 forms the unit, by the type's _lift."""
     p = rand_poly(random.Random("first power"), R12, 2) + GradedPoly.var(R12, "x")
     D = DiffOp.mult(p) + DiffOp.deriv(R12, "xi1")
     psi = DensityElement(R12, {Fraction(1, 2): p})
     products = count_calls(GradedPoly, "__mul__")
+    units = [count_calls(cls, "_lift") for cls in (GradedPoly, DiffOp, DensityElement)]
     assert p ** 1 == p and D ** 1 == D and psi ** 1 == psi
     assert products == []
     assert p ** 3 == p * p * p and len(products) == 2 + 2
+    assert D ** 2 == D * D and psi ** 2 == psi * psi
+    assert units == [[], [], []]
+    one = GradedPoly.one(R12)
+    assert (p ** 0, D ** 0, psi ** 0) == (one, DiffOp.identity(R12), DensityElement.from_poly(one))
+    assert [len(calls) for calls in units] == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------

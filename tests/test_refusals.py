@@ -106,6 +106,15 @@ _REFUSALS = [
     pytest.param(lambda: square_bracket(_d(R11, "xi"), [XI]),
                  ChartMismatch, "bracket argument on a different chart",
                  id="square_bracket before its envelope: bracket argument on a different chart"),
+    # brackets: an argument that is not a polynomial is refused by its type
+    pytest.param(lambda: higher_bracket(_d(R11, "xi"), [1]), TypeError,
+                 "a bracket argument must be a GradedPoly, not int",
+                 id="higher_bracket: a bracket argument must be a GradedPoly, not int"),
+    pytest.param(lambda: jacobiator(_d(R11, "xi"), [_v(R11, "x"), 2]), TypeError,
+                 "a bracket argument must be a GradedPoly, not int",
+                 id="jacobiator: a bracket argument must be a GradedPoly, not int"),
+    (lambda: square_bracket(_d(R11, "xi"), [None]), TypeError,
+     "a bracket argument must be a GradedPoly, not NoneType"),
     # diffop: operands on different charts, conjugation preconditions
     (lambda: ID11 + ID12, ChartMismatch, "operators on different charts"),
     (lambda: ID11.apply(ONE12), ChartMismatch, "operand on wrong chart"),
