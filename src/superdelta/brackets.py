@@ -50,8 +50,8 @@ import itertools
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-from .gralg import (_ONE, Chart, ChartMismatch, GradedPoly, Key, ParityError, _deg, _derive,
-                    _envelope, _key_names, _keys_upto, _mul_keys, _polynomial)
+from .gralg import (_ONE, Chart, GradedPoly, Key, ParityError, _deg, _derive, _envelope,
+                    _key_names, _keys_upto, _mul_keys, _operand)
 from .diffop import DiffOp, _leibniz, _on_one, compose, specialize
 
 __all__ = [
@@ -112,12 +112,12 @@ def shuffles(k: int, l: int) -> list[tuple[int, ...]]:
 # higher brackets of operators
 
 
-def _check_charts(Delta: DiffOp, args: Sequence[GradedPoly]):
-    """Refuse an argument that is not a polynomial, by its type, or one on
-    another chart, before a shortcut skips it."""
+def _check_operands(Delta: DiffOp, args: Sequence[GradedPoly]):
+    """Refuse a generator that is not an operator, and an argument that is
+    not a polynomial on its chart, before a shortcut skips it."""
+    chart = _operand(Delta, DiffOp, "the generator Delta").chart
     for a in args:
-        if _polynomial(a, "a bracket argument").chart != Delta.chart:
-            raise ChartMismatch("bracket argument on a different chart")
+        _operand(a, GradedPoly, "a bracket argument", chart)
 
 
 class _Tables(dict):
@@ -174,7 +174,7 @@ def higher_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     Multilinear; the kernel expands each argument monomial by monomial, so
     inhomogeneous arguments need no splitting.  The 0-ary bracket is the
     background Delta 1, read off the terms."""
-    _check_charts(Delta, args)
+    _check_operands(Delta, args)
     if Delta.parity() is None:
         raise ParityError("bracket generator must be homogeneous")
     if not args:
@@ -188,7 +188,7 @@ def square_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     with key within the envelope of the arguments, so compose forms only
     those; Delta^2 is formed whole when its parity is in doubt, so that
     higher_bracket refuses an inhomogeneous square."""
-    _check_charts(Delta, args)  # before _envelope reads them
+    _check_operands(Delta, args)  # before _envelope reads them
     if Delta.parity() is None:
         return higher_bracket(compose(Delta, Delta), args)
     return higher_bracket(compose(Delta, Delta, floor=len(args),
@@ -208,7 +208,7 @@ def jacobiator(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     and J^n = 0 for n >= 2r with no shuffle enumerated.  Every bracket is
     sum_I c_I P_I from the kernel, the outer {{a_S}, a_R} taken directly:
     the shuffles share the tables P_rest(a_R) it expands the inner one over."""
-    _check_charts(Delta, args)
+    _check_operands(Delta, args)
     pars = [a.parity() for a in args]
     if None in pars:
         raise ParityError("Jacobiator arguments must be homogeneous")
@@ -544,7 +544,7 @@ def linfty_check(Delta: DiffOp, n_max: int = 4) -> LInftyReport:
     a nonzero polynomial.  If Q0 = 0 every
     Jacobiator vanishes at weight 0, no witness exists and, unless Q = 0,
     the report is not certified."""
-    if Delta.parity() != 1:
+    if _operand(Delta, DiffOp, "the generator Delta").parity() != 1:
         raise ParityError("homotopy certification expects an odd operator")
     chart, sq = Delta.chart, compose(Delta, Delta)
     r = sq.order()

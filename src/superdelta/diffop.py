@@ -34,7 +34,6 @@ from typing import Callable, Mapping
 from .gralg import (
     EVEN,
     Chart,
-    ChartMismatch,
     DensityElement,
     GradedPoly,
     Key,
@@ -48,8 +47,8 @@ from .gralg import (
     _key,
     _keys_upto,
     _mul_keys,
+    _operand,
     _parity,
-    _polynomial,
     _power,
     _rational,
     _unit,
@@ -92,8 +91,7 @@ class DiffOp(_Value):
                     raise TypeError(f"a W-power must be an int, not {type(k).__name__}")
                 if k < 0:
                     raise ValueError(f"a W-power must be non-negative, not {k}")
-                if _polynomial(p, "an operator coefficient").chart != chart:
-                    raise ChartMismatch("operator coefficient on wrong chart")
+                _operand(p, GradedPoly, "an operator coefficient", chart)
         self.chart, self.terms, self._par = chart, _pruned(terms or {}), _UNWALKED
 
     @staticmethod
@@ -112,7 +110,7 @@ class DiffOp(_Value):
     @staticmethod
     def mult(p: GradedPoly) -> "DiffOp":
         """Left multiplication operator by p."""
-        p = _polynomial(p, "an operator coefficient")
+        p = _operand(p, GradedPoly, "an operator coefficient")
         return DiffOp._of(p.chart, _pruned({_unit(p.chart): {0: p}}))
 
     @staticmethod
@@ -165,10 +163,6 @@ class DiffOp(_Value):
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check(self, other: "DiffOp"):
-        if self.chart != other.chart:
-            raise ChartMismatch("operators on different charts")
-
     def _lift(self, x) -> "DiffOp | None":
         p = _as_poly(self.chart, x)
         return None if p is None else DiffOp.mult(p)
@@ -213,8 +207,7 @@ class DiffOp(_Value):
 
     def apply(self, psi):
         """Apply to a DensityElement, or to a GradedPoly at weight 0."""
-        if psi.chart != self.chart:
-            raise ChartMismatch("operand on wrong chart")
+        _operand(psi, (GradedPoly, DensityElement), "the operand psi", self.chart)
         poly, out = isinstance(psi, GradedPoly), {}
         for w, comp in ({0: psi} if poly else psi.parts).items():
             # sum c d^key(comp); at w = 0 c is wp[0], nonzero if present
@@ -344,10 +337,9 @@ def compose(D: DiffOp, E: DiffOp, *, floor: int = 0, bound: Key | None = None) -
     sigma(D)^2 = 0 (module docstring) key by key and are left out, also
     under a bound, within which a free term d^{I+J} has both I and J.  The
     test is identity, not equality: the result is the same either way."""
-    if D.chart != E.chart:
-        raise ChartMismatch("operators on different charts")
+    chart = _operand(D, DiffOp, "the operator D").chart
+    _operand(E, DiffOp, "the operator E", chart)
     odd = E is D and D.parity() == 1
-    chart = D.chart
     sums: _Sums = {}
     caps = None if bound is None else {J: (tuple(b - j for b, j in zip(bound[0], J[0])), tuple(
         i for i in bound[1] if i not in J[1])) for J in E.terms if _within(J, bound)}
@@ -363,8 +355,7 @@ def compose(D: DiffOp, E: DiffOp, *, floor: int = 0, bound: Key | None = None) -
 def commutator(D: DiffOp, E: DiffOp) -> DiffOp:
     """Graded commutator [D,E] = DE - (-1)^{parity D * parity E} ED,
     extended bilinearly to inhomogeneous operators."""
-    if D.chart != E.chart:
-        raise ChartMismatch("operators on different charts")
+    _operand(E, DiffOp, "the operator E", _operand(D, DiffOp, "the operator D").chart)
     out = DiffOp.zero(D.chart)
     for pd, Dp in D.homogeneous_parts():
         for pe, Ep in E.homogeneous_parts():
@@ -382,8 +373,7 @@ def ad_mult(D: DiffOp, a: GradedPoly) -> DiffOp:
     |D| = |c| + |I_odd| for that term.  So that term cancels exactly and
     [D, a.] is the sum of the others.  Linear in a, so an inhomogeneous a
     is split by linearity, as in commutator."""
-    if D.chart != a.chart:
-        raise ChartMismatch("operator and polynomial on different charts")
+    _operand(a, GradedPoly, "the polynomial a", _operand(D, DiffOp, "the operator D").chart)
     chart, sums, right = D.chart, {}, [(_unit(D.chart), {0: a}, None)]
     for I, wp in D.terms.items():
         _add_leibniz(sums, chart, I, right, wp, free=False)
@@ -459,6 +449,7 @@ def op_from_action(chart: Chart, action: Callable[[GradedPoly], GradedPoly],
         if val.is_zero():
             continue
         # d^key applied to its own monomial is +-prod e_i!, never 0
-        c = _polynomial(val, "an operator coefficient") * (_ONE / _derive(key, m).constant_term())
+        c = _operand(val, GradedPoly, "an operator coefficient") \
+            * (_ONE / _derive(key, m).constant_term())
         result = result + DiffOp._of(chart, {key: {0: c}})
     return result

@@ -24,7 +24,6 @@ from .gralg import (
     EVEN,
     ODD,
     Chart,
-    ChartMismatch,
     DensityElement,
     DomainError,
     GradedPoly,
@@ -36,7 +35,7 @@ from .gralg import (
     _key,
     _key_names,
     _odd_degree_part,
-    _polynomial,
+    _operand,
     _rational,
     _substitute,
     _unit,
@@ -89,9 +88,11 @@ class VBracketData(_VBracketFields):
     on the algebra of densities, together with the bracket parity eps.
 
     The constructor refuses a parity eps that is not the int 0 or 1 (a
-    bool included), drops zero entries of S and gamma, completes a
-    partially given S by the forced graded symmetry and rejects entries
-    that contradict it or carry wrong parity.  An immutable record.
+    bool included), an entry of S or gamma at a name that is not a chart
+    variable, and an entry or theta that is not a polynomial on the chart;
+    it drops zero entries of S and gamma, completes a partially given S by
+    the forced graded symmetry and rejects entries that contradict it or
+    carry wrong parity.  An immutable record.
     """
 
     __slots__ = ()
@@ -109,9 +110,10 @@ class VBracketData(_VBracketFields):
             raise BracketDataError(f"a bracket parity must be the int 0 or 1, not {eps!r}")
         full: SMatrix = {}
         for (a, b), p in S.items():
-            if p.chart != chart:
-                raise ChartMismatch("S entry on wrong chart")
-            if p.is_zero():
+            for v in (a, b):
+                if v not in chart.names:
+                    raise BracketDataError(f"unknown variable {v!r} in S")
+            if _operand(p, GradedPoly, f"S[{a},{b}]", chart).is_zero():
                 continue
             want = (eps + chart.parity(a) + chart.parity(b)) % 2
             if p.parity() != want:
@@ -128,11 +130,14 @@ class VBracketData(_VBracketFields):
                 full[(b, a)] = expected
             elif mirror != expected:
                 raise BracketDataError(f"S[{a},{b}] breaks graded symmetry")
-        gamma = {a: p for a, p in gamma.items() if not p.is_zero()}
         for a, p in gamma.items():
-            if p.parity() != (eps + chart.parity(a)) % 2:
+            if a not in chart.names:
+                raise BracketDataError(f"unknown variable {a!r} in gamma")
+            if _operand(p, GradedPoly, f"gamma[{a}]", chart).terms \
+                    and p.parity() != (eps + chart.parity(a)) % 2:
                 raise BracketDataError(f"gamma[{a}] has wrong parity")
-        if not theta.is_zero() and theta.parity() != eps:
+        gamma = {a: p for a, p in gamma.items() if p.terms}
+        if _operand(theta, GradedPoly, "theta", chart).terms and theta.parity() != eps:
             raise BracketDataError("theta has wrong parity")
         return super().__new__(cls, chart, eps, full, gamma, theta)
 
@@ -483,7 +488,7 @@ def classify_square(D: DiffOp) -> str:
 def _classify(D: DiffOp) -> tuple[str, LInftyReport]:
     """classify_square's level, read off the report of linfty_check, which
     forms Delta^2 once."""
-    if D.parity() != ODD:
+    if _operand(D, DiffOp, "the operator D").parity() != ODD:
         raise ParityError("classification requires an odd operator")
     if not D.order_leq(2):
         raise DomainError("classification requires order <= 2")
@@ -583,22 +588,24 @@ class _CoordMapFields(NamedTuple):
 class CoordMap(_CoordMapFields):
     """A coordinate change x' = phi(x) on a fixed chart, of the form
     "constant invertible body plus nilpotent (odd-containing) corrections",
-    with the inverse supplied and checked, once: each image must be a
-    polynomial on the chart, of its variable's parity, before the round trip
-    runs, and push substitutes through the trusted kernel gralg._substitute.
-    An immutable record."""
+    with the inverse supplied and checked, once: each map must send every
+    chart variable, and no other name, to a polynomial on the chart of the
+    variable's parity before the round trip runs, and push substitutes
+    through the trusted kernel gralg._substitute.  An immutable record."""
 
     __slots__ = ()
 
     def __new__(cls, chart: Chart, fwd: Mapping[str, GradedPoly],
                 inv: Mapping[str, GradedPoly]):
+        for m in (fwd, inv):
+            for name in m:
+                if name not in chart.names:
+                    raise CoordMapError(f"unknown variable {name!r} in the map")
         for name in chart.names:
             for m in (fwd, inv):
                 if name not in m:
                     raise CoordMapError(f"map must list every variable ({name})")
-                im = _polynomial(m[name], f"the image of {name}")
-                if im.chart != chart:
-                    raise ChartMismatch(f"image of {name} on wrong chart")
+                im = _operand(m[name], GradedPoly, f"the image of {name}", chart)
                 if im.terms and im.parity() != chart.parity(name):
                     raise CoordMapError(f"image of {name} has wrong parity")
         # round trip check on the generators
@@ -704,10 +711,9 @@ def transform_op(D: DiffOp, cmap: CoordMap) -> DiffOp:
     field at a time by the Leibniz rule; W is central and stays with its
     coefficient.  The field of d_a carries W d_a log Ber: conjugation by the
     density factor e^{W log Ber}, even, adds just that, so none follows.
-    An operator on another chart than the map's is refused."""
-    if D.chart != cmap.chart:
-        raise ChartMismatch("operator and coordinate map on different charts")
-    chart = D.chart
+    A map on another chart than the operator's is refused."""
+    chart = _operand(D, DiffOp, "the operator D").chart
+    _operand(cmap, CoordMap, "the coordinate map", chart)
     push = cmap.push
     J = cmap.jacobian()
     L = _log_berezinian(chart, J)

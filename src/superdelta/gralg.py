@@ -10,7 +10,7 @@ The kernel contract, one rule for the three value types: a polynomial
 coefficient is a nonzero ``Fraction``, and a density component or operator
 coefficient a nonzero ``GradedPoly`` on the value's chart.  The public
 constructors check what they are given (keys by ``_check_key``, numbers by
-``_rational``, polynomials by ``_polynomial``) and drop zeros; each type's
+``_rational``, operands by ``_operand``) and drop zeros; each type's
 private ``_of`` is trusted: it builds every value the engine computes,
 unchecked.  The ``.terms`` layouts (here and in ``DiffOp``) are read by the
 benchmark under ``bench/``, and every polynomial-by-polynomial product goes
@@ -211,10 +211,16 @@ def _rational(x, what: str) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
-def _polynomial(x, what: str) -> "GradedPoly":
-    """x if it is a GradedPoly; anything else is refused, naming its type."""
-    if not isinstance(x, GradedPoly):
-        raise TypeError(f"{what} must be a GradedPoly, not {type(x).__name__}")
+def _operand(x, kind, what: str, chart: Chart | None = None):
+    """The one check of an operand at a public entry: x if it is a ``kind``
+    (a class, or a tuple of classes) and, when ``chart`` is given, lies on
+    it.  Otherwise a TypeError "{what} must be a {kind}, not {type}" or a
+    ChartMismatch "{what} on another chart", ``what`` naming the operand."""
+    if not isinstance(x, kind):
+        kinds = " or ".join(k.__name__ for k in (kind if type(kind) is tuple else (kind,)))
+        raise TypeError(f"{what} must be a {kinds}, not {type(x).__name__}")
+    if chart is not None and x.chart != chart:
+        raise ChartMismatch(f"{what} on another chart")
     return x
 
 
@@ -475,24 +481,18 @@ def substitute(p: GradedPoly, images: Mapping[str, GradedPoly],
                target: Chart | None = None) -> GradedPoly:
     """Algebra morphism sending each variable to its image.  Variables not
     listed map to themselves (same-chart substitutions only in that case).
-    Images must preserve parity."""
-    charts = {im.chart for im in images.values()}
-    if target is None:
-        target = charts.pop() if charts else p.chart
-    full: dict[str, GradedPoly] = {}
-    for name in p.chart.names:
-        if name in images:
-            im = images[name]
-            if im.chart != target:
-                raise ChartMismatch("substitution images on mixed charts")
-            if not im.is_zero() and im.parity() != p.chart.parity(name):
-                raise ParityError(
-                    f"image of {name!r} must have parity {p.chart.parity(name)}"
-                )
-            full[name] = im
-        else:
-            full[name] = GradedPoly.var(target, name)
-    return _substitute(p, full, target)
+    Images must be polynomials of their variable's parity, all on target,
+    which is the first image's chart when not given."""
+    chart = _operand(p, GradedPoly, "the polynomial p").chart
+    for name, im in images.items():
+        if name not in chart.names:
+            raise DomainError(f"unknown variable {name!r} in the images")
+        target = _operand(im, GradedPoly, f"the image of {name}", target).chart
+        if im.terms and im.parity() != chart.parity(name):
+            raise ParityError(f"image of {name!r} must have parity {chart.parity(name)}")
+    target = chart if target is None else target
+    return _substitute(p, {name: images[name] if name in images else GradedPoly.var(target, name)
+                           for name in chart.names}, target)
 
 
 def _substitute(p: GradedPoly, images: Mapping[str, GradedPoly],
@@ -531,9 +531,7 @@ class DensityElement(_Value):
         clean: dict[Fraction, GradedPoly] = {}
         for w, p in (parts or {}).items():
             w = _rational(w, "weight")
-            if _polynomial(p, "a density component").chart != chart:
-                raise ChartMismatch("component on wrong chart")
-            if p.terms:
+            if _operand(p, GradedPoly, "a density component", chart).terms:
                 clean[w] = p
         self.chart, self.parts = chart, clean
 
@@ -550,7 +548,7 @@ class DensityElement(_Value):
 
     @staticmethod
     def from_poly(p: GradedPoly, w=0) -> "DensityElement":
-        w, p = _rational(w, "weight"), _polynomial(p, "a density component")
+        w, p = _rational(w, "weight"), _operand(p, GradedPoly, "a density component")
         return DensityElement._of(p.chart, {w: p} if p.terms else {})
 
     def component(self, w) -> GradedPoly:

@@ -182,3 +182,47 @@ def test_no_engine_module_imports_the_oracle():
     found = [p.name for p in sorted(SRC.glob("*.py")) if p.name != "oracle.py"
              and "superdelta.oracle" in _imported(ast.parse(p.read_text(), str(p)))]
     assert found == []
+
+
+# The one place each chart check lives: gralg._operand checks an operand at a
+# public entry, and gralg._Value._check, inline, the operands of arithmetic.
+CHART_CHECKS = {("gralg.py", "_operand"), ("gralg.py", "_Value._check")}
+
+
+def _chart_mismatch_raises(tree: ast.AST) -> list[tuple[str, int]]:
+    """(qualified scope, line) of every raise of ChartMismatch in tree."""
+    found = []
+
+    def visit(node: ast.AST, scope: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, DEFS):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(exc, "id", None) == "ChartMismatch":
+                    found.append((scope or "<module>", child.lineno))
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_one_operand_check():
+    """Outside the oracle, ChartMismatch is raised only by gralg._operand
+    and gralg._Value._check, and no module names the _polynomial check
+    _operand replaced: a public entry checks its operands by one call."""
+    sample = ast.parse("class A:\n    def f(self):\n        raise ChartMismatch('m')\n"
+                       "def g():\n    raise ChartMismatch\n")
+    assert _chart_mismatch_raises(sample) == [("A.f", 3), ("g", 5)]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{line} {scope}" for scope, line in _chart_mismatch_raises(tree)
+                  if (path.name, scope) not in CHART_CHECKS]
+        if "_polynomial" in _names(tree) + [d.name for d in ast.walk(tree)
+                                            if isinstance(d, DEFS)]:
+            found.append(f"{path.name}: _polynomial")
+    assert found == [], "\n".join(found)

@@ -774,7 +774,7 @@ def test_coordinate_map_refuses_foreign_images(count_calls):
     assert info.value.args == ("the image of x must be a GradedPoly, not int",)
     with pytest.raises(ChartMismatch) as info:
         CoordMap(R11, ident, {"x": GradedPoly.var(R12, "x"), "xi": GradedPoly.var(R12, "xi1")})
-    assert info.value.args == ("image of x on wrong chart",)
+    assert info.value.args == ("the image of x on another chart",)
     assert kernel == []
 
 

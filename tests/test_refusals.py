@@ -19,6 +19,7 @@ from superdelta.brackets import (
     LieSuperAlgebraInstance,
     higher_bracket,
     jacobiator,
+    linfty_check,
     matrix_of,
     matrix_oracle_instance,
     square_bracket,
@@ -35,8 +36,10 @@ from superdelta.dsl import render
 from superdelta.geom import (
     BracketDataError,
     CoordMap,
+    CoordMapError,
     VBracketData,
     act_on_w_densities,
+    classify_square,
     cotangent_chart,
     principal_matrix,
     transform_data,
@@ -59,10 +62,14 @@ def _d(chart, name):
 
 
 ONE11, ONE12 = GradedPoly.one(R11), GradedPoly.one(R12)
+ZERO11 = GradedPoly.zero(R11)
 ID11, ID12 = DiffOp.identity(R11), DiffOp.identity(R12)
 UNIT11 = ((0,), ())  # the key of 1 on (1|1)
 _IDENTITY11 = {v: _v(R11, v) for v in R11.names}
 MAP11 = CoordMap(R11, _IDENTITY11, _IDENTITY11)  # the identity map on (1|1)
+_IDENTITY12 = {v: _v(R12, v) for v in R12.names}
+MAP12 = CoordMap(R12, _IDENTITY12, _IDENTITY12)
+D11 = _d(R11, "xi")  # an odd generator on (1|1)
 # S on (1|2) that checks as even at any even eps, read as odd by an eps of 2
 S12 = {("xi1", "xi2"): _v(R12, "x") * _v(R12, "xi1") * _v(R12, "xi2") + _v(R12, "x")}
 # an argument on (0|2) for a generator on (1|1)
@@ -91,21 +98,32 @@ _REFUSALS = [
     # brackets: an argument on another chart is refused before any shortcut
     # to 0 (a zero generator, more arguments than its order, a zero
     # argument); rows sharing a message take their own ids
-    pytest.param(lambda: higher_bracket(DiffOp.zero(R11), [XI]),
-                 ChartMismatch, "bracket argument on a different chart",
-                 id="higher_bracket of 0: bracket argument on a different chart"),
-    pytest.param(lambda: higher_bracket(_d(R11, "x"), [XI, XI]),
-                 ChartMismatch, "bracket argument on a different chart",
-                 id="higher_bracket past the order: bracket argument on a different chart"),
-    pytest.param(lambda: higher_bracket(_d(R11, "x"), [XI, GradedPoly.zero(R11)]),
-                 ChartMismatch, "bracket argument on a different chart",
-                 id="higher_bracket with a zero argument: bracket argument on a different chart"),
-    pytest.param(lambda: jacobiator(DiffOp.zero(R11), [XI]),
-                 ChartMismatch, "bracket argument on a different chart",
-                 id="jacobiator of 0: bracket argument on a different chart"),
-    pytest.param(lambda: square_bracket(_d(R11, "xi"), [XI]),
-                 ChartMismatch, "bracket argument on a different chart",
-                 id="square_bracket before its envelope: bracket argument on a different chart"),
+    *(pytest.param(call, ChartMismatch, "a bracket argument on another chart",
+                   id=f"{name}: a bracket argument on another chart")
+      for name, call in (
+          ("higher_bracket of 0", lambda: higher_bracket(DiffOp.zero(R11), [XI])),
+          ("higher_bracket past the order", lambda: higher_bracket(_d(R11, "x"), [XI, XI])),
+          ("higher_bracket with a zero argument",
+           lambda: higher_bracket(_d(R11, "x"), [XI, GradedPoly.zero(R11)])),
+          ("jacobiator of 0", lambda: jacobiator(DiffOp.zero(R11), [XI])),
+          ("square_bracket before its envelope",
+           lambda: square_bracket(_d(R11, "xi"), [XI])))),
+    # brackets and geom: a generator or operator that is not a DiffOp is
+    # refused by its type, before its parity or order is read
+    *(pytest.param(call, TypeError, message, id=f"{name}: {message}")
+      for name, call, message in (
+          ("higher_bracket", lambda: higher_bracket(None, [ONE11]),
+           "the generator Delta must be a DiffOp, not NoneType"),
+          ("jacobiator", lambda: jacobiator(_v(R11, "x"), [_v(R11, "x")]),
+           "the generator Delta must be a DiffOp, not GradedPoly"),
+          ("square_bracket", lambda: square_bracket(3, [ONE11]),
+           "the generator Delta must be a DiffOp, not int"),
+          ("linfty_check", lambda: linfty_check(None),
+           "the generator Delta must be a DiffOp, not NoneType"),
+          ("classify_square", lambda: classify_square(None),
+           "the operator D must be a DiffOp, not NoneType"),
+          ("transform_op", lambda: transform_op(None, MAP11),
+           "the operator D must be a DiffOp, not NoneType"))),
     # brackets: an argument that is not a polynomial is refused by its type
     pytest.param(lambda: higher_bracket(_d(R11, "xi"), [1]), TypeError,
                  "a bracket argument must be a GradedPoly, not int",
@@ -116,12 +134,14 @@ _REFUSALS = [
     (lambda: square_bracket(_d(R11, "xi"), [None]), TypeError,
      "a bracket argument must be a GradedPoly, not NoneType"),
     # diffop: operands on different charts, conjugation preconditions
-    (lambda: ID11 + ID12, ChartMismatch, "operators on different charts"),
-    (lambda: ID11.apply(ONE12), ChartMismatch, "operand on wrong chart"),
-    (lambda: compose(ID11, ID12), ChartMismatch, "operators on different charts"),
-    (lambda: commutator(ID11, ID12), ChartMismatch, "operators on different charts"),
-    (lambda: ad_mult(ID11, ONE12), ChartMismatch,
-     "operator and polynomial on different charts"),
+    pytest.param(lambda: ID11 + ID12, ChartMismatch, "operands live on different charts",
+                 id="DiffOp + DiffOp: operands live on different charts"),
+    (lambda: ID11.apply(ONE12), ChartMismatch, "the operand psi on another chart"),
+    *(pytest.param(call, ChartMismatch, "the operator E on another chart",
+                   id=f"{name}: the operator E on another chart")
+      for name, call in (("compose", lambda: compose(ID11, ID12)),
+                         ("commutator", lambda: commutator(ID11, ID12)))),
+    (lambda: ad_mult(ID11, ONE12), ChartMismatch, "the polynomial a on another chart"),
     (lambda: conjugate_by_exp(_d(R11, "x"), _v(R11, "xi")), ParityError,
      "conjugation exponent must be even"),
     # diffop: the public constructor takes W-powers that are non-negative
@@ -135,7 +155,7 @@ _REFUSALS = [
     (lambda: DiffOp(R11, {UNIT11: {0: 1}}), TypeError,
      "an operator coefficient must be a GradedPoly, not int"),
     (lambda: DiffOp(R11, {UNIT11: {0: _v(R12, "xi2")}}), ChartMismatch,
-     "operator coefficient on wrong chart"),
+     "an operator coefficient on another chart"),
     # gralg and diffop: the public constructors take keys in the chart's
     # layout only; rows sharing a message take their own ids
     *(pytest.param(lambda make=make, key=key: make(key), KeyLayoutError, message,
@@ -158,14 +178,26 @@ _REFUSALS = [
                       "not ('x', ())"))),
     # geom: bracket data, symbols, divergence constructions
     (lambda: VBracketData(R11, 1, {("x", "xi"): ONE12}, {}, GradedPoly.zero(R11)),
-     ChartMismatch, "S entry on wrong chart"),
+     ChartMismatch, "S[x,xi] on another chart"),
+    # geom: a gamma entry or theta that is not a polynomial on the chart, and
+    # a name in S or gamma that is not a chart variable
+    *(pytest.param(lambda S=S, gamma=gamma, theta=theta: VBracketData(R11, 1, S, gamma, theta),
+                   exc, message, id=f"VBracketData: {message}")
+      for S, gamma, theta, exc, message in (
+          ({}, {"x": _v(R12, "xi1")}, ZERO11, ChartMismatch, "gamma[x] on another chart"),
+          ({}, {}, _v(R12, "xi1"), ChartMismatch, "theta on another chart"),
+          ({}, {"x": 3}, ZERO11, TypeError, "gamma[x] must be a GradedPoly, not int"),
+          ({}, {}, None, TypeError, "theta must be a GradedPoly, not NoneType"),
+          ({}, {"y": _v(R11, "xi")}, ZERO11, BracketDataError,
+           "unknown variable 'y' in gamma"),
+          ({("x", "y"): ONE11}, {}, ZERO11, BracketDataError, "unknown variable 'y' in S"))),
     *((lambda eps=eps: VBracketData(R12, eps, S12, {}, GradedPoly.zero(R12)),
        BracketDataError, f"a bracket parity must be the int 0 or 1, not {eps!r}")
       for eps in (2, -1, True, 1.0)),
     # geom: a coordinate change on another chart, refused at transform_op's
     # entry, which transform_data goes through
-    *(pytest.param(call, ChartMismatch, "operator and coordinate map on different charts",
-                   id=f"{name}: operator and coordinate map on different charts")
+    *(pytest.param(call, ChartMismatch, "the coordinate map on another chart",
+                   id=f"{name}: the coordinate map on another chart")
       for name, call in (
           ("transform_op", lambda: transform_op(_d(R22, "y"), MAP11)),
           ("transform_data", lambda: transform_data(
@@ -195,8 +227,15 @@ _REFUSALS = [
     # gralg: charts, substitution, densities, the Berezin integral
     (lambda: R11.parity("nope"), KeyError, "unknown variable 'nope'"),
     (lambda: substitute(_v(R11, "x"), {"x": _v(R11, "x"), "xi": _v(R12, "xi1")}),
-     ChartMismatch, "substitution images on mixed charts"),
-    (lambda: DensityElement(R11, {0: ONE12}), ChartMismatch, "component on wrong chart"),
+     ChartMismatch, "the image of xi on another chart"),
+    (lambda: substitute(_v(R11, "x"), {"x": 3}), TypeError,
+     "the image of x must be a GradedPoly, not int"),
+    (lambda: substitute(_v(R11, "x"), {"y": _v(R11, "x")}), DomainError,
+     "unknown variable 'y' in the images"),
+    (lambda: CoordMap(R11, {**_IDENTITY11, "y": 3}, _IDENTITY11), CoordMapError,
+     "unknown variable 'y' in the map"),
+    (lambda: DensityElement(R11, {0: ONE12}), ChartMismatch,
+     "a density component on another chart"),
     (lambda: DensityElement.from_poly(ONE11) + DensityElement.from_poly(ONE12, 1),
      ChartMismatch, "operands live on different charts"),
     # gralg and diffop: a density component or an operator coefficient that
@@ -255,3 +294,61 @@ def test_weight_is_an_int_or_a_fraction(name):
             call(w)
         assert info.value.args == (
             f"a weight must be an int or a Fraction, not {type(w).__name__}",)
+
+
+# One row per operand slot of a public call: (name, fill, foreign), where
+# name is "call: what", what the operand as the message names it, fill(v)
+# makes the call with v in that slot and valid values elsewhere, and
+# foreign is a value of the slot's type on another chart, or None when the
+# slot sets the chart the others must match.
+_SLOTS = [
+    ("compose: the operator D", lambda v: compose(v, ID11), None),
+    ("compose: the operator E", lambda v: compose(ID11, v), ID12),
+    ("commutator: the operator D", lambda v: commutator(v, ID11), None),
+    ("commutator: the operator E", lambda v: commutator(ID11, v), ID12),
+    ("ad_mult: the operator D", lambda v: ad_mult(v, ONE11), None),
+    ("ad_mult: the polynomial a", lambda v: ad_mult(ID11, v), ONE12),
+    ("DiffOp.apply: the operand psi", lambda v: ID11.apply(v),
+     DensityElement.from_poly(ONE12, 1)),
+    ("DiffOp: an operator coefficient", lambda v: DiffOp(R11, {UNIT11: {0: v}}), ONE12),
+    ("DiffOp.mult: an operator coefficient", DiffOp.mult, None),
+    ("DensityElement: a density component", lambda v: DensityElement(R11, {0: v}), ONE12),
+    ("DensityElement.from_poly: a density component", DensityElement.from_poly, None),
+    *((f"{f.__name__}: the generator Delta", lambda v, f=f: f(v, [ONE11]), None)
+      for f in (higher_bracket, square_bracket, jacobiator)),
+    *((f"{f.__name__}: a bracket argument", lambda v, f=f: f(D11, [_v(R11, "x"), v]), ONE12)
+      for f in (higher_bracket, square_bracket, jacobiator)),
+    ("linfty_check: the generator Delta", linfty_check, None),
+    ("classify_square: the operator D", classify_square, None),
+    ("transform_op: the operator D", lambda v: transform_op(v, MAP11), None),
+    ("transform_op: the coordinate map", lambda v: transform_op(ID11, v), MAP12),
+    ("substitute: the image of x",
+     lambda v: substitute(_v(R11, "x"), {"xi": _v(R11, "xi"), "x": v}), ONE12),
+    ("CoordMap forward: the image of x",
+     lambda v: CoordMap(R11, {**_IDENTITY11, "x": v}, _IDENTITY11), ONE12),
+    ("CoordMap inverse: the image of xi",
+     lambda v: CoordMap(R11, _IDENTITY11, {**_IDENTITY11, "xi": v}), _v(R12, "xi1")),
+    ("VBracketData: S[x,xi]", lambda v: VBracketData(R11, 1, {("x", "xi"): v}, {}, ZERO11),
+     ONE12),
+    ("VBracketData: gamma[x]", lambda v: VBracketData(R11, 1, {}, {"x": v}, ZERO11),
+     _v(R12, "xi1")),
+    ("VBracketData: theta", lambda v: VBracketData(R11, 1, {}, {}, v), _v(R12, "xi1")),
+]
+
+
+@pytest.mark.parametrize("name, fill, foreign", _SLOTS, ids=[name for name, *_ in _SLOTS])
+def test_a_foreign_operand_is_refused_by_name(name, fill, foreign):
+    """None and 3 in any slot are a TypeError naming the slot and the type,
+    and a value on another chart a ChartMismatch naming the slot, never an
+    AttributeError, KeyError or IndexError from inside the call."""
+    what = name.split(": ", 1)[1]
+    for v in (None, 3):
+        with pytest.raises(TypeError) as info:
+            fill(v)
+        message, = info.value.args
+        assert message.startswith(f"{what} must be a ") \
+            and message.endswith(f", not {type(v).__name__}"), message
+    if foreign is not None:
+        with pytest.raises(ChartMismatch) as info:
+            fill(foreign)
+        assert info.value.args == (f"{what} on another chart",)
