@@ -12,8 +12,15 @@ the background Delta 1.  The n-th Jacobiator is the shuffle sum
     J^n = sum_{k+l=n} sum_{(k,l)-shuffles s} sign(s) {{a_{s(1)}, ...,
           a_{s(k)}}, a_{s(k+1)}, ..., a_{s(n)}},
 
-with the pure Koszul permutation sign, and equals the n-th higher bracket
-generated by Delta^2.
+with the pure Koszul permutation sign.  It is the n-th higher bracket
+generated by Delta^2 less a sum of products of brackets of Delta,
+
+    J^n = {a_1, ..., a_n}_{Delta^2} - sum_{k=0}^{n} sum_{(k,l)-shuffles s}
+          sign(s) (-1)^{|Delta| |a_S|} {a_S} {a_R},
+
+S = s[:k] and R = s[k:], the 0-ary bracket being Delta 1.  The product sum
+is the polarization of {a}^2, so it vanishes for odd Delta, where J^n is
+the bracket of Delta^2; for even Delta it does not in general.
 
 One kernel evaluates every bracket.  [c D, a] = c [D, a] for a
 multiplication operator c, so with Delta = sum_I c_I d^I (W^0 coefficients
@@ -183,11 +190,11 @@ def higher_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
 
 
 def square_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
-    """The n-th higher bracket generated by Delta^2 (the right-hand side of
-    the Jacobiator identity).  The kernel reads only the terms of order >= n
-    with key within the envelope of the arguments, so compose forms only
-    those; Delta^2 is formed whole when its parity is in doubt, so that
-    higher_bracket refuses an inhomogeneous square."""
+    """The n-th higher bracket generated by Delta^2, the n-th Jacobiator of
+    an odd Delta (module docstring).  The kernel reads only the terms of
+    order >= n with key within the envelope of the arguments, so compose
+    forms only those; Delta^2 is formed whole when its parity is in doubt,
+    so that higher_bracket refuses an inhomogeneous square."""
     _check_operands(Delta, args)  # before _envelope reads them
     if Delta.parity() is None:
         return higher_bracket(compose(Delta, Delta), args)

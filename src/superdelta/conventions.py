@@ -55,5 +55,8 @@ Higher derived brackets
   Jacobiator: J^n = sum over k+l = n and (k,l)-shuffles s of
   sign(s) {{a_{s(1)},...,a_{s(k)}}, a_{s(k+1)},...,a_{s(n)}} with the PURE
   Koszul permutation sign (no extra arity-dependent sign); then
-  J^n_Delta = {...}_{Delta^2} holds identically.
+  J^n_Delta = {...}_{Delta^2} - sum over k and s of
+  sign(s) (-1)^{p(Delta) p(a_S)} {a_S} {a_R}, S = s(1..k), R = s(k+1..n),
+  {a_S} = Delta 1 for k = 0; the product sum vanishes for odd Delta, so there
+  J^n_Delta = {...}_{Delta^2}.
 """

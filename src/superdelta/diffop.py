@@ -40,7 +40,6 @@ from .gralg import (
     ParityError,
     _ONE,
     _Value,
-    _as_poly,
     _check_key,
     _deg,
     _derive,
@@ -104,14 +103,12 @@ class DiffOp(_Value):
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(chart: Chart) -> "DiffOp":
-        return DiffOp._of(chart, {})
-
-    @staticmethod
     def mult(p: GradedPoly) -> "DiffOp":
         """Left multiplication operator by p."""
         p = _operand(p, GradedPoly, "an operator coefficient")
         return DiffOp._of(p.chart, _pruned({_unit(p.chart): {0: p}}))
+
+    _from_poly = mult
 
     @staticmethod
     def const(chart: Chart, c) -> "DiffOp":
@@ -131,9 +128,6 @@ class DiffOp(_Value):
         return DiffOp._of(chart, {_unit(chart): {1: GradedPoly.one(chart)}})
 
     # -- structure ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def uses_weight(self) -> bool:
         return any(k != 0 for wp in self.terms.values() for k in wp)
@@ -163,10 +157,6 @@ class DiffOp(_Value):
 
     # -- arithmetic --------------------------------------------------------
 
-    def _lift(self, x) -> "DiffOp | None":
-        p = _as_poly(self.chart, x)
-        return None if p is None else DiffOp.mult(p)
-
     def __add__(self, other):
         if not isinstance(other, DiffOp) and (other := self._lift(other)) is None:
             return NotImplemented
@@ -192,12 +182,8 @@ class DiffOp(_Value):
             return NotImplemented
         return compose(self, other)
 
-    def __eq__(self, other):
-        if not isinstance(other, DiffOp) and (other := self._lift(other)) is None:
-            return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
-
     def __hash__(self):
+        """As _Value's, with each coefficient's W-powers sorted too."""
         items = tuple(
             (k, tuple(sorted(wp.items()))) for k, wp in sorted(self.terms.items())
         )
@@ -209,7 +195,7 @@ class DiffOp(_Value):
         """Apply to a DensityElement, or to a GradedPoly at weight 0."""
         _operand(psi, (GradedPoly, DensityElement), "the operand psi", self.chart)
         poly, out = isinstance(psi, GradedPoly), {}
-        for w, comp in ({0: psi} if poly else psi.parts).items():
+        for w, comp in ({0: psi} if poly else psi.terms).items():
             # sum c d^key(comp); at w = 0 c is wp[0], nonzero if present
             out[w] = GradedPoly._sum(self.chart, [
                 c * d for key, wp in self.terms.items() if (d := _derive(key, comp)).terms

@@ -141,7 +141,7 @@ class Module:
 def _simplify_element(v):
     """A density element with no t-component of nonzero weight becomes its
     weight-0 polynomial."""
-    if isinstance(v, DensityElement) and set(v.parts) <= {0}:
+    if isinstance(v, DensityElement) and set(v.terms) <= {0}:
         return v.component(0)
     return v
 
@@ -347,7 +347,7 @@ class _Parser:
         self.expect("=")
         if kind == "density":
             self.m.densities[name] = self.scope[name] = self._build(
-                kw, _as_sigma, self._t_free("a log-volume"))
+                kw, _as_sigma, self._t_free("a log-volume"), self.m.chart)
             return
         v = self._value(self.expr(operator=(kind == "operator"))[0])
         self.expect(";")

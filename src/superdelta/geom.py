@@ -109,8 +109,11 @@ class VBracketData(_VBracketFields):
         if type(eps) is not int or eps not in (EVEN, ODD):
             raise BracketDataError(f"a bracket parity must be the int 0 or 1, not {eps!r}")
         full: SMatrix = {}
-        for (a, b), p in S.items():
-            for v in (a, b):
+        for key, p in _operand(S, dict, "S").items():
+            if type(key) is not tuple or len(key) != 2:
+                raise BracketDataError(f"a key of S must be a pair of names, not {key!r}")
+            a, b = key
+            for v in key:
                 if v not in chart.names:
                     raise BracketDataError(f"unknown variable {v!r} in S")
             if _operand(p, GradedPoly, f"S[{a},{b}]", chart).is_zero():
@@ -130,7 +133,7 @@ class VBracketData(_VBracketFields):
                 full[(b, a)] = expected
             elif mirror != expected:
                 raise BracketDataError(f"S[{a},{b}] breaks graded symmetry")
-        for a, p in gamma.items():
+        for a, p in _operand(gamma, dict, "gamma").items():
             if a not in chart.names:
                 raise BracketDataError(f"unknown variable {a!r} in gamma")
             if _operand(p, GradedPoly, f"gamma[{a}]", chart).terms \
@@ -146,10 +149,10 @@ class VBracketData(_VBracketFields):
                      tuple(sorted(self.gamma.items())), self.theta))
 
 
-def _as_sigma(sigma: GradedPoly) -> GradedPoly:
-    """sigma, the log-density of a volume form rho = e^sigma Dx, which must
-    be even."""
-    if sigma.parity() != EVEN:
+def _as_sigma(sigma, chart: Chart) -> GradedPoly:
+    """sigma, the log-density of a volume form rho = e^sigma Dx: a
+    polynomial on chart, which must be even."""
+    if _operand(sigma, GradedPoly, "a log-volume", chart).parity() != EVEN:
         raise ParityError("log-volume must be even")
     return sigma
 
@@ -289,14 +292,14 @@ def _laplacian(S: SMatrix, chart: Chart, g: GradedPoly, h: GradedPoly) -> DiffOp
 def odd_laplacian(S: SMatrix, chart: Chart, sigma) -> DiffOp:
     """The odd Laplacian  (1/2) e^{-sigma} d_a (e^{sigma} S^{ab} d_b . )
     attached to odd bracket data S and volume form rho = e^sigma Dx."""
-    return _laplacian(S, chart, _as_sigma(sigma), GradedPoly.zero(chart))
+    return _laplacian(S, chart, _as_sigma(sigma, chart), GradedPoly.zero(chart))
 
 
 def act_on_w_densities(S: SMatrix, chart: Chart, sigma, w) -> DiffOp:
     """The odd Laplacian on w-densities,  rho^w Delta_rho (rho^{-w} . ) =
     conjugate_by_exp(Delta_rho, -w sigma), in closed form as e^{w sigma}
     is even: (1/2) sum (d_a + (1-w) d_a sigma) o S^{ab} (d_b - w d_b sigma)."""
-    sigma = _as_sigma(sigma)
+    sigma = _as_sigma(sigma, chart)
     w = _rational(w, "weight")
     return _laplacian(S, chart, sigma * (_ONE - w), sigma * -w)
 
@@ -305,8 +308,8 @@ def master_discrepancy(S: SMatrix, chart: Chart, sigma0, sigma) -> GradedPoly:
     """H(rho', rho) = e^{-sigma/2} Delta_rho(e^{sigma/2}) for rho' = e^sigma
     rho, zero exactly on master-equation solutions: conjugate_by_exp(Delta_rho,
     sigma/2) 1 = (1/2) sum (d_a + d_a (sigma0 + sigma/2)) o S^{ab} (d_b + d_b sigma/2) 1."""
-    sigma0 = _as_sigma(sigma0)
-    u = _as_sigma(sigma) * HALF
+    sigma0 = _as_sigma(sigma0, chart)
+    u = _as_sigma(sigma, chart) * HALF
     return _on_one(_laplacian(S, chart, sigma0 + u, u))
 
 
@@ -348,7 +351,7 @@ def lb_data(S: SMatrix, chart: Chart, sigma, eps: int = ODD) -> VBracketData:
     pencil of this data, specialized at weight w, coincides with the
     conjugated odd Laplacian e^{w sigma} Delta_rho e^{-w sigma} for every
     weight (in particular it equals Delta_rho itself at w = 0)."""
-    sigma = _as_sigma(sigma)
+    sigma = _as_sigma(sigma, chart)
     lower = {a: partial(a, sigma) for a in chart.names}
     gamma = {a: -p for a, p in _contract(chart, S, lower).items() if not p.is_zero()}
     theta = GradedPoly.zero(chart)
@@ -742,7 +745,7 @@ def transform_op(D: DiffOp, cmap: CoordMap) -> DiffOp:
 def transform_logvol(sigma, cmap: CoordMap) -> GradedPoly:
     """The log-volume in new coordinates: sigma' = sigma o x(x') - log Ber
     (additive constants dropped)."""
-    sigma = _as_sigma(sigma)
+    sigma = _as_sigma(sigma, _operand(cmap, CoordMap, "the coordinate map").chart)
     return cmap.push(sigma - log_berezinian(cmap))
 
 

@@ -31,12 +31,15 @@ chart whose blocks begin with its own).  ``_derive`` takes d^key of each
 monomial in one step; ``partial``, its one-variable case, serves ``geom``
 and the API, and ``diffop`` and ``brackets`` call ``_derive``, never it.
 
-Polynomials, densities and operators share one arithmetic protocol, the
-base ``_Value``.  A function is a density of weight 0 and a multiplication
-operator, and numbers are central; ``_as_poly`` is the one lift rule, and
-each type's ``_lift`` carries a number or a lower type up to it.  A number
-scales from either side, a lower type multiplies from the left, and any
-other operand is a ``TypeError``.
+Polynomials, densities and operators share one value protocol, the base
+``_Value``: each value is a chart and a term map ``.terms`` (monomial key
+to coefficient, weight to component, derivative key to W-powers of
+coefficients).  The base owns ``zero``, ``is_zero``, the lift, equality
+and hashing; each type defines only what reads its layout.  A function is
+a density of weight 0 and a multiplication operator, and numbers are
+central; ``_as_poly`` is the one lift rule, and each type's ``_from_poly``
+carries a polynomial up to it.  A number scales from either side, a lower
+type multiplies from the left, and any other operand is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -261,13 +264,37 @@ def _power(x, n: int, one, mul=_mul):
 
 
 class _Value:
-    """The arithmetic shared by GradedPoly, DensityElement and DiffOp.  Each
-    type defines ``_lift`` (a number or a lower type as a value of the type,
-    or None), ``__add__``, ``__neg__``, ``__mul__``, ``__eq__``, ``parity_part``
-    and ``is_zero``; those return NotImplemented for an operand ``_lift``
-    does not take, so Python raises TypeError."""
+    """The protocol shared by GradedPoly, DensityElement and DiffOp, each a
+    ``chart`` and a term map ``terms`` with no zero entries.  The base owns
+    ``zero``, ``is_zero``, ``_lift`` (a number or a lower type as a value of
+    the type, or None), ``__eq__`` and ``__hash__`` (the chart and the sorted
+    terms), the reflected and derived operators and ``homogeneous_parts``.
+    Each type defines its term layout: ``_of`` (the trusted constructor),
+    ``_from_poly`` (a polynomial as a value of the type), ``parity``,
+    ``parity_part``, ``__add__``, ``__neg__`` and ``__mul__``; those return
+    NotImplemented for an operand ``_lift`` does not take, so Python raises
+    TypeError."""
 
     __slots__ = ()
+
+    @classmethod
+    def zero(cls, chart: Chart):
+        return cls._of(chart, {})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _lift(self, x):
+        p = _as_poly(self.chart, x)
+        return None if p is None else self._from_poly(p)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)) and (other := self._lift(other)) is None:
+            return NotImplemented
+        return self.chart == other.chart and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.chart, tuple(sorted(self.terms.items()))))
 
     def _check(self, other: "_Value"):
         if self.chart != other.chart:
@@ -345,11 +372,11 @@ class GradedPoly(_Value):
                 acc[k] = acc[k] + c if k in acc else c
         return GradedPoly._of(chart, {k: c for k, c in acc.items() if c})
 
-    # -- constructors ------------------------------------------------------
-
     @staticmethod
-    def zero(chart: Chart) -> "GradedPoly":
-        return GradedPoly._of(chart, {})
+    def _from_poly(p: "GradedPoly") -> "GradedPoly":
+        return p
+
+    # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(chart: Chart, c) -> "GradedPoly":
@@ -366,9 +393,6 @@ class GradedPoly(_Value):
 
     # -- structure ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def parity(self) -> int | None:
         """0 (even), 1 (odd) or None for inhomogeneous.  The zero polynomial
         is reported even by convention."""
@@ -379,20 +403,10 @@ class GradedPoly(_Value):
             self.chart, {k: c for k, c in self.terms.items() if len(k[1]) % 2 == p}
         )
 
-    def homogeneous_parts(self) -> list[tuple[int, "GradedPoly"]]:
-        """Split into (parity, nonzero part) pairs, in one pass."""
-        parts: tuple[dict, dict] = ({}, {})
-        for k, c in self.terms.items():
-            parts[len(k[1]) % 2][k] = c
-        return [(p, GradedPoly._of(self.chart, t)) for p, t in enumerate(parts) if t]
-
     def constant_term(self) -> Fraction:
         return self.terms.get(_unit(self.chart), Fraction(0))
 
     # -- arithmetic --------------------------------------------------------
-
-    def _lift(self, x) -> "GradedPoly | None":
-        return _as_poly(self.chart, x)
 
     def __add__(self, other):
         if not isinstance(other, GradedPoly) and (other := self._lift(other)) is None:
@@ -426,14 +440,6 @@ class GradedPoly(_Value):
                 k = (tuple(map(_add, e1, e2)), o)
                 terms[k] = terms[k] + c if k in terms else c
         return GradedPoly._of(self.chart, {k: c for k, c in terms.items() if c})
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedPoly) and (other := self._lift(other)) is None:
-            return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.chart, tuple(sorted(self.terms.items()))))
 
 
 def _odd_degree_part(p: GradedPoly, j: int) -> GradedPoly:
@@ -480,9 +486,10 @@ def partial(name: str, p: GradedPoly) -> GradedPoly:
 def substitute(p: GradedPoly, images: Mapping[str, GradedPoly],
                target: Chart | None = None) -> GradedPoly:
     """Algebra morphism sending each variable to its image.  Variables not
-    listed map to themselves (same-chart substitutions only in that case).
-    Images must be polynomials of their variable's parity, all on target,
-    which is the first image's chart when not given."""
+    listed map to themselves, so a substitution onto another chart needs
+    an image for every variable.  Images must be polynomials of their
+    variable's parity, all on target, which is the first image's chart when
+    not given."""
     chart = _operand(p, GradedPoly, "the polynomial p").chart
     for name, im in images.items():
         if name not in chart.names:
@@ -491,6 +498,8 @@ def substitute(p: GradedPoly, images: Mapping[str, GradedPoly],
         if im.terms and im.parity() != chart.parity(name):
             raise ParityError(f"image of {name!r} must have parity {chart.parity(name)}")
     target = chart if target is None else target
+    if target != chart and (missing := [n for n in chart.names if n not in images]):
+        raise DomainError(f"no image of {missing[0]!r} for a substitution onto another chart")
     return _substitute(p, {name: images[name] if name in images else GradedPoly.var(target, name)
                            for name in chart.names}, target)
 
@@ -522,9 +531,10 @@ def _substitute(p: GradedPoly, images: Mapping[str, GradedPoly],
 
 class DensityElement(_Value):
     """A finite sum of weighted densities  psi = sum_w psi_w * t^w  with
-    rational weights w and GradedPoly components psi_w."""
+    rational weights w and GradedPoly components psi_w; ``terms`` maps each
+    weight to its nonzero component."""
 
-    __slots__ = ("chart", "parts")
+    __slots__ = ("chart", "terms")
 
     def __init__(self, chart: Chart, parts: Mapping[Fraction, GradedPoly] | None = None):
         """Validates each weight and component, and drops zero components."""
@@ -533,76 +543,58 @@ class DensityElement(_Value):
             w = _rational(w, "weight")
             if _operand(p, GradedPoly, "a density component", chart).terms:
                 clean[w] = p
-        self.chart, self.parts = chart, clean
+        self.chart, self.terms = chart, clean
 
     @staticmethod
-    def _of(chart: Chart, parts: dict[Fraction, GradedPoly]) -> "DensityElement":
+    def _of(chart: Chart, terms: dict[Fraction, GradedPoly]) -> "DensityElement":
         """Trusted constructor, as GradedPoly._of: Fraction weights, nonzero parts on chart."""
         psi = object.__new__(DensityElement)
-        psi.chart, psi.parts = chart, parts
+        psi.chart, psi.terms = chart, terms
         return psi
-
-    @staticmethod
-    def zero(chart: Chart) -> "DensityElement":
-        return DensityElement._of(chart, {})
 
     @staticmethod
     def from_poly(p: GradedPoly, w=0) -> "DensityElement":
         w, p = _rational(w, "weight"), _operand(p, GradedPoly, "a density component")
         return DensityElement._of(p.chart, {w: p} if p.terms else {})
 
+    _from_poly = from_poly
+
     def component(self, w) -> GradedPoly:
         w = w if type(w) is int else _rational(w, "weight")
-        return self.parts.get(w, GradedPoly.zero(self.chart))
+        return self.terms.get(w, GradedPoly.zero(self.chart))
 
     def weights(self) -> list[Fraction]:
-        return sorted(self.parts)
-
-    def is_zero(self) -> bool:
-        return not self.parts
+        return sorted(self.terms)
 
     def parity(self) -> int | None:
-        return _parity({len(o) % 2 for p in self.parts.values() for (_, o) in p.terms})
+        return _parity({len(o) % 2 for p in self.terms.values() for (_, o) in p.terms})
 
     def parity_part(self, p: int) -> "DensityElement":
         return DensityElement._of(self.chart, {
-            w: q for w, c in self.parts.items() if (q := c.parity_part(p)).terms})
-
-    def _lift(self, x) -> "DensityElement | None":
-        p = _as_poly(self.chart, x)
-        return None if p is None else DensityElement.from_poly(p)
+            w: q for w, c in self.terms.items() if (q := c.parity_part(p)).terms})
 
     def __add__(self, other):
         if not isinstance(other, DensityElement) and (other := self._lift(other)) is None:
             return NotImplemented
         self._check(other)
-        parts = dict(self.parts)
-        for w, p in other.parts.items():
-            parts[w] = parts[w] + p if w in parts else p
-        return DensityElement._of(self.chart, {w: p for w, p in parts.items() if p.terms})
+        terms = dict(self.terms)
+        for w, p in other.terms.items():
+            terms[w] = terms[w] + p if w in terms else p
+        return DensityElement._of(self.chart, {w: p for w, p in terms.items() if p.terms})
 
     def __neg__(self):
-        return DensityElement._of(self.chart, {w: -p for w, p in self.parts.items()})
+        return DensityElement._of(self.chart, {w: -p for w, p in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, (DensityElement, GradedPoly)) and \
                 isinstance(other, (int, Fraction)):
             return DensityElement._of(
-                self.chart, {w: p * other for w, p in self.parts.items()} if other else {})
+                self.chart, {w: p * other for w, p in self.terms.items()} if other else {})
         if not isinstance(other, DensityElement) and (other := self._lift(other)) is None:
             return NotImplemented
-        parts: dict[Fraction, GradedPoly] = {}
-        for u, p in self.parts.items():
-            for v, q in other.parts.items():
+        terms: dict[Fraction, GradedPoly] = {}
+        for u, p in self.terms.items():
+            for v, q in other.terms.items():
                 w, pq = u + v, p * q
-                parts[w] = parts[w] + pq if w in parts else pq
-        return DensityElement._of(self.chart, {w: p for w, p in parts.items() if p.terms})
-
-    def __eq__(self, other):
-        if not isinstance(other, DensityElement) and (other := self._lift(other)) is None:
-            return NotImplemented
-        return self.chart == other.chart and self.parts == other.parts
-
-    def __hash__(self):
-        return hash((self.chart, tuple(sorted(self.parts.items()))))
-
+                terms[w] = terms[w] + pq if w in terms else pq
+        return DensityElement._of(self.chart, {w: p for w, p in terms.items() if p.terms})

@@ -228,7 +228,7 @@ def modular_vf(P: SMatrix, chart: Chart, sigma) -> DiffOp:
     div_form, without the 1/2 of the odd Laplacian.  Its second-order terms
     cancel in pairs exactly when every entry of P between an even and an
     odd coordinate is even."""
-    sigma = _as_sigma(sigma)
+    sigma = _as_sigma(sigma, chart)
     for (a, b), p in P.items():
         if P.get((b, a), GradedPoly.zero(chart)) != -(_sym_sign(chart, a, b) * p):
             raise BracketDataError("P must be graded antisymmetric")

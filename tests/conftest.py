@@ -1,100 +1,29 @@
-"""Shared charts, random generators, and hypothesis strategies."""
+"""Shared charts, random generators, and hypothesis strategies.
+
+The five charts and the seeded generators (``rand_poly``, ``rand_op``,
+``rand_smatrix``, ``rand_vdata``, ``std_odd_smatrix``) are the benchmark's
+own, imported from ``bench/gen.py``: one copy of each draw.
+"""
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from superdelta import Chart, DiffOp, GradedPoly
 from superdelta.diffop import compose
-from superdelta.geom import VBracketData
 
-R11 = Chart(("x",), ("xi",))
-R12 = Chart(("x",), ("xi1", "xi2"))
-R22 = Chart(("x", "y"), ("xi1", "xi2"))
-R02 = Chart((), ("xi1", "xi2"))
-R03 = Chart((), ("xi1", "xi2", "xi3"))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+from gen import (  # noqa: E402
+    R02, R03, R11, R12, R22, rand_op, rand_poly, rand_smatrix, rand_vdata, std_odd_smatrix,
+)
 
 CHARTS = (R11, R12, R22, R02, R03)
-
-
-# ---------------------------------------------------------------------------
-# seeded random generators (plain random module, reproducible per test)
-
-
-def rand_poly(rng: random.Random, chart: Chart, deg: int = 3,
-              parity: int | None = None, nterms: int = 5) -> GradedPoly:
-    terms = {}
-    for _ in range(nterms):
-        e = tuple(rng.randint(0, deg) for _ in chart.even)
-        k = rng.randint(0, len(chart.odd))
-        o = tuple(sorted(rng.sample(range(len(chart.odd)), k)))
-        if sum(e) + len(o) > deg:
-            continue
-        terms[(e, o)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    p = GradedPoly(chart, terms)
-    if parity is not None:
-        p = p.parity_part(parity)
-    return p
-
-
-def rand_op(rng: random.Random, chart: Chart, order: int = 3,
-            parity: int | None = None, nterms: int = 5,
-            coeff_deg: int = 2) -> DiffOp:
-    """A random normal-ordered operator built from coefficient-times-
-    derivative words."""
-    D = DiffOp.zero(chart)
-    for _ in range(nterms):
-        M = DiffOp.mult(rand_poly(rng, chart, coeff_deg, nterms=3))
-        for _ in range(rng.randint(0, order)):
-            M = compose(M, DiffOp.deriv(chart, rng.choice(chart.names)))
-        D = D + M
-    if parity is not None:
-        D = D.parity_part(parity)
-    return D
-
-
-def rand_smatrix(rng: random.Random, chart: Chart, eps: int,
-                 deg: int = 2) -> dict:
-    S = {}
-    names = chart.names
-    for i, a in enumerate(names):
-        for b in names[i:]:
-            if a == b and chart.parity(a) == 1:
-                continue  # odd-odd diagonal is forced to vanish
-            want = (eps + chart.parity(a) + chart.parity(b)) % 2
-            p = rand_poly(rng, chart, deg, want, nterms=3)
-            if not p.is_zero():
-                S[(a, b)] = p
-    return dict(VBracketData(chart, eps, S, {}, GradedPoly.zero(chart)).S)
-
-
-def rand_vdata(rng: random.Random, chart: Chart, eps: int = 1,
-               deg: int = 2) -> VBracketData:
-    S = rand_smatrix(rng, chart, eps, deg)
-    gamma = {}
-    for a in chart.names:
-        want = (eps + chart.parity(a)) % 2
-        p = rand_poly(rng, chart, deg, want, nterms=3)
-        if not p.is_zero():
-            gamma[a] = p
-    theta = rand_poly(rng, chart, deg, eps, nterms=3)
-    return VBracketData(chart, eps, S, gamma, theta)
-
-
-def std_odd_smatrix(chart: Chart) -> dict:
-    """S pairing even coordinate i with odd coordinate i (the standard odd
-    symplectic-type matrix; requires at least as many odd as even
-    coordinates)."""
-    one = GradedPoly.one(chart)
-    S = {}
-    for e, o in zip(chart.even, chart.odd):
-        S[(e, o)] = one
-        S[(o, e)] = one
-    return S
 
 
 def full_square(D: DiffOp) -> DiffOp:

@@ -79,7 +79,8 @@ def criterion(capsys, number, title):
 
 
 def test_criterion_1_derived_bracket_identity(capsys):
-    """J^n of Delta equals the n-th bracket of Delta^2, symbolic and matrix."""
+    """J^n of an odd Delta equals the n-th bracket of Delta^2, symbolic and
+    matrix."""
     with criterion(capsys, 1, "higher-bracket Jacobiator identity, "
                    "symbolic and matrix paths"):
         rng = random.Random(101)

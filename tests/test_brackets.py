@@ -231,6 +231,47 @@ def test_jacobiator_equals_square_bracket(rng):
                     assert jacobiator(D, args) == square_bracket(D, args)
 
 
+def _product_sum(D, args):
+    """sum_k sum_{(k, n-k)-shuffles s} sign(s) (-1)^{|D| |a_S|} {a_S} {a_R}
+    of D, S = s[:k] and R = s[k:], each bracket a commutator chain; the
+    polarization of {a}^2, so 0 for odd D."""
+    pars, n = [a.parity() for a in args], len(args)
+    total = GradedPoly.zero(D.chart)
+    for k in range(n + 1):
+        for s in shuffles(k, n - k):
+            sign = koszul_sign(s, pars) * (-1) ** (D.parity() * sum(pars[i] for i in s[:k]))
+            total = total + chain_bracket(D, [args[i] for i in s[:k]]) \
+                * chain_bracket(D, [args[i] for i in s[k:]]) * sign
+    return total
+
+
+def test_jacobiator_identity_for_both_parities():
+    """J^n of Delta is the n-th bracket of Delta^2 less the product sum
+    (_product_sum), both from the oracle's commutator chains and shuffle
+    sum: the product sum is 0 for odd Delta, so J^n = {...}_{Delta^2}
+    there, and not in general for even Delta.  Generators of both parities
+    and order <= 3 on the five charts, a third carrying W; homogeneous
+    multi-term arguments, n <= 4."""
+    rng = random.Random("jacobiator identity")
+    cases, nonzero = [0, 0], [0, 0]
+    for chart in CHARTS:
+        for i in range(12):
+            par = i % 2
+            D = rand_op(rng, chart, rng.randint(1, 3), parity=par, nterms=3)
+            if i % 3 == 0:
+                D = D + compose(DiffOp.weight(chart), rand_op(rng, chart, 1, parity=par, nterms=2))
+            for n in range(5):
+                args = [rand_poly(rng, chart, 2, parity=rng.randint(0, 1), nterms=3)
+                        for _ in range(n)]
+                ref = shuffle_jacobiator(lambda xs: chain_bracket(D, xs), args)
+                products = _product_sum(D, args)
+                assert ref == chain_bracket(full_square(D), args) - products
+                assert jacobiator(D, args) == ref
+                cases[par] += 1
+                nonzero[par] += not products.is_zero()
+    assert cases == [150, 150] and nonzero[1] == 0 and nonzero[0] >= 10
+
+
 @pytest.mark.parametrize("chart", [R11, R12, R22, R03],
                          ids=["1|1", "1|2", "2|2", "0|3"])
 def test_brackets_match_commutator_chain(chart):

@@ -226,3 +226,34 @@ def test_one_operand_check():
                                             if isinstance(d, DEFS)]:
             found.append(f"{path.name}: _polynomial")
     assert found == [], "\n".join(found)
+
+
+# The value protocol _Value defines once; DiffOp alone hashes its own way,
+# since its coefficients are dicts of W-powers.
+PROTOCOL = ("zero", "is_zero", "_lift", "__eq__", "__hash__", "homogeneous_parts")
+OWN_HASH = {"DiffOp"}
+
+
+def _class_names(cls: ast.ClassDef) -> set[str]:
+    """The names a class body defines, by def or by assignment."""
+    return {n.name for n in cls.body if isinstance(n, DEFS)} | \
+        {t.id for n in cls.body if isinstance(n, ast.Assign)
+         for t in n.targets if isinstance(t, ast.Name)}
+
+
+def test_one_value_protocol():
+    """_Value defines zero, is_zero, _lift, equality, hashing and
+    homogeneous_parts; no value type defines them again, but for DiffOp's
+    __hash__."""
+    classes = [(path.name, d) for path in sorted(SRC.glob("*.py"))
+               for d in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(d, ast.ClassDef)]
+    base = [d for name, d in classes if name == "gralg.py" and d.name == "_Value"]
+    assert len(base) == 1 and set(PROTOCOL) <= _class_names(base[0])
+    values = [(name, d) for name, d in classes
+              if any(getattr(b, "id", None) == "_Value" for b in d.bases)]
+    assert sorted(d.name for _, d in values) == ["DensityElement", "DiffOp", "GradedPoly"]
+    found = [f"{name}:{d.lineno} {d.name}.{m}" for name, d in values
+             for m in sorted(_class_names(d) & set(PROTOCOL))
+             if not (m == "__hash__" and d.name in OWN_HASH)]
+    assert found == [], "\n".join(found)

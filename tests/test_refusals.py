@@ -41,8 +41,12 @@ from superdelta.geom import (
     act_on_w_densities,
     classify_square,
     cotangent_chart,
+    lb_data,
+    master_discrepancy,
+    odd_laplacian,
     principal_matrix,
     transform_data,
+    transform_logvol,
     transform_op,
 )
 from superdelta.gralg import substitute
@@ -72,6 +76,7 @@ MAP12 = CoordMap(R12, _IDENTITY12, _IDENTITY12)
 D11 = _d(R11, "xi")  # an odd generator on (1|1)
 # S on (1|2) that checks as even at any even eps, read as odd by an eps of 2
 S12 = {("xi1", "xi2"): _v(R12, "x") * _v(R12, "xi1") * _v(R12, "xi2") + _v(R12, "x")}
+S11 = std_odd_smatrix(R11)  # odd bracket data on (1|1)
 # an argument on (0|2) for a generator on (1|1)
 XI = _v(R02, "xi1")
 
@@ -179,8 +184,9 @@ _REFUSALS = [
     # geom: bracket data, symbols, divergence constructions
     (lambda: VBracketData(R11, 1, {("x", "xi"): ONE12}, {}, GradedPoly.zero(R11)),
      ChartMismatch, "S[x,xi] on another chart"),
-    # geom: a gamma entry or theta that is not a polynomial on the chart, and
-    # a name in S or gamma that is not a chart variable
+    # geom: S or gamma that is not a dict, an S key that is not a pair, a
+    # gamma entry or theta that is not a polynomial on the chart, and a name
+    # in S or gamma that is not a chart variable
     *(pytest.param(lambda S=S, gamma=gamma, theta=theta: VBracketData(R11, 1, S, gamma, theta),
                    exc, message, id=f"VBracketData: {message}")
       for S, gamma, theta, exc, message in (
@@ -190,7 +196,13 @@ _REFUSALS = [
           ({}, {}, None, TypeError, "theta must be a GradedPoly, not NoneType"),
           ({}, {"y": _v(R11, "xi")}, ZERO11, BracketDataError,
            "unknown variable 'y' in gamma"),
-          ({("x", "y"): ONE11}, {}, ZERO11, BracketDataError, "unknown variable 'y' in S"))),
+          ({("x", "y"): ONE11}, {}, ZERO11, BracketDataError, "unknown variable 'y' in S"),
+          (None, {}, ZERO11, TypeError, "S must be a dict, not NoneType"),
+          ({}, None, ZERO11, TypeError, "gamma must be a dict, not NoneType"),
+          ({"x": ONE11}, {}, ZERO11, BracketDataError,
+           "a key of S must be a pair of names, not 'x'"),
+          ({("x", "xi", "x"): ONE11}, {}, ZERO11, BracketDataError,
+           "a key of S must be a pair of names, not ('x', 'xi', 'x')"))),
     *((lambda eps=eps: VBracketData(R12, eps, S12, {}, GradedPoly.zero(R12)),
        BracketDataError, f"a bracket parity must be the int 0 or 1, not {eps!r}")
       for eps in (2, -1, True, 1.0)),
@@ -232,6 +244,8 @@ _REFUSALS = [
      "the image of x must be a GradedPoly, not int"),
     (lambda: substitute(_v(R11, "x"), {"y": _v(R11, "x")}), DomainError,
      "unknown variable 'y' in the images"),
+    (lambda: substitute(_v(R11, "x"), {"x": _v(R22, "x")}), DomainError,
+     "no image of 'xi' for a substitution onto another chart"),
     (lambda: CoordMap(R11, {**_IDENTITY11, "y": 3}, _IDENTITY11), CoordMapError,
      "unknown variable 'y' in the map"),
     (lambda: DensityElement(R11, {0: ONE12}), ChartMismatch,
@@ -333,6 +347,13 @@ _SLOTS = [
     ("VBracketData: gamma[x]", lambda v: VBracketData(R11, 1, {}, {"x": v}, ZERO11),
      _v(R12, "xi1")),
     ("VBracketData: theta", lambda v: VBracketData(R11, 1, {}, {}, v), _v(R12, "xi1")),
+    ("odd_laplacian: a log-volume", lambda v: odd_laplacian(S11, R11, v), ONE12),
+    ("act_on_w_densities: a log-volume", lambda v: act_on_w_densities(S11, R11, v, 1), ONE12),
+    ("master_discrepancy: a log-volume",
+     lambda v: master_discrepancy(S11, R11, ZERO11, v), ONE12),
+    ("lb_data: a log-volume", lambda v: lb_data(S11, R11, v), ONE12),
+    ("transform_logvol: a log-volume", lambda v: transform_logvol(v, MAP11), ONE12),
+    ("transform_logvol: the coordinate map", lambda v: transform_logvol(ZERO11, v), None),
 ]
 
 
