@@ -43,11 +43,11 @@ independent paths that check them.
 
 Matrix oracle: on a purely odd chart an operator is an exact matrix on
 the Grassmann basis.  ``matrix_of`` builds it from the oracle's own
-product and derivative tables and applies no engine kernel (no
-``DiffOp.apply``, ``_derive`` or polynomial product), and
-``jacobiator_abstract`` takes each inner chain once and every outer nest
-literally.  Both stay here because the benchmark binds them; the other
-reference definitions are in ``superdelta.oracle``.
+product and derivative tables, with gralg's dict filter ``_nonzero``, and
+applies no engine kernel (no ``DiffOp.apply``, ``_derive`` or polynomial
+product); ``jacobiator_abstract`` takes each inner chain once and every
+outer nest literally.  Both stay here as the benchmark binds them; the
+other reference definitions are in ``superdelta.oracle``.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .gralg import (_ONE, Chart, GradedPoly, Key, ParityError, _deg, _derive, _envelope,
-                    _key_names, _keys_upto, _mul_keys, _operand)
+                    _key_names, _keys_upto, _mul_keys, _nonzero, _operand)
 from .diffop import DiffOp, _leibniz, _on_one, compose, specialize
 
 __all__ = [
@@ -165,7 +165,7 @@ class _Tables(dict):
                         key, c, s = prod[0], c0 * v, n * prod[1]
                         c = c if s == 1 else -c if s == -1 else c * s
                         out[key] = out[key] + c if key in out else c
-        return {k: c for k, c in out.items() if c}
+        return _nonzero(out)
 
     def phi(self, a: GradedPoly, T: tuple) -> GradedPoly:
         """The bracket {a, a_T} of Delta, sum_I c_I P_I(a, a_T): one
@@ -379,12 +379,6 @@ class GrassmannMatrix:
 
     def is_zero(self) -> bool:
         return not any(self.rows)
-
-
-def _nonzero(acc: dict[int, Fraction]) -> dict[int, Fraction]:
-    """A summed row without its zero entries; rebuilt only if it holds one,
-    as diffop._from_sums does."""
-    return acc if all(acc.values()) else {j: c for j, c in acc.items() if c}
 
 
 def _mat_mul(A: GrassmannMatrix, B: GrassmannMatrix, sign: int = 0) -> GrassmannMatrix:

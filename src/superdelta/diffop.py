@@ -46,6 +46,7 @@ from .gralg import (
     _key,
     _keys_upto,
     _mul_keys,
+    _nonzero,
     _operand,
     _parity,
     _power,
@@ -270,8 +271,7 @@ def _add_into(sums: _Sums, key: Key, w: int, p: GradedPoly, factor: int = 1):
 def _from_sums(chart: Chart, sums: _Sums) -> DiffOp:
     terms = {}
     for key, wp in sums.items():
-        if wp := {w: GradedPoly._of(chart, nz) for w, t in wp.items()
-                  if (nz := t if all(t.values()) else {m: c for m, c in t.items() if c})}:
+        if wp := {w: GradedPoly._of(chart, nz) for w, t in wp.items() if (nz := _nonzero(t))}:
             terms[key] = wp
     return DiffOp._of(chart, terms)
 
@@ -302,12 +302,10 @@ def _add_leibniz(sums: _Sums, chart: Chart, I: Key, right, left: WPoly | None = 
                     acc[m] = acc[m] + c if m in acc else c
     if left is None:
         return
-    for key, wt in acc_sums.items():
-        for w, t in wt.items():
-            if t := t if all(t.values()) else {m: c for m, c in t.items() if c}:
-                g = GradedPoly._of(chart, t)
-                for wc, c in left.items():
-                    _add_into(sums, key, wc + w, c * g)
+    for key, wt in _from_sums(chart, acc_sums).terms.items():
+        for w, g in wt.items():
+            for wc, c in left.items():
+                _add_into(sums, key, wc + w, c * g)
 
 
 def compose(D: DiffOp, E: DiffOp, *, floor: int = 0, bound: Key | None = None) -> DiffOp:
@@ -374,7 +372,8 @@ def conjugate_by_exp(D: DiffOp, u: GradedPoly) -> DiffOp:
     commutator lowers the order by at least one, and the k-th term has
     order <= ord D - k.  The term k = ord D + 1 is therefore 0, and at
     most ord D commutators are taken."""
-    if u.parity() not in (EVEN,):
+    chart = _operand(D, DiffOp, "the operator D").chart
+    if _operand(u, GradedPoly, "the polynomial u", chart).parity() != EVEN:
         raise ParityError("conjugation exponent must be even")
     out = term = D
     for k in range(1, (D.order() or 0) + 1):
@@ -387,9 +386,9 @@ def conjugate_by_exp(D: DiffOp, u: GradedPoly) -> DiffOp:
 
 def specialize(P: DiffOp, w0) -> DiffOp:
     """Substitute W := w0 in all coefficients."""
-    w0 = _rational(w0, "weight")
-    return DiffOp._of(P.chart, _pruned(
-        {key: {0: _at_weight(P.chart, wp, w0)} for key, wp in P.terms.items()}))
+    chart, w0 = _operand(P, DiffOp, "the pencil P").chart, _rational(w0, "weight")
+    return DiffOp._of(chart, _pruned(
+        {key: {0: _at_weight(chart, wp, w0)} for key, wp in P.terms.items()}))
 
 
 def formal_adjoint(D: DiffOp) -> DiffOp:
@@ -401,7 +400,7 @@ def formal_adjoint(D: DiffOp) -> DiffOp:
 
     certified by the Berezin-integral pairing oracle on purely odd charts
     and by the canonical-pencil self-adjointness suite."""
-    chart = D.chart
+    chart = _operand(D, DiffOp, "the operator D").chart
     sums: _Sums = {}
     for key, wp in D.terms.items():
         ko, nder = len(key[1]), _deg(key)
@@ -428,7 +427,7 @@ def op_from_action(chart: Chart, action: Callable[[GradedPoly], GradedPoly],
     action on polynomials is the given (linear) map.  Works degree by degree:
     the coefficient at multi-index I is fixed by the action on the monomial
     x^I once all lower coefficients are known."""
-    result = DiffOp.zero(chart)
+    result = DiffOp.zero(_operand(chart, Chart, "the chart"))
     for key in _keys_upto(chart, order):
         m = GradedPoly._of(chart, {key: _ONE})
         val = action(m) - result.apply(m)

@@ -58,7 +58,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .gralg import (_ONE, Chart, DensityElement, DomainError, GradedPoly, _deg, _key,
-                    _key_powers, _mul_keys, _power, _unit)
+                    _key_powers, _mul_keys, _nonzero, _power, _unit)
 from .diffop import DiffOp, _from_sums
 from .geom import CoordMap, VBracketData, _as_sigma
 
@@ -398,7 +398,7 @@ class _Parser:
             return v
         if v.keys() - {one} or v.get(one, {}).keys() - {0}:
             return _from_sums(chart, v)
-        return GradedPoly._of(chart, {m: c for m, c in v.get(one, {}).get(0, {}).items() if c})
+        return GradedPoly._of(chart, _nonzero(v.get(one, {}).get(0, {})))
 
     def expr(self, operator: bool):
         """term { ("+"|"-") term }, term = factor { "*" factor } read in

@@ -109,14 +109,8 @@ class VBracketData(_VBracketFields):
         if type(eps) is not int or eps not in (EVEN, ODD):
             raise BracketDataError(f"a bracket parity must be the int 0 or 1, not {eps!r}")
         full: SMatrix = {}
-        for key, p in _operand(S, dict, "S").items():
-            if type(key) is not tuple or len(key) != 2:
-                raise BracketDataError(f"a key of S must be a pair of names, not {key!r}")
-            a, b = key
-            for v in key:
-                if v not in chart.names:
-                    raise BracketDataError(f"unknown variable {v!r} in S")
-            if _operand(p, GradedPoly, f"S[{a},{b}]", chart).is_zero():
+        for (a, b), p in _as_smatrix(S, chart).items():
+            if p.is_zero():
                 continue
             want = (eps + chart.parity(a) + chart.parity(b)) % 2
             if p.parity() != want:
@@ -147,6 +141,20 @@ class VBracketData(_VBracketFields):
     def __hash__(self):
         return hash((self.chart, self.eps, tuple(sorted(self.S.items())),
                      tuple(sorted(self.gamma.items())), self.theta))
+
+
+def _as_smatrix(S, chart: Chart) -> SMatrix:
+    """S checked on a checked chart: a dict, each key a pair of chart variables
+    and each entry a polynomial on chart; VBracketData tests symmetry and parity."""
+    _operand(chart, Chart, "the chart")
+    for key, p in _operand(S, dict, "S").items():
+        if type(key) is not tuple or len(key) != 2:
+            raise BracketDataError(f"a key of S must be a pair of names, not {key!r}")
+        for v in key:
+            if v not in chart.names:
+                raise BracketDataError(f"unknown variable {v!r} in S")
+        _operand(p, GradedPoly, f"S[{key[0]},{key[1]}]", chart)
+    return S
 
 
 def _as_sigma(sigma, chart: Chart) -> GradedPoly:
@@ -231,8 +239,8 @@ def _column(chart: Chart, S: SMatrix, a: str) -> GVector:
 def hamiltonian_vf(S: SMatrix, chart: Chart, f: GradedPoly) -> DiffOp:
     """The Hamiltonian vector field X_f = S^{ab} d_b f (-1)^{pa(a) pf} d_a,
     with X_f(g) = {f,g}, written term by term."""
-    sums: _Sums = {}
-    for pf, fh in f.homogeneous_parts():
+    S, sums = _as_smatrix(S, chart), {}
+    for pf, fh in _operand(f, GradedPoly, "the polynomial f", chart).homogeneous_parts():
         for (a, b), s in S.items():
             dbf = partial(b, fh)
             if not dbf.is_zero():
@@ -244,7 +252,7 @@ def hamiltonian_vf(S: SMatrix, chart: Chart, f: GradedPoly) -> DiffOp:
 def divergence(X: DiffOp) -> GradedPoly:
     """div X = (-1)^{pa(a)(pX+1)} d_a X^a for a first-order operator with no
     constant term."""
-    if not X.order_leq(1) or not _on_one(X).is_zero():
+    if not _operand(X, DiffOp, "the vector field X").order_leq(1) or not _on_one(X).is_zero():
         raise DomainError("divergence requires a vector field")
     return GradedPoly._sum(X.chart, (_divergence(X.chart, first_order_coeffs(part), p)
                                      for p, part in X.homogeneous_parts()))
@@ -253,7 +261,8 @@ def divergence(X: DiffOp) -> GradedPoly:
 def lie_derivative_pencil(X: DiffOp) -> DiffOp:
     """Lie derivative along a vector field acting on w-densities, as a pencil:
     L_X = X + W (div X), W (div X) being the term W^1 at the zero key."""
-    return X + DiffOp._of(X.chart, _pruned({_unit(X.chart): {1: divergence(X)}}))
+    div = divergence(X)  # checks X before its chart is read
+    return X + DiffOp._of(X.chart, _pruned({_unit(X.chart): {1: div}}))
 
 
 def lie_derivative(X: DiffOp, w) -> DiffOp:
@@ -271,7 +280,7 @@ def _laplacian(S: SMatrix, chart: Chart, g: GradedPoly, h: GradedPoly) -> DiffOp
     conjugate of Delta_rho by an even exponential, which keeps each parity
     part: refused when inhomogeneous.  Written term by term as
     (d_a + d_a g) o T^a, T^a = (1/2)(S^{ab} d_b + S^{ab} d_b h)."""
-    S = {k: s * HALF for k, s in S.items() if s.terms}
+    S = {k: s * HALF for k, s in _as_smatrix(S, chart).items() if s.terms}
     keys, zero = {a: _key(chart, a)[0] for a in chart.names}, _unit(chart)
     Sh = _contract(chart, S, {b: partial(b, h) for b in chart.names}) if h.terms else {}
     sums: _Sums = {}
@@ -328,7 +337,7 @@ def canonical_pencil(data: VBracketData) -> DiffOp:
     each coefficient written at its key and W-power: all terms but d_b d_a
     are in normal order, and d_b d_a costs only the sign of its odd part
     (second_order_part)."""
-    chart, eps = data.chart, data.eps
+    chart, eps = _operand(data, VBracketData, "the bracket data").chart, data.eps
     sums: _Sums = {}
     zero = _unit(chart)
     for a in chart.names:
@@ -351,25 +360,24 @@ def lb_data(S: SMatrix, chart: Chart, sigma, eps: int = ODD) -> VBracketData:
     pencil of this data, specialized at weight w, coincides with the
     conjugated odd Laplacian e^{w sigma} Delta_rho e^{-w sigma} for every
     weight (in particular it equals Delta_rho itself at w = 0)."""
-    sigma = _as_sigma(sigma, chart)
+    S, sigma = _as_smatrix(S, chart), _as_sigma(sigma, chart)
     lower = {a: partial(a, sigma) for a in chart.names}
     gamma = {a: -p for a, p in _contract(chart, S, lower).items() if not p.is_zero()}
-    theta = GradedPoly.zero(chart)
-    for a, g in gamma.items():
-        theta = theta - g * lower[a]
+    theta = -GradedPoly._sum(chart, (g * lower[a] for a, g in gamma.items()))
     return VBracketData(chart, eps, dict(S), gamma, theta)
 
 
 def pencil_bracket(P: DiffOp, psi: DensityElement, chi: DensityElement) -> DensityElement:
     """{psi,chi} = P(psi chi) - (P psi) chi - (-1)^{eps p(psi)} psi (P chi)
     for a normalized weight-zero pencil of order <= 2."""
-    if not P.order_leq(2):
+    if not _operand(P, DiffOp, "the pencil P").order_leq(2):
         raise DomainError("pencil bracket requires order <= 2")
-    eps = P.parity()
-    if eps is None:
+    if (eps := P.parity()) is None:
         raise ParityError("pencil must be homogeneous")
-    out = DensityElement.zero(P.chart)
-    for ppsi, ph in psi.homogeneous_parts():
+    kinds = (GradedPoly, DensityElement)
+    parts = _operand(psi, kinds, "the density psi", P.chart).homogeneous_parts()
+    out = DensityElement.zero(_operand(chi, kinds, "the density chi", P.chart).chart)
+    for ppsi, ph in parts:
         out = (out + P.apply(ph * chi) - P.apply(ph) * chi
                - ph * P.apply(chi) * (-1) ** (eps * ppsi))
     return out
@@ -403,10 +411,9 @@ def extract_vbracket(P: DiffOp) -> VBracketData:
     inhomogeneous; when the round trip fails, names the first of: not
     normalized, not self-adjoint, or outside the image ((W^2 - W) d_x^2
     passes every other check, but no datum reads its W^2 d_x^2 term)."""
-    if not P.order_leq(2):
+    if not _operand(P, DiffOp, "the pencil P").order_leq(2):
         raise DomainError("pencil must have order <= 2")
-    eps = P.parity()
-    if eps is None:
+    if (eps := P.parity()) is None:
         raise ParityError("pencil must be homogeneous")
     data = _pencil_data(P, eps)
     if canonical_pencil(data) == P:
@@ -465,7 +472,7 @@ def jacobi_report(data: VBracketData) -> tuple[GradedPoly, GradedPoly, GradedPol
     vanish iff ord(Delta^2) <= 1 for the canonical pencil.  A coefficient
     moves to T*M unchanged (_embed): each parity block of T*M begins with
     the base's.  (F, G) = X_F(G): X_S and X_gamma are built once each."""
-    if data.eps != ODD:
+    if _operand(data, VBracketData, "the bracket data").eps != ODD:
         raise ParityError("Jacobi report requires an odd bracket")
     ct = cotangent_chart(data.chart)
     p = {x: GradedPoly.var(ct, m) for x, m in _momenta(ct).items()}
@@ -510,9 +517,7 @@ def _euler_antiderivative(chart: Chart, form: GVector) -> GradedPoly:
     """Given a closed polynomial 1-form omega_b = d_b A with A(0) = 0,
     recover A by the Euler homotopy A = sum_m B_m / m, B = x^b omega_b
     (each term of B has degree m >= 1)."""
-    B = GradedPoly.zero(chart)
-    for b, w in form.items():
-        B = B + GradedPoly.var(chart, b) * w
+    B = GradedPoly._sum(chart, (GradedPoly.var(chart, b) * w for b, w in form.items()))
     return GradedPoly._of(chart, {k: c / _deg(k) for k, c in B.terms.items()})
 
 
@@ -633,11 +638,9 @@ def _det_even(entries: list[list[GradedPoly]], chart: Chart) -> GradedPoly:
         return GradedPoly.one(chart)
     if n == 1:
         return entries[0][0]
-    out = GradedPoly.zero(chart)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in entries[1:]]
-        out = out + entries[0][j] * _det_even(minor, chart) * (-1) ** j
-    return out
+    return GradedPoly._sum(chart, (
+        entries[0][j] * _det_even([row[:j] + row[j + 1:] for row in entries[1:]], chart)
+        * (-1) ** j for j in range(n)))
 
 
 def _adjugate(M: list[list[GradedPoly]], chart: Chart) -> list[list[GradedPoly]]:

@@ -12,13 +12,14 @@ coefficient a nonzero ``GradedPoly`` on the value's chart.  The public
 constructors check what they are given (keys by ``_check_key``, numbers by
 ``_rational``, operands by ``_operand``) and drop zeros; each type's
 private ``_of`` is trusted: it builds every value the engine computes,
-unchecked.  The ``.terms`` layouts (here and in ``DiffOp``) are read by the
-benchmark under ``bench/``, and every polynomial-by-polynomial product goes
-through ``GradedPoly.__mul__``, the boundary its tracer wraps, except that
-``dsl`` builds each product of numbers, variables, W and derivatives in
-``.sd`` text as one term and multiplies a sum by such a term key by key,
-and ``brackets`` multiplies by ``_mul_keys`` and by its own Grassmann
-tables.  ``substitute`` validates its images for the kernel
+unchecked; ``_nonzero``, the one rule that keeps the contract, drops the
+zeros a sum leaves.  The ``.terms`` layouts (here and in ``DiffOp``) are
+read by the benchmark under ``bench/``, and every polynomial-by-polynomial
+product goes through ``GradedPoly.__mul__``, the boundary its tracer wraps,
+except that ``dsl`` builds each product of numbers, variables, W and
+derivatives in ``.sd`` text as one term and multiplies a sum by such a term
+key by key, and ``brackets`` multiplies by ``_mul_keys`` and by its own
+Grassmann tables.  ``substitute`` validates its images for the kernel
 ``_substitute``, which coordinate maps, validated when built, call
 directly.  Products of variables and products of derivatives share the key
 layout, and only this module, ``diffop`` and the matrix oracle's
@@ -102,7 +103,7 @@ class Chart(_ChartFields):
             return EVEN
         if name in self.odd:
             return ODD
-        raise KeyError(f"unknown variable {name!r}")
+        raise DomainError(f"unknown variable {name!r}")
 
 
 # A monomial key: exponents of the even variables, ascending tuple of odd
@@ -247,6 +248,11 @@ def _parity(parities: set) -> int | None:
     return parities.pop() if len(parities) == 1 else None if parities else EVEN
 
 
+def _nonzero(acc: dict) -> dict:
+    """A summed term map without its zeros (acc itself if none cancelled)."""
+    return acc if all(acc.values()) else {k: c for k, c in acc.items() if c}
+
+
 def _power(x, n: int, one, mul=_mul):
     """x^n by repeated squaring, for any associative product ``mul``: about
     2 log2(n) products, and none for x^1, which is x; ``one``, the unit, is
@@ -370,7 +376,7 @@ class GradedPoly(_Value):
         for p in parts:
             for k, c in p.terms.items():
                 acc[k] = acc[k] + c if k in acc else c
-        return GradedPoly._of(chart, {k: c for k, c in acc.items() if c})
+        return GradedPoly._of(chart, _nonzero(acc))
 
     @staticmethod
     def _from_poly(p: "GradedPoly") -> "GradedPoly":
@@ -439,7 +445,7 @@ class GradedPoly(_Value):
                     c = -c
                 k = (tuple(map(_add, e1, e2)), o)
                 terms[k] = terms[k] + c if k in terms else c
-        return GradedPoly._of(self.chart, {k: c for k, c in terms.items() if c})
+        return GradedPoly._of(self.chart, _nonzero(terms))
 
 
 def _odd_degree_part(p: GradedPoly, j: int) -> GradedPoly:
@@ -526,7 +532,7 @@ def _substitute(p: GradedPoly, images: Mapping[str, GradedPoly],
         for k, v in (m.terms.items() if m is not None else ((_unit(target), _ONE),)):
             v = v if c is _ONE else v * c
             acc[k] = acc[k] + v if k in acc else v
-    return GradedPoly._of(target, {k: v for k, v in acc.items() if v})
+    return GradedPoly._of(target, _nonzero(acc))
 
 
 class DensityElement(_Value):

@@ -257,3 +257,46 @@ def test_one_value_protocol():
              for m in sorted(_class_names(d) & set(PROTOCOL))
              if not (m == "__hash__" and d.name in OWN_HASH)]
     assert found == [], "\n".join(found)
+
+
+# The one place the zeros a sum leaves are dropped, the rule that keeps the
+# kernel contract for every summed term map.
+ZERO_RULE = ("gralg.py", "_nonzero")
+
+
+def _zero_filters(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing function, line) of every {k: v for k, v in x.items() if v}
+    in tree: one generator over an .items() call, a pair of names as its
+    target and the value name as its only condition."""
+    scopes = {id(n): d.name for d in ast.walk(tree) if isinstance(d, ast.FunctionDef)
+              for n in ast.walk(d)}
+    found = []
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.DictComp) or len(n.generators) != 1:
+            continue
+        g = n.generators[0]
+        if isinstance(g.iter, ast.Call) and getattr(g.iter.func, "attr", None) == "items" \
+                and not g.iter.args and isinstance(g.target, ast.Tuple) \
+                and len(g.target.elts) == 2 \
+                and all(isinstance(x, ast.Name) for x in g.target.elts) \
+                and [getattr(c, "id", None) for c in g.ifs] == [g.target.elts[1].id]:
+            found.append((scopes.get(id(n), "<module>"), n.lineno))
+    return found
+
+
+def test_one_zero_rule():
+    """gralg._nonzero alone drops the zero coefficients of a summed term
+    map: no other code filters a term map by its values inline, and no
+    other module defines a _nonzero of its own."""
+    sample = ast.parse("def f(t):\n    return {m: c for m, c in t.items() if c}\n"
+                       "def g(t):\n    return {w: p for w, p in t.items() if p.terms}\n"
+                       "h = {k: v for k, v in t.items() if v}\n")
+    assert sorted(_zero_filters(sample)) == [("<module>", 5), ("f", 2)]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{line} {scope}" for scope, line in _zero_filters(tree)
+                  if (path.name, scope) != ZERO_RULE]
+        found += [f"{path.name}:{d.lineno} defines _nonzero" for d in ast.walk(tree)
+                  if isinstance(d, DEFS) and d.name == "_nonzero" and path.name != ZERO_RULE[0]]
+    assert found == [], "\n".join(found)

@@ -29,6 +29,7 @@ from superdelta.diffop import (
     commutator,
     compose,
     conjugate_by_exp,
+    formal_adjoint,
     op_from_action,
     specialize,
 )
@@ -39,17 +40,24 @@ from superdelta.geom import (
     CoordMapError,
     VBracketData,
     act_on_w_densities,
+    canonical_pencil,
     classify_square,
     cotangent_chart,
+    divergence,
+    extract_vbracket,
+    hamiltonian_vf,
+    jacobi_report,
     lb_data,
+    lie_derivative,
     master_discrepancy,
     odd_laplacian,
+    pencil_bracket,
     principal_matrix,
     transform_data,
     transform_logvol,
     transform_op,
 )
-from superdelta.gralg import substitute
+from superdelta.gralg import partial, substitute
 from superdelta.oracle import (
     berezin_integral, modular_vf, residue_pair, subprincipal, tstar_bracket,
 )
@@ -203,6 +211,15 @@ _REFUSALS = [
            "a key of S must be a pair of names, not 'x'"),
           ({("x", "xi", "x"): ONE11}, {}, ZERO11, BracketDataError,
            "a key of S must be a pair of names, not ('x', 'xi', 'x')"))),
+    # geom: the S of the Laplacian functions is checked entry by entry as
+    # VBracketData checks it; rows sharing a message take their own ids
+    *(pytest.param(lambda S=S: odd_laplacian(S, R11, ZERO11), exc, message,
+                   id=f"odd_laplacian: {message}")
+      for S, exc, message in (
+          ({"x": _v(R11, "x")}, BracketDataError,
+           "a key of S must be a pair of names, not 'x'"),
+          ({("x", "y"): ONE11}, BracketDataError, "unknown variable 'y' in S"),
+          ({("x", "xi"): ONE12}, ChartMismatch, "S[x,xi] on another chart"))),
     *((lambda eps=eps: VBracketData(R12, eps, S12, {}, GradedPoly.zero(R12)),
        BracketDataError, f"a bracket parity must be the int 0 or 1, not {eps!r}")
       for eps in (2, -1, True, 1.0)),
@@ -237,7 +254,14 @@ _REFUSALS = [
                          ("DiffOp.const", lambda c: DiffOp.const(R11, c)))
       for c, kind in ((0.1, "float"), ("1/10", "str"))),
     # gralg: charts, substitution, densities, the Berezin integral
-    (lambda: R11.parity("nope"), KeyError, "unknown variable 'nope'"),
+    (lambda: R11.parity("nope"), DomainError, "unknown variable 'nope'"),
+    # gralg and diffop: a name that is not a chart variable, read through
+    # the chart; rows sharing a message take their own ids
+    *(pytest.param(call, DomainError, "unknown variable 'nope'",
+                   id=f"{name}: unknown variable 'nope'")
+      for name, call in (("GradedPoly.var", lambda: GradedPoly.var(R11, "nope")),
+                         ("DiffOp.deriv", lambda: DiffOp.deriv(R11, "nope")),
+                         ("partial", lambda: partial("nope", _v(R11, "x"))))),
     (lambda: substitute(_v(R11, "x"), {"x": _v(R11, "x"), "xi": _v(R12, "xi1")}),
      ChartMismatch, "the image of xi on another chart"),
     (lambda: substitute(_v(R11, "x"), {"x": 3}), TypeError,
@@ -354,6 +378,30 @@ _SLOTS = [
     ("lb_data: a log-volume", lambda v: lb_data(S11, R11, v), ONE12),
     ("transform_logvol: a log-volume", lambda v: transform_logvol(v, MAP11), ONE12),
     ("transform_logvol: the coordinate map", lambda v: transform_logvol(ZERO11, v), None),
+    ("VBracketData: the chart", lambda v: VBracketData(v, 1, {}, {}, ZERO11), None),
+    *((f"{f.__name__}: S", fill, None) for f, fill in (
+        (odd_laplacian, lambda v: odd_laplacian(v, R11, ZERO11)),
+        (act_on_w_densities, lambda v: act_on_w_densities(v, R11, ZERO11, 1)),
+        (master_discrepancy, lambda v: master_discrepancy(v, R11, ZERO11, ZERO11)),
+        (lb_data, lambda v: lb_data(v, R11, ZERO11)),
+        (hamiltonian_vf, lambda v: hamiltonian_vf(v, R11, ONE11)))),
+    ("lb_data: the chart", lambda v: lb_data(S11, v, ZERO11), None),
+    ("hamiltonian_vf: the chart", lambda v: hamiltonian_vf(S11, v, ONE11), None),
+    ("hamiltonian_vf: the polynomial f", lambda v: hamiltonian_vf(S11, R11, v), ONE12),
+    ("conjugate_by_exp: the operator D", lambda v: conjugate_by_exp(v, ZERO11), None),
+    ("conjugate_by_exp: the polynomial u", lambda v: conjugate_by_exp(ID11, v), ONE12),
+    ("specialize: the pencil P", lambda v: specialize(v, 0), None),
+    ("formal_adjoint: the operator D", formal_adjoint, None),
+    ("op_from_action: the chart", lambda v: op_from_action(v, lambda p: p, 1), None),
+    ("divergence: the vector field X", divergence, None),
+    ("lie_derivative: the vector field X", lambda v: lie_derivative(v, 0), None),
+    ("canonical_pencil: the bracket data", canonical_pencil, None),
+    ("jacobi_report: the bracket data", jacobi_report, None),
+    ("extract_vbracket: the pencil P", extract_vbracket, None),
+    ("pencil_bracket: the pencil P", lambda v: pencil_bracket(v, ONE11, ONE11), None),
+    ("pencil_bracket: the density psi", lambda v: pencil_bracket(D11, v, ONE11),
+     DensityElement.from_poly(ONE12, 1)),
+    ("pencil_bracket: the density chi", lambda v: pencil_bracket(D11, ONE11, v), ONE12),
 ]
 
 
