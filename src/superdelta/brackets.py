@@ -87,11 +87,18 @@ def koszul_sign(perm: Sequence[int], parities: Sequence[int]) -> int:
 
     ``perm[i]`` is the original index of the element landing in slot i
     (so the permuted sequence is ``a[perm[0]], a[perm[1]], ...``).
-    Each transposition of two odd elements contributes -1."""
-    if len(perm) != len(parities):
+    Each transposition of two odd elements contributes -1.  Checks both,
+    then calls _koszul_sign."""
+    if len(_operand(perm, Sequence, "the permutation perm")) != \
+            len(_operand(parities, Sequence, "the parities")):
         raise ValueError("permutation and parity list lengths differ")
     if sorted(perm) != list(range(len(perm))):
         raise ValueError("not a permutation of 0..n-1")
+    return _koszul_sign(perm, parities)
+
+
+def _koszul_sign(perm: Sequence[int], parities: Sequence[int]) -> int:
+    """koszul_sign of a permutation the engine built, unchecked."""
     sign = 1
     for i in range(len(perm)):
         for j in range(i + 1, len(perm)):
@@ -232,7 +239,7 @@ def jacobiator(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
             if inner.is_zero():
                 continue
             outer = tables.phi(inner, R)
-            terms.append(outer if koszul_sign(s, pars) == 1 else -outer)
+            terms.append(outer if _koszul_sign(s, pars) == 1 else -outer)
     return GradedPoly._sum(Delta.chart, terms)
 
 
@@ -323,7 +330,7 @@ def jacobiator_abstract(
             term = _nested(inst, Delta, [inst.project(chains[S])] + [args[i] for i in s[k:]])
             if total is None:
                 total, zero = term, inst.sub(term, term)
-            elif koszul_sign(s, parities) == 1:
+            elif _koszul_sign(s, parities) == 1:
                 total = inst.sub(total, inst.sub(zero, term))
             else:
                 total = inst.sub(total, term)

@@ -23,10 +23,15 @@ its K = 0 term (ad_mult).
 The K = 0 terms of D o D sum to sigma(D)^2 for the total symbol
 sigma(c d^I) = c p^I in the supercommutative symbol algebra; for odd D it
 is the square of an odd element, 0, and compose leaves them out of D o D.
+
+_leibniz keeps one table per process, functools.lru_cache bounded at 1,024
+expansions (about 0.7 MB full).  It holds keys and ints, never a value, so
+none outlives its op, and its results are tuples, as every caller shares them.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import comb, perm
 from typing import Callable, Mapping
@@ -216,7 +221,8 @@ def _on_one(D: DiffOp) -> GradedPoly:
     return D.terms.get(_unit(D.chart), {}).get(0, GradedPoly.zero(D.chart))
 
 
-def _leibniz(key: Key, mono: Key, hits=None, free=True, cap=None) -> list[tuple[Key, Key, int]]:
+@functools.lru_cache(maxsize=1024)
+def _leibniz(key: Key, mono: Key, hits=None, free=True, cap=None) -> tuple:
     """d^key o (x^mono .) = sum n x^m d^rest, normal-ordered by the graded
     Leibniz rule, as (rest, m, n) triples with integer n.  Innermost first,
     each odd derivative d_i either hits the monomial, at (-1)^pos for the
@@ -225,7 +231,7 @@ def _leibniz(key: Key, mono: Key, hits=None, free=True, cap=None) -> list[tuple[
     already passed is larger than i, so prepending i keeps the odd index
     tuple ascending.  The even derivatives then expand without signs: k of
     the n derivatives d_x hit x^a at binom(n, k) a!/(a-k)!.  The triple
-    with rest = key is the term where no derivative hits; free=False leaves
+    (key, mono, n) is the term where no derivative hits; free=False leaves
     it out.  With ``hits`` given, a branch that has hit that often only
     passes on.  With a ``cap`` key, only rests within it are formed: an odd
     d_i passes only if i is in it, and n - cap_x of the n d_x hit at least."""
@@ -244,16 +250,19 @@ def _leibniz(key: Key, mono: Key, hits=None, free=True, cap=None) -> list[tuple[
                 nxt.append(((i,) + rest, m, -n if len(m) & 1 else n, h))
         terms = nxt
     if not any(e) or cap is None and not any(me):  # no even derivative hits
-        return [((e, rest), (me, m), n) for rest, m, n, h in terms if free or h != h0]
+        return tuple((key, mono, n) if h == h0 else ((e, rest), (me, m), n)
+                     for rest, m, n, h in terms if free or h != h0)
     # and the even exponents left, the monomial's
     terms = [(e, me, rest, m, n, h) for rest, m, n, h in terms]
     for j, n in enumerate(e):
         lo, a = 0 if cap is None else max(n - cap[0][j], 0), me[j]
         if lo or n and a:
-            terms = [(er[:j] + (n - k,) + er[j + 1:], em[:j] + (a - k,) + em[j + 1:], rest, m,
+            terms = [(er[:j] + (n - k,) + er[j + 1:] if k else er,
+                      em[:j] + (a - k,) + em[j + 1:] if k else em, rest, m,
                       c * comb(n, k) * perm(a, k), h - k)
                      for er, em, rest, m, c, h in terms for k in range(lo, min(n, a, h) + 1)]
-    return [((er, rest), (em, m), c) for er, em, rest, m, c, h in terms if free or h != h0]
+    return tuple((key, mono, c) if h == h0 else ((er, rest), (em, m), c)
+                 for er, em, rest, m, c, h in terms if free or h != h0)
 
 
 # accumulated coefficient sums: key -> W-power -> monomial -> rational

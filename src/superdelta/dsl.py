@@ -58,7 +58,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .gralg import (_ONE, Chart, DensityElement, DomainError, GradedPoly, _deg, _key,
-                    _key_powers, _mul_keys, _nonzero, _power, _unit)
+                    _key_powers, _mul_keys, _nonzero, _operand, _power, _unit)
 from .diffop import DiffOp, _from_sums
 from .geom import CoordMap, VBracketData, _as_sigma
 
@@ -560,7 +560,7 @@ def parse_element(text: str, m: Module):
     """Parse and evaluate one element expression (the CLI's --args grammar)
     against a loaded module.  Diagnostic positions count from the start of
     ``text``."""
-    p = _Parser(text, m)
+    p = _Parser(_operand(text, str, "the text"), _operand(m, Module, "the module m"))
     v = p.expr(operator=False)[0]
     if p.toks[p.i]:
         p.fail(f"trailing input {p.toks[p.i]!r}", p.i)

@@ -36,10 +36,10 @@ from .gralg import (
     _key_names,
     _odd_degree_part,
     _operand,
+    _partial,
     _rational,
     _substitute,
     _unit,
-    partial,
 )
 from .diffop import (
     DiffOp,
@@ -127,11 +127,8 @@ class VBracketData(_VBracketFields):
                 full[(b, a)] = expected
             elif mirror != expected:
                 raise BracketDataError(f"S[{a},{b}] breaks graded symmetry")
-        for a, p in _operand(gamma, dict, "gamma").items():
-            if a not in chart.names:
-                raise BracketDataError(f"unknown variable {a!r} in gamma")
-            if _operand(p, GradedPoly, f"gamma[{a}]", chart).terms \
-                    and p.parity() != (eps + chart.parity(a)) % 2:
+        for a, p in _as_gvector(gamma, chart).items():
+            if p.terms and p.parity() != (eps + chart.parity(a)) % 2:
                 raise BracketDataError(f"gamma[{a}] has wrong parity")
         gamma = {a: p for a, p in gamma.items() if p.terms}
         if _operand(theta, GradedPoly, "theta", chart).terms and theta.parity() != eps:
@@ -157,10 +154,21 @@ def _as_smatrix(S, chart: Chart) -> SMatrix:
     return S
 
 
+def _as_gvector(gamma, chart: Chart) -> GVector:
+    """gamma checked on a checked chart: a dict of chart variables to
+    polynomials on chart; VBracketData tests parity."""
+    for a, p in _operand(gamma, dict, "gamma").items():
+        if a not in chart.names:
+            raise BracketDataError(f"unknown variable {a!r} in gamma")
+        _operand(p, GradedPoly, f"gamma[{a}]", chart)
+    return gamma
+
+
 def _as_sigma(sigma, chart: Chart) -> GradedPoly:
     """sigma, the log-density of a volume form rho = e^sigma Dx: a
-    polynomial on chart, which must be even."""
-    if _operand(sigma, GradedPoly, "a log-volume", chart).parity() != EVEN:
+    polynomial on chart, which must be even; the chart is checked first."""
+    if _operand(sigma, GradedPoly, "a log-volume",
+                _operand(chart, Chart, "the chart")).parity() != EVEN:
         raise ParityError("log-volume must be even")
     return sigma
 
@@ -227,8 +235,8 @@ def _divergence(chart: Chart, V: Mapping[str, GradedPoly], p: int) -> GradedPoly
     """The divergence (-1)^{pa(a)(p+1)} d_a V^a of the field V^a d_a of
     parity p, by the frozen convention (module docstring): a term is
     negated when a is odd and p even."""
-    return GradedPoly._sum(chart, (partial(a, v) if p or not chart.parity(a)
-                                   else -partial(a, v) for a, v in V.items()))
+    return GradedPoly._sum(chart, (_partial(a, v) if p or not chart.parity(a)
+                                   else -_partial(a, v) for a, v in V.items()))
 
 
 def _column(chart: Chart, S: SMatrix, a: str) -> GVector:
@@ -242,7 +250,7 @@ def hamiltonian_vf(S: SMatrix, chart: Chart, f: GradedPoly) -> DiffOp:
     S, sums = _as_smatrix(S, chart), {}
     for pf, fh in _operand(f, GradedPoly, "the polynomial f", chart).homogeneous_parts():
         for (a, b), s in S.items():
-            dbf = partial(b, fh)
+            dbf = _partial(b, fh)
             if not dbf.is_zero():
                 _add_into(sums, _key(chart, a)[0], 0, s * dbf,
                           -1 if chart.parity(a) * pf else 1)
@@ -282,13 +290,13 @@ def _laplacian(S: SMatrix, chart: Chart, g: GradedPoly, h: GradedPoly) -> DiffOp
     (d_a + d_a g) o T^a, T^a = (1/2)(S^{ab} d_b + S^{ab} d_b h)."""
     S = {k: s * HALF for k, s in _as_smatrix(S, chart).items() if s.terms}
     keys, zero = {a: _key(chart, a)[0] for a in chart.names}, _unit(chart)
-    Sh = _contract(chart, S, {b: partial(b, h) for b in chart.names}) if h.terms else {}
+    Sh = _contract(chart, S, {b: _partial(b, h) for b in chart.names}) if h.terms else {}
     sums: _Sums = {}
     for a in chart.names:
         T = [(keys[b], {0: s}, None) for b in chart.names if (s := S.get((a, b))) is not None]
         if Sh and Sh[a].terms:
             T.append((zero, {0: Sh[a]}, None))
-        if (da_g := partial(a, g)).terms:
+        if (da_g := _partial(a, g)).terms:
             for k, s, _ in T:
                 _add_into(sums, k, 0, da_g * s[0])
         _add_leibniz(sums, chart, keys[a], T)
@@ -361,7 +369,7 @@ def lb_data(S: SMatrix, chart: Chart, sigma, eps: int = ODD) -> VBracketData:
     conjugated odd Laplacian e^{w sigma} Delta_rho e^{-w sigma} for every
     weight (in particular it equals Delta_rho itself at w = 0)."""
     S, sigma = _as_smatrix(S, chart), _as_sigma(sigma, chart)
-    lower = {a: partial(a, sigma) for a in chart.names}
+    lower = {a: _partial(a, sigma) for a in chart.names}
     gamma = {a: -p for a, p in _contract(chart, S, lower).items() if not p.is_zero()}
     theta = -GradedPoly._sum(chart, (g * lower[a] for a, g in gamma.items()))
     return VBracketData(chart, eps, dict(S), gamma, theta)
@@ -551,6 +559,7 @@ def recover_action(S: SMatrix, chart: Chart, gamma: GVector) -> GradedPoly:
     exact (_exact_quotient).  Raises when S(0) is singular, when a
     division leaves a remainder (S l = gamma has no polynomial solution),
     and when the lowered form is not closed."""
+    S, gamma = _as_smatrix(S, chart), _as_gvector(gamma, chart)
     names = chart.names
     zero = GradedPoly.zero(chart)
     if all(g.is_zero() for g in gamma.values()):
@@ -573,7 +582,7 @@ def recover_action(S: SMatrix, chart: Chart, gamma: GVector) -> GradedPoly:
     form = {a: -l for a, l in lower.items()}
     A = _euler_antiderivative(chart, form)
     for a in names:
-        if partial(a, A) != form[a]:
+        if _partial(a, A) != form[a]:
             raise DomainError("lowered form is not closed; no action exists")
     return A
 
@@ -629,7 +638,7 @@ class CoordMap(_CoordMapFields):
     def jacobian(self) -> dict[tuple[str, str], GradedPoly]:
         """Entries J[a', a] = d x'^{a'} / d x^a in old coordinates."""
         names = self.chart.names
-        return {(ap, a): partial(a, self.fwd[ap]) for ap in names for a in names}
+        return {(ap, a): _partial(a, self.fwd[ap]) for ap in names for a in names}
 
 
 def _det_even(entries: list[list[GradedPoly]], chart: Chart) -> GradedPoly:
@@ -727,7 +736,7 @@ def transform_op(D: DiffOp, cmap: CoordMap) -> DiffOp:
     fields = {a: [(_key(chart, b)[0], {0: c}, None) for b in chart.names
                   if not (c := push(J[(b, a)])).is_zero()] for a in chart.names}
     for a in chart.names if L.terms else ():
-        fields[a].append((_unit(chart), {1: push(partial(a, L))}, None))
+        fields[a].append((_unit(chart), {1: push(_partial(a, L))}, None))
     sums: _Sums = {}
     for I, wp in D.terms.items():
         F: dict[Key, WPoly | None] = {_unit(chart): None}  # None: 1

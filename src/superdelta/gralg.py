@@ -29,8 +29,10 @@ key of 1), ``_deg`` (its degree), ``_keys_upto`` (every key up to a
 degree), ``_key_powers`` and ``_key_names`` (its factors), ``_envelope`` (a
 support bound), ``_odd_degree_part`` and ``_embed`` (a polynomial on a
 chart whose blocks begin with its own).  ``_derive`` takes d^key of each
-monomial in one step; ``partial``, its one-variable case, serves ``geom``
-and the API, and ``diffop`` and ``brackets`` call ``_derive``, never it.
+monomial in one step; ``partial``, its one-variable case, checks its
+polynomial for the API over the kernel ``_partial``, which ``geom`` calls,
+and ``diffop`` and ``brackets`` call ``_derive``, never either.  Caches hold
+keys, never values; ``diffop``'s Leibniz table is bounded, its tuples shared.
 
 Polynomials, densities and operators share one value protocol, the base
 ``_Value``: each value is a chart and a term map ``.terms`` (monomial key
@@ -485,7 +487,12 @@ def _derive(key: Key, p: GradedPoly) -> GradedPoly:
 
 def partial(name: str, p: GradedPoly) -> GradedPoly:
     """Left partial derivative by the named variable: a graded derivation
-    with partial(a, x^b) = delta_a^b."""
+    with partial(a, x^b) = delta_a^b.  Checks p, then calls _partial."""
+    return _partial(name, _operand(p, GradedPoly, "the polynomial p"))
+
+
+def _partial(name: str, p: GradedPoly) -> GradedPoly:
+    """partial of a polynomial the engine built, unchecked."""
     return _derive(_key(p.chart, name)[0], p)
 
 

@@ -300,3 +300,44 @@ def test_one_zero_rule():
         found += [f"{path.name}:{d.lineno} defines _nonzero" for d in ast.walk(tree)
                   if isinstance(d, DEFS) and d.name == "_nonzero" and path.name != ZERO_RULE[0]]
     assert found == [], "\n".join(found)
+
+
+# The caches of the engine, each keyed on keys, charts or nothing: the key of
+# a product of names, the bounded Leibniz table, the command-line parser and
+# the matrix oracle's Grassmann tables.  None holds a polynomial, an operator
+# or module text, so nothing outlives the op or the load that made it.
+KEY_LEVEL_CACHES = {("gralg.py", "_key"), ("diffop.py", "_leibniz"),
+                    ("cli.py", "_build_parser"), ("brackets.py", "_grassmann_basis"),
+                    ("brackets.py", "_sign_table"), ("brackets.py", "_derivative_table")}
+CACHES = ("cache", "lru_cache", "cached_property")
+
+
+def _caches(tree: ast.AST) -> list[tuple[str, int]]:
+    """(decorated function, line) of every use of a functools cache in
+    tree: "<not a decorator>" for a use that decorates no function, and
+    "<import>" for a cache imported by name, which hides its later uses."""
+    decorated = {id(dec.func if isinstance(dec, ast.Call) else dec): d.name
+                 for d in ast.walk(tree) if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for dec in d.decorator_list}
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and n.module == "functools":
+            found += [("<import>", n.lineno) for a in n.names if a.name in CACHES]
+        elif isinstance(n, ast.Attribute) and n.attr in CACHES \
+                and getattr(n.value, "id", None) == "functools":
+            found.append((decorated.get(id(n), "<not a decorator>"), n.lineno))
+    return found
+
+
+def test_caches_are_key_level():
+    """functools caches decorate only the key-level functions named in
+    KEY_LEVEL_CACHES: a cache keyed on polynomials, operators or module
+    text, or one used other than as a decorator, fails here."""
+    sample = ast.parse("import functools\n@functools.lru_cache(maxsize=8)\ndef f(k):\n"
+                       "    pass\n@functools.cache\ndef g():\n    pass\n"
+                       "h = functools.cache(len)\nfrom functools import cache, reduce\n")
+    assert sorted(_caches(sample)) == [("<import>", 9), ("<not a decorator>", 8),
+                                       ("f", 2), ("g", 5)]
+    found = [(path.name, name) for path in sorted(SRC.glob("*.py"))
+             for name, _ in _caches(ast.parse(path.read_text(), str(path)))]
+    assert sorted(found) == sorted(KEY_LEVEL_CACHES)

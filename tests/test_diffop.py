@@ -424,20 +424,41 @@ def _per_rest(pairs):
     return {rest: g for rest, g in out.items() if not g.is_zero()}
 
 
+def _expansion(table, *args):
+    """_leibniz(*args) formed afresh with the table cleared ("cold"), or
+    served by it ("warm"): the second of two calls, the first's object."""
+    if table == "cold":
+        _leibniz.cache_clear()
+        return _leibniz(*args)
+    first = _leibniz(*args)
+    assert _leibniz(*args) is first
+    return first
+
+
+def test_leibniz_table_is_bounded_and_shares_tuples():
+    """The table holds at most maxsize expansions, each a tuple of
+    (rest, m, n) triples, so no caller can change what the others read."""
+    assert _leibniz.cache_info().maxsize is not None
+    out = _leibniz(((2,), (0, 1)), ((1,), (1,)))
+    assert type(out) is tuple and all(type(t) is tuple and len(t) == 3 for t in out)
+
+
 def test_monomial_leibniz_matches_the_partial_reference():
     """The (rest, m, n) triples of every monomial of f, summed per rest
     key, equal the partial-based expansion of f: seeded keys of degree <= 4
     and polynomials on all five charts, with at most None (all), 0 or 1
-    hits, the free branch kept and left out."""
+    hits, the free branch kept and left out, each expansion formed afresh
+    and served by the table."""
     rng = random.Random("leibniz kernel")
     for chart in CHARTS:
         keys = _keys_upto(chart, 4)
         for _ in range(25):
             key, f = rng.choice(keys), rand_poly(rng, chart, 4, nterms=6)
-            for hits, free in itertools.product((None, 0, 1), (True, False)):
+            for hits, free, table in itertools.product((None, 0, 1), (True, False),
+                                                       ("cold", "warm")):
                 got = [(rest, GradedPoly(chart, {m: c * n}))
                        for m0, c in f.terms.items()
-                       for rest, m, n in _leibniz(key, m0, hits, free)]
+                       for rest, m, n in _expansion(table, key, m0, hits, free)]
                 want = _leibniz_reference(chart, key, f, hits, free)
                 assert _per_rest(got) == _per_rest(want)
 
@@ -446,9 +467,10 @@ def test_leibniz_cap_keeps_the_rests_within_it():
     """_leibniz with a cap gives the triples of the partial-based expansion
     whose rest key is within the cap: seeded keys of degree <= 4, caps of
     degree <= 3 and polynomials on all five charts, with at most None
-    (all), 0 or 1 hits, the free branch kept and left out.  Both the odd
-    cap (an odd derivative that may not pass) and the even cap (even
-    derivatives that must hit) bite."""
+    (all), 0 or 1 hits, the free branch kept and left out, each expansion
+    formed afresh and served by the table.  Both the odd cap (an odd
+    derivative that may not pass) and the even cap (even derivatives that
+    must hit) bite."""
     rng = random.Random("leibniz cap")
     odd_bites = even_bites = 0
     for chart in CHARTS:
@@ -457,10 +479,11 @@ def test_leibniz_cap_keeps_the_rests_within_it():
             key, cap, f = rng.choice(keys), rng.choice(caps), rand_poly(rng, chart, 4, nterms=6)
             odd_bites += not set(key[1]) <= set(cap[1])
             even_bites += any(n > c for n, c in zip(key[0], cap[0]))
-            for hits, free in itertools.product((None, 0, 1), (True, False)):
+            for hits, free, table in itertools.product((None, 0, 1), (True, False),
+                                                       ("cold", "warm")):
                 got = [(rest, GradedPoly(chart, {m: c * n}))
                        for m0, c in f.terms.items()
-                       for rest, m, n in _leibniz(key, m0, hits, free, cap)]
+                       for rest, m, n in _expansion(table, key, m0, hits, free, cap)]
                 want = [(rest, g) for rest, g in _leibniz_reference(chart, key, f, hits, free)
                         if key_within(rest, cap)]
                 assert _per_rest(got) == _per_rest(want)
@@ -523,3 +546,25 @@ def test_odd_square_product_count_is_pinned(count_calls):
         counts.append(len(products))
     assert counts == [15, 15, 15, 25]
     assert squares[0] == squares[1] == squares[2] == squares[3]
+
+
+@pytest.mark.parametrize("workload", ["derived-brackets", "density-geometry", "cli-session"])
+def test_the_table_changes_no_product(workload, tmp_path, count_calls):
+    """The GradedPoly.__mul__ calls of the benchmark's seed-1 pass 0, its
+    ops and their checks, are the same with the table cleared before every
+    op as with it warm (as the cold pass leaves it): the table changes how
+    an expansion is found, never a product.  Each run builds the pass
+    afresh, since a cli-session check computes its reference only once."""
+    import worker
+
+    products, runs = count_calls(GradedPoly, "__mul__"), []
+    for cold in (True, False):
+        hits = _leibniz.cache_info().hits
+        for op in worker.build(workload, 1, 0, tmp_path / str(cold)):
+            if cold:
+                _leibniz.cache_clear()
+            assert op.check(op.run())[0]
+        runs.append(products[:])
+        products.clear()
+    assert _leibniz.cache_info().hits > hits
+    assert len(runs[0]) == len(runs[1]) and runs[0] == runs[1]

@@ -19,6 +19,7 @@ from superdelta.brackets import (
     LieSuperAlgebraInstance,
     higher_bracket,
     jacobiator,
+    koszul_sign,
     linfty_check,
     matrix_of,
     matrix_oracle_instance,
@@ -33,7 +34,7 @@ from superdelta.diffop import (
     op_from_action,
     specialize,
 )
-from superdelta.dsl import render
+from superdelta.dsl import load_module, parse_element, render
 from superdelta.geom import (
     BracketDataError,
     CoordMap,
@@ -53,6 +54,7 @@ from superdelta.geom import (
     odd_laplacian,
     pencil_bracket,
     principal_matrix,
+    recover_action,
     transform_data,
     transform_logvol,
     transform_op,
@@ -87,6 +89,7 @@ S12 = {("xi1", "xi2"): _v(R12, "x") * _v(R12, "xi1") * _v(R12, "xi2") + _v(R12, 
 S11 = std_odd_smatrix(R11)  # odd bracket data on (1|1)
 # an argument on (0|2) for a generator on (1|1)
 XI = _v(R02, "xi1")
+MODULE11 = load_module("chart C { even x; odd xi; }\n")  # the chart (1|1) alone
 
 
 _REFUSALS = [
@@ -386,6 +389,17 @@ _SLOTS = [
         (lb_data, lambda v: lb_data(v, R11, ZERO11)),
         (hamiltonian_vf, lambda v: hamiltonian_vf(v, R11, ONE11)))),
     ("lb_data: the chart", lambda v: lb_data(S11, v, ZERO11), None),
+    # the chart of the Laplacian functions is checked before the log-volume
+    # is compared with it
+    ("odd_laplacian: the chart", lambda v: odd_laplacian(S11, v, ZERO11), None),
+    ("act_on_w_densities: the chart", lambda v: act_on_w_densities(S11, v, ZERO11, 1), None),
+    ("master_discrepancy: the chart",
+     lambda v: master_discrepancy(S11, v, ZERO11, ZERO11), None),
+    ("recover_action: S", lambda v: recover_action(v, R11, {}), None),
+    ("recover_action: the chart", lambda v: recover_action(S11, v, {}), None),
+    ("recover_action: gamma", lambda v: recover_action(S11, R11, v), None),
+    ("recover_action: gamma[x]", lambda v: recover_action(S11, R11, {"x": v}),
+     _v(R12, "xi1")),
     ("hamiltonian_vf: the chart", lambda v: hamiltonian_vf(S11, v, ONE11), None),
     ("hamiltonian_vf: the polynomial f", lambda v: hamiltonian_vf(S11, R11, v), ONE12),
     ("conjugate_by_exp: the operator D", lambda v: conjugate_by_exp(v, ZERO11), None),
@@ -393,6 +407,11 @@ _SLOTS = [
     ("specialize: the pencil P", lambda v: specialize(v, 0), None),
     ("formal_adjoint: the operator D", formal_adjoint, None),
     ("op_from_action: the chart", lambda v: op_from_action(v, lambda p: p, 1), None),
+    ("partial: the polynomial p", lambda v: partial("x", v), None),
+    ("koszul_sign: the permutation perm", lambda v: koszul_sign(v, [1, 1]), None),
+    ("koszul_sign: the parities", lambda v: koszul_sign((1, 0), v), None),
+    ("parse_element: the text", lambda v: parse_element(v, MODULE11), None),
+    ("parse_element: the module m", lambda v: parse_element("x", v), None),
     ("divergence: the vector field X", divergence, None),
     ("lie_derivative: the vector field X", lambda v: lie_derivative(v, 0), None),
     ("canonical_pencil: the bracket data", canonical_pencil, None),
