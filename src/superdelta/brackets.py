@@ -27,19 +27,19 @@ multiplication operator c, so with Delta = sum_I c_I d^I (W^0 coefficients
 c_I: W acts as 0 at weight 0) the bracket is {a_1, ..., a_n} = sum_I c_I
 P_I(a_1, ..., a_n), where P_I = [...[d^I, a_1], ..., a_n] 1 is the bracket
 of a constant operator: the multinomial Leibniz rule over the splittings
-I = I_1 + ... + I_n into nonempty blocks, d^{I_j} hitting a_j.  _Tables
-keeps P_I(a_T) per call, built by recursion over diffop's _leibniz down to
-the last argument a, where P_I(a) = d^I a is one _derive pass.  So
-P_I(a_T) = 0 unless |I| >= |T| (order bound: an operator of order r
-generates brackets of arity <= r only) and I is within the envelope of
-a_T (gralg's _envelope: support bound), and only such terms are formed.
-``jacobiator`` sums only the blocks whose inner (k) and outer (l + 1)
-brackets both have arity <= r, max(0, n - r + 1) <= k <= min(n, r), so
-J^n = 0 for n >= 2r; its outer brackets {{a_S}, a_R} share the tables of
-a_R.  This module forms every Delta^2 the engine reads: ``square_bracket``
-only from order n up and within the envelope, ``linfty_check`` whole.
-The abstract engine and the matrix oracle assume no bound: they are the
-independent paths that check them.
+I = I_1 + ... + I_n into nonempty blocks, d^{I_j} hitting a_j.  It is
+multilinear, and on monomials an integer combination of monomials that
+depends on keys alone: _products keeps it, one table of keys and ints per
+process, built over diffop's _leibniz and bounded at 2,048 entries (under
+1 MB).  So P_I(a_T) = 0 unless |I| >= |T| (order bound: an operator of
+order r has brackets of arity <= r only) and I is within the envelope of
+a_T (gralg's _envelope: support bound), and only such entries are formed;
+per call, _Tables keeps the terms c_I of Delta.  ``jacobiator`` sums only
+the blocks whose inner (k) and outer (l + 1) brackets have arity <= r,
+max(0, n - r + 1) <= k <= min(n, r), so J^n = 0 for n >= 2r.  This module
+forms every Delta^2 the engine reads: ``square_bracket`` only from order n
+up and within the envelope, ``linfty_check`` whole.  The abstract engine
+and the matrix oracle assume no bound: the independent paths that check them.
 
 Matrix oracle: on a purely odd chart an operator is an exact matrix on
 the Grassmann basis.  ``matrix_of`` builds it from the oracle's own
@@ -55,10 +55,11 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from operator import mul
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-from .gralg import (_ONE, Chart, GradedPoly, Key, ParityError, _deg, _derive, _envelope,
-                    _key_names, _keys_upto, _mul_keys, _nonzero, _operand)
+from .gralg import (_ONE, Chart, GradedPoly, Key, ParityError, _deg, _envelope,
+                    _key_names, _keys_upto, _mul_keys, _nonzero, _operand, _unit)
 from .diffop import DiffOp, _leibniz, _on_one, compose, specialize
 
 __all__ = [
@@ -134,52 +135,52 @@ def _check_operands(Delta: DiffOp, args: Sequence[GradedPoly]):
         _operand(a, GradedPoly, "a bracket argument", chart)
 
 
-class _Tables(dict):
-    """The bracket kernel of one call of Delta on ``args``: self[I, T] is the
-    term map of P_I(a_T) = [...[d^I, a_t1], ..., a_tk] 1 for a derivative key
-    I and a nonempty tuple T of argument positions, built on first lookup and
-    kept.  P_I of the last argument alone is d^I a by _derive, no table.
-    ``top`` holds (I, |I|, c_I) for the W^0 coefficients c_I of Delta."""
+@functools.lru_cache(maxsize=2048)
+def _products(I: Key, monos: tuple) -> tuple:
+    """P_I(x^m, x^m_T) = [...[d^I, x^m], x^m_t1, ...] 1 for monomial keys
+    monos = (m, *m_T), |m_T| < |I|, as (key, int) pairs: the sum of
+    n x^m' P_rest(x^m_T) over the terms n x^m' d^rest of _leibniz(I, m) where
+    1 to |I| - |m_T| derivatives hit x^m (order bound) and rest is within
+    the envelope of x^m_T (support bound); for m_T empty, all hit: d^I x^m."""
+    m, T = monos[0], monos[1:]
+    terms = _leibniz(I, m, _deg(I) - len(T), False, _envelope(I, [(k,) for k in T]))
+    if not T:
+        return tuple((k, n) for _, k, n in terms)
+    out: dict[Key, int] = {}
+    for rest, k0, n in terms:
+        for k1, v in _products(rest, T):
+            if prod := _mul_keys(k0, k1):
+                out[prod[0]] = out.get(prod[0], 0) + n * v * prod[1]
+    return tuple(_nonzero(out).items())
+
+
+class _Tables:
+    """The bracket kernel of one call of Delta on ``args``: its only state is
+    ``top``, (I, |I|, c_I) for the W^0 coefficients c_I of Delta; the P_I
+    of argument monomials come from the process-wide table _products."""
 
     def __init__(self, Delta: DiffOp, args: Sequence[GradedPoly]):
-        super().__init__()
-        self.chart, self.args, self.caps = Delta.chart, args, {}
+        self.chart, self.args = Delta.chart, args
         self.top = [(I, _deg(I), wp[0]) for I, wp in Delta.terms.items() if 0 in wp]
 
-    def __missing__(self, key):
-        I, T = key
-        out = self[key] = self.expand(I, _deg(I), self.args[T[0]], T[1:])
-        return out
-
-    def expand(self, I: Key, d: int, a: GradedPoly, T: tuple) -> dict:
-        """P_I(a, a_T) for a polynomial a and d = |I|: [d^I, a] is the sum of
-        the terms n x^m d^rest of _leibniz(I, m0) where some derivative hits
-        a monomial m0 of a, so P_I(a, a_T) = sum c0 n x^m P_rest(a_T).  Every
-        step takes a derivative and the arguments after it must absorb the
-        rest, so it is 0 for |I| <= |T|, and only rests within the envelope
-        of a_T are formed.  With T empty every derivative hits: d^I a."""
-        if d <= len(T):
-            return {}
-        if not T:
-            return _derive(I, a).terms
-        if (cap := self.caps.get(T)) is None:
-            cap = self.caps[T] = _envelope(self.chart, [self.args[t] for t in T])
-        out: dict[Key, Fraction] = {}
-        for m0, c0 in a.terms.items():
-            for rest, m, n in _leibniz(I, m0, free=False, cap=cap):
-                for k, v in self[rest, T].items():
-                    if prod := _mul_keys(m, k):
-                        key, c, s = prod[0], c0 * v, n * prod[1]
-                        c = c if s == 1 else -c if s == -1 else c * s
-                        out[key] = out[key] + c if key in out else c
-        return _nonzero(out)
-
     def phi(self, a: GradedPoly, T: tuple) -> GradedPoly:
-        """The bracket {a, a_T} of Delta, sum_I c_I P_I(a, a_T): one
-        polynomial product per term of Delta it keeps."""
-        chart, n = self.chart, len(T)
-        return GradedPoly._sum(chart, [c * GradedPoly._of(chart, t) for I, d, c in self.top
-                                       if d > n and (t := self.expand(I, d, a, T))])
+        """The bracket {a, a_T} of Delta for argument positions T, sum_I c_I
+        P_I(a, a_T) with one polynomial product per term kept: 0 for
+        |I| <= |T|, else by multilinearity the sum of c prod c_t P_I(x^m,
+        x^m_T) over the monomials c x^m of a and c_t x^m_t of the a_T."""
+        chart, maps = self.chart, [a.terms, *[self.args[t].terms for t in T]]
+        top = [(I, cI, {}) for I, d, cI in self.top if d > len(T)]
+        for monos in itertools.product(*maps) if top else ():
+            c = None  # the product of the coefficients but the 1s, once needed
+            for I, _, out in top:
+                for k, n in _products(I, monos):
+                    if c is None:
+                        c = functools.reduce(mul, [x for x in map(dict.__getitem__, maps, monos)
+                                                   if x != 1] or [_ONE])
+                    v = c if n == 1 else -c if n == -1 else c * n
+                    out[k] = out[k] + v if k in out else v
+        return GradedPoly._sum(chart, [cI * GradedPoly._of(chart, t) for _, cI, out in top
+                                       if (t := _nonzero(out))])
 
 
 def higher_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
@@ -205,8 +206,8 @@ def square_bracket(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     _check_operands(Delta, args)  # before _envelope reads them
     if Delta.parity() is None:
         return higher_bracket(compose(Delta, Delta), args)
-    return higher_bracket(compose(Delta, Delta, floor=len(args),
-                                  bound=_envelope(Delta.chart, args)), args)
+    bound = _envelope(_unit(Delta.chart), [a.terms for a in args])
+    return higher_bracket(compose(Delta, Delta, floor=len(args), bound=bound), args)
 
 
 def jacobiator(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
@@ -221,7 +222,7 @@ def jacobiator(Delta: DiffOp, args: Sequence[GradedPoly]) -> GradedPoly:
     max(0, n - r + 1) .. min(n, r), at most 2^(2r - 1) shuffles in all,
     and J^n = 0 for n >= 2r with no shuffle enumerated.  Every bracket is
     sum_I c_I P_I from the kernel, the outer {{a_S}, a_R} taken directly:
-    the shuffles share the tables P_rest(a_R) it expands the inner one over."""
+    the shuffles read the entries of a_R's monomials from the one table."""
     _check_operands(Delta, args)
     pars = [a.parity() for a in args]
     if None in pars:
@@ -463,7 +464,7 @@ def matrix_of(D: DiffOp) -> GrassmannMatrix:
     no engine kernel: each term c d^I sends the j-th monomial to
     c (s xi^basis[r]) (_derivative_table), and c multiplies from the left
     one monomial at a time (_sign_table)."""
-    chart = D.chart
+    chart = _operand(D, DiffOp, "the operator D").chart
     if chart.even:
         raise ValueError("matrix oracle requires a purely odd chart")
     basis = _grassmann_basis(chart)
@@ -488,7 +489,7 @@ def matrix_oracle_instance(chart: Chart) -> LieSuperAlgebraInstance:
     """The operator algebra on a purely odd chart, with every element stored
     as an exact 2^q x 2^q matrix; an independent computation path for the
     derived-bracket theorems."""
-    if chart.even:
+    if _operand(chart, Chart, "the chart").even:
         raise ValueError("matrix oracle requires a purely odd chart")
     basis = _grassmann_basis(chart)
     table = _sign_table(basis)
@@ -522,6 +523,8 @@ def matrix_oracle_instance(chart: Chart) -> LieSuperAlgebraInstance:
 def monomials_upto(chart: Chart, deg: int) -> list[GradedPoly]:
     """All coordinate monomials of total degree 1..deg, in the order of
     _keys_upto, whose first key is the unit's."""
+    _operand(chart, Chart, "the chart")
+    _operand(deg, int, "the degree deg")
     return [GradedPoly._of(chart, {k: _ONE}) for k in _keys_upto(chart, deg)[1:]]
 
 

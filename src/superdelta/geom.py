@@ -187,10 +187,15 @@ def bracket_from_operator(D: DiffOp, f: GradedPoly, g: GradedPoly) -> GradedPoly
 
 def principal_matrix(D: DiffOp) -> SMatrix:
     """The symmetric coefficient matrix S^{ab} = (-1)^{pa(a) pa(b)}
-    {x^b, x^a} of a homogeneous operator of order <= 2, read off its
-    coefficients: the bracket drops the lower orders and W, leaving
-    c d_b d_a (x^b x^a) for the W^0 coefficient c at d_b d_a = s d^K; so
-    S^{ab} = s c, doubled when a = b is even."""
+    {x^b, x^a} of a homogeneous operator of order <= 2.  Checks D, then
+    calls _principal_matrix."""
+    return _principal_matrix(_operand(D, DiffOp, "the operator D"))
+
+
+def _principal_matrix(D: DiffOp) -> SMatrix:
+    """principal_matrix read off the coefficients: the bracket drops the
+    lower orders and W, leaving c d_b d_a (x^b x^a) for the W^0 coefficient
+    c at d_b d_a = s d^K; so S^{ab} = s c, doubled when a = b is even."""
     if not D.order_leq(2):
         raise DomainError("principal symbol defined for order <= 2 only")
     if D.parity() is None:
@@ -208,8 +213,13 @@ def principal_matrix(D: DiffOp) -> SMatrix:
 
 
 def second_order_part(chart: Chart, S: SMatrix) -> DiffOp:
-    """The operator (1/2) S^{ab} d_b d_a in normal order, each term written
-    at the key of d_b d_a."""
+    """The operator (1/2) S^{ab} d_b d_a in normal order.  Checks the chart
+    and S, then calls _second_order_part."""
+    return _second_order_part(chart, _as_smatrix(S, chart))
+
+
+def _second_order_part(chart: Chart, S: SMatrix) -> DiffOp:
+    """second_order_part, each term written at the key of d_b d_a."""
     sums: _Sums = {}
     for (a, b), s in S.items():
         k = _key(chart, b, a)
@@ -220,7 +230,12 @@ def second_order_part(chart: Chart, S: SMatrix) -> DiffOp:
 
 def first_order_coeffs(D: DiffOp) -> GVector:
     """Coefficients T^a of the pure first-order part of a normal-ordered
-    operator."""
+    operator.  Checks D, then calls _first_order_coeffs."""
+    return _first_order_coeffs(_operand(D, DiffOp, "the operator D"))
+
+
+def _first_order_coeffs(D: DiffOp) -> GVector:
+    """first_order_coeffs, read at the key of each d_a."""
     out: GVector = {}
     for a in D.chart.names:
         wp = D.terms.get(_key(D.chart, a)[0])
@@ -262,7 +277,7 @@ def divergence(X: DiffOp) -> GradedPoly:
     constant term."""
     if not _operand(X, DiffOp, "the vector field X").order_leq(1) or not _on_one(X).is_zero():
         raise DomainError("divergence requires a vector field")
-    return GradedPoly._sum(X.chart, (_divergence(X.chart, first_order_coeffs(part), p)
+    return GradedPoly._sum(X.chart, (_divergence(X.chart, _first_order_coeffs(part), p)
                                      for p, part in X.homogeneous_parts()))
 
 
@@ -358,7 +373,7 @@ def canonical_pencil(data: VBracketData) -> DiffOp:
     _add_into(sums, zero, 1, _divergence(chart, data.gamma, eps), HALF)
     _add_into(sums, zero, 2, data.theta, HALF)
     _add_into(sums, zero, 1, data.theta, -HALF)
-    return second_order_part(chart, data.S) + _from_sums(chart, sums)
+    return _second_order_part(chart, data.S) + _from_sums(chart, sums)
 
 
 def lb_data(S: SMatrix, chart: Chart, sigma, eps: int = ODD) -> VBracketData:
@@ -405,7 +420,7 @@ def _pencil_data(P: DiffOp, eps: int) -> VBracketData:
              if 1 in (wp := P.terms.get(_key(chart, a)[0], {}))}
     c = P.terms.get(_unit(chart), {}).get(2)
     theta = GradedPoly.zero(chart) if c is None else c * 2
-    return VBracketData._of(chart, eps, principal_matrix(P), gamma, theta)
+    return VBracketData._of(chart, eps, _principal_matrix(P), gamma, theta)
 
 
 def extract_vbracket(P: DiffOp) -> VBracketData:
@@ -439,9 +454,14 @@ def extract_vbracket(P: DiffOp) -> VBracketData:
 
 def cotangent_chart(chart: Chart) -> Chart:
     """Extend a chart by momenta of matching parity: each parity block is
-    followed by the momenta of its variables, in the same order.  The
-    momentum of x is named p_x unless that is a chart variable; then
-    underscores are appended until the name is free."""
+    followed by the momenta of its variables, in the same order.  Checks the
+    chart, then calls _cotangent_chart."""
+    return _cotangent_chart(_operand(chart, Chart, "the chart"))
+
+
+def _cotangent_chart(chart: Chart) -> Chart:
+    """cotangent_chart: the momentum of x is named p_x unless that is a
+    chart variable; then underscores are appended until the name is free."""
     names = {v: "p_" + v for v in chart.names}
     taken = set(chart.names) | set(names.values())
     for v, p in names.items():
@@ -482,7 +502,7 @@ def jacobi_report(data: VBracketData) -> tuple[GradedPoly, GradedPoly, GradedPol
     the base's.  (F, G) = X_F(G): X_S and X_gamma are built once each."""
     if _operand(data, VBracketData, "the bracket data").eps != ODD:
         raise ParityError("Jacobi report requires an odd bracket")
-    ct = cotangent_chart(data.chart)
+    ct = _cotangent_chart(data.chart)
     p = {x: GradedPoly.var(ct, m) for x, m in _momenta(ct).items()}
     S = GradedPoly._sum(ct, (_embed(s, ct) * p[b] * p[a] for (a, b), s in data.S.items())) * HALF
     g = GradedPoly._sum(ct, (_embed(v, ct) * p[a] for a, v in data.gamma.items()))
@@ -714,8 +734,10 @@ def _log_berezinian(chart: Chart, J: Mapping[tuple[str, str], GradedPoly]) -> Gr
 
 def log_berezinian(cmap: CoordMap) -> GradedPoly:
     """log of the Berezinian, normalized by dropping the constant log of the
-    body (which never survives differentiation); in old coordinates."""
-    return _log_berezinian(cmap.chart, cmap.jacobian())
+    body (which never survives differentiation); in old coordinates.  Checks
+    the map, then calls _log_berezinian."""
+    return _log_berezinian(_operand(cmap, CoordMap, "the coordinate map").chart,
+                           cmap.jacobian())
 
 
 def transform_op(D: DiffOp, cmap: CoordMap) -> DiffOp:
@@ -758,7 +780,7 @@ def transform_logvol(sigma, cmap: CoordMap) -> GradedPoly:
     """The log-volume in new coordinates: sigma' = sigma o x(x') - log Ber
     (additive constants dropped)."""
     sigma = _as_sigma(sigma, _operand(cmap, CoordMap, "the coordinate map").chart)
-    return cmap.push(sigma - log_berezinian(cmap))
+    return cmap.push(sigma - _log_berezinian(cmap.chart, cmap.jacobian()))
 
 
 def transform_data(data: VBracketData, cmap: CoordMap) -> VBracketData:

@@ -31,8 +31,8 @@ support bound), ``_odd_degree_part`` and ``_embed`` (a polynomial on a
 chart whose blocks begin with its own).  ``_derive`` takes d^key of each
 monomial in one step; ``partial``, its one-variable case, checks its
 polynomial for the API over the kernel ``_partial``, which ``geom`` calls,
-and ``diffop`` and ``brackets`` call ``_derive``, never either.  Caches hold
-keys, never values; ``diffop``'s Leibniz table is bounded, its tuples shared.
+and ``diffop`` calls ``_derive``, never either.  Caches hold keys, never
+values; the tables ``diffop._leibniz`` and ``brackets._products`` are bounded.
 
 Polynomials, densities and operators share one value protocol, the base
 ``_Value``: each value is a chart and a term map ``.terms`` (monomial key
@@ -230,13 +230,14 @@ def _operand(x, kind, what: str, chart: Chart | None = None):
     return x
 
 
-def _envelope(chart: Chart, polys) -> Key:
-    """The key of the derivatives polys can absorb: per even variable the
-    sum over polys of its largest exponent in each, and the union of their
-    odd indices.  It bounds the brackets of polys (brackets' support bound)."""
-    even = tuple(sum(max((e[j] for e, _ in p.terms), default=0) for p in polys)
-                 for j in range(len(chart.even)))
-    return even, tuple(sorted({i for p in polys for _, o in p.terms for i in o}))
+def _envelope(key: Key, keysets) -> Key:
+    """The key of the derivatives that polynomials with these sets of monomial
+    keys can absorb, sized like ``key``: per even variable the sum over the
+    sets of its largest exponent in each, and the union of their odd indices.
+    It bounds their brackets (brackets' support bound)."""
+    even = tuple(sum(max((e[j] for e, _ in ks), default=0) for ks in keysets)
+                 for j in range(len(key[0])))
+    return even, tuple(sorted({i for ks in keysets for _, o in ks for i in o}))
 
 
 def _within(key: Key, bound: Key) -> bool:

@@ -1,5 +1,6 @@
 """Higher derived brackets, Jacobiators, abstract instances, matrix oracle."""
 
+import functools
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ import pytest
 
 from superdelta import Chart, DiffOp, GradedPoly, ParityError
 from superdelta.diffop import commutator, compose
+from superdelta.gralg import _deg, _keys_upto
 from superdelta.brackets import (
     LieSuperAlgebraInstance,
     _grassmann_basis,
@@ -536,20 +538,21 @@ def test_parity_is_taken_once_per_jacobiator(monkeypatch):
 
 
 def test_jacobiator_computes_no_table_twice(monkeypatch):
-    """Within one call each kernel table P_I(a_T) is built once, however many
-    shuffles read it, and the tables keep to the order bound: at most one
-    per derivative key and increasing tuple T of length 1..r.  No table has
-    an empty T: P_I of the last argument alone is d^I a, taken by _derive."""
+    """From a cleared table, one call builds each entry P_I(x^m, x^m_T) it
+    needs once, however many shuffles read it, and only within the order
+    bound: |I| > |m_T|, with at most r = 3 monomials.  The table is a fresh
+    copy of the kernel's, as bounded, that records each entry it builds."""
     from superdelta import brackets
 
     seen = []
-    build = brackets._Tables.__missing__
+    build = brackets._products.__wrapped__
 
-    def counted(tables, key):
-        seen.append(key)
-        return build(tables, key)
+    def counted(I, monos):
+        seen.append((I, monos))
+        return build(I, monos)
 
-    monkeypatch.setattr(brackets._Tables, "__missing__", counted)
+    table = functools.lru_cache(maxsize=brackets._products.cache_info().maxsize)(counted)
+    monkeypatch.setattr(brackets, "_products", table)
     rng = random.Random(99)
     chart = R11
     args = [_x(chart, "x"), _x(chart, "xi"), _x(chart, "x") * _x(chart, "x"),
@@ -559,42 +562,96 @@ def test_jacobiator_computes_no_table_twice(monkeypatch):
     built = 0
     for D in ops:
         for n in range(6):
+            table.cache_clear()
             seen.clear()
             J = jacobiator(D, args[:n])
             assert len(set(seen)) == len(seen)
-            assert all(len(T) <= 3 and list(T) == sorted(T) for _, T in seen)
-            assert all(T for _, T in seen)
+            assert all(len(monos) <= min(_deg(I), 3) for I, monos in seen)
             assert shuffle_jacobiator(lambda xs: chain_bracket(D, xs), args[:n]) == J
             built += len(seen)
     assert built
 
 
 def test_last_argument_is_the_leibniz_term_where_every_derivative_hits():
-    """The kernel takes P_I(a) of the last argument as d^I a by _derive and
-    every other table by _leibniz, so the two must share one sign rule: for
-    every key I and monomial x^m of degree <= 3 on all five charts, d^I x^m
-    is the sum of the _leibniz(I, m, free=False) terms n x^m' d^rest whose
-    rest is the unit key, and so is the kernel's P_I(x^m).  For I = unit
-    both are 0: free=False leaves out the term where no derivative hits,
-    and P_unit(x^m) = 0 as an operator of order 0 has no unary bracket."""
-    from superdelta.brackets import _Tables
+    """The table's entry P_I(x^m) of one monomial is the term of
+    _leibniz(I, m) where every derivative hits (the cap at the unit key
+    lets none pass), so it must share _derive's sign rule: for every key I
+    and monomial x^m of degree <= 3 on all five charts, d^I x^m is the sum
+    of the _leibniz(I, m, free=False) terms n x^m' d^rest whose rest is the
+    unit key, and so is the entry.  For I = unit both are 0: free=False
+    leaves out the term where no derivative hits, and P_unit(x^m) = 0 as an
+    operator of order 0 has no unary bracket."""
+    from superdelta.brackets import _products
     from superdelta.diffop import _leibniz
-    from superdelta.gralg import _deg, _derive, _keys_upto
+    from superdelta.gralg import _derive
 
     for chart in CHARTS:
         keys = _keys_upto(chart, 3)
         unit = keys[0]
         for m in keys:
             x_m = GradedPoly(chart, {m: 1})
-            tables = _Tables(DiffOp.zero(chart), [x_m])
             for I in keys:
                 sums = {}
                 for rest, m1, n in _leibniz(I, m, free=False):
                     if rest == unit:
                         sums[m1] = sums.get(m1, 0) + n
                 want = GradedPoly(chart, sums)
-                assert GradedPoly(chart, tables.expand(I, _deg(I), x_m, ())) == want
+                assert GradedPoly(chart, dict(_products(I, (m,)))) == want
                 assert want.is_zero() if I == unit else _derive(I, x_m) == want
+
+
+def test_every_table_entry_is_the_bracket_of_its_word():
+    """Each entry P_I(x^m_0, ..., x^m_k) of the bracket table is the
+    bracket of the word d^I on those monomials by its definition
+    (oracle.chain_bracket, no order floor or support bound): every key I of
+    order 1..3 and every tuple of at most |I| monomials of degree <= 2, the
+    unit included, on all five charts, the table cleared before each key
+    and arity."""
+    from superdelta.brackets import _products
+
+    for chart in CHARTS:
+        keys = _keys_upto(chart, 3)
+        monos = [k for k in keys if _deg(k) <= 2]
+        one = GradedPoly.one(chart)
+        for I in keys[1:]:
+            word = DiffOp(chart, {I: {0: one}})
+            for k in range(1, _deg(I) + 1):
+                _products.cache_clear()
+                for ms in itertools.product(monos, repeat=k):
+                    entry = _products(I, ms)
+                    assert all(type(n) is int and n for _, n in entry)
+                    want = chain_bracket(word, [GradedPoly(chart, {m: 1}) for m in ms])
+                    assert GradedPoly(chart, dict(entry)) == want
+
+
+def test_bracket_table_is_bounded_and_cold_equals_warm(count_calls):
+    """The table is bounded, and it changes how an entry is found, never a
+    result or a product: seeded brackets, square brackets and Jacobiators
+    with multi-term arguments on all five charts give the same outputs and
+    the same GradedPoly.__mul__ calls with the table cleared before every
+    call as when it is warm."""
+    from superdelta.brackets import _products
+
+    assert _products.cache_info().maxsize is not None
+    rng = random.Random("bracket table")
+    cases = []
+    for chart in CHARTS:
+        monos = monomials_upto(chart, 2)
+        for D in _seeded_generators(rng, chart, 6):
+            for n in range(1, 4):
+                cases.append((D, _homogeneous_args(rng, chart, monos, n)))
+    products, runs = count_calls(GradedPoly, "__mul__"), []
+    for cold in (True, False):
+        outputs = []
+        for D, args in cases:
+            for f in (higher_bracket, square_bracket, jacobiator):
+                if cold:
+                    _products.cache_clear()
+                outputs.append(f(D, args))
+        runs.append((outputs, products[:]))
+        products.clear()
+    assert any(len(a.terms) > 1 for _, args in cases for a in args)
+    assert runs[0] == runs[1]
 
 
 def test_oracle_sign_table_matches_the_product():

@@ -90,17 +90,17 @@ def test_jacobiator_golden(capsys):
 
 def test_jacobiator_past_twice_the_order_enumerates_no_shuffle(capsys, monkeypatch):
     """ord Delta = 2 on bv.sd, so J^17 = 0 by the order bound: no shuffle
-    block is evaluated and no bracket kernel table is built."""
+    block is evaluated and the bracket table is read 0 times."""
     from superdelta import brackets
     calls = []
-    real = brackets._Tables.__missing__
-    monkeypatch.setattr(brackets._Tables, "__missing__",
-                        lambda tables, key: calls.append(key) or real(tables, key))
+    real = brackets._products
+    monkeypatch.setattr(brackets, "_products",
+                        lambda I, monos: calls.append((I, monos)) or real(I, monos))
     code, out, _ = run(capsys, "jacobiator", "--input", BV, "--op", "Delta",
                        "--n", "17", "--args", ",".join(["x", "xi"] * 8 + ["x"]))
     assert (code, out) == (0, "0\n")
     assert calls == []
-    # the counter sees the tables of an arity below the bound
+    # the counter sees the reads of an arity below the bound
     run(capsys, "jacobiator", "--input", BV, "--op", "Delta", "--n", "2",
         "--args", "x,xi")
     assert calls

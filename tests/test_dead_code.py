@@ -303,10 +303,12 @@ def test_one_zero_rule():
 
 
 # The caches of the engine, each keyed on keys, charts or nothing: the key of
-# a product of names, the bounded Leibniz table, the command-line parser and
-# the matrix oracle's Grassmann tables.  None holds a polynomial, an operator
-# or module text, so nothing outlives the op or the load that made it.
+# a product of names, the bounded Leibniz table, the bounded bracket table of
+# monomials (keys and ints), the command-line parser and the matrix oracle's
+# Grassmann tables.  None holds a polynomial, an operator or module text, so
+# nothing outlives the op or the load that made it.
 KEY_LEVEL_CACHES = {("gralg.py", "_key"), ("diffop.py", "_leibniz"),
+                    ("brackets.py", "_products"),
                     ("cli.py", "_build_parser"), ("brackets.py", "_grassmann_basis"),
                     ("brackets.py", "_sign_table"), ("brackets.py", "_derivative_table")}
 CACHES = ("cache", "lru_cache", "cached_property")

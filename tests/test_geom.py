@@ -462,6 +462,33 @@ def test_jacobi_report_flat_and_curved():
     assert not slots[1].is_zero()
 
 
+def test_jacobi_report_is_the_top_symbol_of_the_square():
+    """The four obstruction symbols are the parts of total order 3 of
+    Q = P o P for the canonical pencil P.  With Q[k, w] the part of Q of
+    order k at W^w, and each c d^I in it written as c p^I on the cotangent
+    chart (the coefficient moved by _embed, then the momenta of I in key
+    order), the slots are 2 Q[3,0], Q[2,1], 2 Q[1,2] and 2 Q[0,3]: seeded
+    odd data of degree 1 to 3 on all five charts."""
+    rng, nonzero = random.Random("jacobi symbols"), 0
+    for chart in CHARTS:
+        ct = cotangent_chart(chart)
+        momentum = {x: GradedPoly.var(ct, m) for x, m in geom._momenta(ct).items()}
+        for i in range(40):
+            data = rand_vdata(rng, chart, 1, deg=1 + i % 3)
+            Q, part = compose(*[canonical_pencil(data)] * 2), {}
+            for I, wp in Q.terms.items():
+                for w, c in wp.items():
+                    symbol = gralg._embed(c, ct)
+                    for x in gralg._key_names(chart, I):
+                        symbol = symbol * momentum[x]
+                    kw = gralg._deg(I), w
+                    part[kw] = part.get(kw, GradedPoly.zero(ct)) + symbol
+            top = [part.get(kw, GradedPoly.zero(ct)) for kw in ((3, 0), (2, 1), (1, 2), (0, 3))]
+            assert list(jacobi_report(data)) == [top[0] * 2, top[1], top[2] * 2, top[3] * 2]
+            nonzero += not all(t.is_zero() for t in top)
+    assert nonzero > 100
+
+
 def _positional(ct, ct2):
     """Rename the variables of chart ct to those of ct2 by position."""
     images = {v: GradedPoly.var(ct2, w) for v, w in zip(ct.names, ct2.names)}

@@ -23,6 +23,7 @@ from superdelta.brackets import (
     linfty_check,
     matrix_of,
     matrix_oracle_instance,
+    monomials_upto,
     square_bracket,
 )
 from superdelta.diffop import (
@@ -46,15 +47,18 @@ from superdelta.geom import (
     cotangent_chart,
     divergence,
     extract_vbracket,
+    first_order_coeffs,
     hamiltonian_vf,
     jacobi_report,
     lb_data,
     lie_derivative,
+    log_berezinian,
     master_discrepancy,
     odd_laplacian,
     pencil_bracket,
     principal_matrix,
     recover_action,
+    second_order_part,
     transform_data,
     transform_logvol,
     transform_op,
@@ -111,6 +115,7 @@ _REFUSALS = [
     (lambda: matrix_of(ID11), ValueError, "matrix oracle requires a purely odd chart"),
     (lambda: matrix_oracle_instance(R11), ValueError,
      "matrix oracle requires a purely odd chart"),
+    (lambda: monomials_upto(R11, None), TypeError, "the degree deg must be a int, not NoneType"),
     # brackets: an argument on another chart is refused before any shortcut
     # to 0 (a zero generator, more arguments than its order, a zero
     # argument); rows sharing a message take their own ids
@@ -421,6 +426,16 @@ _SLOTS = [
     ("pencil_bracket: the density psi", lambda v: pencil_bracket(D11, v, ONE11),
      DensityElement.from_poly(ONE12, 1)),
     ("pencil_bracket: the density chi", lambda v: pencil_bracket(D11, ONE11, v), ONE12),
+    # public names outside the exports check their operands too
+    ("principal_matrix: the operator D", principal_matrix, None),
+    ("second_order_part: the chart", lambda v: second_order_part(v, S11), None),
+    ("second_order_part: S", lambda v: second_order_part(R11, v), None),
+    ("first_order_coeffs: the operator D", first_order_coeffs, None),
+    ("cotangent_chart: the chart", cotangent_chart, None),
+    ("log_berezinian: the coordinate map", log_berezinian, None),
+    ("matrix_of: the operator D", matrix_of, None),
+    ("matrix_oracle_instance: the chart", matrix_oracle_instance, None),
+    ("monomials_upto: the chart", lambda v: monomials_upto(v, 2), None),
 ]
 
 
