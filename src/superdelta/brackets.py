@@ -55,11 +55,11 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from operator import mul
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .gralg import (_ONE, Chart, GradedPoly, Key, ParityError, _deg, _envelope,
-                    _key_names, _keys_upto, _mul_keys, _nonzero, _operand, _unit)
+                    _key_names, _keys_upto, _mul_keys, _nonzero, _operand, _qadd, _qmul,
+                    _qneg, _unit)
 from .diffop import DiffOp, _leibniz, _on_one, compose, specialize
 
 __all__ = [
@@ -175,10 +175,10 @@ class _Tables:
             for I, _, out in top:
                 for k, n in _products(I, monos):
                     if c is None:
-                        c = functools.reduce(mul, [x for x in map(dict.__getitem__, maps, monos)
-                                                   if x != 1] or [_ONE])
-                    v = c if n == 1 else -c if n == -1 else c * n
-                    out[k] = out[k] + v if k in out else v
+                        c = functools.reduce(_qmul, [x for x in map(dict.__getitem__, maps, monos)
+                                                     if x != 1] or [_ONE])
+                    v = c if n == 1 else _qneg(c) if n == -1 else _qmul(c, n)
+                    out[k] = _qadd(out[k], v) if k in out else v
         return GradedPoly._sum(chart, [cI * GradedPoly._of(chart, t) for _, cI, out in top
                                        if (t := _nonzero(out))])
 

@@ -55,6 +55,9 @@ from .gralg import (
     _operand,
     _parity,
     _power,
+    _qadd,
+    _qmul,
+    _qneg,
     _rational,
     _unit,
     _within,
@@ -273,8 +276,8 @@ def _add_into(sums: _Sums, key: Key, w: int, p: GradedPoly, factor: int = 1):
     acc = sums.setdefault(key, {}).setdefault(w, {})
     for m, c in p.terms.items():
         if factor != 1:
-            c = c * factor
-        acc[m] = acc[m] + c if m in acc else c
+            c = _qmul(c, factor)
+        acc[m] = _qadd(acc[m], c) if m in acc else c
 
 
 def _from_sums(chart: Chart, sums: _Sums) -> DiffOp:
@@ -307,8 +310,8 @@ def _add_leibniz(sums: _Sums, chart: Chart, I: Key, right, left: WPoly | None = 
                     if not a:
                         continue
                     acc, n = a[0], n * a[1]
-                    c = c0 if n == 1 else -c0 if n == -1 else c0 * n
-                    acc[m] = acc[m] + c if m in acc else c
+                    c = c0 if n == 1 else _qneg(c0) if n == -1 else _qmul(c0, n)
+                    acc[m] = _qadd(acc[m], c) if m in acc else c
     if left is None:
         return
     for key, wt in _from_sums(chart, acc_sums).terms.items():
@@ -425,8 +428,8 @@ def formal_adjoint(D: DiffOp) -> DiffOp:
                 s = -1 if len(m0[1]) * ko & 1 else 1
                 for rest, m, n in _leibniz(key, m0):
                     for j, b in ws:
-                        acc, v = sums.setdefault(rest, {}).setdefault(j, {}), c0 * (s * n * b)
-                        acc[m] = acc[m] + v if m in acc else v
+                        acc, v = sums.setdefault(rest, {}).setdefault(j, {}), _qmul(c0, s * n * b)
+                        acc[m] = _qadd(acc[m], v) if m in acc else v
     return _from_sums(chart, sums)
 
 

@@ -13,7 +13,13 @@ constructors check what they are given (keys by ``_check_key``, numbers by
 ``_rational``, operands by ``_operand``) and drop zeros; each type's
 private ``_of`` is trusted: it builds every value the engine computes,
 unchecked; ``_nonzero``, the one rule that keeps the contract, drops the
-zeros a sum leaves.  The ``.terms`` layouts (here and in ``DiffOp``) are
+zeros a sum leaves.  The loops that build a term map one coefficient at a
+time (here, in ``diffop`` and in the bracket kernel) use ``_qmul``,
+``_qadd`` and ``_qneg``, CPython 3.12's ``Fraction`` product, sum and
+negation over ``_q``, which sets the slots of a reduced ``Fraction``: the
+operator's value, lowest terms and hash, without its dispatch and type
+tests; whole values, the ``.sd`` reader and the oracles keep the operators.
+The ``.terms`` layouts (here and in ``DiffOp``) are
 read by the benchmark under ``bench/``, and every polynomial-by-polynomial
 product goes through ``GradedPoly.__mul__``, the boundary its tracer wraps,
 except that ``dsl`` builds each product of numbers, variables, W and
@@ -50,7 +56,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import perm, prod
+from math import gcd, perm, prod
 from operator import add as _add, le, mul as _mul, sub
 from typing import Mapping, NamedTuple
 
@@ -217,14 +223,56 @@ def _rational(x, what: str) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
+def _q(n: int, d: int) -> Fraction:
+    """The Fraction n/d of coprime ints n and d > 0, its two slots set as
+    given, as CPython 3.12's Fraction._from_coprime_ints does."""
+    c = object.__new__(Fraction)
+    c._numerator, c._denominator = n, d
+    return c
+
+
+def _qmul(a: Fraction, b) -> Fraction:
+    """a * b for a Fraction or an int b, in lowest terms by CPython 3.12's
+    Fraction._mul: cancel the cross gcds, then multiply."""
+    na, da = a._numerator, a._denominator
+    if type(b) is Fraction:
+        nb, db = b._numerator, b._denominator
+        if (g := gcd(na, db)) > 1:
+            na, db = na // g, db // g
+    else:
+        nb, db = b, 1
+    if (g := gcd(nb, da)) > 1:
+        nb, da = nb // g, da // g
+    return _q(na * nb, da * db)
+
+
+def _qadd(a: Fraction, b: Fraction) -> Fraction:
+    """a + b in lowest terms by CPython 3.12's Fraction._add."""
+    na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+    if (g := gcd(da, db)) == 1:
+        return _q(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    if (g2 := gcd(t, g)) == 1:
+        return _q(t, s * db)
+    return _q(t // g2, s * (db // g2))
+
+
+def _qneg(a: Fraction) -> Fraction:
+    """-a, its numerator negated."""
+    return _q(-a._numerator, a._denominator)
+
+
 def _operand(x, kind, what: str, chart: Chart | None = None):
     """The one check of an operand at a public entry: x if it is a ``kind``
     (a class, or a tuple of classes) and, when ``chart`` is given, lies on
-    it.  Otherwise a TypeError "{what} must be a {kind}, not {type}" or a
-    ChartMismatch "{what} on another chart", ``what`` naming the operand."""
+    it.  Otherwise a TypeError "{what} must be a {kind}, not {type}" (an
+    before a vowel) or a ChartMismatch "{what} on another chart", ``what``
+    naming the operand."""
     if not isinstance(x, kind):
         kinds = " or ".join(k.__name__ for k in (kind if type(kind) is tuple else (kind,)))
-        raise TypeError(f"{what} must be a {kinds}, not {type(x).__name__}")
+        a = "an" if kinds[0] in "aeiouAEIOU" else "a"
+        raise TypeError(f"{what} must be {a} {kinds}, not {type(x).__name__}")
     if chart is not None and x.chart != chart:
         raise ChartMismatch(f"{what} on another chart")
     return x
@@ -378,7 +426,7 @@ class GradedPoly(_Value):
         acc: dict[Key, Fraction] = {}
         for p in parts:
             for k, c in p.terms.items():
-                acc[k] = acc[k] + c if k in acc else c
+                acc[k] = _qadd(acc[k], c) if k in acc else c
         return GradedPoly._of(chart, _nonzero(acc))
 
     @staticmethod
@@ -424,7 +472,7 @@ class GradedPoly(_Value):
         return GradedPoly._sum(self.chart, (self, other))
 
     def __neg__(self):
-        return GradedPoly._of(self.chart, {k: -c for k, c in self.terms.items()})
+        return GradedPoly._of(self.chart, {k: _qneg(c) for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, GradedPoly):
@@ -434,7 +482,7 @@ class GradedPoly(_Value):
                 return self
             if not other:
                 return GradedPoly.zero(self.chart)
-            return GradedPoly._of(self.chart, {k: c * other for k, c in self.terms.items()})
+            return GradedPoly._of(self.chart, {k: _qmul(c, other) for k, c in self.terms.items()})
         self._check(other)
         terms: dict[Key, Fraction] = {}
         for (e1, o1), c1 in self.terms.items():
@@ -443,11 +491,9 @@ class GradedPoly(_Value):
                 if merged is None:
                     continue
                 o, sign = merged
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
+                c = _qmul(c1, c2) if sign > 0 else _qneg(_qmul(c1, c2))
                 k = (tuple(map(_add, e1, e2)), o)
-                terms[k] = terms[k] + c if k in terms else c
+                terms[k] = _qadd(terms[k], c) if k in terms else c
         return GradedPoly._of(self.chart, _nonzero(terms))
 
 
@@ -482,7 +528,7 @@ def _derive(key: Key, p: GradedPoly) -> GradedPoly:
             m, n = m[:pos] + m[pos + 1:], -n if pos & 1 else n
         if n:
             terms[(tuple(map(sub, me, e)) if de else me, m)] = \
-                c if n == 1 else -c if n == -1 else c * n
+                c if n == 1 else _qneg(c) if n == -1 else _qmul(c, n)
     return GradedPoly._of(p.chart, terms)
 
 
@@ -538,8 +584,8 @@ def _substitute(p: GradedPoly, images: Mapping[str, GradedPoly],
             f = images[chart.odd[i]]
             m = f if m is None else m * f
         for k, v in (m.terms.items() if m is not None else ((_unit(target), _ONE),)):
-            v = v if c is _ONE else v * c
-            acc[k] = acc[k] + v if k in acc else v
+            v = v if c is _ONE else _qmul(v, c)
+            acc[k] = _qadd(acc[k], v) if k in acc else v
     return GradedPoly._of(target, _nonzero(acc))
 
 

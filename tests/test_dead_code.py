@@ -343,3 +343,45 @@ def test_caches_are_key_level():
     found = [(path.name, name) for path in sorted(SRC.glob("*.py"))
              for name, _ in _caches(ast.parse(path.read_text(), str(path)))]
     assert sorted(found) == sorted(KEY_LEVEL_CACHES)
+
+
+# The exact rational kernel: gralg's helpers alone touch a Fraction's slots,
+# and the oracles (oracle.py, and the matrix oracle of brackets.py) compute
+# with Python's own Fraction operators, so every oracle comparison checks
+# the helpers against them.
+RATIONAL_KERNEL = ("_q", "_qmul", "_qadd", "_qneg")
+FRACTION_SLOTS = ("_numerator", "_denominator")
+MATRIX_ORACLE = ("_grassmann_basis", "GrassmannMatrix", "_mat_mul", "_mat_sub", "_mat_bracket",
+                 "_sign_table", "_derivative_table", "matrix_of", "matrix_oracle_instance")
+
+
+def _rational_kernel_uses(tree: ast.AST, helpers: list, oracles: list) -> list[tuple[int, str]]:
+    """(line, name) of every Fraction slot named in tree outside the nodes
+    ``helpers``, and of every helper named inside the nodes ``oracles``."""
+    exempt = {id(n) for d in helpers for n in ast.walk(d)}
+    inside = {id(n) for d in oracles for n in ast.walk(d)}
+    return [(n.lineno, name) for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))
+            and ((name := n.id if isinstance(n, ast.Name) else n.attr) in FRACTION_SLOTS
+                 and id(n) not in exempt or name in RATIONAL_KERNEL and id(n) in inside)]
+
+
+def test_only_the_rational_kernel_builds_fractions():
+    """Only gralg's _q, _qmul, _qadd and _qneg name _numerator or
+    _denominator, and neither oracle.py nor the matrix oracle calls them."""
+    sample = ast.parse("def _q(n, d):\n    c._numerator = n\n"
+                       "def f(c):\n    return c._denominator\n"
+                       "def g(a):\n    return _qneg(a)\n")
+    q, _, g = sample.body
+    assert _rational_kernel_uses(sample, [q], [g]) == [(4, "_denominator"), (6, "_qneg")]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defs = {d.name: d for d in tree.body if isinstance(d, DEFS)}
+        if path.name == "brackets.py":
+            assert set(MATRIX_ORACLE) <= set(defs)  # a renamed oracle must not leave the guard
+        helpers = [defs[n] for n in RATIONAL_KERNEL] if path.name == "gralg.py" else []
+        oracles = [tree] if path.name == "oracle.py" else \
+            [defs[n] for n in MATRIX_ORACLE if n in defs]
+        found += [f"{path.name}:{line} {name}"
+                  for line, name in _rational_kernel_uses(tree, helpers, oracles)]
+    assert found == [], "\n".join(found)

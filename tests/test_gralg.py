@@ -1,6 +1,7 @@
 """The supercommutative polynomial ring, derivatives, densities."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,13 +20,15 @@ from superdelta import (
     compose,
     conjugate_by_exp,
     formal_adjoint,
+    higher_bracket,
+    jacobiator,
     partial,
     specialize,
     substitute,
 )
 from superdelta.dsl import load_module
 from superdelta.geom import lie_derivative, lie_derivative_pencil
-from superdelta.gralg import _Value, _key, _key_names
+from superdelta.gralg import _Value, _key, _key_names, _qadd, _qmul, _qneg
 from superdelta.oracle import berezin_integral, residue_pair
 
 from conftest import R11, R12, R22, R02, R03, poly_strategy, rand_op, rand_poly
@@ -173,9 +176,13 @@ def test_residue_pairing_picks_weight_one(rng):
 
 
 def _assert_canonical(p):
-    """Every coefficient is a nonzero Fraction, and p equals its validated
-    copy through the public constructor."""
-    assert all(type(c) is Fraction and c != 0 for c in p.terms.values()), p.terms
+    """Every coefficient is a nonzero Fraction in lowest terms over a
+    positive denominator, and p equals its validated copy through the
+    public constructor (which keeps a Fraction as it is given, so it cannot
+    catch an unnormalized one)."""
+    for c in p.terms.values():
+        assert type(c) is Fraction and c != 0, p.terms
+        assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1, p.terms
     assert p == GradedPoly(p.chart, dict(p.terms))
 
 
@@ -218,6 +225,8 @@ def test_engine_results_keep_the_kernel_contract(chart):
                  GradedPoly.const(chart, 0), GradedPoly.const(chart, Fraction(-1, 2))]
         polys += [part for _, part in p.homogeneous_parts()]
         polys += [partial(n, p) for n in chart.names]
+        Dodd = rand_op(rng, chart, 2).parity_part(1)
+        polys += [higher_bracket(Dodd, [p, q]), jacobiator(Dodd, [p.parity_part(0), odd])]
         for r in polys:
             _assert_canonical(r)
 
@@ -261,6 +270,37 @@ def test_engine_results_keep_the_kernel_contract(chart):
         _assert_canonical_op(op)
     assert m.operators["P0"].is_zero() and m.operators["P1"].is_zero()
     assert m.operators["P2"] == DiffOp.deriv(chart, v)
+
+
+def _assert_same(got, want):
+    """got is the Fraction want, slot by slot: the same int numerator and
+    denominator (so lowest terms, and 0 as 0/1) and the same hash."""
+    assert type(got) is Fraction and type(got.numerator) is int, (got, want)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator), (got, want)
+    assert hash(got) == hash(want) and (got or got.denominator == 1)
+
+
+def test_rational_kernel_matches_the_operators():
+    """_qmul, _qadd and _qneg give what *, + and unary - give: on every
+    pair of a grid of small fractions (equal denominators, sums that cancel
+    to 0 and every gcd branch among them), on int and bool factors, and on
+    seeded operands with numerators and denominators above 2^70."""
+    grid = sorted({Fraction(n, d) for n in range(-12, 13) for d in range(1, 13)})
+    rng = random.Random("rational-kernel")
+    big = []
+    for _ in range(40):
+        g = rng.getrandbits(40) + 1  # a shared factor, so the gcd branches run
+        a = Fraction(rng.choice((-1, 1)) * g * rng.getrandbits(72), g * (rng.getrandbits(72) | 1))
+        big += [a, -a, Fraction(rng.getrandbits(75) + 1, a.denominator)]
+    pairs = itertools.chain(itertools.product(grid, repeat=2), zip(big, big[1:] + big[:1]),
+                            zip(big, reversed(big)))
+    for a, b in pairs:
+        _assert_same(_qmul(a, b), a * b)
+        _assert_same(_qadd(a, b), a + b)
+    for a in grid + big:
+        _assert_same(_qneg(a), -a)
+        for n in (*range(-12, 13), 2 ** 71 * 3, True, False):
+            _assert_same(_qmul(a, n), a * n)
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ _REFUSALS = [
     (lambda: matrix_of(ID11), ValueError, "matrix oracle requires a purely odd chart"),
     (lambda: matrix_oracle_instance(R11), ValueError,
      "matrix oracle requires a purely odd chart"),
-    (lambda: monomials_upto(R11, None), TypeError, "the degree deg must be a int, not NoneType"),
+    (lambda: monomials_upto(R11, None), TypeError, "the degree deg must be an int, not NoneType"),
     # brackets: an argument on another chart is refused before any shortcut
     # to 0 (a zero generator, more arguments than its order, a zero
     # argument); rows sharing a message take their own ids
