@@ -21,7 +21,6 @@ from .diffop import DiffOp, formal_adjoint, specialize
 from .geom import (
     VBracketData,
     _classify,
-    bracket_from_operator,
     canonical_pencil,
     jacobi_report,
     master_discrepancy,
@@ -277,7 +276,7 @@ def _cmd_bracket(args, m: Module) -> int:
               for v in vals]
         return _emit(args, pencil_bracket(D, ps[0], ps[1]))
     f, g = _as_polys(vals, "bracket arguments")
-    return _emit(args, bracket_from_operator(D, f, g))
+    return _emit(args, higher_bracket(D, [f, g]))
 
 
 def _cmd_pencil(args, m: Module) -> int:

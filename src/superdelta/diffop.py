@@ -224,6 +224,20 @@ def _on_one(D: DiffOp) -> GradedPoly:
     return D.terms.get(_unit(D.chart), {}).get(0, GradedPoly.zero(D.chart))
 
 
+def _symbol_parts(D: DiffOp, ct: Chart, total: int) -> list[GradedPoly]:
+    """The symbols of D's terms of order k at W^w, k + w = total, for w = 0
+    to total: c W^w d^I as c p^I on ct, whose blocks are D's chart's, then
+    their momenta (cotangent chart).  x^m p^I is one key, m then I with its
+    odd indices moved past the base's, with no sign; no two terms merge."""
+    q, parts = len(D.chart.odd), [{} for _ in range(total + 1)]
+    for (e, o), wp in D.terms.items():
+        if (c := wp.get(w := total - sum(e) - len(o))) is not None:  # no W-power is < 0
+            p, acc = tuple(q + i for i in o), parts[w]
+            for (me, mo), v in c.terms.items():
+                acc[(me + e, mo + p)] = v
+    return [GradedPoly._of(ct, t) for t in parts]
+
+
 @functools.lru_cache(maxsize=1024)
 def _leibniz(key: Key, mono: Key, hits=None, free=True, cap=None) -> tuple:
     """d^key o (x^mono .) = sum n x^m d^rest, normal-ordered by the graded

@@ -33,8 +33,8 @@ layout, and only this module, ``diffop`` and the matrix oracle's
 helpers: ``_key`` and ``_mul_keys`` (the key of a product), ``_unit`` (the
 key of 1), ``_deg`` (its degree), ``_keys_upto`` (every key up to a
 degree), ``_key_powers`` and ``_key_names`` (its factors), ``_envelope`` (a
-support bound), ``_odd_degree_part`` and ``_embed`` (a polynomial on a
-chart whose blocks begin with its own).  ``_derive`` takes d^key of each
+support bound), ``_odd_degree_part`` and ``diffop._symbol_parts`` (an
+operator's terms as symbols on T*M).  ``_derive`` takes d^key of each
 monomial in one step; ``partial``, its one-variable case, checks its
 polynomial for the API over the kernel ``_partial``, which ``geom`` calls,
 and ``diffop`` calls ``_derive``, never either.  Caches hold keys, never
@@ -500,13 +500,6 @@ class GradedPoly(_Value):
 def _odd_degree_part(p: GradedPoly, j: int) -> GradedPoly:
     """The terms of p with exactly j odd coordinates."""
     return GradedPoly._of(p.chart, {k: c for k, c in p.terms.items() if len(k[1]) == j})
-
-
-def _embed(p: GradedPoly, chart: Chart) -> GradedPoly:
-    """p on a chart whose even and odd blocks begin with those of p's chart:
-    the even exponents are padded with zeros, the odd indices stay."""
-    pad = (0,) * (len(chart.even) - len(p.chart.even))
-    return GradedPoly._of(chart, {(e + pad, o): c for (e, o), c in p.terms.items()})
 
 
 def _derive(key: Key, p: GradedPoly) -> GradedPoly:

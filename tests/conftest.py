@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 
 from superdelta import Chart, DiffOp, GradedPoly
 from superdelta.diffop import compose
+from superdelta.geom import cotangent_chart
+from superdelta.oracle import substitute, tstar_bracket
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -31,6 +34,32 @@ def full_square(D: DiffOp) -> DiffOp:
     path forms: D + 0 equals D but is not D, so compose leaves out no symbol
     square, and a property of the square is not met by leaving terms out."""
     return compose(D, D + 0)
+
+
+def momenta(chart: Chart) -> dict:
+    """The momentum p_a of each coordinate a on cotangent_chart(chart),
+    found by position: each parity block is the base's, then its momenta."""
+    ct = cotangent_chart(chart)
+    names = ct.even[len(chart.even):] + ct.odd[len(chart.odd):]
+    return {a: GradedPoly.var(ct, p) for a, p in zip(chart.names, names)}
+
+
+def tstar_slots(data) -> list:
+    """The four Jacobi obstruction symbols of odd bracket data from their
+    definition: ((S,S), (S,gamma), (S,theta)+(gamma,gamma), (gamma,theta))
+    under oracle.tstar_bracket, for the symbols S = 1/2 S^{ab} p_b p_a,
+    gamma = gamma^a p_a and theta, each coefficient moved to the cotangent
+    chart by oracle.substitute."""
+    chart = data.chart
+    p, ct = momenta(chart), cotangent_chart(chart)
+    move = {v: GradedPoly.var(ct, v) for v in chart.names}
+    S = sum((substitute(s, move, ct) * p[b] * p[a] for (a, b), s in data.S.items()),
+            GradedPoly.zero(ct)) * Fraction(1, 2)
+    g = sum((substitute(v, move, ct) * p[a] for a, v in data.gamma.items()),
+            GradedPoly.zero(ct))
+    th = substitute(data.theta, move, ct)
+    return [tstar_bracket(S, S), tstar_bracket(S, g),
+            tstar_bracket(S, th) + tstar_bracket(g, g), tstar_bracket(g, th)]
 
 
 def key_within(key, bound) -> bool:

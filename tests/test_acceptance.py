@@ -56,7 +56,7 @@ from superdelta.dsl import load_module, render
 
 from conftest import (
     R11, R12, R22, R02, R03,
-    full_square, rand_op, rand_poly, rand_vdata, std_odd_smatrix,
+    full_square, rand_op, rand_poly, rand_vdata, std_odd_smatrix, tstar_slots,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -294,7 +294,8 @@ def _density_order_leq(D, r):
 
 
 def test_criterion_5_geometric_equivalences(capsys):
-    """Obstruction symbols characterize the order of the square; action
+    """Obstruction symbols characterize the order of the square and equal
+    their definition (tstar_slots, by oracle.tstar_bracket); action
     recovery inverts the volume construction."""
     with criterion(capsys, 5, "Jacobi obstruction symbols and action "
                    "recovery"):
@@ -319,6 +320,8 @@ def test_criterion_5_geometric_equivalences(capsys):
             slots = jacobi_report(data)
             assert all(v.is_zero() for v in slots) == _density_order_leq(
                 compose(P, P), 1)
+            # the symbols themselves, against their definition on T*M
+            assert list(slots) == tstar_slots(data)
         assert seen_flat > 0 and seen_curved > 0
         # action recovery on the nondegenerate standard S
         for chart2 in (R11, R22):

@@ -13,6 +13,7 @@ from superdelta.diffop import (
     specialize,
 )
 from superdelta.gralg import ChartMismatch, DomainError, ParityError, _substitute
+from superdelta.brackets import higher_bracket
 from superdelta.cli import _LEVEL_NAMES
 from superdelta.geom import (
     BracketDataError,
@@ -21,10 +22,8 @@ from superdelta.geom import (
     VBracketData,
     _berezinian,
     _exact_quotient,
-    _tstar_matrix,
     _unit_series,
     act_on_w_densities,
-    bracket_from_operator,
     canonical_pencil,
     classify_square,
     cotangent_chart,
@@ -57,7 +56,8 @@ from superdelta.dsl import load_module, render
 
 from conftest import (
     CHARTS, R02, R03, R11, R12, R22,
-    full_square, poly_strategy, rand_op, rand_poly, rand_smatrix, rand_vdata, std_odd_smatrix,
+    full_square, momenta, poly_strategy, rand_op, rand_poly, rand_smatrix, rand_vdata,
+    std_odd_smatrix, tstar_slots,
 )
 
 WEIGHTS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2))
@@ -89,6 +89,9 @@ def test_bracket_on_coordinates_recovers_s(rng):
 
 
 def test_bracket_from_operator_matches_matrix_bracket(rng):
+    """The binary derived bracket higher_bracket(D, [f, g]), which the CLI's
+    bracket subcommand takes, against the coordinate bracket and the
+    four-term formula."""
     for chart in (R11, R12):
         S = std_odd_smatrix(chart)
         sigma = rand_poly(rng, chart, 3, parity=0)
@@ -96,7 +99,7 @@ def test_bracket_from_operator_matches_matrix_bracket(rng):
         for _ in range(6):
             f = rand_poly(rng, chart, 3)
             g = rand_poly(rng, chart, 3)
-            assert bracket_from_operator(D, f, g) == \
+            assert higher_bracket(D, [f, g]) == \
                 matrix_bracket(S, chart, f, g)
     # random even, odd and W-carrying operators of order 0-3 against the
     # four-term formula, which reads the operator at weight 0
@@ -116,7 +119,7 @@ def test_bracket_from_operator_matches_matrix_bracket(rng):
                                     - op.apply(fh) * g
                                     - (-1) ** (eps * pf) * fh * op.apply(g)
                                     + op.apply(one) * fh * g)
-                    assert bracket_from_operator(op, f, g) == expected
+                    assert higher_bracket(op, [f, g]) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -464,27 +467,32 @@ def test_jacobi_report_flat_and_curved():
 
 def test_jacobi_report_is_the_top_symbol_of_the_square():
     """The four obstruction symbols are the parts of total order 3 of
-    Q = P o P for the canonical pencil P.  With Q[k, w] the part of Q of
-    order k at W^w, and each c d^I in it written as c p^I on the cotangent
-    chart (the coefficient moved by _embed, then the momenta of I in key
-    order), the slots are 2 Q[3,0], Q[2,1], 2 Q[1,2] and 2 Q[0,3]: seeded
-    odd data of degree 1 to 3 on all five charts."""
+    Q = P o P for the whole canonical pencil P, every term formed
+    (full_square).  With Q[k, w] the part of Q of order k at W^w, and each
+    c d^I in it written as c p^I on the cotangent chart (the coefficient
+    moved by oracle.substitute, then the momenta of I in key order), the
+    definition's slots (tstar_slots) are 2 Q[3,0], Q[2,1], 2 Q[1,2] and
+    2 Q[0,3], and jacobi_report gives them: seeded odd data of degree 1 to
+    3 on all five charts."""
     rng, nonzero = random.Random("jacobi symbols"), 0
     for chart in CHARTS:
+        momentum = momenta(chart)
         ct = cotangent_chart(chart)
-        momentum = {x: GradedPoly.var(ct, m) for x, m in geom._momenta(ct).items()}
+        move = {v: GradedPoly.var(ct, v) for v in chart.names}
         for i in range(40):
             data = rand_vdata(rng, chart, 1, deg=1 + i % 3)
-            Q, part = compose(*[canonical_pencil(data)] * 2), {}
+            Q, part = full_square(canonical_pencil(data)), {}
             for I, wp in Q.terms.items():
                 for w, c in wp.items():
-                    symbol = gralg._embed(c, ct)
+                    symbol = substitute(c, move, ct)
                     for x in gralg._key_names(chart, I):
                         symbol = symbol * momentum[x]
                     kw = gralg._deg(I), w
                     part[kw] = part.get(kw, GradedPoly.zero(ct)) + symbol
             top = [part.get(kw, GradedPoly.zero(ct)) for kw in ((3, 0), (2, 1), (1, 2), (0, 3))]
-            assert list(jacobi_report(data)) == [top[0] * 2, top[1], top[2] * 2, top[3] * 2]
+            slots = tstar_slots(data)
+            assert [top[0] * 2, top[1], top[2] * 2, top[3] * 2] == slots
+            assert list(jacobi_report(data)) == slots
             nonzero += not all(t.is_zero() for t in top)
     assert nonzero > 100
 
@@ -541,16 +549,18 @@ def _rand_symbol(rng, ct):
 
 
 def test_tstar_bracket_against_explicit_sum(rng):
-    """The canonical bracket jacobi_report takes, X_F(G) for the canonical
-    matrix, is the explicit sum (oracle.tstar_bracket) on seeded symbols,
-    inhomogeneous ones included, on the cotangent chart of every chart; and
-    (p_a, x^b) = delta_a^b."""
+    """The canonical bracket on T*M as a Hamiltonian field, X_F(G) for the
+    canonical matrix written here, is the explicit sum (oracle.tstar_bracket)
+    on seeded symbols, inhomogeneous ones included, on the cotangent chart
+    of every chart; and (p_a, x^b) = delta_a^b."""
     for chart in CHARTS:
         ct = cotangent_chart(chart)
-        canonical = _tstar_matrix(ct)
+        one, canonical = GradedPoly.one(ct), {}
         ev, od = len(chart.even), len(chart.odd)
-        momenta = ct.even[ev:] + ct.odd[od:]
-        for pm, a in zip(momenta, chart.names):
+        names = ct.even[ev:] + ct.odd[od:]
+        for a, pm in zip(chart.names, names):
+            canonical[(a, pm)], canonical[(pm, a)] = -one if chart.parity(a) else one, -one
+        for pm, a in zip(names, chart.names):
             for b in chart.names:
                 pab = hamiltonian_vf(canonical, ct, GradedPoly.var(ct, pm)).apply(
                     GradedPoly.var(ct, b))
@@ -1138,7 +1148,7 @@ def test_coefficient_readers_match_bracket_probes(chart):
             for op in (D, D + W * rand_op(rng, chart, order, parity=i % 2)):
                 S = principal_matrix(op)
                 assert S == smatrix_of(
-                    chart, lambda b, a: bracket_from_operator(op, coord(b), coord(a)))
+                    chart, lambda b, a: higher_bracket(op, [coord(b), coord(a)]))
                 seen_nonzero += bool(S)
     assert seen_nonzero
 
@@ -1189,10 +1199,10 @@ def test_pencil_io_makes_no_probe_and_no_composition(count_calls):
     coefficients: no pencil_bracket probe and no compose.  transform_data
     reads the transformed pencil, so it builds no Hamiltonian field;
     extract_vbracket proves a canonical pencil self-adjoint by its round
-    trip, so it takes no formal_adjoint; jacobi_report builds two
-    Hamiltonian fields, X_S and X_gamma.  Counted by wrappers on every engine
-    module that names the function (count_calls); no wall-clock
-    assertion."""
+    trip, so it takes no formal_adjoint; jacobi_report reads its symbols off
+    one compose, the square of the principal part, and builds no
+    Hamiltonian field.  Counted by wrappers on every engine module that
+    names the function (count_calls); no wall-clock assertion."""
     calls = {name: count_calls(diffop if name == "compose" else geom, name) for name in
              ("compose", "pencil_bracket", "hamiltonian_vf", "formal_adjoint")}
     rng = random.Random("pencil io")
@@ -1205,17 +1215,20 @@ def test_pencil_io_makes_no_probe_and_no_composition(count_calls):
     assert calls["hamiltonian_vf"] == []
     assert calls["formal_adjoint"] == []
     for chart in CHARTS:
-        before = len(calls["hamiltonian_vf"])
+        before = len(calls["compose"])
         geom.jacobi_report(rand_vdata(rng, chart, 1))
-        assert len(calls["hamiltonian_vf"]) - before == 2
+        assert len(calls["compose"]) - before == 1
+    assert calls["hamiltonian_vf"] == []
     # the counters see the calls they count
+    before = len(calls["compose"])
     diffop.compose(DiffOp.deriv(R11, "x"), DiffOp.deriv(R11, "xi"))
     one = DensityElement.from_poly(GradedPoly.one(R11))
     geom.pencil_bracket(DiffOp.deriv(R11, "x"), one, one)
     with pytest.raises(DomainError, match="not self-adjoint"):
         geom.extract_vbracket(DiffOp.deriv(R11, "x"))
-    assert len(calls["compose"]) == len(calls["pencil_bracket"]) == 1
-    assert len(calls["formal_adjoint"]) == 1
+    geom.hamiltonian_vf(std_odd_smatrix(R11), R11, GradedPoly.one(R11))
+    assert len(calls["compose"]) - before == len(calls["pencil_bracket"]) == 1
+    assert len(calls["formal_adjoint"]) == len(calls["hamiltonian_vf"]) == 1
 
 
 def test_data_read_off_a_pencil_is_valid_as_read():
